@@ -26,7 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import Constellation, SymbolRecord, encode, halfplane_label, keystream_table
+from .codec import (
+    Constellation,
+    SymbolRecord,
+    encode,
+    gf2_span,
+    halfplane_label,
+    keystream_table,
+    unit_keystreams,
+)
 from .detection import (
     antipodal_homodyne_error,
     helstrom_pure,
@@ -287,17 +295,63 @@ def _pair_index_table(c: Constellation) -> np.ndarray:
     return table
 
 
-def _candidate_scan(effective_labels: np.ndarray, parity: np.ndarray,
-                    target: np.ndarray) -> "tuple[np.ndarray, np.ndarray, int]":
-    """Candidate bit sequences labels XOR parity_j, scored against a target.
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Pack the last axis of a 0/1 array into ceil(n / 64) uint64 words, zero-padded."""
+    n = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (64 * -(-n // 64),), dtype=np.uint8)
+    padded[..., :n] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view(np.uint64)
 
-    Returns (candidates, match_fraction, distinct_count).
+
+def _gf2_rank(rows: np.ndarray) -> int:
+    """Rank over GF(2) of packed bit rows."""
+    pivots: "dict[int, int]" = {}
+    for row in rows:
+        v = int.from_bytes(row.tobytes(), "little")
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+    return len(pivots)
+
+
+def _seed_scan(measured_labels: np.ndarray, effective_labels: np.ndarray,
+               target: np.ndarray, c: Constellation, poly: int,
+               true_seed: int) -> AttackRecord:
+    """Score the candidates effective_labels XOR parity_j of every nonzero seed j.
+
+    The parity stream is GF(2)-linear in the seed, so the packed streams of
+    all seeds are XOR combinations of the unit-seed streams and the number
+    of distinct candidates follows from the rank of the unit streams: with
+    full rank K every nonzero seed gives its own candidate (2^K - 1),
+    otherwise the nonzero seeds cover the whole 2^rank image.
     """
-    cand = np.bitwise_xor(effective_labels[None, :], parity)
-    frac = np.mean(cand == target[None, :], axis=1)
-    packed = np.packbits(cand, axis=1)
-    distinct = np.unique(packed, axis=0).shape[0]
-    return cand, frac, int(distinct)
+    key_bits = poly.bit_length() - 1
+    n = target.size
+    basis_units, _ = unit_keystreams(poly, n, c.bits_per_symbol)
+    units = _pack_words((basis_units & 1).astype(np.uint8))
+    streams = gf2_span(units)[1:]
+    mismatches = np.bitwise_count(streams ^ _pack_words(effective_labels ^ target)).sum(
+        axis=1, dtype=np.int64)
+    frac = (n - mismatches) / n
+    rank = _gf2_rank(units)
+    distinct = (1 << key_bits) - 1 if rank == key_bits else 1 << rank
+    seeds = np.arange(1, 1 << key_bits, dtype=np.uint32)
+    exact = int(np.count_nonzero(mismatches == 0))
+    # ties resolved optimistically for the attacker
+    true_rank = 1 + int(np.count_nonzero(mismatches < mismatches[true_seed - 1]))
+    return AttackRecord(
+        measured_labels=measured_labels,
+        candidate_count=distinct,
+        true_key_rank=true_rank,
+        true_r_in_candidates=exact > 0,
+        per_seed_match_fraction=frac,
+        seeds=seeds,
+        true_seed=int(true_seed),
+        exact_match_count=exact,
+        collision_count=int(seeds.size - distinct),
+        notes={"seed_space": int(seeds.size)},
+    )
 
 
 def brute_force_candidates(measured: np.ndarray, c: Constellation, poly: int,
@@ -320,28 +374,10 @@ def brute_force_candidates(measured: np.ndarray, c: Constellation, poly: int,
         raise ValueError("label record and reference sequence differ in length")
     if not 0 < true_seed < (1 << key_bits):
         raise ValueError("true_seed must be a nonzero register value")
-    seeds = np.arange(1, 1 << key_bits, dtype=np.uint32)
-    _, parity, _ = keystream_table(poly, n, c.bits_per_symbol, seeds=seeds, osk=False)
-    _, frac, distinct = _candidate_scan(measured, parity, r_true)
-    exact = np.nonzero(frac == 1.0)[0]
-    t = int(true_seed) - 1
-    rank = 1 + int(np.sum(frac > frac[t]))
+    rec = _seed_scan(measured, measured, r_true, c, poly, true_seed)
     # a candidate with match fraction 1 is the transmitted sequence itself
-    return AttackRecord(
-        measured_labels=measured,
-        candidate_count=distinct,
-        true_key_rank=rank,
-        true_r_in_candidates=bool(exact.size > 0),
-        per_seed_match_fraction=frac,
-        seeds=seeds,
-        true_seed=int(true_seed),
-        exact_match_count=int(exact.size),
-        collision_count=int(seeds.size - distinct),
-        notes={
-            "seed_space": int(seeds.size),
-            "data_space_log2": float(n),
-        },
-    )
+    rec.notes["data_space_log2"] = float(n)
+    return rec
 
 
 def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed: int,
@@ -370,50 +406,29 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
     idx_table = _pair_index_table(c)
     indices = idx_table[pad, ks_basis[0]]
     labels = _measure_indices(indices, c, scenario, rng, scenario.error_vector())
-    seeds = np.arange(1, 1 << key_bits, dtype=np.uint32)
-    _, parity, _ = keystream_table(poly, n, c.bits_per_symbol, seeds=seeds, osk=False)
-    cand, frac, distinct = _candidate_scan(cipher ^ labels, parity, x_bits)
-    exact = np.nonzero(frac == 1.0)[0]
-    t = int(true_seed) - 1
-    rank = 1 + int(np.sum(frac > frac[t]))
+    rec = _seed_scan(labels, cipher ^ labels, x_bits, c, poly, true_seed)
+    rec.true_r_in_candidates = bool(rec.per_seed_match_fraction[true_seed - 1] == 1.0)
     noiseless = (scenario.dsr.kind == "none" and scenario.misalign == 0.0
                  and not scenario.error_vector().any())
     identity = bool(np.all((cipher ^ labels ^ parity_true[0]) == x_bits)) if noiseless else None
-    return AttackRecord(
-        measured_labels=labels,
-        candidate_count=distinct,
-        true_key_rank=rank,
-        true_r_in_candidates=bool(frac[t] == 1.0),
-        per_seed_match_fraction=frac,
-        seeds=seeds,
-        true_seed=int(true_seed),
-        exact_match_count=int(exact.size),
-        collision_count=int(seeds.size - distinct),
-        notes={
-            "seed_space": int(seeds.size),
-            "pad_identity_noiseless": identity,
-            "ciphertext": cipher.tolist(),
-        },
-    )
+    rec.notes["pad_identity_noiseless"] = identity
+    rec.notes["ciphertext"] = cipher.tolist()
+    return rec
 
 
 # ---------------------------------------------------------------------------
 # Exact posterior entropies
 
 
-def _full_seed_tables(c: Constellation, poly: int,
-                      n_symbols: int) -> "tuple[np.ndarray, np.ndarray]":
-    """(seeds, basis) over the complete 2^K hypothesis space, zero included.
+def _seed_space_basis(c: Constellation, poly: int, n_symbols: int) -> np.ndarray:
+    """Basis chunks of every register value, zero included; row index = register.
 
     The zero register never occurs operationally, but the uncertainty
-    accounting runs over every syntactically possible key, so the all-zero
-    keystream row is prepended by hand.
+    accounting runs over every syntactically possible key.  The span of the
+    unit-seed rows is indexed by register value, so its row 0 is the
+    all-zero keystream.
     """
-    key_bits = poly.bit_length() - 1
-    basis_nz, _, _ = keystream_table(poly, n_symbols, c.bits_per_symbol, osk=False)
-    basis = np.vstack([np.zeros((1, n_symbols), dtype=basis_nz.dtype), basis_nz])
-    seeds = np.arange(0, 1 << key_bits, dtype=np.uint32)
-    return seeds, basis
+    return gf2_span(unit_keystreams(poly, n_symbols, c.bits_per_symbol)[0])
 
 
 def _symbol_likelihoods(p1_by_index: np.ndarray, idx_table: np.ndarray,
@@ -480,7 +495,7 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
     weight = _entropy_error_weight(scenario)
     p1 = _index_label_prob(c, scenario)
     idx_table = _pair_index_table(c)
-    _, basis = _full_seed_tables(c, poly, n)
+    basis = _seed_space_basis(c, poly, n)
     h_key_vals = np.empty(trials)
     surprisals = np.empty(trials)
     for t in range(trials):
@@ -540,7 +555,7 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
     if trials < 1:
         raise ValueError("trials must be positive")
     idx_table = _pair_index_table(c)
-    _, basis = _full_seed_tables(c, poly, n)
+    basis = _seed_space_basis(c, poly, n)
     h_vals = np.empty(trials)
     if regime == "classical":
         weight = _entropy_error_weight(scenario)

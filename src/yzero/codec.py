@@ -253,6 +253,38 @@ def encode_sequence(bits: "np.ndarray | list[int]", ks: Keystream, c: Constellat
     return out
 
 
+def unit_keystreams(poly: int, n_symbols: int, bits_per_symbol: int,
+                    osk: bool = False) -> "tuple[np.ndarray, np.ndarray]":
+    """(basis, scramble) chunk rows of the unit seeds 2^0 .. 2^(degree-1).
+
+    Row b is stepped by the scalar Keystream from register 2^b.  Every output
+    bit is linear over GF(2) in the register, so the chunks of any seed are
+    the XOR of the unit rows at its set bits.
+    """
+    degree = poly.bit_length() - 1
+    basis = np.empty((degree, n_symbols), dtype=np.uint32)
+    scram = np.empty((degree, n_symbols), dtype=np.uint8)
+    for b in range(degree):
+        ks = Keystream(poly, 1 << b, bits_per_symbol, osk=osk)
+        for i in range(n_symbols):
+            basis[b, i], _, scram[b, i] = keystream_next(ks)
+    return basis, scram
+
+
+def gf2_span(units: np.ndarray) -> np.ndarray:
+    """Every XOR combination of the rows of ``units``, indexed by the combining mask.
+
+    Row s of the result is the XOR of units[b] over the set bits b of s, for
+    all s < 2^len(units); row 0 is zero.  Built by doubling: rows
+    [2^b, 2^(b+1)) are rows [0, 2^b) XOR units[b].
+    """
+    out = np.empty((1 << units.shape[0],) + units.shape[1:], dtype=units.dtype)
+    out[0] = 0
+    for b in range(units.shape[0]):
+        np.bitwise_xor(out[:1 << b], units[b], out=out[1 << b:2 << b])
+    return out
+
+
 def keystream_table(poly: int, n_symbols: int, bits_per_symbol: int,
                     seeds: "np.ndarray | None" = None,
                     osk: bool = False) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
@@ -261,42 +293,31 @@ def keystream_table(poly: int, n_symbols: int, bits_per_symbol: int,
     Returns (basis, parity, scramble) arrays of shape (n_seeds, n_symbols),
     one row per seed.  With seeds=None every nonzero register value of the
     polynomial's degree is enumerated in increasing order.  Matches the
-    scalar Keystream bit for bit.
+    scalar Keystream bit for bit: rows are XOR combinations of the
+    unit-seed rows.
     """
     degree = poly.bit_length() - 1
     if degree < 2 or degree > 24:
         raise ValueError("polynomial degree must lie in [2, 24] for table enumeration")
-    taps = poly & ((1 << degree) - 1)
-    if seeds is None:
-        seeds = np.arange(1, 1 << degree, dtype=np.uint32)
-    reg = np.asarray(seeds, dtype=np.uint32).copy()
-    if reg.ndim != 1 or reg.size == 0:
-        raise ValueError("seeds must be a nonempty 1-d array")
-    if np.any(reg == 0) or np.any(reg >= (1 << degree)):
-        raise ValueError("seeds must be nonzero values below 2^degree")
-    nb = bits_per_symbol - (1 if osk else 0)
-    if nb < 1:
+    if seeds is not None:
+        reg = np.asarray(seeds, dtype=np.uint32)
+        if reg.ndim != 1 or reg.size == 0:
+            raise ValueError("seeds must be a nonempty 1-d array")
+        if np.any(reg == 0) or np.any(reg >= (1 << degree)):
+            raise ValueError("seeds must be nonzero values below 2^degree")
+    if bits_per_symbol - (1 if osk else 0) < 1:
         raise ValueError("bits_per_symbol too small for the requested mode")
-    basis = np.zeros((reg.size, n_symbols), dtype=np.uint32)
-    scram = np.zeros((reg.size, n_symbols), dtype=np.uint8)
-
-    def step_all() -> np.ndarray:
-        out = reg & 1
-        fb = reg & taps
-        # xor-fold the tapped bits down to parity
-        for shift in (16, 8, 4, 2, 1):
-            fb ^= fb >> shift
-        fb &= 1
-        reg[:] = (reg >> 1) | (fb << (degree - 1))
-        return out.astype(np.uint32)
-
-    for i in range(n_symbols):
-        k = np.zeros(reg.size, dtype=np.uint32)
-        for _ in range(nb):
-            k = (k << 1) | step_all()
-        basis[:, i] = k
-        if osk:
-            scram[:, i] = step_all().astype(np.uint8)
+    basis_units, scram_units = unit_keystreams(poly, n_symbols, bits_per_symbol, osk)
+    if seeds is None:
+        basis = gf2_span(basis_units)[1:]
+        scram = gf2_span(scram_units)[1:]
+    else:
+        basis = np.zeros((reg.size, n_symbols), dtype=np.uint32)
+        scram = np.zeros((reg.size, n_symbols), dtype=np.uint8)
+        for b in range(degree):
+            bit = ((reg >> b) & 1)[:, None]
+            basis ^= bit * basis_units[b]
+            scram ^= bit.astype(np.uint8) * scram_units[b]
     parity = (basis & 1).astype(np.uint8)
     return basis, parity, scram
 

@@ -21,11 +21,9 @@ import scipy
 
 from . import __version__
 from .attacks import (
-    ATTACK_KEY_BITS_CAP,
-    ATTACK_TABLE_CAP,
     AttackScenario,
-    ENTROPY_KEY_BITS_CAP,
-    ENTROPY_SYMBOL_CAP,
+    _check_attack_caps,
+    _check_entropy_caps,
     brute_force_candidates,
     ciphertext_only_entropy,
     keygen_advantage,
@@ -36,7 +34,6 @@ from .attacks import (
 )
 from .codec import Constellation, Keystream, encode_sequence
 from .detection import bit_bound, exponent_fit, srm_mary_error, updown_bound
-from .errors import RegimeCapError
 from .fockspace import HERMITICITY_TOL, TAIL_TOL
 from .scenario import RunManifest, ScenarioConfig
 
@@ -44,20 +41,9 @@ from .scenario import RunManifest, ScenarioConfig
 def validate_caps(cfg: ScenarioConfig) -> None:
     """Raise RegimeCapError before any computation if the run is oversized."""
     if cfg.family == "attack":
-        if cfg.key_bits > ATTACK_KEY_BITS_CAP:
-            raise RegimeCapError(
-                f"attack family enumerates 2^{cfg.key_bits} seeds; "
-                f"cap is 2^{ATTACK_KEY_BITS_CAP}")
-        if (1 << cfg.key_bits) * cfg.n_symbols > ATTACK_TABLE_CAP:
-            raise RegimeCapError("seed table exceeds the in-memory cap")
+        _check_attack_caps(cfg.key_bits, cfg.n_symbols)
     elif cfg.family == "entropy":
-        if cfg.key_bits > ENTROPY_KEY_BITS_CAP:
-            raise RegimeCapError(
-                f"entropy family enumerates 2^{cfg.key_bits} hypotheses; "
-                f"cap is 2^{ENTROPY_KEY_BITS_CAP}")
-        if cfg.n_symbols > ENTROPY_SYMBOL_CAP:
-            raise RegimeCapError(
-                f"entropy family caps at {ENTROPY_SYMBOL_CAP} symbols")
+        _check_entropy_caps(cfg.key_bits, cfg.n_symbols)
 
 
 def _scenario_from_config(cfg: ScenarioConfig) -> AttackScenario:
@@ -114,12 +100,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_writer(fh, manifest_name: str, sha256: str, header: "list[str]"):
+    """Write the manifest comment line and the header row; return the row writer."""
+    fh.write(f"# manifest: {manifest_name} config_sha256: {sha256}\n")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    return writer
+
+
 def _write_csv(path: str, manifest_name: str, sha256: str, header: "list[str]",
                rows: "list[list]") -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# manifest: {manifest_name} config_sha256: {sha256}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer = _csv_writer(fh, manifest_name, sha256, header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
@@ -194,14 +186,35 @@ def _attack_record_payload(rec, cfg: ScenarioConfig) -> dict:
     }
 
 
-def _per_seed_rows(rec, n_symbols: int) -> "list[list]":
-    rows = []
+_SEED_CSV_HEADER = ["seed_hex", "match_fraction", "hamming_distance", "exact_match",
+                    "is_true_seed"]
+_SEED_CSV_CHUNK = 1 << 16
+
+
+def _write_seed_csv(path: str, manifest_name: str, sha256: str, rec,
+                    n_symbols: int) -> None:
+    """One row per seed hypothesis, as _write_csv would format it.
+
+    Every match fraction is (n - h) / n for a Hamming distance h, so each
+    row is the seed in hex followed by one of n + 1 precomputed tails; only
+    the true seed's row differs in its last column.
+    """
     frac = rec.per_seed_match_fraction
-    for i, seed in enumerate(rec.seeds):
-        hamming = int(round((1.0 - frac[i]) * n_symbols))
-        rows.append([format(int(seed), "#x"), float(frac[i]), hamming,
-                     int(frac[i] == 1.0), int(int(seed) == rec.true_seed)])
-    return rows
+    hamming = np.rint((1.0 - frac) * n_symbols).astype(np.int64)
+    if not np.array_equal(frac, (n_symbols - hamming) / n_symbols):
+        raise ValueError("match fractions are not whole multiples of 1/n_symbols")
+    tails = [f",{(n_symbols - h) / n_symbols!r},{h},{int(h == 0)},"
+             for h in range(n_symbols + 1)]
+    seeds = rec.seeds
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        _csv_writer(fh, manifest_name, sha256, _SEED_CSV_HEADER)
+        for lo in range(0, seeds.size, _SEED_CSV_CHUNK):
+            hi = min(lo + _SEED_CSV_CHUNK, seeds.size)
+            lines = [f"{s:#x}{tails[h]}0\n"
+                     for s, h in zip(seeds[lo:hi].tolist(), hamming[lo:hi].tolist())]
+            for i in np.flatnonzero(seeds[lo:hi] == rec.true_seed).tolist():
+                lines[i] = lines[i][:-2] + "1\n"
+            fh.write("".join(lines))
 
 
 def run_attack(cfg: ScenarioConfig) -> "list[str]":
@@ -229,11 +242,8 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
     }
     outputs = []
     seeds_name = f"{cfg.prefix}_attack_seeds.csv"
-    _write_csv(os.path.join(cfg.out_dir, seeds_name), f"{cfg.prefix}_manifest.json",
-               cfg.config_sha256,
-               ["seed_hex", "match_fraction", "hamming_distance", "exact_match",
-                "is_true_seed"],
-               _per_seed_rows(rec, cfg.n_symbols))
+    _write_seed_csv(os.path.join(cfg.out_dir, seeds_name), f"{cfg.prefix}_manifest.json",
+                    cfg.config_sha256, rec, cfg.n_symbols)
     outputs.append(seeds_name)
     if cfg.otp:
         x_bits = rng_otp.integers(0, 2, cfg.n_symbols, dtype=np.uint8)
@@ -241,11 +251,8 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
         payload["otp_stage"] = _attack_record_payload(orec, cfg)
         payload["otp_stage"]["plaintext"] = x_bits.tolist()
         otp_name = f"{cfg.prefix}_attack_otp_seeds.csv"
-        _write_csv(os.path.join(cfg.out_dir, otp_name), f"{cfg.prefix}_manifest.json",
-                   cfg.config_sha256,
-                   ["seed_hex", "match_fraction", "hamming_distance", "exact_match",
-                    "is_true_seed"],
-                   _per_seed_rows(orec, cfg.n_symbols))
+        _write_seed_csv(os.path.join(cfg.out_dir, otp_name), f"{cfg.prefix}_manifest.json",
+                        cfg.config_sha256, orec, cfg.n_symbols)
         outputs.append(otp_name)
     summary_name = f"{cfg.prefix}_attack.json"
     _write_json(os.path.join(cfg.out_dir, summary_name), payload)
