@@ -43,7 +43,6 @@ from .detection import (
     BinaryBound,
     ExponentFit,
     MaryBound,
-    ReceiverModel,
     antipodal_homodyne_error,
     bit_bound,
     exponent_fit,
@@ -51,11 +50,9 @@ from .detection import (
     helstrom_pure,
     heterodyne_index_transition,
     heterodyne_sample,
-    homodyne_sample,
     nearest_phase_index,
     phase_density,
     srm_mary_error,
-    srm_mary_error_direct,
     updown_bound,
 )
 from .errors import ConfigError, RegimeCapError
@@ -76,17 +73,17 @@ __all__ = [
     "AttackRecord", "AttackScenario", "BinaryBound", "ComplexAmplitude",
     "ConfigError", "Constellation", "DensityMatrix", "Dsr", "EntropyReport",
     "ExponentFit", "FockVector", "KeygenPoint", "Keystream", "MaryBound",
-    "PRIMITIVE_POLYS", "ReceiverModel", "RegimeCapError", "RunManifest",
+    "PRIMITIVE_POLYS", "RegimeCapError", "RunManifest",
     "ScenarioConfig",
     "SymbolRecord", "antipodal_homodyne_error", "binary_entropy", "bit_bound",
     "bit_ensembles", "brute_force_candidates", "ciphertext_only_entropy",
     "coherent_fock", "coherent_overlap", "density_from_ensemble", "encode",
     "encode_sequence", "exponent_fit", "halfplane_label", "helstrom_mixed",
     "helstrom_pure", "hermitian_eig", "heterodyne_index_transition",
-    "heterodyne_sample", "homodyne_sample", "keygen_advantage",
+    "heterodyne_sample", "keygen_advantage",
     "keystream_next", "keystream_table", "known_plaintext_key_entropy",
     "label_mutual_information", "load_config", "measure_labels",
     "nearest_phase_index", "otp_stage_attack", "phase_density",
-    "srm_mary_error", "srm_mary_error_direct", "trace_norm", "truncation_dim",
+    "srm_mary_error", "trace_norm", "truncation_dim",
     "updown_bound",
 ]

@@ -184,22 +184,6 @@ class Keystream:
         self.register = (self.register >> 1) | (fb << (self._degree - 1))
         return out
 
-    def to_spec(self) -> "dict[str, object]":
-        return {
-            "poly_bitmask_hex": format(self.poly, "#x"),
-            "seed_hex": format(self.register, "#x"),
-            "bits_per_symbol": self.bits_per_symbol,
-        }
-
-    @classmethod
-    def from_spec(cls, spec: "dict[str, object]", osk: bool = False) -> "Keystream":
-        return cls(
-            int(str(spec["poly_bitmask_hex"]), 16),
-            int(str(spec["seed_hex"]), 16),
-            int(spec["bits_per_symbol"]),  # type: ignore[arg-type]
-            osk=osk,
-        )
-
 
 def keystream_next(ks: Keystream) -> "tuple[int, int, int]":
     """Consume one symbol's worth of bits; return (basis, basis_parity, scramble_bit).

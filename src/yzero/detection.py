@@ -6,14 +6,18 @@ Three layers of analysis, from strongest observer to weakest:
   measurement distinguishing two states (pure closed form, or mixed via the
   trace norm of the weighted difference).
 * Square-root measurement: the pretty-good measurement for the full set of
-  2M symmetric states, evaluated exactly through the circulant structure of
-  the Gram matrix.
-* Explicit receivers: homodyne and heterodyne samplers plus the phase
-  decision statistics an intercepting receiver actually faces.
+  2M symmetric states.
+* Explicit receivers: a heterodyne sampler, the homodyne error in closed
+  form, and the phase decision statistics an intercepting receiver faces.
 
-Large constellations at high energy are handled on the span of the states
-themselves (a Gram-matrix factorization) whenever that span is smaller than
-the truncated photon-number basis, so nothing here requires the full basis.
+Every operator behind the constellation bounds (``bit_bound``,
+``updown_bound``, ``srm_mary_error``) is a weighted mixture over the 2M
+phase rotations, so the Gram matrix of the states is circulant and the DFT
+diagonalizes it.  All three take its spectrum from one helper, computed
+analytically as the aliased Poisson distribution; the binary bounds share
+one trace-norm helper that works in that DFT basis and keeps only the modes
+that can move the result.  No Fock basis is built and the cost follows the
+photon-number spread, not M.
 """
 
 from __future__ import annotations
@@ -22,26 +26,26 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
-from .codec import Constellation, bit_ensembles, encode
+from .codec import Constellation, encode
 from .fockspace import (
     ComplexAmplitude,
     DensityMatrix,
-    TAIL_TOL,
     _as_complex,
-    coherent_fock,
     coherent_overlap,
-    density_from_ensemble,
     trace_norm,
     truncation_dim,
 )
 
-# Eigenvalues of a Gram matrix are clipped at zero below this magnitude;
-# anything more negative indicates a genuinely broken input.  The circulant
-# (DFT) eigenvalues are held to a tighter floor since they are analytic.
-GRAM_EIG_FLOOR = -1e-8
-SRM_EIG_FLOOR = -1e-10
+# DFT modes of the Gram matrix are dropped while the bound on the change in
+# a binary p_error they cause stays at or below this: under the rounding of
+# 1 - ||T||_1.
+MODE_DROP_BOUND = 2.0**-53
+
+# The summed spectrum must equal n to this relative precision; a larger gap
+# means the pmf window missed part of the distribution.
+SPECTRUM_MASS_TOL = 1e-12
 
 # Row sums of a numerically integrated decision matrix must land this close
 # to one before renormalization.
@@ -112,45 +116,50 @@ def helstrom_mixed(rho0: DensityMatrix, rho1: DensityMatrix, p0: float = 0.5) ->
                        dim_used=rho0.dim, deficit=max(rho0.deficit, rho1.deficit))
 
 
-def _gram_matrix(amps: np.ndarray) -> np.ndarray:
-    """Pairwise coherent overlaps <a_i|a_j> from amplitudes, in closed form."""
-    z = np.asarray(amps, dtype=np.complex128)
-    half = 0.5 * np.abs(z) ** 2
-    return np.exp(-half[:, None] - half[None, :] + np.conj(z)[:, None] * z[None, :])
+def _gram_spectrum(c: Constellation) -> np.ndarray:
+    """Eigenvalues of the Gram matrix of the 2M states, in DFT order.
 
-
-def _gram_sqrt(gram: np.ndarray) -> np.ndarray:
-    """Positive square root of a (numerically) PSD Gram matrix."""
-    g, u = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-    if float(g[0]) < GRAM_EIG_FLOOR:
-        raise ValueError(f"Gram matrix has eigenvalue {g[0]} far below zero")
-    g = np.clip(g, 0.0, None)
-    return (u * np.sqrt(g)) @ u.conj().T
-
-
-def _gram_trace_norm(amps: np.ndarray, weights: np.ndarray) -> float:
-    """Trace norm of sum_i w_i |a_i><a_i| evaluated on the span of the states.
-
-    The nonzero spectrum of the weighted sum equals that of
-    G^{1/2} diag(w) G^{1/2}, so the cost scales with the number of states
-    rather than the photon-number dimension.
+    The Gram matrix <a_j|a_l> = exp(-S + S omega^(l-j)), omega = e^(i pi / M), is
+    circulant, and its eigenvalues are the Poisson(S) photon distribution
+    aliased onto n = 2M bins: Lambda_k = n sum_j P[N = k + j n].  They are
+    nonnegative by construction, and the phase offset cancels.
     """
-    gh = _gram_sqrt(_gram_matrix(amps))
-    h = gh @ (np.asarray(weights, dtype=float)[:, None] * gh)
-    w = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
-    return float(np.sum(np.abs(w)))
+    n = c.n_states
+    # Poisson mass tau left out of the window moves a binary p_error by at
+    # most sqrt(tau) n max|w| <= 2 sqrt(tau), so a tail below
+    # MODE_DROP_BOUND^2 costs at most twice the mode-drop bound.
+    window = truncation_dim(c.energy, MODE_DROP_BOUND**2)
+    pmf = stats.poisson.pmf(np.arange(n * math.ceil(window / n)), c.energy)
+    lam = n * pmf.reshape(-1, n).sum(axis=0)
+    mass = float(lam.sum()) / n
+    if abs(mass - 1.0) > SPECTRUM_MASS_TOL:
+        raise AssertionError(f"Poisson window holds mass {mass}, expected 1")
+    return lam
 
 
-def _resolve_method(c: Constellation, method: str) -> str:
-    if method not in ("auto", "fock", "gram"):
-        raise ValueError("method must be one of 'auto', 'fock', 'gram'")
-    if method != "auto":
-        return method
-    return "gram" if c.n_states < truncation_dim(c.energy) else "fock"
+def _weighted_trace_norm(c: Constellation, weights: np.ndarray) -> "tuple[float, int]":
+    """Trace norm of T = sum_j w_j |a_j><a_j| over the constellation states.
+
+    In the DFT basis the nonzero spectrum of T is that of
+    Lambda^(1/2) W Lambda^(1/2), with W_kl = ifft(w)[(k - l) mod n].  Modes
+    are dropped, smallest first, while sum_dropped sqrt(Lambda_k) max|ifft(w)|
+    sqrt(n) stays at or below MODE_DROP_BOUND.  Each dropped row (and column)
+    of the matrix has 2-norm at most sqrt(Lambda_k) max|ifft(w)| sqrt(n),
+    because sum Lambda = n, so that sum bounds the change in
+    p_error = (1 - ||T||_1) / 2.  Returns the trace norm and the modes kept.
+    """
+    n = c.n_states
+    lam = _gram_spectrum(c)
+    w_hat = np.fft.ifft(weights)
+    order = np.argsort(lam, kind="stable")
+    cost = np.cumsum(np.sqrt(lam[order])) * float(np.max(np.abs(w_hat))) * math.sqrt(n)
+    keep = np.sort(order[np.count_nonzero(cost <= MODE_DROP_BOUND):])
+    root = np.sqrt(lam[keep])
+    h = root[:, None] * w_hat[(keep[:, None] - keep[None, :]) % n] * root[None, :]
+    return float(np.sum(np.abs(np.linalg.eigvalsh(h)))), int(keep.size)
 
 
-def bit_bound(c: Constellation, p0: float = 0.5, method: str = "auto",
-              tol: float = TAIL_TOL) -> BinaryBound:
+def bit_bound(c: Constellation, p0: float = 0.5) -> BinaryBound:
     """Helstrom bound on reading the data bit without the keystream.
 
     The two hypotheses are the whole-constellation mixtures carrying bit 0
@@ -158,12 +167,6 @@ def bit_bound(c: Constellation, p0: float = 0.5, method: str = "auto",
     sits at exactly 1/2.
     """
     priors = _check_priors(p0)
-    resolved = _resolve_method(c, method)
-    if resolved == "fock":
-        rho0, rho1, _ = bit_ensembles(c, p0=p0, tol=tol)
-        bound = helstrom_mixed(rho0, rho1, p0=p0)
-        return BinaryBound(p_error=bound.p_error, method="bit_" + resolved,
-                           priors=priors, dim_used=bound.dim_used, deficit=bound.deficit)
     weights = np.zeros(c.n_states)
     scrambles = (0, 1) if c.osk else (0,)
     share = 1.0 / (c.m * len(scrambles))
@@ -171,12 +174,12 @@ def bit_bound(c: Constellation, p0: float = 0.5, method: str = "auto",
         for s in scrambles:
             weights[encode(1, basis, s, c).index] += priors[1] * share
             weights[encode(0, basis, s, c).index] -= priors[0] * share
-    tn = _gram_trace_norm(c.amplitudes(), weights)
-    return BinaryBound(p_error=0.5 * (1.0 - tn), method="bit_" + resolved,
-                       priors=priors, dim_used=c.n_states, deficit=0.0)
+    tn, kept = _weighted_trace_norm(c, weights)
+    return BinaryBound(p_error=0.5 * (1.0 - tn), method="bit_dft", priors=priors,
+                       dim_used=kept, deficit=0.0)
 
 
-def updown_bound(c: Constellation, method: str = "auto", tol: float = TAIL_TOL) -> BinaryBound:
+def updown_bound(c: Constellation) -> BinaryBound:
     """Helstrom bound on the half-plane label of a keyed transmission.
 
     Hypotheses: the uniform mixture of all states whose label is 1 versus
@@ -189,87 +192,24 @@ def updown_bound(c: Constellation, method: str = "auto", tol: float = TAIL_TOL) 
     labels = np.array([c.label(j) for j in range(c.n_states)])
     if labels.sum() * 2 != c.n_states:
         raise AssertionError("half-plane labels failed to split the constellation")
-    resolved = _resolve_method(c, method)
-    if resolved == "gram":
-        weights = np.where(labels == 1, 1.0, -1.0) / c.n_states
-        tn = _gram_trace_norm(c.amplitudes(), weights)
-        return BinaryBound(p_error=0.5 * (1.0 - tn), method="updown_" + resolved,
-                           dim_used=c.n_states, deficit=0.0)
-    dim = truncation_dim(c.energy, tol)
-    states = [coherent_fock(c.amplitude(j), dim) for j in range(c.n_states)]
-    up = density_from_ensemble(states, (labels == 1) / labels.sum())
-    down = density_from_ensemble(states, (labels == 0) / (c.n_states - labels.sum()))
-    tn = trace_norm(0.5 * (up.entries - down.entries))
-    return BinaryBound(p_error=0.5 * (1.0 - tn), method="updown_" + resolved,
-                       dim_used=dim, deficit=max(up.deficit, down.deficit))
+    weights = np.where(labels == 1, 1.0, -1.0) / c.n_states
+    tn, kept = _weighted_trace_norm(c, weights)
+    return BinaryBound(p_error=0.5 * (1.0 - tn), method="updown_dft",
+                       dim_used=kept, deficit=0.0)
 
 
 def srm_mary_error(c: Constellation) -> MaryBound:
     """Square-root-measurement error for resolving all 2M states.
 
-    The Gram matrix of a phase-symmetric set is circulant, so its
-    eigenvalues are the discrete Fourier transform of the first row
-    g_k = exp(-S + S e^{i pi k / M}), and the success probability is
-    |mean(sqrt(lambda))|^2.
+    For a phase-symmetric set the success probability is mean(sqrt(Lambda))^2
+    over the eigenvalues Lambda of the circulant Gram matrix.
     """
-    n = c.n_states
-    k = np.arange(n)
-    row = np.exp(-c.energy + c.energy * np.exp(1j * math.pi * k / c.m))
-    lam = np.fft.fft(row).real
-    if float(lam.min()) < SRM_EIG_FLOOR:
-        raise AssertionError("circulant Gram eigenvalues came out negative")
-    lam = np.clip(lam, 0.0, None)
-    p_success = float(np.mean(np.sqrt(lam))) ** 2
-    return MaryBound(p_error=1.0 - p_success, n_states=n, method="srm_dft")
-
-
-def srm_mary_error_direct(c: Constellation) -> MaryBound:
-    """Square-root-measurement error via the explicit Gram square root.
-
-    Success probability (1/n) sum_i (G^{1/2})_{ii}^2.  Slower than the DFT
-    route; kept as an independent implementation for cross-validation.
-    """
-    gh = _gram_sqrt(_gram_matrix(c.amplitudes()))
-    diag = np.real(np.diag(gh))
-    p_success = float(np.mean(diag**2))
-    return MaryBound(p_error=1.0 - p_success, n_states=c.n_states, method="srm_gram_sqrt")
+    p_success = float(np.mean(np.sqrt(_gram_spectrum(c)))) ** 2
+    return MaryBound(p_error=1.0 - p_success, n_states=c.n_states, method="srm_dft")
 
 
 # ---------------------------------------------------------------------------
 # Explicit receivers
-
-
-@dataclass
-class ReceiverModel:
-    """A seeded physical receiver: homodyne along an axis, or heterodyne.
-
-    Wraps the sampling functions with an owned random stream so repeated
-    measurement campaigns are reproducible from (kind, axis, noise_seed).
-    """
-
-    kind: str
-    axis: float = 0.0
-    noise_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("homodyne", "heterodyne"):
-            raise ValueError("kind must be 'homodyne' or 'heterodyne'")
-        self._rng = np.random.default_rng(self.noise_seed)
-
-    def sample(self, a: "ComplexAmplitude | complex",
-               size: "int | None" = None) -> "float | complex | np.ndarray":
-        if self.kind == "homodyne":
-            return homodyne_sample(a, self.axis, self._rng, size)
-        return heterodyne_sample(a, self._rng, size)
-
-
-def homodyne_sample(a: "ComplexAmplitude | complex", axis: float,
-                    rng: np.random.Generator,
-                    size: "int | None" = None) -> "float | np.ndarray":
-    """Homodyne quadrature outcomes along ``axis``: N(Re(a e^{-i axis}), sd 1/2)."""
-    mean = float(np.real(_as_complex(a) * np.exp(-1j * axis)))
-    out = rng.normal(mean, 0.5, size)
-    return out if size is not None else float(out)
 
 
 def heterodyne_sample(a: "ComplexAmplitude | complex", rng: np.random.Generator,

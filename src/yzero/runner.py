@@ -33,8 +33,7 @@ from .attacks import (
     otp_stage_attack,
 )
 from .codec import Constellation, Keystream, encode_sequence
-from .detection import bit_bound, exponent_fit, srm_mary_error, updown_bound
-from .fockspace import HERMITICITY_TOL, TAIL_TOL
+from .detection import MODE_DROP_BOUND, bit_bound, exponent_fit, srm_mary_error, updown_bound
 from .scenario import RunManifest, ScenarioConfig
 
 
@@ -65,7 +64,6 @@ def _modeling_record(cfg: ScenarioConfig) -> "dict[str, object]":
         "entropy_hypothesis_space": "all 2^K register values including zero",
         "dsr": f"{cfg.dsr.kind}:{cfg.dsr.param}",
         "misalign_radians": cfg.misalign,
-        "bound_impl": cfg.impl,
     }
 
 
@@ -85,10 +83,7 @@ def _manifest(cfg: ScenarioConfig, outputs: "list[str]") -> RunManifest:
             "scipy": scipy.__version__,
         },
         modeling=_modeling_record(cfg),
-        tolerances={
-            "poisson_tail": TAIL_TOL,
-            "hermiticity": HERMITICITY_TOL,
-        },
+        tolerances={"mode_drop_bound": MODE_DROP_BOUND},
     )
 
 
@@ -149,12 +144,12 @@ def run_bounds(cfg: ScenarioConfig) -> "list[str]":
         m, s, method = task
         c = Constellation(m=m, energy=s, phase_offset=cfg.phase_offset, osk=cfg.osk)
         if method == "bit":
-            b = bit_bound(c, method=cfg.impl)
+            b = bit_bound(c)
             return [m, s, "helstrom_mixed_bit", b.p_error, b.dim_used, b.deficit]
         if method == "srm":
             b = srm_mary_error(c)
             return [m, s, "srm_2M", b.p_error, c.n_states, 0.0]
-        b = updown_bound(c, method=cfg.impl)
+        b = updown_bound(c)
         return [m, s, "updown", b.p_error, b.dim_used, b.deficit]
 
     if cfg.threads > 1:

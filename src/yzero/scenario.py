@@ -26,7 +26,7 @@ FAMILIES = ("bounds", "attack", "entropy", "keygen")
 _SECTION_KEYS = {
     "constellation": {"m", "m_grid", "energy", "energy_grid", "phase_offset", "osk"},
     "keystream": {"poly", "degree", "seed"},
-    "scenario": {"methods", "impl", "n_symbols", "error_positions", "misalign",
+    "scenario": {"methods", "n_symbols", "error_positions", "misalign",
                  "dsr", "otp", "mi_trials", "trials", "mode", "regime",
                  "s_grid", "energy_factor"},
     "output": {"out_dir", "prefix", "master_seed", "threads"},
@@ -53,7 +53,6 @@ class ScenarioConfig:
     poly: "int | None" = None
     seed_register: "int | None" = None
     methods: "list[str]" = field(default_factory=lambda: ["bit", "srm", "updown"])
-    impl: str = "auto"
     n_symbols: int = 0
     error_positions: "list[int]" = field(default_factory=list)
     misalign: float = 0.0
@@ -281,10 +280,6 @@ def _load_scenario(src: _Source, cp: configparser.ConfigParser,
         for m in cfg.methods:
             if m not in ("bit", "srm", "updown"):
                 raise src.fail(f"unknown bound method {m!r}", key="methods")
-    if "impl" in sec:
-        cfg.impl = sec["impl"].strip().lower()
-        if cfg.impl not in ("auto", "fock", "gram"):
-            raise src.fail("impl must be 'auto', 'fock' or 'gram'", key="impl")
     if "n_symbols" in sec:
         cfg.n_symbols = _parse_int(src, "n_symbols", sec["n_symbols"])
         if cfg.n_symbols < 1:

@@ -1,0 +1,113 @@
+"""Independent routes to the constellation detection bounds, used as test oracles.
+
+``yzero.detection`` computes ``bit_bound``, ``updown_bound`` and
+``srm_mary_error`` on one route, the DFT spectrum of the circulant Gram
+matrix.  The routes here share none of that code: the explicit Gram matrix
+and its eigendecomposition, and density matrices on a truncated Fock basis.
+Both carry their own numerical error.  The Gram route squares the state
+amplitudes into overlaps, so eigenvalues below the eigensolver's noise
+(about n eps) are unresolvable; it sets them to zero, since the square root
+of that noise would couple into the result at the 1e-8 level near the
+vacuum.  Eigenvalues just above the noise still cost up to 6.9e-9 at
+M = 32.  The Fock route drops the amplitude beyond the Poisson tail
+tolerance, which costs about sqrt(tol).
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from yzero import codec, detection, fockspace
+
+# Eigenvalues of a Gram matrix are clipped at zero above this; anything more
+# negative indicates a broken input.
+GRAM_EIG_FLOOR = -1e-8
+
+# Poisson tail tolerance of the Fock oracle.  Its error grows like
+# sqrt(tol): at 1e-14 it is 1.4e-8 off at M=32, S=9.5, at 1e-16 under 1e-9
+# for M <= 32, S <= 12.
+FOCK_TOL = 1e-16
+
+
+def gram_matrix(amps: np.ndarray) -> np.ndarray:
+    """Pairwise coherent overlaps <a_i|a_j> from amplitudes, in closed form."""
+    z = np.asarray(amps, dtype=np.complex128)
+    half = 0.5 * np.abs(z) ** 2
+    return np.exp(-half[:, None] - half[None, :] + np.conj(z)[:, None] * z[None, :])
+
+
+def gram_sqrt(gram: np.ndarray) -> np.ndarray:
+    """Positive square root of a (numerically) PSD Gram matrix, noise eigenvalues zeroed."""
+    g, u = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    if float(g[0]) < GRAM_EIG_FLOOR:
+        raise ValueError(f"Gram matrix has eigenvalue {g[0]} far below zero")
+    g = np.where(g > gram.shape[0] * np.finfo(float).eps * g[-1], g, 0.0)
+    return (u * np.sqrt(g)) @ u.conj().T
+
+
+def gram_trace_norm(amps: np.ndarray, weights: np.ndarray) -> float:
+    """Trace norm of sum_i w_i |a_i><a_i|, via the spectrum of G^{1/2} diag(w) G^{1/2}."""
+    gh = gram_sqrt(gram_matrix(amps))
+    h = gh @ (np.asarray(weights, dtype=float)[:, None] * gh)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (h + h.conj().T)))))
+
+
+def _bit_weights(c: codec.Constellation, p0: float) -> np.ndarray:
+    """p1 rho_1 - p0 rho_0 as weights on the states, from the encoder."""
+    weights = np.zeros(c.n_states)
+    for bit, sign, prior in ((1, 1.0, 1.0 - p0), (0, -1.0, p0)):
+        members = [codec.encode(bit, basis, s, c).index
+                   for basis in range(c.m) for s in ((0, 1) if c.osk else (0,))]
+        for j in members:
+            weights[j] += sign * prior / len(members)
+    return weights
+
+
+def _updown_weights(c: codec.Constellation) -> np.ndarray:
+    return np.array([0.5 if c.label(j) else -0.5 for j in range(c.n_states)]) / c.m
+
+
+def gram_bit_bound(c: codec.Constellation, p0: float = 0.5) -> float:
+    return 0.5 * (1.0 - gram_trace_norm(c.amplitudes(), _bit_weights(c, p0)))
+
+
+def gram_updown_bound(c: codec.Constellation) -> float:
+    return 0.5 * (1.0 - gram_trace_norm(c.amplitudes(), _updown_weights(c)))
+
+
+def fock_bit_bound(c: codec.Constellation, p0: float = 0.5, tol: float = FOCK_TOL) -> float:
+    rho0, rho1, _ = codec.bit_ensembles(c, p0=p0, tol=tol)
+    return detection.helstrom_mixed(rho0, rho1, p0=p0).p_error
+
+
+def fock_updown_bound(c: codec.Constellation, tol: float = FOCK_TOL) -> float:
+    dim = fockspace.truncation_dim(c.energy, tol)
+    states = [fockspace.coherent_fock(c.amplitude(j), dim) for j in range(c.n_states)]
+    labels = np.array([c.label(j) for j in range(c.n_states)])
+    up = fockspace.density_from_ensemble(states, (labels == 1) / c.m)
+    down = fockspace.density_from_ensemble(states, (labels == 0) / c.m)
+    return detection.helstrom_mixed(down, up).p_error
+
+
+def pure_pair_error(a0: complex, a1: complex, p0: float = 0.5) -> float:
+    """Helstrom error between two coherent states, in closed form.
+
+    Writes 1 - 4 p0 p1 |<a0|a1>|^2 as (p0 - p1)^2 - 4 p0 p1 expm1(-|a0 - a1|^2),
+    which keeps full precision when the states nearly coincide;
+    ``detection.helstrom_pure`` loses up to 5e-10 there (S near 1e-15).
+    """
+    p1 = 1.0 - p0
+    arg = (p0 - p1) ** 2 - 4.0 * p0 * p1 * math.expm1(-abs(a0 - a1) ** 2)
+    return 0.5 * (1.0 - math.sqrt(arg))
+
+
+def srm_mary_error_direct(c: codec.Constellation) -> detection.MaryBound:
+    """Square-root-measurement error via the explicit Gram square root.
+
+    Success probability (1/n) sum_i (G^{1/2})_{ii}^2.
+    """
+    diag = np.real(np.diag(gram_sqrt(gram_matrix(c.amplitudes()))))
+    return detection.MaryBound(p_error=1.0 - float(np.mean(diag**2)),
+                               n_states=c.n_states, method="srm_gram_sqrt")

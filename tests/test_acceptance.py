@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import detection_oracles as oracles
 from yzero import attacks, cli, codec, detection, fockspace, runner
 from yzero.scenario import load_config
 
@@ -89,7 +90,7 @@ def test_c04_all_state_resolution_fails_at_scale():
     for m in (1, 2, 4, 8):
         c = codec.Constellation(m=m, energy=4.0)
         worst = max(worst, abs(detection.srm_mary_error(c).p_error
-                               - detection.srm_mary_error_direct(c).p_error))
+                               - oracles.srm_mary_error_direct(c).p_error))
     ok = big >= 0.9 and worst < 1e-8
     line = _report("C04", ok,
                    f"square-root measurement: p_error {big:.4f} at M=128, S=4 "
@@ -104,14 +105,14 @@ def test_c05_keyed_halfplane_error_reaches_percent_scale():
     for m in (256, 512):
         for s in (10.0, 16.0, 25.0, 40.0, 63.0, 100.0):
             c = codec.Constellation(m=m, energy=s)
-            p = detection.updown_bound(c, method="gram").p_error
+            p = detection.updown_bound(c).p_error
             if 0.003 <= p <= 0.1:
                 hits.append((m, s, p))
     elapsed = time.monotonic() - t0
     ok = len(hits) > 0 and elapsed < 600.0
     sample = f"(M={hits[0][0]}, S={hits[0][1]:g}) -> {hits[0][2]:.4f}" if hits else "none"
     line = _report("C05", ok,
-                   f"half-plane bound sweep on the Gram-subspace path: "
+                   f"half-plane bound sweep on the circulant DFT route: "
                    f"{len(hits)} grid points inside [0.003, 0.1], e.g. {sample} "
                    f"({elapsed:.1f} s < 600 s)")
     assert ok, line

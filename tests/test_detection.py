@@ -5,8 +5,11 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
+import detection_oracles as oracles
 from yzero import codec, detection, fockspace
 
 
@@ -60,68 +63,114 @@ def test_bit_bound_gram_and_fock_routes_agree():
     for m in (8, 32):
         for s in (1.0, 4.0):
             c = codec.Constellation(m=m, energy=s)
-            pf = detection.bit_bound(c, method="fock", tol=1e-13).p_error
-            pg = detection.bit_bound(c, method="gram").p_error
-            assert abs(pf - pg) < 1e-8
+            p = detection.bit_bound(c).p_error
+            assert abs(p - oracles.fock_bit_bound(c)) < 1e-8
+            assert abs(p - oracles.gram_bit_bound(c)) < 1e-8
 
 
 def test_bit_bound_grows_with_constellation_size():
-    vals = [detection.bit_bound(codec.Constellation(m=m, energy=1.0),
-                                method="gram").p_error
+    vals = [detection.bit_bound(codec.Constellation(m=m, energy=1.0)).p_error
             for m in (8, 16, 32, 64, 128, 256)]
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
     assert vals[-1] >= 0.45
 
 
-def test_bit_bound_method_strings():
-    c = codec.Constellation(m=4, energy=1.0)
-    assert detection.bit_bound(c, method="fock").method == "bit_fock"
-    assert detection.bit_bound(c, method="gram").method == "bit_gram"
-    with pytest.raises(ValueError):
-        detection.bit_bound(c, method="dft")
-
-
-def test_auto_method_prefers_gram_for_small_state_sets():
-    dense = codec.Constellation(m=2, energy=50.0)
-    assert detection.bit_bound(dense).method == "bit_gram"
-    wide = codec.Constellation(m=256, energy=0.5)
-    assert detection.bit_bound(wide).method == "bit_fock"
-
-
 def test_updown_bound_routes_agree():
     for m in (2, 8, 32):
         c = codec.Constellation(m=m, energy=6.0)
-        pf = detection.updown_bound(c, method="fock").p_error
-        pg = detection.updown_bound(c, method="gram").p_error
-        assert abs(pf - pg) < 1e-8
+        p = detection.updown_bound(c).p_error
+        assert abs(p - oracles.fock_updown_bound(c)) < 1e-8
+        assert abs(p - oracles.gram_updown_bound(c)) < 1e-8
 
 
 def test_updown_bound_rotation_invariant():
     base = codec.Constellation(m=8, energy=3.0)
     spun = codec.Constellation(m=8, energy=3.0, phase_offset=0.7)
-    npt.assert_allclose(detection.updown_bound(base, method="gram").p_error,
-                        detection.updown_bound(spun, method="gram").p_error,
-                        atol=1e-10)
+    npt.assert_allclose(detection.updown_bound(base).p_error,
+                        detection.updown_bound(spun).p_error, atol=1e-10)
 
 
 def test_updown_bound_vacuum_is_coin_flip():
     c = codec.Constellation(m=4, energy=0.0)
-    npt.assert_allclose(detection.updown_bound(c, method="fock").p_error, 0.5,
-                        atol=1e-12)
+    p = detection.updown_bound(c).p_error
+    npt.assert_allclose(p, 0.5, atol=1e-12)
+    npt.assert_allclose(p, oracles.fock_updown_bound(c), atol=1e-12)
 
 
 def test_updown_bound_single_pair_matches_pure_helstrom():
     c = codec.Constellation(m=1, energy=2.0)
     want = detection.helstrom_pure(math.sqrt(2) + 0j, -math.sqrt(2) + 0j).p_error
-    npt.assert_allclose(detection.updown_bound(c, method="fock").p_error, want,
-                        atol=1e-9)
-    npt.assert_allclose(detection.updown_bound(c, method="gram").p_error, want,
-                        atol=1e-9)
+    npt.assert_allclose(detection.updown_bound(c).p_error, want, atol=1e-12)
+    npt.assert_allclose(oracles.fock_updown_bound(c), want, atol=1e-9)
+    npt.assert_allclose(oracles.gram_updown_bound(c), want, atol=1e-9)
 
 
 def test_updown_bound_rejects_scrambling():
     with pytest.raises(ValueError):
         detection.updown_bound(codec.Constellation(m=4, energy=1.0, osk=True))
+
+
+# Default-path bounds, exactly as the CLI calls them, over generated
+# constellations.  M <= 32 keeps the Gram oracle at n <= 64 states.
+def constellations(m=st.sampled_from([1, 2, 4, 8, 16, 32]), osk=st.booleans(),
+                   energy=st.floats(0.0, 12.0)):
+    return st.builds(codec.Constellation, m=m, energy=energy,
+                     phase_offset=st.floats(-math.pi, math.pi), osk=osk)
+
+
+# Between the vacuum and S = 1e-6 both oracles lose the states: the Gram
+# oracle's overlaps round toward 1 (6e-8 off at S = 1e-14), and the Fock
+# oracle keeps only the vacuum once S is under its tail tolerance.  The
+# one-pair closed form below covers that range.
+oracle_energies = st.one_of(st.just(0.0), st.floats(1e-6, 12.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=constellations(energy=oracle_energies), p0=st.floats(0.05, 0.95))
+@example(c=codec.Constellation(m=16, energy=2.0), p0=0.5)
+@example(c=codec.Constellation(m=32, energy=8.0), p0=0.5)
+def test_bit_bound_matches_gram_and_fock_oracles(c, p0):
+    p = detection.bit_bound(c, p0=p0).p_error
+    assert abs(p - oracles.gram_bit_bound(c, p0=p0)) < 1e-8
+    assert abs(p - oracles.fock_bit_bound(c, p0=p0)) < 1e-8
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=constellations(osk=st.just(False), energy=oracle_energies))
+@example(c=codec.Constellation(m=32, energy=8.0))
+def test_updown_bound_matches_gram_and_fock_oracles(c):
+    p = detection.updown_bound(c).p_error
+    assert abs(p - oracles.gram_updown_bound(c)) < 1e-8
+    assert abs(p - oracles.fock_updown_bound(c)) < 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=constellations(m=st.just(1), osk=st.just(False)), p0=st.floats(0.05, 0.95))
+def test_single_pair_bounds_match_closed_form(c, p0):
+    a0 = c.amplitude(codec.encode(0, 0, 0, c).index).z
+    a1 = c.amplitude(codec.encode(1, 0, 0, c).index).z
+    want = oracles.pure_pair_error(a0, a1, p0=p0)
+    assert abs(detection.bit_bound(c, p0=p0).p_error - want) < 1e-12
+    assert abs(detection.updown_bound(c).p_error - oracles.pure_pair_error(a0, a1)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=constellations(), p0=st.floats(0.05, 0.95))
+def test_bounds_are_rotation_invariant(c, p0):
+    base = codec.Constellation(m=c.m, energy=c.energy, osk=c.osk)
+    assert abs(detection.bit_bound(c, p0=p0).p_error
+               - detection.bit_bound(base, p0=p0).p_error) < 1e-12
+    assert abs(detection.srm_mary_error(c).p_error
+               - detection.srm_mary_error(base).p_error) < 1e-12
+    if not c.osk:
+        assert abs(detection.updown_bound(c).p_error
+                   - detection.updown_bound(base).p_error) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=constellations(osk=st.just(True)))
+def test_scrambled_bit_bound_is_exactly_half(c):
+    assert abs(detection.bit_bound(c).p_error - 0.5) < 1e-12
 
 
 def test_srm_vacuum_error_is_uniform_guess():
@@ -142,7 +191,7 @@ def test_srm_dft_and_gram_sqrt_routes_agree():
         for s in (1.0, 4.0):
             c = codec.Constellation(m=m, energy=s)
             a = detection.srm_mary_error(c)
-            b = detection.srm_mary_error_direct(c)
+            b = oracles.srm_mary_error_direct(c)
             assert abs(a.p_error - b.p_error) < 1e-8
             assert a.method == "srm_dft" and b.method == "srm_gram_sqrt"
 
@@ -152,20 +201,6 @@ def test_srm_error_bounded_by_uniform_guess():
         for s in (0.5, 2.0, 10.0):
             b = detection.srm_mary_error(codec.Constellation(m=m, energy=s))
             assert 0.0 <= b.p_error <= 1.0 - 1.0 / (2 * m) + 1e-12
-
-
-def test_homodyne_sample_moments():
-    rng = np.random.default_rng(7)
-    x = detection.homodyne_sample(1.5 * np.exp(1j * 0.4), 0.4, rng, size=200_000)
-    # mean estimator sd = 0.5/sqrt(n), variance estimator sd ~ var*sqrt(2/n)
-    assert abs(x.mean() - 1.5) < 3 * 0.5 / math.sqrt(200_000)
-    assert abs(x.var() - 0.25) < 3 * 0.25 * math.sqrt(2 / 200_000)
-
-
-def test_homodyne_axis_projects_the_mean():
-    rng = np.random.default_rng(8)
-    x = detection.homodyne_sample(2.0 + 0j, math.pi / 2, rng, size=100_000)
-    assert abs(x.mean()) < 3 * 0.5 / math.sqrt(100_000)
 
 
 def test_heterodyne_sample_moments():
@@ -283,18 +318,6 @@ def test_heterodyne_transition_decision_offset_biases_neighbors():
     # a receiver grid rotated toward the next index must leak probability there
     assert t[0, 7] > t[0, 1]
     npt.assert_allclose(t.sum(axis=1), np.ones(c.n_states), atol=1e-9)
-
-
-def test_receiver_model_reproducible_and_validated():
-    a = detection.ReceiverModel("homodyne", axis=0.1, noise_seed=5)
-    b = detection.ReceiverModel("homodyne", axis=0.1, noise_seed=5)
-    xs = [a.sample(1 + 1j) for _ in range(10)]
-    ys = [b.sample(1 + 1j) for _ in range(10)]
-    assert xs == ys
-    h = detection.ReceiverModel("heterodyne", noise_seed=5)
-    assert isinstance(h.sample(1 + 1j), complex)
-    with pytest.raises(ValueError):
-        detection.ReceiverModel("dyne")
 
 
 def test_exponent_fit_recovers_exact_decay():

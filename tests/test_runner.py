@@ -21,7 +21,6 @@ energy_grid = 1.0, 4.0
 
 [scenario]
 methods = bit, srm, updown
-impl = auto
 
 [output]
 prefix = demo
@@ -128,11 +127,12 @@ def test_load_config_overrides(tmp_path):
 
 
 def test_unknown_key_is_reported_with_line_number(tmp_path):
-    text = BOUNDS_CFG.replace("impl = auto", "impl = auto\nwavelength = 1550")
-    with pytest.raises(ConfigError) as err:
-        load_config(write_cfg(tmp_path, text), "bounds")
-    assert ":8:" in str(err.value)
-    assert "wavelength" in str(err.value)
+    for key in ("wavelength = 1550", "impl = auto"):
+        text = BOUNDS_CFG.replace("updown\n", f"updown\n{key}\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(write_cfg(tmp_path, text), "bounds")
+        assert ":7:" in str(err.value)
+        assert key.split()[0] in str(err.value)
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -332,7 +332,7 @@ def test_manifest_records_the_run(tmp_path):
     assert "run_attack.json" in manifest["outputs"]
     assert "created_utc" in manifest
     assert manifest["modeling"]["entropy_hypothesis_space"].startswith("all 2^K")
-    assert manifest["tolerances"]["poisson_tail"] == 1e-10
+    assert manifest["tolerances"] == {"mode_drop_bound": 2.0**-53}
     assert set(manifest["versions"]) == {"yzero", "python", "numpy", "scipy"}
 
 
