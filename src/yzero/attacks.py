@@ -29,7 +29,7 @@ import numpy as np
 from .codec import (
     Constellation,
     SymbolRecord,
-    encode,
+    _pair_index_table,
     gf2_span,
     halfplane_label,
     keystream_table,
@@ -232,35 +232,51 @@ def _index_label_prob(c: Constellation, scenario: AttackScenario) -> np.ndarray:
     single per-index probability table of length 2M.
     """
     eve_axis = c.phase_offset + scenario.misalign
-    rel = c.phases() - eve_axis
     if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
+        rel = c.phases() - eve_axis
         p1 = np.array([_up_fraction(float(r), scenario.dsr.param) for r in rel])
     else:
-        p1 = np.array([float(halfplane_label(float(ph), eve_axis)) for ph in c.phases()])
+        p1 = halfplane_label(c.phases(), eve_axis).astype(float)
     if scenario.dsr.kind == "binary":
         f = scenario.dsr.param
         p1 = p1 * (1.0 - f) + (1.0 - p1) * f
     return p1
 
 
+def _flip_members(idx: np.ndarray, c: Constellation, scenario: AttackScenario,
+                  rng: "np.random.Generator | None") -> np.ndarray:
+    """Binary randomization: each index moves to its antipode with the flip probability."""
+    if scenario.dsr.kind == "binary" and scenario.dsr.param > 0.0:
+        flips = rng.random(idx.shape) < scenario.dsr.param
+        idx = np.where(flips, (idx + c.m) % c.n_states, idx)
+    return idx
+
+
 def _measure_indices(indices: np.ndarray, c: Constellation, scenario: AttackScenario,
                      rng: "np.random.Generator | None",
                      error_vec: np.ndarray) -> np.ndarray:
-    """Physical label pipeline: deliberate flip, jitter, half-plane decision, recording errors."""
-    idx = np.asarray(indices, dtype=int).copy()
+    """Physical label pipeline: deliberate flip, jitter, half-plane decision, recording errors.
+
+    Indices of any shape; each randomization draws one array, the same stream
+    as one call per row.
+    """
+    idx = np.asarray(indices, dtype=int)
     needs_rng = scenario.dsr.kind in ("binary", "jitter") and scenario.dsr.param > 0.0
     if needs_rng and rng is None:
         raise ValueError("this scenario randomizes the signal; pass a Generator")
-    if scenario.dsr.kind == "binary" and scenario.dsr.param > 0.0:
-        flips = rng.random(idx.size) < scenario.dsr.param
-        idx = np.where(flips, (idx + c.m) % c.n_states, idx)
+    idx = _flip_members(idx, c, scenario, rng)
     phases = c.phase_offset + math.pi * idx / c.m
     if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
-        phases = phases + rng.uniform(-scenario.dsr.param, scenario.dsr.param, idx.size)
-    eve_axis = c.phase_offset + scenario.misalign
-    labels = np.fromiter((halfplane_label(float(p), eve_axis) for p in phases),
-                         dtype=np.uint8, count=idx.size)
-    return labels ^ error_vec
+        phases = phases + rng.uniform(-scenario.dsr.param, scenario.dsr.param, idx.shape)
+    return halfplane_label(phases, c.phase_offset + scenario.misalign) ^ error_vec
+
+
+def _heterodyne_indices(indices: np.ndarray, c: Constellation, scenario: AttackScenario,
+                        rng: np.random.Generator, error_vec: np.ndarray) -> np.ndarray:
+    """Index record of a nearest-phase heterodyne receiver; binary flips only, no recording errors."""
+    sent = _flip_members(np.asarray(indices, dtype=int), c, scenario, rng)
+    z = heterodyne_sample(0j, rng, size=sent.size) + c.amplitudes()[sent]
+    return nearest_phase_index(z, c, decision_offset=scenario.misalign)
 
 
 def measure_labels(symbols: "list[SymbolRecord] | np.ndarray", c: Constellation,
@@ -284,15 +300,6 @@ def measure_labels(symbols: "list[SymbolRecord] | np.ndarray", c: Constellation,
 
 # ---------------------------------------------------------------------------
 # Exhaustive replay
-
-
-def _pair_index_table(c: Constellation) -> np.ndarray:
-    """idx[bit, basis] = transmitted state index under the fixed pairing."""
-    table = np.empty((2, c.m), dtype=int)
-    for basis in range(c.m):
-        for bit in (0, 1):
-            table[bit, basis] = encode(bit, basis, 0, c).index
-    return table
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
@@ -403,8 +410,7 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
     cipher = x_bits ^ pad
     ks_basis, parity_true, _ = keystream_table(
         poly, n, c.bits_per_symbol, seeds=np.array([true_seed], dtype=np.uint32), osk=False)
-    idx_table = _pair_index_table(c)
-    indices = idx_table[pad, ks_basis[0]]
+    indices = _pair_index_table(c)[pad, ks_basis[0]]
     labels = _measure_indices(indices, c, scenario, rng, scenario.error_vector())
     rec = _seed_scan(labels, cipher ^ labels, x_bits, c, poly, true_seed)
     rec.true_r_in_candidates = bool(rec.per_seed_match_fraction[true_seed - 1] == 1.0)
@@ -420,32 +426,8 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
 # Exact posterior entropies
 
 
-def _seed_space_basis(c: Constellation, poly: int, n_symbols: int) -> np.ndarray:
-    """Basis chunks of every register value, zero included; row index = register.
-
-    The zero register never occurs operationally, but the uncertainty
-    accounting runs over every syntactically possible key.  The span of the
-    unit-seed rows is indexed by register value, so its row 0 is the
-    all-zero keystream.
-    """
-    return gf2_span(unit_keystreams(poly, n_symbols, c.bits_per_symbol)[0])
-
-
-def _symbol_likelihoods(p1_by_index: np.ndarray, idx_table: np.ndarray,
-                        basis: np.ndarray, labels: np.ndarray,
-                        r_bits: "np.ndarray | None") -> np.ndarray:
-    """P(label_i | seed_j) for every seed row; data marginalized when r_bits is None."""
-    p_r0 = p1_by_index[idx_table[0, basis]]
-    p_r1 = p1_by_index[idx_table[1, basis]]
-    if r_bits is None:
-        p1 = 0.5 * (p_r0 + p_r1)
-    else:
-        p1 = np.where(r_bits.astype(bool)[None, :], p_r1, p_r0)
-    up = labels.astype(bool)[None, :]
-    return np.where(up, p1, 1.0 - p1)
-
-
-def _sequence_likelihood(q: np.ndarray, q_flipped: np.ndarray, error_weight: int) -> np.ndarray:
+def _sequence_likelihood(q: np.ndarray, q_flipped: "np.ndarray | None",
+                         error_weight: int) -> np.ndarray:
     """Per-seed sequence likelihood, marginalizing the error position if any."""
     if error_weight == 0:
         return q.prod(axis=1)
@@ -476,6 +458,52 @@ def _entropy_error_weight(scenario: AttackScenario) -> int:
     return w
 
 
+def _check_entropy_run(c: Constellation, poly: int, scenario: AttackScenario,
+                       trials: int) -> int:
+    """Checks shared by the entropy engines; returns the key width in bits."""
+    _require_plain_pairing(c)
+    key_bits = poly.bit_length() - 1
+    _check_entropy_caps(key_bits, scenario.n_symbols)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    return key_bits
+
+
+def _label_channel(c: Constellation, scenario: AttackScenario) -> np.ndarray:
+    """chan[index, label] = P(recorded label | transmitted index), before recording errors."""
+    p1 = _index_label_prob(c, scenario)
+    return np.stack([1.0 - p1, p1], axis=1)
+
+
+def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, trials: int,
+                        rng: np.random.Generator, record, tables: "list[np.ndarray]",
+                        weight: int):
+    """Per trial, the sequence likelihood of every register value under each table.
+
+    A trial draws a seed, data, the position of a declared recording error
+    and the record (``record`` maps sent indices to observations), in that
+    order.  Tables are indexed [data bit, basis, observation], so one gather
+    scores every register value; a recording error is marginalized over
+    its position.  Yields one likelihood array per table.
+    """
+    key_bits = poly.bit_length() - 1
+    n = scenario.n_symbols
+    idx_table = _pair_index_table(c)
+    # basis chunks of every register value, row index = register: the zero
+    # register never occurs, but the accounting runs over every possible key
+    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_symbol)[0])
+    for _ in range(trials):
+        true_seed = int(rng.integers(1, 1 << key_bits))
+        r = rng.integers(0, 2, n, dtype=np.uint8)
+        error_vec = np.zeros(n, dtype=np.uint8)
+        if weight == 1:
+            error_vec[int(rng.integers(0, n))] = 1
+        obs = record(idx_table[r, basis[true_seed]], c, scenario, rng, error_vec)
+        yield [_sequence_likelihood(tab[r, basis, obs],
+                                    tab[r, basis, obs ^ 1] if weight else None, weight)
+               for tab in tables]
+
+
 def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenario,
                             trials: int, rng: np.random.Generator) -> EntropyReport:
     """Exact H(key | record) and H(data | record) from label records alone.
@@ -486,34 +514,20 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
     declared recording error contributes its weight, not its position, to
     the posterior; weights above one are not supported.
     """
-    _require_plain_pairing(c)
-    key_bits = poly.bit_length() - 1
+    key_bits = _check_entropy_run(c, poly, scenario, trials)
     n = scenario.n_symbols
-    _check_entropy_caps(key_bits, n)
-    if trials < 1:
-        raise ValueError("trials must be positive")
     weight = _entropy_error_weight(scenario)
-    p1 = _index_label_prob(c, scenario)
+    chan = _label_channel(c, scenario)
     idx_table = _pair_index_table(c)
-    basis = _seed_space_basis(c, poly, n)
+    # data unknown: each basis reads label 1 with the mean over its pair
+    up = 0.5 * (chan[idx_table[0], 1] + chan[idx_table[1], 1])
+    marginal = np.broadcast_to(np.stack([1.0 - up, up], axis=1), (2, c.m, 2))
     h_key_vals = np.empty(trials)
     surprisals = np.empty(trials)
-    for t in range(trials):
-        true_seed = int(rng.integers(1, 1 << key_bits))
-        r = rng.integers(0, 2, n, dtype=np.uint8)
-        error_vec = np.zeros(n, dtype=np.uint8)
-        if weight == 1:
-            error_vec[int(rng.integers(0, n))] = 1
-        # row index in the full table equals the seed value
-        indices = idx_table[r, basis[true_seed]]
-        labels = _measure_indices(indices, c, scenario, rng, error_vec)
-        q_marg = _symbol_likelihoods(p1, idx_table, basis, labels, None)
-        qf_marg = _symbol_likelihoods(p1, idx_table, basis, labels ^ 1, None)
-        like_marg = _sequence_likelihood(q_marg, qf_marg, weight)
+    trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, _measure_indices,
+                                      [marginal, chan[idx_table]], weight)
+    for t, (like_marg, like_cond) in enumerate(trial_likes):
         h_key_vals[t] = _posterior_entropy_bits(like_marg)
-        q_cond = _symbol_likelihoods(p1, idx_table, basis, labels, r)
-        qf_cond = _symbol_likelihoods(p1, idx_table, basis, labels ^ 1, r)
-        like_cond = _sequence_likelihood(q_cond, qf_cond, weight)
         # P(data | record) = 2^-n sum_j L(record | j, data) / sum_j L(record | j)
         surprisals[t] = n - math.log2(float(like_cond.sum())) + math.log2(float(like_marg.sum()))
     h_key_mean = float(h_key_vals.mean())
@@ -546,61 +560,31 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
     per-symbol transition matrix.  In both cases the posterior runs over
     all 2^K keys.
     """
-    _require_plain_pairing(c)
     if regime not in ("classical", "quantum"):
         raise ValueError("regime must be 'classical' or 'quantum'")
-    key_bits = poly.bit_length() - 1
-    n = scenario.n_symbols
-    _check_entropy_caps(key_bits, n)
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    idx_table = _pair_index_table(c)
-    basis = _seed_space_basis(c, poly, n)
-    h_vals = np.empty(trials)
+    key_bits = _check_entropy_run(c, poly, scenario, trials)
     if regime == "classical":
         weight = _entropy_error_weight(scenario)
-        p1 = _index_label_prob(c, scenario)
-        for t in range(trials):
-            true_seed = int(rng.integers(1, 1 << key_bits))
-            r = rng.integers(0, 2, n, dtype=np.uint8)
-            error_vec = np.zeros(n, dtype=np.uint8)
-            if weight == 1:
-                error_vec[int(rng.integers(0, n))] = 1
-            indices = idx_table[r, basis[true_seed]]
-            labels = _measure_indices(indices, c, scenario, rng, error_vec)
-            q = _symbol_likelihoods(p1, idx_table, basis, labels, r)
-            qf = _symbol_likelihoods(p1, idx_table, basis, labels ^ 1, r)
-            h_vals[t] = _posterior_entropy_bits(_sequence_likelihood(q, qf, weight))
+        record, chan = _measure_indices, _label_channel(c, scenario)
     else:
         if scenario.dsr.kind == "jitter":
             raise ValueError("the quantum record model supports dsr 'none' or 'binary'")
         if scenario.error_vector().any():
             raise ValueError("recording errors apply to label records, not index records")
+        weight = 0
         f = scenario.dsr.param if scenario.dsr.kind == "binary" else 0.0
         trans = heterodyne_index_transition(c, decision_offset=scenario.misalign)
-        amps = c.amplitudes()
-        for t in range(trials):
-            true_seed = int(rng.integers(1, 1 << key_bits))
-            r = rng.integers(0, 2, n, dtype=np.uint8)
-            sent = idx_table[r, basis[true_seed]]
-            if f > 0.0:
-                flips = rng.random(n) < f
-                sent = np.where(flips, (sent + c.m) % c.n_states, sent)
-            z = heterodyne_sample(0j, rng, size=n) + amps[sent]
-            decided = nearest_phase_index(z, c, decision_offset=scenario.misalign)
-            like_match = trans[idx_table[r, basis], decided[None, :]]
-            if f > 0.0:
-                like_flip = trans[idx_table[1 - r, basis], decided[None, :]]
-                per_symbol = (1.0 - f) * like_match + f * like_flip
-            else:
-                per_symbol = like_match
-            h_vals[t] = _posterior_entropy_bits(per_symbol.prod(axis=1))
+        # chan[index, decided]: the sent member, or its antipode after a flip
+        record, chan = _heterodyne_indices, (1.0 - f) * trans + f * np.roll(trans, -c.m, axis=0)
+    trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, record,
+                                      [chan[_pair_index_table(c)]], weight)
+    h_vals = np.array([_posterior_entropy_bits(like) for like, in trial_likes])
     h_mean = float(h_vals.mean())
     return EntropyReport(
         regime=f"known_plaintext_{regime}",
         trials=trials,
         key_bits=key_bits,
-        n_symbols=n,
+        n_symbols=scenario.n_symbols,
         h_key=float(key_bits),
         h_key_given_obs_and_data=h_mean,
         notes={
@@ -631,12 +615,9 @@ def label_mutual_information(c: Constellation, poly: int, true_seed: int,
         raise ValueError("true_seed must be a nonzero register value")
     basis, _, _ = keystream_table(poly, n, c.bits_per_symbol,
                                   seeds=np.array([true_seed], dtype=np.uint32), osk=False)
-    idx_table = _pair_index_table(c)
-    labels = np.empty((trials, n), dtype=np.uint8)
     data = rng.integers(0, 2, (trials, n), dtype=np.uint8)
-    for t in range(trials):
-        indices = idx_table[data[t], basis[0]]
-        labels[t] = _measure_indices(indices, c, scenario, rng, scenario.error_vector())
+    labels = _measure_indices(_pair_index_table(c)[data, basis[0]], c, scenario, rng,
+                              scenario.error_vector())
     mi_sum = 0.0
     for i in range(n):
         joint = np.zeros((2, 2))

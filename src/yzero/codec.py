@@ -56,17 +56,17 @@ PRIMITIVE_POLYS: "dict[int, int]" = {
 }
 
 
-def halfplane_label(phase: float, axis: float) -> int:
+def halfplane_label(phase: "float | np.ndarray", axis: float) -> "int | np.ndarray":
     """1 if the phase lies in the open half-plane above the axis line, else 0.
 
     A phase on the axis itself maps to 1, its antipode to 0, so every
     antipodal pair splits into exactly one up member and one down member.
+    Elementwise over an array of phases (uint8 labels); an int for a scalar.
     """
-    d = phase - axis
-    s = math.sin(d)
-    if abs(s) > TIE_EPS:
-        return 1 if s > 0.0 else 0
-    return 1 if math.cos(d) > 0.0 else 0
+    d = np.asarray(phase, dtype=float) - axis
+    s = np.sin(d)
+    up = np.where(np.abs(s) > TIE_EPS, s > 0.0, np.cos(d) > 0.0)
+    return int(up) if up.ndim == 0 else up.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,12 @@ class Constellation:
         """All 2M amplitudes as a complex array."""
         return math.sqrt(self.energy) * np.exp(1j * self.phases())
 
-    def label(self, index: int) -> int:
-        """Half-plane label of a constellation point, measured on the native axis."""
-        return halfplane_label(self.phase(index), self.phase_offset)
+    def label(self, index: "int | np.ndarray") -> "int | np.ndarray":
+        """Half-plane label of constellation points, measured on the native axis."""
+        idx = np.asarray(index)
+        if np.any((idx < 0) | (idx >= self.n_states)):
+            raise ValueError("index out of range")
+        return halfplane_label(self.phases()[idx], self.phase_offset)
 
 
 @dataclass(frozen=True)
@@ -200,6 +203,20 @@ def keystream_next(ks: Keystream) -> "tuple[int, int, int]":
     return k, k & 1, s
 
 
+def _pair_member(c: Constellation, basis: "int | np.ndarray", want: "int | np.ndarray"):
+    """The member of pair {basis, basis + M} whose half-plane label equals want."""
+    lo_label = c.label(basis)
+    if np.any(lo_label == c.label(basis + c.m)):
+        raise AssertionError("antipodal pair failed to split across half-planes")
+    return np.where(lo_label == want, basis, basis + c.m)
+
+
+def _pair_index_table(c: Constellation) -> np.ndarray:
+    """idx[bit, basis] = the index encode picks for that bit and basis, no scramble."""
+    basis = np.arange(c.m)
+    return _pair_member(c, basis, np.arange(2)[:, None] ^ (basis & 1))
+
+
 def encode(bit: int, basis: int, scramble: int, c: Constellation) -> SymbolRecord:
     """Map one data bit and one keystream draw to a constellation index.
 
@@ -215,15 +232,8 @@ def encode(bit: int, basis: int, scramble: int, c: Constellation) -> SymbolRecor
         raise ValueError("scramble bit supplied to a non-scrambling constellation")
     parity = basis & 1
     want = (bit ^ scramble) ^ parity
-    lo, hi = basis, basis + c.m
-    if c.label(lo) == want:
-        index = lo
-    elif c.label(hi) == want:
-        index = hi
-    else:
-        raise AssertionError("antipodal pair failed to split across half-planes")
-    return SymbolRecord(index=index, basis=basis, bit=bit, parity=parity,
-                        osk_flip=scramble, label=want)
+    return SymbolRecord(index=int(_pair_member(c, basis, want)), basis=basis, bit=bit,
+                        parity=parity, osk_flip=scramble, label=want)
 
 
 def encode_sequence(bits: "np.ndarray | list[int]", ks: Keystream, c: Constellation) -> "list[SymbolRecord]":

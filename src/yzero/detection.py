@@ -26,14 +26,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, special
 
-from .codec import Constellation, encode
+from .codec import Constellation, _pair_index_table
 from .fockspace import (
     ComplexAmplitude,
     DensityMatrix,
     _as_complex,
-    coherent_overlap,
     trace_norm,
     truncation_dim,
 )
@@ -91,12 +90,14 @@ def helstrom_pure(a0: "ComplexAmplitude | complex", a1: "ComplexAmplitude | comp
                   p0: float = 0.5) -> BinaryBound:
     """Minimum error probability between two pure coherent states.
 
-    Closed form (1 - sqrt(1 - 4 p0 p1 |<a0|a1>|^2)) / 2; no truncation.
+    Closed form (1 - sqrt(1 - 4 p0 p1 |<a0|a1>|^2)) / 2; no truncation.  The
+    root's argument is evaluated as (p0 - p1)^2 + 4 p0 p1 (1 - exp(-|a0 - a1|^2)),
+    which does not cancel when the states nearly coincide.
     """
     priors = _check_priors(p0)
-    kappa2 = abs(coherent_overlap(a0, a1)) ** 2
-    arg = 1.0 - 4.0 * priors[0] * priors[1] * kappa2
-    pe = 0.5 * (1.0 - math.sqrt(max(arg, 0.0)))
+    d2 = abs(_as_complex(a0) - _as_complex(a1)) ** 2
+    arg = (priors[0] - priors[1]) ** 2 + 4.0 * priors[0] * priors[1] * -math.expm1(-d2)
+    pe = 0.5 * (1.0 - math.sqrt(arg))
     return BinaryBound(p_error=pe, method="helstrom_pure", priors=priors)
 
 
@@ -129,7 +130,8 @@ def _gram_spectrum(c: Constellation) -> np.ndarray:
     # most sqrt(tau) n max|w| <= 2 sqrt(tau), so a tail below
     # MODE_DROP_BOUND^2 costs at most twice the mode-drop bound.
     window = truncation_dim(c.energy, MODE_DROP_BOUND**2)
-    pmf = stats.poisson.pmf(np.arange(n * math.ceil(window / n)), c.energy)
+    k = np.arange(n * math.ceil(window / n))
+    pmf = np.exp(special.xlogy(k, c.energy) - special.gammaln(k + 1) - c.energy)
     lam = n * pmf.reshape(-1, n).sum(axis=0)
     mass = float(lam.sum()) / n
     if abs(mass - 1.0) > SPECTRUM_MASS_TOL:
@@ -167,13 +169,15 @@ def bit_bound(c: Constellation, p0: float = 0.5) -> BinaryBound:
     sits at exactly 1/2.
     """
     priors = _check_priors(p0)
+    pairs = _pair_index_table(c)
+    share = 1.0 / (c.m * (2 if c.osk else 1))
     weights = np.zeros(c.n_states)
-    scrambles = (0, 1) if c.osk else (0,)
-    share = 1.0 / (c.m * len(scrambles))
-    for basis in range(c.m):
-        for s in scrambles:
-            weights[encode(1, basis, s, c).index] += priors[1] * share
-            weights[encode(0, basis, s, c).index] -= priors[0] * share
+    weights[pairs[1]] += priors[1] * share
+    weights[pairs[0]] -= priors[0] * share
+    if c.osk:
+        # the scramble bit hands each bit to the other pair member
+        weights[pairs[0]] += priors[1] * share
+        weights[pairs[1]] -= priors[0] * share
     tn, kept = _weighted_trace_norm(c, weights)
     return BinaryBound(p_error=0.5 * (1.0 - tn), method="bit_dft", priors=priors,
                        dim_used=kept, deficit=0.0)
@@ -189,7 +193,7 @@ def updown_bound(c: Constellation) -> BinaryBound:
     """
     if c.osk:
         raise ValueError("the half-plane bound applies to non-scrambling constellations")
-    labels = np.array([c.label(j) for j in range(c.n_states)])
+    labels = c.label(np.arange(c.n_states))
     if labels.sum() * 2 != c.n_states:
         raise AssertionError("half-plane labels failed to split the constellation")
     weights = np.where(labels == 1, 1.0, -1.0) / c.n_states
@@ -293,10 +297,8 @@ def heterodyne_index_transition(c: Constellation, decision_offset: float = 0.0) 
     if abs(total - 1.0) > TRANSITION_ROW_TOL:
         raise AssertionError(f"wedge integrals sum to {total}, expected 1")
     q /= total
-    t = np.empty((n, n))
-    for sent in range(n):
-        t[sent] = np.roll(q, sent)
-    return t
+    # T[sent, decided] = q[(decided - sent) mod n]
+    return q[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
 
 
 def exponent_fit(points: "np.ndarray | list[tuple[float, float]]") -> ExponentFit:

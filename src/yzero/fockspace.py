@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 # Default bound on the Poisson tail mass dropped by truncation.
 TAIL_TOL = 1e-10
@@ -92,11 +92,11 @@ def truncation_dim(max_energy: float, tol: float = TAIL_TOL) -> int:
         raise ValueError("tol must lie in (0, 1)")
     if max_energy == 0.0:
         return 1
-    # P[n >= d] = sf(d - 1); scan a window comfortably past the mean.
+    # P[n >= d] = pdtrc(d - 1, S); scan a window comfortably past the mean.
     hi = int(max_energy + 20.0 * math.sqrt(max_energy + 1.0) + 40.0)
     while True:
         dims = np.arange(1, hi + 1)
-        tail = stats.poisson.sf(dims - 1, max_energy)
+        tail = special.pdtrc(dims - 1, max_energy)
         hit = np.nonzero(tail < tol)[0]
         if hit.size:
             return int(dims[hit[0]])

@@ -58,6 +58,8 @@ def _modeling_record(cfg: ScenarioConfig) -> "dict[str, object]":
     return {
         "label_encoding": "up=1 down=0",
         "label_tie_break": "phase on the axis counts as up, antipode as down",
+        "label_axis_pair": "the basis-0 pair lies on the label axis: the tie rule fixes "
+                           "its labels at zero jitter, any jitter makes each a coin flip",
         "lfsr": "fibonacci, low-bit output, msb-first per-symbol chunks",
         "eve_label_receiver": "ideal half-plane discriminator",
         "quantum_record_receiver": "heterodyne, nearest-phase decision",

@@ -348,6 +348,9 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
     if cfg.family == "bounds":
         if not cfg.methods:
             raise src.fail("bounds needs a nonempty 'methods' list", key="methods")
+        if cfg.osk and "updown" in cfg.methods:
+            raise src.fail("the updown bound assumes the fixed pairing; set osk = false "
+                           "or drop updown from 'methods'", key="osk")
     elif cfg.family in ("attack", "entropy"):
         if cfg.n_symbols < 1:
             raise src.fail("this family requires 'n_symbols' in [scenario]",

@@ -95,8 +95,7 @@ def pure_pair_error(a0: complex, a1: complex, p0: float = 0.5) -> float:
     """Helstrom error between two coherent states, in closed form.
 
     Writes 1 - 4 p0 p1 |<a0|a1>|^2 as (p0 - p1)^2 - 4 p0 p1 expm1(-|a0 - a1|^2),
-    which keeps full precision when the states nearly coincide;
-    ``detection.helstrom_pure`` loses up to 5e-10 there (S near 1e-15).
+    which keeps full precision when the states nearly coincide.
     """
     p1 = 1.0 - p0
     arg = (p0 - p1) ** 2 - 4.0 * p0 * p1 * math.expm1(-abs(a0 - a1) ** 2)

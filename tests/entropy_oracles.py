@@ -1,0 +1,235 @@
+"""Reference entropy engines: one trial loop per record model, scored symbol by symbol.
+
+These are the per-regime loops the package used before the entropy engines
+shared one record-channel scorer, kept as oracles.  Each draws the seed, the
+data, the error position and the record in the same order as the package
+and builds every per-symbol likelihood with its own formula: label records
+through ``symbol_likelihoods``, heterodyne index records through the
+transition matrix inline.  Labels come from the scalar half-plane rule, one
+phase at a time.  The public engines must return equal reports for the same
+seeded Generator.  ``label_mutual_information_labels`` is the per-trial
+measurement loop that ``label_mutual_information`` now runs as one batch.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from yzero.attacks import (
+    AttackScenario,
+    EntropyReport,
+    _check_entropy_caps,
+    _entropy_error_weight,
+    _posterior_entropy_bits,
+    _require_plain_pairing,
+    _sequence_likelihood,
+    _up_fraction,
+)
+from yzero.codec import (TIE_EPS, Constellation, encode, gf2_span, keystream_table,
+                         unit_keystreams)
+from yzero.detection import heterodyne_index_transition, heterodyne_sample, nearest_phase_index
+
+
+def scalar_halfplane_label(phase: float, axis: float) -> int:
+    """1 if the phase lies in the open half-plane above the axis line, else 0."""
+    d = phase - axis
+    s = math.sin(d)
+    if abs(s) > TIE_EPS:
+        return 1 if s > 0.0 else 0
+    return 1 if math.cos(d) > 0.0 else 0
+
+
+def pair_index_table(c: Constellation) -> np.ndarray:
+    """idx[bit, basis] = transmitted state index under the fixed pairing."""
+    table = np.empty((2, c.m), dtype=int)
+    for basis in range(c.m):
+        for bit in (0, 1):
+            table[bit, basis] = encode(bit, basis, 0, c).index
+    return table
+
+
+def index_label_prob(c: Constellation, scenario: AttackScenario) -> np.ndarray:
+    """P(recorded label = 1 | transmitted index), before recording errors."""
+    eve_axis = c.phase_offset + scenario.misalign
+    rel = c.phases() - eve_axis
+    if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
+        p1 = np.array([_up_fraction(float(r), scenario.dsr.param) for r in rel])
+    else:
+        p1 = np.array([float(scalar_halfplane_label(float(ph), eve_axis))
+                       for ph in c.phases()])
+    if scenario.dsr.kind == "binary":
+        f = scenario.dsr.param
+        p1 = p1 * (1.0 - f) + (1.0 - p1) * f
+    return p1
+
+
+def measure_indices(indices: np.ndarray, c: Constellation, scenario: AttackScenario,
+                    rng: "np.random.Generator | None",
+                    error_vec: np.ndarray) -> np.ndarray:
+    """Label pipeline for one 1-d index sequence, one phase at a time."""
+    idx = np.asarray(indices, dtype=int).copy()
+    needs_rng = scenario.dsr.kind in ("binary", "jitter") and scenario.dsr.param > 0.0
+    if needs_rng and rng is None:
+        raise ValueError("this scenario randomizes the signal; pass a Generator")
+    if scenario.dsr.kind == "binary" and scenario.dsr.param > 0.0:
+        flips = rng.random(idx.size) < scenario.dsr.param
+        idx = np.where(flips, (idx + c.m) % c.n_states, idx)
+    phases = c.phase_offset + math.pi * idx / c.m
+    if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
+        phases = phases + rng.uniform(-scenario.dsr.param, scenario.dsr.param, idx.size)
+    eve_axis = c.phase_offset + scenario.misalign
+    labels = np.fromiter((scalar_halfplane_label(float(p), eve_axis) for p in phases),
+                         dtype=np.uint8, count=idx.size)
+    return labels ^ error_vec
+
+
+def symbol_likelihoods(p1_by_index: np.ndarray, idx_table: np.ndarray,
+                       basis: np.ndarray, labels: np.ndarray,
+                       r_bits: "np.ndarray | None") -> np.ndarray:
+    """P(label_i | seed_j) for every seed row; data marginalized when r_bits is None."""
+    p_r0 = p1_by_index[idx_table[0, basis]]
+    p_r1 = p1_by_index[idx_table[1, basis]]
+    if r_bits is None:
+        p1 = 0.5 * (p_r0 + p_r1)
+    else:
+        p1 = np.where(r_bits.astype(bool)[None, :], p_r1, p_r0)
+    up = labels.astype(bool)[None, :]
+    return np.where(up, p1, 1.0 - p1)
+
+
+def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenario,
+                            trials: int, rng: np.random.Generator) -> EntropyReport:
+    """Exact H(key | record) and H(data | record) from label records alone."""
+    _require_plain_pairing(c)
+    key_bits = poly.bit_length() - 1
+    n = scenario.n_symbols
+    _check_entropy_caps(key_bits, n)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    weight = _entropy_error_weight(scenario)
+    p1 = index_label_prob(c, scenario)
+    idx_table = pair_index_table(c)
+    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_symbol)[0])
+    h_key_vals = np.empty(trials)
+    surprisals = np.empty(trials)
+    for t in range(trials):
+        true_seed = int(rng.integers(1, 1 << key_bits))
+        r = rng.integers(0, 2, n, dtype=np.uint8)
+        error_vec = np.zeros(n, dtype=np.uint8)
+        if weight == 1:
+            error_vec[int(rng.integers(0, n))] = 1
+        indices = idx_table[r, basis[true_seed]]
+        labels = measure_indices(indices, c, scenario, rng, error_vec)
+        q_marg = symbol_likelihoods(p1, idx_table, basis, labels, None)
+        qf_marg = symbol_likelihoods(p1, idx_table, basis, labels ^ 1, None)
+        like_marg = _sequence_likelihood(q_marg, qf_marg, weight)
+        h_key_vals[t] = _posterior_entropy_bits(like_marg)
+        q_cond = symbol_likelihoods(p1, idx_table, basis, labels, r)
+        qf_cond = symbol_likelihoods(p1, idx_table, basis, labels ^ 1, r)
+        like_cond = _sequence_likelihood(q_cond, qf_cond, weight)
+        surprisals[t] = n - math.log2(float(like_cond.sum())) + math.log2(float(like_marg.sum()))
+    h_key_mean = float(h_key_vals.mean())
+    h_data_mean = float(surprisals.mean())
+    return EntropyReport(
+        regime="ciphertext_only",
+        trials=trials,
+        key_bits=key_bits,
+        n_symbols=n,
+        h_key=float(key_bits),
+        h_key_given_obs=h_key_mean,
+        h_data_given_obs=h_data_mean,
+        exceeds_key_entropy=bool(h_data_mean > key_bits),
+        notes={
+            "h_key_given_obs_min": float(h_key_vals.min()),
+            "h_key_given_obs_max": float(h_key_vals.max()),
+            "h_data_given_obs_std": float(surprisals.std()),
+            "error_weight": weight,
+        },
+    )
+
+
+def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackScenario,
+                                trials: int, rng: np.random.Generator,
+                                regime: str = "classical") -> EntropyReport:
+    """Exact H(key | record, data): one loop for label records, one for index records."""
+    _require_plain_pairing(c)
+    if regime not in ("classical", "quantum"):
+        raise ValueError("regime must be 'classical' or 'quantum'")
+    key_bits = poly.bit_length() - 1
+    n = scenario.n_symbols
+    _check_entropy_caps(key_bits, n)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    idx_table = pair_index_table(c)
+    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_symbol)[0])
+    h_vals = np.empty(trials)
+    if regime == "classical":
+        weight = _entropy_error_weight(scenario)
+        p1 = index_label_prob(c, scenario)
+        for t in range(trials):
+            true_seed = int(rng.integers(1, 1 << key_bits))
+            r = rng.integers(0, 2, n, dtype=np.uint8)
+            error_vec = np.zeros(n, dtype=np.uint8)
+            if weight == 1:
+                error_vec[int(rng.integers(0, n))] = 1
+            indices = idx_table[r, basis[true_seed]]
+            labels = measure_indices(indices, c, scenario, rng, error_vec)
+            q = symbol_likelihoods(p1, idx_table, basis, labels, r)
+            qf = symbol_likelihoods(p1, idx_table, basis, labels ^ 1, r)
+            h_vals[t] = _posterior_entropy_bits(_sequence_likelihood(q, qf, weight))
+    else:
+        if scenario.dsr.kind == "jitter":
+            raise ValueError("the quantum record model supports dsr 'none' or 'binary'")
+        if scenario.error_vector().any():
+            raise ValueError("recording errors apply to label records, not index records")
+        f = scenario.dsr.param if scenario.dsr.kind == "binary" else 0.0
+        trans = heterodyne_index_transition(c, decision_offset=scenario.misalign)
+        amps = c.amplitudes()
+        for t in range(trials):
+            true_seed = int(rng.integers(1, 1 << key_bits))
+            r = rng.integers(0, 2, n, dtype=np.uint8)
+            sent = idx_table[r, basis[true_seed]]
+            if f > 0.0:
+                flips = rng.random(n) < f
+                sent = np.where(flips, (sent + c.m) % c.n_states, sent)
+            z = heterodyne_sample(0j, rng, size=n) + amps[sent]
+            decided = nearest_phase_index(z, c, decision_offset=scenario.misalign)
+            like_match = trans[idx_table[r, basis], decided[None, :]]
+            if f > 0.0:
+                like_flip = trans[idx_table[1 - r, basis], decided[None, :]]
+                per_symbol = (1.0 - f) * like_match + f * like_flip
+            else:
+                per_symbol = like_match
+            h_vals[t] = _posterior_entropy_bits(per_symbol.prod(axis=1))
+    h_mean = float(h_vals.mean())
+    return EntropyReport(
+        regime=f"known_plaintext_{regime}",
+        trials=trials,
+        key_bits=key_bits,
+        n_symbols=n,
+        h_key=float(key_bits),
+        h_key_given_obs_and_data=h_mean,
+        notes={
+            "h_min": float(h_vals.min()),
+            "h_max": float(h_vals.max()),
+            "residual_positive": bool(h_vals.min() > 0.0),
+        },
+    )
+
+
+def label_mutual_information_labels(c: Constellation, poly: int, true_seed: int,
+                                    scenario: AttackScenario, trials: int,
+                                    rng: np.random.Generator) -> "tuple[np.ndarray, np.ndarray]":
+    """(data, labels) of the mutual-information trials, measured one trial at a time."""
+    n = scenario.n_symbols
+    basis, _, _ = keystream_table(poly, n, c.bits_per_symbol,
+                                  seeds=np.array([true_seed], dtype=np.uint32), osk=False)
+    idx_table = pair_index_table(c)
+    labels = np.empty((trials, n), dtype=np.uint8)
+    data = rng.integers(0, 2, (trials, n), dtype=np.uint8)
+    for t in range(trials):
+        indices = idx_table[data[t], basis[0]]
+        labels[t] = measure_indices(indices, c, scenario, rng, scenario.error_vector())
+    return data, labels

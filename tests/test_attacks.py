@@ -164,6 +164,29 @@ def test_jitter_up_fraction_reduces_to_label_at_zero_width():
     npt.assert_allclose(attacks._up_fraction(0.0, math.pi / 2), 0.5, atol=1e-12)
 
 
+def test_axis_pair_label_jumps_to_a_coin_flip_at_any_jitter():
+    # the basis-0 pair lies on the label axis: the tie rule fixes its labels
+    # at zero jitter, and any jitter at all makes each a coin flip
+    c = codec.Constellation(m=2, energy=4.0)
+    sharp = attacks._index_label_prob(c, attacks.AttackScenario(n_symbols=16))
+    npt.assert_array_equal(sharp, [1.0, 1.0, 0.0, 0.0])
+    h_data = {}
+    for w in (0.0, 1e-9, 1e-6, 1e-3):
+        sc = attacks.AttackScenario(n_symbols=16, dsr=attacks.Dsr.jitter(w))
+        if w > 0.0:
+            p1 = attacks._index_label_prob(c, sc)
+            npt.assert_allclose(p1[[0, 2]], 0.5, atol=1e-6)
+            npt.assert_allclose(p1[[1, 3]], [1.0, 0.0], atol=1e-6)
+        rep = attacks.ciphertext_only_entropy(c, POLY8, sc, trials=10,
+                                              rng=np.random.default_rng(3))
+        h_data[w] = rep.h_data_given_obs
+    assert h_data[0.0] == 8.0
+    # about half the symbols sit on the axis pair, so the data entropy jumps by
+    # bits the record can no longer resolve, and by the same amount for every width
+    assert h_data[1e-9] > 8.0 + 3.0
+    npt.assert_allclose([h_data[1e-6], h_data[1e-3]], h_data[1e-9], atol=1e-6)
+
+
 def test_brute_force_agrees_with_scalar_enumeration():
     c = codec.Constellation(m=2, energy=1.0)
     rng = np.random.default_rng(8)

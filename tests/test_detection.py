@@ -25,6 +25,15 @@ def test_helstrom_pure_antipodal_unit_energy():
     assert b.method == "helstrom_pure"
 
 
+def test_helstrom_pure_keeps_precision_when_states_nearly_coincide():
+    # at M = 1, S = 6.36e-16 the form 1 - 4 p0 p1 |<a0|a1>|^2 cancels to a 5e-10 error
+    c = codec.Constellation(m=1, energy=6.36e-16)
+    a = math.sqrt(c.energy)
+    p = detection.helstrom_pure(a + 0j, -a + 0j).p_error
+    assert abs(p - 0.5 * (1.0 - math.sqrt(-math.expm1(-4.0 * c.energy)))) < 1e-15
+    assert abs(p - detection.bit_bound(c).p_error) < 1e-15
+
+
 def test_helstrom_pure_prior_validation():
     with pytest.raises(ValueError):
         detection.helstrom_pure(0j, 1j, p0=1.2)

@@ -5,10 +5,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import yzero
 from yzero import cli, runner
 from yzero.errors import ConfigError, RegimeCapError
 from yzero.scenario import load_config
@@ -332,6 +335,7 @@ def test_manifest_records_the_run(tmp_path):
     assert "run_attack.json" in manifest["outputs"]
     assert "created_utc" in manifest
     assert manifest["modeling"]["entropy_hypothesis_space"].startswith("all 2^K")
+    assert "coin flip" in manifest["modeling"]["label_axis_pair"]
     assert manifest["tolerances"] == {"mode_drop_bound": 2.0**-53}
     assert set(manifest["versions"]) == {"yzero", "python", "numpy", "scipy"}
 
@@ -365,6 +369,30 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert ":2:" in err
+
+
+def test_cli_bounds_rejects_updown_on_a_scrambled_pairing(tmp_path, capsys):
+    text = "[constellation]\nm_grid = 4\nenergy_grid = 1.0\nosk = true\n\n[scenario]\n"
+    path = write_cfg(tmp_path, text)
+    assert cli.main(["bounds", "--config", path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and ":4:" in err and "osk" in err
+    # without the half-plane bound a scrambled pairing is a valid bounds run
+    path = write_cfg(tmp_path, text + "methods = bit, srm\n", name="ok.ini")
+    assert cli.main(["bounds", "--config", path, "--out-dir", str(tmp_path)]) == 0
+    _, _, rows = load_csv(tmp_path, "bounds_bounds.csv")
+    assert [r[2] for r in rows] == ["helstrom_mixed_bit", "srm_2M"]
+    assert float(rows[0][3]) == 0.5
+    capsys.readouterr()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # the package under test, wherever it was imported from
+    src = os.path.dirname(os.path.dirname(os.path.abspath(yzero.__file__)))
+    code = "import sys, yzero.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_reports_regime_caps(tmp_path, capsys):
