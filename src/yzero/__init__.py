@@ -1,9 +1,8 @@
 """Desk-scale simulator and analysis toolkit for the coherent-state stream cipher.
 
-The package splits into four layers: truncated Fock-space numerics
-(:mod:`yzero.fockspace`), the keyed phase-constellation coding layer
-(:mod:`yzero.codec`), receiver error bounds (:mod:`yzero.detection`), and
-eavesdropper replays with exact information accounting
+The package splits into three layers: the keyed phase-constellation coding
+layer (:mod:`yzero.codec`), receiver error bounds (:mod:`yzero.detection`),
+and eavesdropper replays with exact information accounting
 (:mod:`yzero.attacks`).  Configured runs are driven by :mod:`yzero.runner`
 and the ``yzero`` command.
 """
@@ -32,7 +31,6 @@ from .codec import (
     Keystream,
     PRIMITIVE_POLYS,
     SymbolRecord,
-    bit_ensembles,
     encode,
     encode_sequence,
     halfplane_label,
@@ -46,44 +44,28 @@ from .detection import (
     antipodal_homodyne_error,
     bit_bound,
     exponent_fit,
-    helstrom_mixed,
     helstrom_pure,
     heterodyne_index_transition,
     heterodyne_sample,
     nearest_phase_index,
     phase_density,
     srm_mary_error,
+    truncation_dim,
     updown_bound,
 )
 from .errors import ConfigError, RegimeCapError
-from .fockspace import (
-    ComplexAmplitude,
-    DensityMatrix,
-    FockVector,
-    coherent_fock,
-    coherent_overlap,
-    density_from_ensemble,
-    hermitian_eig,
-    trace_norm,
-    truncation_dim,
-)
 from .scenario import RunManifest, ScenarioConfig, load_config
 
 __all__ = [
-    "AttackRecord", "AttackScenario", "BinaryBound", "ComplexAmplitude",
-    "ConfigError", "Constellation", "DensityMatrix", "Dsr", "EntropyReport",
-    "ExponentFit", "FockVector", "KeygenPoint", "Keystream", "MaryBound",
-    "PRIMITIVE_POLYS", "RegimeCapError", "RunManifest",
-    "ScenarioConfig",
+    "AttackRecord", "AttackScenario", "BinaryBound", "ConfigError", "Constellation",
+    "Dsr", "EntropyReport", "ExponentFit", "KeygenPoint", "Keystream", "MaryBound",
+    "PRIMITIVE_POLYS", "RegimeCapError", "RunManifest", "ScenarioConfig",
     "SymbolRecord", "antipodal_homodyne_error", "binary_entropy", "bit_bound",
-    "bit_ensembles", "brute_force_candidates", "ciphertext_only_entropy",
-    "coherent_fock", "coherent_overlap", "density_from_ensemble", "encode",
-    "encode_sequence", "exponent_fit", "halfplane_label", "helstrom_mixed",
-    "helstrom_pure", "hermitian_eig", "heterodyne_index_transition",
-    "heterodyne_sample", "keygen_advantage",
+    "brute_force_candidates", "ciphertext_only_entropy", "encode",
+    "encode_sequence", "exponent_fit", "halfplane_label", "helstrom_pure",
+    "heterodyne_index_transition", "heterodyne_sample", "keygen_advantage",
     "keystream_next", "keystream_table", "known_plaintext_key_entropy",
     "label_mutual_information", "load_config", "measure_labels",
     "nearest_phase_index", "otp_stage_attack", "phase_density",
-    "srm_mary_error", "trace_norm", "truncation_dim",
-    "updown_bound",
+    "srm_mary_error", "truncation_dim", "updown_bound",
 ]

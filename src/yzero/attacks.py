@@ -212,17 +212,18 @@ def _check_entropy_caps(key_bits: int, n_symbols: int) -> None:
 
 
 def _up_fraction(rel_phase: float, half_width: float) -> float:
-    """Probability that rel_phase + U(-w, w) lands in the upper half-plane."""
+    """Probability that rel_phase + U(-w, w), 0 <= w < pi, lands in the upper half-plane."""
     if half_width == 0.0:
         return float(halfplane_label(rel_phase, 0.0))
-
-    def below(x: float) -> float:
-        # measure of the up set (0, pi) mod 2 pi on (-inf, x]
-        k = math.floor(x / (2.0 * math.pi))
-        return k * math.pi + min(x - 2.0 * math.pi * k, math.pi)
-
-    lo, hi = rel_phase - half_width, rel_phase + half_width
-    return (below(hi) - below(lo)) / (2.0 * half_width)
+    w = half_width
+    r = rel_phase % (2.0 * math.pi)
+    # The window [r - w, r + w] lies in (-pi, 3 pi), which meets the up set
+    # (0, pi) mod 2 pi only in (0, pi) and (2 pi, 3 pi).  Each overlap is
+    # taken in offsets from r, so a window inside one half-plane covers
+    # exactly 2w or 0.
+    up = sum(max(0.0, min(w, start + math.pi - r) - max(-w, start - r))
+             for start in (0.0, 2.0 * math.pi))
+    return min(1.0, up / (2.0 * w))
 
 
 def _index_label_prob(c: Constellation, scenario: AttackScenario) -> np.ndarray:

@@ -16,15 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import (
-    ComplexAmplitude,
-    DensityMatrix,
-    TAIL_TOL,
-    coherent_fock,
-    density_from_ensemble,
-    truncation_dim,
-)
-
 # Half-plane tie band: |sin(phase - axis)| at or below this counts as lying
 # on the axis line, where the sign of cos decides.  Constellation points sit
 # at least sin(pi/M) from the axis, orders of magnitude above the band.
@@ -113,9 +104,6 @@ class Constellation:
 
     def phases(self) -> np.ndarray:
         return self.phase_offset + math.pi * np.arange(self.n_states) / self.m
-
-    def amplitude(self, index: int) -> ComplexAmplitude:
-        return ComplexAmplitude.from_polar(math.sqrt(self.energy), self.phase(index))
 
     def amplitudes(self) -> np.ndarray:
         """All 2M amplitudes as a complex array."""
@@ -315,29 +303,3 @@ def keystream_table(poly: int, n_symbols: int, bits_per_symbol: int,
     parity = (basis & 1).astype(np.uint8)
     return basis, parity, scram
 
-
-def bit_ensembles(c: Constellation, p0: float = 0.5,
-                  tol: float = TAIL_TOL) -> "tuple[DensityMatrix, DensityMatrix, DensityMatrix]":
-    """Density matrices (rho_0, rho_1, rho_total) seen by an observer without the key.
-
-    rho_b mixes, uniformly over bases (and scramble bits when active), every
-    constellation state that carries data bit b; rho_total = p0 rho_0 +
-    (1 - p0) rho_1.  With scrambling on, both pair members carry each bit
-    and the two ensembles coincide.
-    """
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError("p0 must lie in [0, 1]")
-    dim = truncation_dim(c.energy, tol)
-    states = [coherent_fock(c.amplitude(j), dim) for j in range(c.n_states)]
-    weights = {0: np.zeros(c.n_states), 1: np.zeros(c.n_states)}
-    scrambles = (0, 1) if c.osk else (0,)
-    for bit in (0, 1):
-        for basis in range(c.m):
-            for s in scrambles:
-                rec = encode(bit, basis, s, c)
-                weights[bit][rec.index] += 1.0
-        weights[bit] /= weights[bit].sum()
-    rho0 = density_from_ensemble(states, weights[0])
-    rho1 = density_from_ensemble(states, weights[1])
-    total = density_from_ensemble(states, p0 * weights[0] + (1.0 - p0) * weights[1])
-    return rho0, rho1, total

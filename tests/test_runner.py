@@ -386,6 +386,15 @@ def test_cli_bounds_rejects_updown_on_a_scrambled_pairing(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("family,text", [("attack", ATTACK_CFG), ("entropy", ENTROPY_CFG)])
+def test_cli_label_families_reject_a_single_pair(tmp_path, capsys, family, text):
+    # m = 1 leaves no keystream bit to choose a basis: a config error on the m line
+    path = write_cfg(tmp_path, text.replace("m = 4", "m = 1"))
+    assert cli.main([family, "--config", path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and ":2:" in err and "m >= 2" in err
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # the package under test, wherever it was imported from
     src = os.path.dirname(os.path.dirname(os.path.abspath(yzero.__file__)))
