@@ -179,6 +179,19 @@ def binary_entropy(p: float) -> float:
     return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
 
 
+def _binary_capacity(p: float) -> float:
+    """1 - h2(p) in bits, without cancellation as p approaches 1/2.
+
+    With q = |1 - 2p| it equals (2 q atanh(q) + log1p(-q^2)) / (2 ln 2),
+    whose two terms are of size q^2 and add without cancellation; away from
+    1/2 the difference 1 - h2(p) loses nothing.
+    """
+    q = abs(1.0 - 2.0 * p)
+    if q > 0.5:
+        return 1.0 - binary_entropy(p)
+    return (2.0 * q * math.atanh(q) + math.log1p(-q * q)) / (2.0 * math.log(2.0))
+
+
 def _require_plain_pairing(c: Constellation) -> None:
     if c.osk:
         raise ValueError(
@@ -442,12 +455,15 @@ def _sequence_likelihood(q: np.ndarray, q_flipped: "np.ndarray | None",
 
 
 def _posterior_entropy_bits(likelihood: np.ndarray) -> float:
+    """Entropy of the normalized likelihood over all keys, clipped to [0, log2(#keys)]."""
     total = float(likelihood.sum())
     if total <= 0.0:
         raise AssertionError("posterior has no support; model inconsistent with data")
     p = likelihood / total
     nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    h = float(-(nz * np.log2(nz)).sum())
+    # max(0.0, -0.0) is +0.0: the zero argument comes first
+    return min(max(0.0, h), math.log2(likelihood.size))
 
 
 def _entropy_error_weight(scenario: AttackScenario) -> int:
@@ -639,7 +655,8 @@ def keygen_advantage(s_values: "np.ndarray | list[float]", mode: str = "ideal",
     quantum-optimal error (decaying like e^{-4S}) while the interceptor,
     without the phase reference the key provides, is scored as a homodyne
     receiver (decaying like e^{-2S}).  The advantage is the difference of
-    binary entropies of the two error rates.
+    binary entropies of the two error rates, formed as the difference of
+    the capacities 1 - h2 so that it does not cancel as S -> 0.
 
     mode 'randomized' treats each input value as a per-pulse energy budget
     of which only ``energy_factor`` arrives coherently, halving both decay
@@ -661,6 +678,6 @@ def keygen_advantage(s_values: "np.ndarray | list[float]", mode: str = "ideal",
             s=float(s),
             p_error_bob=pe_bob,
             p_error_eve=pe_eve,
-            advantage_bits=binary_entropy(pe_eve) - binary_entropy(pe_bob),
+            advantage_bits=_binary_capacity(pe_bob) - _binary_capacity(pe_eve),
         ))
     return out

@@ -18,15 +18,22 @@ analytically as the aliased Poisson distribution; the binary bounds share
 one trace-norm helper that works in that DFT basis and keeps only the modes
 that can move the result.  No Fock basis is built and the cost follows the
 photon-number spread, not M.
+
+The module needs numpy and ``math`` only.  The Poisson pmf is
+exp(k ln S - ln k! - S) with ln k! from one growing ``math.lgamma`` table;
+the normal cdf is erfc(-x / sqrt 2) / 2; the heterodyne wedge integrals are
+composite Gauss-Legendre sums whose panel count doubles until two estimates
+agree.  Bounds are clipped to their ranges, so rounding never shows as a
+negative error probability.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .codec import Constellation, _pair_index_table
 
@@ -42,6 +49,23 @@ SPECTRUM_MASS_TOL = 1e-12
 # Row sums of a numerically integrated decision matrix must land this close
 # to one before renormalization.
 TRANSITION_ROW_TOL = 1e-9
+
+# The wedge quadrature doubles its panel count until two successive
+# estimates of every wedge integral agree to this absolute precision.
+WEDGE_QUAD_TOL = 1e-13
+
+# Gauss-Legendre nodes per panel, the first panel count, and the panel
+# count past which the wedge quadrature gives up.
+WEDGE_NODES = 16
+WEDGE_PANELS_START = 2
+WEDGE_PANELS_CAP = 1024
+
+# ln(k!) for k = 0, 1, ..., grown by doubling when a longer pmf is needed;
+# the bounds runner's threads share it.
+_LOG_FACTORIAL = np.zeros(1)
+_LOG_FACTORIAL_LOCK = threading.Lock()
+
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -96,27 +120,59 @@ def helstrom_pure(a0: complex, a1: complex, p0: float = 0.5) -> BinaryBound:
     return BinaryBound(p_error=pe, method="helstrom_pure", priors=priors)
 
 
+def _log_factorials(size: int) -> np.ndarray:
+    """ln(k!) for k < size, from one table per process."""
+    global _LOG_FACTORIAL
+    with _LOG_FACTORIAL_LOCK:
+        if _LOG_FACTORIAL.size < size:
+            _LOG_FACTORIAL = np.array([math.lgamma(k + 1.0)
+                                       for k in range(max(size, 2 * _LOG_FACTORIAL.size))])
+        return _LOG_FACTORIAL[:size]
+
+
+def _poisson_pmf(energy: float, size: int) -> np.ndarray:
+    """P[N = k] for k < size, N ~ Poisson(energy), as exp(k ln S - ln k! - S)."""
+    if energy == 0.0:
+        pmf = np.zeros(size)
+        pmf[0] = 1.0
+        return pmf
+    k = np.arange(size)
+    return np.exp(k * math.log(energy) - _log_factorials(size) - energy)
+
+
+def _poisson_window(energy: float, tol: float, multiple: int = 1) -> "tuple[int, np.ndarray]":
+    """Least d with P[N >= d] < tol, and the pmf over a window past d.
+
+    The window starts comfortably past the mean and doubles until the tail
+    summed inside it falls below tol and the mass past the window is under
+    tol times the unit roundoff, too small to move that comparison.  Its
+    length is a multiple of ``multiple``.
+    """
+    hi = int(energy + 20.0 * math.sqrt(energy + 1.0) + 40.0)
+    while True:
+        size = multiple * -(-hi // multiple)
+        pmf = _poisson_pmf(energy, size)
+        # P[N >= d] for d < size, summed smallest term first
+        tail = np.cumsum(pmf[::-1])[::-1]
+        # past the window the pmf falls at least geometrically, by S / size
+        left_out = float(pmf[-1]) * energy / (size - energy) if size > energy else math.inf
+        hit = np.nonzero(tail < tol)[0]
+        if hit.size and left_out <= tol * np.finfo(float).eps:
+            return max(int(hit[0]), 1), pmf
+        hi *= 2
+
+
 def truncation_dim(max_energy: float, tol: float) -> int:
     """Smallest photon number d with Poisson tail P[n >= d] below tol.
 
     For mean photon number S the photon distribution is Poisson(S); the
-    returned d is the least d such that P[n >= d] < tol.
+    returned d is the least d such that P[n >= d] < tol, at least 1.
     """
     if not math.isfinite(max_energy) or max_energy < 0:
         raise ValueError("max_energy must be finite and nonnegative")
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must lie in (0, 1)")
-    if max_energy == 0.0:
-        return 1
-    # P[n >= d] = pdtrc(d - 1, S); scan a window comfortably past the mean.
-    hi = int(max_energy + 20.0 * math.sqrt(max_energy + 1.0) + 40.0)
-    while True:
-        dims = np.arange(1, hi + 1)
-        tail = special.pdtrc(dims - 1, max_energy)
-        hit = np.nonzero(tail < tol)[0]
-        if hit.size:
-            return int(dims[hit[0]])
-        hi *= 2
+    return _poisson_window(max_energy, tol)[0]
 
 
 def _gram_spectrum(c: Constellation) -> np.ndarray:
@@ -131,18 +187,17 @@ def _gram_spectrum(c: Constellation) -> np.ndarray:
     # Poisson mass tau left out of the window moves a binary p_error by at
     # most sqrt(tau) n max|w| <= 2 sqrt(tau), so a tail below
     # MODE_DROP_BOUND^2 costs at most twice the mode-drop bound.
-    window = truncation_dim(c.energy, MODE_DROP_BOUND**2)
-    k = np.arange(n * math.ceil(window / n))
-    pmf = np.exp(special.xlogy(k, c.energy) - special.gammaln(k + 1) - c.energy)
-    lam = n * pmf.reshape(-1, n).sum(axis=0)
+    window, pmf = _poisson_window(c.energy, MODE_DROP_BOUND**2, multiple=n)
+    lam = n * pmf[:n * math.ceil(window / n)].reshape(-1, n).sum(axis=0)
     mass = float(lam.sum()) / n
     if abs(mass - 1.0) > SPECTRUM_MASS_TOL:
         raise AssertionError(f"Poisson window holds mass {mass}, expected 1")
-    return lam
+    # the rounding of the pmf is removed, so the spectrum sums to n
+    return lam / mass
 
 
-def _weighted_trace_norm(c: Constellation, weights: np.ndarray) -> "tuple[float, int]":
-    """Trace norm of T = sum_j w_j |a_j><a_j| over the constellation states.
+def _helstrom_error(c: Constellation, weights: np.ndarray) -> "tuple[float, int]":
+    """Helstrom error (1 - ||T||_1) / 2 for T = sum_j w_j |a_j><a_j| over the states.
 
     In the DFT basis the nonzero spectrum of T is that of
     Lambda^(1/2) W Lambda^(1/2), with W_kl = ifft(w)[(k - l) mod n].  Modes
@@ -150,7 +205,8 @@ def _weighted_trace_norm(c: Constellation, weights: np.ndarray) -> "tuple[float,
     sqrt(n) stays at or below MODE_DROP_BOUND.  Each dropped row (and column)
     of the matrix has 2-norm at most sqrt(Lambda_k) max|ifft(w)| sqrt(n),
     because sum Lambda = n, so that sum bounds the change in
-    p_error = (1 - ||T||_1) / 2.  Returns the trace norm and the modes kept.
+    p_error = (1 - ||T||_1) / 2.  Returns p_error, clipped to [0, 1/2], and
+    the modes kept.
     """
     n = c.n_states
     lam = _gram_spectrum(c)
@@ -160,7 +216,8 @@ def _weighted_trace_norm(c: Constellation, weights: np.ndarray) -> "tuple[float,
     keep = np.sort(order[np.count_nonzero(cost <= MODE_DROP_BOUND):])
     root = np.sqrt(lam[keep])
     h = root[:, None] * w_hat[(keep[:, None] - keep[None, :]) % n] * root[None, :]
-    return float(np.sum(np.abs(np.linalg.eigvalsh(h)))), int(keep.size)
+    p_error = 0.5 * (1.0 - float(np.sum(np.abs(np.linalg.eigvalsh(h)))))
+    return min(max(0.0, p_error), 0.5), int(keep.size)
 
 
 def bit_bound(c: Constellation, p0: float = 0.5) -> BinaryBound:
@@ -180,8 +237,8 @@ def bit_bound(c: Constellation, p0: float = 0.5) -> BinaryBound:
         # the scramble bit hands each bit to the other pair member
         weights[pairs[0]] += priors[1] * share
         weights[pairs[1]] -= priors[0] * share
-    tn, kept = _weighted_trace_norm(c, weights)
-    return BinaryBound(p_error=0.5 * (1.0 - tn), method="bit_dft", priors=priors,
+    p_error, kept = _helstrom_error(c, weights)
+    return BinaryBound(p_error=p_error, method="bit_dft", priors=priors,
                        dim_used=kept, deficit=0.0)
 
 
@@ -199,19 +256,20 @@ def updown_bound(c: Constellation) -> BinaryBound:
     if labels.sum() * 2 != c.n_states:
         raise AssertionError("half-plane labels failed to split the constellation")
     weights = np.where(labels == 1, 1.0, -1.0) / c.n_states
-    tn, kept = _weighted_trace_norm(c, weights)
-    return BinaryBound(p_error=0.5 * (1.0 - tn), method="updown_dft",
-                       dim_used=kept, deficit=0.0)
+    p_error, kept = _helstrom_error(c, weights)
+    return BinaryBound(p_error=p_error, method="updown_dft", dim_used=kept, deficit=0.0)
 
 
 def srm_mary_error(c: Constellation) -> MaryBound:
     """Square-root-measurement error for resolving all 2M states.
 
     For a phase-symmetric set the success probability is mean(sqrt(Lambda))^2
-    over the eigenvalues Lambda of the circulant Gram matrix.
+    over the eigenvalues Lambda of the circulant Gram matrix; the error is
+    clipped to [0, 1].
     """
     p_success = float(np.mean(np.sqrt(_gram_spectrum(c)))) ** 2
-    return MaryBound(p_error=1.0 - p_success, n_states=c.n_states, method="srm_dft")
+    return MaryBound(p_error=min(max(0.0, 1.0 - p_success), 1.0), n_states=c.n_states,
+                     method="srm_dft")
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +294,13 @@ def heterodyne_sample(a: complex, rng: np.random.Generator,
 def antipodal_homodyne_error(energy: float) -> float:
     """Exact bit-error probability of homodyne detection of +/- sqrt(S).
 
-    Phi(-2 sqrt(S)) with the sd-1/2 quadrature convention; decays like
-    exp(-2S), the square root of the Helstrom exponent.
+    Phi(-2 sqrt(S)) = erfc(sqrt(2 S)) / 2 with the sd-1/2 quadrature
+    convention; decays like exp(-2S), the square root of the Helstrom
+    exponent.
     """
     if energy < 0:
         raise ValueError("energy must be nonnegative")
-    return float(special.ndtr(-2.0 * math.sqrt(energy)))
+    return 0.5 * math.erfc(math.sqrt(2.0 * energy))
 
 
 def nearest_phase_index(z: "complex | np.ndarray", c: Constellation,
@@ -263,17 +322,35 @@ def phase_density(phi: "float | np.ndarray", energy: float) -> "float | np.ndarr
     (variance 1/2 per quadrature) has the closed form
 
         p(phi) = e^{-S}/(2 pi)
-               + sqrt(S/pi) cos(phi) e^{-S sin^2 phi} Phi(sqrt(2S) cos(phi)).
+               + sqrt(S/pi) cos(phi) e^{-S sin^2 phi} Phi(sqrt(2S) cos(phi)),
+
+    with Phi(sqrt(2S) cos(phi)) = erfc(-sqrt(S) cos(phi)) / 2.
     """
     if energy < 0:
         raise ValueError("energy must be nonnegative")
     f = np.asarray(phi, dtype=float)
     s = energy
     cos = np.cos(f)
+    cdf = 0.5 * np.asarray(_ERFC(-math.sqrt(s) * cos), dtype=float)
     out = (math.exp(-s) / (2.0 * math.pi)
-           + math.sqrt(s / math.pi) * cos * np.exp(-s * np.sin(f) ** 2)
-           * special.ndtr(math.sqrt(2.0 * s) * cos))
+           + math.sqrt(s / math.pi) * cos * np.exp(-s * np.sin(f) ** 2) * cdf)
     return out if isinstance(phi, np.ndarray) else float(out)
+
+
+def _wedge_integrals(c: Constellation, decision_offset: float, panels: int,
+                     x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Integral of the phase-error density over each of the 2M decision wedges.
+
+    Composite Gauss-Legendre with ``panels`` equal panels per wedge, with
+    nodes ``x`` and weights ``w`` on [-1, 1], all wedges evaluated at once.
+    The density is 2 pi periodic, so each wedge is integrated in place.
+    """
+    width = math.pi / c.m
+    h = width / panels
+    offsets = ((np.arange(panels)[:, None] + 0.5 * (x[None, :] + 1.0)) * h).ravel()
+    lower = width * (np.arange(c.n_states) - 0.5) + decision_offset
+    density = phase_density(lower[:, None] + offsets[None, :], c.energy)
+    return 0.5 * h * (density @ np.tile(w, panels))
 
 
 def heterodyne_index_transition(c: Constellation, decision_offset: float = 0.0) -> np.ndarray:
@@ -282,19 +359,23 @@ def heterodyne_index_transition(c: Constellation, decision_offset: float = 0.0) 
     Entry (t, m) is the probability that a heterodyne measurement of state t,
     decided by the nearest point of a grid rotated by ``decision_offset``,
     lands on index m.  The matrix is circulant; each distinct wedge integral
-    of the phase-error density is evaluated once.
+    of the phase-error density is evaluated once.  The quadrature doubles
+    its panel count until two successive estimates agree within
+    WEDGE_QUAD_TOL, and fails past WEDGE_PANELS_CAP panels.
     """
     if c.energy == 0.0:
         return np.full((c.n_states, c.n_states), 1.0 / c.n_states)
     n = c.n_states
-    half = math.pi / (2 * c.m)
-    q = np.empty(n)
-    for d in range(n):
-        # the density is 2 pi periodic, so the wedge may be integrated in place
-        center = math.pi * d / c.m + decision_offset
-        val, _ = integrate.quad(phase_density, center - half, center + half,
-                                args=(c.energy,), limit=200)
-        q[d] = val
+    x, w = np.polynomial.legendre.leggauss(WEDGE_NODES)
+    panels = WEDGE_PANELS_START
+    q = _wedge_integrals(c, decision_offset, panels, x, w)
+    while True:
+        panels *= 2
+        if panels > WEDGE_PANELS_CAP:
+            raise AssertionError(f"wedge quadrature unconverged at {panels // 2} panels")
+        coarse, q = q, _wedge_integrals(c, decision_offset, panels, x, w)
+        if float(np.max(np.abs(q - coarse))) <= WEDGE_QUAD_TOL:
+            break
     total = float(q.sum())
     if abs(total - 1.0) > TRANSITION_ROW_TOL:
         raise AssertionError(f"wedge integrals sum to {total}, expected 1")

@@ -17,7 +17,6 @@ import platform
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .attacks import (
@@ -82,7 +81,6 @@ def _manifest(cfg: ScenarioConfig, outputs: "list[str]") -> RunManifest:
             "yzero": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         modeling=_modeling_record(cfg),
         tolerances={"mode_drop_bound": MODE_DROP_BOUND},

@@ -11,6 +11,10 @@ of that noise would couple into the result at the 1e-8 level near the
 vacuum.  Eigenvalues just above the noise still cost up to 6.9e-9 at
 M = 32.  The Fock route drops the amplitude beyond the Poisson tail
 tolerance, which costs about sqrt(tol).
+
+The scipy forms the package used before it went numpy-only live here too:
+the Poisson pmf from ``gammaln``, the tail window from a ``pdtrc`` scan,
+the normal cdf from ``ndtr`` and the wedge integrals from adaptive ``quad``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import integrate, special
 
 import fock_oracles
 from yzero import codec, detection
@@ -111,3 +116,41 @@ def srm_mary_error_direct(c: codec.Constellation) -> detection.MaryBound:
     diag = np.real(np.diag(gram_sqrt(gram_matrix(c.amplitudes()))))
     return detection.MaryBound(p_error=1.0 - float(np.mean(diag**2)),
                                n_states=c.n_states, method="srm_gram_sqrt")
+
+
+def scipy_poisson_pmf(energy: float, size: int) -> np.ndarray:
+    """P[N = k] for k < size, N ~ Poisson(energy), as exp(xlogy(k, S) - gammaln(k + 1) - S)."""
+    k = np.arange(size)
+    return np.exp(special.xlogy(k, energy) - special.gammaln(k + 1) - energy)
+
+
+def pdtrc_truncation_dim(energy: float, tol: float) -> int:
+    """Least d >= 1 with P[N >= d] = pdtrc(d - 1, S) below tol, by a doubling scan."""
+    if energy == 0.0:
+        return 1
+    hi = int(energy + 20.0 * math.sqrt(energy + 1.0) + 40.0)
+    while True:
+        dims = np.arange(1, hi + 1)
+        hit = np.nonzero(special.pdtrc(dims - 1, energy) < tol)[0]
+        if hit.size:
+            return int(dims[hit[0]])
+        hi *= 2
+
+
+def ndtr_antipodal_homodyne_error(energy: float) -> float:
+    return float(special.ndtr(-2.0 * math.sqrt(energy)))
+
+
+def ndtr_phase_density(phi: "float | np.ndarray", energy: float) -> "float | np.ndarray":
+    cos = np.cos(phi)
+    return (math.exp(-energy) / (2.0 * math.pi)
+            + math.sqrt(energy / math.pi) * cos * np.exp(-energy * np.sin(phi) ** 2)
+            * special.ndtr(math.sqrt(2.0 * energy) * cos))
+
+
+def quad_wedge_integrals(c: codec.Constellation, decision_offset: float = 0.0) -> np.ndarray:
+    """Integral of the phase-error density over each decision wedge, by adaptive quad."""
+    half = math.pi / (2 * c.m)
+    centers = math.pi * np.arange(c.n_states) / c.m + decision_offset
+    return np.array([integrate.quad(ndtr_phase_density, x - half, x + half,
+                                    args=(c.energy,), limit=200)[0] for x in centers])

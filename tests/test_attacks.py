@@ -539,6 +539,26 @@ def test_keygen_points_recompute_from_closed_forms():
             assert pt.advantage_bits > 0.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(s=st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, 200.0)),
+       mode=st.sampled_from(["ideal", "randomized"]), factor=st.floats(1e-3, 1.0))
+@example(s=1e-16, mode="randomized", factor=0.5)
+def test_keygen_advantage_is_nonnegative_when_the_key_holder_errs_less(s, mode, factor):
+    pt = attacks.keygen_advantage([s], mode=mode, energy_factor=factor)[0]
+    if pt.p_error_bob <= pt.p_error_eve:
+        assert pt.advantage_bits >= 0.0
+
+
+@pytest.mark.parametrize("q", [1e-12, 1e-8, 1e-4, 1e-2, 0.3])
+def test_binary_capacity_matches_its_series(q):
+    # 1 - h2((1 - q) / 2) = sum_j q^(2j) / (j (2j - 1)) / (2 ln 2), with q = 1 - 2p
+    # taken from the rounded p
+    for p in (0.5 * (1.0 - q), 0.5 * (1.0 + q)):
+        q_p = abs(1.0 - 2.0 * p)
+        want = sum(q_p ** (2 * j) / (j * (2 * j - 1)) for j in range(1, 40)) / (2.0 * math.log(2.0))
+        npt.assert_allclose(attacks._binary_capacity(p), want, rtol=1e-14)
+
+
 def test_keygen_exponent_gap_in_randomized_mode():
     s = np.linspace(2.0, 6.0, 9)
     pts = attacks.keygen_advantage(s, mode="randomized")

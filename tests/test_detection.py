@@ -1,13 +1,15 @@
 """Discrimination bounds and receiver models against independent oracles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
+from scipy import integrate
 
 import detection_oracles as oracles
 import fock_oracles
@@ -71,6 +73,56 @@ def test_helstrom_mixed_rejects_dimension_mismatch():
     s = fock_oracles.density_from_ensemble([fock_oracles.coherent_fock(0j, 5)], [1.0])
     with pytest.raises(ValueError):
         fock_oracles.helstrom_mixed(r, s)
+
+
+TAIL_ENERGIES = [0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0,
+                 300.0, 500.0, 1000.0, 2000.0, 5000.0]
+
+
+@pytest.mark.parametrize("s", TAIL_ENERGIES)
+def test_truncation_dim_matches_pdtrc_scan(s):
+    for tol in (1e-6, 1e-12, 2.0**-106, 1e-300):
+        assert detection.truncation_dim(s, tol) == oracles.pdtrc_truncation_dim(s, tol)
+
+
+@pytest.mark.parametrize("s", TAIL_ENERGIES)
+def test_poisson_pmf_matches_gammaln_form(s):
+    # both forms are exact to the rounding of the exponent k ln S - ln k! - S,
+    # whose size sets the relative gap between them
+    size = int(s + 40.0 * math.sqrt(s + 1.0) + 80.0)
+    got = detection._poisson_pmf(s, size)
+    want = oracles.scipy_poisson_pmf(s, size)
+    k = np.arange(size)
+    exponent = k * abs(math.log(s)) if s > 0 else 0.0
+    scale = exponent + np.array([math.lgamma(j + 1.0) for j in k]) + s
+    assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * (1.0 + scale) * want)
+
+
+def test_log_factorial_table_grows_safely_across_threads(monkeypatch):
+    # more threads than cores, a short switch interval, and a table reset to
+    # one entry, so that growth races between threads
+    monkeypatch.setattr(detection, "_LOG_FACTORIAL", np.zeros(1))
+    want = np.array([math.lgamma(k + 1.0) for k in range(4096)])
+    bad = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for size in rng.integers(1, 4096, 200):
+            if not np.array_equal(detection._log_factorials(int(size)), want[:size]):
+                bad.append(int(size))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 def test_bit_bound_scrambled_pairs_are_unreadable():
@@ -224,6 +276,19 @@ def test_srm_error_bounded_by_uniform_guess():
             assert 0.0 <= b.p_error <= 1.0 - 1.0 / (2 * m) + 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([2**j for j in range(10)]), s=st.floats(0.0, 300.0), p0=st.floats(0.0, 1.0),
+       osk=st.booleans())
+@example(m=2, s=100.0, p0=0.5, osk=False)
+@example(m=4, s=100.0, p0=0.5, osk=False)
+def test_bounds_stay_in_range(m, s, p0, osk):
+    c = codec.Constellation(m=m, energy=s, osk=osk)
+    assert 0.0 <= detection.bit_bound(c, p0=p0).p_error <= 0.5
+    assert 0.0 <= detection.srm_mary_error(c).p_error <= 1.0
+    if not osk:
+        assert 0.0 <= detection.updown_bound(c).p_error <= 0.5
+
+
 def test_heterodyne_sample_moments():
     rng = np.random.default_rng(9)
     z = detection.heterodyne_sample(1.0 + 2.0j, rng, size=200_000)
@@ -241,6 +306,12 @@ def test_antipodal_homodyne_error_closed_form():
     assert detection.antipodal_homodyne_error(0.0) == 0.5
     with pytest.raises(ValueError):
         detection.antipodal_homodyne_error(-1.0)
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-16, 1e-6, 0.1, 1.0, 4.0, 10.0, 30.0, 100.0])
+def test_antipodal_homodyne_error_matches_ndtr(s):
+    npt.assert_allclose(detection.antipodal_homodyne_error(s),
+                        oracles.ndtr_antipodal_homodyne_error(s), rtol=1e-13, atol=0.0)
 
 
 def test_antipodal_homodyne_error_matches_monte_carlo():
@@ -270,6 +341,15 @@ def test_phase_density_matches_radial_quadrature(s):
     for phi in np.linspace(-math.pi, math.pi, 17):
         npt.assert_allclose(detection.phase_density(float(phi), s),
                             radial_phase_density(float(phi), s), atol=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-6, 0.1, 1.0, 4.0, 10.0, 30.0, 100.0])
+def test_phase_density_matches_ndtr(s):
+    # relative agreement holds where the density is not a cancelling tail
+    phi = np.linspace(-math.pi, math.pi, 721)
+    want = oracles.ndtr_phase_density(phi, s)
+    npt.assert_allclose(detection.phase_density(phi, s), want, rtol=1e-13,
+                        atol=1e-15 * float(want.max()))
 
 
 def test_phase_density_normalizes():
@@ -339,6 +419,22 @@ def test_heterodyne_transition_decision_offset_biases_neighbors():
     # a receiver grid rotated toward the next index must leak probability there
     assert t[0, 7] > t[0, 1]
     npt.assert_allclose(t.sum(axis=1), np.ones(c.n_states), atol=1e-9)
+
+
+@pytest.mark.parametrize("m,s", [(1, 0.1), (1, 1000.0), (2, 4.0), (4, 1e4), (16, 4.0),
+                                 (16, 100.0), (64, 30.0)])
+def test_wedge_quadrature_matches_quad(m, s):
+    c = codec.Constellation(m=m, energy=s)
+    for offset in (0.0, 0.3 * math.pi / m):
+        t = detection.heterodyne_index_transition(c, decision_offset=offset)
+        npt.assert_allclose(t[0], oracles.quad_wedge_integrals(c, offset), rtol=0.0, atol=1e-13)
+
+
+def test_wedge_quadrature_fails_past_its_panel_cap(monkeypatch):
+    # a sharp density at S = 1e4 on a wide wedge needs more than 8 panels
+    monkeypatch.setattr(detection, "WEDGE_PANELS_CAP", 8)
+    with pytest.raises(AssertionError, match="unconverged"):
+        detection.heterodyne_index_transition(codec.Constellation(m=1, energy=1e4))
 
 
 def test_exponent_fit_recovers_exact_decay():

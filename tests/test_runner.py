@@ -5,11 +5,15 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import yzero
 from yzero import cli, runner
@@ -285,17 +289,54 @@ def test_run_entropy_outputs(tmp_path):
     assert kp["h_key_given_obs_and_data"] == 8.0
 
 
+QUANTUM_ENTROPY_CFG = (ENTROPY_CFG.replace("mode = both", "mode = known_plaintext")
+                       .replace("regime = classical", "regime = quantum")
+                       .replace("dsr = binary:0.5", "dsr = none"))
+
+
 def test_run_entropy_quantum_regime(tmp_path):
-    text = ENTROPY_CFG.replace("mode = both", "mode = known_plaintext")
-    text = text.replace("regime = classical", "regime = quantum")
-    text = text.replace("dsr = binary:0.5", "dsr = none")
-    cfg = load_config(write_cfg(tmp_path, text), "entropy", out_dir=str(tmp_path))
+    cfg = load_config(write_cfg(tmp_path, QUANTUM_ENTROPY_CFG), "entropy",
+                      out_dir=str(tmp_path))
     runner.run_entropy(cfg)
     payload = json.loads(read_file(tmp_path, "ent_entropy.json"))
     kp = payload["known_plaintext"]
     assert kp["regime"] == "known_plaintext_quantum"
     assert 0.0 <= kp["h_key_given_obs_and_data"] <= 8.0
     assert "ciphertext_only" not in payload
+
+
+def _key_entropies(payload):
+    """(name, value) of every key-entropy figure in an entropy JSON."""
+    for section in ("ciphertext_only", "known_plaintext"):
+        report = payload.get(section) or {}
+        for name in ("h_key_given_obs", "h_key_given_obs_and_data"):
+            if report.get(name) is not None:
+                yield name, report[name]
+        for name, value in report.get("notes", {}).items():
+            if name.startswith(("h_key", "h_min", "h_max")):
+                yield name, value
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([2, 4, 16]), degree=st.integers(4, 10), n=st.integers(8, 16),
+       record=st.sampled_from(["misalign = 0.3", "dsr = jitter:0.2", "dsr = binary:0.1",
+                               "dsr = jitter:0.2\nerror_positions = 3"]),
+       seed=st.integers(1, 2**32))
+@example(m=4, degree=4, n=8, record="misalign = 0.3", seed=1)
+@example(m=16, degree=4, n=16, record="dsr = jitter:0.2", seed=1)
+def test_entropy_json_key_entropies_lie_in_zero_to_key_bits(m, degree, n, record, seed):
+    text = (ENTROPY_CFG.replace("m = 4", f"m = {m}").replace("degree = 8", f"degree = {degree}")
+            .replace("seed = 0x5A", "seed = 0x5").replace("n_symbols = 12", f"n_symbols = {n}")
+            .replace("dsr = binary:0.5", record).replace("master_seed = 3", f"master_seed = {seed}"))
+    with tempfile.TemporaryDirectory() as out:
+        cfg = load_config(write_cfg(pathlib.Path(out), text), "entropy", out_dir=out)
+        runner.run_entropy(cfg)
+        payload = json.loads(read_file(out, "ent_entropy.json"))
+    values = list(_key_entropies(payload))
+    assert len(values) == 6
+    for name, h in values:
+        # a zero entropy is +0.0: math.copysign sees the sign that == hides
+        assert 0.0 <= h <= degree and math.copysign(1.0, h) == 1.0, (name, h)
 
 
 def test_run_keygen_outputs(tmp_path):
@@ -337,7 +378,7 @@ def test_manifest_records_the_run(tmp_path):
     assert manifest["modeling"]["entropy_hypothesis_space"].startswith("all 2^K")
     assert "coin flip" in manifest["modeling"]["label_axis_pair"]
     assert manifest["tolerances"] == {"mode_drop_bound": 2.0**-53}
-    assert set(manifest["versions"]) == {"yzero", "python", "numpy", "scipy"}
+    assert set(manifest["versions"]) == {"yzero", "python", "numpy"}
 
 
 def test_validate_caps_stops_oversized_runs(tmp_path):
@@ -395,13 +436,19 @@ def test_cli_label_families_reject_a_single_pair(tmp_path, capsys, family, text)
     assert err.startswith("config error: ") and ":2:" in err and "m >= 2" in err
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy is a test oracle only: no CLI family loads any scipy module
     # the package under test, wherever it was imported from
     src = os.path.dirname(os.path.dirname(os.path.abspath(yzero.__file__)))
-    code = "import sys, yzero.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-                         capture_output=True, text=True, timeout=120, check=True).stdout
-    assert out.strip() == "False"
+    code = ("import sys, yzero.cli; rc = yzero.cli.main(sys.argv[1:]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    for family, text in (("bounds", BOUNDS_CFG), ("attack", ATTACK_CFG),
+                         ("entropy", QUANTUM_ENTROPY_CFG), ("keygen", KEYGEN_CFG)):
+        path = write_cfg(tmp_path, text, name=f"{family}.ini")
+        out = subprocess.run([sys.executable, "-c", code, family, "--config", path,
+                              "--out-dir", str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120, check=True).stdout
+        assert out.splitlines()[-1] == "0 []", family
 
 
 def test_cli_reports_regime_caps(tmp_path, capsys):
