@@ -10,8 +10,10 @@ desk scale:
   every seed actually recover, and how do injected measurement errors or
   deliberate randomization degrade it;
 * entropy: exact posterior entropies of the seed and of the data sequence
-  given the eavesdropper's record, computed by brute-force marginalization
-  rather than by bound;
+  given the eavesdropper's record, computed by marginalizing over every
+  seed rather than by bound: the basis chunks are GF(2)-linear in the seed,
+  so one Walsh-Hadamard transform per trial gives the log2 likelihood of
+  all 2^K seeds at once;
 * key generation: the error-probability gap between an optimal quantum
   receiver and an intercepting one, as a function of pulse energy.
 
@@ -45,11 +47,13 @@ from .detection import (
 from .errors import RegimeCapError
 
 # Exhaustive-search ceilings.  Replays enumerate every nonzero seed; the
-# entropy engines additionally hold a per-seed, per-symbol probability table.
+# entropy engines transform per-symbol terms over all 2^K seeds per trial.
 ATTACK_KEY_BITS_CAP = 20
 ATTACK_TABLE_CAP = 1 << 26
 ENTROPY_KEY_BITS_CAP = 12
 ENTROPY_SYMBOL_CAP = 32
+# Widest span, in octaves, of the recording-error ratios f'/f summed by one transform.
+RATIO_BAND_BITS = 8
 
 
 @dataclass(frozen=True)
@@ -247,8 +251,11 @@ def _index_label_prob(c: Constellation, scenario: AttackScenario) -> np.ndarray:
     """
     eve_axis = c.phase_offset + scenario.misalign
     if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
-        rel = c.phases() - eve_axis
-        p1 = np.array([_up_fraction(float(r), scenario.dsr.param) for r in rel])
+        rel = c.phases()[:c.m] - eve_axis
+        up = np.array([_up_fraction(float(r), scenario.dsr.param) for r in rel])
+        # index i + M is index i turned by pi, so its window covers the other
+        # half-plane; 1 - up makes each pair's two values sum to exactly 1
+        p1 = np.concatenate([up, 1.0 - up])
     else:
         p1 = halfplane_label(c.phases(), eve_axis).astype(float)
     if scenario.dsr.kind == "binary":
@@ -440,30 +447,38 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
 # Exact posterior entropies
 
 
-def _sequence_likelihood(q: np.ndarray, q_flipped: "np.ndarray | None",
-                         error_weight: int) -> np.ndarray:
-    """Per-seed sequence likelihood, marginalizing the error position if any."""
-    if error_weight == 0:
-        return q.prod(axis=1)
-    n = q.shape[1]
-    pre = np.ones((q.shape[0], n + 1))
-    pre[:, 1:] = np.cumprod(q, axis=1)
-    suf = np.ones((q.shape[0], n + 1))
-    suf[:, :n] = np.cumprod(q[:, ::-1], axis=1)[:, ::-1]
-    terms = pre[:, :n] * suf[:, 1:] * q_flipped
-    return terms.sum(axis=1) / n
-
-
-def _posterior_entropy_bits(likelihood: np.ndarray) -> float:
-    """Entropy of the normalized likelihood over all keys, clipped to [0, log2(#keys)]."""
-    total = float(likelihood.sum())
-    if total <= 0.0:
+def _log2_top(log2_like: np.ndarray) -> int:
+    """Index of the most likely key; fails when every likelihood is zero."""
+    top = int(np.argmax(log2_like))
+    if not log2_like[top] > -math.inf:
         raise AssertionError("posterior has no support; model inconsistent with data")
-    p = likelihood / total
-    nz = p[p > 0.0]
-    h = float(-(nz * np.log2(nz)).sum())
+    return top
+
+
+def _log2_sum(log2_like: np.ndarray) -> float:
+    """log2 of the summed likelihoods, taken relative to the largest term."""
+    top = log2_like[_log2_top(log2_like)]
+    return float(top + math.log2(float(np.exp2(log2_like - top).sum())))
+
+
+def _posterior_entropy_bits(log2_like: np.ndarray) -> float:
+    """Entropy of the posterior over all keys from their log2 likelihoods.
+
+    With s* the most likely key, d_s = l_s - l_max and R the sum of 2^d_s
+    over the other keys, H = log2(1 + R) - sum_{s != s*} p_s d_s: both
+    terms are nonnegative, and the first keeps the most likely key's share
+    of H where its probability rounds to 1.  Clipped to [0, log2(#keys)].
+    """
+    top = _log2_top(log2_like)
+    d = log2_like - log2_like[top]
+    d[top] = -math.inf
+    d = d[d > -math.inf]
+    w = np.exp2(d)
+    r = float(w.sum())
+    lead = math.log2(1.0 + r) if r >= 1.0 else math.log1p(r) / math.log(2.0)
+    h = lead - float(w @ d) / (1.0 + r)
     # max(0.0, -0.0) is +0.0: the zero argument comes first
-    return min(max(0.0, h), math.log2(likelihood.size))
+    return min(max(0.0, h), math.log2(log2_like.size))
 
 
 def _entropy_error_weight(scenario: AttackScenario) -> int:
@@ -492,33 +507,136 @@ def _label_channel(c: Constellation, scenario: AttackScenario) -> np.ndarray:
     return np.stack([1.0 - p1, p1], axis=1)
 
 
+def _walsh(n: int) -> np.ndarray:
+    """The n x n Sylvester-Hadamard matrix: entry (x, y) is (-1)^parity(x & y)."""
+    i = np.arange(n)
+    return 1.0 - 2.0 * (np.bitwise_count(i[:, None] & i) & 1)
+
+
+def _seed_characters(units: np.ndarray, m: int) -> np.ndarray:
+    """u[i, y], the seed mask with parity(y & basis_i(s)) = parity(u[i, y] & s) for all s.
+
+    units[b, i] is symbol i's basis chunk for the unit seed 2^b, so bit b of
+    u[i, y] is parity(y & units[b, i]).
+    """
+    par = np.bitwise_count(units[:, :, None] & np.arange(m, dtype=units.dtype)) & 1
+    return (par.astype(np.int64) << np.arange(units.shape[0])[:, None, None]).sum(axis=0)
+
+
+def _bands(num: np.ndarray, den: np.ndarray, present: np.ndarray):
+    """Split the quotients num/den > 0 at ``present`` into bands; yields (e, values, indicator).
+
+    Each band spans less than 2^RATIO_BAND_BITS, and its values are the
+    quotients divided by 2^e, e the integer below the band's lower edge in
+    log2, so they lie in [1, 2^(RATIO_BAND_BITS + 1)).  Working from the
+    exponents of num and den, no quotient overflows or leaves normal range,
+    however far apart the two are.
+    """
+    mant_num, exp_num = np.frexp(np.where(present, num, 1.0))
+    mant_den, exp_den = np.frexp(np.where(present, den, 1.0))
+    mant, exp = mant_num / mant_den, exp_num - exp_den
+    log2_q = np.log2(mant) + exp
+    rest = present.copy()
+    while rest.any():
+        lo = float(log2_q[rest].min())
+        band = rest & (log2_q < lo + RATIO_BAND_BITS)
+        e = math.floor(lo)
+        yield e, np.where(band, np.ldexp(mant, np.where(band, exp - e, 0)), 0.0), band.astype(float)
+        rest &= ~band
+
+
+def _symbol_terms(tab: np.ndarray, weight: int):
+    """Per-symbol summands of one table, indexed like it by [data bit, basis, observation].
+
+    log2 f with zero factors counted as 1, and the zero indicator [f = 0].
+    With one recording error, f' being the entry of the flipped observation,
+    also the ratios f'/f where f > 0 and then the values f' where f = 0,
+    each group split by ``_bands`` and every band followed by its indicator.
+    A transform's rounding is relative to the largest value it sums, so an
+    unsplit sum of ratios near 1/f_min (1e16 where a label probability
+    rounds to 1e-16 instead of 0) would bury a key's sum of ratios near 1.
+    Returns the terms and, with one error, the number of ratio bands and
+    every band's exponent.
+    """
+    zero = tab == 0.0
+    safe = np.where(zero, 1.0, tab)
+    terms = [np.log2(safe), zero.astype(float)]
+    if not weight:
+        return terms, None
+    flipped = tab[..., np.arange(tab.shape[-1]) ^ 1]
+    ratio_bands = list(_bands(flipped, safe, ~zero & (flipped > 0.0)))
+    bands = ratio_bands + list(_bands(flipped, safe, zero & (flipped > 0.0)))
+    terms += [t for _, values, indicator in bands for t in (values, indicator)]
+    return terms, (len(ratio_bands), np.array([[e] for e, _, _ in bands], dtype=np.int32))
+
+
+def _log2_likelihood(sums: np.ndarray, bands, n: int) -> np.ndarray:
+    """Per-key log2 likelihood from the seed-space sums of one table's terms."""
+    zeros = np.rint(sums[1])
+    if bands is None:
+        return np.where(zeros == 0, sums[0], -math.inf)
+    n_ratio, e = bands
+    if not len(e):
+        return np.full(sums.shape[1], -math.inf)
+    # S sums f'/f over a key with no zero factor, f' at its one zero factor;
+    # a band no symbol of the key falls in contributes exactly nothing
+    present = sums[3::2] > 0.5
+    present[:n_ratio] &= zeros == 0
+    # scaled by the key's largest present band, so no band overflows
+    top = np.where(present, e, e.min()).max(axis=0)
+    s = np.where(present, np.ldexp(sums[2::2], np.minimum(e - top, 0)), 0.0).sum(axis=0)
+    live = (zeros <= 1) & (s > 0.0)
+    return np.where(live, sums[0] + (top + np.log2(np.where(live, s, 1.0) / n)), -math.inf)
+
+
 def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, trials: int,
                         rng: np.random.Generator, record, tables: "list[np.ndarray]",
                         weight: int):
-    """Per trial, the sequence likelihood of every register value under each table.
+    """Per trial, the log2 sequence likelihood of every register value under each table.
 
     A trial draws a seed, data, the position of a declared recording error
     and the record (``record`` maps sent indices to observations), in that
-    order.  Tables are indexed [data bit, basis, observation], so one gather
-    scores every register value; a recording error is marginalized over
-    its position.  Yields one likelihood array per table.
+    order.  Tables are indexed [data bit, basis, observation].  Symbol i's
+    basis is GF(2)-linear in the seed, so a sum over symbols of per-symbol
+    terms g_i(basis) is, over all 2^K register values at once, one
+    Walsh-Hadamard transform: expand each g_i over the basis bits, move
+    character y to the seed character u[i, y] and transform in seed space.
+    That gives Lambda = sum log2 f and Z = #{f = 0}, exact because its
+    coefficients are dyadic, and L = 0 where Z > 0.  A recording error at
+    an unknown position is marginalized as L = 2^Lambda S / N, with S the
+    sum of f'/f where Z = 0 and of [f = 0] f' where Z = 1; L = 0 where
+    Z > 1.  The zero register never occurs, but the accounting runs over
+    every possible key.  Yields one log2-likelihood array per table.
     """
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
     idx_table = _pair_index_table(c)
-    # basis chunks of every register value, row index = register: the zero
-    # register never occurs, but the accounting runs over every possible key
-    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_symbol)[0])
+    units = unit_keystreams(poly, n, c.bits_per_symbol)[0]
+    chars = _seed_characters(units, c.m)
+    per_table = [_symbol_terms(tab, weight) for tab in tables]
+    terms = np.stack([t for table_terms, _ in per_table for t in table_terms])
+    edges = np.cumsum([0] + [len(table_terms) for table_terms, _ in per_table])
+    # one bincount scatters every stacked term into its own block of seed space
+    slots = (chars + (np.arange(len(terms)) << key_bits)[:, None, None]).ravel()
+    h_basis = _walsh(c.m) / c.m
+    half = key_bits // 2
+    h_hi, h_lo = _walsh(1 << half), _walsh(1 << (key_bits - half))
+    bases = np.arange(c.m)
     for _ in range(trials):
         true_seed = int(rng.integers(1, 1 << key_bits))
         r = rng.integers(0, 2, n, dtype=np.uint8)
         error_vec = np.zeros(n, dtype=np.uint8)
         if weight == 1:
             error_vec[int(rng.integers(0, n))] = 1
-        obs = record(idx_table[r, basis[true_seed]], c, scenario, rng, error_vec)
-        yield [_sequence_likelihood(tab[r, basis, obs],
-                                    tab[r, basis, obs ^ 1] if weight else None, weight)
-               for tab in tables]
+        set_bits = ((true_seed >> np.arange(key_bits)) & 1).astype(bool)
+        basis_true = np.bitwise_xor.reduce(units[set_bits], axis=0)
+        obs = record(idx_table[r, basis_true], c, scenario, rng, error_vec)
+        coef = terms[:, r[:, None], bases, obs[:, None]] @ h_basis
+        spec = np.bincount(slots, weights=coef.ravel(), minlength=len(terms) << key_bits)
+        sums = (h_hi @ spec.reshape(len(terms), len(h_hi), len(h_lo)) @ h_lo).reshape(
+            len(terms), -1)
+        yield [_log2_likelihood(sums[lo:hi], bands, n)
+               for lo, hi, (_, bands) in zip(edges[:-1], edges[1:], per_table)]
 
 
 def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenario,
@@ -543,10 +661,10 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
     surprisals = np.empty(trials)
     trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, _measure_indices,
                                       [marginal, chan[idx_table]], weight)
-    for t, (like_marg, like_cond) in enumerate(trial_likes):
-        h_key_vals[t] = _posterior_entropy_bits(like_marg)
+    for t, (log_marg, log_cond) in enumerate(trial_likes):
+        h_key_vals[t] = _posterior_entropy_bits(log_marg)
         # P(data | record) = 2^-n sum_j L(record | j, data) / sum_j L(record | j)
-        surprisals[t] = n - math.log2(float(like_cond.sum())) + math.log2(float(like_marg.sum()))
+        surprisals[t] = n - _log2_sum(log_cond) + _log2_sum(log_marg)
     h_key_mean = float(h_key_vals.mean())
     h_data_mean = float(surprisals.mean())
     return EntropyReport(
@@ -595,7 +713,7 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
         record, chan = _heterodyne_indices, (1.0 - f) * trans + f * np.roll(trans, -c.m, axis=0)
     trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, record,
                                       [chan[_pair_index_table(c)]], weight)
-    h_vals = np.array([_posterior_entropy_bits(like) for like, in trial_likes])
+    h_vals = np.array([_posterior_entropy_bits(log_like) for log_like, in trial_likes])
     h_mean = float(h_vals.mean())
     return EntropyReport(
         regime=f"known_plaintext_{regime}",

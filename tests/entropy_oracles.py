@@ -6,9 +6,13 @@ data, the error position and the record in the same order as the package
 and builds every per-symbol likelihood with its own formula: label records
 through ``symbol_likelihoods``, heterodyne index records through the
 transition matrix inline.  Labels come from the scalar half-plane rule, one
-phase at a time.  The public engines must return equal reports for the same
-seeded Generator.  ``label_mutual_information_labels`` is the per-trial
-measurement loop that ``label_mutual_information`` now runs as one batch.
+phase at a time.  Sequence likelihoods are products over a 2^K-row basis
+table (``sequence_likelihood``), scored by the package's entropy function
+on their log2, so a comparison with the public engines isolates the
+Walsh-Hadamard scorer.  ``gathered_likelihoods`` is that scorer's gather
+form: the same trial loop, one product per key and table.
+``label_mutual_information_labels`` is the per-trial measurement loop that
+``label_mutual_information`` now runs as one batch.
 """
 
 from __future__ import annotations
@@ -24,12 +28,57 @@ from yzero.attacks import (
     _entropy_error_weight,
     _posterior_entropy_bits,
     _require_plain_pairing,
-    _sequence_likelihood,
     _up_fraction,
 )
-from yzero.codec import (TIE_EPS, Constellation, encode, gf2_span, keystream_table,
-                         unit_keystreams)
+from yzero.codec import (TIE_EPS, Constellation, _pair_index_table, encode, gf2_span,
+                         keystream_table, unit_keystreams)
 from yzero.detection import heterodyne_index_transition, heterodyne_sample, nearest_phase_index
+
+
+def sequence_likelihood(q: np.ndarray, q_flipped: "np.ndarray | None",
+                        error_weight: int) -> np.ndarray:
+    """Per-seed sequence likelihood, marginalizing the error position if any."""
+    if error_weight == 0:
+        return q.prod(axis=1)
+    n = q.shape[1]
+    pre = np.ones((q.shape[0], n + 1))
+    pre[:, 1:] = np.cumprod(q, axis=1)
+    suf = np.ones((q.shape[0], n + 1))
+    suf[:, :n] = np.cumprod(q[:, ::-1], axis=1)[:, ::-1]
+    terms = pre[:, :n] * suf[:, 1:] * q_flipped
+    return terms.sum(axis=1) / n
+
+
+def entropy_bits(likelihood: np.ndarray) -> float:
+    """The package's posterior entropy of likelihoods given directly, not as log2."""
+    with np.errstate(divide="ignore"):
+        return _posterior_entropy_bits(np.log2(likelihood))
+
+
+def gathered_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, trials: int,
+                         rng: np.random.Generator, record, tables: "list[np.ndarray]",
+                         weight: int):
+    """Per trial, the sequence likelihood of every register value under each table.
+
+    The same draws as ``attacks._record_likelihoods``; one gather from the
+    2^K-row basis table scores every register value, and a recording error
+    is marginalized over its position.  Yields one likelihood array per
+    table.
+    """
+    key_bits = poly.bit_length() - 1
+    n = scenario.n_symbols
+    idx_table = _pair_index_table(c)
+    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_symbol)[0])
+    for _ in range(trials):
+        true_seed = int(rng.integers(1, 1 << key_bits))
+        r = rng.integers(0, 2, n, dtype=np.uint8)
+        error_vec = np.zeros(n, dtype=np.uint8)
+        if weight == 1:
+            error_vec[int(rng.integers(0, n))] = 1
+        obs = record(idx_table[r, basis[true_seed]], c, scenario, rng, error_vec)
+        yield [sequence_likelihood(tab[r, basis, obs],
+                                   tab[r, basis, obs ^ 1] if weight else None, weight)
+               for tab in tables]
 
 
 def scalar_halfplane_label(phase: float, axis: float) -> int:
@@ -55,7 +104,14 @@ def index_label_prob(c: Constellation, scenario: AttackScenario) -> np.ndarray:
     eve_axis = c.phase_offset + scenario.misalign
     rel = c.phases() - eve_axis
     if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
-        p1 = np.array([_up_fraction(float(r), scenario.dsr.param) for r in rel])
+        # the antipode's window covers the other half-plane: 1 - p, one index
+        # at a time.  Taking both from _up_fraction would carry the rounding
+        # of a float phase near 0 or pi (up to 4e-16) divided by the window
+        # 2w, 2e-7 at w = 1e-9, into the comparison.
+        p1 = np.empty(c.n_states)
+        for i in range(c.m):
+            p1[i] = _up_fraction(float(rel[i]), scenario.dsr.param)
+            p1[i + c.m] = 1.0 - p1[i]
     else:
         p1 = np.array([float(scalar_halfplane_label(float(ph), eve_axis))
                        for ph in c.phases()])
@@ -124,11 +180,11 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
         labels = measure_indices(indices, c, scenario, rng, error_vec)
         q_marg = symbol_likelihoods(p1, idx_table, basis, labels, None)
         qf_marg = symbol_likelihoods(p1, idx_table, basis, labels ^ 1, None)
-        like_marg = _sequence_likelihood(q_marg, qf_marg, weight)
-        h_key_vals[t] = _posterior_entropy_bits(like_marg)
+        like_marg = sequence_likelihood(q_marg, qf_marg, weight)
+        h_key_vals[t] = entropy_bits(like_marg)
         q_cond = symbol_likelihoods(p1, idx_table, basis, labels, r)
         qf_cond = symbol_likelihoods(p1, idx_table, basis, labels ^ 1, r)
-        like_cond = _sequence_likelihood(q_cond, qf_cond, weight)
+        like_cond = sequence_likelihood(q_cond, qf_cond, weight)
         surprisals[t] = n - math.log2(float(like_cond.sum())) + math.log2(float(like_marg.sum()))
     h_key_mean = float(h_key_vals.mean())
     h_data_mean = float(surprisals.mean())
@@ -178,7 +234,7 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
             labels = measure_indices(indices, c, scenario, rng, error_vec)
             q = symbol_likelihoods(p1, idx_table, basis, labels, r)
             qf = symbol_likelihoods(p1, idx_table, basis, labels ^ 1, r)
-            h_vals[t] = _posterior_entropy_bits(_sequence_likelihood(q, qf, weight))
+            h_vals[t] = entropy_bits(sequence_likelihood(q, qf, weight))
     else:
         if scenario.dsr.kind == "jitter":
             raise ValueError("the quantum record model supports dsr 'none' or 'binary'")
@@ -202,7 +258,7 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
                 per_symbol = (1.0 - f) * like_match + f * like_flip
             else:
                 per_symbol = like_match
-            h_vals[t] = _posterior_entropy_bits(per_symbol.prod(axis=1))
+            h_vals[t] = entropy_bits(per_symbol.prod(axis=1))
     h_mean = float(h_vals.mean())
     return EntropyReport(
         regime=f"known_plaintext_{regime}",

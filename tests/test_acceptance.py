@@ -255,6 +255,28 @@ master_seed = 4242
 """
 
 
+ENTROPY_CFG = """\
+[constellation]
+m = 16
+energy = 4.0
+
+[keystream]
+degree = 10
+seed = 0x2A5
+
+[scenario]
+n_symbols = 24
+trials = 20
+mode = both
+dsr = jitter:0.2
+error_positions = 5
+
+[output]
+prefix = gate
+master_seed = 4242
+"""
+
+
 def test_c10_reruns_are_byte_identical(tmp_path):
     cfg_path = tmp_path / "attack.ini"
     cfg_path.write_text(ATTACK_CFG, encoding="utf-8")
@@ -282,3 +304,15 @@ def test_c10_reruns_are_byte_identical(tmp_path):
                    f"data files: {same}; bounds identical across 1 vs 4 threads: "
                    f"{same_bounds}; manifest records master_seed 4242: {seed_recorded}")
     assert ok, line
+
+
+def test_c10_entropy_reruns_are_byte_identical(tmp_path):
+    # jitter with one recording error exercises every stacked term, ratio bands included
+    cfg_path = tmp_path / "entropy.ini"
+    cfg_path.write_text(ENTROPY_CFG, encoding="utf-8")
+    d1, d2 = tmp_path / "one", tmp_path / "two"
+    assert cli.main(["entropy", "--config", str(cfg_path), "--out-dir", str(d1)]) == 0
+    assert cli.main(["entropy", "--config", str(cfg_path), "--out-dir", str(d2)]) == 0
+    same = (d1 / "gate_entropy.json").read_bytes() == (d2 / "gate_entropy.json").read_bytes()
+    line = _report("C10", same, f"determinism: entropy rerun byte-identical: {same}")
+    assert same, line

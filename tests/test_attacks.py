@@ -388,6 +388,8 @@ def test_ciphertext_entropy_key_posterior_flat_for_any_symmetric_channel():
     # pair members are antipodal, so misalignment, jitter, and binary flips
     # all keep P(up | member 0) + P(up | member 1) = 1; the marginalized
     # record likelihood is then seed-independent and the key posterior flat
+    # (pinned bit for bit by test_ciphertext_key_posterior_is_flat_bit_for_bit);
+    # here, what the same channels leave of the data
     c = codec.Constellation(m=4, energy=2.0)
     scenarios = [
         (attacks.AttackScenario(n_symbols=16, misalign=0.4 * math.pi / 4), False),
@@ -399,7 +401,6 @@ def test_ciphertext_entropy_key_posterior_flat_for_any_symmetric_channel():
     for i, (sc, stochastic) in enumerate(scenarios):
         rep = attacks.ciphertext_only_entropy(c, POLY8, sc, trials=6,
                                               rng=np.random.default_rng(13 + i))
-        assert rep.h_key_given_obs == 8.0
         if stochastic:
             # a partly informative record pins the data below the full
             # n_symbols but above the floor set by the keystream's rank
@@ -407,6 +408,47 @@ def test_ciphertext_entropy_key_posterior_flat_for_any_symmetric_channel():
         else:
             # deterministic relabeling: same data posterior as noiseless
             assert rep.h_data_given_obs == 8.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([2, 4, 16]), degree=st.integers(2, 12), n=st.integers(1, 32),
+       offset=st.sampled_from([0.0, 0.4]), misalign=st.floats(-math.pi, math.pi),
+       kind=st.sampled_from(["none", "binary", "jitter"]), param=st.floats(0.0, 1.0),
+       error=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# a subnormal flip probability puts the recording-error ratio 1/flip past float range
+@example(m=4, degree=7, n=9, offset=0.4, misalign=0.1, kind="binary", param=5e-324, error=True,
+         seed=3)
+def test_ciphertext_key_posterior_is_flat_bit_for_bit(m, degree, n, offset, misalign, kind,
+                                                      param, error, seed):
+    # the README claim, on every drawn symmetric channel: H(key | record) = K
+    dsr = {"none": attacks.Dsr.none(), "binary": attacks.Dsr.binary(param),
+           "jitter": attacks.Dsr.jitter(3.0 * param)}[kind]
+    c = codec.Constellation(m=m, energy=1.0, phase_offset=offset)
+    sc = attacks.AttackScenario.with_errors(n, [n // 2] if error else [], misalign=misalign,
+                                            dsr=dsr)
+    rep = attacks.ciphertext_only_entropy(c, codec.PRIMITIVE_POLYS[degree], sc, trials=2,
+                                          rng=np.random.default_rng(seed))
+    assert rep.h_key_given_obs == float(degree)
+    assert rep.notes["h_key_given_obs_min"] == float(degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([2, 4, 16]), degree=st.integers(2, 12), n=st.integers(1, 32),
+       seed=st.integers(0, 2**32 - 1))
+def test_known_plaintext_residual_is_key_bits_minus_the_replay_rank(m, degree, n, seed):
+    # noiseless known data leaves the true seed plus the kernel of the parity
+    # map, 2^(K - rank) keys, where rank is the one the replay counts by
+    c = codec.Constellation(m=m, energy=1.0)
+    poly = codec.PRIMITIVE_POLYS[degree]
+    units = codec.unit_keystreams(poly, n, c.bits_per_symbol)[0]
+    rank = attacks._gf2_rank(attacks._pack_words((units & 1).astype(np.uint8)))
+    zeros = np.zeros(n, dtype=np.uint8)
+    replay = attacks.brute_force_candidates(zeros, c, poly, zeros, 1)
+    assert replay.candidate_count == (2**degree - 1 if rank == degree else 2**rank)
+    rep = attacks.known_plaintext_key_entropy(c, poly, attacks.AttackScenario(n_symbols=n),
+                                              trials=2, rng=np.random.default_rng(seed))
+    assert rep.h_key_given_obs_and_data == float(degree - rank)
+    assert rep.notes["h_min"] == rep.notes["h_max"] == float(degree - rank)
 
 
 def test_ciphertext_entropy_caps_and_validation():
