@@ -35,7 +35,6 @@ from .codec import (
     encode_sequence,
     halfplane_label,
     keystream_next,
-    keystream_table,
 )
 from .detection import (
     BinaryBound,
@@ -64,7 +63,7 @@ __all__ = [
     "brute_force_candidates", "ciphertext_only_entropy", "encode",
     "encode_sequence", "exponent_fit", "halfplane_label", "helstrom_pure",
     "heterodyne_index_transition", "heterodyne_sample", "keygen_advantage",
-    "keystream_next", "keystream_table", "known_plaintext_key_entropy",
+    "keystream_next", "known_plaintext_key_entropy",
     "label_mutual_information", "load_config", "measure_labels",
     "nearest_phase_index", "otp_stage_attack", "phase_density",
     "srm_mary_error", "truncation_dim", "updown_bound",

@@ -32,9 +32,9 @@ from .codec import (
     Constellation,
     SymbolRecord,
     _pair_index_table,
+    _seed_row,
     gf2_span,
     halfplane_label,
-    keystream_table,
     unit_keystreams,
 )
 from .detection import (
@@ -243,21 +243,31 @@ def _up_fraction(rel_phase: float, half_width: float) -> float:
     return min(1.0, up / (2.0 * w))
 
 
+def _label_up(c: Constellation, misalign: float, half_width: float = 0.0) -> np.ndarray:
+    """P(label 1 | index) for all 2M indices on an axis turned by misalign, before flips.
+
+    Index i < M lies pi i / M - misalign above that axis whatever the
+    constellation's rotation, so its label (or, under phase jitter of
+    half-width w, its up-probability) is taken from that relative phase.
+    Index i + M is index i turned by pi and takes 1 - p: each pair splits,
+    and its two values sum to exactly 1.
+    """
+    rel = math.pi * np.arange(c.m) / c.m - misalign
+    if half_width > 0.0:
+        up = np.array([_up_fraction(float(r), half_width) for r in rel])
+    else:
+        up = halfplane_label(rel, 0.0).astype(float)
+    return np.concatenate([up, 1.0 - up])
+
+
 def _index_label_prob(c: Constellation, scenario: AttackScenario) -> np.ndarray:
     """P(recorded label = 1 | transmitted index), before recording errors.
 
     Folds reference misalignment, phase jitter, and the binary flip into a
     single per-index probability table of length 2M.
     """
-    eve_axis = c.phase_offset + scenario.misalign
-    if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
-        rel = c.phases()[:c.m] - eve_axis
-        up = np.array([_up_fraction(float(r), scenario.dsr.param) for r in rel])
-        # index i + M is index i turned by pi, so its window covers the other
-        # half-plane; 1 - up makes each pair's two values sum to exactly 1
-        p1 = np.concatenate([up, 1.0 - up])
-    else:
-        p1 = halfplane_label(c.phases(), eve_axis).astype(float)
+    jitter = scenario.dsr.param if scenario.dsr.kind == "jitter" else 0.0
+    p1 = _label_up(c, scenario.misalign, jitter)
     if scenario.dsr.kind == "binary":
         f = scenario.dsr.param
         p1 = p1 * (1.0 - f) + (1.0 - p1) * f
@@ -286,10 +296,14 @@ def _measure_indices(indices: np.ndarray, c: Constellation, scenario: AttackScen
     if needs_rng and rng is None:
         raise ValueError("this scenario randomizes the signal; pass a Generator")
     idx = _flip_members(idx, c, scenario, rng)
-    phases = c.phase_offset + math.pi * idx / c.m
     if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
-        phases = phases + rng.uniform(-scenario.dsr.param, scenario.dsr.param, idx.shape)
-    return halfplane_label(phases, c.phase_offset + scenario.misalign) ^ error_vec
+        # phases relative to the sender's axis: the rotation cancels exactly
+        w = scenario.dsr.param
+        labels = halfplane_label(math.pi * idx / c.m + rng.uniform(-w, w, idx.shape),
+                                 scenario.misalign)
+    else:
+        labels = _label_up(c, scenario.misalign)[idx].astype(np.uint8)
+    return labels ^ error_vec
 
 
 def _heterodyne_indices(indices: np.ndarray, c: Constellation, scenario: AttackScenario,
@@ -344,7 +358,7 @@ def _gf2_rank(rows: np.ndarray) -> int:
 
 
 def _seed_scan(measured_labels: np.ndarray, effective_labels: np.ndarray,
-               target: np.ndarray, c: Constellation, poly: int,
+               target: np.ndarray, basis_units: np.ndarray,
                true_seed: int) -> AttackRecord:
     """Score the candidates effective_labels XOR parity_j of every nonzero seed j.
 
@@ -352,11 +366,11 @@ def _seed_scan(measured_labels: np.ndarray, effective_labels: np.ndarray,
     all seeds are XOR combinations of the unit-seed streams and the number
     of distinct candidates follows from the rank of the unit streams: with
     full rank K every nonzero seed gives its own candidate (2^K - 1),
-    otherwise the nonzero seeds cover the whole 2^rank image.
+    otherwise the nonzero seeds cover the whole 2^rank image.  basis_units
+    holds the K unit seeds' basis chunk rows.
     """
-    key_bits = poly.bit_length() - 1
+    key_bits = basis_units.shape[0]
     n = target.size
-    basis_units, _ = unit_keystreams(poly, n, c.bits_per_symbol)
     units = _pack_words((basis_units & 1).astype(np.uint8))
     streams = gf2_span(units)[1:]
     mismatches = np.bitwise_count(streams ^ _pack_words(effective_labels ^ target)).sum(
@@ -402,7 +416,8 @@ def brute_force_candidates(measured: np.ndarray, c: Constellation, poly: int,
         raise ValueError("label record and reference sequence differ in length")
     if not 0 < true_seed < (1 << key_bits):
         raise ValueError("true_seed must be a nonzero register value")
-    rec = _seed_scan(measured, measured, r_true, c, poly, true_seed)
+    rec = _seed_scan(measured, measured, r_true, unit_keystreams(poly, n, c.bits_per_symbol),
+                     true_seed)
     # a candidate with match fraction 1 is the transmitted sequence itself
     rec.notes["data_space_log2"] = float(n)
     return rec
@@ -429,15 +444,15 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
         raise ValueError("scenario length does not match the plaintext")
     pad = rng.integers(0, 2, n, dtype=np.uint8)
     cipher = x_bits ^ pad
-    ks_basis, parity_true, _ = keystream_table(
-        poly, n, c.bits_per_symbol, seeds=np.array([true_seed], dtype=np.uint32), osk=False)
-    indices = _pair_index_table(c)[pad, ks_basis[0]]
-    labels = _measure_indices(indices, c, scenario, rng, scenario.error_vector())
-    rec = _seed_scan(labels, cipher ^ labels, x_bits, c, poly, true_seed)
+    units = unit_keystreams(poly, n, c.bits_per_symbol)
+    basis_true = _seed_row(units, true_seed)
+    labels = _measure_indices(_pair_index_table(c)[pad, basis_true], c, scenario, rng,
+                              scenario.error_vector())
+    rec = _seed_scan(labels, cipher ^ labels, x_bits, units, true_seed)
     rec.true_r_in_candidates = bool(rec.per_seed_match_fraction[true_seed - 1] == 1.0)
     noiseless = (scenario.dsr.kind == "none" and scenario.misalign == 0.0
                  and not scenario.error_vector().any())
-    identity = bool(np.all((cipher ^ labels ^ parity_true[0]) == x_bits)) if noiseless else None
+    identity = bool(np.all((cipher ^ labels ^ (basis_true & 1)) == x_bits)) if noiseless else None
     rec.notes["pad_identity_noiseless"] = identity
     rec.notes["ciphertext"] = cipher.tolist()
     return rec
@@ -611,7 +626,7 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
     idx_table = _pair_index_table(c)
-    units = unit_keystreams(poly, n, c.bits_per_symbol)[0]
+    units = unit_keystreams(poly, n, c.bits_per_symbol)
     chars = _seed_characters(units, c.m)
     per_table = [_symbol_terms(tab, weight) for tab in tables]
     terms = np.stack([t for table_terms, _ in per_table for t in table_terms])
@@ -628,9 +643,7 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
         error_vec = np.zeros(n, dtype=np.uint8)
         if weight == 1:
             error_vec[int(rng.integers(0, n))] = 1
-        set_bits = ((true_seed >> np.arange(key_bits)) & 1).astype(bool)
-        basis_true = np.bitwise_xor.reduce(units[set_bits], axis=0)
-        obs = record(idx_table[r, basis_true], c, scenario, rng, error_vec)
+        obs = record(idx_table[r, _seed_row(units, true_seed)], c, scenario, rng, error_vec)
         coef = terms[:, r[:, None], bases, obs[:, None]] @ h_basis
         spec = np.bincount(slots, weights=coef.ravel(), minlength=len(terms) << key_bits)
         sums = (h_hi @ spec.reshape(len(terms), len(h_hi), len(h_lo)) @ h_lo).reshape(
@@ -748,21 +761,18 @@ def label_mutual_information(c: Constellation, poly: int, true_seed: int,
         raise ValueError("need at least two trials")
     if not 0 < true_seed < (1 << key_bits):
         raise ValueError("true_seed must be a nonzero register value")
-    basis, _, _ = keystream_table(poly, n, c.bits_per_symbol,
-                                  seeds=np.array([true_seed], dtype=np.uint32), osk=False)
+    basis = _seed_row(unit_keystreams(poly, n, c.bits_per_symbol), true_seed)
     data = rng.integers(0, 2, (trials, n), dtype=np.uint8)
-    labels = _measure_indices(_pair_index_table(c)[data, basis[0]], c, scenario, rng,
+    labels = _measure_indices(_pair_index_table(c)[data, basis], c, scenario, rng,
                               scenario.error_vector())
-    mi_sum = 0.0
-    for i in range(n):
-        joint = np.zeros((2, 2))
-        np.add.at(joint, (data[:, i], labels[:, i]), 1.0)
-        joint /= trials
-        px = joint.sum(axis=1, keepdims=True)
-        py = joint.sum(axis=0, keepdims=True)
-        mask = joint > 0.0
-        mi_sum += float((joint[mask] * np.log2(joint[mask] / (px @ py)[mask])).sum())
-    return mi_sum / n
+    # joint[i, bit, label]: every trial's (position, data bit, label) cell in one count
+    cells = np.bincount((4 * np.arange(n) + 2 * data + labels).ravel(), minlength=4 * n)
+    joint = cells.reshape(n, 2, 2) / trials
+    indep = joint.sum(axis=2, keepdims=True) * joint.sum(axis=1, keepdims=True)
+    # an empty cell has ratio 1 and adds 0
+    terms = joint * np.log2(np.divide(joint, indep, out=np.ones_like(joint), where=joint > 0.0))
+    # a running total adds the positions left to right
+    return float(np.cumsum(terms.reshape(n, 4).sum(axis=1))[-1]) / n
 
 
 def keygen_advantage(s_values: "np.ndarray | list[float]", mode: str = "ideal",

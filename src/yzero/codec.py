@@ -5,8 +5,11 @@ A short linear-feedback shift register expands a seed into a keystream;
 each symbol consumes ceil(log2 M) bits to pick a basis (an antipodal phase
 pair) and, optionally, one further bit that scrambles which pair member
 carries which data bit.  The transmitted index is the pair member whose
-half-plane label, measured against the constellation axis, equals
-data_bit XOR (basis & 1).
+half-plane label equals data_bit XOR (basis & 1).  On the constellation's
+own axis index i sits at phase pi i / M above it, so its label is i < M:
+the rule is exact in the index and no float phase enters it, whatever the
+global rotation.  The keystream chunks are GF(2)-linear in the register,
+so a seed's chunk row is the XOR of the unit-seed rows at its set bits.
 """
 
 from __future__ import annotations
@@ -50,8 +53,10 @@ PRIMITIVE_POLYS: "dict[int, int]" = {
 def halfplane_label(phase: "float | np.ndarray", axis: float) -> "int | np.ndarray":
     """1 if the phase lies in the open half-plane above the axis line, else 0.
 
-    A phase on the axis itself maps to 1, its antipode to 0, so every
-    antipodal pair splits into exactly one up member and one down member.
+    Within TIE_EPS of the axis line the sign of cos decides: a phase on the
+    axis itself maps to 1, its antipode to 0.  Two antipodal phases rounded
+    separately can still fall on the same side at the edge of that band, so
+    a pair's labels come from one member, the other taking the complement.
     Elementwise over an array of phases (uint8 labels); an int for a scalar.
     """
     d = np.asarray(phase, dtype=float) - axis
@@ -110,11 +115,16 @@ class Constellation:
         return math.sqrt(self.energy) * np.exp(1j * self.phases())
 
     def label(self, index: "int | np.ndarray") -> "int | np.ndarray":
-        """Half-plane label of constellation points, measured on the native axis."""
+        """Half-plane label of constellation points, measured on the native axis.
+
+        Index i lies pi i / M above the axis: points 1 .. M - 1 are above it,
+        point 0 is on it and counts as up, its antipode M as down.
+        """
         idx = np.asarray(index)
         if np.any((idx < 0) | (idx >= self.n_states)):
             raise ValueError("index out of range")
-        return halfplane_label(self.phases()[idx], self.phase_offset)
+        up = idx < self.m
+        return int(up) if up.ndim == 0 else up.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -192,11 +202,8 @@ def keystream_next(ks: Keystream) -> "tuple[int, int, int]":
 
 
 def _pair_member(c: Constellation, basis: "int | np.ndarray", want: "int | np.ndarray"):
-    """The member of pair {basis, basis + M} whose half-plane label equals want."""
-    lo_label = c.label(basis)
-    if np.any(lo_label == c.label(basis + c.m)):
-        raise AssertionError("antipodal pair failed to split across half-planes")
-    return np.where(lo_label == want, basis, basis + c.m)
+    """The member of pair {basis, basis + M}, basis < M, whose half-plane label equals want."""
+    return np.where(want == 1, basis, basis + c.m)
 
 
 def _pair_index_table(c: Constellation) -> np.ndarray:
@@ -235,9 +242,8 @@ def encode_sequence(bits: "np.ndarray | list[int]", ks: Keystream, c: Constellat
     return out
 
 
-def unit_keystreams(poly: int, n_symbols: int, bits_per_symbol: int,
-                    osk: bool = False) -> "tuple[np.ndarray, np.ndarray]":
-    """(basis, scramble) chunk rows of the unit seeds 2^0 .. 2^(degree-1).
+def unit_keystreams(poly: int, n_symbols: int, bits_per_symbol: int) -> np.ndarray:
+    """Basis chunk rows of the unit seeds 2^0 .. 2^(degree-1), no scrambling bit.
 
     Row b is stepped by the scalar Keystream from register 2^b.  Every output
     bit is linear over GF(2) in the register, so the chunks of any seed are
@@ -245,12 +251,17 @@ def unit_keystreams(poly: int, n_symbols: int, bits_per_symbol: int,
     """
     degree = poly.bit_length() - 1
     basis = np.empty((degree, n_symbols), dtype=np.uint32)
-    scram = np.empty((degree, n_symbols), dtype=np.uint8)
     for b in range(degree):
-        ks = Keystream(poly, 1 << b, bits_per_symbol, osk=osk)
+        ks = Keystream(poly, 1 << b, bits_per_symbol)
         for i in range(n_symbols):
-            basis[b, i], _, scram[b, i] = keystream_next(ks)
-    return basis, scram
+            basis[b, i] = keystream_next(ks)[0]
+    return basis
+
+
+def _seed_row(units: np.ndarray, seed: int) -> np.ndarray:
+    """One seed's chunk row: the XOR of the unit rows at the seed's set bits."""
+    set_bits = ((seed >> np.arange(units.shape[0])) & 1).astype(bool)
+    return np.bitwise_xor.reduce(units[set_bits], axis=0)
 
 
 def gf2_span(units: np.ndarray) -> np.ndarray:
@@ -265,41 +276,3 @@ def gf2_span(units: np.ndarray) -> np.ndarray:
     for b in range(units.shape[0]):
         np.bitwise_xor(out[:1 << b], units[b], out=out[1 << b:2 << b])
     return out
-
-
-def keystream_table(poly: int, n_symbols: int, bits_per_symbol: int,
-                    seeds: "np.ndarray | None" = None,
-                    osk: bool = False) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """Keystream chunks for many seeds at once.
-
-    Returns (basis, parity, scramble) arrays of shape (n_seeds, n_symbols),
-    one row per seed.  With seeds=None every nonzero register value of the
-    polynomial's degree is enumerated in increasing order.  Matches the
-    scalar Keystream bit for bit: rows are XOR combinations of the
-    unit-seed rows.
-    """
-    degree = poly.bit_length() - 1
-    if degree < 2 or degree > 24:
-        raise ValueError("polynomial degree must lie in [2, 24] for table enumeration")
-    if seeds is not None:
-        reg = np.asarray(seeds, dtype=np.uint32)
-        if reg.ndim != 1 or reg.size == 0:
-            raise ValueError("seeds must be a nonempty 1-d array")
-        if np.any(reg == 0) or np.any(reg >= (1 << degree)):
-            raise ValueError("seeds must be nonzero values below 2^degree")
-    if bits_per_symbol - (1 if osk else 0) < 1:
-        raise ValueError("bits_per_symbol too small for the requested mode")
-    basis_units, scram_units = unit_keystreams(poly, n_symbols, bits_per_symbol, osk)
-    if seeds is None:
-        basis = gf2_span(basis_units)[1:]
-        scram = gf2_span(scram_units)[1:]
-    else:
-        basis = np.zeros((reg.size, n_symbols), dtype=np.uint32)
-        scram = np.zeros((reg.size, n_symbols), dtype=np.uint8)
-        for b in range(degree):
-            bit = ((reg >> b) & 1)[:, None]
-            basis ^= bit * basis_units[b]
-            scram ^= bit.astype(np.uint8) * scram_units[b]
-    parity = (basis & 1).astype(np.uint8)
-    return basis, parity, scram
-

@@ -12,7 +12,11 @@ on their log2, so a comparison with the public engines isolates the
 Walsh-Hadamard scorer.  ``gathered_likelihoods`` is that scorer's gather
 form: the same trial loop, one product per key and table.
 ``label_mutual_information_labels`` is the per-trial measurement loop that
-``label_mutual_information`` now runs as one batch.
+``label_mutual_information`` now runs as one batch, and
+``plugin_mutual_information`` its per-position estimator.  ``keystream_table``
+builds the chunk rows of many seeds, scrambling bits included, from the
+scalar Keystream; ``pair_index_table`` picks pair members by the scalar
+half-plane rule on float phases, which holds at moderate rotations.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from yzero.attacks import (
     _require_plain_pairing,
     _up_fraction,
 )
-from yzero.codec import (TIE_EPS, Constellation, _pair_index_table, encode, gf2_span,
-                         keystream_table, unit_keystreams)
+from yzero.codec import (TIE_EPS, Constellation, Keystream, _pair_index_table, gf2_span,
+                         keystream_next, unit_keystreams)
 from yzero.detection import heterodyne_index_transition, heterodyne_sample, nearest_phase_index
 
 
@@ -68,7 +72,7 @@ def gathered_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, 
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
     idx_table = _pair_index_table(c)
-    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_symbol)[0])
+    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_symbol))
     for _ in range(trials):
         true_seed = int(rng.integers(1, 1 << key_bits))
         r = rng.integers(0, 2, n, dtype=np.uint8)
@@ -90,12 +94,54 @@ def scalar_halfplane_label(phase: float, axis: float) -> int:
     return 1 if math.cos(d) > 0.0 else 0
 
 
+def keystream_table(poly: int, n_symbols: int, bits_per_symbol: int,
+                    seeds: "np.ndarray | None" = None,
+                    osk: bool = False) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Keystream chunks for many seeds at once.
+
+    Returns (basis, parity, scramble) arrays of shape (n_seeds, n_symbols),
+    one row per seed.  With seeds=None every nonzero register value of the
+    polynomial's degree is enumerated in increasing order.  The unit seeds
+    are stepped by the scalar Keystream and every other row is an XOR
+    combination of theirs.
+    """
+    degree = poly.bit_length() - 1
+    if degree < 2 or degree > 24:
+        raise ValueError("polynomial degree must lie in [2, 24] for table enumeration")
+    if seeds is not None:
+        reg = np.asarray(seeds, dtype=np.uint32)
+        if reg.ndim != 1 or reg.size == 0:
+            raise ValueError("seeds must be a nonempty 1-d array")
+        if np.any(reg == 0) or np.any(reg >= (1 << degree)):
+            raise ValueError("seeds must be nonzero values below 2^degree")
+    chunks = np.empty((degree, n_symbols, 3), dtype=np.uint32)
+    for b in range(degree):
+        ks = Keystream(poly, 1 << b, bits_per_symbol, osk=osk)
+        for i in range(n_symbols):
+            chunks[b, i] = keystream_next(ks)
+    basis_units, scram_units = chunks[..., 0], chunks[..., 2].astype(np.uint8)
+    if seeds is None:
+        basis = gf2_span(basis_units)[1:]
+        scram = gf2_span(scram_units)[1:]
+    else:
+        basis = np.zeros((reg.size, n_symbols), dtype=np.uint32)
+        scram = np.zeros((reg.size, n_symbols), dtype=np.uint8)
+        for b in range(degree):
+            bit = ((reg >> b) & 1)[:, None]
+            basis ^= bit * basis_units[b]
+            scram ^= bit.astype(np.uint8) * scram_units[b]
+    parity = (basis & 1).astype(np.uint8)
+    return basis, parity, scram
+
+
 def pair_index_table(c: Constellation) -> np.ndarray:
-    """idx[bit, basis] = transmitted state index under the fixed pairing."""
+    """idx[bit, basis] = the pair member whose float phase reads bit XOR parity on the axis."""
     table = np.empty((2, c.m), dtype=int)
     for basis in range(c.m):
         for bit in (0, 1):
-            table[bit, basis] = encode(bit, basis, 0, c).index
+            want = bit ^ (basis & 1)
+            table[bit, basis] = next(j for j in (basis, basis + c.m)
+                                     if scalar_halfplane_label(c.phase(j), c.phase_offset) == want)
     return table
 
 
@@ -103,18 +149,18 @@ def index_label_prob(c: Constellation, scenario: AttackScenario) -> np.ndarray:
     """P(recorded label = 1 | transmitted index), before recording errors."""
     eve_axis = c.phase_offset + scenario.misalign
     rel = c.phases() - eve_axis
-    if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
-        # the antipode's window covers the other half-plane: 1 - p, one index
-        # at a time.  Taking both from _up_fraction would carry the rounding
-        # of a float phase near 0 or pi (up to 4e-16) divided by the window
-        # 2w, 2e-7 at w = 1e-9, into the comparison.
-        p1 = np.empty(c.n_states)
-        for i in range(c.m):
+    # the antipode reads the other half-plane: 1 - p, one index at a time.
+    # Under jitter, taking both from _up_fraction would carry the rounding of
+    # a float phase near 0 or pi (up to 4e-16) divided by the window 2w,
+    # 2e-7 at w = 1e-9, into the comparison; without it, two separately
+    # rounded phases at the edge of the tie band can read the same side.
+    p1 = np.empty(c.n_states)
+    for i in range(c.m):
+        if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
             p1[i] = _up_fraction(float(rel[i]), scenario.dsr.param)
-            p1[i + c.m] = 1.0 - p1[i]
-    else:
-        p1 = np.array([float(scalar_halfplane_label(float(ph), eve_axis))
-                       for ph in c.phases()])
+        else:
+            p1[i] = float(scalar_halfplane_label(float(rel[i]), 0.0))
+        p1[i + c.m] = 1.0 - p1[i]
     if scenario.dsr.kind == "binary":
         f = scenario.dsr.param
         p1 = p1 * (1.0 - f) + (1.0 - p1) * f
@@ -132,13 +178,16 @@ def measure_indices(indices: np.ndarray, c: Constellation, scenario: AttackScena
     if scenario.dsr.kind == "binary" and scenario.dsr.param > 0.0:
         flips = rng.random(idx.size) < scenario.dsr.param
         idx = np.where(flips, (idx + c.m) % c.n_states, idx)
-    phases = c.phase_offset + math.pi * idx / c.m
-    if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
-        phases = phases + rng.uniform(-scenario.dsr.param, scenario.dsr.param, idx.size)
     eve_axis = c.phase_offset + scenario.misalign
-    labels = np.fromiter((scalar_halfplane_label(float(p), eve_axis) for p in phases),
-                         dtype=np.uint8, count=idx.size)
-    return labels ^ error_vec
+    if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
+        phases = c.phase_offset + math.pi * idx / c.m
+        phases = phases + rng.uniform(-scenario.dsr.param, scenario.dsr.param, idx.size)
+        labels = [scalar_halfplane_label(float(p), eve_axis) for p in phases]
+    else:
+        # an antipode reads the complement of its partner's label
+        labels = [scalar_halfplane_label(c.phase(j % c.m), eve_axis) ^ (j >= c.m)
+                  for j in idx.tolist()]
+    return np.array(labels, dtype=np.uint8) ^ error_vec
 
 
 def symbol_likelihoods(p1_by_index: np.ndarray, idx_table: np.ndarray,
@@ -167,7 +216,7 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
     weight = _entropy_error_weight(scenario)
     p1 = index_label_prob(c, scenario)
     idx_table = pair_index_table(c)
-    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_symbol)[0])
+    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_symbol))
     h_key_vals = np.empty(trials)
     surprisals = np.empty(trials)
     for t in range(trials):
@@ -219,7 +268,7 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
     if trials < 1:
         raise ValueError("trials must be positive")
     idx_table = pair_index_table(c)
-    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_symbol)[0])
+    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_symbol))
     h_vals = np.empty(trials)
     if regime == "classical":
         weight = _entropy_error_weight(scenario)
@@ -281,7 +330,7 @@ def label_mutual_information_labels(c: Constellation, poly: int, true_seed: int,
     """(data, labels) of the mutual-information trials, measured one trial at a time."""
     n = scenario.n_symbols
     basis, _, _ = keystream_table(poly, n, c.bits_per_symbol,
-                                  seeds=np.array([true_seed], dtype=np.uint32), osk=False)
+                                  seeds=np.array([true_seed], dtype=np.uint32))
     idx_table = pair_index_table(c)
     labels = np.empty((trials, n), dtype=np.uint8)
     data = rng.integers(0, 2, (trials, n), dtype=np.uint8)
@@ -289,3 +338,18 @@ def label_mutual_information_labels(c: Constellation, poly: int, true_seed: int,
         indices = idx_table[data[t], basis[0]]
         labels[t] = measure_indices(indices, c, scenario, rng, scenario.error_vector())
     return data, labels
+
+
+def plugin_mutual_information(data: np.ndarray, labels: np.ndarray) -> float:
+    """Plug-in I(label; data bit) per position from (trials, n) arrays, averaged over positions."""
+    trials, n = data.shape
+    mi_sum = 0.0
+    for i in range(n):
+        joint = np.zeros((2, 2))
+        np.add.at(joint, (data[:, i], labels[:, i]), 1.0)
+        joint /= trials
+        px = joint.sum(axis=1, keepdims=True)
+        py = joint.sum(axis=0, keepdims=True)
+        mask = joint > 0.0
+        mi_sum += float((joint[mask] * np.log2(joint[mask] / (px @ py)[mask])).sum())
+    return mi_sum / n

@@ -418,6 +418,11 @@ def test_ciphertext_entropy_key_posterior_flat_for_any_symmetric_channel():
 # a subnormal flip probability puts the recording-error ratio 1/flip past float range
 @example(m=4, degree=7, n=9, offset=0.4, misalign=0.1, kind="binary", param=5e-324, error=True,
          seed=3)
+# an axis turned to the edge of the tie band: each pair must still split
+@example(m=2, degree=2, n=4, offset=0.0, misalign=1e-12, kind="none", param=0.0, error=False,
+         seed=0)
+@example(m=2, degree=2, n=8, offset=0.0, misalign=9.999e-13, kind="none", param=0.0,
+         error=False, seed=0)
 def test_ciphertext_key_posterior_is_flat_bit_for_bit(m, degree, n, offset, misalign, kind,
                                                       param, error, seed):
     # the README claim, on every drawn symmetric channel: H(key | record) = K
@@ -440,7 +445,7 @@ def test_known_plaintext_residual_is_key_bits_minus_the_replay_rank(m, degree, n
     # map, 2^(K - rank) keys, where rank is the one the replay counts by
     c = codec.Constellation(m=m, energy=1.0)
     poly = codec.PRIMITIVE_POLYS[degree]
-    units = codec.unit_keystreams(poly, n, c.bits_per_symbol)[0]
+    units = codec.unit_keystreams(poly, n, c.bits_per_symbol)
     rank = attacks._gf2_rank(attacks._pack_words((units & 1).astype(np.uint8)))
     zeros = np.zeros(n, dtype=np.uint8)
     replay = attacks.brute_force_candidates(zeros, c, poly, zeros, 1)

@@ -228,16 +228,19 @@ def test_single_pair_bounds_match_closed_form(c, p0):
 
 
 @settings(max_examples=40, deadline=None)
-@given(c=constellations(), p0=st.floats(0.05, 0.95))
-def test_bounds_are_rotation_invariant(c, p0):
+@given(c=constellations(), p0=st.floats(0.05, 0.95), far=st.floats(-1e6, 1e6))
+@example(c=codec.Constellation(m=2, energy=1.0), p0=0.5, far=20000.0)
+@example(c=codec.Constellation(m=512, energy=300.0), p0=0.5, far=-1e6)
+def test_bounds_are_rotation_invariant(c, p0, far):
+    # labels and pairs come from the index, so a rotation changes no bit
     base = codec.Constellation(m=c.m, energy=c.energy, osk=c.osk)
-    assert abs(detection.bit_bound(c, p0=p0).p_error
-               - detection.bit_bound(base, p0=p0).p_error) < 1e-12
-    assert abs(detection.srm_mary_error(c).p_error
-               - detection.srm_mary_error(base).p_error) < 1e-12
-    if not c.osk:
-        assert abs(detection.updown_bound(c).p_error
-                   - detection.updown_bound(base).p_error) < 1e-12
+    for turned in (c, codec.Constellation(m=c.m, energy=c.energy, phase_offset=far,
+                                          osk=c.osk)):
+        assert (detection.bit_bound(turned, p0=p0).p_error
+                == detection.bit_bound(base, p0=p0).p_error)
+        assert detection.srm_mary_error(turned).p_error == detection.srm_mary_error(base).p_error
+        if not c.osk:
+            assert detection.updown_bound(turned).p_error == detection.updown_bound(base).p_error
 
 
 @settings(max_examples=40, deadline=None)

@@ -210,22 +210,57 @@ def test_batched_label_measurement_matches_per_trial_loop(m, n, trials, kind, se
     poly, true_seed = codec.PRIMITIVE_POLYS[5], 0x13
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     data = rng_new.integers(0, 2, (trials, n), dtype=np.uint8)
-    basis = codec.keystream_table(poly, n, c.bits_per_symbol,
-                                  seeds=np.array([true_seed], dtype=np.uint32))[0]
-    labels = attacks._measure_indices(codec._pair_index_table(c)[data, basis[0]], c, sc,
+    basis = codec._seed_row(codec.unit_keystreams(poly, n, c.bits_per_symbol), true_seed)
+    labels = attacks._measure_indices(codec._pair_index_table(c)[data, basis], c, sc,
                                       rng_new, sc.error_vector())
     data_old, labels_old = oracle.label_mutual_information_labels(c, poly, true_seed, sc,
                                                                   trials, rng_old)
     npt.assert_array_equal(data, data_old)
     npt.assert_array_equal(labels, labels_old)
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    if trials > 1:
+        # one count over all positions, bit for bit the per-position estimator
+        mi = attacks.label_mutual_information(c, poly, true_seed, sc, trials,
+                                              np.random.default_rng(seed))
+        assert mi == oracle.plugin_mutual_information(data_old, labels_old)
 
 
 def test_pair_index_table_matches_encode():
+    # the oracle reads float phases, which is exact enough at these rotations
     for m in (1, 2, 4, 16):
-        for offset in (0.0, 0.4, -2.9):
+        for offset in (0.0, 0.4, -2.9, 100.0):
             c = codec.Constellation(m=m, energy=1.0, phase_offset=offset)
-            npt.assert_array_equal(codec._pair_index_table(c), oracle.pair_index_table(c))
+            table = oracle.pair_index_table(c)
+            npt.assert_array_equal(codec._pair_index_table(c), table)
+            for bit in (0, 1):
+                for basis in range(m):
+                    assert codec.encode(bit, basis, 0, c).index == table[bit, basis]
+
+
+# misalignments at the edge of the tie band, where a point and its antipode
+# rounded separately once fell on the same side
+tie_edges = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+                      st.floats(codec.TIE_EPS * (1 - 1e-3), codec.TIE_EPS * (1 + 1e-3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.sampled_from([1, 2, 4, 16, 512]),
+       offset=st.one_of(st.floats(-math.pi, math.pi), st.floats(-1e9, 1e9)),
+       misalign=st.one_of(tie_edges, st.floats(-math.pi, math.pi)), turn=st.integers(0, 3))
+@example(m=2, offset=20000.0, misalign=1e-12, turn=0)
+@example(m=2, offset=0.0, misalign=9.999e-13, turn=0)
+def test_labels_read_data_xor_parity_and_every_pair_splits(m, offset, misalign, turn):
+    # the paper's l_i = r_i XOR k_i: the sent index's label is data XOR basis parity
+    c = codec.Constellation(m=m, energy=1.0, phase_offset=offset)
+    basis = np.arange(m)
+    npt.assert_array_equal(c.label(codec._pair_index_table(c)),
+                           np.arange(2)[:, None] ^ (basis & 1))
+    # an eavesdropper's axis near a constellation point still splits every pair
+    sc = attacks.AttackScenario(n_symbols=2 * m, misalign=misalign + turn * math.pi / m)
+    labels = attacks._measure_indices(np.arange(2 * m), c, sc, None, np.zeros(2 * m, np.uint8))
+    npt.assert_array_equal(labels[:m] ^ labels[m:], 1)
+    p1 = attacks._index_label_prob(c, sc)
+    npt.assert_array_equal(p1[:m] + p1[m:], 1.0)
 
 
 def tie_points(axis: float) -> np.ndarray:

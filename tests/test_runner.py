@@ -229,6 +229,20 @@ def test_run_bounds_outputs_and_determinism(tmp_path):
     assert read_file(tmp_path, "demo_bounds.csv") == first
 
 
+def test_cli_bounds_rows_do_not_depend_on_the_rotation(tmp_path, capsys):
+    # labels and pairs come from the index: a far rotation gives the same rows
+    rows = {}
+    for offset in (0.0, 20000.0):
+        text = BOUNDS_CFG.replace("[constellation]\n",
+                                  f"[constellation]\nphase_offset = {offset!r}\n")
+        path = write_cfg(tmp_path, text, name=f"turned_{offset}.ini")
+        out = tmp_path / f"out_{offset}"
+        assert cli.main(["bounds", "--config", path, "--out-dir", str(out)]) == 0
+        rows[offset] = load_csv(out, "demo_bounds.csv")[1:]
+    assert rows[20000.0] == rows[0.0]
+    capsys.readouterr()
+
+
 def test_run_attack_outputs(tmp_path):
     cfg = load_config(write_cfg(tmp_path, ATTACK_CFG), "attack", out_dir=str(tmp_path))
     outputs = runner.run_attack(cfg)
