@@ -184,32 +184,56 @@ def _attack_record_payload(rec, cfg: ScenarioConfig) -> dict:
 _SEED_CSV_HEADER = ["seed_hex", "match_fraction", "hamming_distance", "exact_match",
                     "is_true_seed"]
 _SEED_CSV_CHUNK = 1 << 16
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
 def _write_seed_csv(path: str, manifest_name: str, sha256: str, rec,
                     n_symbols: int) -> None:
-    """One row per seed hypothesis, as _write_csv would format it.
+    """One row per seed hypothesis, byte for byte as _write_csv would format it.
 
-    Every match fraction is (n - h) / n for a Hamming distance h, so each
-    row is the seed in hex followed by one of n + 1 precomputed tails; only
-    the true seed's row differs in its last column.
+    Every match fraction is (n - h) / n for a Hamming distance h, so a row is
+    "0x", the seed's hex digits and one of 2 (n + 1) precomputed tails, tail
+    h + (n + 1) [seed is the true seed].  Each chunk of rows is filled into a
+    fixed-width byte matrix (every hex digit of the widest seed, then the
+    longest tail); one boolean mask, gathered from a (digit count x tail)
+    table, drops the leading zero nibbles and the tail padding, and the kept
+    bytes go to the file in one write.  No Python string is made per row, and
+    memory stays bounded by the chunk size.
     """
     frac = rec.per_seed_match_fraction
     hamming = np.rint((1.0 - frac) * n_symbols).astype(np.int64)
     if not np.array_equal(frac, (n_symbols - hamming) / n_symbols):
         raise ValueError("match fractions are not whole multiples of 1/n_symbols")
-    tails = [f",{(n_symbols - h) / n_symbols!r},{h},{int(h == 0)},"
-             for h in range(n_symbols + 1)]
+    tails = [f",{(n_symbols - h) / n_symbols!r},{h},{int(h == 0)},{true}\n".encode()
+             for true in (0, 1) for h in range(n_symbols + 1)]
+    tail_len = np.array([len(t) for t in tails])
+    tail_width = int(tail_len.max())
+    tail_bytes = np.frombuffer(b"".join(t.ljust(tail_width) for t in tails),
+                               dtype=np.uint8).reshape(len(tails), tail_width)
     seeds = rec.seeds
+    hex_width = max(1, (int(seeds.max(initial=0)).bit_length() + 3) // 4)
+    # keep[d - 1, t]: "0x", the last d hex digits and tail t without its padding
+    keep = np.ones((hex_width, len(tails), 2 + hex_width + tail_width), dtype=bool)
+    digit = np.arange(hex_width)
+    keep[:, :, 2:2 + hex_width] = (digit >= hex_width - 1 - digit[:, None])[:, None, :]
+    keep[:, :, 2 + hex_width:] = np.arange(tail_width) < tail_len[:, None]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _csv_writer(fh, manifest_name, sha256, _SEED_CSV_HEADER)
+        # the header sits in the text layer's buffer; it must reach the file first
+        fh.flush()
         for lo in range(0, seeds.size, _SEED_CSV_CHUNK):
-            hi = min(lo + _SEED_CSV_CHUNK, seeds.size)
-            lines = [f"{s:#x}{tails[h]}0\n"
-                     for s, h in zip(seeds[lo:hi].tolist(), hamming[lo:hi].tolist())]
-            for i in np.flatnonzero(seeds[lo:hi] == rec.true_seed).tolist():
-                lines[i] = lines[i][:-2] + "1\n"
-            fh.write("".join(lines))
+            s = seeds[lo:lo + _SEED_CSV_CHUNK]
+            tail = hamming[lo:lo + _SEED_CSV_CHUNK] + (n_symbols + 1) * (s == rec.true_seed)
+            rows = np.empty((s.size, keep.shape[2]), dtype=np.uint8)
+            rows[:, :2] = np.frombuffer(b"0x", dtype=np.uint8)
+            n_digits = np.ones(s.size, dtype=np.intp)
+            for j in range(hex_width):
+                shifted = s >> 4 * (hex_width - 1 - j)
+                rows[:, 2 + j] = _HEX_DIGITS[shifted & 15]
+                if j < hex_width - 1:
+                    n_digits += shifted != 0
+            rows[:, 2 + hex_width:] = tail_bytes[tail]
+            fh.buffer.write(rows[keep[n_digits - 1, tail]])
 
 
 def run_attack(cfg: ScenarioConfig) -> "list[str]":

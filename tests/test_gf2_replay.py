@@ -1,12 +1,23 @@
 """The GF(2)-linear seed replay and the per-seed CSV writer against direct oracles."""
 
+import hashlib
+import pathlib
+
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import entropy_oracles as oracle
-from yzero import attacks, codec, runner
+from yzero import attacks, cli, codec, runner
+
+
+SEED_CSV_HEADER = ["seed_hex", "match_fraction", "hamming_distance", "exact_match",
+                   "is_true_seed"]
+ATTACK_REPLAY_INI = pathlib.Path(__file__).parents[1] / "perfbench/workloads/attack_replay.ini"
+# perfbench/refs.json: both seed CSVs of attack_replay, master seeds 1 and 2
+ATTACK_REPLAY_SEEDS_SHA256 = "4e08540cbdbb3e1e892314b9d5b80c4fdeaa7b2e655bdd53b43e2a0719e794ec"
 
 
 def candidate_scan(effective_labels: np.ndarray, parity: np.ndarray,
@@ -27,6 +38,22 @@ def per_seed_rows(rec, n_symbols: int) -> "list[list]":
         rows.append([format(int(seed), "#x"), float(frac[i]), hamming,
                      int(frac[i] == 1.0), int(int(seed) == rec.true_seed)])
     return rows
+
+
+def replay_record(degree: int, n: int, true_seed: int, noisy: bool, rng_seed: int = 0):
+    """A plain-stage record; without noise the true seed is an exact match."""
+    poly = codec.PRIMITIVE_POLYS[degree]
+    c = codec.Constellation(m=4, energy=2.0)
+    rng = np.random.default_rng(rng_seed)
+    if noisy:
+        scenario = attacks.AttackScenario.with_errors(
+            n, [int(rng.integers(0, n))], dsr=attacks.Dsr.jitter(0.3))
+    else:
+        scenario = attacks.AttackScenario(n_symbols=n)
+    r = rng.integers(0, 2, n, dtype=np.uint8)
+    ks = codec.Keystream(poly, true_seed, c.bits_per_symbol)
+    labels = attacks.measure_labels(codec.encode_sequence(r, ks, c), c, scenario, rng)
+    return attacks.brute_force_candidates(labels, c, poly, r, true_seed)
 
 
 def scalar_chunks(poly: int, seed: int, n: int, bits_per_symbol: int,
@@ -122,21 +149,57 @@ def test_replay_counts_match_the_unpacked_scan(case):
 def test_seed_csv_writer_matches_the_csv_module(tmp_path_factory, degree, n, seed_frac,
                                                  rng_seed):
     # jitter plus one recording error: fractions vary and the true seed misses
-    poly = codec.PRIMITIVE_POLYS[degree]
     true_seed = 1 + int(seed_frac * ((1 << degree) - 1))
-    c = codec.Constellation(m=4, energy=2.0)
-    rng = np.random.default_rng(rng_seed)
-    scenario = attacks.AttackScenario.with_errors(
-        n, [int(rng.integers(0, n))], dsr=attacks.Dsr.jitter(0.3))
-    r = rng.integers(0, 2, n, dtype=np.uint8)
-    ks = codec.Keystream(poly, true_seed, c.bits_per_symbol)
-    labels = attacks.measure_labels(codec.encode_sequence(r, ks, c), c, scenario, rng)
-    rec = attacks.brute_force_candidates(labels, c, poly, r, true_seed)
+    rec = replay_record(degree, n, true_seed, noisy=True, rng_seed=rng_seed)
     assume(rec.per_seed_match_fraction[true_seed - 1] < 1.0)
     assume(np.unique(rec.per_seed_match_fraction).size > 2)
     out = tmp_path_factory.mktemp("csv")
-    header = ["seed_hex", "match_fraction", "hamming_distance", "exact_match",
-              "is_true_seed"]
     runner._write_seed_csv(str(out / "fast.csv"), "m.json", "abc", rec, n)
-    runner._write_csv(str(out / "ref.csv"), "m.json", "abc", header, per_seed_rows(rec, n))
+    runner._write_csv(str(out / "ref.csv"), "m.json", "abc", SEED_CSV_HEADER,
+                      per_seed_rows(rec, n))
     assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+ALL_CHUNKS = (1, 3, 64, 1 << 16)
+# at 2^17 - 1 rows, chunks of 1 or 3 rows take seconds; 64 and 2^16 both split at row 65536
+BOUNDARY_CHUNKS = (64, 1 << 16)
+
+
+@pytest.mark.parametrize("degree, n, true_seed, noisy, chunks", [
+    (5, 12, 7, False, ALL_CHUNKS),          # the true seed's row ends ",1.0,0,1,1"
+    (9, 64, 0x1A5, True, ALL_CHUNKS),       # hex widths 1 to 3; the true seed misses
+    (17, 40, 65536, False, BOUNDARY_CHUNKS),  # the true seed at row 65535, 65536 or
+    (17, 40, 65537, False, BOUNDARY_CHUNKS),  # 65537: the last row of the first 2^16
+    (17, 40, 65538, False, BOUNDARY_CHUNKS),  # chunk, the first and second of the next
+], ids=["exact-match", "jitter-and-error", "row-65535", "row-65536", "row-65537"])
+def test_seed_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, degree, n,
+                                                        true_seed, noisy, chunks):
+    rec = replay_record(degree, n, true_seed, noisy)
+    assert (rec.per_seed_match_fraction[true_seed - 1] == 1.0) != noisy
+    runner._write_csv(str(tmp_path / "ref.csv"), "m.json", "abc", SEED_CSV_HEADER,
+                      per_seed_rows(rec, n))
+    want = (tmp_path / "ref.csv").read_bytes()
+    for chunk in chunks:
+        monkeypatch.setattr(runner, "_SEED_CSV_CHUNK", chunk)
+        runner._write_seed_csv(str(tmp_path / "fast.csv"), "m.json", "abc", rec, n)
+        assert (tmp_path / "fast.csv").read_bytes() == want, chunk
+
+
+def test_seed_csv_rejects_a_fraction_off_the_one_over_n_grid(tmp_path):
+    rec = replay_record(6, 10, 5, noisy=True)
+    frac = rec.per_seed_match_fraction.copy()
+    frac[17] = np.nextafter(frac[17], 2.0)
+    rec.per_seed_match_fraction = frac
+    with pytest.raises(ValueError, match="whole multiples"):
+        runner._write_seed_csv(str(tmp_path / "seeds.csv"), "m.json", "abc", rec, 10)
+    assert not (tmp_path / "seeds.csv").exists()
+
+
+def test_attack_replay_workload_seed_csvs_match_the_benchmark_refs(tmp_path):
+    # K = 20 covers hex widths 1 to 5; otp = true writes the pad stage's file too
+    argv = ["attack", "--config", str(ATTACK_REPLAY_INI), "--out-dir", str(tmp_path),
+            "--seed", "1"]
+    assert cli.main(argv) == 0
+    for name in ("attack_replay_attack_seeds.csv", "attack_replay_attack_otp_seeds.csv"):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == ATTACK_REPLAY_SEEDS_SHA256, name
