@@ -229,7 +229,11 @@ def _check_entropy_caps(key_bits: int, n_symbols: int) -> None:
 
 
 def _up_fraction(rel_phase: float, half_width: float) -> float:
-    """Probability that rel_phase + U(-w, w), 0 <= w < pi, lands in the upper half-plane."""
+    """Probability that rel_phase + U(-w, w), 0 <= w < pi, lands in the open upper half-plane.
+
+    For w > 0 there is no tie band; ``_measure_indices`` records jittered
+    phases by the same rule.
+    """
     if half_width == 0.0:
         return float(halfplane_label(rel_phase, 0.0))
     w = half_width
@@ -297,10 +301,13 @@ def _measure_indices(indices: np.ndarray, c: Constellation, scenario: AttackScen
         raise ValueError("this scenario randomizes the signal; pass a Generator")
     idx = _flip_members(idx, c, scenario, rng)
     if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
-        # phases relative to the sender's axis: the rotation cancels exactly
+        # phases relative to Eve's axis, as _up_fraction takes them: the
+        # rotation cancels exactly.  A jittered phase lands in the open upper
+        # half-plane or not; the tie band is for unjittered points, and a
+        # window inside it would read 1 where the model gives 0.
         w = scenario.dsr.param
-        labels = halfplane_label(math.pi * idx / c.m + rng.uniform(-w, w, idx.shape),
-                                 scenario.misalign)
+        rel = math.pi * idx / c.m - scenario.misalign + rng.uniform(-w, w, idx.shape)
+        labels = (np.sin(rel) > 0.0).astype(np.uint8)
     else:
         labels = _label_up(c, scenario.misalign)[idx].astype(np.uint8)
     return labels ^ error_vec

@@ -2,15 +2,17 @@
 
 ``yzero.detection`` computes ``bit_bound``, ``updown_bound`` and
 ``srm_mary_error`` on one route, the DFT spectrum of the circulant Gram
-matrix.  The routes here share none of that code: the explicit Gram matrix
-and its eigendecomposition, and density matrices on a truncated Fock basis.
-Both carry their own numerical error.  The Gram route squares the state
-amplitudes into overlaps, so eigenvalues below the eigensolver's noise
-(about n eps) are unresolvable; it sets them to zero, since the square root
-of that noise would couple into the result at the 1e-8 level near the
-vacuum.  Eigenvalues just above the noise still cost up to 6.9e-9 at
-M = 32.  The Fock route drops the amplitude beyond the Poisson tail
-tolerance, which costs about sqrt(tol).
+matrix, and takes each equal-prior binary bound from one real SVD of a
+half-size block.  The full-matrix form of that route, one ``eigvalsh`` over
+every kept DFT mode, is kept here to pin it.  The other routes here share
+none of that code: the explicit Gram matrix and its eigendecomposition, and
+density matrices on a truncated Fock basis.  Both carry their own numerical
+error.  The Gram route squares the state amplitudes into overlaps, so
+eigenvalues below the eigensolver's noise (about n eps) are unresolvable;
+it sets them to zero, since the square root of that noise would couple
+into the result at the 1e-8 level near the vacuum.  Eigenvalues just above
+the noise still cost up to 6.9e-9 at M = 32.  The Fock route drops the
+amplitude beyond the Poisson tail tolerance, which costs about sqrt(tol).
 
 The scipy forms the package used before it went numpy-only live here too:
 the Poisson pmf from ``gammaln``, the tail window from a ``pdtrc`` scan,
@@ -81,6 +83,32 @@ def gram_bit_bound(c: codec.Constellation, p0: float = 0.5) -> float:
 
 def gram_updown_bound(c: codec.Constellation) -> float:
     return 0.5 * (1.0 - gram_trace_norm(c.amplitudes(), _updown_weights(c)))
+
+
+def dft_eigvalsh_error(c: codec.Constellation, weights: np.ndarray) -> "tuple[float, int]":
+    """Helstrom error and modes kept, from eigvalsh of the full kept DFT matrix.
+
+    The same spectrum, mode-drop rule and clip as ``detection._helstrom_error``,
+    without its half-turn and reflection reductions.
+    """
+    n = c.n_states
+    lam = detection._gram_spectrum(c)
+    w_hat = np.fft.ifft(weights)
+    order = np.argsort(lam, kind="stable")
+    cost = np.cumsum(np.sqrt(lam[order])) * float(np.max(np.abs(w_hat))) * math.sqrt(n)
+    keep = np.sort(order[np.count_nonzero(cost <= detection.MODE_DROP_BOUND):])
+    root = np.sqrt(lam[keep])
+    h = root[:, None] * w_hat[(keep[:, None] - keep[None, :]) % n] * root[None, :]
+    p_error = 0.5 * (1.0 - float(np.sum(np.abs(np.linalg.eigvalsh(h)))))
+    return min(max(0.0, p_error), 0.5), int(keep.size)
+
+
+def eigvalsh_bit_bound(c: codec.Constellation, p0: float = 0.5) -> "tuple[float, int]":
+    return dft_eigvalsh_error(c, _bit_weights(c, p0))
+
+
+def eigvalsh_updown_bound(c: codec.Constellation) -> "tuple[float, int]":
+    return dft_eigvalsh_error(c, _updown_weights(c))
 
 
 def fock_bit_bound(c: codec.Constellation, p0: float = 0.5, tol: float = FOCK_TOL) -> float:

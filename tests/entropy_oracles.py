@@ -147,8 +147,10 @@ def pair_index_table(c: Constellation) -> np.ndarray:
 
 def index_label_prob(c: Constellation, scenario: AttackScenario) -> np.ndarray:
     """P(recorded label = 1 | transmitted index), before recording errors."""
-    eve_axis = c.phase_offset + scenario.misalign
-    rel = c.phases() - eve_axis
+    # index i lies pi i / M - misalign above Eve's axis whatever the rotation;
+    # the engine rounds it so, and any other rounding (about 1e-16) becomes
+    # 5e-8 in the probability under a jitter window of 2e-9.
+    rel = math.pi * np.arange(c.m) / c.m - scenario.misalign
     # the antipode reads the other half-plane: 1 - p, one index at a time.
     # Under jitter, taking both from _up_fraction would carry the rounding of
     # a float phase near 0 or pi (up to 4e-16) divided by the window 2w,
@@ -178,15 +180,16 @@ def measure_indices(indices: np.ndarray, c: Constellation, scenario: AttackScena
     if scenario.dsr.kind == "binary" and scenario.dsr.param > 0.0:
         flips = rng.random(idx.size) < scenario.dsr.param
         idx = np.where(flips, (idx + c.m) % c.n_states, idx)
-    eve_axis = c.phase_offset + scenario.misalign
+    # phases relative to Eve's axis, rounded as the engine rounds them
     if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
-        phases = c.phase_offset + math.pi * idx / c.m
-        phases = phases + rng.uniform(-scenario.dsr.param, scenario.dsr.param, idx.size)
-        labels = [scalar_halfplane_label(float(p), eve_axis) for p in phases]
+        rel = math.pi * idx / c.m - scenario.misalign
+        rel = rel + rng.uniform(-scenario.dsr.param, scenario.dsr.param, idx.size)
+        # a jittered phase has no tie band: the open upper half-plane decides
+        labels = [1 if math.sin(float(r)) > 0.0 else 0 for r in rel]
     else:
         # an antipode reads the complement of its partner's label
-        labels = [scalar_halfplane_label(c.phase(j % c.m), eve_axis) ^ (j >= c.m)
-                  for j in idx.tolist()]
+        labels = [scalar_halfplane_label(math.pi * (j % c.m) / c.m, scenario.misalign)
+                  ^ (j >= c.m) for j in idx.tolist()]
     return np.array(labels, dtype=np.uint8) ^ error_vec
 
 

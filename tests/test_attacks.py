@@ -423,6 +423,9 @@ def test_ciphertext_entropy_key_posterior_flat_for_any_symmetric_channel():
          seed=0)
 @example(m=2, degree=2, n=8, offset=0.0, misalign=9.999e-13, kind="none", param=0.0,
          error=False, seed=0)
+# a jitter window inside the tie band: the model gives label 0, so the record must too
+@example(m=2, degree=2, n=1, offset=0.0, misalign=1e-13, kind="jitter", param=2.2250738585e-313,
+         error=False, seed=1)
 def test_ciphertext_key_posterior_is_flat_bit_for_bit(m, degree, n, offset, misalign, kind,
                                                       param, error, seed):
     # the README claim, on every drawn symmetric channel: H(key | record) = K

@@ -126,10 +126,30 @@ def test_log_factorial_table_grows_safely_across_threads(monkeypatch):
 
 
 def test_bit_bound_scrambled_pairs_are_unreadable():
+    # the weights are exactly zero, so every mode is dropped
     for m in (4, 16):
         c = codec.Constellation(m=m, energy=5.0, osk=True)
         b = detection.bit_bound(c)
-        npt.assert_allclose(b.p_error, 0.5, atol=1e-12)
+        assert b.p_error == 0.5
+        assert b.dim_used == 0
+
+
+BOUNDS_GRID_M = [2**j for j in range(1, 10)]
+BOUNDS_GRID_S = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0]
+
+
+def assert_full_matrix_route(b, want):
+    p, kept = want
+    assert abs(b.p_error - p) <= 1e-14
+    assert b.dim_used == kept
+
+
+@pytest.mark.parametrize("m", BOUNDS_GRID_M)
+def test_half_size_svd_matches_the_full_matrix_route_on_the_bounds_grid(m):
+    for s in BOUNDS_GRID_S:
+        c = codec.Constellation(m=m, energy=s)
+        assert_full_matrix_route(detection.bit_bound(c), oracles.eigvalsh_bit_bound(c))
+        assert_full_matrix_route(detection.updown_bound(c), oracles.eigvalsh_updown_bound(c))
 
 
 def test_bit_bound_gram_and_fock_routes_agree():
@@ -225,6 +245,19 @@ def test_single_pair_bounds_match_closed_form(c, p0):
     want = oracles.pure_pair_error(a0, a1, p0=p0)
     assert abs(detection.bit_bound(c, p0=p0).p_error - want) < 1e-12
     assert abs(detection.updown_bound(c).p_error - oracles.pure_pair_error(a0, a1)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=constellations(m=st.sampled_from([2**j for j in range(10)]),
+                        energy=st.floats(0.0, 300.0)),
+       p0=st.one_of(st.just(0.5), st.floats(0.0, 1.0)))
+@example(c=codec.Constellation(m=1, energy=2.0, phase_offset=0.3), p0=0.5)
+@example(c=codec.Constellation(m=512, energy=300.0, phase_offset=-2.0), p0=0.5)
+def test_binary_bounds_match_the_full_matrix_route(c, p0):
+    # equal priors take the half-size real SVD, unequal ones the full matrix
+    assert_full_matrix_route(detection.bit_bound(c, p0=p0), oracles.eigvalsh_bit_bound(c, p0))
+    if not c.osk:
+        assert_full_matrix_route(detection.updown_bound(c), oracles.eigvalsh_updown_bound(c))
 
 
 @settings(max_examples=40, deadline=None)

@@ -102,6 +102,12 @@ def entropy_cases(draw):
           attacks.AttackScenario.with_errors(2, [0], misalign=1.4131403079886078,
                                              dsr=attacks.Dsr.jitter(1.4131403079886078)),
           "ciphertext_only", 3, 1))
+# a 2e-9 jitter window turns a 1e-16 rounding of the relative phase into 5e-8
+# in a label probability, so both sides must take it as pi i / M - misalign
+@example((codec.Constellation(m=16, energy=0.0, phase_offset=0.4), codec.PRIMITIVE_POLYS[2],
+          attacks.AttackScenario.with_errors(1, [0], misalign=27 * math.pi / 16,
+                                             dsr=attacks.Dsr.jitter(1e-9)),
+          "ciphertext_only", 1, 0))
 def test_entropy_engines_match_per_regime_oracles(case):
     c, poly, sc, regime, trials, seed = case
     if regime == "ciphertext_only":
