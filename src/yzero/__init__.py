@@ -53,12 +53,12 @@ from .detection import (
     updown_bound,
 )
 from .errors import ConfigError, RegimeCapError
-from .scenario import RunManifest, ScenarioConfig, load_config
+from .scenario import ScenarioConfig, load_config
 
 __all__ = [
     "AttackRecord", "AttackScenario", "BinaryBound", "ConfigError", "Constellation",
     "Dsr", "EntropyReport", "ExponentFit", "KeygenPoint", "Keystream", "MaryBound",
-    "PRIMITIVE_POLYS", "RegimeCapError", "RunManifest", "ScenarioConfig",
+    "PRIMITIVE_POLYS", "RegimeCapError", "ScenarioConfig",
     "SymbolRecord", "antipodal_homodyne_error", "binary_entropy", "bit_bound",
     "brute_force_candidates", "ciphertext_only_entropy", "encode",
     "encode_sequence", "exponent_fit", "halfplane_label", "helstrom_pure",

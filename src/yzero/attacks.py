@@ -76,10 +76,6 @@ class Dsr:
             raise ValueError("jitter half-width must lie in [0, pi)")
 
     @classmethod
-    def none(cls) -> "Dsr":
-        return cls()
-
-    @classmethod
     def binary(cls, flip_prob: float) -> "Dsr":
         return cls("binary", flip_prob)
 
@@ -228,15 +224,12 @@ def _check_entropy_caps(key_bits: int, n_symbols: int) -> None:
 # Label measurement pipeline
 
 
-def _up_fraction(rel_phase: float, half_width: float) -> float:
-    """Probability that rel_phase + U(-w, w), 0 <= w < pi, lands in the open upper half-plane.
+def _up_fraction(rel_phase: float, w: float) -> float:
+    """Probability that rel_phase + U(-w, w), 0 < w < pi, lands in the open upper half-plane.
 
-    For w > 0 there is no tie band; ``_measure_indices`` records jittered
-    phases by the same rule.
+    There is no tie band; ``_measure_indices`` records jittered phases by
+    the same rule.
     """
-    if half_width == 0.0:
-        return float(halfplane_label(rel_phase, 0.0))
-    w = half_width
     r = rel_phase % (2.0 * math.pi)
     # The window [r - w, r + w] lies in (-pi, 3 pi), which meets the up set
     # (0, pi) mod 2 pi only in (0, pi) and (2 pi, 3 pi).  Each overlap is
@@ -264,18 +257,18 @@ def _label_up(c: Constellation, misalign: float, half_width: float = 0.0) -> np.
     return np.concatenate([up, 1.0 - up])
 
 
-def _index_label_prob(c: Constellation, scenario: AttackScenario) -> np.ndarray:
-    """P(recorded label = 1 | transmitted index), before recording errors.
+def _label_channel(c: Constellation, scenario: AttackScenario) -> np.ndarray:
+    """chan[index, label] = P(recorded label | transmitted index), before recording errors.
 
-    Folds reference misalignment, phase jitter, and the binary flip into a
-    single per-index probability table of length 2M.
+    Folds reference misalignment, phase jitter, and the binary flip into one
+    table over the 2M indices.
     """
     jitter = scenario.dsr.param if scenario.dsr.kind == "jitter" else 0.0
     p1 = _label_up(c, scenario.misalign, jitter)
     if scenario.dsr.kind == "binary":
         f = scenario.dsr.param
         p1 = p1 * (1.0 - f) + (1.0 - p1) * f
-    return p1
+    return np.stack([1.0 - p1, p1], axis=1)
 
 
 def _flip_members(idx: np.ndarray, c: Constellation, scenario: AttackScenario,
@@ -521,12 +514,6 @@ def _check_entropy_run(c: Constellation, poly: int, scenario: AttackScenario,
     if trials < 1:
         raise ValueError("trials must be positive")
     return key_bits
-
-
-def _label_channel(c: Constellation, scenario: AttackScenario) -> np.ndarray:
-    """chan[index, label] = P(recorded label | transmitted index), before recording errors."""
-    p1 = _index_label_prob(c, scenario)
-    return np.stack([1.0 - p1, p1], axis=1)
 
 
 def _walsh(n: int) -> np.ndarray:

@@ -17,12 +17,13 @@ diagonalizes it.  All three take its spectrum from one helper, computed
 analytically as the aliased Poisson distribution; the binary bounds share
 one trace-norm helper that works in that DFT basis and keeps only the modes
 that can move the result.  No Fock basis is built and the cost follows the
-photon-number spread, not M.  Equal-prior binary weights are antisymmetric
-under the half turn and symmetric or antisymmetric under the reflection of
-the first half, so the trace norm is twice the nuclear norm of a real
-matrix over the kept even x kept odd modes: one real SVD of half the size.
-Unequal priors break the half-turn symmetry and keep the full-matrix
-eigvalsh; on the ``bounds_grid`` points the two agree to 4.4e-16.
+photon-number spread, not M.  Every binary bound is taken at equal priors,
+the uniformly distributed data bits an eavesdropper faces.  Its weights are
+antisymmetric under the half turn and symmetric or antisymmetric under the
+reflection of the first half, so the trace norm is twice the nuclear norm
+of a real matrix over the kept even x kept odd modes: one real SVD of half
+the size, which agrees with a Hermitian eigensolve of the full matrix to
+4.4e-16 on the ``bounds_grid`` points.
 
 The module needs numpy and ``math`` only.  The Poisson pmf is
 exp(k ln S - ln k! - S) with ln k! from one growing ``math.lgamma`` table;
@@ -79,9 +80,7 @@ class BinaryBound:
 
     p_error: float
     method: str
-    priors: "tuple[float, float]" = (0.5, 0.5)
     dim_used: "int | None" = None
-    deficit: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -102,27 +101,18 @@ class ExponentFit:
     r_squared: float
 
 
-def _check_priors(p0: float) -> "tuple[float, float]":
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError("prior p0 must lie in [0, 1]")
-    return (p0, 1.0 - p0)
+def helstrom_pure(a0: complex, a1: complex) -> BinaryBound:
+    """Minimum error probability between two equally likely pure coherent states.
 
-
-def helstrom_pure(a0: complex, a1: complex, p0: float = 0.5) -> BinaryBound:
-    """Minimum error probability between two pure coherent states.
-
-    Closed form (1 - sqrt(arg)) / 2 with arg = 1 - 4 p0 p1 |<a0|a1>|^2; no
-    truncation.  The argument is evaluated as
-    (p0 - p1)^2 + 4 p0 p1 (1 - exp(-|a0 - a1|^2)), which does not cancel when
-    the states nearly coincide, and the error as the equal
-    2 p0 p1 exp(-|a0 - a1|^2) / (1 + sqrt(arg)), which does not cancel when
-    they are far apart.
+    Closed form (1 - sqrt(arg)) / 2 with arg = 1 - |<a0|a1>|^2; no
+    truncation.  The argument is evaluated as 1 - exp(-|a0 - a1|^2) by
+    expm1, which does not cancel when the states nearly coincide, and the
+    error as the equal exp(-|a0 - a1|^2) / (2 (1 + sqrt(arg))), which does
+    not cancel when they are far apart.
     """
-    priors = _check_priors(p0)
     d2 = abs(complex(a0) - complex(a1)) ** 2
-    arg = (priors[0] - priors[1]) ** 2 + 4.0 * priors[0] * priors[1] * -math.expm1(-d2)
-    pe = 2.0 * priors[0] * priors[1] * math.exp(-d2) / (1.0 + math.sqrt(arg))
-    return BinaryBound(p_error=pe, method="helstrom_pure", priors=priors)
+    pe = 0.5 * math.exp(-d2) / (1.0 + math.sqrt(-math.expm1(-d2)))
+    return BinaryBound(p_error=pe, method="helstrom_pure")
 
 
 def _log_factorials(size: int) -> np.ndarray:
@@ -212,65 +202,58 @@ def _helstrom_error(c: Constellation, weights: np.ndarray) -> "tuple[float, int]
     because sum Lambda = n, so that sum bounds the change in
     p_error = (1 - ||T||_1) / 2.
 
-    Equal-prior weights have two exact symmetries, checked on the weights
-    themselves.  Half-turn, w[M + i] = -w[i]: ifft(w) vanishes at even lags,
-    so H couples even modes only to odd ones, H = [[0, B], [B^H, 0]], and
-    ||H||_1 = 2 sum sigma(B) over the kept even x kept odd block.
+    Equal-prior weights have two exact symmetries; weights without them
+    raise AssertionError.  Half-turn, w[M + i] = -w[i]: ifft(w) vanishes at
+    even lags, so H couples even modes only to odd ones,
+    H = [[0, B], [B^H, 0]], and ||H||_1 = 2 sum sigma(B) over the kept
+    even x kept odd block.
     Reflection, w[M - 1 - i] = +-w[i] for i < M: g_d = e^(i pi d / n)
     ifft(w)[d] is purely imaginary (+) or purely real (-) at every odd d.
     With d = k - l + n [k < l], the phase e^(-i pi d / n) splits into
     diagonal unitaries and the sign -1 where k - l wraps, so B has the
     singular values of the real G_kl = sign(k - l) sqrt(Lambda_k) g_d
     sqrt(Lambda_l), with g_d its real or imaginary part: one real SVD of a
-    half-size matrix; it agrees with eigvalsh of the full H to 4.4e-16 on
-    the ``bounds_grid`` points.  Weights without both symmetries (unequal
-    priors) take eigvalsh of the full H.  Returns p_error, clipped to
+    half-size matrix; it agrees with the eigenvalues of the full H to
+    4.4e-16 on the ``bounds_grid`` points.  Returns p_error, clipped to
     [0, 1/2], and the modes kept.
     """
     n, m = c.n_states, c.m
+    half, mirror = weights[:m], weights[m - 1::-1]
+    symmetric = np.array_equal(mirror, half)
+    if not (np.array_equal(weights[m:], -half)
+            and (symmetric or np.array_equal(mirror, -half))):
+        raise AssertionError("weights lack the half-turn and reflection symmetries "
+                             "of equal priors")
     lam = _gram_spectrum(c)
     w_hat = np.fft.ifft(weights)
     order = np.argsort(lam, kind="stable")
     cost = np.cumsum(np.sqrt(lam[order])) * float(np.max(np.abs(w_hat))) * math.sqrt(n)
     keep = np.sort(order[np.count_nonzero(cost <= MODE_DROP_BOUND):])
-    half, mirror = weights[:m], weights[m - 1::-1]
-    symmetric = np.array_equal(mirror, half)
-    if np.array_equal(weights[m:], -half) and (symmetric or np.array_equal(mirror, -half)):
-        g = np.exp(1j * math.pi * np.arange(n) / n) * w_hat
-        g = g.imag if symmetric else g.real
-        even, odd = keep[keep % 2 == 0], keep[keep % 2 == 1]
-        lag = even[:, None] - odd[None, :]
-        block = np.sign(lag) * g[lag]
-        block *= np.sqrt(lam[even])[:, None] * np.sqrt(lam[odd])[None, :]
-        trace_norm = 2.0 * float(np.sum(np.linalg.svd(block, compute_uv=False)))
-    else:
-        root = np.sqrt(lam[keep])
-        h = root[:, None] * w_hat[(keep[:, None] - keep[None, :]) % n] * root[None, :]
-        trace_norm = float(np.sum(np.abs(np.linalg.eigvalsh(h))))
+    g = np.exp(1j * math.pi * np.arange(n) / n) * w_hat
+    g = g.imag if symmetric else g.real
+    even, odd = keep[keep % 2 == 0], keep[keep % 2 == 1]
+    lag = even[:, None] - odd[None, :]
+    block = np.sign(lag) * g[lag]
+    block *= np.sqrt(lam[even])[:, None] * np.sqrt(lam[odd])[None, :]
+    trace_norm = 2.0 * float(np.sum(np.linalg.svd(block, compute_uv=False)))
     p_error = 0.5 * (1.0 - trace_norm)
     return min(max(0.0, p_error), 0.5), int(keep.size)
 
 
-def bit_bound(c: Constellation, p0: float = 0.5) -> BinaryBound:
+def bit_bound(c: Constellation) -> BinaryBound:
     """Helstrom bound on reading the data bit without the keystream.
 
     The two hypotheses are the whole-constellation mixtures carrying bit 0
-    and bit 1.  With scrambling active the mixtures coincide and the bound
-    sits at exactly 1/2.
+    and bit 1, at equal priors.  With scrambling active the scramble bit
+    hands each bit to both pair members, the mixtures coincide and the
+    bound sits at exactly 1/2.
     """
-    priors = _check_priors(p0)
-    pairs = _pair_index_table(c)
-    share = 1.0 / (c.m * (2 if c.osk else 1))
     weights = np.zeros(c.n_states)
-    weights[pairs[1]] += priors[1] * share
-    weights[pairs[0]] -= priors[0] * share
-    if c.osk:
-        # the scramble bit hands each bit to the other pair member
-        weights[pairs[0]] += priors[1] * share
-        weights[pairs[1]] -= priors[0] * share
+    if not c.osk:
+        pairs = _pair_index_table(c)
+        weights[pairs[1]], weights[pairs[0]] = 0.5 / c.m, -0.5 / c.m
     p_error, kept = _helstrom_error(c, weights)
-    return BinaryBound(p_error=p_error, method="bit_dft", priors=priors,
-                       dim_used=kept, deficit=0.0)
+    return BinaryBound(p_error=p_error, method="bit_dft", dim_used=kept)
 
 
 def updown_bound(c: Constellation) -> BinaryBound:
@@ -285,7 +268,7 @@ def updown_bound(c: Constellation) -> BinaryBound:
         raise ValueError("the half-plane bound applies to non-scrambling constellations")
     weights = np.where(c.label(np.arange(c.n_states)) == 1, 1.0, -1.0) / c.n_states
     p_error, kept = _helstrom_error(c, weights)
-    return BinaryBound(p_error=p_error, method="updown_dft", dim_used=kept, deficit=0.0)
+    return BinaryBound(p_error=p_error, method="updown_dft", dim_used=kept)
 
 
 def srm_mary_error(c: Constellation) -> MaryBound:

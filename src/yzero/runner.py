@@ -31,9 +31,9 @@ from .attacks import (
     measure_labels,
     otp_stage_attack,
 )
-from .codec import Constellation, Keystream, encode_sequence
+from .codec import Constellation, _pair_index_table, _seed_row, unit_keystreams
 from .detection import MODE_DROP_BOUND, bit_bound, exponent_fit, srm_mary_error, updown_bound
-from .scenario import RunManifest, ScenarioConfig
+from .scenario import ScenarioConfig
 
 
 def validate_caps(cfg: ScenarioConfig) -> None:
@@ -45,12 +45,8 @@ def validate_caps(cfg: ScenarioConfig) -> None:
 
 
 def _scenario_from_config(cfg: ScenarioConfig) -> AttackScenario:
-    if cfg.error_positions:
-        return AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions,
-                                          misalign=cfg.misalign, dsr=cfg.dsr,
-                                          otp_mode=cfg.otp)
-    return AttackScenario(n_symbols=cfg.n_symbols, misalign=cfg.misalign,
-                          dsr=cfg.dsr, otp_mode=cfg.otp)
+    return AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions, misalign=cfg.misalign,
+                                      dsr=cfg.dsr, otp_mode=cfg.otp)
 
 
 def _modeling_record(cfg: ScenarioConfig) -> "dict[str, object]":
@@ -68,23 +64,28 @@ def _modeling_record(cfg: ScenarioConfig) -> "dict[str, object]":
     }
 
 
-def _manifest(cfg: ScenarioConfig, outputs: "list[str]") -> RunManifest:
-    return RunManifest(
-        family=cfg.family,
-        master_seed=cfg.master_seed,
-        threads=cfg.threads,
-        config_path=cfg.config_path,
-        config_sha256=cfg.config_sha256,
-        outputs=outputs,
-        created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        versions={
+def _manifest(cfg: ScenarioConfig, outputs: "list[str]") -> dict:
+    """Reproducibility record written next to every run's data files.
+
+    Holds the only timestamp of a run; data files reference it by name so
+    identical seeds yield byte-identical data.
+    """
+    return {
+        "tool": "yzero",
+        "family": cfg.family,
+        "master_seed": cfg.master_seed,
+        "threads": cfg.threads,
+        "config": {"path": cfg.config_path, "sha256": cfg.config_sha256},
+        "outputs": outputs,
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "versions": {
             "yzero": __version__,
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
-        modeling=_modeling_record(cfg),
-        tolerances={"mode_drop_bound": MODE_DROP_BOUND},
-    )
+        "modeling": _modeling_record(cfg),
+        "tolerances": {"mode_drop_bound": MODE_DROP_BOUND},
+    }
 
 
 def _fmt(value) -> str:
@@ -119,8 +120,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _finish(cfg: ScenarioConfig, outputs: "list[str]") -> "list[str]":
     manifest_name = f"{cfg.prefix}_manifest.json"
-    manifest = _manifest(cfg, outputs)
-    _write_json(os.path.join(cfg.out_dir, manifest_name), manifest.to_dict())
+    _write_json(os.path.join(cfg.out_dir, manifest_name), _manifest(cfg, outputs))
     return outputs + [manifest_name]
 
 
@@ -145,12 +145,12 @@ def run_bounds(cfg: ScenarioConfig) -> "list[str]":
         c = Constellation(m=m, energy=s, phase_offset=cfg.phase_offset, osk=cfg.osk)
         if method == "bit":
             b = bit_bound(c)
-            return [m, s, "helstrom_mixed_bit", b.p_error, b.dim_used, b.deficit]
+            return [m, s, "helstrom_mixed_bit", b.p_error, b.dim_used, 0.0]
         if method == "srm":
             b = srm_mary_error(c)
             return [m, s, "srm_2M", b.p_error, c.n_states, 0.0]
         b = updown_bound(c)
-        return [m, s, "updown", b.p_error, b.dim_used, b.deficit]
+        return [m, s, "updown", b.p_error, b.dim_used, 0.0]
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -245,9 +245,9 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
     scenario = _scenario_from_config(cfg)
     rng_data, rng_channel, rng_mi, rng_otp = _spawn_rngs(cfg.master_seed, 4)
     r_true = rng_data.integers(0, 2, cfg.n_symbols, dtype=np.uint8)
-    ks = Keystream(cfg.poly, cfg.seed_register, c.bits_per_symbol)
-    records = encode_sequence(r_true, ks, c)
-    labels = measure_labels(records, c, scenario, rng_channel)
+    units = unit_keystreams(cfg.poly, cfg.n_symbols, c.bits_per_symbol)
+    sent = _pair_index_table(c)[r_true, _seed_row(units, cfg.seed_register)]
+    labels = measure_labels(sent, c, scenario, rng_channel)
     rec = brute_force_candidates(labels, c, cfg.poly, r_true, cfg.seed_register)
     if cfg.mi_trials > 0:
         rec.mutual_info_estimate = label_mutual_information(

@@ -1,12 +1,9 @@
-"""Scenario configuration files and run manifests.
+"""Scenario configuration files.
 
 Runs are driven by small INI files with four sections: [constellation],
 [keystream], [scenario], [output].  Parsing is strict: unknown sections or
 keys, malformed values, and cross-field inconsistencies all raise
-ConfigError with the offending line where one can be located.  Every run
-writes a JSON manifest recording the seed, tool versions, tolerances, and
-modeling conventions; the manifest is the only output file containing
-timestamps.
+ConfigError with the offending line where one can be located.
 """
 
 from __future__ import annotations
@@ -202,10 +199,12 @@ def load_config(path: str, family: str,
         cfg.master_seed = master_seed
     if threads is not None:
         cfg.threads = threads
+    # a value from the file names its line, a command-line override does not
     if cfg.threads < 1:
-        raise ConfigError(f"{path}: threads must be positive")
+        raise src.fail("threads must be positive", key="threads" if threads is None else None)
     if cfg.master_seed < 0:
-        raise ConfigError(f"{path}: master_seed must be a nonnegative integer")
+        raise src.fail("master_seed must be a nonnegative integer",
+                       key="master_seed" if master_seed is None else None)
     _validate_family(src, cfg)
     return cfg
 
@@ -238,7 +237,8 @@ def _load_constellation(src: _Source, cp: configparser.ConfigParser,
                        section="constellation")
     for s in cfg.energy_grid:
         if s < 0:
-            raise src.fail("energies must be nonnegative", key="energy")
+            raise src.fail("energies must be nonnegative",
+                           key="energy" if "energy" in sec else "energy_grid")
     if "phase_offset" in sec:
         cfg.phase_offset = _parse_float(src, "phase_offset", sec["phase_offset"])
     if "osk" in sec:
@@ -374,41 +374,3 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
     elif cfg.family == "keygen":
         if len(cfg.s_grid) < 1:
             raise src.fail("keygen requires 's_grid' in [scenario]", section="scenario")
-
-
-# ---------------------------------------------------------------------------
-# Manifest
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record written next to every run's data files.
-
-    Holds the only timestamps of a run; data files reference it by name so
-    identical seeds yield byte-identical data.
-    """
-
-    family: str
-    master_seed: int
-    threads: int
-    config_path: str
-    config_sha256: str
-    outputs: "list[str]"
-    created_utc: str
-    versions: "dict[str, str]"
-    modeling: "dict[str, object]"
-    tolerances: "dict[str, float]"
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": "yzero",
-            "family": self.family,
-            "master_seed": self.master_seed,
-            "threads": self.threads,
-            "config": {"path": self.config_path, "sha256": self.config_sha256},
-            "outputs": self.outputs,
-            "created_utc": self.created_utc,
-            "versions": self.versions,
-            "modeling": self.modeling,
-            "tolerances": self.tolerances,
-        }

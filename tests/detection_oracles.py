@@ -2,9 +2,9 @@
 
 ``yzero.detection`` computes ``bit_bound``, ``updown_bound`` and
 ``srm_mary_error`` on one route, the DFT spectrum of the circulant Gram
-matrix, and takes each equal-prior binary bound from one real SVD of a
-half-size block.  The full-matrix form of that route, one ``eigvalsh`` over
-every kept DFT mode, is kept here to pin it.  The other routes here share
+matrix, and takes each binary bound, at equal priors, from one real SVD of
+a half-size block.  The full-matrix form of that route, one ``eigvalsh``
+over every kept DFT mode, is kept here to pin it.  The other routes here share
 none of that code: the explicit Gram matrix and its eigendecomposition, and
 density matrices on a truncated Fock basis.  Both carry their own numerical
 error.  The Gram route squares the state amplitudes into overlaps, so
@@ -77,8 +77,8 @@ def _updown_weights(c: codec.Constellation) -> np.ndarray:
     return np.array([0.5 if c.label(j) else -0.5 for j in range(c.n_states)]) / c.m
 
 
-def gram_bit_bound(c: codec.Constellation, p0: float = 0.5) -> float:
-    return 0.5 * (1.0 - gram_trace_norm(c.amplitudes(), _bit_weights(c, p0)))
+def gram_bit_bound(c: codec.Constellation) -> float:
+    return 0.5 * (1.0 - gram_trace_norm(c.amplitudes(), _bit_weights(c, 0.5)))
 
 
 def gram_updown_bound(c: codec.Constellation) -> float:
@@ -103,17 +103,17 @@ def dft_eigvalsh_error(c: codec.Constellation, weights: np.ndarray) -> "tuple[fl
     return min(max(0.0, p_error), 0.5), int(keep.size)
 
 
-def eigvalsh_bit_bound(c: codec.Constellation, p0: float = 0.5) -> "tuple[float, int]":
-    return dft_eigvalsh_error(c, _bit_weights(c, p0))
+def eigvalsh_bit_bound(c: codec.Constellation) -> "tuple[float, int]":
+    return dft_eigvalsh_error(c, _bit_weights(c, 0.5))
 
 
 def eigvalsh_updown_bound(c: codec.Constellation) -> "tuple[float, int]":
     return dft_eigvalsh_error(c, _updown_weights(c))
 
 
-def fock_bit_bound(c: codec.Constellation, p0: float = 0.5, tol: float = FOCK_TOL) -> float:
-    rho0, rho1, _ = fock_oracles.bit_ensembles(c, p0=p0, tol=tol)
-    return fock_oracles.helstrom_mixed(rho0, rho1, p0=p0).p_error
+def fock_bit_bound(c: codec.Constellation, tol: float = FOCK_TOL) -> float:
+    rho0, rho1, _ = fock_oracles.bit_ensembles(c, tol=tol)
+    return fock_oracles.helstrom_mixed(rho0, rho1).p_error
 
 
 def fock_updown_bound(c: codec.Constellation, tol: float = FOCK_TOL) -> float:

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from yzero.codec import Constellation, encode
-from yzero.detection import BinaryBound, _check_priors, truncation_dim
+from yzero.detection import truncation_dim
 
 # Default bound on the Poisson tail mass dropped by truncation.
 TAIL_TOL = 1e-10
@@ -256,17 +256,26 @@ def bit_ensembles(c: Constellation, p0: float = 0.5,
     return rho0, rho1, total
 
 
-def helstrom_mixed(rho0: DensityMatrix, rho1: DensityMatrix, p0: float = 0.5) -> BinaryBound:
+@dataclass(frozen=True)
+class MixedBound:
+    """Helstrom error of two truncated density matrices, their basis size and worst deficit."""
+
+    p_error: float
+    dim_used: int
+    deficit: float
+
+
+def helstrom_mixed(rho0: DensityMatrix, rho1: DensityMatrix, p0: float = 0.5) -> MixedBound:
     """Minimum error probability between two density matrices.
 
     Evaluates (1 - ||p1 rho1 - p0 rho0||_1) / 2 on the common truncated basis.
     """
-    priors = _check_priors(p0)
+    if not 0.0 <= p0 <= 1.0:
+        raise ValueError("prior p0 must lie in [0, 1]")
     rho0.validate()
     rho1.validate()
     if rho0.dim != rho1.dim:
         raise ValueError("density matrices must share one truncated dimension")
-    tn = trace_norm(priors[1] * rho1.entries - priors[0] * rho0.entries)
+    tn = trace_norm((1.0 - p0) * rho1.entries - p0 * rho0.entries)
     pe = 0.5 * (1.0 - tn)
-    return BinaryBound(p_error=pe, method="helstrom_mixed", priors=priors,
-                       dim_used=rho0.dim, deficit=max(rho0.deficit, rho1.deficit))
+    return MixedBound(p_error=pe, dim_used=rho0.dim, deficit=max(rho0.deficit, rho1.deficit))

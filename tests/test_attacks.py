@@ -66,7 +66,7 @@ def test_parity_stream_is_linear_in_the_seed():
 
 
 def test_dsr_constructors_and_validation():
-    assert attacks.Dsr.none().kind == "none"
+    assert attacks.Dsr().kind == "none"
     assert attacks.Dsr.binary(0.3).param == 0.3
     assert attacks.Dsr.jitter(0.5).kind == "jitter"
     with pytest.raises(ValueError):
@@ -150,7 +150,7 @@ def test_index_label_table_matches_monte_carlo():
     c = codec.Constellation(m=4, energy=2.0)
     sc = attacks.AttackScenario(n_symbols=5000, misalign=0.2,
                                 dsr=attacks.Dsr.jitter(0.8))
-    p1 = attacks._index_label_prob(c, sc)
+    p1 = attacks._label_channel(c, sc)[:, 1]
     rng = np.random.default_rng(99)
     for j in (0, 1, 3, 5, 6):
         labels = attacks.measure_labels(np.full(5000, j), c, sc, rng)
@@ -160,8 +160,12 @@ def test_index_label_table_matches_monte_carlo():
 
 
 def test_jitter_up_fraction_reduces_to_label_at_zero_width():
-    assert attacks._up_fraction(0.5, 0.0) == 1.0
-    assert attacks._up_fraction(-0.5, 0.0) == 0.0
+    # zero jitter reads the half-plane label; a vanishing window tends to it
+    c = codec.Constellation(m=4, energy=1.0)
+    sc = attacks.AttackScenario(n_symbols=1, dsr=attacks.Dsr.jitter(0.0))
+    npt.assert_array_equal(attacks._label_channel(c, sc)[:, 1], c.label(np.arange(8)))
+    assert attacks._up_fraction(0.5, 1e-300) == 1.0
+    assert attacks._up_fraction(-0.5, 1e-300) == 0.0
     # a full-half-plane jitter window on the axis splits evenly
     npt.assert_allclose(attacks._up_fraction(0.0, math.pi / 2), 0.5, atol=1e-12)
 
@@ -191,13 +195,13 @@ def test_axis_pair_label_jumps_to_a_coin_flip_at_any_jitter():
     # the basis-0 pair lies on the label axis: the tie rule fixes its labels
     # at zero jitter, and any jitter at all makes each a coin flip
     c = codec.Constellation(m=2, energy=4.0)
-    sharp = attacks._index_label_prob(c, attacks.AttackScenario(n_symbols=16))
+    sharp = attacks._label_channel(c, attacks.AttackScenario(n_symbols=16))[:, 1]
     npt.assert_array_equal(sharp, [1.0, 1.0, 0.0, 0.0])
     h_data = {}
     for w in (0.0, 1e-9, 1e-6, 1e-3):
         sc = attacks.AttackScenario(n_symbols=16, dsr=attacks.Dsr.jitter(w))
         if w > 0.0:
-            p1 = attacks._index_label_prob(c, sc)
+            p1 = attacks._label_channel(c, sc)[:, 1]
             npt.assert_allclose(p1[[0, 2]], 0.5, atol=1e-6)
             npt.assert_allclose(p1[[1, 3]], [1.0, 0.0], atol=1e-6)
         rep = attacks.ciphertext_only_entropy(c, POLY8, sc, trials=10,
@@ -429,7 +433,7 @@ def test_ciphertext_entropy_key_posterior_flat_for_any_symmetric_channel():
 def test_ciphertext_key_posterior_is_flat_bit_for_bit(m, degree, n, offset, misalign, kind,
                                                       param, error, seed):
     # the README claim, on every drawn symmetric channel: H(key | record) = K
-    dsr = {"none": attacks.Dsr.none(), "binary": attacks.Dsr.binary(param),
+    dsr = {"none": attacks.Dsr(), "binary": attacks.Dsr.binary(param),
            "jitter": attacks.Dsr.jitter(3.0 * param)}[kind]
     c = codec.Constellation(m=m, energy=1.0, phase_offset=offset)
     sc = attacks.AttackScenario.with_errors(n, [n // 2] if error else [], misalign=misalign,

@@ -18,8 +18,6 @@ from yzero import codec, detection
 
 def test_helstrom_pure_trivial_cases():
     assert detection.helstrom_pure(2 + 0j, 2 + 0j).p_error == 0.5
-    assert detection.helstrom_pure(0j, 1 + 0j, p0=1.0).p_error == 0.0
-    assert detection.helstrom_pure(0j, 1 + 0j, p0=0.0).p_error == 0.0
 
 
 def test_helstrom_pure_antipodal_unit_energy():
@@ -29,7 +27,7 @@ def test_helstrom_pure_antipodal_unit_energy():
 
 
 def test_helstrom_pure_keeps_precision_when_states_nearly_coincide():
-    # at M = 1, S = 6.36e-16 the form 1 - 4 p0 p1 |<a0|a1>|^2 cancels to a 5e-10 error
+    # at M = 1, S = 6.36e-16 the form 1 - |<a0|a1>|^2 cancels to a 5e-10 error
     c = codec.Constellation(m=1, energy=6.36e-16)
     a = math.sqrt(c.energy)
     p = detection.helstrom_pure(a + 0j, -a + 0j).p_error
@@ -48,11 +46,6 @@ def test_helstrom_pure_keeps_precision_when_states_are_far_apart(s):
     assert abs(p - want) <= 1e-12 * want
 
 
-def test_helstrom_pure_prior_validation():
-    with pytest.raises(ValueError):
-        detection.helstrom_pure(0j, 1j, p0=1.2)
-
-
 def test_helstrom_mixed_agrees_with_pure_closed_form():
     # rank-one density inputs must land on the closed form to 1e-9
     rng = np.random.default_rng(314)
@@ -64,8 +57,9 @@ def test_helstrom_mixed_agrees_with_pure_closed_form():
         rho0 = fock_oracles.density_from_ensemble([fock_oracles.coherent_fock(a, dim)], [1.0])
         rho1 = fock_oracles.density_from_ensemble([fock_oracles.coherent_fock(b, dim)], [1.0])
         got = fock_oracles.helstrom_mixed(rho0, rho1, p0=p0).p_error
-        want = detection.helstrom_pure(a, b, p0=p0).p_error
-        npt.assert_allclose(got, want, atol=1e-9)
+        npt.assert_allclose(got, oracles.pure_pair_error(a, b, p0=p0), atol=1e-9)
+        got = fock_oracles.helstrom_mixed(rho0, rho1).p_error
+        npt.assert_allclose(got, detection.helstrom_pure(a, b).p_error, atol=1e-9)
 
 
 def test_helstrom_mixed_rejects_dimension_mismatch():
@@ -219,13 +213,13 @@ oracle_energies = st.one_of(st.just(0.0), st.floats(1e-6, 12.0))
 
 
 @settings(max_examples=60, deadline=None)
-@given(c=constellations(energy=oracle_energies), p0=st.floats(0.05, 0.95))
-@example(c=codec.Constellation(m=16, energy=2.0), p0=0.5)
-@example(c=codec.Constellation(m=32, energy=8.0), p0=0.5)
-def test_bit_bound_matches_gram_and_fock_oracles(c, p0):
-    p = detection.bit_bound(c, p0=p0).p_error
-    assert abs(p - oracles.gram_bit_bound(c, p0=p0)) < 1e-8
-    assert abs(p - oracles.fock_bit_bound(c, p0=p0)) < 1e-8
+@given(c=constellations(energy=oracle_energies))
+@example(c=codec.Constellation(m=16, energy=2.0))
+@example(c=codec.Constellation(m=32, energy=8.0))
+def test_bit_bound_matches_gram_and_fock_oracles(c):
+    p = detection.bit_bound(c).p_error
+    assert abs(p - oracles.gram_bit_bound(c)) < 1e-8
+    assert abs(p - oracles.fock_bit_bound(c)) < 1e-8
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,39 +232,51 @@ def test_updown_bound_matches_gram_and_fock_oracles(c):
 
 
 @settings(max_examples=40, deadline=None)
-@given(c=constellations(m=st.just(1), osk=st.just(False)), p0=st.floats(0.05, 0.95))
-def test_single_pair_bounds_match_closed_form(c, p0):
+@given(c=constellations(m=st.just(1), osk=st.just(False)))
+def test_single_pair_bounds_match_closed_form(c):
     a0 = c.amplitudes()[codec.encode(0, 0, 0, c).index]
     a1 = c.amplitudes()[codec.encode(1, 0, 0, c).index]
-    want = oracles.pure_pair_error(a0, a1, p0=p0)
-    assert abs(detection.bit_bound(c, p0=p0).p_error - want) < 1e-12
-    assert abs(detection.updown_bound(c).p_error - oracles.pure_pair_error(a0, a1)) < 1e-12
+    want = oracles.pure_pair_error(a0, a1)
+    assert abs(detection.bit_bound(c).p_error - want) < 1e-12
+    assert abs(detection.updown_bound(c).p_error - want) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
 @given(c=constellations(m=st.sampled_from([2**j for j in range(10)]),
-                        energy=st.floats(0.0, 300.0)),
-       p0=st.one_of(st.just(0.5), st.floats(0.0, 1.0)))
-@example(c=codec.Constellation(m=1, energy=2.0, phase_offset=0.3), p0=0.5)
-@example(c=codec.Constellation(m=512, energy=300.0, phase_offset=-2.0), p0=0.5)
-def test_binary_bounds_match_the_full_matrix_route(c, p0):
-    # equal priors take the half-size real SVD, unequal ones the full matrix
-    assert_full_matrix_route(detection.bit_bound(c, p0=p0), oracles.eigvalsh_bit_bound(c, p0))
+                        energy=st.floats(0.0, 300.0)))
+@example(c=codec.Constellation(m=1, energy=2.0, phase_offset=0.3))
+@example(c=codec.Constellation(m=512, energy=300.0, phase_offset=-2.0))
+def test_binary_bounds_match_the_full_matrix_route(c):
+    assert_full_matrix_route(detection.bit_bound(c), oracles.eigvalsh_bit_bound(c))
     if not c.osk:
         assert_full_matrix_route(detection.updown_bound(c), oracles.eigvalsh_updown_bound(c))
 
 
 @settings(max_examples=40, deadline=None)
-@given(c=constellations(), p0=st.floats(0.05, 0.95), far=st.floats(-1e6, 1e6))
-@example(c=codec.Constellation(m=2, energy=1.0), p0=0.5, far=20000.0)
-@example(c=codec.Constellation(m=512, energy=300.0), p0=0.5, far=-1e6)
-def test_bounds_are_rotation_invariant(c, p0, far):
+@given(c=constellations(m=st.sampled_from([2**j for j in range(10)]),
+                        energy=st.floats(0.0, 300.0)),
+       p0=st.floats(0.0, 1.0).filter(lambda p: p != 0.5))
+def test_helstrom_error_rejects_weights_without_the_equal_prior_symmetries(c, p0):
+    # unequal priors break the half-turn symmetry
+    with pytest.raises(AssertionError, match="symmetries"):
+        detection._helstrom_error(c, oracles._bit_weights(c, p0))
+    # the half turn alone is not enough: the reflection must hold too
+    if c.m > 1:
+        half = np.arange(1.0, c.m + 1.0)
+        with pytest.raises(AssertionError, match="symmetries"):
+            detection._helstrom_error(c, np.concatenate([half, -half]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=constellations(), far=st.floats(-1e6, 1e6))
+@example(c=codec.Constellation(m=2, energy=1.0), far=20000.0)
+@example(c=codec.Constellation(m=512, energy=300.0), far=-1e6)
+def test_bounds_are_rotation_invariant(c, far):
     # labels and pairs come from the index, so a rotation changes no bit
     base = codec.Constellation(m=c.m, energy=c.energy, osk=c.osk)
     for turned in (c, codec.Constellation(m=c.m, energy=c.energy, phase_offset=far,
                                           osk=c.osk)):
-        assert (detection.bit_bound(turned, p0=p0).p_error
-                == detection.bit_bound(base, p0=p0).p_error)
+        assert detection.bit_bound(turned).p_error == detection.bit_bound(base).p_error
         assert detection.srm_mary_error(turned).p_error == detection.srm_mary_error(base).p_error
         if not c.osk:
             assert detection.updown_bound(turned).p_error == detection.updown_bound(base).p_error
@@ -313,13 +319,13 @@ def test_srm_error_bounded_by_uniform_guess():
 
 
 @settings(max_examples=60, deadline=None)
-@given(m=st.sampled_from([2**j for j in range(10)]), s=st.floats(0.0, 300.0), p0=st.floats(0.0, 1.0),
+@given(m=st.sampled_from([2**j for j in range(10)]), s=st.floats(0.0, 300.0),
        osk=st.booleans())
-@example(m=2, s=100.0, p0=0.5, osk=False)
-@example(m=4, s=100.0, p0=0.5, osk=False)
-def test_bounds_stay_in_range(m, s, p0, osk):
+@example(m=2, s=100.0, osk=False)
+@example(m=4, s=100.0, osk=False)
+def test_bounds_stay_in_range(m, s, osk):
     c = codec.Constellation(m=m, energy=s, osk=osk)
-    assert 0.0 <= detection.bit_bound(c, p0=p0).p_error <= 0.5
+    assert 0.0 <= detection.bit_bound(c).p_error <= 0.5
     assert 0.0 <= detection.srm_mary_error(c).p_error <= 1.0
     if not osk:
         assert 0.0 <= detection.updown_bound(c).p_error <= 0.5

@@ -79,7 +79,7 @@ def entropy_cases(draw):
     elif kind == "jitter":
         dsr = attacks.Dsr.jitter(draw(st.one_of(st.just(0.0), st.floats(1e-9, 3.0))))
     else:
-        dsr = attacks.Dsr.none()
+        dsr = attacks.Dsr()
     errors = [] if regime == "quantum" else draw(
         st.lists(st.integers(0, n - 1), max_size=1))
     sc = attacks.AttackScenario.with_errors(n, errors, misalign=misalign, dsr=dsr)
@@ -209,7 +209,7 @@ def test_scorer_stays_finite_where_every_gathered_product_underflows(errors):
 def test_batched_label_measurement_matches_per_trial_loop(m, n, trials, kind, seed,
                                                           misalign, error):
     c = codec.Constellation(m=m, energy=1.0)
-    dsr = {"none": attacks.Dsr.none(), "binary": attacks.Dsr.binary(0.3),
+    dsr = {"none": attacks.Dsr(), "binary": attacks.Dsr.binary(0.3),
            "jitter": attacks.Dsr.jitter(0.7)}[kind]
     sc = attacks.AttackScenario.with_errors(n, [n - 1] if error else [], misalign=misalign,
                                             dsr=dsr)
@@ -231,16 +231,28 @@ def test_batched_label_measurement_matches_per_trial_loop(m, n, trials, kind, se
         assert mi == oracle.plugin_mutual_information(data_old, labels_old)
 
 
-def test_pair_index_table_matches_encode():
+@settings(max_examples=60, deadline=None)
+@given(m=st.sampled_from([1, 2, 4, 16, 512]), offset=st.sampled_from([0.0, 0.4, -2.9, 100.0]),
+       degree=st.integers(2, 20), taps=st.integers(0, 2**19 - 1), seed=st.integers(1, 2**20 - 1),
+       n=st.integers(1, 64), data_seed=st.integers(0, 2**32 - 1))
+def test_pair_index_table_matches_encode(m, offset, degree, taps, seed, n, data_seed):
     # the oracle reads float phases, which is exact enough at these rotations
-    for m in (1, 2, 4, 16):
-        for offset in (0.0, 0.4, -2.9, 100.0):
-            c = codec.Constellation(m=m, energy=1.0, phase_offset=offset)
-            table = oracle.pair_index_table(c)
-            npt.assert_array_equal(codec._pair_index_table(c), table)
-            for bit in (0, 1):
-                for basis in range(m):
-                    assert codec.encode(bit, basis, 0, c).index == table[bit, basis]
+    c = codec.Constellation(m=m, energy=1.0, phase_offset=offset)
+    table = oracle.pair_index_table(c)
+    npt.assert_array_equal(codec._pair_index_table(c), table)
+    for bit in (0, 1):
+        for basis in range(m):
+            assert codec.encode(bit, basis, 0, c).index == table[bit, basis]
+    if m == 1:
+        return  # no keystream bit selects a basis
+    # the replay's sent indices come from the unit rows, not from stepping the seed
+    poly = (1 << degree) | (taps % (1 << (degree - 1))) << 1 | 1
+    seed = 1 + seed % ((1 << degree) - 1)
+    r = np.random.default_rng(data_seed).integers(0, 2, n, dtype=np.uint8)
+    units = codec.unit_keystreams(poly, n, c.bits_per_symbol)
+    ks = codec.Keystream(poly, seed, c.bits_per_symbol)
+    npt.assert_array_equal(codec._pair_index_table(c)[r, codec._seed_row(units, seed)],
+                           [s.index for s in codec.encode_sequence(r, ks, c)])
 
 
 # misalignments at the edge of the tie band, where a point and its antipode
@@ -265,7 +277,7 @@ def test_labels_read_data_xor_parity_and_every_pair_splits(m, offset, misalign, 
     sc = attacks.AttackScenario(n_symbols=2 * m, misalign=misalign + turn * math.pi / m)
     labels = attacks._measure_indices(np.arange(2 * m), c, sc, None, np.zeros(2 * m, np.uint8))
     npt.assert_array_equal(labels[:m] ^ labels[m:], 1)
-    p1 = attacks._index_label_prob(c, sc)
+    p1 = attacks._label_channel(c, sc)[:, 1]
     npt.assert_array_equal(p1[:m] + p1[m:], 1.0)
 
 

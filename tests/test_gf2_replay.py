@@ -115,7 +115,7 @@ def test_replay_counts_match_the_unpacked_scan(case):
     poly = codec.PRIMITIVE_POLYS[degree]
     c = codec.Constellation(m=m, energy=2.0)
     dsr = {"jitter": attacks.Dsr.jitter(0.3),
-           "binary": attacks.Dsr.binary(0.2)}.get(noise, attacks.Dsr.none())
+           "binary": attacks.Dsr.binary(0.2)}.get(noise, attacks.Dsr())
     scenario = attacks.AttackScenario.with_errors(
         n, errors, misalign=0.4 if noise == "misalign" else 0.0, dsr=dsr, otp_mode=otp)
     rng = np.random.default_rng(rng_seed)

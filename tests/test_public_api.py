@@ -1,13 +1,16 @@
-"""Every public name has a user besides its own tests.
+"""Public names, and the optional parameters of public functions, have users outside the tests.
 
 A name exported in ``yzero.__all__`` must be referred to, as an AST ``Name``
 or ``Attribute`` node, by package code outside ``__init__.py`` or by a demo.
 Imports, strings and docstrings do not count, so a routine that only tests
-call fails here; such code belongs in ``tests/`` as an oracle.
+call fails here; such code belongs in ``tests/`` as an oracle.  Likewise a
+defaulted parameter of a public function must be passed, by keyword or by
+position, by some call in that code: a knob only tests turn is removed.
 """
 
 import ast
 import glob
+import inspect
 import os
 
 import yzero
@@ -16,14 +19,21 @@ SRC = os.path.dirname(os.path.abspath(yzero.__file__))
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
 
 
-def referenced_names() -> "set[str]":
+def user_trees() -> "list[ast.AST]":
+    """Parsed package modules (``__init__.py`` aside) and demos."""
     paths = [p for p in glob.glob(os.path.join(SRC, "*.py"))
              if os.path.basename(p) != "__init__.py"]
     paths += glob.glob(os.path.join(DEMOS, "*.py"))
-    names = set()
+    trees = []
     for path in paths:
         with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
+            trees.append(ast.parse(fh.read(), filename=path))
+    return trees
+
+
+def referenced_names() -> "set[str]":
+    names = set()
+    for tree in user_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -32,7 +42,42 @@ def referenced_names() -> "set[str]":
     return names
 
 
+def calls_by_name() -> "dict[str, list[ast.Call]]":
+    """Every call in the user code, keyed by the called name or attribute."""
+    calls: "dict[str, list[ast.Call]]" = {}
+    for tree in user_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call: ast.Call, param: inspect.Parameter, position: int) -> bool:
+    """Whether the call supplies the parameter by keyword, by position or by unpacking."""
+    if any(kw.arg in (param.name, None) for kw in call.keywords):
+        return True
+    if param.kind not in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD):
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
 def test_every_public_name_is_used_outside_the_tests():
     assert glob.glob(os.path.join(DEMOS, "*.py")), f"no demos found under {DEMOS}"
     unused = sorted(set(yzero.__all__) - referenced_names())
     assert unused == []
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    calls = calls_by_name()
+    unpassed = []
+    for name in yzero.__all__:
+        fn = getattr(yzero, name)
+        if not inspect.isfunction(fn):
+            continue
+        for position, param in enumerate(inspect.signature(fn).parameters.values()):
+            if param.default is not param.empty and not any(
+                    passes(call, param, position) for call in calls.get(name, [])):
+                unpassed.append(f"{name}({param.name}=)")
+    assert unpassed == []

@@ -6,7 +6,7 @@ import json
 import pytest
 
 import detection_oracles as oracles
-from yzero import cli, codec, detection
+from yzero import cli, codec
 
 ONE_PAIR_ENERGIES = [0.0, 1e-16, 1e-12, 1e-8, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 4.0,
                      6.0, 8.0, 10.0, 12.0]
@@ -51,13 +51,6 @@ def test_one_pair_bounds_are_within_4e_15_of_the_closed_form(tmp_path, capsys, o
         assert abs(float(r["p_error"]) - oracles.pure_pair_error(a0, a1)) <= 4e-15
         checked += 1
     assert checked == 2 * len(ONE_PAIR_ENERGIES)
-    # the bit bound under unequal priors, which the command leaves at 1/2
-    for s in ONE_PAIR_ENERGIES:
-        c = codec.Constellation(m=1, energy=s, phase_offset=offset)
-        a0, a1 = c.amplitudes()
-        for p0 in (0.05, 0.3, 0.7, 0.95):
-            want = oracles.pure_pair_error(a0, a1, p0=p0)
-            assert abs(detection.bit_bound(c, p0=p0).p_error - want) <= 4e-15
     capsys.readouterr()
 
 

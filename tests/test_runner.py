@@ -149,12 +149,24 @@ def test_unknown_section_rejected(tmp_path):
     assert "[laser]" in str(err.value)
 
 
-def test_bad_m_reports_the_offending_line(tmp_path):
-    text = ATTACK_CFG.replace("m = 4", "m = 12")
+BAD_VALUES = [
+    ("m", "attack", "m = 4", "m = 12", 2, "powers of two"),
+    ("energy", "attack", "energy = 2.0", "energy = -2.0", 3, "nonnegative"),
+    ("energy_grid", "bounds", "energy_grid = 1.0, 4.0", "energy_grid = 1.0, -4.0", 3,
+     "nonnegative"),
+    ("threads", "bounds", "master_seed = 11", "master_seed = 11\nthreads = 0", 11, "positive"),
+    ("master_seed", "bounds", "master_seed = 11", "master_seed = -1", 10, "nonnegative"),
+]
+
+
+@pytest.mark.parametrize("key, family, old, new, line, text", BAD_VALUES,
+                         ids=[case[0] for case in BAD_VALUES])
+def test_bad_value_reports_the_offending_line(tmp_path, key, family, old, new, line, text):
+    base = ATTACK_CFG if family == "attack" else BOUNDS_CFG
     with pytest.raises(ConfigError) as err:
-        load_config(write_cfg(tmp_path, text), "attack")
-    assert ":2:" in str(err.value)
-    assert "powers of two" in str(err.value)
+        load_config(write_cfg(tmp_path, base.replace(old, new)), family)
+    assert f"cfg.ini:{line}: " in str(err.value)
+    assert text in str(err.value)
 
 
 def test_grid_and_scalar_are_mutually_exclusive(tmp_path):
@@ -191,10 +203,11 @@ def test_more_rejections(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, BOUNDS_CFG.replace("prefix = demo",
                                                            "prefix = de mo")), "bounds")
-    with pytest.raises(ConfigError):
-        load_config(write_cfg(tmp_path, BOUNDS_CFG), "bounds", threads=0)
-    with pytest.raises(ConfigError):
-        load_config(write_cfg(tmp_path, BOUNDS_CFG), "bounds", master_seed=-1)
+    # a command-line value names no line of the file, even where the file sets the key
+    for override in ({"threads": 0}, {"master_seed": -1}):
+        with pytest.raises(ConfigError) as err:
+            load_config(write_cfg(tmp_path, BOUNDS_CFG), "bounds", **override)
+        assert str(err.value).startswith(str(tmp_path / "cfg.ini") + ": ")
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, BOUNDS_CFG), "spectra")
     with pytest.raises(ConfigError):
@@ -383,12 +396,13 @@ def test_manifest_records_the_run(tmp_path):
     cfg = load_config(write_cfg(tmp_path, ATTACK_CFG), "attack", out_dir=str(tmp_path))
     runner.run_attack(cfg)
     manifest = json.loads(read_file(tmp_path, "run_manifest.json"))
+    assert set(manifest) == {"tool", "family", "master_seed", "threads", "config", "outputs",
+                             "created_utc", "versions", "modeling", "tolerances"}
     assert manifest["tool"] == "yzero"
     assert manifest["family"] == "attack"
     assert manifest["master_seed"] == 7
     assert manifest["config"]["sha256"] == cfg.config_sha256
     assert "run_attack.json" in manifest["outputs"]
-    assert "created_utc" in manifest
     assert manifest["modeling"]["entropy_hypothesis_space"].startswith("all 2^K")
     assert "coin flip" in manifest["modeling"]["label_axis_pair"]
     assert manifest["tolerances"] == {"mode_drop_bound": 2.0**-53}
