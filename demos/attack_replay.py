@@ -7,8 +7,8 @@ leaves the true candidate within one bit of the transmitted sequence.
 
 import numpy as np
 
-from yzero import (AttackScenario, Constellation, Keystream, PRIMITIVE_POLYS,
-                   brute_force_candidates, encode_sequence, measure_labels)
+from yzero import (AttackScenario, Constellation, PRIMITIVE_POLYS, brute_force_candidates,
+                   encode_sequence, measure_labels)
 
 
 def top_rows(rec, k: int) -> "list[tuple[int, float]]":
@@ -23,8 +23,7 @@ def main() -> None:
     n = 64
     rng = np.random.default_rng(5)
     data = rng.integers(0, 2, n, dtype=np.uint8)
-    ks = Keystream(poly, true_seed, c.bits_per_symbol)
-    symbols = encode_sequence(data, ks, c)
+    symbols = encode_sequence(data, poly, true_seed, c)
 
     print(f"key space 2^12 - 1 = 4095 seeds, record length N = {n}\n")
 

@@ -8,30 +8,36 @@ label = data XOR basis-parity explicitly.
 
 import numpy as np
 
-from yzero import Constellation, Keystream, encode_sequence, keystream_next
+from yzero import Constellation, encode_sequence
+
+POLY = 0x11D
+SEED = 0xB5
 
 
 def main() -> None:
     c = Constellation(m=8, energy=4.0)
-    ks = Keystream(0x11D, 0xB5, c.bits_per_symbol)
+    degree = POLY.bit_length() - 1
     print(f"constellation: 2M = {c.n_states} phases, energy S = {c.energy}")
-    print(f"keystream: degree {ks.degree}, taps 0x{ks.taps:X}, "
-          f"{ks.bits_per_symbol} bits per symbol\n")
+    print(f"keystream: degree {degree}, taps 0x{POLY & ((1 << degree) - 1):X}, "
+          f"{c.bits_per_basis} bits per symbol\n")
 
     rng = np.random.default_rng(2)
     bits = rng.integers(0, 2, 16, dtype=np.uint8)
-    preview = ks.copy()
-    records = encode_sequence(bits, ks, c)
+    indices = encode_sequence(bits, POLY, SEED, c)
+    # the sent index is the basis or its antipode basis + M
+    bases = indices % c.m
+    labels = c.label(indices)
 
     print(f"{'i':>3} {'bit':>4} {'basis':>6} {'parity':>7} {'index':>6} "
           f"{'phase/pi':>9} {'label':>6}")
-    for i, rec in enumerate(records):
-        phase = c.phase(rec.index) / np.pi
-        print(f"{i:>3} {rec.bit:>4} {rec.basis:>6} {rec.parity:>7} "
-              f"{rec.index:>6} {phase:>9.4f} {rec.label:>6}")
+    for i, (bit, basis, index, label) in enumerate(zip(bits, bases, indices, labels)):
+        phase = c.phase(int(index)) / np.pi
+        print(f"{i:>3} {bit:>4} {basis:>6} {basis & 1:>7} "
+              f"{index:>6} {phase:>9.4f} {label:>6}")
 
-    labels = np.array([rec.label for rec in records], dtype=np.uint8)
-    parities = np.array([keystream_next(preview)[1] for _ in records], dtype=np.uint8)
+    # all-zero data sends the parity stream itself as labels
+    parities = c.label(encode_sequence(np.zeros_like(bits), POLY, SEED, c))
+    assert np.array_equal(parities, bases & 1)
     assert np.array_equal(labels, bits ^ parities)
     print("\nlabel identity holds: recorded label == data XOR basis parity")
     print("a receiver holding the seed strips the parity and reads the data;")

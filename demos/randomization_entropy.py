@@ -9,9 +9,8 @@ data bit.
 
 import numpy as np
 
-from yzero import (AttackScenario, Constellation, Dsr, Keystream,
-                   PRIMITIVE_POLYS, brute_force_candidates,
-                   ciphertext_only_entropy, encode_sequence,
+from yzero import (AttackScenario, Constellation, Dsr, PRIMITIVE_POLYS,
+                   brute_force_candidates, ciphertext_only_entropy, encode_sequence,
                    known_plaintext_key_entropy, label_mutual_information,
                    measure_labels)
 
@@ -24,7 +23,7 @@ def replay_decay() -> None:
     n = 96
     rng = np.random.default_rng(21)
     data = rng.integers(0, 2, n, dtype=np.uint8)
-    symbols = encode_sequence(data, Keystream(POLY, TRUE_SEED, c.bits_per_symbol), c)
+    symbols = encode_sequence(data, POLY, TRUE_SEED, c)
     print("replay vs binary randomization (255 seeds, N = 96)")
     print(f"  {'flip p':>7} {'true-seed match':>16} {'rank':>5}")
     for f in (0.0, 0.1, 0.25, 0.5):

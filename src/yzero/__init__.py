@@ -28,13 +28,9 @@ from .attacks import (
 )
 from .codec import (
     Constellation,
-    Keystream,
     PRIMITIVE_POLYS,
-    SymbolRecord,
-    encode,
     encode_sequence,
     halfplane_label,
-    keystream_next,
 )
 from .detection import (
     BinaryBound,
@@ -57,14 +53,13 @@ from .scenario import ScenarioConfig, load_config
 
 __all__ = [
     "AttackRecord", "AttackScenario", "BinaryBound", "ConfigError", "Constellation",
-    "Dsr", "EntropyReport", "ExponentFit", "KeygenPoint", "Keystream", "MaryBound",
+    "Dsr", "EntropyReport", "ExponentFit", "KeygenPoint", "MaryBound",
     "PRIMITIVE_POLYS", "RegimeCapError", "ScenarioConfig",
-    "SymbolRecord", "antipodal_homodyne_error", "binary_entropy", "bit_bound",
-    "brute_force_candidates", "ciphertext_only_entropy", "encode",
-    "encode_sequence", "exponent_fit", "halfplane_label", "helstrom_pure",
+    "antipodal_homodyne_error", "binary_entropy", "bit_bound",
+    "brute_force_candidates", "ciphertext_only_entropy", "encode_sequence",
+    "exponent_fit", "halfplane_label", "helstrom_pure",
     "heterodyne_index_transition", "heterodyne_sample", "keygen_advantage",
-    "keystream_next", "known_plaintext_key_entropy",
-    "label_mutual_information", "load_config", "measure_labels",
-    "nearest_phase_index", "otp_stage_attack", "phase_density",
+    "known_plaintext_key_entropy", "label_mutual_information", "load_config",
+    "measure_labels", "nearest_phase_index", "otp_stage_attack", "phase_density",
     "srm_mary_error", "truncation_dim", "updown_bound",
 ]

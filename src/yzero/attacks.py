@@ -30,7 +30,7 @@ import numpy as np
 
 from .codec import (
     Constellation,
-    SymbolRecord,
+    _check_seed,
     _pair_index_table,
     _seed_row,
     gf2_span,
@@ -91,15 +91,13 @@ class AttackScenario:
     error_seq marks positions where the eavesdropper's label record is
     flipped after measurement (recording errors); misalign rotates her
     phase reference relative to the sender's; dsr is the sender's deliberate
-    randomization; otp_mode marks the two-stage construction in which the
-    cipher transports a one-time pad rather than the message itself.
+    randomization.
     """
 
     n_symbols: int
     error_seq: "np.ndarray | None" = None
     misalign: float = 0.0
     dsr: Dsr = Dsr()
-    otp_mode: bool = False
 
     def __post_init__(self) -> None:
         if self.n_symbols < 1:
@@ -121,8 +119,13 @@ class AttackScenario:
 
     @classmethod
     def with_errors(cls, n_symbols: int, positions: "list[int]", **kw) -> "AttackScenario":
+        """A scenario with recording errors at the given distinct positions in [0, n_symbols)."""
         e = np.zeros(n_symbols, dtype=np.uint8)
         for p in positions:
+            if not 0 <= p < n_symbols:
+                raise ValueError(f"error position {p} outside [0, {n_symbols})")
+            if e[p]:
+                raise ValueError("error positions must be distinct")
             e[p] = 1
         return cls(n_symbols=n_symbols, error_seq=e, **kw)
 
@@ -314,20 +317,17 @@ def _heterodyne_indices(indices: np.ndarray, c: Constellation, scenario: AttackS
     return nearest_phase_index(z, c, decision_offset=scenario.misalign)
 
 
-def measure_labels(symbols: "list[SymbolRecord] | np.ndarray", c: Constellation,
-                   scenario: AttackScenario,
+def measure_labels(indices: np.ndarray, c: Constellation, scenario: AttackScenario,
                    rng: "np.random.Generator | None" = None) -> np.ndarray:
-    """Half-plane labels an eavesdropper records for a transmitted sequence.
+    """Half-plane labels an eavesdropper records for a sequence of sent state indices.
 
-    Accepts encoded SymbolRecords or a raw array of state indices.  The rng
-    is only consulted when the scenario contains a stochastic element.
+    The rng is only consulted when the scenario contains a stochastic element.
     """
-    if isinstance(symbols, np.ndarray):
-        indices = symbols
-    else:
-        indices = np.array([s.index for s in symbols], dtype=int)
+    indices = np.asarray(indices)
     if indices.ndim != 1 or indices.size != scenario.n_symbols:
         raise ValueError("symbol count does not match the scenario")
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise ValueError("state indices must be integers")
     if np.any(indices < 0) or np.any(indices >= c.n_states):
         raise ValueError("state index out of range")
     return _measure_indices(indices, c, scenario, rng, scenario.error_vector())
@@ -414,9 +414,8 @@ def brute_force_candidates(measured: np.ndarray, c: Constellation, poly: int,
     r_true = np.asarray(r_true, dtype=np.uint8)
     if r_true.shape != measured.shape:
         raise ValueError("label record and reference sequence differ in length")
-    if not 0 < true_seed < (1 << key_bits):
-        raise ValueError("true_seed must be a nonzero register value")
-    rec = _seed_scan(measured, measured, r_true, unit_keystreams(poly, n, c.bits_per_symbol),
+    _check_seed(key_bits, true_seed)
+    rec = _seed_scan(measured, measured, r_true, unit_keystreams(poly, n, c.bits_per_basis),
                      true_seed)
     # a candidate with match fraction 1 is the transmitted sequence itself
     rec.notes["data_space_log2"] = float(n)
@@ -434,17 +433,16 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
     record the true seed reproduces X exactly, bit for bit.
     """
     _require_plain_pairing(c)
-    if not scenario.otp_mode:
-        raise ValueError("scenario must set otp_mode for the two-stage replay")
     key_bits = poly.bit_length() - 1
     x_bits = np.asarray(x_bits, dtype=np.uint8)
     n = x_bits.size
     _check_attack_caps(key_bits, n)
+    _check_seed(key_bits, true_seed)
     if scenario.n_symbols != n:
         raise ValueError("scenario length does not match the plaintext")
     pad = rng.integers(0, 2, n, dtype=np.uint8)
     cipher = x_bits ^ pad
-    units = unit_keystreams(poly, n, c.bits_per_symbol)
+    units = unit_keystreams(poly, n, c.bits_per_basis)
     basis_true = _seed_row(units, true_seed)
     labels = _measure_indices(_pair_index_table(c)[pad, basis_true], c, scenario, rng,
                               scenario.error_vector())
@@ -620,7 +618,7 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
     idx_table = _pair_index_table(c)
-    units = unit_keystreams(poly, n, c.bits_per_symbol)
+    units = unit_keystreams(poly, n, c.bits_per_basis)
     chars = _seed_characters(units, c.m)
     per_table = [_symbol_terms(tab, weight) for tab in tables]
     terms = np.stack([t for table_terms, _ in per_table for t in table_terms])
@@ -753,9 +751,8 @@ def label_mutual_information(c: Constellation, poly: int, true_seed: int,
     _check_attack_caps(key_bits, n)
     if trials < 2:
         raise ValueError("need at least two trials")
-    if not 0 < true_seed < (1 << key_bits):
-        raise ValueError("true_seed must be a nonzero register value")
-    basis = _seed_row(unit_keystreams(poly, n, c.bits_per_symbol), true_seed)
+    _check_seed(key_bits, true_seed)
+    basis = _seed_row(unit_keystreams(poly, n, c.bits_per_basis), true_seed)
     data = rng.integers(0, 2, (trials, n), dtype=np.uint8)
     labels = _measure_indices(_pair_index_table(c)[data, basis], c, scenario, rng,
                               scenario.error_vector())

@@ -2,14 +2,14 @@
 
 A constellation of 2M phases on a circle carries one data bit per symbol.
 A short linear-feedback shift register expands a seed into a keystream;
-each symbol consumes ceil(log2 M) bits to pick a basis (an antipodal phase
-pair) and, optionally, one further bit that scrambles which pair member
-carries which data bit.  The transmitted index is the pair member whose
-half-plane label equals data_bit XOR (basis & 1).  On the constellation's
-own axis index i sits at phase pi i / M above it, so its label is i < M:
-the rule is exact in the index and no float phase enters it, whatever the
-global rotation.  The keystream chunks are GF(2)-linear in the register,
-so a seed's chunk row is the XOR of the unit-seed rows at its set bits.
+each symbol consumes log2 M bits to pick a basis (an antipodal phase
+pair).  The transmitted index is the pair member whose half-plane label
+equals data_bit XOR (basis & 1).  On the constellation's own axis index i
+sits at phase pi i / M above it, so its label is i < M: the rule is exact
+in the index and no float phase enters it, whatever the global rotation.
+The keystream chunks are GF(2)-linear in the register, so a seed's chunk
+row is the XOR of the unit-seed rows at its set bits; ``encode_sequence``
+and every analysis take the sent indices from those rows.
 """
 
 from __future__ import annotations
@@ -74,7 +74,9 @@ class Constellation:
     energy: mean photon number of every state.
     phase_offset: global rotation, also the half-plane labeling axis.
     osk: when True, one extra keystream bit per symbol re-scrambles the
-         bit-to-member assignment within the chosen pair.
+         bit-to-member assignment within the chosen pair, so each data bit
+         lands on both members.  Only the detection bounds model it; the
+         encoder and the label-record analyses take the fixed pairing.
     """
 
     m: int
@@ -97,10 +99,6 @@ class Constellation:
     @property
     def bits_per_basis(self) -> int:
         return self.m.bit_length() - 1
-
-    @property
-    def bits_per_symbol(self) -> int:
-        return self.bits_per_basis + (1 if self.osk else 0)
 
     def phase(self, index: int) -> float:
         if not 0 <= index < self.n_states:
@@ -127,140 +125,78 @@ class Constellation:
         return int(up) if up.ndim == 0 else up.astype(np.uint8)
 
 
-@dataclass(frozen=True)
-class SymbolRecord:
-    """One encoded symbol: keystream draw, data bit, and the resulting state index."""
-
-    index: int
-    basis: int
-    bit: int
-    parity: int
-    osk_flip: int
-    label: int
-
-
-class Keystream:
-    """Fibonacci linear-feedback shift register consumed in per-symbol chunks.
-
-    The register holds ``degree`` bits; each step outputs the low bit and
-    shifts in the parity of the tapped bits.  A symbol consumes
-    ``bits_per_symbol`` successive output bits, assembled most significant
-    first; with ``osk`` set the trailing bit of each chunk is split off as
-    the scrambling bit.
-    """
-
-    def __init__(self, poly: int, register: int, bits_per_symbol: int,
-                 osk: bool = False) -> None:
-        degree = poly.bit_length() - 1
-        if degree < 2:
-            raise ValueError("polynomial degree must be at least 2")
-        if poly & 1 == 0:
-            raise ValueError("polynomial must have a constant term")
-        if not 0 < register < (1 << degree):
-            raise ValueError("register must be a nonzero value below 2^degree")
-        if bits_per_symbol - (1 if osk else 0) < 1:
-            raise ValueError("bits_per_symbol too small for the requested mode")
-        self.poly = poly
-        self.register = register
-        self.bits_per_symbol = bits_per_symbol
-        self.osk = osk
-        self._degree = degree
-        self._taps = poly & ((1 << degree) - 1)
-
-    @property
-    def degree(self) -> int:
-        return self._degree
-
-    @property
-    def taps(self) -> int:
-        return self._taps
-
-    def copy(self) -> "Keystream":
-        return Keystream(self.poly, self.register, self.bits_per_symbol, self.osk)
-
-    def step(self) -> int:
-        """Advance one clock; return the output bit."""
-        out = self.register & 1
-        fb = bin(self.register & self._taps).count("1") & 1
-        self.register = (self.register >> 1) | (fb << (self._degree - 1))
-        return out
-
-
-def keystream_next(ks: Keystream) -> "tuple[int, int, int]":
-    """Consume one symbol's worth of bits; return (basis, basis_parity, scramble_bit).
-
-    The chunk is read most significant bit first.  On a scrambling keystream
-    the trailing bit of the chunk is returned separately as the scramble
-    bit; otherwise the scramble bit is 0.
-    """
-    nb = ks.bits_per_symbol - (1 if ks.osk else 0)
-    k = 0
-    for _ in range(nb):
-        k = (k << 1) | ks.step()
-    s = ks.step() if ks.osk else 0
-    return k, k & 1, s
-
-
-def _pair_member(c: Constellation, basis: "int | np.ndarray", want: "int | np.ndarray"):
-    """The member of pair {basis, basis + M}, basis < M, whose half-plane label equals want."""
-    return np.where(want == 1, basis, basis + c.m)
+def _check_seed(key_bits: int, seed: int) -> None:
+    if not 0 < seed < (1 << key_bits):
+        raise ValueError("seed must be a nonzero register value below 2^degree")
 
 
 def _pair_index_table(c: Constellation) -> np.ndarray:
-    """idx[bit, basis] = the index encode picks for that bit and basis, no scramble."""
-    basis = np.arange(c.m)
-    return _pair_member(c, basis, np.arange(2)[:, None] ^ (basis & 1))
+    """idx[bit, basis]: the member of pair {basis, basis + M} labeled bit XOR (basis & 1).
 
-
-def encode(bit: int, basis: int, scramble: int, c: Constellation) -> SymbolRecord:
-    """Map one data bit and one keystream draw to a constellation index.
-
-    The effective bit is bit XOR scramble; the transmitted index is the
-    member of pair {basis, basis + M} whose half-plane label equals
-    effective_bit XOR (basis & 1).
+    The member with label 1 is basis itself, the one with label 0 its
+    antipode basis + M.
     """
-    if bit not in (0, 1) or scramble not in (0, 1):
-        raise ValueError("bit and scramble must be 0 or 1")
-    if not 0 <= basis < c.m:
-        raise ValueError("basis out of range")
-    if scramble and not c.osk:
-        raise ValueError("scramble bit supplied to a non-scrambling constellation")
-    parity = basis & 1
-    want = (bit ^ scramble) ^ parity
-    return SymbolRecord(index=int(_pair_member(c, basis, want)), basis=basis, bit=bit,
-                        parity=parity, osk_flip=scramble, label=want)
+    basis = np.arange(c.m)
+    return basis + c.m * (1 - (np.arange(2)[:, None] ^ (basis & 1)))
 
 
-def encode_sequence(bits: "np.ndarray | list[int]", ks: Keystream, c: Constellation) -> "list[SymbolRecord]":
-    """Encode a bit sequence, consuming the keystream in order."""
-    if ks.bits_per_symbol != c.bits_per_symbol or ks.osk != c.osk:
-        raise ValueError("keystream chunking does not match the constellation")
-    out = []
-    for b in np.asarray(bits, dtype=np.uint8):
-        k, _, s = keystream_next(ks)
-        out.append(encode(int(b), k, s, c))
-    return out
+def unit_keystreams(poly: int, n_symbols: int, bits_per_basis: int) -> np.ndarray:
+    """Basis chunk rows of the unit seeds 2^0 .. 2^(degree-1).
 
-
-def unit_keystreams(poly: int, n_symbols: int, bits_per_symbol: int) -> np.ndarray:
-    """Basis chunk rows of the unit seeds 2^0 .. 2^(degree-1), no scrambling bit.
-
-    Row b is stepped by the scalar Keystream from register 2^b.  Every output
-    bit is linear over GF(2) in the register, so the chunks of any seed are
-    the XOR of the unit rows at its set bits.
+    One Fibonacci register is stepped whose cells hold seed-bit masks, cell
+    j starting at 2^j: each step outputs the low cell and shifts in the XOR
+    of the tapped cells.  Bit b of every output mask is then the output bit
+    of the register started at 2^b, and since every output bit is linear
+    over GF(2) in the register, the chunks of any seed are the XOR of the
+    unit rows at its set bits.  A symbol's chunk is its ``bits_per_basis``
+    successive output bits, read most significant first.
     """
     degree = poly.bit_length() - 1
-    basis = np.empty((degree, n_symbols), dtype=np.uint32)
-    for b in range(degree):
-        ks = Keystream(poly, 1 << b, bits_per_symbol)
-        for i in range(n_symbols):
-            basis[b, i] = keystream_next(ks)[0]
-    return basis
+    if degree < 2 or poly & 1 == 0:
+        raise ValueError("polynomial must have degree at least 2 and a constant term")
+    if bits_per_basis < 1:
+        raise ValueError("a symbol needs at least one basis bit (m >= 2)")
+    taps = [j for j in range(degree) if poly >> j & 1]
+    total = n_symbols * bits_per_basis
+    width = (degree + 7) // 8
+    masks = bytearray(total * width)
+    # a ring: at step t, cell j of the register sits at cells[(t + j) % degree]
+    cells = [1 << j for j in range(degree)]
+    for t in range(total):
+        low = t % degree
+        masks[t * width:(t + 1) * width] = cells[low].to_bytes(width, "little")
+        fb = 0
+        for j in taps:
+            fb ^= cells[(low + j) % degree]
+        cells[low] = fb
+    raw = np.frombuffer(masks, dtype=np.uint8).reshape(total, width)
+    bits = np.unpackbits(raw, axis=1, count=degree, bitorder="little").T
+    weights = np.uint32(1) << np.arange(bits_per_basis - 1, -1, -1, dtype=np.uint32)
+    return bits.reshape(degree, n_symbols, bits_per_basis) @ weights
+
+
+def encode_sequence(bits: "np.ndarray | list[int]", poly: int, seed: int,
+                    c: Constellation) -> np.ndarray:
+    """Transmitted constellation indices of a data bit sequence.
+
+    The register seeded with ``seed`` gives symbol i its basis, the i-th
+    keystream chunk; the sent index is the member of pair {basis, basis + M}
+    whose half-plane label is bit XOR (basis & 1).  There is no scrambling
+    bit: this is the fixed pairing every label-record analysis assumes.
+    """
+    _check_seed(poly.bit_length() - 1, seed)
+    if c.osk:
+        raise ValueError("the encoder carries no scrambling bit; use osk = False")
+    bits = np.asarray(bits)
+    if bits.ndim != 1 or np.any((bits != 0) & (bits != 1)):
+        raise ValueError("bits must be a sequence of 0s and 1s")
+    units = unit_keystreams(poly, bits.size, c.bits_per_basis)
+    return _pair_index_table(c)[bits.astype(np.uint8), _seed_row(units, seed)]
 
 
 def _seed_row(units: np.ndarray, seed: int) -> np.ndarray:
     """One seed's chunk row: the XOR of the unit rows at the seed's set bits."""
-    set_bits = ((seed >> np.arange(units.shape[0])) & 1).astype(bool)
+    set_bits = np.array([seed >> b & 1 for b in range(units.shape[0])], dtype=bool)
     return np.bitwise_xor.reduce(units[set_bits], axis=0)
 
 

@@ -31,7 +31,7 @@ from .attacks import (
     measure_labels,
     otp_stage_attack,
 )
-from .codec import Constellation, _pair_index_table, _seed_row, unit_keystreams
+from .codec import Constellation, encode_sequence
 from .detection import MODE_DROP_BOUND, bit_bound, exponent_fit, srm_mary_error, updown_bound
 from .scenario import ScenarioConfig
 
@@ -46,7 +46,7 @@ def validate_caps(cfg: ScenarioConfig) -> None:
 
 def _scenario_from_config(cfg: ScenarioConfig) -> AttackScenario:
     return AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions, misalign=cfg.misalign,
-                                      dsr=cfg.dsr, otp_mode=cfg.otp)
+                                      dsr=cfg.dsr)
 
 
 def _modeling_record(cfg: ScenarioConfig) -> "dict[str, object]":
@@ -245,9 +245,8 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
     scenario = _scenario_from_config(cfg)
     rng_data, rng_channel, rng_mi, rng_otp = _spawn_rngs(cfg.master_seed, 4)
     r_true = rng_data.integers(0, 2, cfg.n_symbols, dtype=np.uint8)
-    units = unit_keystreams(cfg.poly, cfg.n_symbols, c.bits_per_symbol)
-    sent = _pair_index_table(c)[r_true, _seed_row(units, cfg.seed_register)]
-    labels = measure_labels(sent, c, scenario, rng_channel)
+    labels = measure_labels(encode_sequence(r_true, cfg.poly, cfg.seed_register, c), c,
+                            scenario, rng_channel)
     rec = brute_force_candidates(labels, c, cfg.poly, r_true, cfg.seed_register)
     if cfg.mi_trials > 0:
         rec.mutual_info_estimate = label_mutual_information(

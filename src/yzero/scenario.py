@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .attacks import Dsr
+from .attacks import AttackScenario, Dsr
 from .codec import PRIMITIVE_POLYS
 from .errors import ConfigError
 
@@ -299,8 +299,9 @@ def _load_scenario(src: _Source, cp: configparser.ConfigParser,
             raise src.fail("trials must be positive", key="trials")
     if "mi_trials" in sec:
         cfg.mi_trials = _parse_int(src, "mi_trials", sec["mi_trials"])
-        if cfg.mi_trials < 0:
-            raise src.fail("mi_trials must be nonnegative", key="mi_trials")
+        # the plug-in estimator needs two trials; 0 skips it
+        if cfg.mi_trials < 0 or cfg.mi_trials == 1:
+            raise src.fail("mi_trials must be 0 or at least 2", key="mi_trials")
     if "mode" in sec:
         val = sec["mode"].strip().lower()
         if cfg.family == "keygen":
@@ -365,12 +366,10 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
         if cfg.m_grid[0] < 2:
             raise src.fail("label-record analyses need m >= 2: at m = 1 no keystream "
                            "bit selects a basis", key="m")
-        for p in cfg.error_positions:
-            if not 0 <= p < cfg.n_symbols:
-                raise src.fail(f"error position {p} outside [0, {cfg.n_symbols})",
-                               key="error_positions")
-        if len(set(cfg.error_positions)) != len(cfg.error_positions):
-            raise src.fail("error positions must be distinct", key="error_positions")
+        try:
+            AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions)
+        except ValueError as exc:
+            raise src.fail(str(exc), key="error_positions") from None
     elif cfg.family == "keygen":
         if len(cfg.s_grid) < 1:
             raise src.fail("keygen requires 's_grid' in [scenario]", section="scenario")

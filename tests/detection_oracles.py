@@ -26,6 +26,7 @@ import math
 import numpy as np
 from scipy import integrate, special
 
+import codec_oracles
 import fock_oracles
 from yzero import codec, detection
 
@@ -66,7 +67,7 @@ def _bit_weights(c: codec.Constellation, p0: float) -> np.ndarray:
     """p1 rho_1 - p0 rho_0 as weights on the states, from the encoder."""
     weights = np.zeros(c.n_states)
     for bit, sign, prior in ((1, 1.0, 1.0 - p0), (0, -1.0, p0)):
-        members = [codec.encode(bit, basis, s, c).index
+        members = [codec_oracles.encode(bit, basis, s, c).index
                    for basis in range(c.m) for s in ((0, 1) if c.osk else (0,))]
         for j in members:
             weights[j] += sign * prior / len(members)

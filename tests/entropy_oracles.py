@@ -15,8 +15,9 @@ form: the same trial loop, one product per key and table.
 ``label_mutual_information`` now runs as one batch, and
 ``plugin_mutual_information`` its per-position estimator.  ``keystream_table``
 builds the chunk rows of many seeds, scrambling bits included, from the
-scalar Keystream; ``pair_index_table`` picks pair members by the scalar
-half-plane rule on float phases, which holds at moderate rotations.
+scalar Keystream of ``codec_oracles``; ``pair_index_table`` picks pair
+members by the scalar half-plane rule on float phases, which holds at
+moderate rotations.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from yzero.attacks import (
     _require_plain_pairing,
     _up_fraction,
 )
-from yzero.codec import (TIE_EPS, Constellation, Keystream, _pair_index_table, gf2_span,
-                         keystream_next, unit_keystreams)
+from codec_oracles import Keystream, keystream_next
+from yzero.codec import TIE_EPS, Constellation, _pair_index_table, gf2_span, unit_keystreams
 from yzero.detection import heterodyne_index_transition, heterodyne_sample, nearest_phase_index
 
 
@@ -72,7 +73,7 @@ def gathered_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, 
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
     idx_table = _pair_index_table(c)
-    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_symbol))
+    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_basis))
     for _ in range(trials):
         true_seed = int(rng.integers(1, 1 << key_bits))
         r = rng.integers(0, 2, n, dtype=np.uint8)
@@ -219,7 +220,7 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
     weight = _entropy_error_weight(scenario)
     p1 = index_label_prob(c, scenario)
     idx_table = pair_index_table(c)
-    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_symbol))
+    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_basis))
     h_key_vals = np.empty(trials)
     surprisals = np.empty(trials)
     for t in range(trials):
@@ -271,7 +272,7 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
     if trials < 1:
         raise ValueError("trials must be positive")
     idx_table = pair_index_table(c)
-    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_symbol))
+    basis = gf2_span(unit_keystreams(poly, n, c.bits_per_basis))
     h_vals = np.empty(trials)
     if regime == "classical":
         weight = _entropy_error_weight(scenario)
@@ -332,7 +333,7 @@ def label_mutual_information_labels(c: Constellation, poly: int, true_seed: int,
                                     rng: np.random.Generator) -> "tuple[np.ndarray, np.ndarray]":
     """(data, labels) of the mutual-information trials, measured one trial at a time."""
     n = scenario.n_symbols
-    basis, _, _ = keystream_table(poly, n, c.bits_per_symbol,
+    basis, _, _ = keystream_table(poly, n, c.bits_per_basis,
                                   seeds=np.array([true_seed], dtype=np.uint32))
     idx_table = pair_index_table(c)
     labels = np.empty((trials, n), dtype=np.uint8)

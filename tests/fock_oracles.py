@@ -20,7 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from yzero.codec import Constellation, encode
+from codec_oracles import encode
+from yzero.codec import Constellation
 from yzero.detection import truncation_dim
 
 # Default bound on the Poisson tail mass dropped by truncation.

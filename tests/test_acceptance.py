@@ -14,6 +14,7 @@ import pytest
 
 import detection_oracles as oracles
 import fock_oracles
+from codec_oracles import parity_stream
 from yzero import attacks, cli, codec, detection, runner
 from yzero.scenario import load_config
 
@@ -22,11 +23,6 @@ def _report(cid: str, ok: bool, detail: str) -> str:
     line = f"[{cid}] {'PASS' if ok else 'FAIL'} {detail}"
     print(line, flush=True)
     return line
-
-
-def _parity_stream(poly: int, seed: int, bits_per_symbol: int, n: int) -> np.ndarray:
-    ks = codec.Keystream(poly, seed, bits_per_symbol)
-    return np.array([codec.keystream_next(ks)[1] for _ in range(n)], dtype=np.uint8)
 
 
 def test_c01_mixed_state_bound_matches_pure_closed_form():
@@ -160,8 +156,7 @@ def test_c07_noiseless_replay_guarantee():
     for _ in range(20):
         true_seed = int(rng.integers(1, 1 << 12))
         r = rng.integers(0, 2, n, dtype=np.uint8)
-        ks = codec.Keystream(poly, true_seed, c.bits_per_symbol)
-        idx = np.array([s.index for s in codec.encode_sequence(r, ks, c)])
+        idx = codec.encode_sequence(r, poly, true_seed, c)
         clean = attacks.measure_labels(idx, c, attacks.AttackScenario(n_symbols=n))
         rec = attacks.brute_force_candidates(clean, c, poly, r, true_seed)
         contained += int(rec.true_r_in_candidates
@@ -169,7 +164,7 @@ def test_c07_noiseless_replay_guarantee():
         pos = int(rng.integers(0, n))
         noisy = attacks.measure_labels(
             idx, c, attacks.AttackScenario.with_errors(n, [pos]))
-        candidate = noisy ^ _parity_stream(poly, true_seed, c.bits_per_symbol, n)
+        candidate = noisy ^ parity_stream(poly, true_seed, c.bits_per_basis, n)
         diff = np.nonzero(candidate != r)[0]
         displaced += int(diff.tolist() == [pos])
     elapsed = time.monotonic() - t0
@@ -207,10 +202,10 @@ def test_c09_pad_transport_identity():
     for _ in range(100):
         true_seed = int(rng.integers(1, 256))
         x = rng.integers(0, 2, n, dtype=np.uint8)
-        sc = attacks.AttackScenario(n_symbols=n, otp_mode=True)
+        sc = attacks.AttackScenario(n_symbols=n)
         rec = attacks.otp_stage_attack(x, c, poly, true_seed, sc, rng)
         cipher = np.array(rec.notes["ciphertext"], dtype=np.uint8)
-        ktilde = _parity_stream(poly, true_seed, c.bits_per_symbol, n)
+        ktilde = parity_stream(poly, true_seed, c.bits_per_basis, n)
         recovered = cipher ^ rec.measured_labels ^ ktilde
         good += int(np.array_equal(recovered, x)
                     and rec.notes["pad_identity_noiseless"] is True)

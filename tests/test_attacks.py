@@ -8,23 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from codec_oracles import parity_stream
 from yzero import attacks, codec, detection
 from yzero.errors import RegimeCapError
 
 
 POLY8 = 0x11D
 POLY4 = 0x13
-
-
-def encode_indices(r: np.ndarray, c: codec.Constellation, poly: int,
-                   seed: int) -> np.ndarray:
-    ks = codec.Keystream(poly, seed, c.bits_per_symbol)
-    return np.array([rec.index for rec in codec.encode_sequence(r, ks, c)], dtype=int)
-
-
-def parity_stream(poly: int, seed: int, bits_per_symbol: int, n: int) -> np.ndarray:
-    ks = codec.Keystream(poly, seed, bits_per_symbol)
-    return np.array([codec.keystream_next(ks)[1] for _ in range(n)], dtype=np.uint8)
 
 
 def gf2_rank(rows: "list[int]") -> int:
@@ -42,9 +32,9 @@ def gf2_rank(rows: "list[int]") -> int:
     return rank
 
 
-def parity_map_rank(poly: int, bits_per_symbol: int, n: int, key_bits: int) -> int:
+def parity_map_rank(poly: int, bits_per_basis: int, n: int, key_bits: int) -> int:
     """GF(2) rank of the linear map from seed bits to the parity stream."""
-    cols = [parity_stream(poly, 1 << b, bits_per_symbol, n) for b in range(key_bits)]
+    cols = [parity_stream(poly, 1 << b, bits_per_basis, n) for b in range(key_bits)]
     rows = []
     for i in range(n):
         rows.append(sum(int(cols[b][i]) << b for b in range(key_bits)))
@@ -89,11 +79,19 @@ def test_attack_scenario_validation():
     assert attacks.AttackScenario(n_symbols=3).error_vector().sum() == 0
 
 
+@pytest.mark.parametrize("positions, text", [([-1], "outside"), ([6], "outside"),
+                                             ([2, 2], "distinct")])
+def test_with_errors_rejects_positions_outside_or_repeated(positions, text):
+    # -1 would wrap to the last symbol and a repeat would merge into one error
+    with pytest.raises(ValueError, match=text):
+        attacks.AttackScenario.with_errors(6, positions)
+
+
 def test_measure_labels_noiseless_reads_data_xor_parity():
     c = codec.Constellation(m=4, energy=2.0)
     rng = np.random.default_rng(17)
     r = rng.integers(0, 2, 40, dtype=np.uint8)
-    idx = encode_indices(r, c, POLY8, 0x5A)
+    idx = codec.encode_sequence(r, POLY8, 0x5A, c)
     labels = attacks.measure_labels(idx, c, attacks.AttackScenario(n_symbols=40))
     npt.assert_array_equal(labels, r ^ parity_stream(POLY8, 0x5A, 2, 40))
 
@@ -101,7 +99,7 @@ def test_measure_labels_noiseless_reads_data_xor_parity():
 def test_measure_labels_recording_error_flips_one_position():
     c = codec.Constellation(m=4, energy=2.0)
     r = np.zeros(12, dtype=np.uint8)
-    idx = encode_indices(r, c, POLY8, 0x21)
+    idx = codec.encode_sequence(r, POLY8, 0x21, c)
     clean = attacks.measure_labels(idx, c, attacks.AttackScenario(n_symbols=12))
     noisy = attacks.measure_labels(
         idx, c, attacks.AttackScenario.with_errors(12, [5]))
@@ -144,6 +142,9 @@ def test_measure_labels_requires_rng_for_randomized_scenarios():
                                attacks.AttackScenario(n_symbols=4))
     with pytest.raises(ValueError):
         attacks.measure_labels(np.array([99]), c, attacks.AttackScenario(n_symbols=1))
+    # a float index would be truncated to a neighbouring state
+    with pytest.raises(ValueError, match="integers"):
+        attacks.measure_labels(np.array([1.5]), c, attacks.AttackScenario(n_symbols=1))
 
 
 def test_index_label_table_matches_monte_carlo():
@@ -219,7 +220,7 @@ def test_brute_force_agrees_with_scalar_enumeration():
     rng = np.random.default_rng(8)
     n, true_seed = 10, 9
     r = rng.integers(0, 2, n, dtype=np.uint8)
-    idx = encode_indices(r, c, POLY4, true_seed)
+    idx = codec.encode_sequence(r, POLY4, true_seed, c)
     measured = attacks.measure_labels(idx, c, attacks.AttackScenario(n_symbols=n))
     rec = attacks.brute_force_candidates(measured, c, POLY4, r, true_seed)
     fracs, cands = [], set()
@@ -241,7 +242,7 @@ def test_brute_force_noiseless_recovery_and_single_error():
     n = 48
     for true_seed in rng.integers(1, 256, size=5):
         r = rng.integers(0, 2, n, dtype=np.uint8)
-        idx = encode_indices(r, c, POLY8, int(true_seed))
+        idx = codec.encode_sequence(r, POLY8, int(true_seed), c)
         clean = attacks.measure_labels(idx, c, attacks.AttackScenario(n_symbols=n))
         rec = attacks.brute_force_candidates(clean, c, POLY8, r, int(true_seed))
         assert rec.per_seed_match_fraction[int(true_seed) - 1] == 1.0
@@ -261,7 +262,7 @@ def test_brute_force_binary_dsr_match_law():
     sc = attacks.AttackScenario(n_symbols=n, dsr=attacks.Dsr.binary(f))
     rng = np.random.default_rng(31)
     r = rng.integers(0, 2, n, dtype=np.uint8)
-    idx = encode_indices(r, c, POLY8, true_seed)
+    idx = codec.encode_sequence(r, POLY8, true_seed, c)
     d = int(np.sum(parity_stream(POLY8, true_seed, 2, n)
                    != parity_stream(POLY8, probe_seed, 2, n)))
     trials = 200
@@ -301,7 +302,7 @@ def test_otp_stage_noiseless_identity():
     rng = np.random.default_rng(42)
     n, true_seed = 32, 0x9D
     x = rng.integers(0, 2, n, dtype=np.uint8)
-    sc = attacks.AttackScenario(n_symbols=n, otp_mode=True)
+    sc = attacks.AttackScenario(n_symbols=n)
     rec = attacks.otp_stage_attack(x, c, POLY8, true_seed, sc, rng)
     assert rec.notes["pad_identity_noiseless"] is True
     assert rec.per_seed_match_fraction[true_seed - 1] == 1.0
@@ -309,12 +310,24 @@ def test_otp_stage_noiseless_identity():
     assert len(rec.notes["ciphertext"]) == n
 
 
-def test_otp_stage_requires_the_mode_flag():
+REPLAYS = {
+    "brute_force_candidates": lambda c, seed, sc, rng: attacks.brute_force_candidates(
+        np.zeros(8, dtype=np.uint8), c, POLY8, np.zeros(8, dtype=np.uint8), seed),
+    "otp_stage_attack": lambda c, seed, sc, rng: attacks.otp_stage_attack(
+        np.zeros(8, dtype=np.uint8), c, POLY8, seed, sc, rng),
+    "label_mutual_information": lambda c, seed, sc, rng: attacks.label_mutual_information(
+        c, POLY8, seed, sc, 10, rng),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1 << 8])
+@pytest.mark.parametrize("replay", sorted(REPLAYS))
+def test_replays_reject_seeds_outside_the_register(replay, seed):
+    # seed 0 once scored against seed 2^K - 1 in the pad stage; 2^K indexed past the end
     c = codec.Constellation(m=4, energy=2.0)
-    rng = np.random.default_rng(1)
-    with pytest.raises(ValueError):
-        attacks.otp_stage_attack(np.zeros(8, dtype=np.uint8), c, POLY8, 1,
-                                 attacks.AttackScenario(n_symbols=8), rng)
+    with pytest.raises(ValueError, match="nonzero register value"):
+        REPLAYS[replay](c, seed, attacks.AttackScenario(n_symbols=8),
+                        np.random.default_rng(1))
 
 
 def test_otp_stage_full_randomization_breaks_recovery():
@@ -322,8 +335,7 @@ def test_otp_stage_full_randomization_breaks_recovery():
     rng = np.random.default_rng(77)
     n = 64
     x = rng.integers(0, 2, n, dtype=np.uint8)
-    sc = attacks.AttackScenario(n_symbols=n, otp_mode=True,
-                                dsr=attacks.Dsr.binary(0.5))
+    sc = attacks.AttackScenario(n_symbols=n, dsr=attacks.Dsr.binary(0.5))
     rec = attacks.otp_stage_attack(x, c, POLY8, 0x9D, sc, rng)
     frac = rec.per_seed_match_fraction[0x9D - 1]
     assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / n)
@@ -452,7 +464,7 @@ def test_known_plaintext_residual_is_key_bits_minus_the_replay_rank(m, degree, n
     # map, 2^(K - rank) keys, where rank is the one the replay counts by
     c = codec.Constellation(m=m, energy=1.0)
     poly = codec.PRIMITIVE_POLYS[degree]
-    units = codec.unit_keystreams(poly, n, c.bits_per_symbol)
+    units = codec.unit_keystreams(poly, n, c.bits_per_basis)
     rank = attacks._gf2_rank(attacks._pack_words((units & 1).astype(np.uint8)))
     zeros = np.zeros(n, dtype=np.uint8)
     replay = attacks.brute_force_candidates(zeros, c, poly, zeros, 1)

@@ -1,11 +1,19 @@
-"""Keystream, constellation, and encoder checks."""
+"""Keystream, constellation, and encoder checks.
+
+The scalar register and per-symbol encoder in ``codec_oracles`` are checked
+against fixed reference values here, then serve as the oracle for the
+package's array encoder.
+"""
 
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import codec_oracles as scalar
 import entropy_oracles as oracle
 import fock_oracles
 from yzero import codec
@@ -24,14 +32,16 @@ def prime_factors(n: int) -> "set[int]":
 
 
 def test_degree4_reference_sequence():
-    ks = codec.Keystream(0x13, 0b0001, 1)
+    ks = scalar.Keystream(0x13, 0b0001, 1)
     bits = [ks.step() for _ in range(15)]
     assert bits == [1, 0, 0, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 1, 1]
     assert ks.register == 0b0001
+    # the unit row of seed 2^0 at one bit per symbol is the same output
+    assert codec.unit_keystreams(0x13, 15, 1)[0].tolist() == bits
 
 
 def test_degree4_visits_every_nonzero_state():
-    ks = codec.Keystream(0x13, 1, 1)
+    ks = scalar.Keystream(0x13, 1, 1)
     seen = set()
     for _ in range(15):
         seen.add(ks.register)
@@ -42,7 +52,7 @@ def test_degree4_visits_every_nonzero_state():
 @pytest.mark.parametrize("degree", sorted(d for d in codec.PRIMITIVE_POLYS if d <= 16))
 def test_registered_polynomials_have_full_period(degree):
     period = (1 << degree) - 1
-    ks = codec.Keystream(codec.PRIMITIVE_POLYS[degree], 1, 1)
+    ks = scalar.Keystream(codec.PRIMITIVE_POLYS[degree], 1, 1)
     # the order of the state map divides 2^d - 1; ruling out every maximal
     # proper divisor certifies the order is exactly 2^d - 1
     marks = {period // q for q in prime_factors(period)}
@@ -56,28 +66,32 @@ def test_registered_polynomials_have_full_period(degree):
 
 
 def test_keystream_properties_and_validation():
-    ks = codec.Keystream(0x11D, 0xA5, 3)
+    ks = scalar.Keystream(0x11D, 0xA5, 3)
     assert ks.degree == 8
     assert ks.taps == 0x1D
     with pytest.raises(ValueError):
-        codec.Keystream(0x11D, 0, 3)
+        scalar.Keystream(0x11D, 0, 3)
     with pytest.raises(ValueError):
-        codec.Keystream(0x11D, 0x100, 3)
+        scalar.Keystream(0x11D, 0x100, 3)
     with pytest.raises(ValueError):
-        codec.Keystream(0x10, 1, 1)  # constant term absent
+        scalar.Keystream(0x10, 1, 1)  # constant term absent
     with pytest.raises(ValueError):
-        codec.Keystream(0x3, 1, 1)  # degree below 2
+        scalar.Keystream(0x3, 1, 1)  # degree below 2
     with pytest.raises(ValueError):
-        codec.Keystream(0x11D, 1, 0)
+        scalar.Keystream(0x11D, 1, 0)
     with pytest.raises(ValueError):
-        codec.Keystream(0x11D, 1, 1, osk=True)  # no room for a scramble bit
+        scalar.Keystream(0x11D, 1, 1, osk=True)  # no room for a scramble bit
+    # the unit rows refuse the same polynomials and chunk widths
+    for poly, bits in ((0x10, 1), (0x3, 1), (0x11D, 0)):
+        with pytest.raises(ValueError):
+            codec.unit_keystreams(poly, 4, bits)
 
 
 def test_keystream_next_assembles_msb_first():
-    ks = codec.Keystream(0x11D, 0x5B, 3)
-    ref = codec.Keystream(0x11D, 0x5B, 3)
+    ks = scalar.Keystream(0x11D, 0x5B, 3)
+    ref = scalar.Keystream(0x11D, 0x5B, 3)
     for _ in range(40):
-        k, parity, scramble = codec.keystream_next(ks)
+        k, parity, scramble = scalar.keystream_next(ks)
         b = [ref.step() for _ in range(3)]
         assert k == (b[0] << 2) | (b[1] << 1) | b[2]
         assert parity == b[2]
@@ -85,10 +99,10 @@ def test_keystream_next_assembles_msb_first():
 
 
 def test_keystream_next_osk_splits_trailing_bit():
-    ks = codec.Keystream(0x11D, 0x5B, 3, osk=True)
-    ref = codec.Keystream(0x11D, 0x5B, 3)
+    ks = scalar.Keystream(0x11D, 0x5B, 3, osk=True)
+    ref = scalar.Keystream(0x11D, 0x5B, 3)
     for _ in range(40):
-        k, parity, scramble = codec.keystream_next(ks)
+        k, parity, scramble = scalar.keystream_next(ks)
         b = [ref.step() for _ in range(3)]
         assert k == (b[0] << 1) | b[1]
         assert parity == b[1]
@@ -96,7 +110,7 @@ def test_keystream_next_osk_splits_trailing_bit():
 
 
 def test_keystream_copy_steps_in_lockstep():
-    ks = codec.Keystream(0x1053, 0x321, 4, osk=True)
+    ks = scalar.Keystream(0x1053, 0x321, 4, osk=True)
     dup = ks.copy()
     assert dup.osk and dup.bits_per_symbol == 4
     for _ in range(30):
@@ -110,9 +124,9 @@ def test_keystream_table_matches_scalar_stepping():
         table, parity, scramble = oracle.keystream_table(
             0x11D, 12, 3, seeds=seeds, osk=osk)
         for row, seed in enumerate(seeds):
-            ks = codec.Keystream(0x11D, int(seed), 3, osk=osk)
+            ks = scalar.Keystream(0x11D, int(seed), 3, osk=osk)
             for t in range(12):
-                k, p, s = codec.keystream_next(ks)
+                k, p, s = scalar.keystream_next(ks)
                 assert table[row, t] == k
                 assert parity[row, t] == p
                 assert scramble[row, t] == s
@@ -172,25 +186,27 @@ def test_constellation_validation():
 
 def test_encode_exhaustive_truth_table():
     c = codec.Constellation(m=8, energy=2.0)
+    table = codec._pair_index_table(c)
     for basis in range(8):
         parity = basis & 1
         for bit in (0, 1):
-            rec = codec.encode(bit, basis, 0, c)
+            rec = scalar.encode(bit, basis, 0, c)
             assert rec.basis == basis and rec.bit == bit and rec.parity == parity
             assert rec.index in (basis, basis + 8)
+            assert table[bit, basis] == rec.index
             # transmitted half-plane label is the line bit: data XOR parity
             assert rec.label == bit ^ parity
             assert c.label(rec.index) == rec.label
 
 
 def test_encode_pair_member_selection():
-    c = codec.Constellation(m=8, energy=2.0)
+    table = codec._pair_index_table(codec.Constellation(m=8, energy=2.0))
     # even basis: bit 1 lands on the upper half-plane member
-    assert codec.encode(1, 2, 0, c).index == 2
-    assert codec.encode(0, 2, 0, c).index == 10
+    assert table[1, 2] == 2
+    assert table[0, 2] == 10
     # odd basis: the parity flip sends bit 1 to the lower member
-    assert codec.encode(1, 3, 0, c).index == 11
-    assert codec.encode(0, 3, 0, c).index == 3
+    assert table[1, 3] == 11
+    assert table[0, 3] == 3
 
 
 def test_encode_scramble_flip_matches_bit_flip():
@@ -198,65 +214,93 @@ def test_encode_scramble_flip_matches_bit_flip():
     plain = codec.Constellation(m=8, energy=2.0)
     for basis in range(8):
         for bit in (0, 1):
-            assert codec.encode(bit, basis, 1, c).index == \
-                codec.encode(bit ^ 1, basis, 0, plain).index
-            assert codec.encode(bit, basis, 0, c).index == \
-                codec.encode(bit, basis, 0, plain).index
+            assert scalar.encode(bit, basis, 1, c).index == \
+                scalar.encode(bit ^ 1, basis, 0, plain).index
+            assert scalar.encode(bit, basis, 0, c).index == \
+                scalar.encode(bit, basis, 0, plain).index
     with pytest.raises(ValueError):
-        codec.encode(0, 0, 1, plain)
+        scalar.encode(0, 0, 1, plain)
     with pytest.raises(ValueError):
-        codec.encode(0, 8, 0, c)
+        scalar.encode(0, 8, 0, c)
     with pytest.raises(ValueError):
-        codec.encode(2, 0, 0, c)
+        scalar.encode(2, 0, 0, c)
 
 
 def test_encode_sequence_line_bits_are_data_xor_parity():
     c = codec.Constellation(m=4, energy=1.0)
-    ks = codec.Keystream(0x11D, 0x3C, 2)
-    ref = ks.copy()
+    ref = scalar.Keystream(0x11D, 0x3C, 2)
     rng = np.random.default_rng(55)
     bits = rng.integers(0, 2, size=64, dtype=np.uint8)
-    records = codec.encode_sequence(bits, ks, c)
-    for rec, bit in zip(records, bits):
-        k, parity, _ = codec.keystream_next(ref)
-        assert rec.basis == k
-        assert c.label(rec.index) == bit ^ parity
+    indices = codec.encode_sequence(bits, 0x11D, 0x3C, c)
+    for index, bit in zip(indices, bits):
+        k, parity, _ = scalar.keystream_next(ref)
+        assert index % c.m == k
+        assert c.label(index) == bit ^ parity
 
 
 def test_encode_sequence_zero_data_reads_out_parity_stream():
     c = codec.Constellation(m=4, energy=1.0)
-    ks = codec.Keystream(0x11D, 0x3C, 2)
-    ref = ks.copy()
-    records = codec.encode_sequence(np.zeros(40, dtype=np.uint8), ks, c)
-    parities = []
-    for _ in range(40):
-        _, p, _ = codec.keystream_next(ref)
-        parities.append(p)
-    assert [c.label(r.index) for r in records] == parities
+    indices = codec.encode_sequence(np.zeros(40, dtype=np.uint8), 0x11D, 0x3C, c)
+    npt.assert_array_equal(c.label(indices), scalar.parity_stream(0x11D, 0x3C, 2, 40))
 
 
 def test_encode_sequence_width_and_flag_checks():
     c = codec.Constellation(m=4, energy=1.0)
-    with pytest.raises(ValueError):
-        codec.encode_sequence(np.zeros(4, dtype=np.uint8),
-                              codec.Keystream(0x11D, 1, 3), c)
-    with pytest.raises(ValueError):
-        codec.encode_sequence(np.zeros(4, dtype=np.uint8),
-                              codec.Keystream(0x11D, 1, 3, osk=True), c)
+    zeros = np.zeros(4, dtype=np.uint8)
+    assert codec.encode_sequence(zeros, 0x11D, 0xFF, c).shape == (4,)
+    for poly, seed in ((0x11D, 0), (0x11D, 0x100), (0x10, 1), (0x3, 1)):
+        with pytest.raises(ValueError):
+            codec.encode_sequence(zeros, poly, seed, c)
+    for bits in ([0, 2], [0, -1], [0.5], [[0, 1]]):
+        with pytest.raises(ValueError):
+            codec.encode_sequence(bits, 0x11D, 1, c)
+    # no basis bit at m = 1; no scrambling bit in the encoder
+    for bad in (codec.Constellation(m=1, energy=1.0),
+                codec.Constellation(m=4, energy=1.0, osk=True)):
+        with pytest.raises(ValueError):
+            codec.encode_sequence(zeros, 0x11D, 1, bad)
 
 
 def test_encode_sequence_osk_uses_scramble_bit():
+    # the oracle's scrambling encoder, the basis of bit_bound(osk) = 1/2
     c = codec.Constellation(m=4, energy=1.0, osk=True)
-    ks = codec.Keystream(0x11D, 0x3C, 3, osk=True)
+    ks = scalar.Keystream(0x11D, 0x3C, 3, osk=True)
     ref = ks.copy()
     bits = np.array([1, 0, 1, 1, 0, 0, 1, 0] * 5, dtype=np.uint8)
-    records = codec.encode_sequence(bits, ks, c)
+    records = scalar.encode_records(bits, ks, c)
     for rec, bit in zip(records, bits):
-        k, parity, s = codec.keystream_next(ref)
+        k, parity, s = scalar.keystream_next(ref)
         assert rec.basis == k
         assert rec.osk_flip == s
         assert c.label(rec.index) == (bit ^ s) ^ parity
         assert rec.label == (bit ^ s) ^ parity
+    with pytest.raises(ValueError):
+        scalar.encode_records(bits, scalar.Keystream(0x11D, 1, 3), c)
+
+
+@st.composite
+def encoder_cases(draw):
+    degree = draw(st.integers(2, 20))
+    poly = (1 << degree) | draw(st.integers(0, (1 << (degree - 1)) - 1)) << 1 | 1
+    bits_per_basis = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 64))
+    seed = draw(st.integers(1, (1 << degree) - 1))
+    data = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return poly, bits_per_basis, seed, np.array(data, dtype=np.uint8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(encoder_cases())
+def test_encode_sequence_and_unit_rows_match_the_scalar_oracle(case):
+    poly, bits_per_basis, seed, data = case
+    n = data.size
+    units = codec.unit_keystreams(poly, n, bits_per_basis)
+    want = scalar.unit_keystreams(poly, n, bits_per_basis)
+    assert units.dtype == want.dtype
+    npt.assert_array_equal(units, want)
+    c = codec.Constellation(m=1 << bits_per_basis, energy=1.0)
+    npt.assert_array_equal(codec.encode_sequence(data, poly, seed, c),
+                           scalar.scalar_indices(data, poly, seed, c))
 
 
 def test_bit_ensembles_osk_states_indistinguishable():

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+import codec_oracles
 import detection_oracles as oracles
 import fock_oracles
 from yzero import codec, detection
@@ -234,8 +235,8 @@ def test_updown_bound_matches_gram_and_fock_oracles(c):
 @settings(max_examples=40, deadline=None)
 @given(c=constellations(m=st.just(1), osk=st.just(False)))
 def test_single_pair_bounds_match_closed_form(c):
-    a0 = c.amplitudes()[codec.encode(0, 0, 0, c).index]
-    a1 = c.amplitudes()[codec.encode(1, 0, 0, c).index]
+    a0 = c.amplitudes()[codec_oracles.encode(0, 0, 0, c).index]
+    a1 = c.amplitudes()[codec_oracles.encode(1, 0, 0, c).index]
     want = oracles.pure_pair_error(a0, a1)
     assert abs(detection.bit_bound(c).p_error - want) < 1e-12
     assert abs(detection.updown_bound(c).p_error - want) < 1e-12

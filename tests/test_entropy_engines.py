@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import codec_oracles as scalar
 import entropy_oracles as oracle
 from yzero import attacks, codec, detection
 
@@ -216,7 +217,7 @@ def test_batched_label_measurement_matches_per_trial_loop(m, n, trials, kind, se
     poly, true_seed = codec.PRIMITIVE_POLYS[5], 0x13
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     data = rng_new.integers(0, 2, (trials, n), dtype=np.uint8)
-    basis = codec._seed_row(codec.unit_keystreams(poly, n, c.bits_per_symbol), true_seed)
+    basis = codec._seed_row(codec.unit_keystreams(poly, n, c.bits_per_basis), true_seed)
     labels = attacks._measure_indices(codec._pair_index_table(c)[data, basis], c, sc,
                                       rng_new, sc.error_vector())
     data_old, labels_old = oracle.label_mutual_information_labels(c, poly, true_seed, sc,
@@ -242,17 +243,16 @@ def test_pair_index_table_matches_encode(m, offset, degree, taps, seed, n, data_
     npt.assert_array_equal(codec._pair_index_table(c), table)
     for bit in (0, 1):
         for basis in range(m):
-            assert codec.encode(bit, basis, 0, c).index == table[bit, basis]
+            assert scalar.encode(bit, basis, 0, c).index == table[bit, basis]
     if m == 1:
         return  # no keystream bit selects a basis
-    # the replay's sent indices come from the unit rows, not from stepping the seed
+    # the sent indices come from the unit rows, not from stepping the seed,
+    # and no rotation reaches them
     poly = (1 << degree) | (taps % (1 << (degree - 1))) << 1 | 1
     seed = 1 + seed % ((1 << degree) - 1)
     r = np.random.default_rng(data_seed).integers(0, 2, n, dtype=np.uint8)
-    units = codec.unit_keystreams(poly, n, c.bits_per_symbol)
-    ks = codec.Keystream(poly, seed, c.bits_per_symbol)
-    npt.assert_array_equal(codec._pair_index_table(c)[r, codec._seed_row(units, seed)],
-                           [s.index for s in codec.encode_sequence(r, ks, c)])
+    npt.assert_array_equal(codec.encode_sequence(r, poly, seed, c),
+                           scalar.scalar_indices(r, poly, seed, c))
 
 
 # misalignments at the edge of the tie band, where a point and its antipode

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import codec_oracles as scalar
 import entropy_oracles as oracle
 from yzero import attacks, cli, codec, runner
 
@@ -51,15 +52,15 @@ def replay_record(degree: int, n: int, true_seed: int, noisy: bool, rng_seed: in
     else:
         scenario = attacks.AttackScenario(n_symbols=n)
     r = rng.integers(0, 2, n, dtype=np.uint8)
-    ks = codec.Keystream(poly, true_seed, c.bits_per_symbol)
-    labels = attacks.measure_labels(codec.encode_sequence(r, ks, c), c, scenario, rng)
+    labels = attacks.measure_labels(codec.encode_sequence(r, poly, true_seed, c), c,
+                                    scenario, rng)
     return attacks.brute_force_candidates(labels, c, poly, r, true_seed)
 
 
 def scalar_chunks(poly: int, seed: int, n: int, bits_per_symbol: int,
                   osk: bool) -> "list[tuple[int, int, int]]":
-    ks = codec.Keystream(poly, seed, bits_per_symbol, osk=osk)
-    return [codec.keystream_next(ks) for _ in range(n)]
+    ks = scalar.Keystream(poly, seed, bits_per_symbol, osk=osk)
+    return [scalar.keystream_next(ks) for _ in range(n)]
 
 
 @st.composite
@@ -117,18 +118,18 @@ def test_replay_counts_match_the_unpacked_scan(case):
     dsr = {"jitter": attacks.Dsr.jitter(0.3),
            "binary": attacks.Dsr.binary(0.2)}.get(noise, attacks.Dsr())
     scenario = attacks.AttackScenario.with_errors(
-        n, errors, misalign=0.4 if noise == "misalign" else 0.0, dsr=dsr, otp_mode=otp)
+        n, errors, misalign=0.4 if noise == "misalign" else 0.0, dsr=dsr)
     rng = np.random.default_rng(rng_seed)
     target = rng.integers(0, 2, n, dtype=np.uint8)
     if otp:
         rec = attacks.otp_stage_attack(target, c, poly, true_seed, scenario, rng)
         effective = np.array(rec.notes["ciphertext"], dtype=np.uint8) ^ rec.measured_labels
     else:
-        ks = codec.Keystream(poly, true_seed, c.bits_per_symbol)
-        labels = attacks.measure_labels(codec.encode_sequence(target, ks, c), c, scenario, rng)
+        labels = attacks.measure_labels(codec.encode_sequence(target, poly, true_seed, c), c,
+                                        scenario, rng)
         rec = attacks.brute_force_candidates(labels, c, poly, target, true_seed)
         effective = labels
-    _, parity, _ = oracle.keystream_table(poly, n, c.bits_per_symbol)
+    _, parity, _ = oracle.keystream_table(poly, n, c.bits_per_basis)
     frac, distinct = candidate_scan(effective, parity, target)
     npt.assert_array_equal(rec.per_seed_match_fraction, frac)
     npt.assert_array_equal(rec.seeds, np.arange(1, 1 << degree))

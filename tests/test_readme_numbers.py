@@ -2,12 +2,15 @@
 
 import csv
 import json
+import pathlib
+import re
 
 import pytest
 
 import detection_oracles as oracles
 from yzero import cli, codec
 
+README = pathlib.Path(__file__).parents[1] / "README.md"
 ONE_PAIR_ENERGIES = [0.0, 1e-16, 1e-12, 1e-8, 1e-4, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 4.0,
                      6.0, 8.0, 10.0, 12.0]
 
@@ -66,3 +69,15 @@ def test_label_axis_jump_in_the_data_entropy(tmp_path, capsys):
     assert h_data["sharp"] == 12.0
     assert round(h_data["jitter"], 2) == 26.99
     capsys.readouterr()
+
+
+def test_readme_python_blocks_run_in_order():
+    # the library tour is one script: each block may use names an earlier one set
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.S | re.M)
+    assert len(blocks) >= 3
+    namespace: dict = {}
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+    assert namespace["rec"].true_key_rank >= 1
+    assert namespace["rep"].h_key_given_obs == 8.0

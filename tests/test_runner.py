@@ -156,6 +156,8 @@ BAD_VALUES = [
      "nonnegative"),
     ("threads", "bounds", "master_seed = 11", "master_seed = 11\nthreads = 0", 11, "positive"),
     ("master_seed", "bounds", "master_seed = 11", "master_seed = -1", 10, "nonnegative"),
+    # one trial passed the loader and then crashed the estimator
+    ("mi_trials", "attack", "mi_trials = 400", "mi_trials = 1", 13, "0 or at least 2"),
 ]
 
 
