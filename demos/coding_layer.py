@@ -31,9 +31,9 @@ def main() -> None:
     print(f"{'i':>3} {'bit':>4} {'basis':>6} {'parity':>7} {'index':>6} "
           f"{'phase/pi':>9} {'label':>6}")
     for i, (bit, basis, index, label) in enumerate(zip(bits, bases, indices, labels)):
-        phase = c.phase(int(index)) / np.pi
+        # index i sits at phase pi i / M
         print(f"{i:>3} {bit:>4} {basis:>6} {basis & 1:>7} "
-              f"{index:>6} {phase:>9.4f} {label:>6}")
+              f"{index:>6} {index / c.m:>9.4f} {label:>6}")
 
     # all-zero data sends the parity stream itself as labels
     parities = c.label(encode_sequence(np.zeros_like(bits), POLY, SEED, c))

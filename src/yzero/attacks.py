@@ -30,6 +30,7 @@ import numpy as np
 
 from .codec import (
     Constellation,
+    _as_bits,
     _check_seed,
     _pair_index_table,
     _seed_row,
@@ -70,6 +71,8 @@ class Dsr:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "binary", "jitter"):
             raise ValueError("dsr kind must be 'none', 'binary' or 'jitter'")
+        if self.kind == "none" and self.param != 0.0:
+            raise ValueError("dsr 'none' takes no parameter")
         if self.kind == "binary" and not 0.0 <= self.param <= 1.0:
             raise ValueError("binary flip probability must lie in [0, 1]")
         if self.kind == "jitter" and not 0.0 <= self.param < math.pi:
@@ -105,11 +108,9 @@ class AttackScenario:
         if not math.isfinite(self.misalign):
             raise ValueError("misalign must be finite")
         if self.error_seq is not None:
-            e = np.asarray(self.error_seq, dtype=np.uint8)
-            if e.shape != (self.n_symbols,):
+            e = _as_bits(self.error_seq, "error_seq")
+            if e.size != self.n_symbols:
                 raise ValueError("error_seq must have one entry per symbol")
-            if np.any(e > 1):
-                raise ValueError("error_seq entries must be bits")
             object.__setattr__(self, "error_seq", e)
 
     def error_vector(self) -> np.ndarray:
@@ -246,9 +247,9 @@ def _up_fraction(rel_phase: float, w: float) -> float:
 def _label_up(c: Constellation, misalign: float, half_width: float = 0.0) -> np.ndarray:
     """P(label 1 | index) for all 2M indices on an axis turned by misalign, before flips.
 
-    Index i < M lies pi i / M - misalign above that axis whatever the
-    constellation's rotation, so its label (or, under phase jitter of
-    half-width w, its up-probability) is taken from that relative phase.
+    Index i < M lies pi i / M - misalign above that axis, so its label (or,
+    under phase jitter of half-width w, its up-probability) is taken from
+    that relative phase.
     Index i + M is index i turned by pi and takes 1 - p: each pair splits,
     and its two values sum to exactly 1.
     """
@@ -256,7 +257,7 @@ def _label_up(c: Constellation, misalign: float, half_width: float = 0.0) -> np.
     if half_width > 0.0:
         up = np.array([_up_fraction(float(r), half_width) for r in rel])
     else:
-        up = halfplane_label(rel, 0.0).astype(float)
+        up = halfplane_label(rel).astype(float)
     return np.concatenate([up, 1.0 - up])
 
 
@@ -297,10 +298,9 @@ def _measure_indices(indices: np.ndarray, c: Constellation, scenario: AttackScen
         raise ValueError("this scenario randomizes the signal; pass a Generator")
     idx = _flip_members(idx, c, scenario, rng)
     if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
-        # phases relative to Eve's axis, as _up_fraction takes them: the
-        # rotation cancels exactly.  A jittered phase lands in the open upper
-        # half-plane or not; the tie band is for unjittered points, and a
-        # window inside it would read 1 where the model gives 0.
+        # phases relative to Eve's axis, as _up_fraction takes them.  A jittered
+        # phase has no tie band: a window inside it would read 1 where the
+        # model gives 0.
         w = scenario.dsr.param
         rel = math.pi * idx / c.m - scenario.misalign + rng.uniform(-w, w, idx.shape)
         labels = (np.sin(rel) > 0.0).astype(np.uint8)
@@ -408,10 +408,10 @@ def brute_force_candidates(measured: np.ndarray, c: Constellation, poly: int,
     """
     _require_plain_pairing(c)
     key_bits = poly.bit_length() - 1
+    measured = _as_bits(measured, "measured labels")
+    r_true = _as_bits(r_true, "reference bits")
     n = measured.size
     _check_attack_caps(key_bits, n)
-    measured = np.asarray(measured, dtype=np.uint8)
-    r_true = np.asarray(r_true, dtype=np.uint8)
     if r_true.shape != measured.shape:
         raise ValueError("label record and reference sequence differ in length")
     _check_seed(key_bits, true_seed)
@@ -434,7 +434,7 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
     """
     _require_plain_pairing(c)
     key_bits = poly.bit_length() - 1
-    x_bits = np.asarray(x_bits, dtype=np.uint8)
+    x_bits = _as_bits(x_bits, "plaintext bits")
     n = x_bits.size
     _check_attack_caps(key_bits, n)
     _check_seed(key_bits, true_seed)
@@ -494,8 +494,11 @@ def _posterior_entropy_bits(log2_like: np.ndarray) -> float:
     return min(max(0.0, h), math.log2(log2_like.size))
 
 
-def _entropy_error_weight(scenario: AttackScenario) -> int:
+def _entropy_error_weight(scenario: AttackScenario, regime: str) -> int:
+    """Recording errors the ``regime`` engine marginalizes: at most one, none on index records."""
     w = int(scenario.error_vector().sum())
+    if regime == "quantum" and w:
+        raise ValueError("recording errors apply to label records, not index records")
     if w > 1:
         raise ValueError(
             "posterior marginalization supports at most one unknown-position "
@@ -503,15 +506,21 @@ def _entropy_error_weight(scenario: AttackScenario) -> int:
     return w
 
 
+def _check_record_dsr(dsr: Dsr, regime: str) -> None:
+    if regime == "quantum" and dsr.kind == "jitter":
+        raise ValueError("the quantum record model supports dsr 'none' or 'binary'")
+
+
 def _check_entropy_run(c: Constellation, poly: int, scenario: AttackScenario,
-                       trials: int) -> int:
-    """Checks shared by the entropy engines; returns the key width in bits."""
+                       trials: int, regime: str) -> "tuple[int, int]":
+    """Checks shared by the entropy engines; returns the key width and the error weight."""
     _require_plain_pairing(c)
     key_bits = poly.bit_length() - 1
     _check_entropy_caps(key_bits, scenario.n_symbols)
     if trials < 1:
         raise ValueError("trials must be positive")
-    return key_bits
+    _check_record_dsr(scenario.dsr, regime)
+    return key_bits, _entropy_error_weight(scenario, regime)
 
 
 def _walsh(n: int) -> np.ndarray:
@@ -654,9 +663,8 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
     declared recording error contributes its weight, not its position, to
     the posterior; weights above one are not supported.
     """
-    key_bits = _check_entropy_run(c, poly, scenario, trials)
+    key_bits, weight = _check_entropy_run(c, poly, scenario, trials, "classical")
     n = scenario.n_symbols
-    weight = _entropy_error_weight(scenario)
     chan = _label_channel(c, scenario)
     idx_table = _pair_index_table(c)
     # data unknown: each basis reads label 1 with the mean over its pair
@@ -702,16 +710,10 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
     """
     if regime not in ("classical", "quantum"):
         raise ValueError("regime must be 'classical' or 'quantum'")
-    key_bits = _check_entropy_run(c, poly, scenario, trials)
+    key_bits, weight = _check_entropy_run(c, poly, scenario, trials, regime)
     if regime == "classical":
-        weight = _entropy_error_weight(scenario)
         record, chan = _measure_indices, _label_channel(c, scenario)
     else:
-        if scenario.dsr.kind == "jitter":
-            raise ValueError("the quantum record model supports dsr 'none' or 'binary'")
-        if scenario.error_vector().any():
-            raise ValueError("recording errors apply to label records, not index records")
-        weight = 0
         f = scenario.dsr.param if scenario.dsr.kind == "binary" else 0.0
         trans = heterodyne_index_transition(c, decision_offset=scenario.misalign)
         # chan[index, decided]: the sent member, or its antipode after a flip

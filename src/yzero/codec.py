@@ -4,9 +4,9 @@ A constellation of 2M phases on a circle carries one data bit per symbol.
 A short linear-feedback shift register expands a seed into a keystream;
 each symbol consumes log2 M bits to pick a basis (an antipodal phase
 pair).  The transmitted index is the pair member whose half-plane label
-equals data_bit XOR (basis & 1).  On the constellation's own axis index i
-sits at phase pi i / M above it, so its label is i < M: the rule is exact
-in the index and no float phase enters it, whatever the global rotation.
+equals data_bit XOR (basis & 1).  Index i sits pi i / M above the
+sender's axis, on which labels are read, so its label is i < M: the rule
+is exact in the index and no float phase enters it.
 The keystream chunks are GF(2)-linear in the register, so a seed's chunk
 row is the XOR of the unit-seed rows at its set bits; ``encode_sequence``
 and every analysis take the sent indices from those rows.
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Half-plane tie band: |sin(phase - axis)| at or below this counts as lying
-# on the axis line, where the sign of cos decides.  Constellation points sit
+# Half-plane tie band: |sin(phase)| at or below this counts as lying on the
+# axis line, where the sign of cos decides.  Constellation points sit
 # at least sin(pi/M) from the axis, orders of magnitude above the band.
 TIE_EPS = 1e-12
 
@@ -50,8 +50,8 @@ PRIMITIVE_POLYS: "dict[int, int]" = {
 }
 
 
-def halfplane_label(phase: "float | np.ndarray", axis: float) -> "int | np.ndarray":
-    """1 if the phase lies in the open half-plane above the axis line, else 0.
+def halfplane_label(phase: "float | np.ndarray") -> "int | np.ndarray":
+    """1 if the phase, taken from the axis, lies in the open half-plane above it, else 0.
 
     Within TIE_EPS of the axis line the sign of cos decides: a phase on the
     axis itself maps to 1, its antipode to 0.  Two antipodal phases rounded
@@ -59,7 +59,7 @@ def halfplane_label(phase: "float | np.ndarray", axis: float) -> "int | np.ndarr
     a pair's labels come from one member, the other taking the complement.
     Elementwise over an array of phases (uint8 labels); an int for a scalar.
     """
-    d = np.asarray(phase, dtype=float) - axis
+    d = np.asarray(phase, dtype=float)
     s = np.sin(d)
     up = np.where(np.abs(s) > TIE_EPS, s > 0.0, np.cos(d) > 0.0)
     return int(up) if up.ndim == 0 else up.astype(np.uint8)
@@ -67,12 +67,11 @@ def halfplane_label(phase: "float | np.ndarray", axis: float) -> "int | np.ndarr
 
 @dataclass(frozen=True)
 class Constellation:
-    """2M coherent states equally spaced in phase on a circle of fixed energy.
+    """2M coherent states of one energy, state i at phase pi i / M from the label axis.
 
     m: number of antipodal basis pairs, a power of two so a whole number of
        keystream bits selects the basis.
     energy: mean photon number of every state.
-    phase_offset: global rotation, also the half-plane labeling axis.
     osk: when True, one extra keystream bit per symbol re-scrambles the
          bit-to-member assignment within the chosen pair, so each data bit
          lands on both members.  Only the detection bounds model it; the
@@ -81,7 +80,6 @@ class Constellation:
 
     m: int
     energy: float
-    phase_offset: float = 0.0
     osk: bool = False
 
     def __post_init__(self) -> None:
@@ -89,8 +87,6 @@ class Constellation:
             raise ValueError("m must be a positive power of two")
         if not math.isfinite(self.energy) or self.energy < 0:
             raise ValueError("energy must be finite and nonnegative")
-        if not math.isfinite(self.phase_offset):
-            raise ValueError("phase_offset must be finite")
 
     @property
     def n_states(self) -> int:
@@ -100,20 +96,13 @@ class Constellation:
     def bits_per_basis(self) -> int:
         return self.m.bit_length() - 1
 
-    def phase(self, index: int) -> float:
-        if not 0 <= index < self.n_states:
-            raise ValueError("index out of range")
-        return self.phase_offset + math.pi * index / self.m
-
-    def phases(self) -> np.ndarray:
-        return self.phase_offset + math.pi * np.arange(self.n_states) / self.m
-
     def amplitudes(self) -> np.ndarray:
         """All 2M amplitudes as a complex array."""
-        return math.sqrt(self.energy) * np.exp(1j * self.phases())
+        phases = math.pi * np.arange(self.n_states) / self.m
+        return math.sqrt(self.energy) * np.exp(1j * phases)
 
     def label(self, index: "int | np.ndarray") -> "int | np.ndarray":
-        """Half-plane label of constellation points, measured on the native axis.
+        """Half-plane label of constellation points.
 
         Index i lies pi i / M above the axis: points 1 .. M - 1 are above it,
         point 0 is on it and counts as up, its antipode M as down.
@@ -128,6 +117,14 @@ class Constellation:
 def _check_seed(key_bits: int, seed: int) -> None:
     if not 0 < seed < (1 << key_bits):
         raise ValueError("seed must be a nonzero register value below 2^degree")
+
+
+def _as_bits(bits: "np.ndarray | list[int]", name: str) -> np.ndarray:
+    """``bits`` as a uint8 array; raises unless it is a 1-D sequence of 0s and 1s."""
+    arr = np.asarray(bits)
+    if arr.ndim != 1 or np.any((arr != 0) & (arr != 1)):
+        raise ValueError(f"{name} must be a sequence of 0s and 1s")
+    return arr.astype(np.uint8)
 
 
 def _pair_index_table(c: Constellation) -> np.ndarray:
@@ -187,11 +184,9 @@ def encode_sequence(bits: "np.ndarray | list[int]", poly: int, seed: int,
     _check_seed(poly.bit_length() - 1, seed)
     if c.osk:
         raise ValueError("the encoder carries no scrambling bit; use osk = False")
-    bits = np.asarray(bits)
-    if bits.ndim != 1 or np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bits must be a sequence of 0s and 1s")
+    bits = _as_bits(bits, "bits")
     units = unit_keystreams(poly, bits.size, c.bits_per_basis)
-    return _pair_index_table(c)[bits.astype(np.uint8), _seed_row(units, seed)]
+    return _pair_index_table(c)[bits, _seed_row(units, seed)]
 
 
 def _seed_row(units: np.ndarray, seed: int) -> np.ndarray:

@@ -175,8 +175,7 @@ def _gram_spectrum(c: Constellation) -> np.ndarray:
 
     The Gram matrix <a_j|a_l> = exp(-S + S omega^(l-j)), omega = e^(i pi / M), is
     circulant, and its eigenvalues are the Poisson(S) photon distribution
-    aliased onto n = 2M bins: Lambda_k = n sum_j P[N = k + j n].  They are
-    nonnegative by construction, and the phase offset cancels.
+    aliased onto n = 2M bins: Lambda_k = n sum_j P[N = k + j n] >= 0.
     """
     n = c.n_states
     # Poisson mass tau left out of the window moves a binary p_error by at
@@ -318,10 +317,10 @@ def nearest_phase_index(z: "complex | np.ndarray", c: Constellation,
                         decision_offset: float = 0.0) -> "int | np.ndarray":
     """Index of the constellation phase nearest to the argument of z.
 
-    ``decision_offset`` rotates the receiver's reference grid relative to
-    the transmitter's, modeling a misaligned phase reference.
+    ``decision_offset`` rotates the receiver's grid against the sender's,
+    where index i sits at pi i / M, modeling a misaligned phase reference.
     """
-    rel = np.angle(np.asarray(z, dtype=np.complex128)) - c.phase_offset - decision_offset
+    rel = np.angle(np.asarray(z, dtype=np.complex128)) - decision_offset
     idx = np.round(rel / (math.pi / c.m)).astype(int) % c.n_states
     return idx if isinstance(z, np.ndarray) else int(idx)
 

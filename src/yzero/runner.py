@@ -44,9 +44,10 @@ def validate_caps(cfg: ScenarioConfig) -> None:
         _check_entropy_caps(cfg.key_bits, cfg.n_symbols)
 
 
-def _scenario_from_config(cfg: ScenarioConfig) -> AttackScenario:
-    return AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions, misalign=cfg.misalign,
-                                      dsr=cfg.dsr)
+def _record_model(cfg: ScenarioConfig) -> "tuple[Constellation, AttackScenario]":
+    return (Constellation(m=cfg.m_grid[0], energy=cfg.energy_grid[0]),
+            AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions,
+                                       misalign=cfg.misalign, dsr=cfg.dsr))
 
 
 def _modeling_record(cfg: ScenarioConfig) -> "dict[str, object]":
@@ -142,7 +143,7 @@ def run_bounds(cfg: ScenarioConfig) -> "list[str]":
 
     def compute(task):
         m, s, method = task
-        c = Constellation(m=m, energy=s, phase_offset=cfg.phase_offset, osk=cfg.osk)
+        c = Constellation(m=m, energy=s, osk=cfg.osk)
         if method == "bit":
             b = bit_bound(c)
             return [m, s, "helstrom_mixed_bit", b.p_error, b.dim_used, 0.0]
@@ -240,9 +241,7 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
     """One full replay: encode, eavesdrop, exhaust the seed space, report."""
     validate_caps(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    c = Constellation(m=cfg.m_grid[0], energy=cfg.energy_grid[0],
-                      phase_offset=cfg.phase_offset, osk=False)
-    scenario = _scenario_from_config(cfg)
+    c, scenario = _record_model(cfg)
     rng_data, rng_channel, rng_mi, rng_otp = _spawn_rngs(cfg.master_seed, 4)
     r_true = rng_data.integers(0, 2, cfg.n_symbols, dtype=np.uint8)
     labels = measure_labels(encode_sequence(r_true, cfg.poly, cfg.seed_register, c), c,
@@ -282,9 +281,7 @@ def run_entropy(cfg: ScenarioConfig) -> "list[str]":
     """Exact posterior-entropy accounting for the configured record model."""
     validate_caps(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    c = Constellation(m=cfg.m_grid[0], energy=cfg.energy_grid[0],
-                      phase_offset=cfg.phase_offset, osk=False)
-    scenario = _scenario_from_config(cfg)
+    c, scenario = _record_model(cfg)
     rng_co, rng_kp = _spawn_rngs(cfg.master_seed, 2)
     payload: dict = {
         "family": "entropy",

@@ -14,14 +14,14 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .attacks import AttackScenario, Dsr
+from .attacks import AttackScenario, Dsr, _check_record_dsr, _entropy_error_weight
 from .codec import PRIMITIVE_POLYS
 from .errors import ConfigError
 
 FAMILIES = ("bounds", "attack", "entropy", "keygen")
 
 _SECTION_KEYS = {
-    "constellation": {"m", "m_grid", "energy", "energy_grid", "phase_offset", "osk"},
+    "constellation": {"m", "m_grid", "energy", "energy_grid", "osk"},
     "keystream": {"poly", "degree", "seed"},
     "scenario": {"methods", "n_symbols", "error_positions", "misalign",
                  "dsr", "otp", "mi_trials", "trials", "mode", "regime",
@@ -45,7 +45,6 @@ class ScenarioConfig:
     family: str
     m_grid: "list[int]" = field(default_factory=list)
     energy_grid: "list[float]" = field(default_factory=list)
-    phase_offset: float = 0.0
     osk: bool = False
     poly: "int | None" = None
     seed_register: "int | None" = None
@@ -239,8 +238,6 @@ def _load_constellation(src: _Source, cp: configparser.ConfigParser,
         if s < 0:
             raise src.fail("energies must be nonnegative",
                            key="energy" if "energy" in sec else "energy_grid")
-    if "phase_offset" in sec:
-        cfg.phase_offset = _parse_float(src, "phase_offset", sec["phase_offset"])
     if "osk" in sec:
         cfg.osk = _parse_bool(src, "osk", sec["osk"])
 
@@ -367,9 +364,18 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
             raise src.fail("label-record analyses need m >= 2: at m = 1 no keystream "
                            "bit selects a basis", key="m")
         try:
-            AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions)
+            scenario = AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions)
         except ValueError as exc:
             raise src.fail(str(exc), key="error_positions") from None
+        if cfg.family == "entropy":
+            # the engines' own checks; with mode 'both' the known-plaintext one is stricter
+            regime = "classical" if cfg.mode == "ciphertext_only" else cfg.regime
+            for key, check, arg in (("error_positions", _entropy_error_weight, scenario),
+                                    ("dsr", _check_record_dsr, cfg.dsr)):
+                try:
+                    check(arg, regime)
+                except ValueError as exc:
+                    raise src.fail(str(exc), key=key) from None
     elif cfg.family == "keygen":
         if len(cfg.s_grid) < 1:
             raise src.fail("keygen requires 's_grid' in [scenario]", section="scenario")

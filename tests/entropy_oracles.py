@@ -16,8 +16,7 @@ form: the same trial loop, one product per key and table.
 ``plugin_mutual_information`` its per-position estimator.  ``keystream_table``
 builds the chunk rows of many seeds, scrambling bits included, from the
 scalar Keystream of ``codec_oracles``; ``pair_index_table`` picks pair
-members by the scalar half-plane rule on float phases, which holds at
-moderate rotations.
+members by the scalar half-plane rule on float phases.
 """
 
 from __future__ import annotations
@@ -142,13 +141,13 @@ def pair_index_table(c: Constellation) -> np.ndarray:
         for bit in (0, 1):
             want = bit ^ (basis & 1)
             table[bit, basis] = next(j for j in (basis, basis + c.m)
-                                     if scalar_halfplane_label(c.phase(j), c.phase_offset) == want)
+                                     if scalar_halfplane_label(math.pi * j / c.m, 0.0) == want)
     return table
 
 
 def index_label_prob(c: Constellation, scenario: AttackScenario) -> np.ndarray:
     """P(recorded label = 1 | transmitted index), before recording errors."""
-    # index i lies pi i / M - misalign above Eve's axis whatever the rotation;
+    # index i lies pi i / M - misalign above Eve's axis;
     # the engine rounds it so, and any other rounding (about 1e-16) becomes
     # 5e-8 in the probability under a jitter window of 2e-9.
     rel = math.pi * np.arange(c.m) / c.m - scenario.misalign
@@ -217,7 +216,7 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
     _check_entropy_caps(key_bits, n)
     if trials < 1:
         raise ValueError("trials must be positive")
-    weight = _entropy_error_weight(scenario)
+    weight = _entropy_error_weight(scenario, "classical")
     p1 = index_label_prob(c, scenario)
     idx_table = pair_index_table(c)
     basis = gf2_span(unit_keystreams(poly, n, c.bits_per_basis))
@@ -275,7 +274,7 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
     basis = gf2_span(unit_keystreams(poly, n, c.bits_per_basis))
     h_vals = np.empty(trials)
     if regime == "classical":
-        weight = _entropy_error_weight(scenario)
+        weight = _entropy_error_weight(scenario, "classical")
         p1 = index_label_prob(c, scenario)
         for t in range(trials):
             true_seed = int(rng.integers(1, 1 << key_bits))

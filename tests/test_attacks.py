@@ -65,6 +65,9 @@ def test_dsr_constructors_and_validation():
         attacks.Dsr("jitter", math.pi)
     with pytest.raises(ValueError):
         attacks.Dsr("gauss", 0.1)
+    for param in (5.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="no parameter"):
+            attacks.Dsr("none", param)
 
 
 def test_attack_scenario_validation():
@@ -310,6 +313,21 @@ def test_otp_stage_noiseless_identity():
     assert len(rec.notes["ciphertext"]) == n
 
 
+def test_replays_reject_records_that_are_not_bits():
+    # a 2 or a 7 would be scored as a 1, and an all-2 plaintext would match the replay
+    c = codec.Constellation(m=4, energy=2.0)
+    bits = np.zeros(8, dtype=np.uint8)
+    sc = attacks.AttackScenario(n_symbols=8)
+    for bad in (np.array([0, 2, 1, 0, 0, 1, 0, 0]), np.full(8, 7), np.full(8, 2),
+                np.zeros((2, 4), dtype=np.uint8)):
+        with pytest.raises(ValueError, match="0s and 1s"):
+            attacks.brute_force_candidates(bad, c, POLY8, bits, 1)
+        with pytest.raises(ValueError, match="0s and 1s"):
+            attacks.brute_force_candidates(bits, c, POLY8, bad, 1)
+        with pytest.raises(ValueError, match="0s and 1s"):
+            attacks.otp_stage_attack(bad, c, POLY8, 1, sc, np.random.default_rng(0))
+
+
 REPLAYS = {
     "brute_force_candidates": lambda c, seed, sc, rng: attacks.brute_force_candidates(
         np.zeros(8, dtype=np.uint8), c, POLY8, np.zeros(8, dtype=np.uint8), seed),
@@ -428,26 +446,23 @@ def test_ciphertext_entropy_key_posterior_flat_for_any_symmetric_channel():
 
 @settings(max_examples=60, deadline=None)
 @given(m=st.sampled_from([2, 4, 16]), degree=st.integers(2, 12), n=st.integers(1, 32),
-       offset=st.sampled_from([0.0, 0.4]), misalign=st.floats(-math.pi, math.pi),
+       misalign=st.floats(-math.pi, math.pi),
        kind=st.sampled_from(["none", "binary", "jitter"]), param=st.floats(0.0, 1.0),
        error=st.booleans(), seed=st.integers(0, 2**32 - 1))
 # a subnormal flip probability puts the recording-error ratio 1/flip past float range
-@example(m=4, degree=7, n=9, offset=0.4, misalign=0.1, kind="binary", param=5e-324, error=True,
-         seed=3)
+@example(m=4, degree=7, n=9, misalign=0.1, kind="binary", param=5e-324, error=True, seed=3)
 # an axis turned to the edge of the tie band: each pair must still split
-@example(m=2, degree=2, n=4, offset=0.0, misalign=1e-12, kind="none", param=0.0, error=False,
-         seed=0)
-@example(m=2, degree=2, n=8, offset=0.0, misalign=9.999e-13, kind="none", param=0.0,
-         error=False, seed=0)
+@example(m=2, degree=2, n=4, misalign=1e-12, kind="none", param=0.0, error=False, seed=0)
+@example(m=2, degree=2, n=8, misalign=9.999e-13, kind="none", param=0.0, error=False, seed=0)
 # a jitter window inside the tie band: the model gives label 0, so the record must too
-@example(m=2, degree=2, n=1, offset=0.0, misalign=1e-13, kind="jitter", param=2.2250738585e-313,
+@example(m=2, degree=2, n=1, misalign=1e-13, kind="jitter", param=2.2250738585e-313,
          error=False, seed=1)
-def test_ciphertext_key_posterior_is_flat_bit_for_bit(m, degree, n, offset, misalign, kind,
-                                                      param, error, seed):
+def test_ciphertext_key_posterior_is_flat_bit_for_bit(m, degree, n, misalign, kind, param,
+                                                      error, seed):
     # the README claim, on every drawn symmetric channel: H(key | record) = K
     dsr = {"none": attacks.Dsr(), "binary": attacks.Dsr.binary(param),
            "jitter": attacks.Dsr.jitter(3.0 * param)}[kind]
-    c = codec.Constellation(m=m, energy=1.0, phase_offset=offset)
+    c = codec.Constellation(m=m, energy=1.0)
     sc = attacks.AttackScenario.with_errors(n, [n // 2] if error else [], misalign=misalign,
                                             dsr=dsr)
     rep = attacks.ciphertext_only_entropy(c, codec.PRIMITIVE_POLYS[degree], sc, trials=2,

@@ -149,23 +149,22 @@ def test_keystream_table_input_checks():
 
 
 def test_halfplane_label_quadrants_and_ties():
-    assert codec.halfplane_label(math.pi / 2, 0.0) == 1
-    assert codec.halfplane_label(3 * math.pi / 2, 0.0) == 0
+    assert codec.halfplane_label(math.pi / 2) == 1
+    assert codec.halfplane_label(3 * math.pi / 2) == 0
     # on-axis ties: the axis point is up, its antipode is down
-    assert codec.halfplane_label(0.0, 0.0) == 1
-    assert codec.halfplane_label(math.pi, 0.0) == 0
-    assert codec.halfplane_label(0.3 + math.pi / 2, 0.3) == 1
-    assert codec.halfplane_label(0.3 - math.pi / 2 + 2 * math.pi, 0.3) == 0
-    assert codec.halfplane_label(0.3 + 6 * math.pi, 0.3) == 1
+    assert codec.halfplane_label(0.0) == 1
+    assert codec.halfplane_label(math.pi) == 0
+    assert codec.halfplane_label(-math.pi / 2 + 2 * math.pi) == 0
+    assert codec.halfplane_label(0.3 + 6 * math.pi) == 1
 
 
 def test_constellation_geometry():
     for m in (1, 2, 8):
-        c = codec.Constellation(m=m, energy=4.0, phase_offset=0.3)
+        c = codec.Constellation(m=m, energy=4.0)
         assert c.n_states == 2 * m
-        if m > 1:
-            npt.assert_allclose(np.diff(c.phases()), math.pi / m, rtol=1e-12)
-        npt.assert_allclose(np.abs(c.amplitudes()), 2.0, rtol=1e-12)
+        # state j sits at phase pi j / M from the label axis
+        npt.assert_allclose(c.amplitudes(), 2.0 * np.exp(1j * math.pi * np.arange(2 * m) / m),
+                            rtol=0.0, atol=1e-15)
         labels = np.array([c.label(j) for j in range(2 * m)])
         npt.assert_array_equal(labels[:m], np.ones(m, dtype=labels.dtype))
         npt.assert_array_equal(labels[m:], np.zeros(m, dtype=labels.dtype))
@@ -179,9 +178,9 @@ def test_constellation_validation():
     with pytest.raises(ValueError):
         codec.Constellation(m=4, energy=-1.0)
     with pytest.raises(ValueError):
-        codec.Constellation(m=4, energy=1.0, phase_offset=math.nan)
+        codec.Constellation(m=4, energy=math.nan)
     with pytest.raises(ValueError):
-        codec.Constellation(m=4, energy=1.0).phase(8)
+        codec.Constellation(m=4, energy=1.0).label(8)
 
 
 def test_encode_exhaustive_truth_table():

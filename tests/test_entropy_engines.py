@@ -67,8 +67,7 @@ def entropy_cases(draw):
     degree = draw(st.integers(2, 8))
     n = draw(st.integers(1, 16))
     m = draw(st.sampled_from([1, 2, 4, 16]))
-    c = codec.Constellation(m=m, energy=draw(st.floats(0.0, 6.0)),
-                            phase_offset=draw(st.sampled_from([0.0, 0.4])))
+    c = codec.Constellation(m=m, energy=draw(st.floats(0.0, 6.0)))
     regime = draw(st.sampled_from(["ciphertext_only", "classical", "quantum"]))
     # 0.0 and multiples of pi / M put constellation points on Eve's axis
     misalign = draw(st.one_of(st.just(0.0), st.floats(-math.pi, math.pi),
@@ -105,7 +104,7 @@ def entropy_cases(draw):
           "ciphertext_only", 3, 1))
 # a 2e-9 jitter window turns a 1e-16 rounding of the relative phase into 5e-8
 # in a label probability, so both sides must take it as pi i / M - misalign
-@example((codec.Constellation(m=16, energy=0.0, phase_offset=0.4), codec.PRIMITIVE_POLYS[2],
+@example((codec.Constellation(m=16, energy=0.0), codec.PRIMITIVE_POLYS[2],
           attacks.AttackScenario.with_errors(1, [0], misalign=27 * math.pi / 16,
                                              dsr=attacks.Dsr.jitter(1e-9)),
           "ciphertext_only", 1, 0))
@@ -233,12 +232,12 @@ def test_batched_label_measurement_matches_per_trial_loop(m, n, trials, kind, se
 
 
 @settings(max_examples=60, deadline=None)
-@given(m=st.sampled_from([1, 2, 4, 16, 512]), offset=st.sampled_from([0.0, 0.4, -2.9, 100.0]),
-       degree=st.integers(2, 20), taps=st.integers(0, 2**19 - 1), seed=st.integers(1, 2**20 - 1),
-       n=st.integers(1, 64), data_seed=st.integers(0, 2**32 - 1))
-def test_pair_index_table_matches_encode(m, offset, degree, taps, seed, n, data_seed):
-    # the oracle reads float phases, which is exact enough at these rotations
-    c = codec.Constellation(m=m, energy=1.0, phase_offset=offset)
+@given(m=st.sampled_from([1, 2, 4, 16, 512]), degree=st.integers(2, 20),
+       taps=st.integers(0, 2**19 - 1), seed=st.integers(1, 2**20 - 1), n=st.integers(1, 64),
+       data_seed=st.integers(0, 2**32 - 1))
+def test_pair_index_table_matches_encode(m, degree, taps, seed, n, data_seed):
+    # the oracle reads float phases
+    c = codec.Constellation(m=m, energy=1.0)
     table = oracle.pair_index_table(c)
     npt.assert_array_equal(codec._pair_index_table(c), table)
     for bit in (0, 1):
@@ -246,8 +245,7 @@ def test_pair_index_table_matches_encode(m, offset, degree, taps, seed, n, data_
             assert scalar.encode(bit, basis, 0, c).index == table[bit, basis]
     if m == 1:
         return  # no keystream bit selects a basis
-    # the sent indices come from the unit rows, not from stepping the seed,
-    # and no rotation reaches them
+    # the sent indices come from the unit rows, not from stepping the seed
     poly = (1 << degree) | (taps % (1 << (degree - 1))) << 1 | 1
     seed = 1 + seed % ((1 << degree) - 1)
     r = np.random.default_rng(data_seed).integers(0, 2, n, dtype=np.uint8)
@@ -263,13 +261,12 @@ tie_edges = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
 
 @settings(max_examples=100, deadline=None)
 @given(m=st.sampled_from([1, 2, 4, 16, 512]),
-       offset=st.one_of(st.floats(-math.pi, math.pi), st.floats(-1e9, 1e9)),
        misalign=st.one_of(tie_edges, st.floats(-math.pi, math.pi)), turn=st.integers(0, 3))
-@example(m=2, offset=20000.0, misalign=1e-12, turn=0)
-@example(m=2, offset=0.0, misalign=9.999e-13, turn=0)
-def test_labels_read_data_xor_parity_and_every_pair_splits(m, offset, misalign, turn):
+@example(m=2, misalign=1e-12, turn=0)
+@example(m=2, misalign=9.999e-13, turn=0)
+def test_labels_read_data_xor_parity_and_every_pair_splits(m, misalign, turn):
     # the paper's l_i = r_i XOR k_i: the sent index's label is data XOR basis parity
-    c = codec.Constellation(m=m, energy=1.0, phase_offset=offset)
+    c = codec.Constellation(m=m, energy=1.0)
     basis = np.arange(m)
     npt.assert_array_equal(c.label(codec._pair_index_table(c)),
                            np.arange(2)[:, None] ^ (basis & 1))
@@ -281,23 +278,19 @@ def test_labels_read_data_xor_parity_and_every_pair_splits(m, offset, misalign, 
     npt.assert_array_equal(p1[:m] + p1[m:], 1.0)
 
 
-def tie_points(axis: float) -> np.ndarray:
-    """Phases on the axis line itself: axis + k pi, and constellation points on it."""
-    on_line = axis + math.pi * np.arange(-6, 7)
-    const = np.concatenate([codec.Constellation(m=m, energy=1.0, phase_offset=axis).phases()
-                            for m in (1, 2, 4, 16)])
-    return np.concatenate([on_line, const])
+# phases on the axis line itself, k pi, and the constellation points pi j / M, some on it
+TIE_POINTS = np.concatenate([math.pi * np.arange(-6, 7)]
+                            + [math.pi * np.arange(2 * m) / m for m in (1, 2, 4, 16)])
 
 
 @settings(max_examples=100, deadline=None)
-@given(phases=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40),
-       axis=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)))
-@example(phases=[0.0, math.pi, -math.pi, 2 * math.pi, 1e-13, -1e-13, 1e-11], axis=0.0)
-def test_array_halfplane_label_matches_scalar_rule(phases, axis):
-    arr = np.concatenate([np.array(phases), tie_points(axis)])
-    labels = codec.halfplane_label(arr, axis)
+@given(phases=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40))
+@example(phases=[0.0, math.pi, -math.pi, 2 * math.pi, 1e-13, -1e-13, 1e-11])
+def test_array_halfplane_label_matches_scalar_rule(phases):
+    arr = np.concatenate([np.array(phases), TIE_POINTS])
+    labels = codec.halfplane_label(arr)
     assert labels.dtype == np.uint8
-    expected = [oracle.scalar_halfplane_label(float(p), axis) for p in arr]
+    expected = [oracle.scalar_halfplane_label(float(p), 0.0) for p in arr]
     npt.assert_array_equal(labels, expected)
-    scalar = codec.halfplane_label(float(arr[0]), axis)
+    scalar = codec.halfplane_label(float(arr[0]))
     assert type(scalar) is int and scalar == expected[0]

@@ -6,9 +6,12 @@ Imports, strings and docstrings do not count, so a routine that only tests
 call fails here; such code belongs in ``tests/`` as an oracle.  Likewise a
 defaulted parameter of a public function must be passed, by keyword or by
 position, by some call in that code: a knob only tests turn is removed.
+Every ``ScenarioConfig`` field must be read as an attribute by package code
+outside ``scenario.py``, so no config key parses into a value nothing uses.
 """
 
 import ast
+import dataclasses
 import glob
 import inspect
 import os
@@ -81,3 +84,17 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
                     passes(call, param, position) for call in calls.get(name, [])):
                 unpassed.append(f"{name}({param.name}=)")
     assert unpassed == []
+
+
+def test_every_config_field_is_read_outside_the_loader():
+    read = set()
+    for path in glob.glob(os.path.join(SRC, "*.py")):
+        if os.path.basename(path) == "scenario.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f.name for f in dataclasses.fields(yzero.ScenarioConfig)
+                    if f.name not in read)
+    assert unread == []

@@ -5,8 +5,6 @@ import json
 import pathlib
 import re
 
-import pytest
-
 import detection_oracles as oracles
 from yzero import cli, codec
 
@@ -39,17 +37,15 @@ def test_binary_bounds_keep_at_most_414_modes(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("offset", [0.0, 0.7, -2.9])
-def test_one_pair_bounds_are_within_4e_15_of_the_closed_form(tmp_path, capsys, offset):
+def test_one_pair_bounds_are_within_4e_15_of_the_closed_form(tmp_path, capsys):
     energies = ", ".join(repr(s) for s in ONE_PAIR_ENERGIES)
-    text = (f"[constellation]\nm_grid = 1\nenergy_grid = {energies}\n"
-            f"phase_offset = {offset!r}\n\n[scenario]\n")
+    text = f"[constellation]\nm_grid = 1\nenergy_grid = {energies}\n\n[scenario]\n"
     rows = bounds_rows(run_cli(tmp_path, "bounds", text, "pair"))
     checked = 0
     for r in rows:
         if r["method"] == "srm_2M":
             continue
-        c = codec.Constellation(m=1, energy=float(r["s"]), phase_offset=offset)
+        c = codec.Constellation(m=1, energy=float(r["s"]))
         a0, a1 = c.amplitudes()
         assert abs(float(r["p_error"]) - oracles.pure_pair_error(a0, a1)) <= 4e-15
         checked += 1

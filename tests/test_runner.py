@@ -134,12 +134,15 @@ def test_load_config_overrides(tmp_path):
 
 
 def test_unknown_key_is_reported_with_line_number(tmp_path):
-    for key in ("wavelength = 1550", "impl = auto"):
-        text = BOUNDS_CFG.replace("updown\n", f"updown\n{key}\n")
+    for key, after, line in (("wavelength = 1550", "updown\n", 7),
+                             ("impl = auto", "updown\n", 7),
+                             # the constellation frame is the sender's: no global rotation
+                             ("phase_offset = 0.7", "[constellation]\n", 2)):
+        text = BOUNDS_CFG.replace(after, f"{after}{key}\n")
         with pytest.raises(ConfigError) as err:
             load_config(write_cfg(tmp_path, text), "bounds")
-        assert ":7:" in str(err.value)
-        assert key.split()[0] in str(err.value)
+        assert f":{line}:" in str(err.value)
+        assert f"unknown key '{key.split()[0]}'" in str(err.value)
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -158,13 +161,20 @@ BAD_VALUES = [
     ("master_seed", "bounds", "master_seed = 11", "master_seed = -1", 10, "nonnegative"),
     # one trial passed the loader and then crashed the estimator
     ("mi_trials", "attack", "mi_trials = 400", "mi_trials = 1", 13, "0 or at least 2"),
+    # these passed the loader and then crashed an entropy engine
+    ("error_positions", "entropy", "dsr = binary:0.5", "dsr = binary:0.5\nerror_positions = 1, 2",
+     15, "at most one"),
+    ("quantum_dsr", "entropy", "regime = classical\ndsr = binary:0.5",
+     "regime = quantum\ndsr = jitter:0.2", 14, "supports dsr 'none' or 'binary'"),
+    ("quantum_error_positions", "entropy", "regime = classical",
+     "regime = quantum\nerror_positions = 3", 14, "not index records"),
 ]
 
 
 @pytest.mark.parametrize("key, family, old, new, line, text", BAD_VALUES,
                          ids=[case[0] for case in BAD_VALUES])
 def test_bad_value_reports_the_offending_line(tmp_path, key, family, old, new, line, text):
-    base = ATTACK_CFG if family == "attack" else BOUNDS_CFG
+    base = {"attack": ATTACK_CFG, "bounds": BOUNDS_CFG, "entropy": ENTROPY_CFG}[family]
     with pytest.raises(ConfigError) as err:
         load_config(write_cfg(tmp_path, base.replace(old, new)), family)
     assert f"cfg.ini:{line}: " in str(err.value)
@@ -242,20 +252,6 @@ def test_run_bounds_outputs_and_determinism(tmp_path):
     assert read_file(tmp_path, "demo_bounds.csv") == first
     runner.run_bounds(load_config(path, "bounds", out_dir=str(tmp_path), threads=4))
     assert read_file(tmp_path, "demo_bounds.csv") == first
-
-
-def test_cli_bounds_rows_do_not_depend_on_the_rotation(tmp_path, capsys):
-    # labels and pairs come from the index: a far rotation gives the same rows
-    rows = {}
-    for offset in (0.0, 20000.0):
-        text = BOUNDS_CFG.replace("[constellation]\n",
-                                  f"[constellation]\nphase_offset = {offset!r}\n")
-        path = write_cfg(tmp_path, text, name=f"turned_{offset}.ini")
-        out = tmp_path / f"out_{offset}"
-        assert cli.main(["bounds", "--config", path, "--out-dir", str(out)]) == 0
-        rows[offset] = load_csv(out, "demo_bounds.csv")[1:]
-    assert rows[20000.0] == rows[0.0]
-    capsys.readouterr()
 
 
 def test_run_attack_outputs(tmp_path):
