@@ -5,6 +5,9 @@ import json
 import pathlib
 import re
 
+import numpy as np
+import pytest
+
 import detection_oracles as oracles
 from yzero import cli, codec
 
@@ -37,7 +40,9 @@ def test_binary_bounds_keep_at_most_414_modes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_one_pair_bounds_are_within_4e_15_of_the_closed_form(tmp_path, capsys):
+@pytest.mark.parametrize("offset", [0.0, 0.7, -2.9])
+def test_one_pair_bounds_are_within_4e_15_of_the_closed_form(tmp_path, capsys, offset):
+    # the closed form is taken of the pair turned by `offset`: the bounds carry no frame
     energies = ", ".join(repr(s) for s in ONE_PAIR_ENERGIES)
     text = f"[constellation]\nm_grid = 1\nenergy_grid = {energies}\n\n[scenario]\n"
     rows = bounds_rows(run_cli(tmp_path, "bounds", text, "pair"))
@@ -46,7 +51,7 @@ def test_one_pair_bounds_are_within_4e_15_of_the_closed_form(tmp_path, capsys):
         if r["method"] == "srm_2M":
             continue
         c = codec.Constellation(m=1, energy=float(r["s"]))
-        a0, a1 = c.amplitudes()
+        a0, a1 = c.amplitudes() * np.exp(1j * offset)
         assert abs(float(r["p_error"]) - oracles.pure_pair_error(a0, a1)) <= 4e-15
         checked += 1
     assert checked == 2 * len(ONE_PAIR_ENERGIES)
