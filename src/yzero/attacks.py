@@ -204,6 +204,9 @@ def _require_plain_pairing(c: Constellation) -> None:
 
 
 def _check_attack_caps(key_bits: int, n_symbols: int) -> None:
+    """Raise unless the record is nonempty and the seed table is within the caps."""
+    if n_symbols < 1:
+        raise ValueError("an attack needs a record of at least one symbol")
     if key_bits > ATTACK_KEY_BITS_CAP:
         raise RegimeCapError(
             f"replay enumerates 2^{key_bits} seeds; cap is 2^{ATTACK_KEY_BITS_CAP}")

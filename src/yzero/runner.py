@@ -188,53 +188,79 @@ _SEED_CSV_CHUNK = 1 << 16
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
+def _hex_table(key_bits: int) -> np.ndarray:
+    """V(3 + w) items "0x", hex digits, "," of 0 ... 2^K - 1; leading zero digits are NUL.
+
+    w = max(1, ceil(K / 4)).  The comma that opens every row tail sits here:
+    at K = 17 ... 20 and N = 64 the hex and tail items are then 8 and 16
+    bytes wide, sizes numpy copies as whole words, about 3x faster than the
+    7 and 17 bytes that take its general per-item copy.  The table is
+    viewed as a grid with one axis per hex digit (the top axis holds only
+    the 2^(K - 4 (w - 1)) values of a partial top digit), so each digit
+    column is the 16 digit bytes broadcast along its axis, and the leading
+    zeros of digit j are the rows whose digits 0 ... j all index 0.
+    """
+    width = max(1, -(-key_bits // 4))
+    top = 1 << (key_bits - 4 * (width - 1))
+    grid = np.empty((top,) + (16,) * (width - 1) + (3 + width,), dtype=np.uint8)
+    grid[..., 0] = ord("0")
+    grid[..., 1] = ord("x")
+    grid[..., 2 + width] = ord(",")
+    for j in range(width):
+        grid[..., 2 + j] = _HEX_DIGITS[:grid.shape[j]].reshape((-1,) + (1,) * (width - 1 - j))
+    # the last digit of 0 stays "0"
+    for j in range(width - 1):
+        grid[(0,) * (j + 1) + (..., 2 + j)] = 0
+    return grid.reshape(-1).view(f"V{3 + width}")
+
+
 def _write_seed_csv(path: str, manifest_name: str, sha256: str, rec,
                     n_symbols: int) -> None:
     """One row per seed hypothesis, byte for byte as _write_csv would format it.
 
-    Every match fraction is (n - h) / n for a Hamming distance h, so a row is
-    "0x", the seed's hex digits and one of 2 (n + 1) precomputed tails, tail
-    h + (n + 1) [seed is the true seed].  Each chunk of rows is filled into a
-    fixed-width byte matrix (every hex digit of the widest seed, then the
-    longest tail); one boolean mask, gathered from a (digit count x tail)
-    table, drops the leading zero nibbles and the tail padding, and the kept
-    bytes go to the file in one write.  No Python string is made per row, and
-    memory stays bounded by the chunk size.
+    The record's seeds must be 1 ... 2^K - 1 in order, so a row's "0x", hex
+    digits and first comma depend only on K: `_hex_table` builds them once
+    per file for all 2^K values, leading zero digits stored as NUL.  Every
+    match fraction is (n - h) / n for a Hamming distance h, so the rest of
+    a row is one of 2 (n + 1) precomputed tails, tail h + (n + 1) [seed is
+    the true seed], NUL-padded to the longest.  Each chunk of rows is one
+    record array with a `hex` and a `tail` field, filled by two whole-item
+    copies: a slice of the table and a `take` from the tails.  No CSV row
+    holds a NUL byte, so one pass that deletes them gives the chunk's file
+    bytes.  Memory is the table, at most 2^K x (3 + ceil(K / 4)) bytes
+    (8.4 MB at K = 20), plus one chunk; no Python object is made per row.
     """
+    seeds = rec.seeds
+    key_bits = seeds.size.bit_length()
+    if seeds.size + 1 != 1 << key_bits or not np.array_equal(
+            seeds, np.arange(1, seeds.size + 1)):
+        raise ValueError("the record's seeds are not 1 ... 2^K - 1 in order")
     frac = rec.per_seed_match_fraction
     hamming = np.rint((1.0 - frac) * n_symbols).astype(np.int64)
     if not np.array_equal(frac, (n_symbols - hamming) / n_symbols):
         raise ValueError("match fractions are not whole multiples of 1/n_symbols")
-    tails = [f",{(n_symbols - h) / n_symbols!r},{h},{int(h == 0)},{true}\n".encode()
+    tails = [f"{(n_symbols - h) / n_symbols!r},{h},{int(h == 0)},{true}\n".encode()
              for true in (0, 1) for h in range(n_symbols + 1)]
-    tail_len = np.array([len(t) for t in tails])
-    tail_width = int(tail_len.max())
-    tail_bytes = np.frombuffer(b"".join(t.ljust(tail_width) for t in tails),
-                               dtype=np.uint8).reshape(len(tails), tail_width)
-    seeds = rec.seeds
-    hex_width = max(1, (int(seeds.max(initial=0)).bit_length() + 3) // 4)
-    # keep[d - 1, t]: "0x", the last d hex digits and tail t without its padding
-    keep = np.ones((hex_width, len(tails), 2 + hex_width + tail_width), dtype=bool)
-    digit = np.arange(hex_width)
-    keep[:, :, 2:2 + hex_width] = (digit >= hex_width - 1 - digit[:, None])[:, None, :]
-    keep[:, :, 2 + hex_width:] = np.arange(tail_width) < tail_len[:, None]
+    tail_width = max(len(t) for t in tails)
+    tail_table = np.frombuffer(b"".join(t.ljust(tail_width, b"\0") for t in tails),
+                               dtype=f"V{tail_width}")
+    # tail index: h, or h + n + 1 on the true seed's row
+    tail = hamming
+    tail[seeds == rec.true_seed] += n_symbols + 1
+    # seed s is item s of the table
+    hex_table = _hex_table(key_bits)[1:]
+    row = np.dtype([("hex", hex_table.dtype), ("tail", tail_table.dtype)])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _csv_writer(fh, manifest_name, sha256, _SEED_CSV_HEADER)
         # the header sits in the text layer's buffer; it must reach the file first
         fh.flush()
         for lo in range(0, seeds.size, _SEED_CSV_CHUNK):
-            s = seeds[lo:lo + _SEED_CSV_CHUNK]
-            tail = hamming[lo:lo + _SEED_CSV_CHUNK] + (n_symbols + 1) * (s == rec.true_seed)
-            rows = np.empty((s.size, keep.shape[2]), dtype=np.uint8)
-            rows[:, :2] = np.frombuffer(b"0x", dtype=np.uint8)
-            n_digits = np.ones(s.size, dtype=np.intp)
-            for j in range(hex_width):
-                shifted = s >> 4 * (hex_width - 1 - j)
-                rows[:, 2 + j] = _HEX_DIGITS[shifted & 15]
-                if j < hex_width - 1:
-                    n_digits += shifted != 0
-            rows[:, 2 + hex_width:] = tail_bytes[tail]
-            fh.buffer.write(rows[keep[n_digits - 1, tail]])
+            t = tail[lo:lo + _SEED_CSV_CHUNK]
+            chunk = bytearray(t.size * row.itemsize)
+            rows = np.frombuffer(chunk, dtype=row)
+            rows["hex"] = hex_table[lo:lo + t.size]
+            rows["tail"] = tail_table.take(t)
+            fh.buffer.write(chunk.translate(None, b"\0"))
 
 
 def run_attack(cfg: ScenarioConfig) -> "list[str]":

@@ -328,6 +328,17 @@ def test_replays_reject_records_that_are_not_bits():
             attacks.otp_stage_attack(bad, c, POLY8, 1, sc, np.random.default_rng(0))
 
 
+def test_replays_reject_an_empty_record():
+    # N = 0 once gave 0 / 0 = NaN match fractions for every seed
+    c = codec.Constellation(m=4, energy=2.0)
+    empty = np.zeros(0, dtype=np.uint8)
+    with pytest.raises(ValueError, match="at least one symbol"):
+        attacks.brute_force_candidates(empty, c, POLY8, empty, 1)
+    with pytest.raises(ValueError, match="at least one symbol"):
+        attacks.otp_stage_attack(empty, c, POLY8, 1, attacks.AttackScenario(n_symbols=8),
+                                 np.random.default_rng(0))
+
+
 REPLAYS = {
     "brute_force_candidates": lambda c, seed, sc, rng: attacks.brute_force_candidates(
         np.zeros(8, dtype=np.uint8), c, POLY8, np.zeros(8, dtype=np.uint8), seed),

@@ -144,9 +144,12 @@ def test_replay_counts_match_the_unpacked_scan(case):
 
 
 @settings(max_examples=20, deadline=None)
-@given(degree=st.sampled_from([4, 8]), n=st.integers(2, 70),
+# K = 2 ... 12: hex widths 1 to 3 and every K mod 4, so partial top digits too
+@given(degree=st.integers(2, 12), n=st.integers(2, 70),
        seed_frac=st.floats(0.0, 1.0, exclude_max=True), rng_seed=st.integers(0, 2**32 - 1))
 @example(degree=17, n=40, seed_frac=0.9, rng_seed=3)  # true seed in the second row chunk
+@example(degree=9, n=40, seed_frac=0.0, rng_seed=0)  # true seed 1, the first row
+@example(degree=17, n=40, seed_frac=0.999999, rng_seed=0)  # 2^17 - 1, the last row
 def test_seed_csv_writer_matches_the_csv_module(tmp_path_factory, degree, n, seed_frac,
                                                  rng_seed):
     # jitter plus one recording error: fractions vary and the true seed misses
@@ -192,6 +195,22 @@ def test_seed_csv_rejects_a_fraction_off_the_one_over_n_grid(tmp_path):
     frac[17] = np.nextafter(frac[17], 2.0)
     rec.per_seed_match_fraction = frac
     with pytest.raises(ValueError, match="whole multiples"):
+        runner._write_seed_csv(str(tmp_path / "seeds.csv"), "m.json", "abc", rec, 10)
+    assert not (tmp_path / "seeds.csv").exists()
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda s: s[::-1],
+    lambda s: s[:-1],
+    lambda s: s - 1,
+    lambda s: np.where(s == 5, 6, s),
+], ids=["reversed", "last-seed-missing", "starts-at-zero", "seed-5-twice"])
+def test_seed_csv_rejects_seeds_other_than_one_to_two_to_the_k(tmp_path, mutate):
+    # the hex column comes from a table indexed by row, so it must be seed s at row s
+    rec = replay_record(6, 10, 5, noisy=True)
+    rec.seeds = mutate(rec.seeds)
+    rec.per_seed_match_fraction = rec.per_seed_match_fraction[:rec.seeds.size]
+    with pytest.raises(ValueError, match="not 1 ... 2\\^K - 1"):
         runner._write_seed_csv(str(tmp_path / "seeds.csv"), "m.json", "abc", rec, 10)
     assert not (tmp_path / "seeds.csv").exists()
 
