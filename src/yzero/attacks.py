@@ -12,8 +12,10 @@ desk scale:
 * entropy: exact posterior entropies of the seed and of the data sequence
   given the eavesdropper's record, computed by marginalizing over every
   seed rather than by bound: the basis chunks are GF(2)-linear in the seed,
-  so one Walsh-Hadamard transform per trial gives the log2 likelihood of
-  all 2^K seeds at once;
+  so one Walsh-Hadamard transform per trial, over only the per-symbol terms
+  that can differ between keys, gives the log2 likelihood of all 2^K seeds
+  at once; with the data unknown every pair splits, so the key posterior
+  is flat and is written down rather than transformed;
 * key generation: the error-probability gap between an optimal quantum
   receiver and an intercepting one, as a function of pulse energy.
 
@@ -543,24 +545,28 @@ def _seed_characters(units: np.ndarray, m: int) -> np.ndarray:
 
 
 def _bands(num: np.ndarray, den: np.ndarray, present: np.ndarray):
-    """Split the quotients num/den > 0 at ``present`` into bands; yields (e, values, indicator).
+    """Split the quotients num/den > 0 at ``present`` into bands; yields (e, values).
 
     Each band spans less than 2^RATIO_BAND_BITS, and its values are the
-    quotients divided by 2^e, e the integer below the band's lower edge in
-    log2, so they lie in [1, 2^(RATIO_BAND_BITS + 1)).  Working from the
-    exponents of num and den, no quotient overflows or leaves normal range,
-    however far apart the two are.
+    quotients divided by 2^e, e = floor(log2) of the band's smallest
+    quotient, so they lie in [1, 2^(RATIO_BAND_BITS + 1)) and are 0 off the
+    band.  Working from the exponents of num and den, no quotient overflows
+    or leaves normal range, however far apart the two are.
     """
     mant_num, exp_num = np.frexp(np.where(present, num, 1.0))
     mant_den, exp_den = np.frexp(np.where(present, den, 1.0))
     mant, exp = mant_num / mant_den, exp_num - exp_den
     log2_q = np.log2(mant) + exp
+    # floor(log2) of each quotient mant 2^exp, exact where log2_q rounds up
+    # to an integer; log2_q >= floor_q, so a band's floors stay below e + 1
+    # + RATIO_BAND_BITS
+    floor_q = exp - (mant < 1.0)
     rest = present.copy()
     while rest.any():
         lo = float(log2_q[rest].min())
+        e = int(floor_q[rest].min())
         band = rest & (log2_q < lo + RATIO_BAND_BITS)
-        e = math.floor(lo)
-        yield e, np.where(band, np.ldexp(mant, np.where(band, exp - e, 0)), 0.0), band.astype(float)
+        yield e, np.where(band, np.ldexp(mant, np.where(band, exp - e, 0)), 0.0)
         rest &= ~band
 
 
@@ -570,12 +576,14 @@ def _symbol_terms(tab: np.ndarray, weight: int):
     log2 f with zero factors counted as 1, and the zero indicator [f = 0].
     With one recording error, f' being the entry of the flipped observation,
     also the ratios f'/f where f > 0 and then the values f' where f = 0,
-    each group split by ``_bands`` and every band followed by its indicator.
-    A transform's rounding is relative to the largest value it sums, so an
-    unsplit sum of ratios near 1/f_min (1e16 where a label probability
-    rounds to 1e-16 instead of 0) would bury a key's sum of ratios near 1.
-    Returns the terms and, with one error, the number of ratio bands and
-    every band's exponent.
+    each group split by ``_bands``.  A transform's rounding is relative to
+    the largest value it sums, so an unsplit sum of ratios near 1/f_min
+    (1e16 where a label probability rounds to 1e-16 instead of 0) would
+    bury a key's sum of ratios near 1.  Every nonzero band value is at
+    least 1, so a key's band sum is 0 or at least 1 and says by itself
+    whether any of the key's symbols falls in the band.  Returns the terms
+    and, with one error, the number of ratio bands and every band's
+    exponent.
     """
     zero = tab == 0.0
     safe = np.where(zero, 1.0, tab)
@@ -585,27 +593,35 @@ def _symbol_terms(tab: np.ndarray, weight: int):
     flipped = tab[..., np.arange(tab.shape[-1]) ^ 1]
     ratio_bands = list(_bands(flipped, safe, ~zero & (flipped > 0.0)))
     bands = ratio_bands + list(_bands(flipped, safe, zero & (flipped > 0.0)))
-    terms += [t for _, values, indicator in bands for t in (values, indicator)]
-    return terms, (len(ratio_bands), np.array([[e] for e, _, _ in bands], dtype=np.int32))
+    terms += [values for _, values in bands]
+    return terms, (len(ratio_bands), np.array([[e] for e, _ in bands], dtype=np.int32))
 
 
-def _log2_likelihood(sums: np.ndarray, bands, n: int) -> np.ndarray:
-    """Per-key log2 likelihood from the seed-space sums of one table's terms."""
-    zeros = np.rint(sums[1])
+def _log2_likelihood(lam: np.ndarray, zeros: np.ndarray, band_sums: np.ndarray, bands,
+                     n: int) -> np.ndarray:
+    """Per-key log2 likelihood from the seed-space sums of one table's terms.
+
+    lam sums log2 f, zeros counts the zero factors and band_sums holds one
+    row per band of ``_symbol_terms``; the row of a term that is 0 on the
+    whole table is 0.  Whether a key has a symbol in a band is read from
+    the band's sum, with no count of its own.
+    """
+    zeros = np.rint(zeros)
     if bands is None:
-        return np.where(zeros == 0, sums[0], -math.inf)
+        return np.where(zeros == 0, lam, -math.inf)
     n_ratio, e = bands
     if not len(e):
-        return np.full(sums.shape[1], -math.inf)
+        return np.full(lam.shape, -math.inf)
     # S sums f'/f over a key with no zero factor, f' at its one zero factor;
-    # a band no symbol of the key falls in contributes exactly nothing
-    present = sums[3::2] > 0.5
+    # a band no symbol of the key falls in sums to 0 up to rounding, any
+    # other to at least 1, and contributes exactly nothing
+    present = band_sums > 0.5
     present[:n_ratio] &= zeros == 0
     # scaled by the key's largest present band, so no band overflows
     top = np.where(present, e, e.min()).max(axis=0)
-    s = np.where(present, np.ldexp(sums[2::2], np.minimum(e - top, 0)), 0.0).sum(axis=0)
+    s = np.where(present, np.ldexp(band_sums, np.minimum(e - top, 0)), 0.0).sum(axis=0)
     live = (zeros <= 1) & (s > 0.0)
-    return np.where(live, sums[0] + (top + np.log2(np.where(live, s, 1.0) / n)), -math.inf)
+    return np.where(live, lam + (top + np.log2(np.where(live, s, 1.0) / n)), -math.inf)
 
 
 def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, trials: int,
@@ -624,8 +640,12 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     coefficients are dyadic, and L = 0 where Z > 0.  A recording error at
     an unknown position is marginalized as L = 2^Lambda S / N, with S the
     sum of f'/f where Z = 0 and of [f = 0] f' where Z = 1; L = 0 where
-    Z > 1.  The zero register never occurs, but the accounting runs over
-    every possible key.  Yields one log2-likelihood array per table.
+    Z > 1.  A term that is 0 on its whole table (log2 f on a table of 0s
+    and 1s, [f = 0] on a table without zeros) sums to exactly 0 for every
+    key, so it is not transformed.  The zero register never occurs, but
+    the accounting runs over every possible key.  Yields one
+    log2-likelihood array per table; the transform buffers are allocated
+    once per run and no yielded array shares memory with them.
     """
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
@@ -633,13 +653,31 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     units = unit_keystreams(poly, n, c.bits_per_basis)
     chars = _seed_characters(units, c.m)
     per_table = [_symbol_terms(tab, weight) for tab in tables]
-    terms = np.stack([t for table_terms, _ in per_table for t in table_terms])
-    edges = np.cumsum([0] + [len(table_terms) for table_terms, _ in per_table])
-    # one bincount scatters every stacked term into its own block of seed space
-    slots = (chars + (np.arange(len(terms)) << key_bits)[:, None, None]).ravel()
+    terms = [t for table_terms, _ in per_table for t in table_terms]
+    live = [k for k, t in enumerate(terms) if t.any()]
+    stacked = np.stack(terms)[live]
+    # each live term's seed-space sum has its own row of ``sums``; a skipped
+    # term reads the last row, which stays 0
+    row = np.full(len(terms), len(live))
+    row[live] = np.arange(len(live))
+    sums = np.zeros((len(live) + 1, 1 << key_bits))
+    table_sums = []
+    lo = 0
+    for table_terms, bands in per_table:
+        # band terms are never 0 on the whole table, so a table's bands sit
+        # in consecutive rows
+        n_bands = len(table_terms) - 2
+        first = row[lo + 2] if n_bands else 0
+        table_sums.append((sums[row[lo]], sums[row[lo + 1]], sums[first:first + n_bands], bands))
+        lo += len(table_terms)
+    # one bincount scatters every live term into its own block of seed space
+    slots = (chars + (np.arange(len(live)) << key_bits)[:, None, None]).ravel()
     h_basis = _walsh(c.m) / c.m
     half = key_bits // 2
     h_hi, h_lo = _walsh(1 << half), _walsh(1 << (key_bits - half))
+    coef = np.empty((len(live), n, c.m))
+    mid = np.empty((len(live), len(h_hi), len(h_lo)))
+    transformed = sums[:-1].reshape(mid.shape)
     bases = np.arange(c.m)
     for _ in range(trials):
         true_seed = int(rng.integers(1, 1 << key_bits))
@@ -648,12 +686,12 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
         if weight == 1:
             error_vec[int(rng.integers(0, n))] = 1
         obs = record(idx_table[r, _seed_row(units, true_seed)], c, scenario, rng, error_vec)
-        coef = terms[:, r[:, None], bases, obs[:, None]] @ h_basis
-        spec = np.bincount(slots, weights=coef.ravel(), minlength=len(terms) << key_bits)
-        sums = (h_hi @ spec.reshape(len(terms), len(h_hi), len(h_lo)) @ h_lo).reshape(
-            len(terms), -1)
-        yield [_log2_likelihood(sums[lo:hi], bands, n)
-               for lo, hi, (_, bands) in zip(edges[:-1], edges[1:], per_table)]
+        np.matmul(stacked[:, r[:, None], bases, obs[:, None]], h_basis, out=coef)
+        spec = np.bincount(slots, weights=coef.ravel(), minlength=len(live) << key_bits)
+        np.matmul(h_hi, spec.reshape(mid.shape), out=mid)
+        np.matmul(mid, h_lo, out=transformed)
+        yield [_log2_likelihood(lam, zeros, band_sums, bands, n)
+               for lam, zeros, band_sums, bands in table_sums]
 
 
 def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenario,
@@ -664,24 +702,25 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
     computes the eavesdropper's full posterior over all 2^K keys (data
     marginalized) and the exact surprisal of the transmitted sequence.  A
     declared recording error contributes its weight, not its position, to
-    the posterior; weights above one are not supported.
+    the posterior; weights above one are not supported.  With the data
+    unknown, each basis reads label 1 with the mean over its pair, and
+    every pair splits, so that mean is exactly 1/2: every key's record
+    likelihood is 2^-n, H(key | record) = K and the likelihoods sum to
+    2^(K - n), with no transform.
     """
     key_bits, weight = _check_entropy_run(c, poly, scenario, trials, "classical")
     n = scenario.n_symbols
     chan = _label_channel(c, scenario)
     idx_table = _pair_index_table(c)
-    # data unknown: each basis reads label 1 with the mean over its pair
     up = 0.5 * (chan[idx_table[0], 1] + chan[idx_table[1], 1])
-    marginal = np.broadcast_to(np.stack([1.0 - up, up], axis=1), (2, c.m, 2))
-    h_key_vals = np.empty(trials)
-    surprisals = np.empty(trials)
+    if not (up == 0.5).all():
+        raise AssertionError("a label pair does not split; the key posterior is not flat")
+    log2_marginal = float(key_bits - n)
     trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, _measure_indices,
-                                      [marginal, chan[idx_table]], weight)
-    for t, (log_marg, log_cond) in enumerate(trial_likes):
-        h_key_vals[t] = _posterior_entropy_bits(log_marg)
-        # P(data | record) = 2^-n sum_j L(record | j, data) / sum_j L(record | j)
-        surprisals[t] = n - _log2_sum(log_cond) + _log2_sum(log_marg)
-    h_key_mean = float(h_key_vals.mean())
+                                      [chan[idx_table]], weight)
+    # P(data | record) = 2^-n sum_j L(record | j, data) / sum_j L(record | j)
+    surprisals = np.array([n - _log2_sum(log_cond) + log2_marginal
+                           for log_cond, in trial_likes])
     h_data_mean = float(surprisals.mean())
     return EntropyReport(
         regime="ciphertext_only",
@@ -689,12 +728,12 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
         key_bits=key_bits,
         n_symbols=n,
         h_key=float(key_bits),
-        h_key_given_obs=h_key_mean,
+        h_key_given_obs=float(key_bits),
         h_data_given_obs=h_data_mean,
         exceeds_key_entropy=bool(h_data_mean > key_bits),
         notes={
-            "h_key_given_obs_min": float(h_key_vals.min()),
-            "h_key_given_obs_max": float(h_key_vals.max()),
+            "h_key_given_obs_min": float(key_bits),
+            "h_key_given_obs_max": float(key_bits),
             "h_data_given_obs_std": float(surprisals.std()),
             "error_weight": weight,
         },

@@ -236,8 +236,14 @@ def _write_seed_csv(path: str, manifest_name: str, sha256: str, rec,
             seeds, np.arange(1, seeds.size + 1)):
         raise ValueError("the record's seeds are not 1 ... 2^K - 1 in order")
     frac = rec.per_seed_match_fraction
-    hamming = np.rint((1.0 - frac) * n_symbols).astype(np.int64)
-    if not np.array_equal(frac, (n_symbols - hamming) / n_symbols):
+    # one float buffer holds the rounded distances, then the fractions they give
+    buf = np.subtract(1.0, frac)
+    buf *= n_symbols
+    np.rint(buf, out=buf)
+    hamming = buf.astype(np.int64)
+    np.subtract(n_symbols, buf, out=buf)
+    buf /= n_symbols
+    if not np.array_equal(frac, buf):
         raise ValueError("match fractions are not whole multiples of 1/n_symbols")
     tails = [f"{(n_symbols - h) / n_symbols!r},{h},{int(h == 0)},{true}\n".encode()
              for true in (0, 1) for h in range(n_symbols + 1)]

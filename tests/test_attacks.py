@@ -474,12 +474,36 @@ def test_ciphertext_key_posterior_is_flat_bit_for_bit(m, degree, n, misalign, ki
     dsr = {"none": attacks.Dsr(), "binary": attacks.Dsr.binary(param),
            "jitter": attacks.Dsr.jitter(3.0 * param)}[kind]
     c = codec.Constellation(m=m, energy=1.0)
+    poly = codec.PRIMITIVE_POLYS[degree]
     sc = attacks.AttackScenario.with_errors(n, [n // 2] if error else [], misalign=misalign,
                                             dsr=dsr)
-    rep = attacks.ciphertext_only_entropy(c, codec.PRIMITIVE_POLYS[degree], sc, trials=2,
+    rep = attacks.ciphertext_only_entropy(c, poly, sc, trials=2,
                                           rng=np.random.default_rng(seed))
     assert rep.h_key_given_obs == float(degree)
     assert rep.notes["h_key_given_obs_min"] == float(degree)
+    # the engine writes K down; the transform route scores the per-basis data
+    # marginal and must read 2^-n for every key of every record
+    chan = attacks._label_channel(c, sc)
+    idx = codec._pair_index_table(c)
+    up = 0.5 * (chan[idx[0], 1] + chan[idx[1], 1])
+    marginal = np.broadcast_to(np.stack([1.0 - up, up], axis=1), (2, m, 2))
+    for log_marg, in attacks._record_likelihoods(c, poly, sc, 2, np.random.default_rng(seed),
+                                                 attacks._measure_indices, [marginal],
+                                                 int(error)):
+        assert (log_marg == -float(n)).all()
+
+
+def test_ciphertext_entropy_refuses_a_channel_whose_pairs_do_not_split(monkeypatch):
+    # the flat posterior is written down, not computed, so a channel that
+    # breaks its premise must stop the engine
+    def lopsided(c, scenario):
+        return np.tile([0.7, 0.3], (c.n_states, 1))
+
+    monkeypatch.setattr(attacks, "_label_channel", lopsided)
+    with pytest.raises(AssertionError, match="does not split"):
+        attacks.ciphertext_only_entropy(codec.Constellation(m=4, energy=2.0), POLY8,
+                                        attacks.AttackScenario(n_symbols=8), trials=1,
+                                        rng=np.random.default_rng(0))
 
 
 @settings(max_examples=60, deadline=None)

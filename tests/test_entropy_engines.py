@@ -172,6 +172,60 @@ def test_walsh_scorer_matches_gathered_likelihoods_key_by_key(case):
             assert (log_like[~zero & ~live] < math.log2(tiny) + tol).all()
 
 
+@settings(max_examples=100, deadline=None)
+@given(entropy_cases())
+# the flip probabilities of the key-by-key examples above
+@example((codec.Constellation(m=4, energy=1.0), codec.PRIMITIVE_POLYS[6],
+          attacks.AttackScenario.with_errors(8, [3], dsr=attacks.Dsr.binary(5e-324)),
+          "ciphertext_only", 2, 5))
+@example((codec.Constellation(m=4, energy=1.0), codec.PRIMITIVE_POLYS[6],
+          attacks.AttackScenario.with_errors(8, [3], dsr=attacks.Dsr.binary(2.2e-308)),
+          "classical", 2, 5))
+# (1 - f) / f lies just below 32, and its log2 rounds to 5: a band exponent
+# taken from that log2 made the band's value 1 - 1.1e-16
+@example((codec.Constellation(m=4, energy=1.0), codec.PRIMITIVE_POLYS[6],
+          attacks.AttackScenario.with_errors(8, [3],
+                                             dsr=attacks.Dsr.binary(0.030303030303030307)),
+          "classical", 2, 5))
+def test_every_nonzero_band_value_lies_in_one_to_two_to_the_band_bits_plus_one(case):
+    # the premise of reading a band's presence from its sum: a key's band sum
+    # is 0 or at least 1, so a 0.5 threshold separates the two past rounding
+    c, poly, sc, regime, trials, seed = case
+    _, tables, _ = record_model(c, sc, regime)
+    for tab in tables:
+        terms, (_, e) = attacks._symbol_terms(tab, 1)
+        values = np.array(terms[2:]).reshape(len(e), -1)
+        # no band term is 0 on the whole table, so the scorer never skips one
+        assert values.any(axis=1).all()
+        nonzero = values[values != 0.0]
+        assert (nonzero >= 1.0).all() and (nonzero < 2.0 ** (attacks.RATIO_BAND_BITS + 1)).all()
+
+
+@pytest.mark.parametrize("regime, errors", [("classical", []), ("classical", [5]),
+                                            ("quantum", [])])
+def test_a_term_zero_on_its_whole_table_is_skipped_without_changing_likelihoods(regime,
+                                                                              errors):
+    # misaligned noiseless labels are 0 or 1, so log2 f is 0 on the whole
+    # label table; the data marginal and the heterodyne table have no zero,
+    # so the zero indicator is 0 on the whole table.  The scorer skips such
+    # terms, and every key must still match the gathered products
+    c, poly = codec.Constellation(m=4, energy=2.0), codec.PRIMITIVE_POLYS[8]
+    sc = attacks.AttackScenario.with_errors(12, errors, misalign=0.3)
+    record, tables, weight = record_model(c, sc, regime)
+    dead = [[not t.any() for t in attacks._symbol_terms(tab, weight)[0][:2]] for tab in tables]
+    assert dead == ([[False, True]] if regime == "quantum" else [[False, True], [True, False]])
+    # every trial is kept before any is compared: no yielded array may share
+    # memory with the buffers the next trial's transform writes
+    new = list(attacks._record_likelihoods(c, poly, sc, 4, np.random.default_rng(7), record,
+                                           tables, weight))
+    old = oracle.gathered_likelihoods(c, poly, sc, 4, np.random.default_rng(7), record, tables,
+                                      weight)
+    tol = log2_tolerance(c, sc, regime)
+    for log_likes, likes in zip(new, old):
+        for log_like, like in zip(log_likes, likes):
+            npt.assert_allclose(np.exp2(log_like), like, rtol=tol)
+
+
 @settings(max_examples=200, deadline=None)
 @given(delta=st.floats(1e-30, 0.5))
 @example(delta=1e-30)

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -362,6 +363,29 @@ def test_entropy_json_key_entropies_lie_in_zero_to_key_bits(m, degree, n, record
     for name, h in values:
         # a zero entropy is +0.0: math.copysign sees the sign that == hides
         assert 0.0 <= h <= degree and math.copysign(1.0, h) == 1.0, (name, h)
+
+
+PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
+
+
+def _perfbench_checks():
+    """perfbench/checks.py, the output checks the benchmark applies to every run."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    return checks
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("workload", ["entropy_misalign", "entropy_jitter", "entropy_quantum"])
+def test_entropy_workloads_match_the_benchmark_refs(tmp_path, workload, seed):
+    # every figure within the benchmark's float tolerance of perfbench/refs.json
+    ini = PERFBENCH / "workloads" / f"{workload}.ini"
+    argv = ["entropy", "--config", str(ini), "--out-dir", str(tmp_path), "--seed", str(seed)]
+    assert cli.main(argv) == 0
+    refs = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))[workload]
+    assert str(seed) in refs
+    assert _perfbench_checks().check_entropy(str(tmp_path), str(ini), seed, refs) == []
 
 
 def test_run_keygen_outputs(tmp_path):
