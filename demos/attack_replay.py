@@ -11,9 +11,10 @@ from yzero import (AttackScenario, Constellation, PRIMITIVE_POLYS, brute_force_c
                    encode_sequence, measure_labels)
 
 
-def top_rows(rec, k: int) -> "list[tuple[int, float]]":
-    order = np.argsort(-rec.per_seed_match_fraction, kind="stable")[:k]
-    return [(int(rec.seeds[i]), float(rec.per_seed_match_fraction[i])) for i in order]
+def top_rows(rec, n: int, k: int) -> "list[tuple[int, float]]":
+    mismatches = np.concatenate(list(rec.mismatch_counts()))
+    order = np.argsort(mismatches, kind="stable")[:k]
+    return [(int(i) + 1, (n - int(mismatches[i])) / n) for i in order]
 
 
 def main() -> None:
@@ -34,16 +35,16 @@ def main() -> None:
     print(f"  distinct candidate sequences: {rec.candidate_count}")
     print(f"  transmitted sequence among candidates: {rec.true_r_in_candidates}")
     print(f"  {'seed':>7} {'match':>7}")
-    for seed, frac in top_rows(rec, 5):
+    for seed, frac in top_rows(rec, n, 5):
         marker = "  <- true" if seed == true_seed else ""
         print(f"  {seed:#7x} {frac:>7.4f}{marker}")
 
     noisy = measure_labels(symbols, c, AttackScenario.with_errors(n, [17]))
     rec2 = brute_force_candidates(noisy, c, poly, data, true_seed)
-    frac_true = rec2.per_seed_match_fraction[true_seed - 1]
+    frac_true = (n - rec2.true_seed_mismatches) / n
     print("\none recording error at position 17:")
     print(f"  true-seed candidate agreement: {frac_true:.4f} "
-          f"({round((1 - frac_true) * n)} bit off)")
+          f"({rec2.true_seed_mismatches} bit off)")
     print(f"  true seed rank: {rec2.true_key_rank}")
 
     tilted = measure_labels(symbols, c,
@@ -52,7 +53,7 @@ def main() -> None:
     rec3 = brute_force_candidates(tilted, c, poly, data, true_seed)
     print("\nmisaligned reference (a quarter wedge):")
     print(f"  true-seed candidate agreement: "
-          f"{rec3.per_seed_match_fraction[true_seed - 1]:.4f}")
+          f"{(n - rec3.true_seed_mismatches) / n:.4f}")
     print(f"  true seed rank: {rec3.true_key_rank}")
 
 

@@ -26,6 +26,7 @@ caps raise RegimeCapError rather than silently subsampling.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,19 +136,39 @@ class AttackScenario:
 
 @dataclass
 class AttackRecord:
-    """Outcome of one exhaustive replay over the seed space."""
+    """Outcome of one exhaustive replay over the seed space.
+
+    The record holds no per-seed array.  Seed j's candidate misses the
+    reference in h_j of the N positions (match fraction (N - h_j) / N);
+    `mismatch_histogram[h]` counts the nonzero seeds with h_j = h, so it has
+    N + 1 bins summing to 2^K - 1, and the rank, exact-match count and
+    match-fraction summaries are read from it.  `match_fraction_mean` is the
+    exact integer total of N - h_j divided by N, then by 2^K - 1.  The
+    per-seed counts themselves are re-streamed on request from the K packed
+    unit parity rows and the packed flip word (effective labels XOR
+    reference) by `mismatch_counts`, in seed order and in chunks of at most
+    2^16 seeds.
+    """
 
     measured_labels: np.ndarray
     candidate_count: int
-    true_key_rank: "int | None"
+    true_key_rank: int
     true_r_in_candidates: bool
-    per_seed_match_fraction: np.ndarray
+    mismatch_histogram: np.ndarray
+    true_seed_mismatches: int
+    match_fraction_mean: float
+    match_fraction_max: float
+    unit_rows: np.ndarray
+    flip: np.ndarray
     mutual_info_estimate: "float | None" = None
-    seeds: "np.ndarray | None" = None
     true_seed: "int | None" = None
     exact_match_count: int = 0
     collision_count: int = 0
     notes: dict = field(default_factory=dict)
+
+    def mismatch_counts(self) -> "Iterator[np.ndarray]":
+        """h_j for seeds j = 1 ... 2^K - 1 in order, one fresh int64 array per chunk."""
+        return _scan_counts(self.unit_rows, self.flip)
 
 
 @dataclass
@@ -362,42 +383,75 @@ def _gf2_rank(rows: np.ndarray) -> int:
     return len(pivots)
 
 
+# Seeds per scan chunk, as a power of two: at N <= 64 a chunk's span block
+# and counts take 0.5 MB each, so the replay's memory does not grow with K.
+_SCAN_CHUNK_BITS = 16
+
+
+def _scan_counts(units: np.ndarray, flip: np.ndarray) -> "Iterator[np.ndarray]":
+    """Mismatch counts popcount(span_j XOR flip) of the nonzero seeds j, in order.
+
+    units holds the K unit seeds' packed parity rows and flip the packed
+    effective labels XOR reference.  The parity stream is GF(2)-linear in
+    the seed, so with B = min(K, _SCAN_CHUNK_BITS) the span of the low B
+    unit rows, XORed with flip once, serves every chunk: chunk c covers
+    seeds c 2^B ... (c + 1) 2^B - 1 and XORs in one prefix, the span of the
+    high K - B rows at c, into a buffer reused across chunks.  Seed 0 is
+    left out of the first chunk.  Memory is three 2^B-row blocks (span,
+    buffer, popcounts) plus the yielded counts, whatever K is.
+    """
+    low_bits = min(units.shape[0], _SCAN_CHUNK_BITS)
+    low = gf2_span(units[:low_bits])
+    low ^= flip
+    buf = np.empty_like(low)
+    for c, prefix in enumerate(gf2_span(units[low_bits:])):
+        np.bitwise_xor(low, prefix, out=buf)
+        counts = np.bitwise_count(buf).sum(axis=1, dtype=np.int64)
+        yield counts[1:] if c == 0 else counts
+
+
 def _seed_scan(measured_labels: np.ndarray, effective_labels: np.ndarray,
                target: np.ndarray, basis_units: np.ndarray,
                true_seed: int) -> AttackRecord:
     """Score the candidates effective_labels XOR parity_j of every nonzero seed j.
 
-    The parity stream is GF(2)-linear in the seed, so the packed streams of
-    all seeds are XOR combinations of the unit-seed streams and the number
-    of distinct candidates follows from the rank of the unit streams: with
-    full rank K every nonzero seed gives its own candidate (2^K - 1),
-    otherwise the nonzero seeds cover the whole 2^rank image.  basis_units
-    holds the K unit seeds' basis chunk rows.
+    The counts stream through `_scan_counts` once, into an (N + 1)-bin
+    histogram of mismatches over the nonzero seeds; the true seed's count
+    is its own row popcount(parity_true XOR flip).  The number of distinct
+    candidates follows from the GF(2) rank of the unit streams: with full
+    rank K every nonzero seed gives its own candidate (2^K - 1), otherwise
+    the nonzero seeds cover the whole 2^rank image.  basis_units holds the
+    K unit seeds' basis chunk rows.
     """
     key_bits = basis_units.shape[0]
     n = target.size
     units = _pack_words((basis_units & 1).astype(np.uint8))
-    streams = gf2_span(units)[1:]
-    mismatches = np.bitwise_count(streams ^ _pack_words(effective_labels ^ target)).sum(
-        axis=1, dtype=np.int64)
-    frac = (n - mismatches) / n
+    flip = _pack_words(effective_labels ^ target)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for counts in _scan_counts(units, flip):
+        hist += np.bincount(counts, minlength=n + 1)
+    true_h = int(np.bitwise_count(_seed_row(units, true_seed) ^ flip).sum())
+    seed_space = (1 << key_bits) - 1
     rank = _gf2_rank(units)
-    distinct = (1 << key_bits) - 1 if rank == key_bits else 1 << rank
-    seeds = np.arange(1, 1 << key_bits, dtype=np.uint32)
-    exact = int(np.count_nonzero(mismatches == 0))
-    # ties resolved optimistically for the attacker
-    true_rank = 1 + int(np.count_nonzero(mismatches < mismatches[true_seed - 1]))
+    distinct = seed_space if rank == key_bits else 1 << rank
+    exact = int(hist[0])
+    matches = int(np.dot(n - np.arange(n + 1), hist))
     return AttackRecord(
         measured_labels=measured_labels,
         candidate_count=distinct,
-        true_key_rank=true_rank,
+        # ties resolved optimistically for the attacker
+        true_key_rank=1 + int(hist[:true_h].sum()),
         true_r_in_candidates=exact > 0,
-        per_seed_match_fraction=frac,
-        seeds=seeds,
+        mismatch_histogram=hist,
+        true_seed_mismatches=true_h,
+        match_fraction_mean=matches / n / seed_space,
+        match_fraction_max=(n - int(np.flatnonzero(hist)[0])) / n,
+        unit_rows=units,
+        flip=flip,
         true_seed=int(true_seed),
         exact_match_count=exact,
-        collision_count=int(seeds.size - distinct),
-        notes={"seed_space": int(seeds.size)},
+        collision_count=seed_space - distinct,
+        notes={"seed_space": seed_space},
     )
 
 
@@ -407,9 +461,10 @@ def brute_force_candidates(measured: np.ndarray, c: Constellation, poly: int,
 
     Each seed hypothesis j turns the label record into a candidate data
     sequence by XOR with that seed's basis-parity stream.  The record keeps
-    the full per-seed agreement profile with the actually transmitted
-    sequence, the rank of the true seed (ties resolved optimistically for
-    the attacker), and the number of distinct candidate sequences.
+    the histogram of the candidates' mismatches with the actually
+    transmitted sequence (the per-seed counts re-stream on request), the
+    rank of the true seed (ties resolved optimistically for the attacker),
+    and the number of distinct candidate sequences.
     """
     _require_plain_pairing(c)
     key_bits = poly.bit_length() - 1
@@ -452,7 +507,7 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
     labels = _measure_indices(_pair_index_table(c)[pad, basis_true], c, scenario, rng,
                               scenario.error_vector())
     rec = _seed_scan(labels, cipher ^ labels, x_bits, units, true_seed)
-    rec.true_r_in_candidates = bool(rec.per_seed_match_fraction[true_seed - 1] == 1.0)
+    rec.true_r_in_candidates = rec.true_seed_mismatches == 0
     noiseless = (scenario.dsr.kind == "none" and scenario.misalign == 0.0
                  and not scenario.error_vector().any())
     identity = bool(np.all((cipher ^ labels ^ (basis_true & 1)) == x_bits)) if noiseless else None

@@ -174,8 +174,8 @@ def _attack_record_payload(rec, cfg: ScenarioConfig) -> dict:
         "true_key_rank": rec.true_key_rank,
         "true_r_in_candidates": rec.true_r_in_candidates,
         "mutual_info_estimate": rec.mutual_info_estimate,
-        "match_fraction_mean": float(rec.per_seed_match_fraction.mean()),
-        "match_fraction_max": float(rec.per_seed_match_fraction.max()),
+        "match_fraction_mean": rec.match_fraction_mean,
+        "match_fraction_max": rec.match_fraction_max,
         "notes": rec.notes,
         "config_sha256": cfg.config_sha256,
         "manifest_file": f"{cfg.prefix}_manifest.json",
@@ -184,7 +184,6 @@ def _attack_record_payload(rec, cfg: ScenarioConfig) -> dict:
 
 _SEED_CSV_HEADER = ["seed_hex", "match_fraction", "hamming_distance", "exact_match",
                     "is_true_seed"]
-_SEED_CSV_CHUNK = 1 << 16
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
@@ -215,58 +214,44 @@ def _hex_table(key_bits: int) -> np.ndarray:
 
 
 def _write_seed_csv(path: str, manifest_name: str, sha256: str, rec,
-                    n_symbols: int) -> None:
+                    hex_table: np.ndarray) -> None:
     """One row per seed hypothesis, byte for byte as _write_csv would format it.
 
-    The record's seeds must be 1 ... 2^K - 1 in order, so a row's "0x", hex
-    digits and first comma depend only on K: `_hex_table` builds them once
-    per file for all 2^K values, leading zero digits stored as NUL.  Every
-    match fraction is (n - h) / n for a Hamming distance h, so the rest of
-    a row is one of 2 (n + 1) precomputed tails, tail h + (n + 1) [seed is
-    the true seed], NUL-padded to the longest.  Each chunk of rows is one
-    record array with a `hex` and a `tail` field, filled by two whole-item
-    copies: a slice of the table and a `take` from the tails.  No CSV row
-    holds a NUL byte, so one pass that deletes them gives the chunk's file
-    bytes.  Memory is the table, at most 2^K x (3 + ceil(K / 4)) bytes
-    (8.4 MB at K = 20), plus one chunk; no Python object is made per row.
+    The rows follow `rec.mismatch_counts()`, the scan's integer mismatch
+    counts h for seeds 1 ... 2^K - 1 in order, one chunk at a time, so a
+    row's "0x", hex digits and first comma are item s of `hex_table`
+    (`_hex_table(K)`, built once per run; leading zero digits stored as
+    NUL).  The match fraction is (n - h) / n, so the rest of a row is one of
+    2 (n + 1) precomputed tails, tail h + (n + 1) [seed is the true seed],
+    NUL-padded to the longest.  Each chunk of rows is one record array with
+    a `hex` and a `tail` field, filled by two whole-item copies: a slice of
+    the table and a `take` from the tails.  No CSV row holds a NUL byte, so
+    one pass that deletes them gives the chunk's file bytes.  Besides the
+    table (8.4 MB at K = 20), memory is one scan chunk of at most 2^16 rows;
+    no Python object is made per row.
     """
-    seeds = rec.seeds
-    key_bits = seeds.size.bit_length()
-    if seeds.size + 1 != 1 << key_bits or not np.array_equal(
-            seeds, np.arange(1, seeds.size + 1)):
-        raise ValueError("the record's seeds are not 1 ... 2^K - 1 in order")
-    frac = rec.per_seed_match_fraction
-    # one float buffer holds the rounded distances, then the fractions they give
-    buf = np.subtract(1.0, frac)
-    buf *= n_symbols
-    np.rint(buf, out=buf)
-    hamming = buf.astype(np.int64)
-    np.subtract(n_symbols, buf, out=buf)
-    buf /= n_symbols
-    if not np.array_equal(frac, buf):
-        raise ValueError("match fractions are not whole multiples of 1/n_symbols")
+    n_symbols = rec.mismatch_histogram.size - 1
     tails = [f"{(n_symbols - h) / n_symbols!r},{h},{int(h == 0)},{true}\n".encode()
              for true in (0, 1) for h in range(n_symbols + 1)]
     tail_width = max(len(t) for t in tails)
     tail_table = np.frombuffer(b"".join(t.ljust(tail_width, b"\0") for t in tails),
                                dtype=f"V{tail_width}")
-    # tail index: h, or h + n + 1 on the true seed's row
-    tail = hamming
-    tail[seeds == rec.true_seed] += n_symbols + 1
-    # seed s is item s of the table
-    hex_table = _hex_table(key_bits)[1:]
     row = np.dtype([("hex", hex_table.dtype), ("tail", tail_table.dtype)])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         _csv_writer(fh, manifest_name, sha256, _SEED_CSV_HEADER)
         # the header sits in the text layer's buffer; it must reach the file first
         fh.flush()
-        for lo in range(0, seeds.size, _SEED_CSV_CHUNK):
-            t = tail[lo:lo + _SEED_CSV_CHUNK]
-            chunk = bytearray(t.size * row.itemsize)
+        lo = 1
+        for tail in rec.mismatch_counts():
+            # tail index: h, or h + n + 1 on the true seed's row
+            if lo <= rec.true_seed < lo + tail.size:
+                tail[rec.true_seed - lo] += n_symbols + 1
+            chunk = bytearray(tail.size * row.itemsize)
             rows = np.frombuffer(chunk, dtype=row)
-            rows["hex"] = hex_table[lo:lo + t.size]
-            rows["tail"] = tail_table.take(t)
+            rows["hex"] = hex_table[lo:lo + tail.size]
+            rows["tail"] = tail_table.take(tail)
             fh.buffer.write(chunk.translate(None, b"\0"))
+            lo += tail.size
 
 
 def run_attack(cfg: ScenarioConfig) -> "list[str]":
@@ -290,9 +275,10 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
         "record": _attack_record_payload(rec, cfg),
     }
     outputs = []
+    hex_table = _hex_table(cfg.key_bits)
     seeds_name = f"{cfg.prefix}_attack_seeds.csv"
     _write_seed_csv(os.path.join(cfg.out_dir, seeds_name), f"{cfg.prefix}_manifest.json",
-                    cfg.config_sha256, rec, cfg.n_symbols)
+                    cfg.config_sha256, rec, hex_table)
     outputs.append(seeds_name)
     if cfg.otp:
         x_bits = rng_otp.integers(0, 2, cfg.n_symbols, dtype=np.uint8)
@@ -301,7 +287,7 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
         payload["otp_stage"]["plaintext"] = x_bits.tolist()
         otp_name = f"{cfg.prefix}_attack_otp_seeds.csv"
         _write_seed_csv(os.path.join(cfg.out_dir, otp_name), f"{cfg.prefix}_manifest.json",
-                        cfg.config_sha256, orec, cfg.n_symbols)
+                        cfg.config_sha256, orec, hex_table)
         outputs.append(otp_name)
     summary_name = f"{cfg.prefix}_attack.json"
     _write_json(os.path.join(cfg.out_dir, summary_name), payload)

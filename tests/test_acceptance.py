@@ -159,8 +159,7 @@ def test_c07_noiseless_replay_guarantee():
         idx = codec.encode_sequence(r, poly, true_seed, c)
         clean = attacks.measure_labels(idx, c, attacks.AttackScenario(n_symbols=n))
         rec = attacks.brute_force_candidates(clean, c, poly, r, true_seed)
-        contained += int(rec.true_r_in_candidates
-                         and rec.per_seed_match_fraction[true_seed - 1] == 1.0)
+        contained += int(rec.true_r_in_candidates and rec.true_seed_mismatches == 0)
         pos = int(rng.integers(0, n))
         noisy = attacks.measure_labels(
             idx, c, attacks.AttackScenario.with_errors(n, [pos]))

@@ -226,15 +226,16 @@ def test_brute_force_agrees_with_scalar_enumeration():
     idx = codec.encode_sequence(r, POLY4, true_seed, c)
     measured = attacks.measure_labels(idx, c, attacks.AttackScenario(n_symbols=n))
     rec = attacks.brute_force_candidates(measured, c, POLY4, r, true_seed)
-    fracs, cands = [], set()
+    hams, cands = [], set()
     for seed in range(1, 16):
         cand = measured ^ parity_stream(POLY4, seed, 1, n)
-        fracs.append(float(np.mean(cand == r)))
+        hams.append(int(np.sum(cand != r)))
         cands.add(tuple(cand.tolist()))
-    npt.assert_array_equal(rec.per_seed_match_fraction, fracs)
+    npt.assert_array_equal(np.concatenate(list(rec.mismatch_counts())), hams)
+    npt.assert_array_equal(rec.mismatch_histogram, np.bincount(hams, minlength=n + 1))
     assert rec.candidate_count == len(cands)
     assert rec.collision_count == 15 - len(cands)
-    assert rec.true_key_rank == 1 + sum(f > fracs[true_seed - 1] for f in fracs)
+    assert rec.true_key_rank == 1 + sum(h < hams[true_seed - 1] for h in hams)
     assert rec.true_r_in_candidates
     assert rec.notes["seed_space"] == 15
 
@@ -248,14 +249,13 @@ def test_brute_force_noiseless_recovery_and_single_error():
         idx = codec.encode_sequence(r, POLY8, int(true_seed), c)
         clean = attacks.measure_labels(idx, c, attacks.AttackScenario(n_symbols=n))
         rec = attacks.brute_force_candidates(clean, c, POLY8, r, int(true_seed))
-        assert rec.per_seed_match_fraction[int(true_seed) - 1] == 1.0
+        assert rec.true_seed_mismatches == 0
         assert rec.true_key_rank == 1
         # one recording error displaces the true candidate by exactly one bit
         noisy = attacks.measure_labels(
             idx, c, attacks.AttackScenario.with_errors(n, [7]))
         rec2 = attacks.brute_force_candidates(noisy, c, POLY8, r, int(true_seed))
-        npt.assert_allclose(rec2.per_seed_match_fraction[int(true_seed) - 1],
-                            1.0 - 1.0 / n, rtol=1e-12)
+        assert rec2.true_seed_mismatches == 1
 
 
 def test_brute_force_binary_dsr_match_law():
@@ -273,8 +273,9 @@ def test_brute_force_binary_dsr_match_law():
     for _ in range(trials):
         measured = attacks.measure_labels(idx, c, sc, rng)
         rec = attacks.brute_force_candidates(measured, c, POLY8, r, true_seed)
-        sums[0] += rec.per_seed_match_fraction[true_seed - 1]
-        sums[1] += rec.per_seed_match_fraction[probe_seed - 1]
+        probe_h = np.concatenate(list(rec.mismatch_counts()))[probe_seed - 1]
+        sums[0] += (n - rec.true_seed_mismatches) / n
+        sums[1] += (n - probe_h) / n
     got_true, got_probe = sums / trials
     sd = math.sqrt(0.25 / (n * trials))
     assert abs(got_true - (1 - f)) < 4 * sd
@@ -308,7 +309,7 @@ def test_otp_stage_noiseless_identity():
     sc = attacks.AttackScenario(n_symbols=n)
     rec = attacks.otp_stage_attack(x, c, POLY8, true_seed, sc, rng)
     assert rec.notes["pad_identity_noiseless"] is True
-    assert rec.per_seed_match_fraction[true_seed - 1] == 1.0
+    assert rec.true_seed_mismatches == 0
     assert rec.true_key_rank == 1
     assert len(rec.notes["ciphertext"]) == n
 
@@ -366,7 +367,7 @@ def test_otp_stage_full_randomization_breaks_recovery():
     x = rng.integers(0, 2, n, dtype=np.uint8)
     sc = attacks.AttackScenario(n_symbols=n, dsr=attacks.Dsr.binary(0.5))
     rec = attacks.otp_stage_attack(x, c, POLY8, 0x9D, sc, rng)
-    frac = rec.per_seed_match_fraction[0x9D - 1]
+    frac = (n - rec.true_seed_mismatches) / n
     assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / n)
     assert rec.notes["pad_identity_noiseless"] is None
 

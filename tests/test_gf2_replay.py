@@ -2,6 +2,7 @@
 
 import hashlib
 import pathlib
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 import codec_oracles as scalar
 import entropy_oracles as oracle
+import replay_oracles
 from yzero import attacks, cli, codec, runner
+from yzero.scenario import load_config
 
 
 SEED_CSV_HEADER = ["seed_hex", "match_fraction", "hamming_distance", "exact_match",
@@ -23,22 +26,23 @@ ATTACK_REPLAY_SEEDS_SHA256 = "4e08540cbdbb3e1e892314b9d5b80c4fdeaa7b2e655bdd53b4
 
 def candidate_scan(effective_labels: np.ndarray, parity: np.ndarray,
                    target: np.ndarray) -> "tuple[np.ndarray, int]":
-    """Unpacked reference scan: (match fraction per seed, distinct candidates by sorting)."""
+    """Unpacked reference scan: (mismatches per seed, distinct candidates by sorting)."""
     cand = np.bitwise_xor(effective_labels[None, :], parity)
-    frac = np.mean(cand == target[None, :], axis=1)
+    mismatches = np.sum(cand != target[None, :], axis=1)
     distinct = np.unique(np.packbits(cand, axis=1), axis=0).shape[0]
-    return frac, int(distinct)
+    return mismatches, int(distinct)
+
+
+def streamed_counts(rec) -> np.ndarray:
+    """The record's re-streamed mismatch counts, seeds 1 ... 2^K - 1 in one array."""
+    return np.concatenate(list(rec.mismatch_counts()))
 
 
 def per_seed_rows(rec, n_symbols: int) -> "list[list]":
     """Reference rows of the per-seed CSV, one Python row per seed."""
-    rows = []
-    frac = rec.per_seed_match_fraction
-    for i, seed in enumerate(rec.seeds):
-        hamming = int(round((1.0 - frac[i]) * n_symbols))
-        rows.append([format(int(seed), "#x"), float(frac[i]), hamming,
-                     int(frac[i] == 1.0), int(int(seed) == rec.true_seed)])
-    return rows
+    return [[format(seed, "#x"), (n_symbols - h) / n_symbols, h, int(h == 0),
+             int(seed == rec.true_seed)]
+            for seed, h in enumerate(streamed_counts(rec).tolist(), start=1)]
 
 
 def replay_record(degree: int, n: int, true_seed: int, noisy: bool, rng_seed: int = 0):
@@ -130,17 +134,65 @@ def test_replay_counts_match_the_unpacked_scan(case):
         rec = attacks.brute_force_candidates(labels, c, poly, target, true_seed)
         effective = labels
     _, parity, _ = oracle.keystream_table(poly, n, c.bits_per_basis)
-    frac, distinct = candidate_scan(effective, parity, target)
-    npt.assert_array_equal(rec.per_seed_match_fraction, frac)
-    npt.assert_array_equal(rec.seeds, np.arange(1, 1 << degree))
+    mismatches, distinct = candidate_scan(effective, parity, target)
+    npt.assert_array_equal(streamed_counts(rec), mismatches)
+    npt.assert_array_equal(rec.mismatch_histogram, np.bincount(mismatches, minlength=n + 1))
+    assert rec.true_seed_mismatches == mismatches[true_seed - 1]
     assert rec.candidate_count == distinct
     assert rec.collision_count == (1 << degree) - 1 - distinct
-    assert rec.exact_match_count == int(np.sum(frac == 1.0))
-    assert rec.true_key_rank == 1 + int(np.sum(frac > frac[true_seed - 1]))
+    assert rec.exact_match_count == int(np.sum(mismatches == 0))
+    assert rec.true_key_rank == 1 + int(np.sum(mismatches < mismatches[true_seed - 1]))
     if otp:
-        assert rec.true_r_in_candidates == bool(frac[true_seed - 1] == 1.0)
+        assert rec.true_r_in_candidates == bool(mismatches[true_seed - 1] == 0)
     else:
-        assert rec.true_r_in_candidates == bool(np.any(frac == 1.0))
+        assert rec.true_r_in_candidates == bool(np.any(mismatches == 0))
+
+
+@st.composite
+def scan_cases(draw):
+    degree = draw(st.integers(2, 12))
+    # N up to 130 spans three packed words
+    n = draw(st.integers(1, 130))
+    chunk_bits = draw(st.sampled_from([2, 3]))
+    true_seed = draw(st.integers(1, (1 << degree) - 1))
+    rng_seed = draw(st.integers(0, 2**32 - 1))
+    return degree, n, chunk_bits, true_seed, rng_seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(scan_cases())
+@example((5, 48, 3, 7, 0))  # the last seed of the first chunk, which has no seed 0
+@example((5, 48, 3, 8, 1))  # the first seed of the second chunk
+@example((7, 64, 2, 127, 2))  # 2^K - 1, the last seed of the last chunk
+@example((17, 64, 16, 65536, 3))  # the real chunk size: 2^16 is the second chunk's first
+def test_chunked_scan_matches_the_whole_array_scan(case):
+    degree, n, chunk_bits, true_seed, rng_seed = case
+    rng = np.random.default_rng(rng_seed)
+    # random unit rows, so rank-deficient spans occur too
+    basis_units = rng.integers(0, 4, (degree, n))
+    target = rng.integers(0, 2, n, dtype=np.uint8)
+    # the true seed's candidate misses the target in about a tenth of the positions
+    effective = (target ^ (codec._seed_row(basis_units, true_seed) & 1)
+                 ^ (rng.random(n) < 0.1)).astype(np.uint8)
+    want = replay_oracles.whole_array_scan(effective, target, basis_units, true_seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(attacks, "_SCAN_CHUNK_BITS", chunk_bits)
+        rec = attacks._seed_scan(effective, effective, target, basis_units, true_seed)
+        npt.assert_array_equal(streamed_counts(rec), want.mismatches)
+    npt.assert_array_equal(rec.mismatch_histogram, want.histogram)
+    # seed 0 is not a hypothesis
+    assert rec.mismatch_histogram.sum() == (1 << degree) - 1
+    assert rec.true_seed_mismatches == want.true_seed_mismatches
+    assert rec.true_key_rank == want.true_key_rank
+    assert rec.exact_match_count == want.exact_match_count
+    assert rec.match_fraction_max == want.match_fraction_max
+    if n & (n - 1) == 0:
+        # every fraction is a multiple of 1/n: the float sum is exact
+        assert rec.match_fraction_mean == want.match_fraction_mean
+    else:
+        # np.mean sums 2^K - 1 rounded fractions pairwise, in leaves of up to 128
+        npt.assert_allclose(rec.match_fraction_mean, want.match_fraction_mean,
+                            rtol=64 * np.finfo(float).eps)
 
 
 @settings(max_examples=20, deadline=None)
@@ -155,64 +207,55 @@ def test_seed_csv_writer_matches_the_csv_module(tmp_path_factory, degree, n, see
     # jitter plus one recording error: fractions vary and the true seed misses
     true_seed = 1 + int(seed_frac * ((1 << degree) - 1))
     rec = replay_record(degree, n, true_seed, noisy=True, rng_seed=rng_seed)
-    assume(rec.per_seed_match_fraction[true_seed - 1] < 1.0)
-    assume(np.unique(rec.per_seed_match_fraction).size > 2)
+    assume(rec.true_seed_mismatches > 0)
+    assume(np.count_nonzero(rec.mismatch_histogram) > 2)
     out = tmp_path_factory.mktemp("csv")
-    runner._write_seed_csv(str(out / "fast.csv"), "m.json", "abc", rec, n)
+    runner._write_seed_csv(str(out / "fast.csv"), "m.json", "abc", rec,
+                           runner._hex_table(degree))
     runner._write_csv(str(out / "ref.csv"), "m.json", "abc", SEED_CSV_HEADER,
                       per_seed_rows(rec, n))
     assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
 
-ALL_CHUNKS = (1, 3, 64, 1 << 16)
-# at 2^17 - 1 rows, chunks of 1 or 3 rows take seconds; 64 and 2^16 both split at row 65536
-BOUNDARY_CHUNKS = (64, 1 << 16)
+# chunk sizes of 2^0, 2^2, 2^6 and 2^16 seeds; at 2^17 - 1 rows, single-seed or 4-seed
+# chunks take seconds, and 2^6 and 2^16 both split at seed 65536
+ALL_CHUNK_BITS = (0, 2, 6, 16)
+BOUNDARY_CHUNK_BITS = (6, 16)
 
 
-@pytest.mark.parametrize("degree, n, true_seed, noisy, chunks", [
-    (5, 12, 7, False, ALL_CHUNKS),          # the true seed's row ends ",1.0,0,1,1"
-    (9, 64, 0x1A5, True, ALL_CHUNKS),       # hex widths 1 to 3; the true seed misses
-    (17, 40, 65536, False, BOUNDARY_CHUNKS),  # the true seed at row 65535, 65536 or
-    (17, 40, 65537, False, BOUNDARY_CHUNKS),  # 65537: the last row of the first 2^16
-    (17, 40, 65538, False, BOUNDARY_CHUNKS),  # chunk, the first and second of the next
-], ids=["exact-match", "jitter-and-error", "row-65535", "row-65536", "row-65537"])
+@pytest.mark.parametrize("degree, n, true_seed, noisy, chunk_bits", [
+    (5, 12, 7, False, ALL_CHUNK_BITS),          # the true seed's row ends ",1.0,0,1,1"
+    (9, 64, 0x1A5, True, ALL_CHUNK_BITS),       # hex widths 1 to 3; the true seed misses
+    (17, 40, 65535, False, BOUNDARY_CHUNK_BITS),  # the true seed at row 65534 ... 65537,
+    (17, 40, 65536, False, BOUNDARY_CHUNK_BITS),  # seed 65535 ... 65538: the last row of
+    (17, 40, 65537, False, BOUNDARY_CHUNK_BITS),  # the first 2^16-seed chunk (which has
+    (17, 40, 65538, False, BOUNDARY_CHUNK_BITS),  # no seed 0), the first three of the next
+], ids=["exact-match", "jitter-and-error", "row-65534", "row-65535", "row-65536",
+        "row-65537"])
 def test_seed_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, degree, n,
-                                                        true_seed, noisy, chunks):
+                                                        true_seed, noisy, chunk_bits):
     rec = replay_record(degree, n, true_seed, noisy)
-    assert (rec.per_seed_match_fraction[true_seed - 1] == 1.0) != noisy
+    assert (rec.true_seed_mismatches == 0) != noisy
     runner._write_csv(str(tmp_path / "ref.csv"), "m.json", "abc", SEED_CSV_HEADER,
                       per_seed_rows(rec, n))
     want = (tmp_path / "ref.csv").read_bytes()
-    for chunk in chunks:
-        monkeypatch.setattr(runner, "_SEED_CSV_CHUNK", chunk)
-        runner._write_seed_csv(str(tmp_path / "fast.csv"), "m.json", "abc", rec, n)
-        assert (tmp_path / "fast.csv").read_bytes() == want, chunk
+    hex_table = runner._hex_table(degree)
+    for bits in chunk_bits:
+        monkeypatch.setattr(attacks, "_SCAN_CHUNK_BITS", bits)
+        runner._write_seed_csv(str(tmp_path / "fast.csv"), "m.json", "abc", rec, hex_table)
+        assert (tmp_path / "fast.csv").read_bytes() == want, bits
 
 
-def test_seed_csv_rejects_a_fraction_off_the_one_over_n_grid(tmp_path):
-    rec = replay_record(6, 10, 5, noisy=True)
-    frac = rec.per_seed_match_fraction.copy()
-    frac[17] = np.nextafter(frac[17], 2.0)
-    rec.per_seed_match_fraction = frac
-    with pytest.raises(ValueError, match="whole multiples"):
-        runner._write_seed_csv(str(tmp_path / "seeds.csv"), "m.json", "abc", rec, 10)
-    assert not (tmp_path / "seeds.csv").exists()
-
-
-@pytest.mark.parametrize("mutate", [
-    lambda s: s[::-1],
-    lambda s: s[:-1],
-    lambda s: s - 1,
-    lambda s: np.where(s == 5, 6, s),
-], ids=["reversed", "last-seed-missing", "starts-at-zero", "seed-5-twice"])
-def test_seed_csv_rejects_seeds_other_than_one_to_two_to_the_k(tmp_path, mutate):
-    # the hex column comes from a table indexed by row, so it must be seed s at row s
-    rec = replay_record(6, 10, 5, noisy=True)
-    rec.seeds = mutate(rec.seeds)
-    rec.per_seed_match_fraction = rec.per_seed_match_fraction[:rec.seeds.size]
-    with pytest.raises(ValueError, match="not 1 ... 2\\^K - 1"):
-        runner._write_seed_csv(str(tmp_path / "seeds.csv"), "m.json", "abc", rec, 10)
-    assert not (tmp_path / "seeds.csv").exists()
+def test_attack_replay_run_peaks_below_16_mb_traced(tmp_path):
+    # 8.4 MB of it is the K = 20 hex table; a whole-array scan peaked at 52 MB
+    cfg = load_config(str(ATTACK_REPLAY_INI), "attack", out_dir=str(tmp_path))
+    tracemalloc.start()
+    try:
+        runner.run_attack(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
 
 
 def test_attack_replay_workload_seed_csvs_match_the_benchmark_refs(tmp_path):
