@@ -26,7 +26,7 @@ caps raise RegimeCapError rather than silently subsampling.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,8 +177,6 @@ class EntropyReport:
 
     regime: str
     trials: int
-    key_bits: int
-    n_symbols: int
     h_key: float
     h_key_given_obs: "float | None" = None
     h_data_given_obs: "float | None" = None
@@ -227,7 +225,12 @@ def _require_plain_pairing(c: Constellation) -> None:
 
 
 def _check_attack_caps(key_bits: int, n_symbols: int) -> None:
-    """Raise unless the record is nonempty and the seed table is within the caps."""
+    """Raise unless the record is nonempty and the replay is within the caps.
+
+    The replay compares each of the 2^K seeds' parity streams with the
+    record, 2^K x N symbol comparisons in all; both the seed count and that
+    product are capped.
+    """
     if n_symbols < 1:
         raise ValueError("an attack needs a record of at least one symbol")
     if key_bits > ATTACK_KEY_BITS_CAP:
@@ -235,8 +238,8 @@ def _check_attack_caps(key_bits: int, n_symbols: int) -> None:
             f"replay enumerates 2^{key_bits} seeds; cap is 2^{ATTACK_KEY_BITS_CAP}")
     if (1 << key_bits) * n_symbols > ATTACK_TABLE_CAP:
         raise RegimeCapError(
-            f"seed table of 2^{key_bits} x {n_symbols} symbols exceeds the "
-            f"{ATTACK_TABLE_CAP}-entry cap")
+            f"replay of 2^{key_bits} seeds x {n_symbols} symbols exceeds the cap of "
+            f"{ATTACK_TABLE_CAP} symbol comparisons")
 
 
 def _check_entropy_caps(key_bits: int, n_symbols: int) -> None:
@@ -679,14 +682,33 @@ def _log2_likelihood(lam: np.ndarray, zeros: np.ndarray, band_sums: np.ndarray, 
     return np.where(live, lam + (top + np.log2(np.where(live, s, 1.0) / n)), -math.inf)
 
 
+def _record_channel(c: Constellation, scenario: AttackScenario,
+                    regime: str) -> "tuple[Callable, np.ndarray]":
+    """A regime's record model: its sampler and its table [data bit, basis, observation].
+
+    'classical' records half-plane labels through ``_label_channel``;
+    'quantum' records a heterodyne receiver's nearest-phase index through
+    the exact transition matrix, mixed with its antipode row at the binary
+    flip rate.  The table holds P(observation | sent index) at the index
+    each data bit and basis send.
+    """
+    if regime == "classical":
+        record, chan = _measure_indices, _label_channel(c, scenario)
+    else:
+        f = scenario.dsr.param if scenario.dsr.kind == "binary" else 0.0
+        trans = heterodyne_index_transition(c, decision_offset=scenario.misalign)
+        # chan[index, decided]: the sent member, or its antipode after a flip
+        record, chan = _heterodyne_indices, (1.0 - f) * trans + f * np.roll(trans, -c.m, axis=0)
+    return record, chan[_pair_index_table(c)]
+
+
 def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, trials: int,
-                        rng: np.random.Generator, record, tables: "list[np.ndarray]",
-                        weight: int):
-    """Per trial, the log2 sequence likelihood of every register value under each table.
+                        rng: np.random.Generator, record, table: np.ndarray, weight: int):
+    """Per trial, the log2 sequence likelihood of every register value under ``table``.
 
     A trial draws a seed, data, the position of a declared recording error
     and the record (``record`` maps sent indices to observations), in that
-    order.  Tables are indexed [data bit, basis, observation].  Symbol i's
+    order.  The table is indexed [data bit, basis, observation].  Symbol i's
     basis is GF(2)-linear in the seed, so a sum over symbols of per-symbol
     terms g_i(basis) is, over all 2^K register values at once, one
     Walsh-Hadamard transform: expand each g_i over the basis bits, move
@@ -699,7 +721,7 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     and 1s, [f = 0] on a table without zeros) sums to exactly 0 for every
     key, so it is not transformed.  The zero register never occurs, but
     the accounting runs over every possible key.  Yields one
-    log2-likelihood array per table; the transform buffers are allocated
+    log2-likelihood array per trial; the transform buffers are allocated
     once per run and no yielded array shares memory with them.
     """
     key_bits = poly.bit_length() - 1
@@ -707,31 +729,23 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     idx_table = _pair_index_table(c)
     units = unit_keystreams(poly, n, c.bits_per_basis)
     chars = _seed_characters(units, c.m)
-    per_table = [_symbol_terms(tab, weight) for tab in tables]
-    terms = [t for table_terms, _ in per_table for t in table_terms]
-    live = [k for k, t in enumerate(terms) if t.any()]
-    stacked = np.stack(terms)[live]
-    # each live term's seed-space sum has its own row of ``sums``; a skipped
-    # term reads the last row, which stays 0
-    row = np.full(len(terms), len(live))
-    row[live] = np.arange(len(live))
-    sums = np.zeros((len(live) + 1, 1 << key_bits))
-    table_sums = []
-    lo = 0
-    for table_terms, bands in per_table:
-        # band terms are never 0 on the whole table, so a table's bands sit
-        # in consecutive rows
-        n_bands = len(table_terms) - 2
-        first = row[lo + 2] if n_bands else 0
-        table_sums.append((sums[row[lo]], sums[row[lo + 1]], sums[first:first + n_bands], bands))
-        lo += len(table_terms)
-    # one bincount scatters every live term into its own block of seed space
-    slots = (chars + (np.arange(len(live)) << key_bits)[:, None, None]).ravel()
+    terms, bands = _symbol_terms(table, weight)
+    head = [k for k in (0, 1) if terms[k].any()]
+    stacked = np.stack([terms[k] for k in head] + terms[2:])
+    n_live = len(stacked)
+    # each transformed term's seed-space sum has its own row of ``sums``,
+    # the bands after log2 f and [f = 0]; a skipped term reads the last
+    # row, which stays 0
+    sums = np.zeros((n_live + 1, 1 << key_bits))
+    lam, zeros = (sums[head.index(k)] if k in head else sums[-1] for k in (0, 1))
+    band_sums = sums[len(head):-1]
+    # one bincount scatters every transformed term into its own block of seed space
+    slots = (chars + (np.arange(n_live) << key_bits)[:, None, None]).ravel()
     h_basis = _walsh(c.m) / c.m
     half = key_bits // 2
     h_hi, h_lo = _walsh(1 << half), _walsh(1 << (key_bits - half))
-    coef = np.empty((len(live), n, c.m))
-    mid = np.empty((len(live), len(h_hi), len(h_lo)))
+    coef = np.empty((n_live, n, c.m))
+    mid = np.empty((n_live, len(h_hi), len(h_lo)))
     transformed = sums[:-1].reshape(mid.shape)
     bases = np.arange(c.m)
     for _ in range(trials):
@@ -742,11 +756,10 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
             error_vec[int(rng.integers(0, n))] = 1
         obs = record(idx_table[r, _seed_row(units, true_seed)], c, scenario, rng, error_vec)
         np.matmul(stacked[:, r[:, None], bases, obs[:, None]], h_basis, out=coef)
-        spec = np.bincount(slots, weights=coef.ravel(), minlength=len(live) << key_bits)
+        spec = np.bincount(slots, weights=coef.ravel(), minlength=n_live << key_bits)
         np.matmul(h_hi, spec.reshape(mid.shape), out=mid)
         np.matmul(mid, h_lo, out=transformed)
-        yield [_log2_likelihood(lam, zeros, band_sums, bands, n)
-               for lam, zeros, band_sums, bands in table_sums]
+        yield _log2_likelihood(lam, zeros, band_sums, bands, n)
 
 
 def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenario,
@@ -765,23 +778,18 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
     """
     key_bits, weight = _check_entropy_run(c, poly, scenario, trials, "classical")
     n = scenario.n_symbols
-    chan = _label_channel(c, scenario)
-    idx_table = _pair_index_table(c)
-    up = 0.5 * (chan[idx_table[0], 1] + chan[idx_table[1], 1])
-    if not (up == 0.5).all():
+    record, table = _record_channel(c, scenario, "classical")
+    if not (0.5 * (table[0, :, 1] + table[1, :, 1]) == 0.5).all():
         raise AssertionError("a label pair does not split; the key posterior is not flat")
     log2_marginal = float(key_bits - n)
-    trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, _measure_indices,
-                                      [chan[idx_table]], weight)
+    trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, record, table, weight)
     # P(data | record) = 2^-n sum_j L(record | j, data) / sum_j L(record | j)
     surprisals = np.array([n - _log2_sum(log_cond) + log2_marginal
-                           for log_cond, in trial_likes])
+                           for log_cond in trial_likes])
     h_data_mean = float(surprisals.mean())
     return EntropyReport(
         regime="ciphertext_only",
         trials=trials,
-        key_bits=key_bits,
-        n_symbols=n,
         h_key=float(key_bits),
         h_key_given_obs=float(key_bits),
         h_data_given_obs=h_data_mean,
@@ -808,22 +816,13 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
     if regime not in ("classical", "quantum"):
         raise ValueError("regime must be 'classical' or 'quantum'")
     key_bits, weight = _check_entropy_run(c, poly, scenario, trials, regime)
-    if regime == "classical":
-        record, chan = _measure_indices, _label_channel(c, scenario)
-    else:
-        f = scenario.dsr.param if scenario.dsr.kind == "binary" else 0.0
-        trans = heterodyne_index_transition(c, decision_offset=scenario.misalign)
-        # chan[index, decided]: the sent member, or its antipode after a flip
-        record, chan = _heterodyne_indices, (1.0 - f) * trans + f * np.roll(trans, -c.m, axis=0)
-    trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, record,
-                                      [chan[_pair_index_table(c)]], weight)
-    h_vals = np.array([_posterior_entropy_bits(log_like) for log_like, in trial_likes])
+    record, table = _record_channel(c, scenario, regime)
+    trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, record, table, weight)
+    h_vals = np.array([_posterior_entropy_bits(log_like) for log_like in trial_likes])
     h_mean = float(h_vals.mean())
     return EntropyReport(
         regime=f"known_plaintext_{regime}",
         trials=trials,
-        key_bits=key_bits,
-        n_symbols=scenario.n_symbols,
         h_key=float(key_bits),
         h_key_given_obs_and_data=h_mean,
         notes={

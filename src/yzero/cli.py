@@ -39,10 +39,6 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         cfg = load_config(args.config, args.family, out_dir=args.out_dir,
                           master_seed=args.seed, threads=args.threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         outputs = RUNNERS[cfg.family](cfg)
     except RegimeCapError as exc:
         print(f"regime cap: {exc}", file=sys.stderr)

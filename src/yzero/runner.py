@@ -10,6 +10,7 @@ same seed reproduces them byte for byte.  The manifest carries the clock.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime
 import json
 import os
@@ -21,8 +22,6 @@ import numpy as np
 from . import __version__
 from .attacks import (
     AttackScenario,
-    _check_attack_caps,
-    _check_entropy_caps,
     brute_force_candidates,
     ciphertext_only_entropy,
     keygen_advantage,
@@ -34,14 +33,6 @@ from .attacks import (
 from .codec import Constellation, encode_sequence
 from .detection import MODE_DROP_BOUND, bit_bound, exponent_fit, srm_mary_error, updown_bound
 from .scenario import ScenarioConfig
-
-
-def validate_caps(cfg: ScenarioConfig) -> None:
-    """Raise RegimeCapError before any computation if the run is oversized."""
-    if cfg.family == "attack":
-        _check_attack_caps(cfg.key_bits, cfg.n_symbols)
-    elif cfg.family == "entropy":
-        _check_entropy_caps(cfg.key_bits, cfg.n_symbols)
 
 
 def _record_model(cfg: ScenarioConfig) -> "tuple[Constellation, AttackScenario]":
@@ -136,7 +127,6 @@ def _spawn_rngs(master_seed: int, count: int) -> "list[np.random.Generator]":
 
 def run_bounds(cfg: ScenarioConfig) -> "list[str]":
     """Error-probability bounds over the (m, energy) grid; one CSV row per point."""
-    validate_caps(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     tasks = [(m, s, method)
              for m in cfg.m_grid for s in cfg.energy_grid for method in cfg.methods]
@@ -256,7 +246,6 @@ def _write_seed_csv(path: str, manifest_name: str, sha256: str, rec,
 
 def run_attack(cfg: ScenarioConfig) -> "list[str]":
     """One full replay: encode, eavesdrop, exhaust the seed space, report."""
-    validate_caps(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     c, scenario = _record_model(cfg)
     rng_data, rng_channel, rng_mi, rng_otp = _spawn_rngs(cfg.master_seed, 4)
@@ -297,7 +286,6 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
 
 def run_entropy(cfg: ScenarioConfig) -> "list[str]":
     """Exact posterior-entropy accounting for the configured record model."""
-    validate_caps(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     c, scenario = _record_model(cfg)
     rng_co, rng_kp = _spawn_rngs(cfg.master_seed, 2)
@@ -309,26 +297,13 @@ def run_entropy(cfg: ScenarioConfig) -> "list[str]":
         "config_sha256": cfg.config_sha256,
         "manifest_file": f"{cfg.prefix}_manifest.json",
     }
-
-    def report_dict(rep) -> dict:
-        return {
-            "regime": rep.regime,
-            "trials": rep.trials,
-            "h_key": rep.h_key,
-            "h_key_given_obs": rep.h_key_given_obs,
-            "h_data_given_obs": rep.h_data_given_obs,
-            "h_key_given_obs_and_data": rep.h_key_given_obs_and_data,
-            "exceeds_key_entropy": rep.exceeds_key_entropy,
-            "notes": rep.notes,
-        }
-
     if cfg.mode in ("ciphertext_only", "both"):
         rep = ciphertext_only_entropy(c, cfg.poly, scenario, cfg.trials, rng_co)
-        payload["ciphertext_only"] = report_dict(rep)
+        payload["ciphertext_only"] = dataclasses.asdict(rep)
     if cfg.mode in ("known_plaintext", "both"):
         rep = known_plaintext_key_entropy(c, cfg.poly, scenario, cfg.trials, rng_kp,
                                           regime=cfg.regime)
-        payload["known_plaintext"] = report_dict(rep)
+        payload["known_plaintext"] = dataclasses.asdict(rep)
     name = f"{cfg.prefix}_entropy.json"
     _write_json(os.path.join(cfg.out_dir, name), payload)
     return _finish(cfg, [name])
@@ -336,7 +311,6 @@ def run_entropy(cfg: ScenarioConfig) -> "list[str]":
 
 def run_keygen(cfg: ScenarioConfig) -> "list[str]":
     """Advantage-versus-energy curve with decay-exponent fits when possible."""
-    validate_caps(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     points = keygen_advantage(cfg.s_grid, mode=cfg.keygen_mode,
                               energy_factor=cfg.energy_factor)

@@ -3,7 +3,9 @@
 Runs are driven by small INI files with four sections: [constellation],
 [keystream], [scenario], [output].  Parsing is strict: unknown sections or
 keys, malformed values, and cross-field inconsistencies all raise
-ConfigError with the offending line where one can be located.
+ConfigError with the offending line where one can be located.  A run past
+the enumeration caps raises RegimeCapError at load time, before any output
+directory or record exists.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .attacks import AttackScenario, Dsr, _check_record_dsr, _entropy_error_weight
+from .attacks import (
+    AttackScenario,
+    Dsr,
+    _check_attack_caps,
+    _check_entropy_caps,
+    _check_record_dsr,
+    _entropy_error_weight,
+)
 from .codec import PRIMITIVE_POLYS
 from .errors import ConfigError
 
@@ -155,7 +164,9 @@ def load_config(path: str, family: str,
 
     Command-line overrides for the output directory, master seed, and thread
     count take precedence over the [output] section.  All structural checks
-    happen here, before any computation starts.
+    happen here, before any computation starts, and so do the enumeration
+    caps: an attack or entropy run past them raises RegimeCapError before
+    anything proportional to its record is allocated.
     """
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -363,6 +374,9 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
         if cfg.m_grid[0] < 2:
             raise src.fail("label-record analyses need m >= 2: at m = 1 no keystream "
                            "bit selects a basis", key="m")
+        # the caps bound N, so no record of an oversized run is ever built
+        caps = _check_attack_caps if cfg.family == "attack" else _check_entropy_caps
+        caps(cfg.key_bits, cfg.n_symbols)
         try:
             scenario = AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions)
         except ValueError as exc:

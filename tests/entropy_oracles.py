@@ -10,7 +10,7 @@ phase at a time.  Sequence likelihoods are products over a 2^K-row basis
 table (``sequence_likelihood``), scored by the package's entropy function
 on their log2, so a comparison with the public engines isolates the
 Walsh-Hadamard scorer.  ``gathered_likelihoods`` is that scorer's gather
-form: the same trial loop, one product per key and table.
+form: the same trial loop, one product per key.
 ``label_mutual_information_labels`` is the per-trial measurement loop that
 ``label_mutual_information`` now runs as one batch, and
 ``plugin_mutual_information`` its per-position estimator.  ``keystream_table``
@@ -60,14 +60,13 @@ def entropy_bits(likelihood: np.ndarray) -> float:
 
 
 def gathered_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, trials: int,
-                         rng: np.random.Generator, record, tables: "list[np.ndarray]",
-                         weight: int):
-    """Per trial, the sequence likelihood of every register value under each table.
+                         rng: np.random.Generator, record, table: np.ndarray, weight: int):
+    """Per trial, the sequence likelihood of every register value under ``table``.
 
     The same draws as ``attacks._record_likelihoods``; one gather from the
     2^K-row basis table scores every register value, and a recording error
     is marginalized over its position.  Yields one likelihood array per
-    table.
+    trial.
     """
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
@@ -80,9 +79,8 @@ def gathered_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, 
         if weight == 1:
             error_vec[int(rng.integers(0, n))] = 1
         obs = record(idx_table[r, basis[true_seed]], c, scenario, rng, error_vec)
-        yield [sequence_likelihood(tab[r, basis, obs],
-                                   tab[r, basis, obs ^ 1] if weight else None, weight)
-               for tab in tables]
+        yield sequence_likelihood(table[r, basis, obs],
+                                  table[r, basis, obs ^ 1] if weight else None, weight)
 
 
 def scalar_halfplane_label(phase: float, axis: float) -> int:
@@ -243,8 +241,6 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
     return EntropyReport(
         regime="ciphertext_only",
         trials=trials,
-        key_bits=key_bits,
-        n_symbols=n,
         h_key=float(key_bits),
         h_key_given_obs=h_key_mean,
         h_data_given_obs=h_data_mean,
@@ -315,8 +311,6 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
     return EntropyReport(
         regime=f"known_plaintext_{regime}",
         trials=trials,
-        key_bits=key_bits,
-        n_symbols=n,
         h_key=float(key_bits),
         h_key_given_obs_and_data=h_mean,
         notes={

@@ -484,13 +484,11 @@ def test_ciphertext_key_posterior_is_flat_bit_for_bit(m, degree, n, misalign, ki
     assert rep.notes["h_key_given_obs_min"] == float(degree)
     # the engine writes K down; the transform route scores the per-basis data
     # marginal and must read 2^-n for every key of every record
-    chan = attacks._label_channel(c, sc)
-    idx = codec._pair_index_table(c)
-    up = 0.5 * (chan[idx[0], 1] + chan[idx[1], 1])
+    record, table = attacks._record_channel(c, sc, "classical")
+    up = 0.5 * (table[0, :, 1] + table[1, :, 1])
     marginal = np.broadcast_to(np.stack([1.0 - up, up], axis=1), (2, m, 2))
-    for log_marg, in attacks._record_likelihoods(c, poly, sc, 2, np.random.default_rng(seed),
-                                                 attacks._measure_indices, [marginal],
-                                                 int(error)):
+    for log_marg in attacks._record_likelihoods(c, poly, sc, 2, np.random.default_rng(seed),
+                                                record, marginal, int(error)):
         assert (log_marg == -float(n)).all()
 
 

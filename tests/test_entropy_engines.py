@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import codec_oracles as scalar
 import entropy_oracles as oracle
-from yzero import attacks, codec, detection
+from yzero import attacks, codec
 
 
 # The engines sum log2 likelihoods by Walsh-Hadamard transforms, the oracles
@@ -122,17 +122,15 @@ def test_entropy_engines_match_per_regime_oracles(case):
 
 
 def record_model(c, sc, regime):
-    """(record, tables, weight) as the engines build them for one regime."""
-    idx = codec._pair_index_table(c)
+    """(record, tables, weight) for one regime: the engines' table, and for labels
+    first the per-basis data marginal, which only the tests score."""
     if regime == "quantum":
-        f = sc.dsr.param if sc.dsr.kind == "binary" else 0.0
-        trans = detection.heterodyne_index_transition(c, decision_offset=sc.misalign)
-        chan = (1.0 - f) * trans + f * np.roll(trans, -c.m, axis=0)
-        return attacks._heterodyne_indices, [chan[idx]], 0
-    chan = attacks._label_channel(c, sc)
-    up = 0.5 * (chan[idx[0], 1] + chan[idx[1], 1])
+        record, table = attacks._record_channel(c, sc, "quantum")
+        return record, [table], 0
+    record, table = attacks._record_channel(c, sc, "classical")
+    up = 0.5 * (table[0, :, 1] + table[1, :, 1])
     marginal = np.broadcast_to(np.stack([1.0 - up, up], axis=1), (2, c.m, 2))
-    return attacks._measure_indices, [marginal, chan[idx]], int(sc.error_vector().sum())
+    return record, [marginal, table], int(sc.error_vector().sum())
 
 
 @settings(max_examples=60, deadline=None)
@@ -154,14 +152,15 @@ def test_walsh_scorer_matches_gathered_likelihoods_key_by_key(case):
     c, poly, sc, regime, trials, seed = case
     assume(c.m > 1)
     record, tables, weight = record_model(c, sc, regime)
-    new = attacks._record_likelihoods(c, poly, sc, trials, np.random.default_rng(seed),
-                                      record, tables, weight)
-    old = oracle.gathered_likelihoods(c, poly, sc, trials, np.random.default_rng(seed),
-                                      record, tables, weight)
     tol = log2_tolerance(c, sc, regime)
     tiny = np.finfo(float).tiny
-    for log_likes, likes in zip(new, old):
-        for log_like, like in zip(log_likes, likes):
+    # one call per table; the same seed gives each call the same draws
+    for table in tables:
+        new = attacks._record_likelihoods(c, poly, sc, trials, np.random.default_rng(seed),
+                                          record, table, weight)
+        old = oracle.gathered_likelihoods(c, poly, sc, trials, np.random.default_rng(seed),
+                                          record, table, weight)
+        for log_like, like in zip(new, old):
             # a zero likelihood is exact; elsewhere each key is held to its own
             # size where the gathered product is normal, and below the normal
             # range where that product lost its digits or underflowed to 0
@@ -214,15 +213,15 @@ def test_a_term_zero_on_its_whole_table_is_skipped_without_changing_likelihoods(
     record, tables, weight = record_model(c, sc, regime)
     dead = [[not t.any() for t in attacks._symbol_terms(tab, weight)[0][:2]] for tab in tables]
     assert dead == ([[False, True]] if regime == "quantum" else [[False, True], [True, False]])
-    # every trial is kept before any is compared: no yielded array may share
-    # memory with the buffers the next trial's transform writes
-    new = list(attacks._record_likelihoods(c, poly, sc, 4, np.random.default_rng(7), record,
-                                           tables, weight))
-    old = oracle.gathered_likelihoods(c, poly, sc, 4, np.random.default_rng(7), record, tables,
-                                      weight)
     tol = log2_tolerance(c, sc, regime)
-    for log_likes, likes in zip(new, old):
-        for log_like, like in zip(log_likes, likes):
+    for table in tables:
+        # every trial is kept before any is compared: no yielded array may
+        # share memory with the buffers the next trial's transform writes
+        new = list(attacks._record_likelihoods(c, poly, sc, 4, np.random.default_rng(7),
+                                               record, table, weight))
+        old = oracle.gathered_likelihoods(c, poly, sc, 4, np.random.default_rng(7), record,
+                                          table, weight)
+        for log_like, like in zip(new, old):
             npt.assert_allclose(np.exp2(log_like), like, rtol=tol)
 
 
@@ -245,13 +244,14 @@ def test_scorer_stays_finite_where_every_gathered_product_underflows(errors):
     c = codec.Constellation(m=4, energy=1.0)
     poly, n = codec.PRIMITIVE_POLYS[8], 64
     sc = attacks.AttackScenario.with_errors(n, errors)
-    tables = [attacks._label_channel(c, sc)[codec._pair_index_table(c)] * 2.0 ** -20]
-    gathered, = next(oracle.gathered_likelihoods(c, poly, sc, 1, np.random.default_rng(3),
-                                                 attacks._measure_indices, tables, len(errors)))
+    record, table = attacks._record_channel(c, sc, "classical")
+    table = table * 2.0 ** -20
+    gathered = next(oracle.gathered_likelihoods(c, poly, sc, 1, np.random.default_rng(3),
+                                                record, table, len(errors)))
     assert not gathered.any()
     true_seed = int(np.random.default_rng(3).integers(1, 256))
-    log_like, = next(attacks._record_likelihoods(c, poly, sc, 1, np.random.default_rng(3),
-                                                 attacks._measure_indices, tables, len(errors)))
+    log_like = next(attacks._record_likelihoods(c, poly, sc, 1, np.random.default_rng(3),
+                                                record, table, len(errors)))
     assert log_like[true_seed] == log_like.max() == -20.0 * n - math.log2(n) * len(errors)
     assert attacks._posterior_entropy_bits(log_like) == 0.0
 

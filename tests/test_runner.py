@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,16 +377,31 @@ def _perfbench_checks():
     return checks
 
 
+# SHA-256 of each entropy workload's data JSON at 87a8f5d: the benchmark's
+# 1e-9 float tolerance would pass a move in the last digits
+ENTROPY_WORKLOAD_SHA256 = {
+    ("entropy_misalign", 1): "cf1ea435b2ae3e2198d7b8fed245ea5d0ca80b2a510561fe59e12fff54e960c9",
+    ("entropy_misalign", 2): "cf1ea435b2ae3e2198d7b8fed245ea5d0ca80b2a510561fe59e12fff54e960c9",
+    ("entropy_jitter", 1): "b501d21afbc5e51468358c528bec5f46e3fb71371c377e504b386f2e24bfe0e9",
+    ("entropy_jitter", 2): "2477085442f967a2feb202334a3e2d0fd0ba691b90585398fa8b37465addbce4",
+    ("entropy_quantum", 1): "716e50afc33ccd8b1db51f10856e3e35936b5f42ad7a63cca8bd95cf3ada2ed0",
+    ("entropy_quantum", 2): "faf89e97732d75db5d74f0f31001a9c45b3ea12fd4b1f2a530b88e0b2eb84790",
+}
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("workload", ["entropy_misalign", "entropy_jitter", "entropy_quantum"])
 def test_entropy_workloads_match_the_benchmark_refs(tmp_path, workload, seed):
-    # every figure within the benchmark's float tolerance of perfbench/refs.json
+    # every figure within the benchmark's float tolerance of perfbench/refs.json,
+    # and every byte as pinned
     ini = PERFBENCH / "workloads" / f"{workload}.ini"
     argv = ["entropy", "--config", str(ini), "--out-dir", str(tmp_path), "--seed", str(seed)]
     assert cli.main(argv) == 0
     refs = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))[workload]
     assert str(seed) in refs
     assert _perfbench_checks().check_entropy(str(tmp_path), str(ini), seed, refs) == []
+    data = read_file(tmp_path, f"{workload}_entropy.json")
+    assert hashlib.sha256(data).hexdigest() == ENTROPY_WORKLOAD_SHA256[workload, seed]
 
 
 def test_run_keygen_outputs(tmp_path):
@@ -431,17 +447,52 @@ def test_manifest_records_the_run(tmp_path):
     assert set(manifest["versions"]) == {"yzero", "python", "numpy"}
 
 
-def test_validate_caps_stops_oversized_runs(tmp_path):
+def test_load_config_stops_oversized_runs(tmp_path):
     big = ATTACK_CFG.replace("degree = 8", "degree = 20")
     big = big.replace("seed = 0x5A", "seed = 0x5A\n")
     big = big.replace("n_symbols = 48", "n_symbols = 128")
-    cfg = load_config(write_cfg(tmp_path, big), "attack", out_dir=str(tmp_path))
     with pytest.raises(RegimeCapError):
-        runner.run_attack(cfg)
+        load_config(write_cfg(tmp_path, big), "attack", out_dir=str(tmp_path))
     deep = ENTROPY_CFG.replace("degree = 8", "degree = 16")
-    cfg2 = load_config(write_cfg(tmp_path, deep), "entropy", out_dir=str(tmp_path))
     with pytest.raises(RegimeCapError):
-        runner.run_entropy(cfg2)
+        load_config(write_cfg(tmp_path, deep), "entropy", out_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("family, text", [
+    ("attack", ATTACK_CFG.replace("degree = 8", "degree = 20").replace(
+        "n_symbols = 48", f"n_symbols = {1 << 24}")),
+    ("entropy", ENTROPY_CFG.replace("n_symbols = 12", f"n_symbols = {1 << 24}")),
+])
+def test_an_over_cap_record_is_refused_before_it_is_allocated(tmp_path, capsys, family, text):
+    # N = 2^24: a record built before the cap check peaks at 48 MB traced
+    path = write_cfg(tmp_path, text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RegimeCapError):
+            load_config(path, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    out = tmp_path / "out"
+    assert cli.main([family, "--config", path, "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("regime cap: ")
+    assert not out.exists()
+
+
+def test_cli_loads_the_config_once_through_its_module_name(tmp_path, monkeypatch, capsys):
+    # the benchmark times set-up by wrapping yzero.cli.load_config
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return load_config(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_config", counting)
+    assert cli.main(["keygen", "--config", write_cfg(tmp_path, KEYGEN_CFG),
+                     "--out-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_cli_happy_path(tmp_path, capsys):
