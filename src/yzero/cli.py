@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Usage: yzero <family> --config <path> [--out-dir <path>] [--seed <int>]
-       [--threads <n>]
+       [--threads <n>]   (accepted and ignored: no family starts threads)
 
 Exit codes: 0 on success, 2 on configuration errors, 3 when a run exceeds
-the desk-scale enumeration caps.
+the desk-scale caps (bounds energy, enumeration sizes).
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", default=None, type=int, metavar="U64",
                         help="override the [output] master_seed")
     parser.add_argument("--threads", default=None, type=int, metavar="N",
-                        help="override the [output] threads")
+                        help="accepted and ignored: no family starts threads "
+                             "(N must be at least 1)")
     return parser
 
 

@@ -36,21 +36,24 @@ negative error probability.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import Constellation, _pair_index_table
+from .errors import RegimeCapError
 
 # DFT modes of the Gram matrix are dropped while the bound on the change in
 # a binary p_error they cause stays at or below this: under the rounding of
 # 1 - ||T||_1.
 MODE_DROP_BOUND = 2.0**-53
 
-# The summed spectrum must equal n to this relative precision; a larger gap
-# means the pmf window missed part of the distribution.
+# The summed spectrum must equal n to this relative precision.  The gap is
+# the pmf's own rounding, not a missed tail; it grows with the exponent
+# k ln S - ln k! - S (at most 6.9e-13 for S <= 1000, past 1e-12 from
+# S ~ 1600), so the bounds refuse energies above GRAM_ENERGY_CAP.
 SPECTRUM_MASS_TOL = 1e-12
+GRAM_ENERGY_CAP = 1000.0
 
 # Row sums of a numerically integrated decision matrix must land this close
 # to one before renormalization.
@@ -66,10 +69,9 @@ WEDGE_NODES = 16
 WEDGE_PANELS_START = 2
 WEDGE_PANELS_CAP = 1024
 
-# ln(k!) for k = 0, 1, ..., grown by doubling when a longer pmf is needed;
-# the bounds runner's threads share it.
+# ln(k!) for k = 0, 1, ..., replaced by one twice as long when a longer pmf
+# is needed; a published table is never written, so callers slice the one they read.
 _LOG_FACTORIAL = np.zeros(1)
-_LOG_FACTORIAL_LOCK = threading.Lock()
 
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
 
@@ -118,11 +120,11 @@ def helstrom_pure(a0: complex, a1: complex) -> BinaryBound:
 def _log_factorials(size: int) -> np.ndarray:
     """ln(k!) for k < size, from one table per process."""
     global _LOG_FACTORIAL
-    with _LOG_FACTORIAL_LOCK:
-        if _LOG_FACTORIAL.size < size:
-            _LOG_FACTORIAL = np.array([math.lgamma(k + 1.0)
-                                       for k in range(max(size, 2 * _LOG_FACTORIAL.size))])
-        return _LOG_FACTORIAL[:size]
+    table = _LOG_FACTORIAL
+    if table.size < size:
+        table = np.array([math.lgamma(k + 1.0) for k in range(max(size, 2 * table.size))])
+        _LOG_FACTORIAL = table
+    return table[:size]
 
 
 def _poisson_pmf(energy: float, size: int) -> np.ndarray:
@@ -170,6 +172,12 @@ def truncation_dim(max_energy: float, tol: float) -> int:
     return _poisson_window(max_energy, tol)[0]
 
 
+def _check_gram_energy(energy: float) -> None:
+    if energy > GRAM_ENERGY_CAP:
+        raise RegimeCapError(f"bounds take S <= {GRAM_ENERGY_CAP}, got {energy}: above "
+                             "it the Poisson pmf's rounding breaks the spectrum mass check")
+
+
 def _gram_spectrum(c: Constellation) -> np.ndarray:
     """Eigenvalues of the Gram matrix of the 2M states, in DFT order.
 
@@ -177,6 +185,7 @@ def _gram_spectrum(c: Constellation) -> np.ndarray:
     circulant, and its eigenvalues are the Poisson(S) photon distribution
     aliased onto n = 2M bins: Lambda_k = n sum_j P[N = k + j n] >= 0.
     """
+    _check_gram_energy(c.energy)
     n = c.n_states
     # Poisson mass tau left out of the window moves a binary p_error by at
     # most sqrt(tau) n max|w| <= 2 sqrt(tau), so a tail below

@@ -1,10 +1,10 @@
 """Execution of configured runs and deterministic output writing.
 
 Every run derives its random streams from a single master seed through
-numpy's SeedSequence spawning, one child per logical task, so results do
-not depend on the thread count.  Data files (CSV, JSON) contain no
-timestamps and use shortest-roundtrip float formatting; rerunning with the
-same seed reproduces them byte for byte.  The manifest carries the clock.
+numpy's SeedSequence spawning, one child per logical task, and computes on
+the calling thread.  Data files (CSV, JSON) contain no timestamps and use
+shortest-roundtrip float formatting; rerunning with the same seed
+reproduces them byte for byte.  The manifest carries the clock.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import datetime
 import json
 import os
 import platform
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -66,7 +65,6 @@ def _manifest(cfg: ScenarioConfig, outputs: "list[str]") -> dict:
         "tool": "yzero",
         "family": cfg.family,
         "master_seed": cfg.master_seed,
-        "threads": cfg.threads,
         "config": {"path": cfg.config_path, "sha256": cfg.config_sha256},
         "outputs": outputs,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -128,26 +126,19 @@ def _spawn_rngs(master_seed: int, count: int) -> "list[np.random.Generator]":
 def run_bounds(cfg: ScenarioConfig) -> "list[str]":
     """Error-probability bounds over the (m, energy) grid; one CSV row per point."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    tasks = [(m, s, method)
-             for m in cfg.m_grid for s in cfg.energy_grid for method in cfg.methods]
-
-    def compute(task):
-        m, s, method = task
-        c = Constellation(m=m, energy=s, osk=cfg.osk)
-        if method == "bit":
-            b = bit_bound(c)
-            return [m, s, "helstrom_mixed_bit", b.p_error, b.dim_used, 0.0]
-        if method == "srm":
-            b = srm_mary_error(c)
-            return [m, s, "srm_2M", b.p_error, c.n_states, 0.0]
-        b = updown_bound(c)
-        return [m, s, "updown", b.p_error, b.dim_used, 0.0]
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(compute, tasks))
-    else:
-        rows = [compute(t) for t in tasks]
+    rows = []
+    for m in cfg.m_grid:
+        for s in cfg.energy_grid:
+            c = Constellation(m=m, energy=s, osk=cfg.osk)
+            for method in cfg.methods:
+                if method == "bit":
+                    b = bit_bound(c)
+                    rows.append([m, s, "helstrom_mixed_bit", b.p_error, b.dim_used, 0.0])
+                elif method == "srm":
+                    rows.append([m, s, "srm_2M", srm_mary_error(c).p_error, c.n_states, 0.0])
+                else:
+                    b = updown_bound(c)
+                    rows.append([m, s, "updown", b.p_error, b.dim_used, 0.0])
     name = f"{cfg.prefix}_bounds.csv"
     _write_csv(os.path.join(cfg.out_dir, name), f"{cfg.prefix}_manifest.json",
                cfg.config_sha256,

@@ -4,8 +4,8 @@ Runs are driven by small INI files with four sections: [constellation],
 [keystream], [scenario], [output].  Parsing is strict: unknown sections or
 keys, malformed values, and cross-field inconsistencies all raise
 ConfigError with the offending line where one can be located.  A run past
-the enumeration caps raises RegimeCapError at load time, before any output
-directory or record exists.
+a cap (the bounds energy cap or the enumeration caps) raises RegimeCapError
+at load time, before any output directory or record exists.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .attacks import (
     _entropy_error_weight,
 )
 from .codec import PRIMITIVE_POLYS
+from .detection import _check_gram_energy
 from .errors import ConfigError
 
 FAMILIES = ("bounds", "attack", "entropy", "keygen")
@@ -35,7 +36,7 @@ _SECTION_KEYS = {
     "scenario": {"methods", "n_symbols", "error_positions", "misalign",
                  "dsr", "otp", "mi_trials", "trials", "mode", "regime",
                  "s_grid", "energy_factor"},
-    "output": {"out_dir", "prefix", "master_seed", "threads"},
+    "output": {"out_dir", "prefix", "master_seed"},
 }
 
 # which sections a family must provide
@@ -73,7 +74,6 @@ class ScenarioConfig:
     out_dir: str = "."
     prefix: str = ""
     master_seed: int = 0
-    threads: int = 1
     config_sha256: str = ""
     config_path: str = ""
 
@@ -162,11 +162,11 @@ def load_config(path: str, family: str,
                 threads: "int | None" = None) -> ScenarioConfig:
     """Parse and fully validate a scenario file for the given family.
 
-    Command-line overrides for the output directory, master seed, and thread
-    count take precedence over the [output] section.  All structural checks
-    happen here, before any computation starts, and so do the enumeration
-    caps: an attack or entropy run past them raises RegimeCapError before
-    anything proportional to its record is allocated.
+    Command-line overrides for the output directory and master seed take
+    precedence over the [output] section; ``threads`` must be at least 1 and
+    is otherwise ignored, as no family starts threads.  All structural
+    checks happen here, before any computation starts, and so do the caps:
+    a run past them raises RegimeCapError before any output or record exists.
     """
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -207,11 +207,9 @@ def load_config(path: str, family: str,
         cfg.out_dir = out_dir
     if master_seed is not None:
         cfg.master_seed = master_seed
-    if threads is not None:
-        cfg.threads = threads
+    if threads is not None and threads < 1:
+        raise src.fail("threads must be positive")
     # a value from the file names its line, a command-line override does not
-    if cfg.threads < 1:
-        raise src.fail("threads must be positive", key="threads" if threads is None else None)
     if cfg.master_seed < 0:
         raise src.fail("master_seed must be a nonnegative integer",
                        key="master_seed" if master_seed is None else None)
@@ -349,8 +347,6 @@ def _load_output(src: _Source, cp: configparser.ConfigParser, cfg: ScenarioConfi
         cfg.prefix = prefix
     if "master_seed" in sec:
         cfg.master_seed = _parse_int(src, "master_seed", sec["master_seed"])
-    if "threads" in sec:
-        cfg.threads = _parse_int(src, "threads", sec["threads"])
 
 
 def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
@@ -360,6 +356,8 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
         if cfg.osk and "updown" in cfg.methods:
             raise src.fail("the updown bound assumes the fixed pairing; set osk = false "
                            "or drop updown from 'methods'", key="osk")
+        for s in cfg.energy_grid:
+            _check_gram_energy(s)
     elif cfg.family in ("attack", "entropy"):
         if cfg.n_symbols < 1:
             raise src.fail("this family requires 'n_symbols' in [scenario]",

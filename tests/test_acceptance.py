@@ -7,6 +7,10 @@ the session log either way.
 
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 import time
 
 import numpy as np
@@ -15,8 +19,8 @@ import pytest
 import detection_oracles as oracles
 import fock_oracles
 from codec_oracles import parity_stream
-from yzero import attacks, cli, codec, detection, runner
-from yzero.scenario import load_config
+import yzero
+from yzero import attacks, cli, codec, detection
 
 
 def _report(cid: str, ok: bool, detail: str) -> str:
@@ -271,6 +275,20 @@ master_seed = 4242
 """
 
 
+def _blas_run_data(tmp_path, family: str, text: str, blas_threads: int) -> "dict[str, bytes]":
+    """Data files of one CLI run in a fresh process with the given OpenBLAS thread count."""
+    cfg_path = tmp_path / f"{family}.ini"
+    cfg_path.write_text(text, encoding="utf-8")
+    out = tmp_path / f"{family}_blas{blas_threads}"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(yzero.__file__)))
+    code = "import sys, yzero.cli; sys.exit(yzero.cli.main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", code, family, "--config", str(cfg_path),
+                    "--out-dir", str(out)], check=True, capture_output=True, timeout=300,
+                   env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(blas_threads)))
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if not p.name.endswith("_manifest.json")}
+
+
 def test_c10_reruns_are_byte_identical(tmp_path):
     cfg_path = tmp_path / "attack.ini"
     cfg_path.write_text(ATTACK_CFG, encoding="utf-8")
@@ -283,21 +301,36 @@ def test_c10_reruns_are_byte_identical(tmp_path):
     manifest = json.loads((d1 / "gate_manifest.json").read_text())
     seed_recorded = manifest["master_seed"] == 4242
 
-    bounds_path = tmp_path / "bounds.ini"
-    bounds_path.write_text(BOUNDS_CFG, encoding="utf-8")
-    b1, b2 = tmp_path / "b1", tmp_path / "b2"
-    runner.run_bounds(load_config(str(bounds_path), "bounds", out_dir=str(b1),
-                                  threads=1))
-    runner.run_bounds(load_config(str(bounds_path), "bounds", out_dir=str(b2),
-                                  threads=4))
-    same_bounds = (b1 / "gate_bounds.csv").read_bytes() == \
-        (b2 / "gate_bounds.csv").read_bytes()
-    ok = same and seed_recorded and same_bounds
+    # the BLAS thread count is the one source of parallelism left: it must not move a byte
+    same_blas = {}
+    for family, text in (("bounds", BOUNDS_CFG), ("entropy", ENTROPY_CFG)):
+        one, two = (_blas_run_data(tmp_path, family, text, n) for n in (1, 2))
+        same_blas[family] = bool(one) and one == two
+    ok = same and seed_recorded and all(same_blas.values())
     line = _report("C10", ok,
                    f"determinism: attack rerun byte-identical across {len(data_files)} "
-                   f"data files: {same}; bounds identical across 1 vs 4 threads: "
-                   f"{same_bounds}; manifest records master_seed 4242: {seed_recorded}")
+                   f"data files: {same}; data identical under 1 vs 2 OpenBLAS threads: "
+                   f"{same_blas}; manifest records master_seed 4242: {seed_recorded}")
     assert ok, line
+
+
+def test_c10_bounds_start_no_thread(tmp_path, monkeypatch):
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    cfg_path = tmp_path / "bounds.ini"
+    cfg_path.write_text(BOUNDS_CFG, encoding="utf-8")
+    data = {}
+    for threads in ("1", "4"):
+        out = tmp_path / f"threads{threads}"
+        assert cli.main(["bounds", "--config", str(cfg_path), "--out-dir", str(out),
+                         "--threads", threads]) == 0
+        data[threads] = (out / "gate_bounds.csv").read_bytes()
+    same = data["1"] == data["4"]
+    line = _report("C10", same, f"bounds start no thread; --threads 4 (ignored) "
+                                f"writes the --threads 1 CSV byte for byte: {same}")
+    assert same, line
 
 
 def test_c10_entropy_reruns_are_byte_identical(tmp_path):

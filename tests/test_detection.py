@@ -15,6 +15,7 @@ import codec_oracles
 import detection_oracles as oracles
 import fock_oracles
 from yzero import codec, detection
+from yzero.errors import RegimeCapError
 
 
 def test_helstrom_pure_trivial_cases():
@@ -118,6 +119,15 @@ def test_log_factorial_table_grows_safely_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert bad == []
+
+
+@pytest.mark.parametrize("m", [2, 64, 512])
+def test_bounds_run_up_to_the_energy_cap_and_refuse_past_it(m):
+    # the spectrum mass check fired on the pmf's own rounding from S ~ 1600
+    for bound in (detection.bit_bound, detection.updown_bound, detection.srm_mary_error):
+        assert 0.0 <= bound(codec.Constellation(m=m, energy=1000.0)).p_error <= 1.0
+        with pytest.raises(RegimeCapError):
+            bound(codec.Constellation(m=m, energy=1000.5))
 
 
 def test_bit_bound_scrambled_pairs_are_unreadable():

@@ -132,12 +132,13 @@ def test_load_config_overrides(tmp_path):
                       out_dir="/tmp/elsewhere", master_seed=99, threads=4)
     assert cfg.out_dir == "/tmp/elsewhere"
     assert cfg.master_seed == 99
-    assert cfg.threads == 4
 
 
 def test_unknown_key_is_reported_with_line_number(tmp_path):
     for key, after, line in (("wavelength = 1550", "updown\n", 7),
                              ("impl = auto", "updown\n", 7),
+                             # no family starts threads: the pool's key is gone
+                             ("threads = 2", "master_seed = 11\n", 11),
                              # the constellation frame is the sender's: no global rotation
                              ("phase_offset = 0.7", "[constellation]\n", 2)):
         text = BOUNDS_CFG.replace(after, f"{after}{key}\n")
@@ -159,7 +160,6 @@ BAD_VALUES = [
     ("energy", "attack", "energy = 2.0", "energy = -2.0", 3, "nonnegative"),
     ("energy_grid", "bounds", "energy_grid = 1.0, 4.0", "energy_grid = 1.0, -4.0", 3,
      "nonnegative"),
-    ("threads", "bounds", "master_seed = 11", "master_seed = 11\nthreads = 0", 11, "positive"),
     ("master_seed", "bounds", "master_seed = 11", "master_seed = -1", 10, "nonnegative"),
     # one trial passed the loader and then crashed the estimator
     ("mi_trials", "attack", "mi_trials = 400", "mi_trials = 1", 13, "0 or at least 2"),
@@ -249,10 +249,8 @@ def test_run_bounds_outputs_and_determinism(tmp_path):
     assert methods == {"helstrom_mixed_bit", "srm_2M", "updown"}
     for r in rows:
         assert 0.0 <= float(r[3]) <= 1.0
-    # a rerun and a threaded rerun must reproduce the data byte for byte
+    # a rerun must reproduce the data byte for byte
     runner.run_bounds(load_config(path, "bounds", out_dir=str(tmp_path)))
-    assert read_file(tmp_path, "demo_bounds.csv") == first
-    runner.run_bounds(load_config(path, "bounds", out_dir=str(tmp_path), threads=4))
     assert read_file(tmp_path, "demo_bounds.csv") == first
 
 
@@ -434,7 +432,7 @@ def test_manifest_records_the_run(tmp_path):
     cfg = load_config(write_cfg(tmp_path, ATTACK_CFG), "attack", out_dir=str(tmp_path))
     runner.run_attack(cfg)
     manifest = json.loads(read_file(tmp_path, "run_manifest.json"))
-    assert set(manifest) == {"tool", "family", "master_seed", "threads", "config", "outputs",
+    assert set(manifest) == {"tool", "family", "master_seed", "config", "outputs",
                              "created_utc", "versions", "modeling", "tolerances"}
     assert manifest["tool"] == "yzero"
     assert manifest["family"] == "attack"
@@ -558,6 +556,17 @@ def test_cli_reports_regime_caps(tmp_path, capsys):
     code = cli.main(["entropy", "--config", path, "--out-dir", str(tmp_path)])
     assert code == 3
     assert capsys.readouterr().err.startswith("regime cap: ")
+
+
+def test_cli_refuses_a_bounds_energy_past_the_cap_before_any_output(tmp_path, capsys):
+    # above S ~ 1600 the pmf's rounding broke the spectrum mass check mid-run,
+    # after the out dir existed
+    path = write_cfg(tmp_path, BOUNDS_CFG.replace("energy_grid = 1.0, 4.0",
+                                                  "energy_grid = 1.0, 3000"))
+    out = tmp_path / "out"
+    assert cli.main(["bounds", "--config", path, "--out-dir", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("regime cap: ")
+    assert not out.exists()
 
 
 def test_cli_seed_override_changes_outputs(tmp_path, capsys):
