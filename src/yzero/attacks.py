@@ -260,7 +260,7 @@ def _check_entropy_caps(key_bits: int, n_symbols: int) -> None:
 def _up_fraction(rel_phase: float, w: float) -> float:
     """Probability that rel_phase + U(-w, w), 0 < w < pi, lands in the open upper half-plane.
 
-    There is no tie band; ``_measure_indices`` records jittered phases by
+    There is no tie band; ``_label_sampler`` records jittered phases by
     the same rule.
     """
     r = rel_phase % (2.0 * math.pi)
@@ -313,37 +313,53 @@ def _flip_members(idx: np.ndarray, c: Constellation, scenario: AttackScenario,
     return idx
 
 
-def _measure_indices(indices: np.ndarray, c: Constellation, scenario: AttackScenario,
-                     rng: "np.random.Generator | None",
-                     error_vec: np.ndarray) -> np.ndarray:
-    """Physical label pipeline: deliberate flip, jitter, half-plane decision, recording errors.
+def _label_sampler(c: Constellation, scenario: AttackScenario) -> Callable:
+    """The physical label pipeline of one scenario, as ``record(indices, rng, error_vec)``.
 
-    Indices of any shape; each randomization draws one array, the same stream
-    as one call per row.
+    A record applies the deliberate flip, the jitter, the half-plane
+    decision and the recording errors, in that order, to indices of any
+    shape; each randomization draws one array, the same stream as one call
+    per row.  The half-plane labels of the 2M indices are looked up in a
+    table built here once, so a run's records share it.
     """
-    idx = np.asarray(indices, dtype=int)
     needs_rng = scenario.dsr.kind in ("binary", "jitter") and scenario.dsr.param > 0.0
-    if needs_rng and rng is None:
-        raise ValueError("this scenario randomizes the signal; pass a Generator")
-    idx = _flip_members(idx, c, scenario, rng)
-    if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
-        # phases relative to Eve's axis, as _up_fraction takes them.  A jittered
-        # phase has no tie band: a window inside it would read 1 where the
-        # model gives 0.
-        w = scenario.dsr.param
-        rel = math.pi * idx / c.m - scenario.misalign + rng.uniform(-w, w, idx.shape)
-        labels = (np.sin(rel) > 0.0).astype(np.uint8)
-    else:
-        labels = _label_up(c, scenario.misalign)[idx].astype(np.uint8)
-    return labels ^ error_vec
+    jitter = scenario.dsr.param if scenario.dsr.kind == "jitter" else 0.0
+    up = None if jitter > 0.0 else _label_up(c, scenario.misalign).astype(np.uint8)
+
+    def record(indices: np.ndarray, rng: "np.random.Generator | None",
+               error_vec: np.ndarray) -> np.ndarray:
+        idx = np.asarray(indices, dtype=int)
+        if needs_rng and rng is None:
+            raise ValueError("this scenario randomizes the signal; pass a Generator")
+        idx = _flip_members(idx, c, scenario, rng)
+        if up is None:
+            # phases relative to Eve's axis, as _up_fraction takes them.  A
+            # jittered phase has no tie band: a window inside it would read 1
+            # where the model gives 0.
+            rel = math.pi * idx / c.m - scenario.misalign + rng.uniform(-jitter, jitter, idx.shape)
+            labels = (np.sin(rel) > 0.0).astype(np.uint8)
+        else:
+            labels = up[idx]
+        return labels ^ error_vec
+
+    return record
 
 
-def _heterodyne_indices(indices: np.ndarray, c: Constellation, scenario: AttackScenario,
-                        rng: np.random.Generator, error_vec: np.ndarray) -> np.ndarray:
-    """Index record of a nearest-phase heterodyne receiver; binary flips only, no recording errors."""
-    sent = _flip_members(np.asarray(indices, dtype=int), c, scenario, rng)
-    z = heterodyne_sample(0j, rng, size=sent.size) + c.amplitudes()[sent]
-    return nearest_phase_index(z, c, decision_offset=scenario.misalign)
+def _heterodyne_sampler(c: Constellation, scenario: AttackScenario) -> Callable:
+    """A nearest-phase heterodyne receiver's index record, as ``record(indices, rng, error_vec)``.
+
+    Binary flips only, no recording errors (error_vec is not read); the
+    constellation amplitudes are built here once per run.
+    """
+    amplitudes = c.amplitudes()
+
+    def record(indices: np.ndarray, rng: np.random.Generator,
+               error_vec: np.ndarray) -> np.ndarray:
+        sent = _flip_members(np.asarray(indices, dtype=int), c, scenario, rng)
+        z = heterodyne_sample(0j, rng, size=sent.size) + amplitudes[sent]
+        return nearest_phase_index(z, c, decision_offset=scenario.misalign)
+
+    return record
 
 
 def measure_labels(indices: np.ndarray, c: Constellation, scenario: AttackScenario,
@@ -359,7 +375,7 @@ def measure_labels(indices: np.ndarray, c: Constellation, scenario: AttackScenar
         raise ValueError("state indices must be integers")
     if np.any(indices < 0) or np.any(indices >= c.n_states):
         raise ValueError("state index out of range")
-    return _measure_indices(indices, c, scenario, rng, scenario.error_vector())
+    return _label_sampler(c, scenario)(indices, rng, scenario.error_vector())
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +523,8 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
     cipher = x_bits ^ pad
     units = unit_keystreams(poly, n, c.bits_per_basis)
     basis_true = _seed_row(units, true_seed)
-    labels = _measure_indices(_pair_index_table(c)[pad, basis_true], c, scenario, rng,
-                              scenario.error_vector())
+    labels = _label_sampler(c, scenario)(_pair_index_table(c)[pad, basis_true], rng,
+                                         scenario.error_vector())
     rec = _seed_scan(labels, cipher ^ labels, x_bits, units, true_seed)
     rec.true_r_in_candidates = rec.true_seed_mismatches == 0
     noiseless = (scenario.dsr.kind == "none" and scenario.misalign == 0.0
@@ -661,25 +677,38 @@ def _log2_likelihood(lam: np.ndarray, zeros: np.ndarray, band_sums: np.ndarray, 
 
     lam sums log2 f, zeros counts the zero factors and band_sums holds one
     row per band of ``_symbol_terms``; the row of a term that is 0 on the
-    whole table is 0.  Whether a key has a symbol in a band is read from
-    the band's sum, with no count of its own.
+    whole table is 0.  The counts are exact integers: the zero indicator's
+    Walsh coefficients are dyadic.  Whether a key has a symbol in a band is
+    read from the band's sum, with no count of its own.  With one recording
+    error only a key with at most one zero factor can have a nonzero
+    likelihood.  On a table without zeros that is every key, and the band
+    arithmetic runs on the arrays as they are; on a misaligned or jittered
+    record it is a handful of the 2^K keys, and it runs on those alone,
+    with the same operations per key.  Every other key reads -inf.
     """
-    zeros = np.rint(zeros)
     if bands is None:
         return np.where(zeros == 0, lam, -math.inf)
+    out = np.full(lam.shape, -math.inf)
     n_ratio, e = bands
     if not len(e):
-        return np.full(lam.shape, -math.inf)
+        return out
+    candidate = zeros <= 1
+    keys = slice(None) if candidate.all() else np.flatnonzero(candidate)
+    key_sums = band_sums[:, keys]
     # S sums f'/f over a key with no zero factor, f' at its one zero factor;
     # a band no symbol of the key falls in sums to 0 up to rounding, any
     # other to at least 1, and contributes exactly nothing
-    present = band_sums > 0.5
-    present[:n_ratio] &= zeros == 0
+    present = key_sums > 0.5
+    present[:n_ratio] &= zeros[keys] == 0
     # scaled by the key's largest present band, so no band overflows
     top = np.where(present, e, e.min()).max(axis=0)
-    s = np.where(present, np.ldexp(band_sums, np.minimum(e - top, 0)), 0.0).sum(axis=0)
-    live = (zeros <= 1) & (s > 0.0)
-    return np.where(live, lam + (top + np.log2(np.where(live, s, 1.0) / n)), -math.inf)
+    # the bands are added in order, row by row: from 8 rows on, numpy adds
+    # the rows of a single gathered key pairwise
+    s = sum(np.where(present, np.ldexp(key_sums, np.minimum(e - top, 0)), 0.0))
+    live = s > 0.0
+    out[keys] = np.where(live, lam[keys] + (top + np.log2(np.where(live, s, 1.0) / n)),
+                         -math.inf)
+    return out
 
 
 def _record_channel(c: Constellation, scenario: AttackScenario,
@@ -690,15 +719,17 @@ def _record_channel(c: Constellation, scenario: AttackScenario,
     'quantum' records a heterodyne receiver's nearest-phase index through
     the exact transition matrix, mixed with its antipode row at the binary
     flip rate.  The table holds P(observation | sent index) at the index
-    each data bit and basis send.
+    each data bit and basis send.  The sampler is built here once per run,
+    with the label table or the amplitudes it reads.
     """
     if regime == "classical":
-        record, chan = _measure_indices, _label_channel(c, scenario)
+        record, chan = _label_sampler(c, scenario), _label_channel(c, scenario)
     else:
         f = scenario.dsr.param if scenario.dsr.kind == "binary" else 0.0
         trans = heterodyne_index_transition(c, decision_offset=scenario.misalign)
+        record = _heterodyne_sampler(c, scenario)
         # chan[index, decided]: the sent member, or its antipode after a flip
-        record, chan = _heterodyne_indices, (1.0 - f) * trans + f * np.roll(trans, -c.m, axis=0)
+        chan = (1.0 - f) * trans + f * np.roll(trans, -c.m, axis=0)
     return record, chan[_pair_index_table(c)]
 
 
@@ -707,22 +738,25 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     """Per trial, the log2 sequence likelihood of every register value under ``table``.
 
     A trial draws a seed, data, the position of a declared recording error
-    and the record (``record`` maps sent indices to observations), in that
+    and the record (``record(indices, rng, error_vec)``, built once per run
+    by ``_record_channel``, maps sent indices to observations), in that
     order.  The table is indexed [data bit, basis, observation].  Symbol i's
     basis is GF(2)-linear in the seed, so a sum over symbols of per-symbol
     terms g_i(basis) is, over all 2^K register values at once, one
     Walsh-Hadamard transform: expand each g_i over the basis bits, move
     character y to the seed character u[i, y] and transform in seed space.
-    That gives Lambda = sum log2 f and Z = #{f = 0}, exact because its
-    coefficients are dyadic, and L = 0 where Z > 0.  A recording error at
-    an unknown position is marginalized as L = 2^Lambda S / N, with S the
-    sum of f'/f where Z = 0 and of [f = 0] f' where Z = 1; L = 0 where
-    Z > 1.  A term that is 0 on its whole table (log2 f on a table of 0s
-    and 1s, [f = 0] on a table without zeros) sums to exactly 0 for every
-    key, so it is not transformed.  The zero register never occurs, but
-    the accounting runs over every possible key.  Yields one
-    log2-likelihood array per trial; the transform buffers are allocated
-    once per run and no yielded array shares memory with them.
+    That gives Lambda = sum log2 f and Z = #{f = 0}, an exact integer
+    because its coefficients are dyadic, and L = 0 where Z > 0.  A
+    recording error at an unknown position is marginalized as
+    L = 2^Lambda S / N, with S the sum of f'/f where Z = 0 and of
+    [f = 0] f' where Z = 1; L = 0 where Z > 1, so ``_log2_likelihood``
+    assembles S only at the keys with Z <= 1.  A term that is 0 on its
+    whole table (log2 f on a table of 0s and 1s, [f = 0] on a table
+    without zeros) sums to exactly 0 for every key, so it is not
+    transformed.  The zero register never occurs, but the accounting runs
+    over every possible key.  Yields one log2-likelihood array per trial;
+    the transform buffers are allocated once per run and no yielded array
+    shares memory with them.
     """
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
@@ -754,7 +788,7 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
         error_vec = np.zeros(n, dtype=np.uint8)
         if weight == 1:
             error_vec[int(rng.integers(0, n))] = 1
-        obs = record(idx_table[r, _seed_row(units, true_seed)], c, scenario, rng, error_vec)
+        obs = record(idx_table[r, _seed_row(units, true_seed)], rng, error_vec)
         np.matmul(stacked[:, r[:, None], bases, obs[:, None]], h_basis, out=coef)
         spec = np.bincount(slots, weights=coef.ravel(), minlength=n_live << key_bits)
         np.matmul(h_hi, spec.reshape(mid.shape), out=mid)
@@ -852,8 +886,8 @@ def label_mutual_information(c: Constellation, poly: int, true_seed: int,
     _check_seed(key_bits, true_seed)
     basis = _seed_row(unit_keystreams(poly, n, c.bits_per_basis), true_seed)
     data = rng.integers(0, 2, (trials, n), dtype=np.uint8)
-    labels = _measure_indices(_pair_index_table(c)[data, basis], c, scenario, rng,
-                              scenario.error_vector())
+    labels = _label_sampler(c, scenario)(_pair_index_table(c)[data, basis], rng,
+                                         scenario.error_vector())
     # joint[i, bit, label]: every trial's (position, data bit, label) cell in one count
     cells = np.bincount((4 * np.arange(n) + 2 * data + labels).ravel(), minlength=4 * n)
     joint = cells.reshape(n, 2, 2) / trials

@@ -10,7 +10,9 @@ phase at a time.  Sequence likelihoods are products over a 2^K-row basis
 table (``sequence_likelihood``), scored by the package's entropy function
 on their log2, so a comparison with the public engines isolates the
 Walsh-Hadamard scorer.  ``gathered_likelihoods`` is that scorer's gather
-form: the same trial loop, one product per key.
+form: the same trial loop, one product per key, and ``log2_likelihood``
+its likelihood assembly as the package ran it over all 2^K keys before it
+gathered the keys with at most one zero factor.
 ``label_mutual_information_labels`` is the per-trial measurement loop that
 ``label_mutual_information`` now runs as one batch, and
 ``plugin_mutual_information`` its per-position estimator.  ``keystream_table``
@@ -78,9 +80,26 @@ def gathered_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, 
         error_vec = np.zeros(n, dtype=np.uint8)
         if weight == 1:
             error_vec[int(rng.integers(0, n))] = 1
-        obs = record(idx_table[r, basis[true_seed]], c, scenario, rng, error_vec)
+        obs = record(idx_table[r, basis[true_seed]], rng, error_vec)
         yield sequence_likelihood(table[r, basis, obs],
                                   table[r, basis, obs ^ 1] if weight else None, weight)
+
+
+def log2_likelihood(lam: np.ndarray, zeros: np.ndarray, band_sums: np.ndarray, bands,
+                    n: int) -> np.ndarray:
+    """``attacks._log2_likelihood`` over the whole key array, every band row at every key."""
+    zeros = np.rint(zeros)
+    if bands is None:
+        return np.where(zeros == 0, lam, -math.inf)
+    n_ratio, e = bands
+    if not len(e):
+        return np.full(lam.shape, -math.inf)
+    present = band_sums > 0.5
+    present[:n_ratio] &= zeros == 0
+    top = np.where(present, e, e.min()).max(axis=0)
+    s = np.where(present, np.ldexp(band_sums, np.minimum(e - top, 0)), 0.0).sum(axis=0)
+    live = (zeros <= 1) & (s > 0.0)
+    return np.where(live, lam + (top + np.log2(np.where(live, s, 1.0) / n)), -math.inf)
 
 
 def scalar_halfplane_label(phase: float, axis: float) -> int:

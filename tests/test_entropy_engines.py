@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import codec_oracles as scalar
 import entropy_oracles as oracle
@@ -200,6 +202,90 @@ def test_every_nonzero_band_value_lies_in_one_to_two_to_the_band_bits_plus_one(c
         assert (nonzero >= 1.0).all() and (nonzero < 2.0 ** (attacks.RATIO_BAND_BITS + 1)).all()
 
 
+# a key's band sum is 0 (no symbol in the band), a rounding residue in
+# (0, 0.5] or at least 1
+BAND_SUMS = st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_min=True),
+                      st.floats(1.0, 2.0 ** 20))
+
+
+@st.composite
+def likelihood_sums(draw):
+    """(lam, zeros, band_sums, bands, n) as ``_record_likelihoods`` passes them."""
+    keys = draw(st.integers(2, 64))
+    lam = draw(hnp.arrays(float, keys, elements=st.floats(-5000.0, 0.0)))
+    # at most one zero factor at every key, as on a table without zeros, or a mix
+    counts = draw(st.sampled_from([[0.0], [0.0, 1.0], [0.0, 1.0, 2.0, 7.0]]))
+    zeros = draw(hnp.arrays(float, keys, elements=st.sampled_from(counts)))
+    if draw(st.booleans()):
+        return lam, zeros, np.zeros((0, keys)), None, draw(st.integers(1, 64))
+    n_bands = draw(st.integers(0, 12))
+    # band exponents over +-1000 octaves, as 1/f reaches past the float range
+    e = draw(hnp.arrays(np.int32, (n_bands, 1), elements=st.integers(-1000, 1000)))
+    band_sums = draw(hnp.arrays(float, (n_bands, keys), elements=BAND_SUMS))
+    return lam, zeros, band_sums, (draw(st.integers(0, n_bands)), e), draw(st.integers(1, 64))
+
+
+@settings(max_examples=400, deadline=None)
+@given(likelihood_sums())
+# one zero factor: only the last band, past the ratio bands, counts for key 1
+@example((np.array([-3.0, -5.0, -1.0]), np.array([0.0, 1.0, 2.0]),
+          np.array([[2.0, 3.0, 4.0], [0.0, 6.0, 1.0]]), (1, np.array([[-2], [7]], np.int32)), 4))
+# nine bands of one key: added in order they sum to 21, pairwise to 21 + 4e-15
+@example((np.array([0.0, 0.0]), np.array([0.0, 2.0]),
+          np.array([[1.0 + k / 3, 1.0] for k in range(9)]), (9, np.zeros((9, 1), np.int32)), 21))
+# every key a candidate, as on a table without zeros
+@example((np.array([-1.0, -2.0, -4.0]), np.array([0.0, 1.0, 0.0]),
+          np.array([[3.0, 0.0, 0.25], [0.0, 5.0, 2.0]]), (1, np.array([[3], [-900]], np.int32)),
+          5))
+@example((np.array([-1.0, -2.0]), np.array([1.0, 1.0]), np.zeros((0, 2)),
+          (0, np.zeros((0, 1), np.int32)), 2))
+def test_live_key_assembly_is_bitwise_the_whole_array_assembly(case):
+    # the band arithmetic runs only at keys with at most one zero factor; every
+    # key, -inf included, must carry the whole-array assembly's exact bits
+    lam, zeros, band_sums, bands, n = case
+    new = attacks._log2_likelihood(lam, zeros, band_sums, bands, n)
+    old = oracle.log2_likelihood(lam, zeros, band_sums, bands, n)
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+
+
+@pytest.mark.parametrize("regime", ["ciphertext_only", "classical", "quantum"])
+def test_record_samplers_are_built_once_per_run(monkeypatch, regime):
+    # the label table and the amplitudes a record reads are built once per
+    # run, so their builders' call counts do not grow with the trials
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    label = counted("halfplane_label", codec.halfplane_label)
+    monkeypatch.setattr(codec, "halfplane_label", label)
+    monkeypatch.setattr(attacks, "halfplane_label", label)
+    monkeypatch.setattr(codec.Constellation, "amplitudes",
+                        counted("amplitudes", codec.Constellation.amplitudes))
+    c, poly = codec.Constellation(m=4, energy=2.0), codec.PRIMITIVE_POLYS[6]
+    # binary flips on the heterodyne record, as the benchmark's quantum run
+    dsr = attacks.Dsr.binary(0.1) if regime == "quantum" else attacks.Dsr()
+    sc = attacks.AttackScenario(n_symbols=8, misalign=0.3, dsr=dsr)
+
+    def counts(trials):
+        calls.clear()
+        rng = np.random.default_rng(11)
+        if regime == "ciphertext_only":
+            attacks.ciphertext_only_entropy(c, poly, sc, trials, rng)
+        else:
+            attacks.known_plaintext_key_entropy(c, poly, sc, trials, rng, regime=regime)
+        return dict(calls)
+
+    one, many = counts(1), counts(50)
+    assert many == one
+    # the classical channel and the sampler each read the labels once; the
+    # heterodyne sampler reads the amplitudes once
+    assert one == ({"amplitudes": 1} if regime == "quantum" else {"halfplane_label": 2})
+
+
 @pytest.mark.parametrize("regime, errors", [("classical", []), ("classical", [5]),
                                             ("quantum", [])])
 def test_a_term_zero_on_its_whole_table_is_skipped_without_changing_likelihoods(regime,
@@ -271,8 +357,8 @@ def test_batched_label_measurement_matches_per_trial_loop(m, n, trials, kind, se
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     data = rng_new.integers(0, 2, (trials, n), dtype=np.uint8)
     basis = codec._seed_row(codec.unit_keystreams(poly, n, c.bits_per_basis), true_seed)
-    labels = attacks._measure_indices(codec._pair_index_table(c)[data, basis], c, sc,
-                                      rng_new, sc.error_vector())
+    labels = attacks._label_sampler(c, sc)(codec._pair_index_table(c)[data, basis], rng_new,
+                                           sc.error_vector())
     data_old, labels_old = oracle.label_mutual_information_labels(c, poly, true_seed, sc,
                                                                   trials, rng_old)
     npt.assert_array_equal(data, data_old)
@@ -326,7 +412,7 @@ def test_labels_read_data_xor_parity_and_every_pair_splits(m, misalign, turn):
                            np.arange(2)[:, None] ^ (basis & 1))
     # an eavesdropper's axis near a constellation point still splits every pair
     sc = attacks.AttackScenario(n_symbols=2 * m, misalign=misalign + turn * math.pi / m)
-    labels = attacks._measure_indices(np.arange(2 * m), c, sc, None, np.zeros(2 * m, np.uint8))
+    labels = attacks._label_sampler(c, sc)(np.arange(2 * m), None, np.zeros(2 * m, np.uint8))
     npt.assert_array_equal(labels[:m] ^ labels[m:], 1)
     p1 = attacks._label_channel(c, sc)[:, 1]
     npt.assert_array_equal(p1[:m] + p1[m:], 1.0)
