@@ -304,62 +304,91 @@ def _label_channel(c: Constellation, scenario: AttackScenario) -> np.ndarray:
     return np.stack([1.0 - p1, p1], axis=1)
 
 
-def _flip_members(idx: np.ndarray, c: Constellation, scenario: AttackScenario,
-                  rng: "np.random.Generator | None") -> np.ndarray:
-    """Binary randomization: each index moves to its antipode with the flip probability."""
-    if scenario.dsr.kind == "binary" and scenario.dsr.param > 0.0:
-        flips = rng.random(idx.shape) < scenario.dsr.param
-        idx = np.where(flips, (idx + c.m) % c.n_states, idx)
-    return idx
+@dataclass(frozen=True)
+class _Sampler:
+    """A record model split into its randomness and its physics.
+
+    ``draw(rng, shape)`` takes every random number that records of sent
+    indices of that shape need, in the order the record uses them, and
+    ``apply(indices, draws, error_vec)`` maps the indices through the
+    channel with them; every operation after the draws is elementwise, so
+    the draws of B rows, stacked, give one apply the records of B separate
+    calls.  ``record`` is the one pipeline that chains the two.
+    """
+
+    draw: Callable
+    apply: Callable
+
+    def record(self, indices: np.ndarray, rng: "np.random.Generator | None",
+               error_vec: np.ndarray) -> np.ndarray:
+        idx = np.asarray(indices, dtype=int)
+        return self.apply(idx, self.draw(rng, idx.shape), error_vec)
 
 
-def _label_sampler(c: Constellation, scenario: AttackScenario) -> Callable:
-    """The physical label pipeline of one scenario, as ``record(indices, rng, error_vec)``.
+def _flip_members(idx: np.ndarray, c: Constellation, flip_prob: float,
+                  uniforms: "np.ndarray | None") -> np.ndarray:
+    """Binary randomization: an index moves to its antipode where its uniform is below the rate."""
+    if uniforms is None:
+        return idx
+    return np.where(uniforms < flip_prob, (idx + c.m) % c.n_states, idx)
+
+
+def _label_sampler(c: Constellation, scenario: AttackScenario) -> _Sampler:
+    """The physical label pipeline of one scenario.
 
     A record applies the deliberate flip, the jitter, the half-plane
     decision and the recording errors, in that order, to indices of any
-    shape; each randomization draws one array, the same stream as one call
-    per row.  The half-plane labels of the 2M indices are looked up in a
-    table built here once, so a run's records share it.
+    shape; each randomization draws one array.  The half-plane labels of
+    the 2M indices are looked up in a table built here once, so a run's
+    records share it.
     """
-    needs_rng = scenario.dsr.kind in ("binary", "jitter") and scenario.dsr.param > 0.0
-    jitter = scenario.dsr.param if scenario.dsr.kind == "jitter" else 0.0
-    up = None if jitter > 0.0 else _label_up(c, scenario.misalign).astype(np.uint8)
+    kind, param = scenario.dsr.kind, scenario.dsr.param
+    randomized = kind in ("binary", "jitter") and param > 0.0
+    jittered = randomized and kind == "jitter"
+    up = None if jittered else _label_up(c, scenario.misalign).astype(np.uint8)
 
-    def record(indices: np.ndarray, rng: "np.random.Generator | None",
-               error_vec: np.ndarray) -> np.ndarray:
-        idx = np.asarray(indices, dtype=int)
-        if needs_rng and rng is None:
+    def draw(rng: "np.random.Generator | None", shape: tuple) -> "np.ndarray | None":
+        if not randomized:
+            return None
+        if rng is None:
             raise ValueError("this scenario randomizes the signal; pass a Generator")
-        idx = _flip_members(idx, c, scenario, rng)
-        if up is None:
-            # phases relative to Eve's axis, as _up_fraction takes them.  A
-            # jittered phase has no tie band: a window inside it would read 1
-            # where the model gives 0.
-            rel = math.pi * idx / c.m - scenario.misalign + rng.uniform(-jitter, jitter, idx.shape)
-            labels = (np.sin(rel) > 0.0).astype(np.uint8)
-        else:
-            labels = up[idx]
-        return labels ^ error_vec
+        return rng.random(shape) if kind == "binary" else rng.uniform(-param, param, shape)
 
-    return record
+    def apply(indices: np.ndarray, draws: "np.ndarray | None",
+              error_vec: np.ndarray) -> np.ndarray:
+        if up is not None:
+            return up[_flip_members(indices, c, param, draws)] ^ error_vec
+        # phases relative to Eve's axis, as _up_fraction takes them.  A
+        # jittered phase has no tie band: a window inside it would read 1
+        # where the model gives 0.
+        rel = math.pi * indices / c.m - scenario.misalign + draws
+        return (np.sin(rel) > 0.0).astype(np.uint8) ^ error_vec
+
+    return _Sampler(draw, apply)
 
 
-def _heterodyne_sampler(c: Constellation, scenario: AttackScenario) -> Callable:
-    """A nearest-phase heterodyne receiver's index record, as ``record(indices, rng, error_vec)``.
+def _heterodyne_sampler(c: Constellation, scenario: AttackScenario) -> _Sampler:
+    """A nearest-phase heterodyne receiver's index record.
 
-    Binary flips only, no recording errors (error_vec is not read); the
-    constellation amplitudes are built here once per run.
+    Binary flips only, no recording errors (error_vec is not read).  The
+    draws are the flip uniforms, if the sender flips, then the noise of
+    ``heterodyne_sample``; the constellation amplitudes are built here once
+    per run.
     """
     amplitudes = c.amplitudes()
+    f = scenario.dsr.param if scenario.dsr.kind == "binary" else 0.0
 
-    def record(indices: np.ndarray, rng: np.random.Generator,
-               error_vec: np.ndarray) -> np.ndarray:
-        sent = _flip_members(np.asarray(indices, dtype=int), c, scenario, rng)
-        z = heterodyne_sample(0j, rng, size=sent.size) + amplitudes[sent]
+    def draw(rng: np.random.Generator, shape: tuple) -> tuple:
+        uniforms = rng.random(shape) if f > 0.0 else None
+        size = math.prod(shape)
+        return uniforms, heterodyne_sample(0j, rng, size=size).reshape(shape)
+
+    def apply(indices: np.ndarray, draws: tuple, error_vec: np.ndarray) -> np.ndarray:
+        uniforms, noise = draws
+        z = noise + amplitudes[_flip_members(indices, c, f, uniforms)]
         return nearest_phase_index(z, c, decision_offset=scenario.misalign)
 
-    return record
+    return _Sampler(draw, apply)
 
 
 def measure_labels(indices: np.ndarray, c: Constellation, scenario: AttackScenario,
@@ -375,7 +404,7 @@ def measure_labels(indices: np.ndarray, c: Constellation, scenario: AttackScenar
         raise ValueError("state indices must be integers")
     if np.any(indices < 0) or np.any(indices >= c.n_states):
         raise ValueError("state index out of range")
-    return _label_sampler(c, scenario)(indices, rng, scenario.error_vector())
+    return _label_sampler(c, scenario).record(indices, rng, scenario.error_vector())
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +552,8 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
     cipher = x_bits ^ pad
     units = unit_keystreams(poly, n, c.bits_per_basis)
     basis_true = _seed_row(units, true_seed)
-    labels = _label_sampler(c, scenario)(_pair_index_table(c)[pad, basis_true], rng,
-                                         scenario.error_vector())
+    labels = _label_sampler(c, scenario).record(_pair_index_table(c)[pad, basis_true], rng,
+                                                scenario.error_vector())
     rec = _seed_scan(labels, cipher ^ labels, x_bits, units, true_seed)
     rec.true_r_in_candidates = rec.true_seed_mismatches == 0
     noiseless = (scenario.dsr.kind == "none" and scenario.misalign == 0.0
@@ -671,6 +700,29 @@ def _symbol_terms(tab: np.ndarray, weight: int):
     return terms, (len(ratio_bands), np.array([[e] for e, _ in bands], dtype=np.int32))
 
 
+def _band_log2(lam: np.ndarray, zeros: np.ndarray, key_sums: np.ndarray, bands,
+               n: int) -> np.ndarray:
+    """log2 L = Lambda + log2(S / N) at candidate keys, one column per key.
+
+    S is read from the keys' band sums.  Every operation is per key, so the
+    keys of several trials, concatenated, give each key the bits it gets
+    alone.
+    """
+    n_ratio, e = bands
+    # S sums f'/f over a key with no zero factor, f' at its one zero factor;
+    # a band no symbol of the key falls in sums to 0 up to rounding, any
+    # other to at least 1, and contributes exactly nothing
+    present = key_sums > 0.5
+    present[:n_ratio] &= zeros == 0
+    # scaled by the key's largest present band, so no band overflows
+    top = np.where(present, e, e.min()).max(axis=0)
+    # the bands are added in order, row by row: from 8 rows on, numpy adds
+    # the rows of a single gathered key pairwise
+    s = sum(np.where(present, np.ldexp(key_sums, np.minimum(e - top, 0)), 0.0))
+    live = s > 0.0
+    return np.where(live, lam + (top + np.log2(np.where(live, s, 1.0) / n)), -math.inf)
+
+
 def _log2_likelihood(lam: np.ndarray, zeros: np.ndarray, band_sums: np.ndarray, bands,
                      n: int) -> np.ndarray:
     """Per-key log2 likelihood from the seed-space sums of one table's terms.
@@ -682,37 +734,23 @@ def _log2_likelihood(lam: np.ndarray, zeros: np.ndarray, band_sums: np.ndarray, 
     read from the band's sum, with no count of its own.  With one recording
     error only a key with at most one zero factor can have a nonzero
     likelihood.  On a table without zeros that is every key, and the band
-    arithmetic runs on the arrays as they are; on a misaligned or jittered
-    record it is a handful of the 2^K keys, and it runs on those alone,
-    with the same operations per key.  Every other key reads -inf.
+    arithmetic runs on the arrays as they are; otherwise it runs on those
+    keys alone, with the same operations per key.  Every other key reads
+    -inf.
     """
     if bands is None:
         return np.where(zeros == 0, lam, -math.inf)
     out = np.full(lam.shape, -math.inf)
-    n_ratio, e = bands
-    if not len(e):
+    if not len(bands[1]):
         return out
     candidate = zeros <= 1
     keys = slice(None) if candidate.all() else np.flatnonzero(candidate)
-    key_sums = band_sums[:, keys]
-    # S sums f'/f over a key with no zero factor, f' at its one zero factor;
-    # a band no symbol of the key falls in sums to 0 up to rounding, any
-    # other to at least 1, and contributes exactly nothing
-    present = key_sums > 0.5
-    present[:n_ratio] &= zeros[keys] == 0
-    # scaled by the key's largest present band, so no band overflows
-    top = np.where(present, e, e.min()).max(axis=0)
-    # the bands are added in order, row by row: from 8 rows on, numpy adds
-    # the rows of a single gathered key pairwise
-    s = sum(np.where(present, np.ldexp(key_sums, np.minimum(e - top, 0)), 0.0))
-    live = s > 0.0
-    out[keys] = np.where(live, lam[keys] + (top + np.log2(np.where(live, s, 1.0) / n)),
-                         -math.inf)
+    out[keys] = _band_log2(lam[keys], zeros[keys], band_sums[:, keys], bands, n)
     return out
 
 
 def _record_channel(c: Constellation, scenario: AttackScenario,
-                    regime: str) -> "tuple[Callable, np.ndarray]":
+                    regime: str) -> "tuple[_Sampler, np.ndarray]":
     """A regime's record model: its sampler and its table [data bit, basis, observation].
 
     'classical' records half-plane labels through ``_label_channel``;
@@ -723,40 +761,64 @@ def _record_channel(c: Constellation, scenario: AttackScenario,
     with the label table or the amplitudes it reads.
     """
     if regime == "classical":
-        record, chan = _label_sampler(c, scenario), _label_channel(c, scenario)
+        sampler, chan = _label_sampler(c, scenario), _label_channel(c, scenario)
     else:
         f = scenario.dsr.param if scenario.dsr.kind == "binary" else 0.0
         trans = heterodyne_index_transition(c, decision_offset=scenario.misalign)
-        record = _heterodyne_sampler(c, scenario)
+        sampler = _heterodyne_sampler(c, scenario)
         # chan[index, decided]: the sent member, or its antipode after a flip
         chan = (1.0 - f) * trans + f * np.roll(trans, -c.m, axis=0)
-    return record, chan[_pair_index_table(c)]
+    return sampler, chan[_pair_index_table(c)]
+
+
+def _stack_draws(draws: list):
+    """Per-trial sampler draws stacked along a new first axis, None and tuples kept in place."""
+    if draws[0] is None:
+        return None
+    if isinstance(draws[0], tuple):
+        return tuple(_stack_draws(list(parts)) for parts in zip(*draws))
+    return np.stack(draws)
+
+
+# Trials per block of the entropy engines.  At the caps (N = 32) and M = 16
+# a block's basis coefficients take 64 KB per transformed term, 320 KB on a
+# run that transforms five (jitter with one recording error); its draws,
+# seed rows and records take a few KB.
+_TRIAL_BLOCK = 16
 
 
 def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, trials: int,
-                        rng: np.random.Generator, record, table: np.ndarray, weight: int):
+                        rng: np.random.Generator, sampler: _Sampler, table: np.ndarray,
+                        weight: int):
     """Per trial, the log2 sequence likelihood of every register value under ``table``.
 
     A trial draws a seed, data, the position of a declared recording error
-    and the record (``record(indices, rng, error_vec)``, built once per run
-    by ``_record_channel``, maps sent indices to observations), in that
-    order.  The table is indexed [data bit, basis, observation].  Symbol i's
-    basis is GF(2)-linear in the seed, so a sum over symbols of per-symbol
-    terms g_i(basis) is, over all 2^K register values at once, one
-    Walsh-Hadamard transform: expand each g_i over the basis bits, move
-    character y to the seed character u[i, y] and transform in seed space.
-    That gives Lambda = sum log2 f and Z = #{f = 0}, an exact integer
-    because its coefficients are dyadic, and L = 0 where Z > 0.  A
-    recording error at an unknown position is marginalized as
-    L = 2^Lambda S / N, with S the sum of f'/f where Z = 0 and of
-    [f = 0] f' where Z = 1; L = 0 where Z > 1, so ``_log2_likelihood``
-    assembles S only at the keys with Z <= 1.  A term that is 0 on its
-    whole table (log2 f on a table of 0s and 1s, [f = 0] on a table
-    without zeros) sums to exactly 0 for every key, so it is not
-    transformed.  The zero register never occurs, but the accounting runs
-    over every possible key.  Yields one log2-likelihood array per trial;
-    the transform buffers are allocated once per run and no yielded array
-    shares memory with them.
+    and the record's randomness (``sampler.draw``), in that order.  The
+    table is indexed [data bit, basis, observation].  Symbol i's basis is
+    GF(2)-linear in the seed, so a sum over symbols of per-symbol terms
+    g_i(basis) is, over all 2^K register values at once, one Walsh-Hadamard
+    transform: expand each g_i over the basis bits, move character y to the
+    seed character u[i, y] and transform in seed space.  That gives
+    Lambda = sum log2 f and Z = #{f = 0}, an exact integer because its
+    coefficients are dyadic, and L = 0 where Z > 0.  A recording error at an
+    unknown position is marginalized as L = 2^Lambda S / N, with S the sum
+    of f'/f where Z = 0 and of [f = 0] f' where Z = 1; L = 0 where Z > 1, so
+    S is assembled only at the keys with Z <= 1.  A term that is 0 on its
+    whole table (log2 f on a table of 0s and 1s, [f = 0] on a table without
+    zeros) sums to exactly 0 for every key, so it is not transformed.  The
+    zero register never occurs, but the accounting runs over every possible
+    key.
+
+    Trials run in blocks of ``_TRIAL_BLOCK``.  The draws stay per trial and
+    in trial order; then one call each builds the block's seed rows, its
+    records (``sampler.apply``) and its basis coefficients.  A term's
+    coefficients over the basis characters depend only on the symbol's data
+    bit and observation, so they are gathered from one table per run.  Per
+    trial remain the scatter into seed space and the two transform factors;
+    where the table has zeros and an error is marginalized, the candidate
+    keys' sums are kept and S is assembled once per block over all of them.
+    Yields one log2-likelihood array per trial; the transform buffers are
+    allocated once per run and no yielded array shares memory with them.
     """
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
@@ -767,33 +829,65 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     head = [k for k in (0, 1) if terms[k].any()]
     stacked = np.stack([terms[k] for k in head] + terms[2:])
     n_live = len(stacked)
+    # row (l, bit, obs) of basis_coef is stacked[l, bit, :, obs] @ h_basis,
+    # the coefficients of term l over the basis characters
+    n_obs = stacked.shape[-1]
+    basis_coef = (np.ascontiguousarray(np.moveaxis(stacked, -1, 2)) @ (_walsh(c.m) / c.m)
+                  ).reshape(-1, c.m)
+    term_rows = (2 * n_obs * np.arange(n_live))[:, None]
     # each transformed term's seed-space sum has its own row of ``sums``,
     # the bands after log2 f and [f = 0]; a skipped term reads the last
     # row, which stays 0
     sums = np.zeros((n_live + 1, 1 << key_bits))
-    lam, zeros = (sums[head.index(k)] if k in head else sums[-1] for k in (0, 1))
-    band_sums = sums[len(head):-1]
+    lam_row, zeros_row = (head.index(k) if k in head else n_live for k in (0, 1))
+    lam, zeros, band_sums = sums[lam_row], sums[zeros_row], sums[len(head):-1]
+    # with zeros in the table, S is assembled per block at the candidate keys
+    blockwise = bands is not None and len(bands[1]) > 0 and 1 in head
     # one bincount scatters every transformed term into its own block of seed space
     slots = (chars + (np.arange(n_live) << key_bits)[:, None, None]).ravel()
-    h_basis = _walsh(c.m) / c.m
     half = key_bits // 2
     h_hi, h_lo = _walsh(1 << half), _walsh(1 << (key_bits - half))
-    coef = np.empty((n_live, n, c.m))
     mid = np.empty((n_live, len(h_hi), len(h_lo)))
     transformed = sums[:-1].reshape(mid.shape)
-    bases = np.arange(c.m)
-    for _ in range(trials):
-        true_seed = int(rng.integers(1, 1 << key_bits))
-        r = rng.integers(0, 2, n, dtype=np.uint8)
-        error_vec = np.zeros(n, dtype=np.uint8)
-        if weight == 1:
-            error_vec[int(rng.integers(0, n))] = 1
-        obs = record(idx_table[r, _seed_row(units, true_seed)], rng, error_vec)
-        np.matmul(stacked[:, r[:, None], bases, obs[:, None]], h_basis, out=coef)
-        spec = np.bincount(slots, weights=coef.ravel(), minlength=n_live << key_bits)
-        np.matmul(h_hi, spec.reshape(mid.shape), out=mid)
-        np.matmul(mid, h_lo, out=transformed)
-        yield _log2_likelihood(lam, zeros, band_sums, bands, n)
+    coef_block = np.empty((min(trials, _TRIAL_BLOCK), n_live, n, c.m))
+    for start in range(0, trials, _TRIAL_BLOCK):
+        size = min(_TRIAL_BLOCK, trials - start)
+        seeds = np.empty(size, dtype=np.int64)
+        r = np.empty((size, n), dtype=np.uint8)
+        error_vec = np.zeros((size, n), dtype=np.uint8)
+        draws = []
+        for t in range(size):
+            seeds[t] = rng.integers(1, 1 << key_bits)
+            r[t] = rng.integers(0, 2, n, dtype=np.uint8)
+            if weight == 1:
+                error_vec[t, rng.integers(0, n)] = 1
+            draws.append(sampler.draw(rng, (n,)))
+        obs = sampler.apply(idx_table[r, _seed_row(units, seeds)], _stack_draws(draws),
+                            error_vec)
+        # coef[t, l, i] is row (l, r[t, i], obs[t, i]), in the order of ``slots``;
+        # every row index is in range, and mode "raise" would buffer the output
+        rows = term_rows + (n_obs * r.astype(np.intp) + obs)[:, None]
+        coef = basis_coef.take(rows, axis=0, out=coef_block[:size], mode="clip")
+        kept = []
+        for t in range(size):
+            spec = np.bincount(slots, weights=coef[t].ravel(), minlength=n_live << key_bits)
+            np.matmul(h_hi, spec.reshape(mid.shape), out=mid)
+            np.matmul(mid, h_lo, out=transformed)
+            if blockwise:
+                keys = np.flatnonzero(zeros <= 1)
+                kept.append((keys, sums[:, keys]))
+            else:
+                yield _log2_likelihood(lam, zeros, band_sums, bands, n)
+        if kept:
+            key_sums = np.concatenate([s for _, s in kept], axis=1)
+            log2_like = _band_log2(key_sums[lam_row], key_sums[zeros_row],
+                                   key_sums[len(head):-1], bands, n)
+            at = 0
+            for keys, _ in kept:
+                out = np.full(1 << key_bits, -math.inf)
+                out[keys] = log2_like[at:at + len(keys)]
+                at += len(keys)
+                yield out
 
 
 def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenario,
@@ -812,11 +906,11 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
     """
     key_bits, weight = _check_entropy_run(c, poly, scenario, trials, "classical")
     n = scenario.n_symbols
-    record, table = _record_channel(c, scenario, "classical")
+    sampler, table = _record_channel(c, scenario, "classical")
     if not (0.5 * (table[0, :, 1] + table[1, :, 1]) == 0.5).all():
         raise AssertionError("a label pair does not split; the key posterior is not flat")
     log2_marginal = float(key_bits - n)
-    trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, record, table, weight)
+    trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, sampler, table, weight)
     # P(data | record) = 2^-n sum_j L(record | j, data) / sum_j L(record | j)
     surprisals = np.array([n - _log2_sum(log_cond) + log2_marginal
                            for log_cond in trial_likes])
@@ -850,8 +944,8 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
     if regime not in ("classical", "quantum"):
         raise ValueError("regime must be 'classical' or 'quantum'")
     key_bits, weight = _check_entropy_run(c, poly, scenario, trials, regime)
-    record, table = _record_channel(c, scenario, regime)
-    trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, record, table, weight)
+    sampler, table = _record_channel(c, scenario, regime)
+    trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, sampler, table, weight)
     h_vals = np.array([_posterior_entropy_bits(log_like) for log_like in trial_likes])
     h_mean = float(h_vals.mean())
     return EntropyReport(
@@ -886,8 +980,8 @@ def label_mutual_information(c: Constellation, poly: int, true_seed: int,
     _check_seed(key_bits, true_seed)
     basis = _seed_row(unit_keystreams(poly, n, c.bits_per_basis), true_seed)
     data = rng.integers(0, 2, (trials, n), dtype=np.uint8)
-    labels = _label_sampler(c, scenario)(_pair_index_table(c)[data, basis], rng,
-                                         scenario.error_vector())
+    labels = _label_sampler(c, scenario).record(_pair_index_table(c)[data, basis], rng,
+                                                scenario.error_vector())
     # joint[i, bit, label]: every trial's (position, data bit, label) cell in one count
     cells = np.bincount((4 * np.arange(n) + 2 * data + labels).ravel(), minlength=4 * n)
     joint = cells.reshape(n, 2, 2) / trials

@@ -137,39 +137,56 @@ def _pair_index_table(c: Constellation) -> np.ndarray:
     return basis + c.m * (1 - (np.arange(2)[:, None] ^ (basis & 1)))
 
 
+def _gf2_mul_mod(a: int, b: int, poly: int, degree: int) -> int:
+    """a b mod poly over GF(2), both factors below x^degree."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a >> degree & 1:
+            a ^= poly
+    return out
+
+
 def unit_keystreams(poly: int, n_symbols: int, bits_per_basis: int) -> np.ndarray:
     """Basis chunk rows of the unit seeds 2^0 .. 2^(degree-1).
 
-    One Fibonacci register is stepped whose cells hold seed-bit masks, cell
-    j starting at 2^j: each step outputs the low cell and shifts in the XOR
-    of the tapped cells.  Bit b of every output mask is then the output bit
-    of the register started at 2^b, and since every output bit is linear
-    over GF(2) in the register, the chunks of any seed are the XOR of the
-    unit rows at its set bits.  A symbol's chunk is its ``bits_per_basis``
-    successive output bits, read most significant first.
+    Fibonacci register: the output bits s_t of the register started at 2^b
+    begin with s_t = [t = b] for t < degree and satisfy s_(t+degree) = XOR
+    of s_(t+j) over the taps j, so poly is their characteristic polynomial
+    and s_(t+L) = XOR of s_(t+i) over the set bits i of x^L mod poly, for
+    any L.  With the first L outputs known, taking that jump at L gives
+    the next L - degree + 1 of them as whole-slice XORs of known ones, so
+    every unit seed's stream is built at once and the known length nearly
+    doubles per step.  Since every output bit is linear over GF(2) in the
+    register, the chunks of any seed are the XOR of the unit rows at its
+    set bits.  A symbol's chunk is its ``bits_per_basis`` successive output
+    bits, read most significant first.
     """
     degree = poly.bit_length() - 1
     if degree < 2 or poly & 1 == 0:
         raise ValueError("polynomial must have degree at least 2 and a constant term")
     if bits_per_basis < 1:
         raise ValueError("a symbol needs at least one basis bit (m >= 2)")
-    taps = [j for j in range(degree) if poly >> j & 1]
     total = n_symbols * bits_per_basis
-    width = (degree + 7) // 8
-    masks = bytearray(total * width)
-    # a ring: at step t, cell j of the register sits at cells[(t + j) % degree]
-    cells = [1 << j for j in range(degree)]
-    for t in range(total):
-        low = t % degree
-        masks[t * width:(t + 1) * width] = cells[low].to_bytes(width, "little")
-        fb = 0
-        for j in taps:
-            fb ^= cells[(low + j) % degree]
-        cells[low] = fb
-    raw = np.frombuffer(masks, dtype=np.uint8).reshape(total, width)
-    bits = np.unpackbits(raw, axis=1, count=degree, bitorder="little").T
+    # bits[b, t]: output bit t of the register started at 2^b
+    bits = np.zeros((degree, max(total, degree)), dtype=np.uint8)
+    bits[:, :degree] = np.eye(degree, dtype=np.uint8)
+    # power = x^(known - degree + 1) mod poly, so x^known = power x^(degree - 1)
+    known, power = degree, 2
+    while known < total:
+        step = min(known - degree + 1, total - known)
+        jump = _gf2_mul_mod(power, 1 << (degree - 1), poly, degree)
+        dst = bits[:, known:known + step]
+        for i in range(degree):
+            if jump >> i & 1:
+                dst ^= bits[:, i:i + step]
+        known += step
+        power = _gf2_mul_mod(power, power, poly, degree)
     weights = np.uint32(1) << np.arange(bits_per_basis - 1, -1, -1, dtype=np.uint32)
-    return bits.reshape(degree, n_symbols, bits_per_basis) @ weights
+    return bits[:, :total].reshape(degree, n_symbols, bits_per_basis) @ weights
 
 
 def encode_sequence(bits: "np.ndarray | list[int]", poly: int, seed: int,
@@ -189,10 +206,14 @@ def encode_sequence(bits: "np.ndarray | list[int]", poly: int, seed: int,
     return _pair_index_table(c)[bits, _seed_row(units, seed)]
 
 
-def _seed_row(units: np.ndarray, seed: int) -> np.ndarray:
-    """One seed's chunk row: the XOR of the unit rows at the seed's set bits."""
-    set_bits = np.array([seed >> b & 1 for b in range(units.shape[0])], dtype=bool)
-    return np.bitwise_xor.reduce(units[set_bits], axis=0)
+def _seed_row(units: np.ndarray, seed: "int | np.ndarray") -> np.ndarray:
+    """The chunk row of a seed: the XOR of the unit rows at the seed's set bits.
+
+    seed may be an integer array; the rows then take its shape plus the
+    row axis.  They keep the unit rows' dtype.
+    """
+    bits = np.asarray(seed)[..., None] >> np.arange(units.shape[0]) & 1
+    return np.bitwise_xor.reduce(np.where(bits[..., None] == 1, units, 0), axis=-2)
 
 
 def gf2_span(units: np.ndarray) -> np.ndarray:

@@ -12,7 +12,10 @@ on their log2, so a comparison with the public engines isolates the
 Walsh-Hadamard scorer.  ``gathered_likelihoods`` is that scorer's gather
 form: the same trial loop, one product per key, and ``log2_likelihood``
 its likelihood assembly as the package ran it over all 2^K keys before it
-gathered the keys with at most one zero factor.
+gathered the keys with at most one zero factor.  ``record_likelihoods`` is
+the Walsh-Hadamard scorer as the package ran it one trial at a time, before
+it drew records, gathered basis coefficients and assembled likelihoods a
+block of trials at once: the blocked scorer must match it bit for bit.
 ``label_mutual_information_labels`` is the per-trial measurement loop that
 ``label_mutual_information`` now runs as one batch, and
 ``plugin_mutual_information`` its per-position estimator.  ``keystream_table``
@@ -34,7 +37,10 @@ from yzero.attacks import (
     _entropy_error_weight,
     _posterior_entropy_bits,
     _require_plain_pairing,
+    _seed_characters,
+    _symbol_terms,
     _up_fraction,
+    _walsh,
 )
 from codec_oracles import Keystream, keystream_next
 from yzero.codec import TIE_EPS, Constellation, _pair_index_table, gf2_span, unit_keystreams
@@ -62,7 +68,7 @@ def entropy_bits(likelihood: np.ndarray) -> float:
 
 
 def gathered_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, trials: int,
-                         rng: np.random.Generator, record, table: np.ndarray, weight: int):
+                         rng: np.random.Generator, sampler, table: np.ndarray, weight: int):
     """Per trial, the sequence likelihood of every register value under ``table``.
 
     The same draws as ``attacks._record_likelihoods``; one gather from the
@@ -80,7 +86,7 @@ def gathered_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, 
         error_vec = np.zeros(n, dtype=np.uint8)
         if weight == 1:
             error_vec[int(rng.integers(0, n))] = 1
-        obs = record(idx_table[r, basis[true_seed]], rng, error_vec)
+        obs = sampler.record(idx_table[r, basis[true_seed]], rng, error_vec)
         yield sequence_likelihood(table[r, basis, obs],
                                   table[r, basis, obs ^ 1] if weight else None, weight)
 
@@ -100,6 +106,50 @@ def log2_likelihood(lam: np.ndarray, zeros: np.ndarray, band_sums: np.ndarray, b
     s = np.where(present, np.ldexp(band_sums, np.minimum(e - top, 0)), 0.0).sum(axis=0)
     live = (zeros <= 1) & (s > 0.0)
     return np.where(live, lam + (top + np.log2(np.where(live, s, 1.0) / n)), -math.inf)
+
+
+def record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, trials: int,
+                       rng: np.random.Generator, sampler, table: np.ndarray, weight: int):
+    """``attacks._record_likelihoods`` one trial at a time: per-trial records and coefficients.
+
+    Each trial draws its record through ``sampler.record``, gathers its
+    symbols' terms and expands them over the basis characters with its own
+    matrix product, and assembles its likelihood over every key with
+    ``log2_likelihood``.
+    """
+    key_bits = poly.bit_length() - 1
+    n = scenario.n_symbols
+    idx_table = _pair_index_table(c)
+    units = unit_keystreams(poly, n, c.bits_per_basis)
+    basis = gf2_span(units)
+    chars = _seed_characters(units, c.m)
+    terms, bands = _symbol_terms(table, weight)
+    head = [k for k in (0, 1) if terms[k].any()]
+    stacked = np.stack([terms[k] for k in head] + terms[2:])
+    n_live = len(stacked)
+    sums = np.zeros((n_live + 1, 1 << key_bits))
+    lam, zeros = (sums[head.index(k)] if k in head else sums[-1] for k in (0, 1))
+    band_sums = sums[len(head):-1]
+    slots = (chars + (np.arange(n_live) << key_bits)[:, None, None]).ravel()
+    h_basis = _walsh(c.m) / c.m
+    half = key_bits // 2
+    h_hi, h_lo = _walsh(1 << half), _walsh(1 << (key_bits - half))
+    coef = np.empty((n_live, n, c.m))
+    mid = np.empty((n_live, len(h_hi), len(h_lo)))
+    transformed = sums[:-1].reshape(mid.shape)
+    bases = np.arange(c.m)
+    for _ in range(trials):
+        true_seed = int(rng.integers(1, 1 << key_bits))
+        r = rng.integers(0, 2, n, dtype=np.uint8)
+        error_vec = np.zeros(n, dtype=np.uint8)
+        if weight == 1:
+            error_vec[int(rng.integers(0, n))] = 1
+        obs = sampler.record(idx_table[r, basis[true_seed]], rng, error_vec)
+        np.matmul(stacked[:, r[:, None], bases, obs[:, None]], h_basis, out=coef)
+        spec = np.bincount(slots, weights=coef.ravel(), minlength=n_live << key_bits)
+        np.matmul(h_hi, spec.reshape(mid.shape), out=mid)
+        np.matmul(mid, h_lo, out=transformed)
+        yield log2_likelihood(lam, zeros, band_sums, bands, n)
 
 
 def scalar_halfplane_label(phase: float, axis: float) -> int:

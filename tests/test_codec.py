@@ -302,6 +302,20 @@ def test_encode_sequence_and_unit_rows_match_the_scalar_oracle(case):
                            scalar.scalar_indices(data, poly, seed, c))
 
 
+@pytest.mark.parametrize("poly, bits_per_basis, n", [
+    (codec.PRIMITIVE_POLYS[2], 1, 1 << 16),
+    (codec.PRIMITIVE_POLYS[12], 1, 1 << 16),
+    # not primitive: x^5 + x^4 + 1 = (x^2 + x + 1)(x^3 + x + 1)
+    (0x31, 3, (1 << 14) + 3),
+    (codec.PRIMITIVE_POLYS[20], 2, 5000),
+])
+def test_unit_rows_match_the_scalar_oracle_on_long_records(poly, bits_per_basis, n):
+    # the rows are built by jumps that nearly double the known length: past
+    # 2^16 outputs, a partial last step and every jump x^L mod P on the way
+    units = codec.unit_keystreams(poly, n, bits_per_basis)
+    npt.assert_array_equal(units, scalar.unit_keystreams(poly, n, bits_per_basis))
+
+
 def test_bit_ensembles_osk_states_indistinguishable():
     c = codec.Constellation(m=8, energy=3.0, osk=True)
     r0, r1, rt = fock_oracles.bit_ensembles(c, p0=0.5, tol=1e-10)

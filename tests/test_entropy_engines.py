@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import pathlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -13,7 +15,10 @@ from hypothesis.extra import numpy as hnp
 
 import codec_oracles as scalar
 import entropy_oracles as oracle
-from yzero import attacks, codec
+from yzero import attacks, codec, runner
+from yzero.scenario import load_config
+
+WORKLOADS = pathlib.Path(__file__).parents[1] / "perfbench/workloads"
 
 
 # The engines sum log2 likelihoods by Walsh-Hadamard transforms, the oracles
@@ -311,6 +316,93 @@ def test_a_term_zero_on_its_whole_table_is_skipped_without_changing_likelihoods(
             npt.assert_allclose(np.exp2(log_like), like, rtol=tol)
 
 
+# record models of the blocked-scorer tests: (regime, dsr, misalign, M)
+RECORDS = {
+    "none": ("classical", attacks.Dsr(), 0.0, 16),
+    "binary": ("classical", attacks.Dsr.binary(0.1), 0.0, 16),
+    "jitter": ("classical", attacks.Dsr.jitter(0.2), 0.0, 16),
+    "misalign": ("classical", attacks.Dsr(), 0.3, 16),
+    "quantum_none": ("quantum", attacks.Dsr(), 0.0, 16),
+    "quantum_binary": ("quantum", attacks.Dsr.binary(0.1), 0.0, 16),
+    # 256 observations: a uint8 data bit times the observation count would
+    # overflow the coefficient row index
+    "quantum_m128": ("quantum", attacks.Dsr.binary(0.1), 0.0, 128),
+}
+BLOCK = attacks._TRIAL_BLOCK
+
+
+@pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 200])
+@pytest.mark.parametrize("record, errors", [(name, []) for name in RECORDS]
+                         + [(name, [5]) for name in ("none", "binary", "jitter", "misalign")])
+def test_blocked_scorer_is_bitwise_the_per_trial_loop(record, errors, trials):
+    # the benchmark's sizes (K = 12, N = 32, M = 16 but once); records, basis
+    # coefficients and band sums are built per block, and every key of every
+    # trial, -inf included, must carry the per-trial loop's exact bits
+    regime, dsr, misalign, m = RECORDS[record]
+    c, poly = codec.Constellation(m=m, energy=4.0), codec.PRIMITIVE_POLYS[12]
+    sc = attacks.AttackScenario.with_errors(32, errors, misalign=misalign, dsr=dsr)
+    sampler, table = attacks._record_channel(c, sc, regime)
+    # with an error, S is assembled per block where the table has zeros; the
+    # binary flip's table has none, so every key is a candidate, per trial
+    assert (table == 0.0).any() == (record in ("none", "jitter", "misalign"))
+    rng_new, rng_old = np.random.default_rng(trials), np.random.default_rng(trials)
+    new = list(attacks._record_likelihoods(c, poly, sc, trials, rng_new, sampler, table,
+                                           len(errors)))
+    old = list(oracle.record_likelihoods(c, poly, sc, trials, rng_old, sampler, table,
+                                         len(errors)))
+    assert len(new) == len(old) == trials
+    for t, (log_like, want) in enumerate(zip(new, old)):
+        assert np.array_equal(log_like.view(np.int64), want.view(np.int64)), t
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["binary", "jitter", "misalign", "heterodyne",
+                                  "heterodyne_binary"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_draws_give_one_apply_the_records_of_per_row_calls(kind, seed):
+    c = codec.Constellation(m=16, energy=4.0)
+    rows, n = 7, 12
+    dsr = {"binary": attacks.Dsr.binary(0.3), "jitter": attacks.Dsr.jitter(0.7),
+           "heterodyne_binary": attacks.Dsr.binary(0.1)}.get(kind, attacks.Dsr())
+    sc = attacks.AttackScenario(n_symbols=n, misalign=0.3 if kind == "misalign" else 0.0,
+                                dsr=dsr)
+    build = attacks._heterodyne_sampler if kind.startswith("heterodyne") else \
+        attacks._label_sampler
+    sampler = build(c, sc)
+    data = np.random.default_rng(seed + 100)
+    indices = data.integers(0, c.n_states, (rows, n))
+    error_vec = (data.random((rows, n)) < 0.2).astype(np.uint8)
+    rng_block, rng_rows = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = [sampler.draw(rng_block, (n,)) for _ in range(rows)]
+    block = sampler.apply(indices, attacks._stack_draws(draws), error_vec)
+    per_row = np.stack([sampler.record(indices[t], rng_rows, error_vec[t])
+                        for t in range(rows)])
+    assert block.dtype == per_row.dtype
+    npt.assert_array_equal(block, per_row)
+    assert rng_block.bit_generator.state == rng_rows.bit_generator.state
+
+
+# tracemalloc peaks of one warm ``run_entropy`` of each workload with the
+# per-trial loop, which held one trial's coefficients
+PER_TRIAL_PEAK = {"entropy_jitter": 857_905, "entropy_quantum": 361_190}
+
+
+@pytest.mark.parametrize("workload", sorted(PER_TRIAL_PEAK))
+def test_blocked_entropy_run_peaks_within_half_a_megabyte_of_the_per_trial_loop(tmp_path,
+                                                                             workload):
+    # a block's basis coefficients take 320 KB on the jitter run; a block of
+    # 32 trials, or a block's worth of 4096-key likelihood arrays, passes 0.5 MB
+    cfg = load_config(str(WORKLOADS / f"{workload}.ini"), "entropy", out_dir=str(tmp_path))
+    runner.run_entropy(cfg)
+    tracemalloc.start()
+    try:
+        runner.run_entropy(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PER_TRIAL_PEAK[workload] + 2**19, peak
+
+
 @settings(max_examples=200, deadline=None)
 @given(delta=st.floats(1e-30, 0.5))
 @example(delta=1e-30)
@@ -357,8 +449,8 @@ def test_batched_label_measurement_matches_per_trial_loop(m, n, trials, kind, se
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     data = rng_new.integers(0, 2, (trials, n), dtype=np.uint8)
     basis = codec._seed_row(codec.unit_keystreams(poly, n, c.bits_per_basis), true_seed)
-    labels = attacks._label_sampler(c, sc)(codec._pair_index_table(c)[data, basis], rng_new,
-                                           sc.error_vector())
+    labels = attacks._label_sampler(c, sc).record(codec._pair_index_table(c)[data, basis],
+                                                  rng_new, sc.error_vector())
     data_old, labels_old = oracle.label_mutual_information_labels(c, poly, true_seed, sc,
                                                                   trials, rng_old)
     npt.assert_array_equal(data, data_old)
@@ -412,7 +504,8 @@ def test_labels_read_data_xor_parity_and_every_pair_splits(m, misalign, turn):
                            np.arange(2)[:, None] ^ (basis & 1))
     # an eavesdropper's axis near a constellation point still splits every pair
     sc = attacks.AttackScenario(n_symbols=2 * m, misalign=misalign + turn * math.pi / m)
-    labels = attacks._label_sampler(c, sc)(np.arange(2 * m), None, np.zeros(2 * m, np.uint8))
+    labels = attacks._label_sampler(c, sc).record(np.arange(2 * m), None,
+                                                  np.zeros(2 * m, np.uint8))
     npt.assert_array_equal(labels[:m] ^ labels[m:], 1)
     p1 = attacks._label_channel(c, sc)[:, 1]
     npt.assert_array_equal(p1[:m] + p1[m:], 1.0)
