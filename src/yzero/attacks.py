@@ -34,8 +34,10 @@ import numpy as np
 from .codec import (
     Constellation,
     _as_bits,
+    _check_energy,
     _check_seed,
     _pair_index_table,
+    _require_plain_pairing,
     _seed_row,
     gf2_span,
     halfplane_label,
@@ -96,8 +98,8 @@ class AttackScenario:
 
     error_seq marks positions where the eavesdropper's label record is
     flipped after measurement (recording errors); misalign rotates her
-    phase reference relative to the sender's; dsr is the sender's deliberate
-    randomization.
+    phase reference relative to the sender's, by at most a full turn either
+    way; dsr is the sender's deliberate randomization.
     """
 
     n_symbols: int
@@ -106,10 +108,8 @@ class AttackScenario:
     dsr: Dsr = Dsr()
 
     def __post_init__(self) -> None:
-        if self.n_symbols < 1:
-            raise ValueError("n_symbols must be positive")
-        if not math.isfinite(self.misalign):
-            raise ValueError("misalign must be finite")
+        _check_n_symbols(self.n_symbols)
+        _check_misalign(self.misalign)
         if self.error_seq is not None:
             e = _as_bits(self.error_seq, "error_seq")
             if e.size != self.n_symbols:
@@ -132,6 +132,18 @@ class AttackScenario:
                 raise ValueError("error positions must be distinct")
             e[p] = 1
         return cls(n_symbols=n_symbols, error_seq=e, **kw)
+
+
+def _check_n_symbols(n_symbols: int) -> None:
+    if n_symbols < 1:
+        raise ValueError("n_symbols must be positive")
+
+
+def _check_misalign(misalign: float) -> None:
+    # a turn either way reaches every reference; far past one, the phases
+    # pi i / M - misalign lose their digits
+    if not abs(misalign) <= 2.0 * math.pi:
+        raise ValueError(f"misalign must lie in [-2 pi, 2 pi], got {misalign}")
 
 
 @dataclass
@@ -215,13 +227,6 @@ def _binary_capacity(p: float) -> float:
     if q > 0.5:
         return 1.0 - binary_entropy(p)
     return (2.0 * q * math.atanh(q) + math.log1p(-q * q)) / (2.0 * math.log(2.0))
-
-
-def _require_plain_pairing(c: Constellation) -> None:
-    if c.osk:
-        raise ValueError(
-            "label-record attacks assume the fixed bit-to-member pairing; "
-            "disable the scrambling bit for this analysis")
 
 
 def _check_attack_caps(key_bits: int, n_symbols: int) -> None:
@@ -360,9 +365,12 @@ def _label_sampler(c: Constellation, scenario: AttackScenario) -> _Sampler:
             return up[_flip_members(indices, c, param, draws)] ^ error_vec
         # phases relative to Eve's axis, as _up_fraction takes them.  A
         # jittered phase has no tie band: a window inside it would read 1
-        # where the model gives 0.
-        rel = math.pi * indices / c.m - scenario.misalign + draws
-        return (np.sin(rel) > 0.0).astype(np.uint8) ^ error_vec
+        # where the model gives 0.  An antipode reads the complement of its
+        # partner under the same draw, as the model pairs them; its own
+        # phase, pi + rel, rounds onto the axis when misalign is below
+        # pi's rounding.
+        rel = math.pi * (indices % c.m) / c.m - scenario.misalign + draws
+        return ((np.sin(rel) > 0.0) ^ (indices >= c.m)).astype(np.uint8) ^ error_vec
 
     return _Sampler(draw, apply)
 
@@ -614,6 +622,21 @@ def _entropy_error_weight(scenario: AttackScenario, regime: str) -> int:
     return w
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("trials must be positive")
+
+
+def _check_mi_trials(trials: int) -> None:
+    if trials < 2:
+        raise ValueError("need at least two trials")
+
+
+def _check_regime(regime: str) -> None:
+    if regime not in ("classical", "quantum"):
+        raise ValueError("regime must be 'classical' or 'quantum'")
+
+
 def _check_record_dsr(dsr: Dsr, regime: str) -> None:
     if regime == "quantum" and dsr.kind == "jitter":
         raise ValueError("the quantum record model supports dsr 'none' or 'binary'")
@@ -625,8 +648,7 @@ def _check_entropy_run(c: Constellation, poly: int, scenario: AttackScenario,
     _require_plain_pairing(c)
     key_bits = poly.bit_length() - 1
     _check_entropy_caps(key_bits, scenario.n_symbols)
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    _check_trials(trials)
     _check_record_dsr(scenario.dsr, regime)
     return key_bits, _entropy_error_weight(scenario, regime)
 
@@ -730,23 +752,18 @@ def _log2_likelihood(lam: np.ndarray, zeros: np.ndarray, band_sums: np.ndarray, 
     lam sums log2 f, zeros counts the zero factors and band_sums holds one
     row per band of ``_symbol_terms``; the row of a term that is 0 on the
     whole table is 0.  The counts are exact integers: the zero indicator's
-    Walsh coefficients are dyadic.  Whether a key has a symbol in a band is
-    read from the band's sum, with no count of its own.  With one recording
-    error only a key with at most one zero factor can have a nonzero
-    likelihood.  On a table without zeros that is every key, and the band
-    arithmetic runs on the arrays as they are; otherwise it runs on those
-    keys alone, with the same operations per key.  Every other key reads
-    -inf.
+    Walsh coefficients are dyadic.  Without recording errors (bands None) a
+    key with a zero factor reads -inf.  With one, ``_record_likelihoods``
+    calls this only on a table without zeros, so every key may be live and
+    the band arithmetic runs on the arrays as they are; tables with zeros
+    take the blocked path at their candidate keys.  No band at all leaves
+    every key at -inf.
     """
     if bands is None:
         return np.where(zeros == 0, lam, -math.inf)
-    out = np.full(lam.shape, -math.inf)
     if not len(bands[1]):
-        return out
-    candidate = zeros <= 1
-    keys = slice(None) if candidate.all() else np.flatnonzero(candidate)
-    out[keys] = _band_log2(lam[keys], zeros[keys], band_sums[:, keys], bands, n)
-    return out
+        return np.full(lam.shape, -math.inf)
+    return _band_log2(lam, zeros, band_sums, bands, n)
 
 
 def _record_channel(c: Constellation, scenario: AttackScenario,
@@ -941,8 +958,7 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
     per-symbol transition matrix.  In both cases the posterior runs over
     all 2^K keys.
     """
-    if regime not in ("classical", "quantum"):
-        raise ValueError("regime must be 'classical' or 'quantum'")
+    _check_regime(regime)
     key_bits, weight = _check_entropy_run(c, poly, scenario, trials, regime)
     sampler, table = _record_channel(c, scenario, regime)
     trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, sampler, table, weight)
@@ -975,8 +991,7 @@ def label_mutual_information(c: Constellation, poly: int, true_seed: int,
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
     _check_attack_caps(key_bits, n)
-    if trials < 2:
-        raise ValueError("need at least two trials")
+    _check_mi_trials(trials)
     _check_seed(key_bits, true_seed)
     basis = _seed_row(unit_keystreams(poly, n, c.bits_per_basis), true_seed)
     data = rng.integers(0, 2, (trials, n), dtype=np.uint8)
@@ -990,6 +1005,16 @@ def label_mutual_information(c: Constellation, poly: int, true_seed: int,
     terms = joint * np.log2(np.divide(joint, indep, out=np.ones_like(joint), where=joint > 0.0))
     # a running total adds the positions left to right
     return float(np.cumsum(terms.reshape(n, 4).sum(axis=1))[-1]) / n
+
+
+def _check_keygen_mode(mode: str) -> None:
+    if mode not in ("ideal", "randomized"):
+        raise ValueError("keygen mode must be 'ideal' or 'randomized'")
+
+
+def _check_energy_factor(energy_factor: float) -> None:
+    if not 0.0 < energy_factor <= 1.0:
+        raise ValueError("energy_factor must lie in (0, 1]")
 
 
 def keygen_advantage(s_values: "np.ndarray | list[float]", mode: str = "ideal",
@@ -1007,14 +1032,12 @@ def keygen_advantage(s_values: "np.ndarray | list[float]", mode: str = "ideal",
     of which only ``energy_factor`` arrives coherently, halving both decay
     exponents at the default factor.
     """
-    if mode not in ("ideal", "randomized"):
-        raise ValueError("mode must be 'ideal' or 'randomized'")
-    if not 0.0 < energy_factor <= 1.0:
-        raise ValueError("energy_factor must lie in (0, 1]")
+    _check_keygen_mode(mode)
+    _check_energy_factor(energy_factor)
     out = []
-    for s in np.asarray(s_values, dtype=float):
-        if s < 0 or not math.isfinite(s):
-            raise ValueError("energies must be finite and nonnegative")
+    # Python floats: 2 S overflows to inf, where a numpy scalar would warn
+    for s in np.asarray(s_values, dtype=float).tolist():
+        _check_energy(s)
         s_eff = s * energy_factor if mode == "randomized" else s
         a = math.sqrt(s_eff)
         pe_bob = helstrom_pure(a, -a).p_error

@@ -83,10 +83,8 @@ class Constellation:
     osk: bool = False
 
     def __post_init__(self) -> None:
-        if self.m < 1 or (self.m & (self.m - 1)) != 0:
-            raise ValueError("m must be a positive power of two")
-        if not math.isfinite(self.energy) or self.energy < 0:
-            raise ValueError("energy must be finite and nonnegative")
+        _check_m(self.m)
+        _check_energy(self.energy)
 
     @property
     def n_states(self) -> int:
@@ -114,9 +112,37 @@ class Constellation:
         return int(up) if up.ndim == 0 else up.astype(np.uint8)
 
 
+def _check_m(m: int) -> None:
+    if m < 1 or (m & (m - 1)) != 0:
+        raise ValueError(f"m must be a positive power of two, got {m}")
+
+
+def _check_energy(energy: float) -> None:
+    if not math.isfinite(energy) or energy < 0:
+        raise ValueError(f"energy must be finite and nonnegative, got {energy}")
+
+
+def _require_plain_pairing(c: Constellation) -> None:
+    """Raise unless c takes the fixed pairing, the one the encoder and label analyses model."""
+    if c.osk:
+        raise ValueError("this analysis assumes the fixed bit-to-member pairing; "
+                         "set osk = False")
+
+
+def _check_poly(poly: int) -> None:
+    if poly < 0 or poly.bit_length() < 3 or poly & 1 == 0:
+        raise ValueError("polynomial must be a bitmask of degree at least 2 with a "
+                         "constant term")
+
+
+def _check_basis_bits(bits_per_basis: int) -> None:
+    if bits_per_basis < 1:
+        raise ValueError("a symbol needs at least one basis bit (m >= 2)")
+
+
 def _check_seed(key_bits: int, seed: int) -> None:
     if not 0 < seed < (1 << key_bits):
-        raise ValueError("seed must be a nonzero register value below 2^degree")
+        raise ValueError(f"seed must be a nonzero register value below 2^{key_bits}")
 
 
 def _as_bits(bits: "np.ndarray | list[int]", name: str) -> np.ndarray:
@@ -165,11 +191,9 @@ def unit_keystreams(poly: int, n_symbols: int, bits_per_basis: int) -> np.ndarra
     set bits.  A symbol's chunk is its ``bits_per_basis`` successive output
     bits, read most significant first.
     """
+    _check_poly(poly)
+    _check_basis_bits(bits_per_basis)
     degree = poly.bit_length() - 1
-    if degree < 2 or poly & 1 == 0:
-        raise ValueError("polynomial must have degree at least 2 and a constant term")
-    if bits_per_basis < 1:
-        raise ValueError("a symbol needs at least one basis bit (m >= 2)")
     total = n_symbols * bits_per_basis
     # bits[b, t]: output bit t of the register started at 2^b
     bits = np.zeros((degree, max(total, degree)), dtype=np.uint8)
@@ -199,8 +223,7 @@ def encode_sequence(bits: "np.ndarray | list[int]", poly: int, seed: int,
     bit: this is the fixed pairing every label-record analysis assumes.
     """
     _check_seed(poly.bit_length() - 1, seed)
-    if c.osk:
-        raise ValueError("the encoder carries no scrambling bit; use osk = False")
+    _require_plain_pairing(c)
     bits = _as_bits(bits, "bits")
     units = unit_keystreams(poly, bits.size, c.bits_per_basis)
     return _pair_index_table(c)[bits, _seed_row(units, seed)]

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Constellation, _pair_index_table
+from .codec import Constellation, _pair_index_table, _require_plain_pairing
 from .errors import RegimeCapError
 
 # DFT modes of the Gram matrix are dropped while the bound on the change in
@@ -58,6 +58,13 @@ GRAM_ENERGY_CAP = 1000.0
 # Row sums of a numerically integrated decision matrix must land this close
 # to one before renormalization.
 TRANSITION_ROW_TOL = 1e-9
+
+# Above this energy the phase density's peak, about 1 / sqrt(2 S) wide, can
+# fall between the wedge quadrature's nodes: with the decision grid turned
+# by up to 2 pi, the row sums miss one or the panel doubling stops
+# unconverged from S = 1.1e5 at M = 2, 6.3e5 at M = 4 and 5e6 at M = 16.
+# The cap leaves a factor of ten below the first of these.
+WEDGE_ENERGY_CAP = 1e4
 
 # The wedge quadrature doubles its panel count until two successive
 # estimates of every wedge integral agree to this absolute precision.
@@ -112,7 +119,9 @@ def helstrom_pure(a0: complex, a1: complex) -> BinaryBound:
     error as the equal exp(-|a0 - a1|^2) / (2 (1 + sqrt(arg))), which does
     not cancel when they are far apart.
     """
-    d2 = abs(complex(a0) - complex(a1)) ** 2
+    d = abs(complex(a0) - complex(a1))
+    # exp(-d^2) is 0 from d ~ 27.3, long before d ** 2 overflows
+    d2 = d ** 2 if d < 1e154 else math.inf
     pe = 0.5 * math.exp(-d2) / (1.0 + math.sqrt(-math.expm1(-d2)))
     return BinaryBound(p_error=pe, method="helstrom_pure")
 
@@ -176,6 +185,13 @@ def _check_gram_energy(energy: float) -> None:
     if energy > GRAM_ENERGY_CAP:
         raise RegimeCapError(f"bounds take S <= {GRAM_ENERGY_CAP}, got {energy}: above "
                              "it the Poisson pmf's rounding breaks the spectrum mass check")
+
+
+def _check_wedge_energy(energy: float) -> None:
+    if energy > WEDGE_ENERGY_CAP:
+        raise RegimeCapError(f"the heterodyne record takes S <= {WEDGE_ENERGY_CAP}, got "
+                             f"{energy}: above it the wedge quadrature misses the phase "
+                             "density's peak")
 
 
 def _gram_spectrum(c: Constellation) -> np.ndarray:
@@ -272,8 +288,7 @@ def updown_bound(c: Constellation) -> BinaryBound:
     per-symbol quantity an eavesdropper needs for a label-record attack,
     which only exists against the fixed (non-scrambling) pairing.
     """
-    if c.osk:
-        raise ValueError("the half-plane bound applies to non-scrambling constellations")
+    _require_plain_pairing(c)
     weights = np.where(c.label(np.arange(c.n_states)) == 1, 1.0, -1.0) / c.n_states
     p_error, kept = _helstrom_error(c, weights)
     return BinaryBound(p_error=p_error, method="updown_dft", dim_used=kept)
@@ -380,8 +395,10 @@ def heterodyne_index_transition(c: Constellation, decision_offset: float = 0.0) 
     lands on index m.  The matrix is circulant; each distinct wedge integral
     of the phase-error density is evaluated once.  The quadrature doubles
     its panel count until two successive estimates agree within
-    WEDGE_QUAD_TOL, and fails past WEDGE_PANELS_CAP panels.
+    WEDGE_QUAD_TOL, and fails past WEDGE_PANELS_CAP panels.  Energies above
+    WEDGE_ENERGY_CAP raise RegimeCapError.
     """
+    _check_wedge_energy(c.energy)
     if c.energy == 0.0:
         return np.full((c.n_states, c.n_states), 1.0 / c.n_states)
     n = c.n_states

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .attacks import (
-    AttackScenario,
     brute_force_candidates,
     ciphertext_only_entropy,
     keygen_advantage,
@@ -31,13 +30,7 @@ from .attacks import (
 )
 from .codec import Constellation, encode_sequence
 from .detection import MODE_DROP_BOUND, bit_bound, exponent_fit, srm_mary_error, updown_bound
-from .scenario import ScenarioConfig
-
-
-def _record_model(cfg: ScenarioConfig) -> "tuple[Constellation, AttackScenario]":
-    return (Constellation(m=cfg.m_grid[0], energy=cfg.energy_grid[0]),
-            AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions,
-                                       misalign=cfg.misalign, dsr=cfg.dsr))
+from .scenario import ScenarioConfig, _record_model
 
 
 def _modeling_record(cfg: ScenarioConfig) -> "dict[str, object]":

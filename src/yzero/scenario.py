@@ -1,11 +1,15 @@
 """Scenario configuration files.
 
 Runs are driven by small INI files with four sections: [constellation],
-[keystream], [scenario], [output].  Parsing is strict: unknown sections or
-keys, malformed values, and cross-field inconsistencies all raise
-ConfigError with the offending line where one can be located.  A run past
-a cap (the bounds energy cap or the enumeration caps) raises RegimeCapError
-at load time, before any output directory or record exists.
+[keystream], [scenario], [output].  Parsing is strict.  The loader keeps
+the rules of the file format: sections and keys, which keys are present,
+scalar versus grid, method and mode names, ``prefix``, ``master_seed`` and
+``threads``.  Every value rule is the library's: the loader builds the
+objects a run uses and calls the checks its engines run, and reports their
+ValueError as a ConfigError at the line of the key it concerns.  A run past
+a cap (the bounds and heterodyne energy caps or the enumeration caps)
+raises RegimeCapError at load time, before any output directory or record
+exists.  Nothing is computed: no keystream, spectrum or transition matrix.
 """
 
 from __future__ import annotations
@@ -14,18 +18,10 @@ import configparser
 import hashlib
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .attacks import (
-    AttackScenario,
-    Dsr,
-    _check_attack_caps,
-    _check_entropy_caps,
-    _check_record_dsr,
-    _entropy_error_weight,
-)
-from .codec import PRIMITIVE_POLYS
-from .detection import _check_gram_energy
+from . import attacks, codec, detection
 from .errors import ConfigError
 
 FAMILIES = ("bounds", "attack", "entropy", "keygen")
@@ -62,7 +58,7 @@ class ScenarioConfig:
     n_symbols: int = 0
     error_positions: "list[int]" = field(default_factory=list)
     misalign: float = 0.0
-    dsr: Dsr = field(default_factory=Dsr)
+    dsr: attacks.Dsr = field(default_factory=attacks.Dsr)
     otp: bool = False
     trials: int = 200
     mi_trials: int = 0
@@ -108,6 +104,14 @@ class _Source:
         where = f"{self.path}:{lineno}" if lineno else self.path
         return ConfigError(f"{where}: {message}")
 
+    @contextmanager
+    def at(self, key: str):
+        """Report a library check's ValueError as a ConfigError at ``key``'s line."""
+        try:
+            yield
+        except ValueError as exc:
+            raise self.fail(str(exc), key=key) from None
+
 
 def _parse_int(src: _Source, key: str, raw: str) -> int:
     try:
@@ -142,16 +146,14 @@ def _parse_list(src: _Source, key: str, raw: str, conv) -> list:
     return [conv(src, key, p) for p in items]
 
 
-def _parse_dsr(src: _Source, raw: str) -> Dsr:
+def _parse_dsr(src: _Source, raw: str) -> attacks.Dsr:
     parts = raw.strip().split(":")
     kind = parts[0].strip().lower()
     if kind == "none" and len(parts) == 1:
-        return Dsr()
+        return attacks.Dsr()
     if kind in ("binary", "jitter") and len(parts) == 2:
-        try:
-            return Dsr(kind, float(parts[1]))
-        except ValueError as exc:
-            raise src.fail(f"bad dsr value: {exc}", key="dsr") from None
+        with src.at("dsr"):
+            return attacks.Dsr(kind, float(parts[1]))
     raise src.fail("dsr must be 'none', 'binary:<flip_prob>' or 'jitter:<half_width>'",
                    key="dsr")
 
@@ -229,10 +231,9 @@ def _load_constellation(src: _Source, cp: configparser.ConfigParser,
     else:
         raise src.fail("missing 'm' (or 'm_grid') in [constellation]",
                        section="constellation")
-    for m in cfg.m_grid:
-        if m < 1 or (m & (m - 1)) != 0:
-            raise src.fail(f"m values must be powers of two, got {m}",
-                           key="m" if "m" in sec else "m_grid")
+    with src.at("m" if "m" in sec else "m_grid"):
+        for m in cfg.m_grid:
+            codec._check_m(m)
     if "energy" in sec and "energy_grid" in sec:
         raise src.fail("give either 'energy' or 'energy_grid', not both",
                        key="energy_grid")
@@ -243,10 +244,9 @@ def _load_constellation(src: _Source, cp: configparser.ConfigParser,
     else:
         raise src.fail("missing 'energy' (or 'energy_grid') in [constellation]",
                        section="constellation")
-    for s in cfg.energy_grid:
-        if s < 0:
-            raise src.fail("energies must be nonnegative",
-                           key="energy" if "energy" in sec else "energy_grid")
+    with src.at("energy" if "energy" in sec else "energy_grid"):
+        for s in cfg.energy_grid:
+            codec._check_energy(s)
     if "osk" in sec:
         cfg.osk = _parse_bool(src, "osk", sec["osk"])
 
@@ -258,24 +258,22 @@ def _load_keystream(src: _Source, cp: configparser.ConfigParser,
         raise src.fail("give either 'poly' or 'degree', not both", key="degree")
     if "poly" in sec:
         cfg.poly = _parse_int(src, "poly", sec["poly"])
-        if cfg.poly.bit_length() - 1 < 2 or (cfg.poly & 1) == 0:
-            raise src.fail("poly must be a degree>=2 bitmask with a constant term",
-                           key="poly")
+        with src.at("poly"):
+            codec._check_poly(cfg.poly)
     elif "degree" in sec:
         degree = _parse_int(src, "degree", sec["degree"])
-        if degree not in PRIMITIVE_POLYS:
+        if degree not in codec.PRIMITIVE_POLYS:
             raise src.fail(
                 f"no built-in primitive polynomial of degree {degree}; "
-                f"available degrees are {sorted(PRIMITIVE_POLYS)}", key="degree")
-        cfg.poly = PRIMITIVE_POLYS[degree]
+                f"available degrees are {sorted(codec.PRIMITIVE_POLYS)}", key="degree")
+        cfg.poly = codec.PRIMITIVE_POLYS[degree]
     else:
         raise src.fail("missing 'poly' (or 'degree') in [keystream]", section="keystream")
     if "seed" not in sec:
         raise src.fail("missing 'seed' in [keystream]", section="keystream")
     cfg.seed_register = _parse_int(src, "seed", sec["seed"])
-    if not 0 < cfg.seed_register < (1 << cfg.key_bits):
-        raise src.fail(
-            f"seed must be a nonzero register value below 2^{cfg.key_bits}", key="seed")
+    with src.at("seed"):
+        codec._check_seed(cfg.key_bits, cfg.seed_register)
 
 
 def _load_scenario(src: _Source, cp: configparser.ConfigParser,
@@ -288,31 +286,33 @@ def _load_scenario(src: _Source, cp: configparser.ConfigParser,
                 raise src.fail(f"unknown bound method {m!r}", key="methods")
     if "n_symbols" in sec:
         cfg.n_symbols = _parse_int(src, "n_symbols", sec["n_symbols"])
-        if cfg.n_symbols < 1:
-            raise src.fail("n_symbols must be positive", key="n_symbols")
+        with src.at("n_symbols"):
+            attacks._check_n_symbols(cfg.n_symbols)
     if "error_positions" in sec:
         cfg.error_positions = _parse_list(src, "error_positions",
                                           sec["error_positions"], _parse_int)
     if "misalign" in sec:
         cfg.misalign = _parse_float(src, "misalign", sec["misalign"])
+        with src.at("misalign"):
+            attacks._check_misalign(cfg.misalign)
     if "dsr" in sec:
         cfg.dsr = _parse_dsr(src, sec["dsr"])
     if "otp" in sec:
         cfg.otp = _parse_bool(src, "otp", sec["otp"])
     if "trials" in sec:
         cfg.trials = _parse_int(src, "trials", sec["trials"])
-        if cfg.trials < 1:
-            raise src.fail("trials must be positive", key="trials")
+        with src.at("trials"):
+            attacks._check_trials(cfg.trials)
     if "mi_trials" in sec:
         cfg.mi_trials = _parse_int(src, "mi_trials", sec["mi_trials"])
-        # the plug-in estimator needs two trials; 0 skips it
-        if cfg.mi_trials < 0 or cfg.mi_trials == 1:
-            raise src.fail("mi_trials must be 0 or at least 2", key="mi_trials")
+        if cfg.mi_trials:  # 0 skips the estimate
+            with src.at("mi_trials"):
+                attacks._check_mi_trials(cfg.mi_trials)
     if "mode" in sec:
         val = sec["mode"].strip().lower()
         if cfg.family == "keygen":
-            if val not in ("ideal", "randomized"):
-                raise src.fail("keygen mode must be 'ideal' or 'randomized'", key="mode")
+            with src.at("mode"):
+                attacks._check_keygen_mode(val)
             cfg.keygen_mode = val
         else:
             if val not in ("ciphertext_only", "known_plaintext", "both"):
@@ -322,17 +322,17 @@ def _load_scenario(src: _Source, cp: configparser.ConfigParser,
             cfg.mode = val
     if "regime" in sec:
         cfg.regime = sec["regime"].strip().lower()
-        if cfg.regime not in ("classical", "quantum"):
-            raise src.fail("regime must be 'classical' or 'quantum'", key="regime")
+        with src.at("regime"):
+            attacks._check_regime(cfg.regime)
     if "s_grid" in sec:
         cfg.s_grid = _parse_list(src, "s_grid", sec["s_grid"], _parse_float)
-        for s in cfg.s_grid:
-            if s < 0:
-                raise src.fail("s_grid energies must be nonnegative", key="s_grid")
+        with src.at("s_grid"):
+            for s in cfg.s_grid:
+                codec._check_energy(s)
     if "energy_factor" in sec:
         cfg.energy_factor = _parse_float(src, "energy_factor", sec["energy_factor"])
-        if not 0.0 < cfg.energy_factor <= 1.0:
-            raise src.fail("energy_factor must lie in (0, 1]", key="energy_factor")
+        with src.at("energy_factor"):
+            attacks._check_energy_factor(cfg.energy_factor)
 
 
 def _load_output(src: _Source, cp: configparser.ConfigParser, cfg: ScenarioConfig) -> None:
@@ -349,15 +349,23 @@ def _load_output(src: _Source, cp: configparser.ConfigParser, cfg: ScenarioConfi
         cfg.master_seed = _parse_int(src, "master_seed", sec["master_seed"])
 
 
+def _record_model(cfg: ScenarioConfig) -> "tuple[codec.Constellation, attacks.AttackScenario]":
+    """The constellation and scenario of an attack or entropy run, as its engines take them."""
+    return (codec.Constellation(m=cfg.m_grid[0], energy=cfg.energy_grid[0], osk=cfg.osk),
+            attacks.AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions,
+                                       misalign=cfg.misalign, dsr=cfg.dsr))
+
+
 def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
     if cfg.family == "bounds":
         if not cfg.methods:
             raise src.fail("bounds needs a nonempty 'methods' list", key="methods")
-        if cfg.osk and "updown" in cfg.methods:
-            raise src.fail("the updown bound assumes the fixed pairing; set osk = false "
-                           "or drop updown from 'methods'", key="osk")
+        if "updown" in cfg.methods:
+            c = codec.Constellation(cfg.m_grid[0], cfg.energy_grid[0], cfg.osk)
+            with src.at("osk"):
+                codec._require_plain_pairing(c)
         for s in cfg.energy_grid:
-            _check_gram_energy(s)
+            detection._check_gram_energy(s)
     elif cfg.family in ("attack", "entropy"):
         if cfg.n_symbols < 1:
             raise src.fail("this family requires 'n_symbols' in [scenario]",
@@ -365,29 +373,25 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
         if len(cfg.m_grid) != 1 or len(cfg.energy_grid) != 1:
             raise src.fail("this family takes a single 'm' and 'energy', not grids",
                            section="constellation")
-        if cfg.osk:
-            raise src.fail(
-                "label-record analyses assume the fixed pairing; set osk = false",
-                key="osk")
-        if cfg.m_grid[0] < 2:
-            raise src.fail("label-record analyses need m >= 2: at m = 1 no keystream "
-                           "bit selects a basis", key="m")
         # the caps bound N, so no record of an oversized run is ever built
-        caps = _check_attack_caps if cfg.family == "attack" else _check_entropy_caps
+        caps = (attacks._check_attack_caps if cfg.family == "attack"
+                else attacks._check_entropy_caps)
         caps(cfg.key_bits, cfg.n_symbols)
-        try:
-            scenario = AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions)
-        except ValueError as exc:
-            raise src.fail(str(exc), key="error_positions") from None
+        with src.at("error_positions"):
+            c, scenario = _record_model(cfg)
+        with src.at("osk"):
+            codec._require_plain_pairing(c)
+        with src.at("m"):
+            codec._check_basis_bits(c.bits_per_basis)
         if cfg.family == "entropy":
             # the engines' own checks; with mode 'both' the known-plaintext one is stricter
             regime = "classical" if cfg.mode == "ciphertext_only" else cfg.regime
-            for key, check, arg in (("error_positions", _entropy_error_weight, scenario),
-                                    ("dsr", _check_record_dsr, cfg.dsr)):
-                try:
-                    check(arg, regime)
-                except ValueError as exc:
-                    raise src.fail(str(exc), key=key) from None
+            with src.at("error_positions"):
+                attacks._entropy_error_weight(scenario, regime)
+            with src.at("dsr"):
+                attacks._check_record_dsr(cfg.dsr, regime)
+            if regime == "quantum":
+                detection._check_wedge_energy(c.energy)
     elif cfg.family == "keygen":
         if len(cfg.s_grid) < 1:
             raise src.fail("keygen requires 's_grid' in [scenario]", section="scenario")

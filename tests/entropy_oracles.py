@@ -93,7 +93,7 @@ def gathered_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, 
 
 def log2_likelihood(lam: np.ndarray, zeros: np.ndarray, band_sums: np.ndarray, bands,
                     n: int) -> np.ndarray:
-    """``attacks._log2_likelihood`` over the whole key array, every band row at every key."""
+    """The scorer's log2-likelihood assembly on the whole key array, every band at every key."""
     zeros = np.rint(zeros)
     if bands is None:
         return np.where(zeros == 0, lam, -math.inf)
@@ -249,10 +249,12 @@ def measure_indices(indices: np.ndarray, c: Constellation, scenario: AttackScena
         idx = np.where(flips, (idx + c.m) % c.n_states, idx)
     # phases relative to Eve's axis, rounded as the engine rounds them
     if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
-        rel = math.pi * idx / c.m - scenario.misalign
+        rel = math.pi * (idx % c.m) / c.m - scenario.misalign
         rel = rel + rng.uniform(-scenario.dsr.param, scenario.dsr.param, idx.size)
-        # a jittered phase has no tie band: the open upper half-plane decides
-        labels = [1 if math.sin(float(r)) > 0.0 else 0 for r in rel]
+        # a jittered phase has no tie band: the open upper half-plane decides,
+        # and an antipode reads the complement under the same draw
+        labels = [(1 if math.sin(float(r)) > 0.0 else 0) ^ (j >= c.m)
+                  for r, j in zip(rel, idx.tolist())]
     else:
         # an antipode reads the complement of its partner's label
         labels = [scalar_halfplane_label(math.pi * (j % c.m) / c.m, scenario.misalign)

@@ -469,6 +469,10 @@ def test_ciphertext_entropy_key_posterior_flat_for_any_symmetric_channel():
 # a jitter window inside the tie band: the model gives label 0, so the record must too
 @example(m=2, degree=2, n=1, misalign=1e-13, kind="jitter", param=2.2250738585e-313,
          error=False, seed=1)
+# a turn below pi's rounding: the antipode's own phase rounded onto the axis and
+# read up, where the model gives it the complement of its partner
+@example(m=2, degree=2, n=3, misalign=-1.367260604581746e-91, kind="jitter",
+         param=4.314662437577604e-226, error=False, seed=0)
 def test_ciphertext_key_posterior_is_flat_bit_for_bit(m, degree, n, misalign, kind, param,
                                                       error, seed):
     # the README claim, on every drawn symmetric channel: H(key | record) = K

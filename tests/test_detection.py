@@ -48,6 +48,13 @@ def test_helstrom_pure_keeps_precision_when_states_are_far_apart(s):
     assert abs(p - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("d", [27.5, 1e154, 1.3407807929942596e154, 1.35e154, 1e308, math.inf])
+def test_helstrom_pure_is_zero_where_the_squared_distance_overflows(d):
+    # d ** 2 raised OverflowError past 1.34e154, which keygen energies from
+    # 4.5e307 reach; the error is 0 from d ~ 27.3, where exp(-d^2) underflows
+    assert detection.helstrom_pure(d / 2, -d / 2).p_error == 0.0
+
+
 def test_helstrom_mixed_agrees_with_pure_closed_form():
     # rank-one density inputs must land on the closed form to 1e-9
     rng = np.random.default_rng(314)

@@ -1,8 +1,10 @@
 """Config loading, the four run families, output formats, and the CLI."""
 
+import contextlib
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -11,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -156,13 +159,34 @@ def test_unknown_section_rejected(tmp_path):
 
 
 BAD_VALUES = [
-    ("m", "attack", "m = 4", "m = 12", 2, "powers of two"),
+    ("m", "attack", "m = 4", "m = 12", 2, "a positive power of two, got 12"),
     ("energy", "attack", "energy = 2.0", "energy = -2.0", 3, "nonnegative"),
     ("energy_grid", "bounds", "energy_grid = 1.0, 4.0", "energy_grid = 1.0, -4.0", 3,
      "nonnegative"),
     ("master_seed", "bounds", "master_seed = 11", "master_seed = -1", 10, "nonnegative"),
     # one trial passed the loader and then crashed the estimator
-    ("mi_trials", "attack", "mi_trials = 400", "mi_trials = 1", 13, "0 or at least 2"),
+    ("mi_trials", "attack", "mi_trials = 400", "mi_trials = 1", 13, "at least two trials"),
+    ("poly", "attack", "degree = 8", "poly = 0x11C", 6, "with a constant term"),
+    # a negative mask has a bit length and a constant term, and the keystream's
+    # GF(2) products never ended on it
+    ("poly_negative", "attack", "degree = 8", "poly = -0x11D", 6, "must be a bitmask"),
+    ("seed", "attack", "seed = 0x5A", "seed = 0x100", 7, "nonzero register value below 2^8"),
+    ("n_symbols", "entropy", "n_symbols = 12", "n_symbols = 0", 10, "n_symbols must be positive"),
+    ("trials", "entropy", "trials = 5", "trials = 0", 11, "trials must be positive"),
+    ("regime", "entropy", "regime = classical", "regime = coherent", 13,
+     "regime must be 'classical' or 'quantum'"),
+    ("s_grid", "keygen", "s_grid = 2.0, 3.0", "s_grid = 2.0, -3.0", 2, "nonnegative, got -3.0"),
+    ("energy_factor", "keygen", "mode = randomized", "mode = randomized\nenergy_factor = 0", 4,
+     "energy_factor must lie in (0, 1]"),
+    ("keygen_mode", "keygen", "mode = randomized", "mode = squeezed", 3,
+     "keygen mode must be 'ideal' or 'randomized'"),
+    ("osk", "attack", "m = 4", "m = 4\nosk = true", 3, "fixed bit-to-member pairing"),
+    ("osk_updown", "bounds", "energy_grid = 1.0, 4.0", "energy_grid = 1.0, 4.0\nosk = true", 4,
+     "fixed bit-to-member pairing; set osk = False"),
+    # 1e7 rad left the wedge quadrature unconverged; 1e300 left a jittered record
+    # without support
+    ("misalign", "entropy", "dsr = binary:0.5", "dsr = binary:0.5\nmisalign = 6.3", 15,
+     "misalign must lie in [-2 pi, 2 pi], got 6.3"),
     # these passed the loader and then crashed an entropy engine
     ("error_positions", "entropy", "dsr = binary:0.5", "dsr = binary:0.5\nerror_positions = 1, 2",
      15, "at most one"),
@@ -176,7 +200,8 @@ BAD_VALUES = [
 @pytest.mark.parametrize("key, family, old, new, line, text", BAD_VALUES,
                          ids=[case[0] for case in BAD_VALUES])
 def test_bad_value_reports_the_offending_line(tmp_path, key, family, old, new, line, text):
-    base = {"attack": ATTACK_CFG, "bounds": BOUNDS_CFG, "entropy": ENTROPY_CFG}[family]
+    base = {"attack": ATTACK_CFG, "bounds": BOUNDS_CFG, "entropy": ENTROPY_CFG,
+            "keygen": KEYGEN_CFG}[family]
     with pytest.raises(ConfigError) as err:
         load_config(write_cfg(tmp_path, base.replace(old, new)), family)
     assert f"cfg.ini:{line}: " in str(err.value)
@@ -567,6 +592,115 @@ def test_cli_refuses_a_bounds_energy_past_the_cap_before_any_output(tmp_path, ca
     assert cli.main(["bounds", "--config", path, "--out-dir", str(out)]) == 3
     assert capsys.readouterr().err.startswith("regime cap: ")
     assert not out.exists()
+
+
+# any finite float a config can hold, beside each key's own range
+ANY_FLOAT = st.floats(-1e308, 1e308)
+
+
+def _floats(lo, hi):
+    return st.one_of(st.floats(lo, hi), ANY_FLOAT).map(repr)
+
+
+def _items(values):
+    return st.lists(values, min_size=1, max_size=3).map(lambda v: ", ".join(map(str, v)))
+
+
+def _mostly(valid, other):
+    return st.sampled_from([valid] * 7 + [other]).flatmap(lambda values: values)
+
+
+@st.composite
+def generated_configs(draw):
+    """(family, config text) of any family at K <= 6, N <= 16, M <= 16, trials <= 3.
+
+    Energies, angles, dsr parameters and s_grid values reach 1e308, and some
+    other values fall outside the model, so every exit path is taken.
+    """
+    family = draw(st.sampled_from(["bounds", "attack", "entropy", "keygen"]))
+    m = _mostly(st.sampled_from([2, 4, 8, 16]), st.sampled_from([0, 1, 3]))
+    energy = _mostly(st.floats(0.0, 20.0).map(repr), _floats(0.0, 2e4))
+    sections = {"constellation": {}, "keystream": {}, "scenario": {}}
+    con, key, sc = sections.values()
+
+    def maybe(section, name, values):
+        if draw(st.booleans()):
+            section[name] = draw(values)
+
+    if family == "bounds":
+        con["m_grid"], con["energy_grid"] = draw(_items(m)), draw(_items(energy))
+        maybe(con, "osk", st.booleans())
+        maybe(sc, "methods", _items(st.sampled_from(["bit", "srm", "updown"])))
+    elif family == "keygen":
+        sc["s_grid"] = draw(_items(_floats(0.0, 50.0)))
+        maybe(sc, "mode", st.sampled_from(["ideal", "randomized"]))
+        maybe(sc, "energy_factor", _floats(0.0, 1.0))
+    else:
+        con["m"], con["energy"] = draw(m), draw(energy)
+        maybe(con, "osk", st.booleans())
+        if draw(st.booleans()):
+            key["degree"] = draw(st.integers(2, 6))
+        else:
+            key["poly"] = draw(_mostly(st.sampled_from([0x7, 0xB, 0x13, 0x25, 0x43, 0x3F]),
+                                       st.integers(-8, 127)))
+        key["seed"] = draw(_mostly(st.integers(1, 3), st.integers(-1, 64)))
+        n = draw(_mostly(st.integers(1, 16), st.just(0)))
+        sc["n_symbols"] = n
+        maybe(sc, "error_positions", _items(st.integers(-1, n)))
+        maybe(sc, "misalign", _floats(-7.0, 7.0))
+        maybe(sc, "dsr", st.one_of(
+            st.just("none"), _floats(0.0, 1.0).map("binary:{}".format),
+            _floats(0.0, 3.2).map("jitter:{}".format)))
+        if family == "attack":
+            maybe(sc, "otp", st.booleans())
+            maybe(sc, "mi_trials", st.integers(0, 3))
+        else:
+            maybe(sc, "trials", st.integers(0, 3))
+            maybe(sc, "mode", st.sampled_from(["ciphertext_only", "known_plaintext", "both"]))
+            maybe(sc, "regime", st.sampled_from(["classical", "quantum"]))
+    sections["output"] = {"master_seed": draw(st.integers(0, 2**32))}
+    if family in ("bounds", "keygen"):
+        del sections["keystream"]
+    if family == "keygen":
+        del sections["constellation"]
+    return family, "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for name, keys in sections.items())
+
+
+QUANTUM_AT = QUANTUM_ENTROPY_CFG.replace("dsr = none", "misalign = {}").replace(
+    "m = 4\nenergy = 2.0", "m = {}\nenergy = {}").format
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=generated_configs())
+# a misalignment far past a turn: the wedge quadrature stopped unconverged,
+# its integrals summed to 0.04, a decision index was cast from NaN, and a
+# jittered label record left no key any likelihood
+@example(case=("entropy", QUANTUM_AT(16, 4.0, 1e7)))
+@example(case=("entropy", QUANTUM_AT(4, 2.0, 1e300)))
+@example(case=("entropy", QUANTUM_AT(4, 0.0, 1e300)))
+@example(case=("entropy", ENTROPY_CFG.replace("mode = both", "mode = ciphertext_only").replace(
+    "dsr = binary:0.5", "dsr = jitter:1e-300\nmisalign = 1e300")))
+# heterodyne energies past the wedge quadrature's reach
+@example(case=("entropy", QUANTUM_AT(2, 1e7, 0.0)))
+@example(case=("entropy", QUANTUM_AT(16, 1e9, 0.0)))
+@example(case=("entropy", QUANTUM_AT(2, 2e5, 0.3)))
+# the key holder's squared distance overflowed, and so did the interceptor's 2 S
+@example(case=("keygen", KEYGEN_CFG.replace("2.0, 3.0", "4.5e307, 1e308")))
+@example(case=("keygen", KEYGEN_CFG.replace("2.0, 3.0", "1e308").replace("randomized", "ideal")))
+# a negative feedback mask hung the keystream expansion
+@example(case=("attack", ATTACK_CFG.replace("degree = 8", "poly = -0x11D")))
+def test_generated_configs_end_in_an_exit_code_not_a_traceback(case):
+    # exit 0 writes its outputs; a config error (2) or a cap (3) leaves no directory
+    family, text = case
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = os.path.join(tmp, "out")
+        argv = [family, "--config", write_cfg(pathlib.Path(tmp), text), "--out-dir", out]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (0, 2, 3)
+        assert os.path.exists(out) == (code == 0)
 
 
 def test_cli_seed_override_changes_outputs(tmp_path, capsys):
