@@ -12,9 +12,8 @@ from yzero import (AttackScenario, Constellation, PRIMITIVE_POLYS, brute_force_c
 
 
 def top_rows(rec, n: int, k: int) -> "list[tuple[int, float]]":
-    mismatches = np.concatenate(list(rec.mismatch_counts()))
-    order = np.argsort(mismatches, kind="stable")[:k]
-    return [(int(i) + 1, (n - int(mismatches[i])) / n) for i in order]
+    order = np.argsort(rec.mismatches, kind="stable")[:k]
+    return [(int(i) + 1, (n - int(rec.mismatches[i])) / n) for i in order]
 
 
 def main() -> None:

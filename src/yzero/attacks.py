@@ -26,7 +26,7 @@ caps raise RegimeCapError rather than silently subsampling.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,11 +53,14 @@ from .detection import (
 from .errors import RegimeCapError
 
 # Exhaustive-search ceilings.  Replays enumerate every nonzero seed; the
-# entropy engines transform per-symbol terms over all 2^K seeds per trial.
+# entropy engines transform per-symbol terms over all 2^K seeds per trial
+# and build M x M tables per run (the Walsh matrix, the basis coefficients;
+# the quantum regime's transition matrix is 2M x 2M).
 ATTACK_KEY_BITS_CAP = 20
 ATTACK_TABLE_CAP = 1 << 26
 ENTROPY_KEY_BITS_CAP = 12
 ENTROPY_SYMBOL_CAP = 32
+ENTROPY_M_CAP = 1024
 # Widest span, in octaves, of the recording-error ratios f'/f summed by one transform.
 RATIO_BAND_BITS = 8
 
@@ -97,9 +100,9 @@ class AttackScenario:
     """Channel and adversary model for one replay or entropy run.
 
     error_seq marks positions where the eavesdropper's label record is
-    flipped after measurement (recording errors); misalign rotates her
-    phase reference relative to the sender's, by at most a full turn either
-    way; dsr is the sender's deliberate randomization.
+    flipped after measurement (recording errors), zeros if not given;
+    misalign rotates her phase reference relative to the sender's, by at
+    most a full turn either way; dsr is the sender's deliberate randomization.
     """
 
     n_symbols: int
@@ -110,16 +113,13 @@ class AttackScenario:
     def __post_init__(self) -> None:
         _check_n_symbols(self.n_symbols)
         _check_misalign(self.misalign)
-        if self.error_seq is not None:
+        if self.error_seq is None:
+            e = np.zeros(self.n_symbols, dtype=np.uint8)
+        else:
             e = _as_bits(self.error_seq, "error_seq")
             if e.size != self.n_symbols:
                 raise ValueError("error_seq must have one entry per symbol")
-            object.__setattr__(self, "error_seq", e)
-
-    def error_vector(self) -> np.ndarray:
-        if self.error_seq is None:
-            return np.zeros(self.n_symbols, dtype=np.uint8)
-        return self.error_seq
+        object.__setattr__(self, "error_seq", e)
 
     @classmethod
     def with_errors(cls, n_symbols: int, positions: "list[int]", **kw) -> "AttackScenario":
@@ -150,37 +150,28 @@ def _check_misalign(misalign: float) -> None:
 class AttackRecord:
     """Outcome of one exhaustive replay over the seed space.
 
-    The record holds no per-seed array.  Seed j's candidate misses the
-    reference in h_j of the N positions (match fraction (N - h_j) / N);
-    `mismatch_histogram[h]` counts the nonzero seeds with h_j = h, so it has
-    N + 1 bins summing to 2^K - 1, and the rank, exact-match count and
-    match-fraction summaries are read from it.  `match_fraction_mean` is the
-    exact integer total of N - h_j divided by N, then by 2^K - 1.  The
-    per-seed counts themselves are re-streamed on request from the K packed
-    unit parity rows and the packed flip word (effective labels XOR
-    reference) by `mismatch_counts`, in seed order and in chunks of at most
-    2^16 seeds.
+    Seed j's candidate misses the reference in h_j of the N positions (match
+    fraction (N - h_j) / N); `mismatches[j - 1]` holds h_j in the smallest
+    unsigned dtype that holds N (uint8 up to N = 255: 1 MiB at K = 20).
+    `mismatch_histogram[h]` counts the nonzero seeds with h_j = h (N + 1
+    bins summing to 2^K - 1); the rank, exact-match count and match-fraction
+    summaries are read from it, the mean as the exact integer total of
+    N - h_j divided by N, then by 2^K - 1.
     """
 
     measured_labels: np.ndarray
     candidate_count: int
     true_key_rank: int
     true_r_in_candidates: bool
+    mismatches: np.ndarray
     mismatch_histogram: np.ndarray
     true_seed_mismatches: int
     match_fraction_mean: float
     match_fraction_max: float
-    unit_rows: np.ndarray
-    flip: np.ndarray
-    mutual_info_estimate: "float | None" = None
     true_seed: "int | None" = None
     exact_match_count: int = 0
     collision_count: int = 0
     notes: dict = field(default_factory=dict)
-
-    def mismatch_counts(self) -> "Iterator[np.ndarray]":
-        """h_j for seeds j = 1 ... 2^K - 1 in order, one fresh int64 array per chunk."""
-        return _scan_counts(self.unit_rows, self.flip)
 
 
 @dataclass
@@ -247,7 +238,7 @@ def _check_attack_caps(key_bits: int, n_symbols: int) -> None:
             f"{ATTACK_TABLE_CAP} symbol comparisons")
 
 
-def _check_entropy_caps(key_bits: int, n_symbols: int) -> None:
+def _check_entropy_caps(key_bits: int, n_symbols: int, m: int) -> None:
     if key_bits > ENTROPY_KEY_BITS_CAP:
         raise RegimeCapError(
             f"exact posteriors enumerate 2^{key_bits} seeds; cap is "
@@ -256,6 +247,8 @@ def _check_entropy_caps(key_bits: int, n_symbols: int) -> None:
         raise RegimeCapError(
             f"exact posteriors over {n_symbols} symbols exceed the "
             f"{ENTROPY_SYMBOL_CAP}-symbol cap")
+    if m > ENTROPY_M_CAP:
+        raise RegimeCapError(f"exact posteriors build {m} x {m} tables; cap is M = {ENTROPY_M_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +405,7 @@ def measure_labels(indices: np.ndarray, c: Constellation, scenario: AttackScenar
         raise ValueError("state indices must be integers")
     if np.any(indices < 0) or np.any(indices >= c.n_states):
         raise ValueError("state index out of range")
-    return _label_sampler(c, scenario).record(indices, rng, scenario.error_vector())
+    return _label_sampler(c, scenario).record(indices, rng, scenario.error_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -440,30 +433,39 @@ def _gf2_rank(rows: np.ndarray) -> int:
 
 
 # Seeds per scan chunk, as a power of two: at N <= 64 a chunk's span block
-# and counts take 0.5 MB each, so the replay's memory does not grow with K.
+# takes 0.5 MB, so the replay's working memory does not grow with K.
 _SCAN_CHUNK_BITS = 16
 
 
-def _scan_counts(units: np.ndarray, flip: np.ndarray) -> "Iterator[np.ndarray]":
-    """Mismatch counts popcount(span_j XOR flip) of the nonzero seeds j, in order.
+def _scan_counts(units: np.ndarray, flip: np.ndarray,
+                 n_symbols: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Mismatch counts popcount(span_j XOR flip) of the nonzero seeds j, and their histogram.
 
     units holds the K unit seeds' packed parity rows and flip the packed
     effective labels XOR reference.  The parity stream is GF(2)-linear in
     the seed, so with B = min(K, _SCAN_CHUNK_BITS) the span of the low B
     unit rows, XORed with flip once, serves every chunk: chunk c covers
     seeds c 2^B ... (c + 1) 2^B - 1 and XORs in one prefix, the span of the
-    high K - B rows at c, into a buffer reused across chunks.  Seed 0 is
-    left out of the first chunk.  Memory is three 2^B-row blocks (span,
-    buffer, popcounts) plus the yielded counts, whatever K is.
+    high K - B rows at c, into a buffer reused across chunks, and writes
+    its counts, in the smallest unsigned dtype that holds N, into one array
+    of all 2^K seeds and into the (N + 1)-bin histogram.  Seed j's count is
+    at index j - 1; seed 0 is left out.  Besides the counts, memory is three
+    2^B-row blocks (span, buffer, popcounts), whatever K is.
     """
     low_bits = min(units.shape[0], _SCAN_CHUNK_BITS)
     low = gf2_span(units[:low_bits])
     low ^= flip
     buf = np.empty_like(low)
+    counts = np.empty(1 << units.shape[0], dtype=np.min_scalar_type(n_symbols))
+    hist = np.zeros(n_symbols + 1, dtype=np.int64)
     for c, prefix in enumerate(gf2_span(units[low_bits:])):
         np.bitwise_xor(low, prefix, out=buf)
-        counts = np.bitwise_count(buf).sum(axis=1, dtype=np.int64)
-        yield counts[1:] if c == 0 else counts
+        chunk = counts[c * len(low):(c + 1) * len(low)]
+        np.bitwise_count(buf).sum(axis=1, dtype=counts.dtype, out=chunk)
+        hist += np.bincount(chunk, minlength=n_symbols + 1)
+    # seed 0 is not a hypothesis
+    hist[counts[0]] -= 1
+    return counts[1:], hist
 
 
 def _seed_scan(measured_labels: np.ndarray, effective_labels: np.ndarray,
@@ -471,22 +473,18 @@ def _seed_scan(measured_labels: np.ndarray, effective_labels: np.ndarray,
                true_seed: int) -> AttackRecord:
     """Score the candidates effective_labels XOR parity_j of every nonzero seed j.
 
-    The counts stream through `_scan_counts` once, into an (N + 1)-bin
-    histogram of mismatches over the nonzero seeds; the true seed's count
-    is its own row popcount(parity_true XOR flip).  The number of distinct
-    candidates follows from the GF(2) rank of the unit streams: with full
-    rank K every nonzero seed gives its own candidate (2^K - 1), otherwise
-    the nonzero seeds cover the whole 2^rank image.  basis_units holds the
-    K unit seeds' basis chunk rows.
+    One `_scan_counts` pass gives every nonzero seed's mismatch count and
+    their (N + 1)-bin histogram; the true seed's count is read from the
+    counts.  The number of distinct candidates follows from the GF(2) rank
+    of the unit streams: with full rank K every nonzero seed gives its own
+    candidate (2^K - 1), otherwise the nonzero seeds cover the whole 2^rank
+    image.  basis_units holds the K unit seeds' basis chunk rows.
     """
     key_bits = basis_units.shape[0]
     n = target.size
     units = _pack_words((basis_units & 1).astype(np.uint8))
-    flip = _pack_words(effective_labels ^ target)
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for counts in _scan_counts(units, flip):
-        hist += np.bincount(counts, minlength=n + 1)
-    true_h = int(np.bitwise_count(_seed_row(units, true_seed) ^ flip).sum())
+    mismatches, hist = _scan_counts(units, _pack_words(effective_labels ^ target), n)
+    true_h = int(mismatches[true_seed - 1])
     seed_space = (1 << key_bits) - 1
     rank = _gf2_rank(units)
     distinct = seed_space if rank == key_bits else 1 << rank
@@ -498,12 +496,11 @@ def _seed_scan(measured_labels: np.ndarray, effective_labels: np.ndarray,
         # ties resolved optimistically for the attacker
         true_key_rank=1 + int(hist[:true_h].sum()),
         true_r_in_candidates=exact > 0,
+        mismatches=mismatches,
         mismatch_histogram=hist,
         true_seed_mismatches=true_h,
         match_fraction_mean=matches / n / seed_space,
         match_fraction_max=(n - int(np.flatnonzero(hist)[0])) / n,
-        unit_rows=units,
-        flip=flip,
         true_seed=int(true_seed),
         exact_match_count=exact,
         collision_count=seed_space - distinct,
@@ -517,10 +514,10 @@ def brute_force_candidates(measured: np.ndarray, c: Constellation, poly: int,
 
     Each seed hypothesis j turns the label record into a candidate data
     sequence by XOR with that seed's basis-parity stream.  The record keeps
-    the histogram of the candidates' mismatches with the actually
-    transmitted sequence (the per-seed counts re-stream on request), the
-    rank of the true seed (ties resolved optimistically for the attacker),
-    and the number of distinct candidate sequences.
+    every candidate's mismatch count with the actually transmitted
+    sequence and their histogram, the rank of the true seed (ties resolved
+    optimistically for the attacker), and the number of distinct candidate
+    sequences.
     """
     _require_plain_pairing(c)
     key_bits = poly.bit_length() - 1
@@ -561,11 +558,11 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
     units = unit_keystreams(poly, n, c.bits_per_basis)
     basis_true = _seed_row(units, true_seed)
     labels = _label_sampler(c, scenario).record(_pair_index_table(c)[pad, basis_true], rng,
-                                                scenario.error_vector())
+                                                scenario.error_seq)
     rec = _seed_scan(labels, cipher ^ labels, x_bits, units, true_seed)
     rec.true_r_in_candidates = rec.true_seed_mismatches == 0
     noiseless = (scenario.dsr.kind == "none" and scenario.misalign == 0.0
-                 and not scenario.error_vector().any())
+                 and not scenario.error_seq.any())
     identity = bool(np.all((cipher ^ labels ^ (basis_true & 1)) == x_bits)) if noiseless else None
     rec.notes["pad_identity_noiseless"] = identity
     rec.notes["ciphertext"] = cipher.tolist()
@@ -612,7 +609,7 @@ def _posterior_entropy_bits(log2_like: np.ndarray) -> float:
 
 def _entropy_error_weight(scenario: AttackScenario, regime: str) -> int:
     """Recording errors the ``regime`` engine marginalizes: at most one, none on index records."""
-    w = int(scenario.error_vector().sum())
+    w = int(scenario.error_seq.sum())
     if regime == "quantum" and w:
         raise ValueError("recording errors apply to label records, not index records")
     if w > 1:
@@ -647,7 +644,7 @@ def _check_entropy_run(c: Constellation, poly: int, scenario: AttackScenario,
     """Checks shared by the entropy engines; returns the key width and the error weight."""
     _require_plain_pairing(c)
     key_bits = poly.bit_length() - 1
-    _check_entropy_caps(key_bits, scenario.n_symbols)
+    _check_entropy_caps(key_bits, scenario.n_symbols, c.m)
     _check_trials(trials)
     _check_record_dsr(scenario.dsr, regime)
     return key_bits, _entropy_error_weight(scenario, regime)
@@ -996,7 +993,7 @@ def label_mutual_information(c: Constellation, poly: int, true_seed: int,
     basis = _seed_row(unit_keystreams(poly, n, c.bits_per_basis), true_seed)
     data = rng.integers(0, 2, (trials, n), dtype=np.uint8)
     labels = _label_sampler(c, scenario).record(_pair_index_table(c)[data, basis], rng,
-                                                scenario.error_vector())
+                                                scenario.error_seq)
     # joint[i, bit, label]: every trial's (position, data bit, label) cell in one count
     cells = np.bincount((4 * np.arange(n) + 2 * data + labels).ravel(), minlength=4 * n)
     joint = cells.reshape(n, 2, 2) / trials

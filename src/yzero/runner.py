@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .attacks import (
+    _SCAN_CHUNK_BITS,
     brute_force_candidates,
     ciphertext_only_entropy,
     keygen_advantage,
@@ -139,7 +140,7 @@ def run_bounds(cfg: ScenarioConfig) -> "list[str]":
     return _finish(cfg, [name])
 
 
-def _attack_record_payload(rec, cfg: ScenarioConfig) -> dict:
+def _attack_record_payload(rec, cfg: ScenarioConfig, mutual_info: "float | None") -> dict:
     return {
         "measured_labels": rec.measured_labels.tolist(),
         "candidate_count": rec.candidate_count,
@@ -147,7 +148,7 @@ def _attack_record_payload(rec, cfg: ScenarioConfig) -> dict:
         "exact_match_count": rec.exact_match_count,
         "true_key_rank": rec.true_key_rank,
         "true_r_in_candidates": rec.true_r_in_candidates,
-        "mutual_info_estimate": rec.mutual_info_estimate,
+        "mutual_info_estimate": mutual_info,
         "match_fraction_mean": rec.match_fraction_mean,
         "match_fraction_max": rec.match_fraction_max,
         "notes": rec.notes,
@@ -187,24 +188,23 @@ def _hex_table(key_bits: int) -> np.ndarray:
     return grid.reshape(-1).view(f"V{3 + width}")
 
 
-def _write_seed_csv(path: str, manifest_name: str, sha256: str, rec,
-                    hex_table: np.ndarray) -> None:
+def _write_seed_csv(path: str, manifest_name: str, sha256: str, mismatches: np.ndarray,
+                    n_symbols: int, true_seed: int, hex_table: np.ndarray) -> None:
     """One row per seed hypothesis, byte for byte as _write_csv would format it.
 
-    The rows follow `rec.mismatch_counts()`, the scan's integer mismatch
-    counts h for seeds 1 ... 2^K - 1 in order, one chunk at a time, so a
-    row's "0x", hex digits and first comma are item s of `hex_table`
-    (`_hex_table(K)`, built once per run; leading zero digits stored as
-    NUL).  The match fraction is (n - h) / n, so the rest of a row is one of
-    2 (n + 1) precomputed tails, tail h + (n + 1) [seed is the true seed],
-    NUL-padded to the longest.  Each chunk of rows is one record array with
-    a `hex` and a `tail` field, filled by two whole-item copies: a slice of
-    the table and a `take` from the tails.  No CSV row holds a NUL byte, so
-    one pass that deletes them gives the chunk's file bytes.  Besides the
-    table (8.4 MB at K = 20), memory is one scan chunk of at most 2^16 rows;
-    no Python object is made per row.
+    The rows follow `mismatches`, the integer mismatch counts h of seeds
+    1 ... 2^K - 1 in order (`AttackRecord.mismatches`), in slices of one
+    scan chunk (2^16 rows), so a row's "0x", hex digits and first comma are
+    item s of `hex_table` (`_hex_table(K)`, built once per run; leading zero
+    digits stored as NUL).  The match fraction is (n - h) / n, so the rest
+    of a row is one of 2 (n + 1) precomputed tails, NUL-padded to the
+    longest: tail h, or h + n + 1 on the true seed's row.  Each slice of
+    rows is one record array with a `hex` and a `tail` field, filled by two
+    whole-item copies: a slice of the table and a `take` from the tails.  No
+    CSV row holds a NUL byte, so one pass that deletes them gives the
+    slice's file bytes.  Besides the table (8.4 MB at K = 20) and the
+    counts, memory is one slice of rows; no Python object is made per row.
     """
-    n_symbols = rec.mismatch_histogram.size - 1
     tails = [f"{(n_symbols - h) / n_symbols!r},{h},{int(h == 0)},{true}\n".encode()
              for true in (0, 1) for h in range(n_symbols + 1)]
     tail_width = max(len(t) for t in tails)
@@ -215,17 +215,18 @@ def _write_seed_csv(path: str, manifest_name: str, sha256: str, rec,
         _csv_writer(fh, manifest_name, sha256, _SEED_CSV_HEADER)
         # the header sits in the text layer's buffer; it must reach the file first
         fh.flush()
-        lo = 1
-        for tail in rec.mismatch_counts():
-            # tail index: h, or h + n + 1 on the true seed's row
-            if lo <= rec.true_seed < lo + tail.size:
-                tail[rec.true_seed - lo] += n_symbols + 1
-            chunk = bytearray(tail.size * row.itemsize)
+        step = 1 << _SCAN_CHUNK_BITS
+        for lo in range(0, mismatches.size, step):
+            counts = mismatches[lo:lo + step]
+            chunk = bytearray(counts.size * row.itemsize)
             rows = np.frombuffer(chunk, dtype=row)
-            rows["hex"] = hex_table[lo:lo + tail.size]
-            rows["tail"] = tail_table.take(tail)
+            # row i is seed lo + 1 + i
+            rows["hex"] = hex_table[lo + 1:lo + 1 + counts.size]
+            rows["tail"] = tail_table.take(counts)
+            if lo < true_seed <= lo + counts.size:
+                i = true_seed - 1 - lo
+                rows["tail"][i] = tail_table[int(counts[i]) + n_symbols + 1]
             fh.buffer.write(chunk.translate(None, b"\0"))
-            lo += tail.size
 
 
 def run_attack(cfg: ScenarioConfig) -> "list[str]":
@@ -237,34 +238,33 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
     labels = measure_labels(encode_sequence(r_true, cfg.poly, cfg.seed_register, c), c,
                             scenario, rng_channel)
     rec = brute_force_candidates(labels, c, cfg.poly, r_true, cfg.seed_register)
-    if cfg.mi_trials > 0:
-        rec.mutual_info_estimate = label_mutual_information(
-            c, cfg.poly, cfg.seed_register, scenario, cfg.mi_trials, rng_mi)
+    mutual_info = (label_mutual_information(c, cfg.poly, cfg.seed_register, scenario,
+                                            cfg.mi_trials, rng_mi)
+                   if cfg.mi_trials > 0 else None)
     payload = {
         "family": "attack",
         "key_bits": cfg.key_bits,
         "n_symbols": cfg.n_symbols,
         "transmitted_bits": r_true.tolist(),
-        "record": _attack_record_payload(rec, cfg),
+        "record": _attack_record_payload(rec, cfg, mutual_info),
     }
-    outputs = []
+    outputs = [f"{cfg.prefix}_attack.json"]
     hex_table = _hex_table(cfg.key_bits)
-    seeds_name = f"{cfg.prefix}_attack_seeds.csv"
-    _write_seed_csv(os.path.join(cfg.out_dir, seeds_name), f"{cfg.prefix}_manifest.json",
-                    cfg.config_sha256, rec, hex_table)
-    outputs.append(seeds_name)
+
+    def write_seeds(name: str, mismatches: np.ndarray) -> None:
+        _write_seed_csv(os.path.join(cfg.out_dir, name), f"{cfg.prefix}_manifest.json",
+                        cfg.config_sha256, mismatches, cfg.n_symbols, cfg.seed_register,
+                        hex_table)
+        outputs.append(name)
+
+    write_seeds(f"{cfg.prefix}_attack_seeds.csv", rec.mismatches)
     if cfg.otp:
         x_bits = rng_otp.integers(0, 2, cfg.n_symbols, dtype=np.uint8)
         orec = otp_stage_attack(x_bits, c, cfg.poly, cfg.seed_register, scenario, rng_otp)
-        payload["otp_stage"] = _attack_record_payload(orec, cfg)
+        payload["otp_stage"] = _attack_record_payload(orec, cfg, None)
         payload["otp_stage"]["plaintext"] = x_bits.tolist()
-        otp_name = f"{cfg.prefix}_attack_otp_seeds.csv"
-        _write_seed_csv(os.path.join(cfg.out_dir, otp_name), f"{cfg.prefix}_manifest.json",
-                        cfg.config_sha256, orec, hex_table)
-        outputs.append(otp_name)
-    summary_name = f"{cfg.prefix}_attack.json"
-    _write_json(os.path.join(cfg.out_dir, summary_name), payload)
-    outputs.insert(0, summary_name)
+        write_seeds(f"{cfg.prefix}_attack_otp_seeds.csv", orec.mismatches)
+    _write_json(os.path.join(cfg.out_dir, outputs[0]), payload)
     return _finish(cfg, outputs)
 
 

@@ -3,13 +3,14 @@
 Runs are driven by small INI files with four sections: [constellation],
 [keystream], [scenario], [output].  Parsing is strict.  The loader keeps
 the rules of the file format: sections and keys, which keys are present,
-scalar versus grid, method and mode names, ``prefix``, ``master_seed`` and
-``threads``.  Every value rule is the library's: the loader builds the
-objects a run uses and calls the checks its engines run, and reports their
-ValueError as a ConfigError at the line of the key it concerns.  A run past
-a cap (the bounds and heterodyne energy caps or the enumeration caps)
-raises RegimeCapError at load time, before any output directory or record
-exists.  Nothing is computed: no keystream, spectrum or transition matrix.
+scalar versus grid, method and mode names, ``prefix`` and ``master_seed``.
+Every value rule is the library's: the loader builds the objects a run
+uses and calls the checks its engines run, and reports their ValueError as
+a ConfigError at the line of the key it concerns.  A run past a cap (the
+bounds and heterodyne energy caps, the enumeration caps or the entropy
+engines' M cap) raises RegimeCapError at load time, before any output
+directory or record exists.  Nothing is computed: no keystream, spectrum
+or transition matrix.
 """
 
 from __future__ import annotations
@@ -373,10 +374,11 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
         if len(cfg.m_grid) != 1 or len(cfg.energy_grid) != 1:
             raise src.fail("this family takes a single 'm' and 'energy', not grids",
                            section="constellation")
-        # the caps bound N, so no record of an oversized run is ever built
-        caps = (attacks._check_attack_caps if cfg.family == "attack"
-                else attacks._check_entropy_caps)
-        caps(cfg.key_bits, cfg.n_symbols)
+        # the caps bound N, and M for entropy, so no oversized record is ever built
+        if cfg.family == "attack":
+            attacks._check_attack_caps(cfg.key_bits, cfg.n_symbols)
+        else:
+            attacks._check_entropy_caps(cfg.key_bits, cfg.n_symbols, cfg.m_grid[0])
         with src.at("error_positions"):
             c, scenario = _record_model(cfg)
         with src.at("osk"):

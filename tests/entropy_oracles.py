@@ -282,7 +282,7 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
     _require_plain_pairing(c)
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
-    _check_entropy_caps(key_bits, n)
+    _check_entropy_caps(key_bits, n, c.m)
     if trials < 1:
         raise ValueError("trials must be positive")
     weight = _entropy_error_weight(scenario, "classical")
@@ -334,7 +334,7 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
         raise ValueError("regime must be 'classical' or 'quantum'")
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
-    _check_entropy_caps(key_bits, n)
+    _check_entropy_caps(key_bits, n, c.m)
     if trials < 1:
         raise ValueError("trials must be positive")
     idx_table = pair_index_table(c)
@@ -357,7 +357,7 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
     else:
         if scenario.dsr.kind == "jitter":
             raise ValueError("the quantum record model supports dsr 'none' or 'binary'")
-        if scenario.error_vector().any():
+        if scenario.error_seq.any():
             raise ValueError("recording errors apply to label records, not index records")
         f = scenario.dsr.param if scenario.dsr.kind == "binary" else 0.0
         trans = heterodyne_index_transition(c, decision_offset=scenario.misalign)
@@ -404,7 +404,7 @@ def label_mutual_information_labels(c: Constellation, poly: int, true_seed: int,
     data = rng.integers(0, 2, (trials, n), dtype=np.uint8)
     for t in range(trials):
         indices = idx_table[data[t], basis[0]]
-        labels[t] = measure_indices(indices, c, scenario, rng, scenario.error_vector())
+        labels[t] = measure_indices(indices, c, scenario, rng, scenario.error_seq)
     return data, labels
 
 

@@ -78,8 +78,8 @@ def test_attack_scenario_validation():
     with pytest.raises(ValueError):
         attacks.AttackScenario(n_symbols=2, error_seq=np.array([2, 0]))
     sc = attacks.AttackScenario.with_errors(6, [1, 4])
-    npt.assert_array_equal(sc.error_vector(), [0, 1, 0, 0, 1, 0])
-    assert attacks.AttackScenario(n_symbols=3).error_vector().sum() == 0
+    npt.assert_array_equal(sc.error_seq, [0, 1, 0, 0, 1, 0])
+    assert attacks.AttackScenario(n_symbols=3).error_seq.sum() == 0
 
 
 @pytest.mark.parametrize("positions, text", [([-1], "outside"), ([6], "outside"),
@@ -231,7 +231,7 @@ def test_brute_force_agrees_with_scalar_enumeration():
         cand = measured ^ parity_stream(POLY4, seed, 1, n)
         hams.append(int(np.sum(cand != r)))
         cands.add(tuple(cand.tolist()))
-    npt.assert_array_equal(np.concatenate(list(rec.mismatch_counts())), hams)
+    npt.assert_array_equal(rec.mismatches, hams)
     npt.assert_array_equal(rec.mismatch_histogram, np.bincount(hams, minlength=n + 1))
     assert rec.candidate_count == len(cands)
     assert rec.collision_count == 15 - len(cands)
@@ -273,7 +273,7 @@ def test_brute_force_binary_dsr_match_law():
     for _ in range(trials):
         measured = attacks.measure_labels(idx, c, sc, rng)
         rec = attacks.brute_force_candidates(measured, c, POLY8, r, true_seed)
-        probe_h = np.concatenate(list(rec.mismatch_counts()))[probe_seed - 1]
+        probe_h = rec.mismatches[probe_seed - 1]
         sums[0] += (n - rec.true_seed_mismatches) / n
         sums[1] += (n - probe_h) / n
     got_true, got_probe = sums / trials

@@ -137,7 +137,7 @@ def record_model(c, sc, regime):
     record, table = attacks._record_channel(c, sc, "classical")
     up = 0.5 * (table[0, :, 1] + table[1, :, 1])
     marginal = np.broadcast_to(np.stack([1.0 - up, up], axis=1), (2, c.m, 2))
-    return record, [marginal, table], int(sc.error_vector().sum())
+    return record, [marginal, table], int(sc.error_seq.sum())
 
 
 @settings(max_examples=60, deadline=None)
@@ -462,7 +462,7 @@ def test_batched_label_measurement_matches_per_trial_loop(m, n, trials, kind, se
     data = rng_new.integers(0, 2, (trials, n), dtype=np.uint8)
     basis = codec._seed_row(codec.unit_keystreams(poly, n, c.bits_per_basis), true_seed)
     labels = attacks._label_sampler(c, sc).record(codec._pair_index_table(c)[data, basis],
-                                                  rng_new, sc.error_vector())
+                                                  rng_new, sc.error_seq)
     data_old, labels_old = oracle.label_mutual_information_labels(c, poly, true_seed, sc,
                                                                   trials, rng_old)
     npt.assert_array_equal(data, data_old)

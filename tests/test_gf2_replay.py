@@ -33,16 +33,17 @@ def candidate_scan(effective_labels: np.ndarray, parity: np.ndarray,
     return mismatches, int(distinct)
 
 
-def streamed_counts(rec) -> np.ndarray:
-    """The record's re-streamed mismatch counts, seeds 1 ... 2^K - 1 in one array."""
-    return np.concatenate(list(rec.mismatch_counts()))
-
-
 def per_seed_rows(rec, n_symbols: int) -> "list[list]":
     """Reference rows of the per-seed CSV, one Python row per seed."""
     return [[format(seed, "#x"), (n_symbols - h) / n_symbols, h, int(h == 0),
              int(seed == rec.true_seed)]
-            for seed, h in enumerate(streamed_counts(rec).tolist(), start=1)]
+            for seed, h in enumerate(rec.mismatches.tolist(), start=1)]
+
+
+def write_seed_csv(path, rec, n_symbols: int, hex_table: np.ndarray) -> None:
+    """The package's seed CSV of one record, under the reference file's manifest and hash."""
+    runner._write_seed_csv(str(path), "m.json", "abc", rec.mismatches, n_symbols,
+                           rec.true_seed, hex_table)
 
 
 def replay_record(degree: int, n: int, true_seed: int, noisy: bool, rng_seed: int = 0):
@@ -135,7 +136,7 @@ def test_replay_counts_match_the_unpacked_scan(case):
         effective = labels
     _, parity, _ = oracle.keystream_table(poly, n, c.bits_per_basis)
     mismatches, distinct = candidate_scan(effective, parity, target)
-    npt.assert_array_equal(streamed_counts(rec), mismatches)
+    npt.assert_array_equal(rec.mismatches, mismatches)
     npt.assert_array_equal(rec.mismatch_histogram, np.bincount(mismatches, minlength=n + 1))
     assert rec.true_seed_mismatches == mismatches[true_seed - 1]
     assert rec.candidate_count == distinct
@@ -165,6 +166,9 @@ def scan_cases(draw):
 @example((5, 48, 3, 8, 1))  # the first seed of the second chunk
 @example((7, 64, 2, 127, 2))  # 2^K - 1, the last seed of the last chunk
 @example((17, 64, 16, 65536, 3))  # the real chunk size: 2^16 is the second chunk's first
+# the counts' dtype is the smallest that holds N: uint8 at N = 255, uint16 at 256
+@example((9, 255, 3, 0x1A5, 4))
+@example((9, 256, 3, 0x1A5, 5))
 def test_chunked_scan_matches_the_whole_array_scan(case):
     degree, n, chunk_bits, true_seed, rng_seed = case
     rng = np.random.default_rng(rng_seed)
@@ -178,7 +182,8 @@ def test_chunked_scan_matches_the_whole_array_scan(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(attacks, "_SCAN_CHUNK_BITS", chunk_bits)
         rec = attacks._seed_scan(effective, effective, target, basis_units, true_seed)
-        npt.assert_array_equal(streamed_counts(rec), want.mismatches)
+    assert rec.mismatches.dtype == np.min_scalar_type(n)
+    npt.assert_array_equal(rec.mismatches, want.mismatches)
     npt.assert_array_equal(rec.mismatch_histogram, want.histogram)
     # seed 0 is not a hypothesis
     assert rec.mismatch_histogram.sum() == (1 << degree) - 1
@@ -202,6 +207,9 @@ def test_chunked_scan_matches_the_whole_array_scan(case):
 @example(degree=17, n=40, seed_frac=0.9, rng_seed=3)  # true seed in the second row chunk
 @example(degree=9, n=40, seed_frac=0.0, rng_seed=0)  # true seed 1, the first row
 @example(degree=17, n=40, seed_frac=0.999999, rng_seed=0)  # 2^17 - 1, the last row
+# uint8 counts at N = 255, uint16 at 256; the true seed's tail index h + N + 1 passes 255
+@example(degree=9, n=255, seed_frac=0.5, rng_seed=1)
+@example(degree=9, n=256, seed_frac=0.5, rng_seed=1)
 def test_seed_csv_writer_matches_the_csv_module(tmp_path_factory, degree, n, seed_frac,
                                                  rng_seed):
     # jitter plus one recording error: fractions vary and the true seed misses
@@ -210,15 +218,14 @@ def test_seed_csv_writer_matches_the_csv_module(tmp_path_factory, degree, n, see
     assume(rec.true_seed_mismatches > 0)
     assume(np.count_nonzero(rec.mismatch_histogram) > 2)
     out = tmp_path_factory.mktemp("csv")
-    runner._write_seed_csv(str(out / "fast.csv"), "m.json", "abc", rec,
-                           runner._hex_table(degree))
+    write_seed_csv(out / "fast.csv", rec, n, runner._hex_table(degree))
     runner._write_csv(str(out / "ref.csv"), "m.json", "abc", SEED_CSV_HEADER,
                       per_seed_rows(rec, n))
     assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
 
-# chunk sizes of 2^0, 2^2, 2^6 and 2^16 seeds; at 2^17 - 1 rows, single-seed or 4-seed
-# chunks take seconds, and 2^6 and 2^16 both split at seed 65536
+# slices of 2^0, 2^2, 2^6 and 2^16 rows; at 2^17 - 1 rows, single-row or 4-row
+# slices take seconds, and 2^6 and 2^16 both split at row 65536 (seed 65537)
 ALL_CHUNK_BITS = (0, 2, 6, 16)
 BOUNDARY_CHUNK_BITS = (6, 16)
 
@@ -227,9 +234,9 @@ BOUNDARY_CHUNK_BITS = (6, 16)
     (5, 12, 7, False, ALL_CHUNK_BITS),          # the true seed's row ends ",1.0,0,1,1"
     (9, 64, 0x1A5, True, ALL_CHUNK_BITS),       # hex widths 1 to 3; the true seed misses
     (17, 40, 65535, False, BOUNDARY_CHUNK_BITS),  # the true seed at row 65534 ... 65537,
-    (17, 40, 65536, False, BOUNDARY_CHUNK_BITS),  # seed 65535 ... 65538: the last row of
-    (17, 40, 65537, False, BOUNDARY_CHUNK_BITS),  # the first 2^16-seed chunk (which has
-    (17, 40, 65538, False, BOUNDARY_CHUNK_BITS),  # no seed 0), the first three of the next
+    (17, 40, 65536, False, BOUNDARY_CHUNK_BITS),  # seed 65535 ... 65538: the last two rows
+    (17, 40, 65537, False, BOUNDARY_CHUNK_BITS),  # of the first 2^16-row slice and the
+    (17, 40, 65538, False, BOUNDARY_CHUNK_BITS),  # first two of the next
 ], ids=["exact-match", "jitter-and-error", "row-65534", "row-65535", "row-65536",
         "row-65537"])
 def test_seed_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, degree, n,
@@ -241,9 +248,24 @@ def test_seed_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, d
     want = (tmp_path / "ref.csv").read_bytes()
     hex_table = runner._hex_table(degree)
     for bits in chunk_bits:
-        monkeypatch.setattr(attacks, "_SCAN_CHUNK_BITS", bits)
-        runner._write_seed_csv(str(tmp_path / "fast.csv"), "m.json", "abc", rec, hex_table)
+        monkeypatch.setattr(runner, "_SCAN_CHUNK_BITS", bits)
+        write_seed_csv(tmp_path / "fast.csv", rec, n, hex_table)
         assert (tmp_path / "fast.csv").read_bytes() == want, bits
+
+
+def test_run_attack_scans_each_stage_once(tmp_path, monkeypatch):
+    # the record keeps the counts, so the seed CSV writers do not rescan
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return scan(*args)
+
+    scan = attacks._scan_counts
+    monkeypatch.setattr(attacks, "_scan_counts", counting)
+    runner.run_attack(load_config(str(ATTACK_REPLAY_INI), "attack", out_dir=str(tmp_path)))
+    # the plain stage and the pad stage
+    assert len(calls) == 2
 
 
 def test_attack_replay_run_peaks_below_16_mb_traced(tmp_path):

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import yzero
-from yzero import cli, runner
+from yzero import attacks, cli, runner
 from yzero.errors import ConfigError, RegimeCapError
 from yzero.scenario import load_config
 
@@ -503,6 +503,19 @@ def test_an_over_cap_record_is_refused_before_it_is_allocated(tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_entropy_m_cap_loads_at_the_cap_and_exits_3_past_it(tmp_path, capsys):
+    # the engines build M x M tables per run; 2M x 2M for the quantum regime
+    at_cap = ENTROPY_CFG.replace("m = 4", f"m = {attacks.ENTROPY_M_CAP}")
+    cfg = load_config(write_cfg(tmp_path, at_cap), "entropy", out_dir=str(tmp_path))
+    assert cfg.m_grid == [attacks.ENTROPY_M_CAP]
+    over = ENTROPY_CFG.replace("m = 4", f"m = {2 * attacks.ENTROPY_M_CAP}")
+    out = tmp_path / "out"
+    argv = ["entropy", "--config", write_cfg(tmp_path, over), "--out-dir", str(out)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("regime cap: ")
+    assert not out.exists()
+
+
 def test_cli_loads_the_config_once_through_its_module_name(tmp_path, monkeypatch, capsys):
     # the benchmark times set-up by wrapping yzero.cli.load_config
     calls = []
@@ -688,6 +701,8 @@ QUANTUM_AT = QUANTUM_ENTROPY_CFG.replace("dsr = none", "misalign = {}").replace(
 # the key holder's squared distance overflowed, and so did the interceptor's 2 S
 @example(case=("keygen", KEYGEN_CFG.replace("2.0, 3.0", "4.5e307, 1e308")))
 @example(case=("keygen", KEYGEN_CFG.replace("2.0, 3.0", "1e308").replace("randomized", "ideal")))
+# an M past the entropy engines' cap, whose M x M tables grow 4x per doubling
+@example(case=("entropy", QUANTUM_AT(2048, 2.0, 0.0)))
 # a negative feedback mask hung the keystream expansion
 @example(case=("attack", ATTACK_CFG.replace("degree = 8", "poly = -0x11D")))
 def test_generated_configs_end_in_an_exit_code_not_a_traceback(case):
