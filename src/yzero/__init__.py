@@ -1,8 +1,8 @@
 """Desk-scale simulator and analysis toolkit for the coherent-state stream cipher.
 
 The package splits into three layers: the keyed phase-constellation coding
-layer (:mod:`yzero.codec`), receiver error bounds (:mod:`yzero.detection`),
-and eavesdropper replays with exact information accounting
+layer (:mod:`yzero.codec`), receiver error bounds and the key-generation
+curve they give (:mod:`yzero.detection`), and eavesdropper replays with exact information accounting
 (:mod:`yzero.attacks`).  Configured runs are driven by :mod:`yzero.runner`
 and the ``yzero`` command.
 """
@@ -16,11 +16,8 @@ from .attacks import (
     AttackScenario,
     Dsr,
     EntropyReport,
-    KeygenPoint,
-    binary_entropy,
     brute_force_candidates,
     ciphertext_only_entropy,
-    keygen_advantage,
     known_plaintext_key_entropy,
     label_mutual_information,
     measure_labels,
@@ -35,13 +32,16 @@ from .codec import (
 from .detection import (
     BinaryBound,
     ExponentFit,
+    KeygenPoint,
     MaryBound,
     antipodal_homodyne_error,
+    binary_entropy,
     bit_bound,
     exponent_fit,
     helstrom_pure,
     heterodyne_index_transition,
     heterodyne_sample,
+    keygen_advantage,
     nearest_phase_index,
     phase_density,
     srm_mary_error,

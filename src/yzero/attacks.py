@@ -3,7 +3,7 @@
 Everything here treats the eavesdropper generously: she holds a perfect copy
 of the transmitted state, knows the constellation, the feedback polynomial,
 and the protocol, and is limited only by measurement physics and by the
-secrecy of the short seed.  The module answers three kinds of question at
+secrecy of the short seed.  The module answers two kinds of question at
 desk scale:
 
 * replay: given recorded half-plane labels, what does exhaustive search over
@@ -15,9 +15,7 @@ desk scale:
   so one Walsh-Hadamard transform per trial, over only the per-symbol terms
   that can differ between keys, gives the log2 likelihood of all 2^K seeds
   at once; with the data unknown every pair splits, so the key posterior
-  is flat and is written down rather than transformed;
-* key generation: the error-probability gap between an optimal quantum
-  receiver and an intercepting one, as a function of pulse energy.
+  is flat and is written down rather than transformed.
 
 Exhaustive enumeration is capped to sizes a laptop handles in seconds; the
 caps raise RegimeCapError rather than silently subsampling.
@@ -34,7 +32,6 @@ import numpy as np
 from .codec import (
     Constellation,
     _as_bits,
-    _check_energy,
     _check_seed,
     _pair_index_table,
     _require_plain_pairing,
@@ -43,13 +40,7 @@ from .codec import (
     halfplane_label,
     unit_keystreams,
 )
-from .detection import (
-    antipodal_homodyne_error,
-    helstrom_pure,
-    heterodyne_index_transition,
-    heterodyne_sample,
-    nearest_phase_index,
-)
+from .detection import heterodyne_index_transition, heterodyne_sample, nearest_phase_index
 from .errors import RegimeCapError
 
 # Exhaustive-search ceilings.  Replays enumerate every nonzero seed; the
@@ -61,6 +52,10 @@ ATTACK_TABLE_CAP = 1 << 26
 ENTROPY_KEY_BITS_CAP = 12
 ENTROPY_SYMBOL_CAP = 32
 ENTROPY_M_CAP = 1024
+# Trial x symbol cells of one mutual-information estimate, which holds whole
+# (trials, N) arrays: at most 34 bytes a cell under binary or jitter
+# randomization (traced at M = 8, K = 20, N = 64), 136 MiB at the cap.
+MI_CELL_CAP = 1 << 22
 # Widest span, in octaves, of the recording-error ratios f'/f summed by one transform.
 RATIO_BAND_BITS = 8
 
@@ -188,38 +183,6 @@ class EntropyReport:
     notes: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class KeygenPoint:
-    """One energy point of the key-generation advantage curve."""
-
-    s: float
-    p_error_bob: float
-    p_error_eve: float
-    advantage_bits: float
-
-
-def binary_entropy(p: float) -> float:
-    """h2(p) in bits, with the 0 log 0 = 0 convention."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability out of range")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
-
-
-def _binary_capacity(p: float) -> float:
-    """1 - h2(p) in bits, without cancellation as p approaches 1/2.
-
-    With q = |1 - 2p| it equals (2 q atanh(q) + log1p(-q^2)) / (2 ln 2),
-    whose two terms are of size q^2 and add without cancellation; away from
-    1/2 the difference 1 - h2(p) loses nothing.
-    """
-    q = abs(1.0 - 2.0 * p)
-    if q > 0.5:
-        return 1.0 - binary_entropy(p)
-    return (2.0 * q * math.atanh(q) + math.log1p(-q * q)) / (2.0 * math.log(2.0))
-
-
 def _check_attack_caps(key_bits: int, n_symbols: int) -> None:
     """Raise unless the record is nonempty and the replay is within the caps.
 
@@ -236,6 +199,14 @@ def _check_attack_caps(key_bits: int, n_symbols: int) -> None:
         raise RegimeCapError(
             f"replay of 2^{key_bits} seeds x {n_symbols} symbols exceeds the cap of "
             f"{ATTACK_TABLE_CAP} symbol comparisons")
+
+
+def _check_replay_run(c: Constellation, poly: int, n_symbols: int, true_seed: int) -> None:
+    """Checks shared by the replay engines."""
+    _require_plain_pairing(c)
+    key_bits = poly.bit_length() - 1
+    _check_attack_caps(key_bits, n_symbols)
+    _check_seed(key_bits, true_seed)
 
 
 def _check_entropy_caps(key_bits: int, n_symbols: int, m: int) -> None:
@@ -519,15 +490,12 @@ def brute_force_candidates(measured: np.ndarray, c: Constellation, poly: int,
     optimistically for the attacker), and the number of distinct candidate
     sequences.
     """
-    _require_plain_pairing(c)
-    key_bits = poly.bit_length() - 1
     measured = _as_bits(measured, "measured labels")
     r_true = _as_bits(r_true, "reference bits")
     n = measured.size
-    _check_attack_caps(key_bits, n)
+    _check_replay_run(c, poly, n, true_seed)
     if r_true.shape != measured.shape:
         raise ValueError("label record and reference sequence differ in length")
-    _check_seed(key_bits, true_seed)
     rec = _seed_scan(measured, measured, r_true, unit_keystreams(poly, n, c.bits_per_basis),
                      true_seed)
     # a candidate with match fraction 1 is the transmitted sequence itself
@@ -545,12 +513,9 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
     candidate plaintexts are C XOR labels XOR parity_j; on a noiseless
     record the true seed reproduces X exactly, bit for bit.
     """
-    _require_plain_pairing(c)
-    key_bits = poly.bit_length() - 1
     x_bits = _as_bits(x_bits, "plaintext bits")
     n = x_bits.size
-    _check_attack_caps(key_bits, n)
-    _check_seed(key_bits, true_seed)
+    _check_replay_run(c, poly, n, true_seed)
     if scenario.n_symbols != n:
         raise ValueError("scenario length does not match the plaintext")
     pad = rng.integers(0, 2, n, dtype=np.uint8)
@@ -624,9 +589,13 @@ def _check_trials(trials: int) -> None:
         raise ValueError("trials must be positive")
 
 
-def _check_mi_trials(trials: int) -> None:
+def _check_mi_trials(trials: int, n_symbols: int) -> None:
     if trials < 2:
         raise ValueError("need at least two trials")
+    if trials * n_symbols > MI_CELL_CAP:
+        raise RegimeCapError(
+            f"a mutual-information estimate of {trials} trials x {n_symbols} symbols "
+            f"exceeds the cap of {MI_CELL_CAP} cells")
 
 
 def _check_regime(regime: str) -> None:
@@ -984,12 +953,9 @@ def label_mutual_information(c: Constellation, poly: int, true_seed: int,
     positions.  With effective deliberate randomization this collapses to
     zero up to estimator noise of order 1/trials.
     """
-    _require_plain_pairing(c)
-    key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
-    _check_attack_caps(key_bits, n)
-    _check_mi_trials(trials)
-    _check_seed(key_bits, true_seed)
+    _check_replay_run(c, poly, n, true_seed)
+    _check_mi_trials(trials, n)
     basis = _seed_row(unit_keystreams(poly, n, c.bits_per_basis), true_seed)
     data = rng.integers(0, 2, (trials, n), dtype=np.uint8)
     labels = _label_sampler(c, scenario).record(_pair_index_table(c)[data, basis], rng,
@@ -1002,47 +968,3 @@ def label_mutual_information(c: Constellation, poly: int, true_seed: int,
     terms = joint * np.log2(np.divide(joint, indep, out=np.ones_like(joint), where=joint > 0.0))
     # a running total adds the positions left to right
     return float(np.cumsum(terms.reshape(n, 4).sum(axis=1))[-1]) / n
-
-
-def _check_keygen_mode(mode: str) -> None:
-    if mode not in ("ideal", "randomized"):
-        raise ValueError("keygen mode must be 'ideal' or 'randomized'")
-
-
-def _check_energy_factor(energy_factor: float) -> None:
-    if not 0.0 < energy_factor <= 1.0:
-        raise ValueError("energy_factor must lie in (0, 1]")
-
-
-def keygen_advantage(s_values: "np.ndarray | list[float]", mode: str = "ideal",
-                     energy_factor: float = 0.5) -> "list[KeygenPoint]":
-    """Per-pulse error gap between the key holder and an intercepting receiver.
-
-    Antipodal signaling at mean photon number S: the key holder reaches the
-    quantum-optimal error (decaying like e^{-4S}) while the interceptor,
-    without the phase reference the key provides, is scored as a homodyne
-    receiver (decaying like e^{-2S}).  The advantage is the difference of
-    binary entropies of the two error rates, formed as the difference of
-    the capacities 1 - h2 so that it does not cancel as S -> 0.
-
-    mode 'randomized' treats each input value as a per-pulse energy budget
-    of which only ``energy_factor`` arrives coherently, halving both decay
-    exponents at the default factor.
-    """
-    _check_keygen_mode(mode)
-    _check_energy_factor(energy_factor)
-    out = []
-    # Python floats: 2 S overflows to inf, where a numpy scalar would warn
-    for s in np.asarray(s_values, dtype=float).tolist():
-        _check_energy(s)
-        s_eff = s * energy_factor if mode == "randomized" else s
-        a = math.sqrt(s_eff)
-        pe_bob = helstrom_pure(a, -a).p_error
-        pe_eve = antipodal_homodyne_error(s_eff)
-        out.append(KeygenPoint(
-            s=float(s),
-            p_error_bob=pe_bob,
-            p_error_eve=pe_eve,
-            advantage_bits=_binary_capacity(pe_bob) - _binary_capacity(pe_eve),
-        ))
-    return out

@@ -10,6 +10,10 @@ Three layers of analysis, from strongest observer to weakest:
 * Explicit receivers: a heterodyne sampler, the homodyne error in closed
   form, and the phase decision statistics an intercepting receiver faces.
 
+Key generation scores two of these receivers against each other: the key
+holder's pure-state Helstrom error and an interceptor's homodyne error on
+the same antipodal pair, as an advantage in bits per pulse.
+
 Every operator behind the constellation bounds (``bit_bound``,
 ``updown_bound``, ``srm_mary_error``) is a weighted mixture over the 2M
 phase rotations, so the Gram matrix of the states is circulant and the DFT
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Constellation, _pair_index_table, _require_plain_pairing
+from .codec import Constellation, _check_energy, _pair_index_table, _require_plain_pairing
 from .errors import RegimeCapError
 
 # DFT modes of the Gram matrix are dropped while the bound on the change in
@@ -110,6 +114,16 @@ class ExponentFit:
     r_squared: float
 
 
+@dataclass(frozen=True)
+class KeygenPoint:
+    """One energy point of the key-generation advantage curve."""
+
+    s: float
+    p_error_bob: float
+    p_error_eve: float
+    advantage_bits: float
+
+
 def helstrom_pure(a0: complex, a1: complex) -> BinaryBound:
     """Minimum error probability between two equally likely pure coherent states.
 
@@ -174,8 +188,7 @@ def truncation_dim(max_energy: float, tol: float) -> int:
     For mean photon number S the photon distribution is Poisson(S); the
     returned d is the least d such that P[n >= d] < tol, at least 1.
     """
-    if not math.isfinite(max_energy) or max_energy < 0:
-        raise ValueError("max_energy must be finite and nonnegative")
+    _check_energy(max_energy)
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must lie in (0, 1)")
     return _poisson_window(max_energy, tol)[0]
@@ -332,8 +345,7 @@ def antipodal_homodyne_error(energy: float) -> float:
     convention; decays like exp(-2S), the square root of the Helstrom
     exponent.
     """
-    if energy < 0:
-        raise ValueError("energy must be nonnegative")
+    _check_energy(energy)
     return 0.5 * math.erfc(math.sqrt(2.0 * energy))
 
 
@@ -360,8 +372,7 @@ def phase_density(phi: "float | np.ndarray", energy: float) -> "float | np.ndarr
 
     with Phi(sqrt(2S) cos(phi)) = erfc(-sqrt(S) cos(phi)) / 2.
     """
-    if energy < 0:
-        raise ValueError("energy must be nonnegative")
+    _check_energy(energy)
     f = np.asarray(phi, dtype=float)
     s = energy
     cos = np.cos(f)
@@ -439,3 +450,59 @@ def exponent_fit(points: "np.ndarray | list[tuple[float, float]]") -> ExponentFi
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return ExponentFit(slope=float(slope), intercept=float(intercept), r_squared=r2)
+
+
+# ---------------------------------------------------------------------------
+# Key generation
+
+
+def binary_entropy(p: float) -> float:
+    """h2(p) in bits, with the 0 log 0 = 0 convention."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("probability out of range")
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
+
+
+def _binary_capacity(p: float) -> float:
+    """1 - h2(p) in bits, without cancellation as p approaches 1/2.
+
+    With q = |1 - 2p| it equals (2 q atanh(q) + log1p(-q^2)) / (2 ln 2),
+    whose two terms are of size q^2 and add without cancellation; away from
+    1/2 the difference 1 - h2(p) loses nothing.
+    """
+    q = abs(1.0 - 2.0 * p)
+    if q > 0.5:
+        return 1.0 - binary_entropy(p)
+    return (2.0 * q * math.atanh(q) + math.log1p(-q * q)) / (2.0 * math.log(2.0))
+
+
+def keygen_advantage(s_values: "np.ndarray | list[float]") -> "list[KeygenPoint]":
+    """Per-pulse error gap between the key holder and a homodyne interceptor.
+
+    Antipodal signaling at mean photon number S: the key holder reaches the
+    quantum-optimal error (decaying like e^{-4S}), and the interceptor is
+    scored as a homodyne receiver on the same pair +/- sqrt(S) (decaying
+    like e^{-2S}).  She therefore holds the basis the key selects and lacks
+    only the optimal measurement; an eavesdropper without the seed, who
+    faces the whole 2M-state ring, is the keyless mode of ROADMAP item 9.
+    The advantage is the difference of binary entropies of the two error
+    rates, formed as the difference of the capacities 1 - h2 so that it
+    does not cancel as S -> 0.  A pulse that delivers only a fraction f of
+    its energy coherently is the point at f S.
+    """
+    out = []
+    # Python floats: 2 S overflows to inf, where a numpy scalar would warn
+    for s in np.asarray(s_values, dtype=float).tolist():
+        # the homodyne error checks the energy before its square root is taken
+        pe_eve = antipodal_homodyne_error(s)
+        a = math.sqrt(s)
+        pe_bob = helstrom_pure(a, -a).p_error
+        out.append(KeygenPoint(
+            s=float(s),
+            p_error_bob=pe_bob,
+            p_error_eve=pe_eve,
+            advantage_bits=_binary_capacity(pe_bob) - _binary_capacity(pe_eve),
+        ))
+    return out

@@ -23,14 +23,20 @@ from .attacks import (
     _SCAN_CHUNK_BITS,
     brute_force_candidates,
     ciphertext_only_entropy,
-    keygen_advantage,
     known_plaintext_key_entropy,
     label_mutual_information,
     measure_labels,
     otp_stage_attack,
 )
 from .codec import Constellation, encode_sequence
-from .detection import MODE_DROP_BOUND, bit_bound, exponent_fit, srm_mary_error, updown_bound
+from .detection import (
+    MODE_DROP_BOUND,
+    bit_bound,
+    exponent_fit,
+    keygen_advantage,
+    srm_mary_error,
+    updown_bound,
+)
 from .scenario import ScenarioConfig, _record_model
 
 
@@ -296,8 +302,7 @@ def run_entropy(cfg: ScenarioConfig) -> "list[str]":
 def run_keygen(cfg: ScenarioConfig) -> "list[str]":
     """Advantage-versus-energy curve with decay-exponent fits when possible."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    points = keygen_advantage(cfg.s_grid, mode=cfg.keygen_mode,
-                              energy_factor=cfg.energy_factor)
+    points = keygen_advantage(cfg.s_grid)
     fit_pts_b = [(p.s, p.p_error_bob) for p in points if 0.0 < p.p_error_bob < 0.5]
     fit_pts_e = [(p.s, p.p_error_eve) for p in points if 0.0 < p.p_error_eve < 0.5]
     slope_b = slope_e = ratio = None
@@ -307,7 +312,7 @@ def run_keygen(cfg: ScenarioConfig) -> "list[str]":
         slope_b, slope_e = fb.slope, fe.slope
         if fe.slope != 0.0:
             ratio = fb.slope / fe.slope
-    rows = [[cfg.keygen_mode, p.s, p.p_error_bob, p.p_error_eve, p.advantage_bits,
+    rows = [["ideal", p.s, p.p_error_bob, p.p_error_eve, p.advantage_bits,
              slope_b, slope_e, ratio] for p in points]
     name = f"{cfg.prefix}_keygen.csv"
     _write_csv(os.path.join(cfg.out_dir, name), f"{cfg.prefix}_manifest.json",

@@ -32,7 +32,7 @@ _SECTION_KEYS = {
     "keystream": {"poly", "degree", "seed"},
     "scenario": {"methods", "n_symbols", "error_positions", "misalign",
                  "dsr", "otp", "mi_trials", "trials", "mode", "regime",
-                 "s_grid", "energy_factor"},
+                 "s_grid"},
     "output": {"out_dir", "prefix", "master_seed"},
 }
 
@@ -66,8 +66,6 @@ class ScenarioConfig:
     mode: str = "ciphertext_only"
     regime: str = "classical"
     s_grid: "list[float]" = field(default_factory=list)
-    keygen_mode: str = "ideal"
-    energy_factor: float = 0.5
     out_dir: str = "."
     prefix: str = ""
     master_seed: int = 0
@@ -308,19 +306,16 @@ def _load_scenario(src: _Source, cp: configparser.ConfigParser,
         cfg.mi_trials = _parse_int(src, "mi_trials", sec["mi_trials"])
         if cfg.mi_trials:  # 0 skips the estimate
             with src.at("mi_trials"):
-                attacks._check_mi_trials(cfg.mi_trials)
+                attacks._check_mi_trials(cfg.mi_trials, cfg.n_symbols)
     if "mode" in sec:
-        val = sec["mode"].strip().lower()
+        cfg.mode = sec["mode"].strip().lower()
         if cfg.family == "keygen":
-            with src.at("mode"):
-                attacks._check_keygen_mode(val)
-            cfg.keygen_mode = val
-        else:
-            if val not in ("ciphertext_only", "known_plaintext", "both"):
-                raise src.fail(
-                    "mode must be 'ciphertext_only', 'known_plaintext' or 'both'",
-                    key="mode")
-            cfg.mode = val
+            # keygen computes one curve, which the CSV's mode column names
+            if cfg.mode != "ideal":
+                raise src.fail("keygen mode must be 'ideal'", key="mode")
+        elif cfg.mode not in ("ciphertext_only", "known_plaintext", "both"):
+            raise src.fail("mode must be 'ciphertext_only', 'known_plaintext' or 'both'",
+                           key="mode")
     if "regime" in sec:
         cfg.regime = sec["regime"].strip().lower()
         with src.at("regime"):
@@ -330,10 +325,6 @@ def _load_scenario(src: _Source, cp: configparser.ConfigParser,
         with src.at("s_grid"):
             for s in cfg.s_grid:
                 codec._check_energy(s)
-    if "energy_factor" in sec:
-        cfg.energy_factor = _parse_float(src, "energy_factor", sec["energy_factor"])
-        with src.at("energy_factor"):
-            attacks._check_energy_factor(cfg.energy_factor)
 
 
 def _load_output(src: _Source, cp: configparser.ConfigParser, cfg: ScenarioConfig) -> None:

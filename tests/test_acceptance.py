@@ -128,7 +128,7 @@ def test_c05_keyed_halfplane_error_reaches_percent_scale():
 
 def test_c06_error_exponents_and_homodyne_monte_carlo():
     t0 = time.monotonic()
-    pts = attacks.keygen_advantage([2.0, 3.0, 4.0, 5.0, 6.0], mode="ideal")
+    pts = detection.keygen_advantage([2.0, 3.0, 4.0, 5.0, 6.0])
     bob = detection.exponent_fit([(p.s, p.p_error_bob) for p in pts]).slope
     eve = detection.exponent_fit([(p.s, p.p_error_eve) for p in pts]).slope
     rng = np.random.default_rng(606)

@@ -1,4 +1,4 @@
-"""Replay attacks, exact posterior entropies, and keygen curves."""
+"""Replay attacks and exact posterior entropies."""
 
 import math
 
@@ -619,7 +619,7 @@ def test_label_mutual_information_tracks_binary_randomization():
         c, POLY8, 0x4E,
         attacks.AttackScenario(n_symbols=8, dsr=attacks.Dsr.binary(0.25)),
         trials=20_000, rng=rng)
-    assert abs(partial - (1.0 - attacks.binary_entropy(0.25))) < 0.02
+    assert abs(partial - (1.0 - detection.binary_entropy(0.25))) < 0.02
 
 
 def test_label_mutual_information_validation():
@@ -631,75 +631,3 @@ def test_label_mutual_information_validation():
     with pytest.raises(ValueError):
         attacks.label_mutual_information(
             c, POLY8, 1, attacks.AttackScenario(n_symbols=4), trials=1, rng=rng)
-
-
-def test_keygen_zero_energy_gives_no_advantage():
-    pt = attacks.keygen_advantage([0.0])[0]
-    assert pt.p_error_bob == 0.5
-    assert pt.p_error_eve == 0.5
-    assert pt.advantage_bits == 0.0
-
-
-def test_keygen_points_recompute_from_closed_forms():
-    for mode, factor in (("ideal", 1.0), ("randomized", 0.5)):
-        pts = attacks.keygen_advantage([1.0, 2.0, 4.0], mode=mode)
-        for pt in pts:
-            s_eff = pt.s * factor
-            a = math.sqrt(s_eff)
-            npt.assert_allclose(pt.p_error_bob,
-                                detection.helstrom_pure(a, -a).p_error, rtol=1e-12)
-            npt.assert_allclose(pt.p_error_eve,
-                                detection.antipodal_homodyne_error(s_eff), rtol=1e-12)
-            npt.assert_allclose(
-                pt.advantage_bits,
-                attacks.binary_entropy(pt.p_error_eve)
-                - attacks.binary_entropy(pt.p_error_bob), rtol=1e-12)
-            assert pt.p_error_bob < pt.p_error_eve
-            assert pt.advantage_bits > 0.0
-
-
-@settings(max_examples=100, deadline=None)
-@given(s=st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, 200.0)),
-       mode=st.sampled_from(["ideal", "randomized"]), factor=st.floats(1e-3, 1.0))
-@example(s=1e-16, mode="randomized", factor=0.5)
-def test_keygen_advantage_is_nonnegative_when_the_key_holder_errs_less(s, mode, factor):
-    pt = attacks.keygen_advantage([s], mode=mode, energy_factor=factor)[0]
-    if pt.p_error_bob <= pt.p_error_eve:
-        assert pt.advantage_bits >= 0.0
-
-
-@pytest.mark.parametrize("q", [1e-12, 1e-8, 1e-4, 1e-2, 0.3])
-def test_binary_capacity_matches_its_series(q):
-    # 1 - h2((1 - q) / 2) = sum_j q^(2j) / (j (2j - 1)) / (2 ln 2), with q = 1 - 2p
-    # taken from the rounded p
-    for p in (0.5 * (1.0 - q), 0.5 * (1.0 + q)):
-        q_p = abs(1.0 - 2.0 * p)
-        want = sum(q_p ** (2 * j) / (j * (2 * j - 1)) for j in range(1, 40)) / (2.0 * math.log(2.0))
-        npt.assert_allclose(attacks._binary_capacity(p), want, rtol=1e-14)
-
-
-def test_keygen_exponent_gap_in_randomized_mode():
-    s = np.linspace(2.0, 6.0, 9)
-    pts = attacks.keygen_advantage(s, mode="randomized")
-    bob = detection.exponent_fit([(p.s, p.p_error_bob) for p in pts])
-    eve = detection.exponent_fit([(p.s, p.p_error_eve) for p in pts])
-    assert 1.6 <= bob.slope / eve.slope <= 2.4
-    assert bob.r_squared > 0.999
-
-
-def test_keygen_validation():
-    with pytest.raises(ValueError):
-        attacks.keygen_advantage([1.0], mode="coherent")
-    with pytest.raises(ValueError):
-        attacks.keygen_advantage([-1.0])
-    with pytest.raises(ValueError):
-        attacks.keygen_advantage([1.0], energy_factor=0.0)
-
-
-def test_binary_entropy_reference_values():
-    assert attacks.binary_entropy(0.0) == 0.0
-    assert attacks.binary_entropy(1.0) == 0.0
-    assert attacks.binary_entropy(0.5) == 1.0
-    npt.assert_allclose(attacks.binary_entropy(0.25), 0.8112781244591328, rtol=1e-15)
-    with pytest.raises(ValueError):
-        attacks.binary_entropy(1.2)

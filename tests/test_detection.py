@@ -492,3 +492,65 @@ def test_exponent_fit_input_validation():
         detection.exponent_fit(good[:3] + [(4.0, 0.0)])
     with pytest.raises(ValueError):
         detection.exponent_fit(good[:3] + [(4.0, 0.5)])
+
+
+def test_keygen_zero_energy_gives_no_advantage():
+    pt = detection.keygen_advantage([0.0])[0]
+    assert pt.p_error_bob == 0.5
+    assert pt.p_error_eve == 0.5
+    assert pt.advantage_bits == 0.0
+
+
+def test_keygen_points_recompute_from_closed_forms():
+    for pt in detection.keygen_advantage([0.5, 1.0, 2.0, 4.0]):
+        a = math.sqrt(pt.s)
+        npt.assert_allclose(pt.p_error_bob, detection.helstrom_pure(a, -a).p_error, rtol=1e-12)
+        npt.assert_allclose(pt.p_error_eve, detection.antipodal_homodyne_error(pt.s),
+                            rtol=1e-12)
+        npt.assert_allclose(
+            pt.advantage_bits,
+            detection.binary_entropy(pt.p_error_eve)
+            - detection.binary_entropy(pt.p_error_bob), rtol=1e-12)
+        assert pt.p_error_bob < pt.p_error_eve
+        assert pt.advantage_bits > 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, 200.0)))
+@example(s=5e-17)
+def test_keygen_advantage_is_nonnegative_when_the_key_holder_errs_less(s):
+    pt = detection.keygen_advantage([s])[0]
+    if pt.p_error_bob <= pt.p_error_eve:
+        assert pt.advantage_bits >= 0.0
+
+
+@pytest.mark.parametrize("q", [1e-12, 1e-8, 1e-4, 1e-2, 0.3])
+def test_binary_capacity_matches_its_series(q):
+    # 1 - h2((1 - q) / 2) = sum_j q^(2j) / (j (2j - 1)) / (2 ln 2), with q = 1 - 2p
+    # taken from the rounded p
+    for p in (0.5 * (1.0 - q), 0.5 * (1.0 + q)):
+        q_p = abs(1.0 - 2.0 * p)
+        want = sum(q_p ** (2 * j) / (j * (2 * j - 1)) for j in range(1, 40)) / (2.0 * math.log(2.0))
+        npt.assert_allclose(detection._binary_capacity(p), want, rtol=1e-14)
+
+
+def test_binary_entropy_reference_values():
+    assert detection.binary_entropy(0.0) == 0.0
+    assert detection.binary_entropy(1.0) == 0.0
+    assert detection.binary_entropy(0.5) == 1.0
+    npt.assert_allclose(detection.binary_entropy(0.25), 0.8112781244591328, rtol=1e-15)
+    with pytest.raises(ValueError):
+        detection.binary_entropy(1.2)
+
+
+@pytest.mark.parametrize("energy", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("check", [
+    detection.antipodal_homodyne_error,
+    lambda energy: detection.phase_density(0.3, energy),
+    lambda energy: detection.truncation_dim(energy, 1e-10),
+    lambda energy: detection.keygen_advantage([energy]),
+], ids=["antipodal_homodyne_error", "phase_density", "truncation_dim", "keygen_advantage"])
+def test_energy_must_be_finite_and_nonnegative(check, energy):
+    # NaN passed the homodyne error and the phase density and came back as nan
+    with pytest.raises(ValueError, match="energy must be finite and nonnegative"):
+        check(energy)

@@ -83,7 +83,7 @@ master_seed = 3
 KEYGEN_CFG = """\
 [scenario]
 s_grid = 2.0, 3.0, 4.0, 5.0, 6.0
-mode = randomized
+mode = ideal
 
 [output]
 prefix = kg
@@ -140,6 +140,8 @@ def test_load_config_overrides(tmp_path):
 def test_unknown_key_is_reported_with_line_number(tmp_path):
     for key, after, line in (("wavelength = 1550", "updown\n", 7),
                              ("impl = auto", "updown\n", 7),
+                             # keygen's coherent fraction f is the curve at f S: no knob
+                             ("energy_factor = 0.5", "updown\n", 7),
                              # no family starts threads: the pool's key is gone
                              ("threads = 2", "master_seed = 11\n", 11),
                              # the constellation frame is the sender's: no global rotation
@@ -176,10 +178,8 @@ BAD_VALUES = [
     ("regime", "entropy", "regime = classical", "regime = coherent", 13,
      "regime must be 'classical' or 'quantum'"),
     ("s_grid", "keygen", "s_grid = 2.0, 3.0", "s_grid = 2.0, -3.0", 2, "nonnegative, got -3.0"),
-    ("energy_factor", "keygen", "mode = randomized", "mode = randomized\nenergy_factor = 0", 4,
-     "energy_factor must lie in (0, 1]"),
-    ("keygen_mode", "keygen", "mode = randomized", "mode = squeezed", 3,
-     "keygen mode must be 'ideal' or 'randomized'"),
+    ("keygen_mode", "keygen", "mode = ideal", "mode = randomized", 3,
+     "keygen mode must be 'ideal'"),
     ("osk", "attack", "m = 4", "m = 4\nosk = true", 3, "fixed bit-to-member pairing"),
     ("osk_updown", "bounds", "energy_grid = 1.0, 4.0", "energy_grid = 1.0, 4.0\nosk = true", 4,
      "fixed bit-to-member pairing; set osk = False"),
@@ -436,11 +436,22 @@ def test_run_keygen_outputs(tmp_path):
                       "slope_bob", "slope_eve", "slope_ratio"]
     assert len(rows) == 5
     for r in rows:
-        assert r[0] == "randomized"
+        assert r[0] == "ideal"
         assert float(r[2]) < float(r[3])
         assert float(r[4]) > 0.0
     ratio = float(rows[0][7])
     assert 1.6 <= ratio <= 2.4
+
+
+# SHA-256 of the keygen CSV of KEYGEN_CFG
+KEYGEN_CSV_SHA256 = "3bb5fa32a8ecb788031ae2c8ad11a2625ba011f8a8fbc6b278d08c75f6afe88c"
+
+
+def test_keygen_csv_bytes_are_pinned(tmp_path):
+    path = write_cfg(tmp_path, KEYGEN_CFG)
+    assert cli.main(["keygen", "--config", path, "--out-dir", str(tmp_path)]) == 0
+    data = read_file(tmp_path, "kg_keygen.csv")
+    assert hashlib.sha256(data).hexdigest() == KEYGEN_CSV_SHA256
 
 
 def test_run_keygen_fit_skipped_when_underdetermined(tmp_path):
@@ -511,6 +522,19 @@ def test_entropy_m_cap_loads_at_the_cap_and_exits_3_past_it(tmp_path, capsys):
     over = ENTROPY_CFG.replace("m = 4", f"m = {2 * attacks.ENTROPY_M_CAP}")
     out = tmp_path / "out"
     argv = ["entropy", "--config", write_cfg(tmp_path, over), "--out-dir", str(out)]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("regime cap: ")
+    assert not out.exists()
+
+
+def test_mi_trials_cap_loads_at_the_cap_and_exits_3_past_it(tmp_path, capsys):
+    # the estimate holds whole (trials, N) arrays; ATTACK_CFG records N = 48 symbols
+    at_cap = attacks.MI_CELL_CAP // 48
+    text = ATTACK_CFG.replace("mi_trials = 400", f"mi_trials = {at_cap}")
+    assert load_config(write_cfg(tmp_path, text), "attack").mi_trials == at_cap
+    over = ATTACK_CFG.replace("mi_trials = 400", f"mi_trials = {at_cap + 1}")
+    out = tmp_path / "out"
+    argv = ["attack", "--config", write_cfg(tmp_path, over), "--out-dir", str(out)]
     assert cli.main(argv) == 3
     assert capsys.readouterr().err.startswith("regime cap: ")
     assert not out.exists()
@@ -646,8 +670,7 @@ def generated_configs(draw):
         maybe(sc, "methods", _items(st.sampled_from(["bit", "srm", "updown"])))
     elif family == "keygen":
         sc["s_grid"] = draw(_items(_floats(0.0, 50.0)))
-        maybe(sc, "mode", st.sampled_from(["ideal", "randomized"]))
-        maybe(sc, "energy_factor", _floats(0.0, 1.0))
+        maybe(sc, "mode", _mostly(st.just("ideal"), st.just("randomized")))
     else:
         con["m"], con["energy"] = draw(m), draw(energy)
         maybe(con, "osk", st.booleans())
@@ -700,9 +723,12 @@ QUANTUM_AT = QUANTUM_ENTROPY_CFG.replace("dsr = none", "misalign = {}").replace(
 @example(case=("entropy", QUANTUM_AT(2, 2e5, 0.3)))
 # the key holder's squared distance overflowed, and so did the interceptor's 2 S
 @example(case=("keygen", KEYGEN_CFG.replace("2.0, 3.0", "4.5e307, 1e308")))
-@example(case=("keygen", KEYGEN_CFG.replace("2.0, 3.0", "1e308").replace("randomized", "ideal")))
+@example(case=("keygen", KEYGEN_CFG.replace("2.0, 3.0", "1e308")))
 # an M past the entropy engines' cap, whose M x M tables grow 4x per doubling
 @example(case=("entropy", QUANTUM_AT(2048, 2.0, 0.0)))
+# one trial past the mutual-information estimate's cell cap, at N = 48
+@example(case=("attack", ATTACK_CFG.replace("mi_trials = 400",
+                                            f"mi_trials = {attacks.MI_CELL_CAP // 48 + 1}")))
 # a negative feedback mask hung the keystream expansion
 @example(case=("attack", ATTACK_CFG.replace("degree = 8", "poly = -0x11D")))
 def test_generated_configs_end_in_an_exit_code_not_a_traceback(case):
