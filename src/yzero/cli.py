@@ -10,6 +10,8 @@ the desk-scale caps (bounds energy, enumeration sizes).
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 
 from .errors import ConfigError, RegimeCapError
@@ -36,6 +38,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    """Run one family from the command line; return the exit code.
+
+    First it registers ``gc.freeze`` to run at interpreter exit, once
+    however often ``main`` is called.  Exit hooks run before the
+    interpreter's final collections, so those skip the whole heap built by
+    importing numpy and yzero instead of scanning and freeing it, which
+    shortens every process by tens of milliseconds.  Nothing changes while
+    the run lasts, and the hook is in place on every exit path, argparse's
+    included.  It is safe because every file yzero opens is closed by a
+    ``with`` block before ``main`` returns: frozen cyclic garbage is never
+    collected, so a file left open in it would never be flushed.
+    """
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.family, out_dir=args.out_dir,

@@ -17,8 +17,10 @@ the same antipodal pair, as an advantage in bits per pulse.
 Every operator behind the constellation bounds (``bit_bound``,
 ``updown_bound``, ``srm_mary_error``) is a weighted mixture over the 2M
 phase rotations, so the Gram matrix of the states is circulant and the DFT
-diagonalizes it.  All three take its spectrum from one helper, computed
-analytically as the aliased Poisson distribution; the binary bounds share
+diagonalizes it.  Its spectrum is computed analytically, as the aliased
+Poisson distribution, once per constellation: each public bound wraps a
+private helper that takes it, so a caller evaluating all three at one
+point (the ``bounds`` runner) computes it once.  The binary bounds share
 one trace-norm helper that works in that DFT basis and keeps only the modes
 that can move the result.  No Fock basis is built and the cost follows the
 photon-number spread, not M.  Every binary bound is taken at equal priors,
@@ -228,10 +230,12 @@ def _gram_spectrum(c: Constellation) -> np.ndarray:
     return lam / mass
 
 
-def _helstrom_error(c: Constellation, weights: np.ndarray) -> "tuple[float, int]":
+def _helstrom_error(c: Constellation, weights: np.ndarray,
+                    lam: np.ndarray) -> "tuple[float, int]":
     """Helstrom error (1 - ||T||_1) / 2 for T = sum_j w_j |a_j><a_j| over the states.
 
-    In the DFT basis the nonzero spectrum of T is that of
+    ``lam`` is the Gram spectrum of c, ``_gram_spectrum(c)``.  In the DFT
+    basis the nonzero spectrum of T is that of
     H = Lambda^(1/2) W Lambda^(1/2), with W_kl = ifft(w)[(k - l) mod n].
     Modes are dropped, smallest first, while sum_dropped sqrt(Lambda_k)
     max|ifft(w)| sqrt(n) stays at or below MODE_DROP_BOUND.  Each dropped row
@@ -261,7 +265,6 @@ def _helstrom_error(c: Constellation, weights: np.ndarray) -> "tuple[float, int]
             and (symmetric or np.array_equal(mirror, -half))):
         raise AssertionError("weights lack the half-turn and reflection symmetries "
                              "of equal priors")
-    lam = _gram_spectrum(c)
     w_hat = np.fft.ifft(weights)
     order = np.argsort(lam, kind="stable")
     cost = np.cumsum(np.sqrt(lam[order])) * float(np.max(np.abs(w_hat))) * math.sqrt(n)
@@ -285,11 +288,15 @@ def bit_bound(c: Constellation) -> BinaryBound:
     hands each bit to both pair members, the mixtures coincide and the
     bound sits at exactly 1/2.
     """
+    return _bit_bound(c, _gram_spectrum(c))
+
+
+def _bit_bound(c: Constellation, lam: np.ndarray) -> BinaryBound:
     weights = np.zeros(c.n_states)
     if not c.osk:
         pairs = _pair_index_table(c)
         weights[pairs[1]], weights[pairs[0]] = 0.5 / c.m, -0.5 / c.m
-    p_error, kept = _helstrom_error(c, weights)
+    p_error, kept = _helstrom_error(c, weights, lam)
     return BinaryBound(p_error=p_error, method="bit_dft", dim_used=kept)
 
 
@@ -302,8 +309,13 @@ def updown_bound(c: Constellation) -> BinaryBound:
     which only exists against the fixed (non-scrambling) pairing.
     """
     _require_plain_pairing(c)
+    return _updown_bound(c, _gram_spectrum(c))
+
+
+def _updown_bound(c: Constellation, lam: np.ndarray) -> BinaryBound:
+    """``updown_bound`` for a plain-pairing ``c`` with spectrum ``lam``."""
     weights = np.where(c.label(np.arange(c.n_states)) == 1, 1.0, -1.0) / c.n_states
-    p_error, kept = _helstrom_error(c, weights)
+    p_error, kept = _helstrom_error(c, weights, lam)
     return BinaryBound(p_error=p_error, method="updown_dft", dim_used=kept)
 
 
@@ -314,7 +326,11 @@ def srm_mary_error(c: Constellation) -> MaryBound:
     over the eigenvalues Lambda of the circulant Gram matrix; the error is
     clipped to [0, 1].
     """
-    p_success = float(np.mean(np.sqrt(_gram_spectrum(c)))) ** 2
+    return _srm_mary_error(c, _gram_spectrum(c))
+
+
+def _srm_mary_error(c: Constellation, lam: np.ndarray) -> MaryBound:
+    p_success = float(np.mean(np.sqrt(lam))) ** 2
     return MaryBound(p_error=min(max(0.0, 1.0 - p_success), 1.0), n_states=c.n_states,
                      method="srm_dft")
 

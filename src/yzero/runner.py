@@ -31,11 +31,12 @@ from .attacks import (
 from .codec import Constellation, encode_sequence
 from .detection import (
     MODE_DROP_BOUND,
-    bit_bound,
+    _bit_bound,
+    _gram_spectrum,
+    _srm_mary_error,
+    _updown_bound,
     exponent_fit,
     keygen_advantage,
-    srm_mary_error,
-    updown_bound,
 )
 from .scenario import ScenarioConfig, _record_model
 
@@ -124,20 +125,26 @@ def _spawn_rngs(master_seed: int, count: int) -> "list[np.random.Generator]":
 
 
 def run_bounds(cfg: ScenarioConfig) -> "list[str]":
-    """Error-probability bounds over the (m, energy) grid; one CSV row per point."""
+    """Error-probability bounds over the (m, energy) grid; one CSV row per point.
+
+    Each point's Gram spectrum is computed once and shared by its methods.
+    """
     os.makedirs(cfg.out_dir, exist_ok=True)
     rows = []
     for m in cfg.m_grid:
         for s in cfg.energy_grid:
             c = Constellation(m=m, energy=s, osk=cfg.osk)
+            lam = _gram_spectrum(c)
             for method in cfg.methods:
                 if method == "bit":
-                    b = bit_bound(c)
+                    b = _bit_bound(c, lam)
                     rows.append([m, s, "helstrom_mixed_bit", b.p_error, b.dim_used, 0.0])
                 elif method == "srm":
-                    rows.append([m, s, "srm_2M", srm_mary_error(c).p_error, c.n_states, 0.0])
+                    rows.append([m, s, "srm_2M", _srm_mary_error(c, lam).p_error, c.n_states,
+                                 0.0])
                 else:
-                    b = updown_bound(c)
+                    # the loader has checked the plain pairing that updown needs
+                    b = _updown_bound(c, lam)
                     rows.append([m, s, "updown", b.p_error, b.dim_used, 0.0])
     name = f"{cfg.prefix}_bounds.csv"
     _write_csv(os.path.join(cfg.out_dir, name), f"{cfg.prefix}_manifest.json",

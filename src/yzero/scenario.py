@@ -1,9 +1,10 @@
 """Scenario configuration files.
 
 Runs are driven by small INI files with four sections: [constellation],
-[keystream], [scenario], [output].  Parsing is strict.  The loader keeps
-the rules of the file format: sections and keys, which keys are present,
-scalar versus grid, method and mode names, ``prefix`` and ``master_seed``.
+[keystream], [scenario], [output].  Parsing is strict: each family
+accepts only the keys it reads.  The loader keeps the rules of the file
+format: sections and keys, which keys are present, scalar versus grid,
+method and mode names, ``prefix`` and ``master_seed``.
 Every value rule is the library's: the loader builds the objects a run
 uses and calls the checks its engines run, and reports their ValueError as
 a ConfigError at the line of the key it concerns.  A run past a cap (the
@@ -27,21 +28,24 @@ from .errors import ConfigError
 
 FAMILIES = ("bounds", "attack", "entropy", "keygen")
 
-_SECTION_KEYS = {
-    "constellation": {"m", "m_grid", "energy", "energy_grid", "osk"},
-    "keystream": {"poly", "degree", "seed"},
-    "scenario": {"methods", "n_symbols", "error_positions", "misalign",
-                 "dsr", "otp", "mi_trials", "trials", "mode", "regime",
-                 "s_grid"},
-    "output": {"out_dir", "prefix", "master_seed"},
-}
+_SECTIONS = ("constellation", "keystream", "scenario", "output")
 
-# which sections a family must provide
-_REQUIRED_SECTIONS = {
-    "bounds": ("constellation", "scenario"),
-    "attack": ("constellation", "keystream", "scenario"),
-    "entropy": ("constellation", "keystream", "scenario"),
-    "keygen": ("scenario",),
+_CONSTELLATION_KEYS = frozenset({"m", "m_grid", "energy", "energy_grid", "osk"})
+_KEYSTREAM_KEYS = frozenset({"poly", "degree", "seed"})
+_RECORD_KEYS = frozenset({"n_symbols", "error_positions", "misalign", "dsr"})
+_OUTPUT_KEYS = frozenset({"out_dir", "prefix", "master_seed"})
+
+# the keys each family reads, by section; any other key is an error, and every
+# section listed but [output] is required
+_FAMILY_KEYS = {
+    "bounds": {"constellation": _CONSTELLATION_KEYS, "scenario": frozenset({"methods"}),
+               "output": _OUTPUT_KEYS},
+    "attack": {"constellation": _CONSTELLATION_KEYS, "keystream": _KEYSTREAM_KEYS,
+               "scenario": _RECORD_KEYS | {"otp", "mi_trials"}, "output": _OUTPUT_KEYS},
+    "entropy": {"constellation": _CONSTELLATION_KEYS, "keystream": _KEYSTREAM_KEYS,
+                "scenario": _RECORD_KEYS | {"trials", "mode", "regime"},
+                "output": _OUTPUT_KEYS},
+    "keygen": {"scenario": frozenset({"s_grid", "mode"}), "output": _OUTPUT_KEYS},
 }
 
 
@@ -183,23 +187,25 @@ def load_config(path: str, family: str,
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
+    family_keys = _FAMILY_KEYS[family]
     for section in cp.sections():
-        if section not in _SECTION_KEYS:
+        if section not in _SECTIONS:
             raise src.fail(f"unknown section [{section}]", section=section)
         for key in cp.options(section):
-            if key not in _SECTION_KEYS[section]:
-                raise src.fail(f"unknown key '{key}' in [{section}]", key=key)
-    for section in _REQUIRED_SECTIONS[family]:
-        if not cp.has_section(section):
+            if key not in family_keys.get(section, ()):
+                raise src.fail(f"unknown key '{key}' in [{section}] for family '{family}'",
+                               key=key)
+    for section in family_keys:
+        if section != "output" and not cp.has_section(section):
             raise ConfigError(f"{path}: family '{family}' requires a [{section}] section")
 
     cfg = ScenarioConfig(family=family, prefix=family)
     cfg.config_path = path
     cfg.config_sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    if cp.has_section("constellation"):
+    if "constellation" in family_keys:
         _load_constellation(src, cp, cfg)
-    if cp.has_section("keystream"):
+    if "keystream" in family_keys:
         _load_keystream(src, cp, cfg)
     _load_scenario(src, cp, cfg)
     if cp.has_section("output"):
@@ -277,7 +283,7 @@ def _load_keystream(src: _Source, cp: configparser.ConfigParser,
 
 def _load_scenario(src: _Source, cp: configparser.ConfigParser,
                    cfg: ScenarioConfig) -> None:
-    sec = cp["scenario"] if cp.has_section("scenario") else {}
+    sec = cp["scenario"]
     if "methods" in sec:
         cfg.methods = [m.strip().lower() for m in sec["methods"].split(",") if m.strip()]
         for m in cfg.methods:

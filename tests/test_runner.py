@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import yzero
-from yzero import attacks, cli, runner
+from yzero import attacks, cli, detection, runner
 from yzero.errors import ConfigError, RegimeCapError
 from yzero.scenario import load_config
 
@@ -153,6 +153,39 @@ def test_unknown_key_is_reported_with_line_number(tmp_path):
         assert f"unknown key '{key.split()[0]}'" in str(err.value)
 
 
+# keys of one family in another's config, which the loader used to accept and ignore:
+# (family, text the key follows, text ending in the key's "name = value", its line)
+FOREIGN_KEYS = [
+    ("bounds", "updown\n", "mi_trials = 5", 7),
+    ("bounds", "updown\n", "otp = true", 7),
+    ("bounds", "updown\n", "dsr = binary:0.5", 7),
+    ("bounds", "updown\n", "s_grid = 1.0", 7),
+    ("bounds", "updown\n", "mode = both", 7),
+    ("attack", "mi_trials = 400\n", "mode = both", 14),
+    ("attack", "mi_trials = 400\n", "trials = 5", 14),
+    ("attack", "mi_trials = 400\n", "regime = quantum", 14),
+    ("entropy", "dsr = binary:0.5\n", "otp = true", 15),
+    ("entropy", "dsr = binary:0.5\n", "methods = bit", 15),
+    ("keygen", "mode = ideal\n", "n_symbols = 8", 4),
+    # keygen reads no constellation; "" puts the section first
+    ("keygen", "", "[constellation]\nm = 4", 2),
+]
+
+
+@pytest.mark.parametrize("family, after, key, line", FOREIGN_KEYS,
+                         ids=[f"{case[0]}-{case[2].split()[-3]}" for case in FOREIGN_KEYS])
+def test_keys_the_family_never_reads_are_rejected(tmp_path, capsys, family, after, key, line):
+    base = {"attack": ATTACK_CFG, "bounds": BOUNDS_CFG, "entropy": ENTROPY_CFG,
+            "keygen": KEYGEN_CFG}[family]
+    path = write_cfg(tmp_path, base.replace(after, f"{after}{key}\n", 1))
+    out = tmp_path / "out"
+    assert cli.main([family, "--config", path, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cfg.ini:{line}: unknown key '{key.split()[-3]}' in [" in err
+    assert f"for family '{family}'" in err
+    assert not out.exists()
+
+
 def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write_cfg(tmp_path, BOUNDS_CFG + "\n[laser]\npower = 1\n"),
@@ -217,7 +250,8 @@ def test_grid_and_scalar_are_mutually_exclusive(tmp_path):
 
 def test_missing_required_section(tmp_path):
     with pytest.raises(ConfigError) as err:
-        load_config(write_cfg(tmp_path, KEYGEN_CFG), "attack")
+        load_config(write_cfg(tmp_path, ATTACK_CFG.replace(
+            "[constellation]\nm = 4\nenergy = 2.0\n", "")), "attack")
     assert "requires a [constellation] section" in str(err.value)
 
 
@@ -277,6 +311,22 @@ def test_run_bounds_outputs_and_determinism(tmp_path):
     # a rerun must reproduce the data byte for byte
     runner.run_bounds(load_config(path, "bounds", out_dir=str(tmp_path)))
     assert read_file(tmp_path, "demo_bounds.csv") == first
+
+
+def test_run_bounds_computes_one_gram_spectrum_per_grid_point(tmp_path, monkeypatch):
+    # the benchmark's grid: 9 x 9 points, three methods at each
+    points = []
+    real = detection._gram_spectrum
+
+    def counted(c):
+        points.append((c.m, c.energy))
+        return real(c)
+
+    monkeypatch.setattr(detection, "_gram_spectrum", counted)
+    monkeypatch.setattr(runner, "_gram_spectrum", counted, raising=False)
+    runner.run_bounds(load_config(str(PERFBENCH / "workloads" / "bounds_grid.ini"), "bounds",
+                                  out_dir=str(tmp_path)))
+    assert len(points) == 81 == len(set(points))
 
 
 def test_run_attack_outputs(tmp_path):
