@@ -58,6 +58,11 @@ ENTROPY_M_CAP = 1024
 MI_CELL_CAP = 1 << 22
 # Widest span, in octaves, of the recording-error ratios f'/f summed by one transform.
 RATIO_BAND_BITS = 8
+# How far above K bits H(data | record) must read to exceed the key entropy.
+# The transforms put a few eps times the record's log mass into a surprisal,
+# below 1e-11 bits at the caps; a record whose exact entropy is K (every
+# noiseless record of full rank) must not read as exceeding it by rounding.
+ENTROPY_TIE_BITS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -672,9 +677,11 @@ def _symbol_terms(tab: np.ndarray, weight: int):
     (1e16 where a label probability rounds to 1e-16 instead of 0) would
     bury a key's sum of ratios near 1.  Every nonzero band value is at
     least 1, so a key's band sum is 0 or at least 1 and says by itself
-    whether any of the key's symbols falls in the band.  Returns the terms
-    and, with one error, the number of ratio bands and every band's
-    exponent.
+    whether any of the key's symbols falls in the band.  A positive entry
+    whose flipped entry is positive is in a ratio band, one whose flipped
+    entry is 0 puts that entry in a zero band, so every table has a band.
+    Returns the terms and, with one error, the number of ratio bands and
+    every band's exponent.
     """
     zero = tab == 0.0
     safe = np.where(zero, 1.0, tab)
@@ -709,27 +716,6 @@ def _band_log2(lam: np.ndarray, zeros: np.ndarray, key_sums: np.ndarray, bands,
     s = sum(np.where(present, np.ldexp(key_sums, np.minimum(e - top, 0)), 0.0))
     live = s > 0.0
     return np.where(live, lam + (top + np.log2(np.where(live, s, 1.0) / n)), -math.inf)
-
-
-def _log2_likelihood(lam: np.ndarray, zeros: np.ndarray, band_sums: np.ndarray, bands,
-                     n: int) -> np.ndarray:
-    """Per-key log2 likelihood from the seed-space sums of one table's terms.
-
-    lam sums log2 f, zeros counts the zero factors and band_sums holds one
-    row per band of ``_symbol_terms``; the row of a term that is 0 on the
-    whole table is 0.  The counts are exact integers: the zero indicator's
-    Walsh coefficients are dyadic.  Without recording errors (bands None) a
-    key with a zero factor reads -inf.  With one, ``_record_likelihoods``
-    calls this only on a table without zeros, so every key may be live and
-    the band arithmetic runs on the arrays as they are; tables with zeros
-    take the blocked path at their candidate keys.  No band at all leaves
-    every key at -inf.
-    """
-    if bands is None:
-        return np.where(zeros == 0, lam, -math.inf)
-    if not len(bands[1]):
-        return np.full(lam.shape, -math.inf)
-    return _band_log2(lam, zeros, band_sums, bands, n)
 
 
 def _record_channel(c: Constellation, scenario: AttackScenario,
@@ -799,9 +785,10 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     bit and observation, so they are gathered from one table per run.  Per
     trial remain the scatter into seed space and the two transform factors;
     where the table has zeros and an error is marginalized, the candidate
-    keys' sums are kept and S is assembled once per block over all of them.
-    Yields one log2-likelihood array per trial; the transform buffers are
-    allocated once per run and no yielded array shares memory with them.
+    keys' sums are kept and S is assembled once per block over all of them;
+    without zeros it is assembled per trial over every key.  Yields one
+    log2-likelihood array per trial; the transform buffers are allocated
+    once per run and no yielded array shares memory with them.
     """
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
@@ -825,7 +812,7 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     lam_row, zeros_row = (head.index(k) if k in head else n_live for k in (0, 1))
     lam, zeros, band_sums = sums[lam_row], sums[zeros_row], sums[len(head):-1]
     # with zeros in the table, S is assembled per block at the candidate keys
-    blockwise = bands is not None and len(bands[1]) > 0 and 1 in head
+    blockwise = bands is not None and 1 in head
     # one bincount scatters every transformed term into its own block of seed space
     slots = (chars + (np.arange(n_live) << key_bits)[:, None, None]).ravel()
     half = key_bits // 2
@@ -859,8 +846,11 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
             if blockwise:
                 keys = np.flatnonzero(zeros <= 1)
                 kept.append((keys, sums[:, keys]))
+            elif bands is None:
+                yield np.where(zeros == 0, lam, -math.inf)
             else:
-                yield _log2_likelihood(lam, zeros, band_sums, bands, n)
+                # a table without zeros: every key may be live
+                yield _band_log2(lam, zeros, band_sums, bands, n)
         if kept:
             key_sums = np.concatenate([s for _, s in kept], axis=1)
             log2_like = _band_log2(key_sums[lam_row], key_sums[zeros_row],
@@ -904,7 +894,7 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
         h_key=float(key_bits),
         h_key_given_obs=float(key_bits),
         h_data_given_obs=h_data_mean,
-        exceeds_key_entropy=bool(h_data_mean > key_bits),
+        exceeds_key_entropy=bool(h_data_mean > key_bits + ENTROPY_TIE_BITS),
         notes={
             "h_key_given_obs_min": float(key_bits),
             "h_key_given_obs_max": float(key_bits),

@@ -94,7 +94,6 @@ class BinaryBound:
     """Error probability of an optimal binary discrimination."""
 
     p_error: float
-    method: str
     dim_used: "int | None" = None
 
 
@@ -103,8 +102,6 @@ class MaryBound:
     """Error probability of a measurement resolving all constellation states."""
 
     p_error: float
-    n_states: int
-    method: str = "srm_dft"
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,7 @@ def helstrom_pure(a0: complex, a1: complex) -> BinaryBound:
     # exp(-d^2) is 0 from d ~ 27.3, long before d ** 2 overflows
     d2 = d ** 2 if d < 1e154 else math.inf
     pe = 0.5 * math.exp(-d2) / (1.0 + math.sqrt(-math.expm1(-d2)))
-    return BinaryBound(p_error=pe, method="helstrom_pure")
+    return BinaryBound(p_error=pe)
 
 
 def _log_factorials(size: int) -> np.ndarray:
@@ -297,7 +294,7 @@ def _bit_bound(c: Constellation, lam: np.ndarray) -> BinaryBound:
         pairs = _pair_index_table(c)
         weights[pairs[1]], weights[pairs[0]] = 0.5 / c.m, -0.5 / c.m
     p_error, kept = _helstrom_error(c, weights, lam)
-    return BinaryBound(p_error=p_error, method="bit_dft", dim_used=kept)
+    return BinaryBound(p_error=p_error, dim_used=kept)
 
 
 def updown_bound(c: Constellation) -> BinaryBound:
@@ -316,7 +313,7 @@ def _updown_bound(c: Constellation, lam: np.ndarray) -> BinaryBound:
     """``updown_bound`` for a plain-pairing ``c`` with spectrum ``lam``."""
     weights = np.where(c.label(np.arange(c.n_states)) == 1, 1.0, -1.0) / c.n_states
     p_error, kept = _helstrom_error(c, weights, lam)
-    return BinaryBound(p_error=p_error, method="updown_dft", dim_used=kept)
+    return BinaryBound(p_error=p_error, dim_used=kept)
 
 
 def srm_mary_error(c: Constellation) -> MaryBound:
@@ -331,8 +328,7 @@ def srm_mary_error(c: Constellation) -> MaryBound:
 
 def _srm_mary_error(c: Constellation, lam: np.ndarray) -> MaryBound:
     p_success = float(np.mean(np.sqrt(lam))) ** 2
-    return MaryBound(p_error=min(max(0.0, 1.0 - p_success), 1.0), n_states=c.n_states,
-                     method="srm_dft")
+    return MaryBound(p_error=min(max(0.0, 1.0 - p_success), 1.0))
 
 
 # ---------------------------------------------------------------------------

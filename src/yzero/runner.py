@@ -38,6 +38,7 @@ from .detection import (
     exponent_fit,
     keygen_advantage,
 )
+from .errors import ConfigError
 from .scenario import ScenarioConfig, _record_model
 
 
@@ -115,6 +116,13 @@ def _finish(cfg: ScenarioConfig, outputs: "list[str]") -> "list[str]":
     return outputs + [manifest_name]
 
 
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path!r}: {exc.strerror}") from None
+
+
 def _spawn_rngs(master_seed: int, count: int) -> "list[np.random.Generator]":
     seq = np.random.SeedSequence(master_seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]
@@ -129,7 +137,7 @@ def run_bounds(cfg: ScenarioConfig) -> "list[str]":
 
     Each point's Gram spectrum is computed once and shared by its methods.
     """
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     rows = []
     for m in cfg.m_grid:
         for s in cfg.energy_grid:
@@ -244,7 +252,7 @@ def _write_seed_csv(path: str, manifest_name: str, sha256: str, mismatches: np.n
 
 def run_attack(cfg: ScenarioConfig) -> "list[str]":
     """One full replay: encode, eavesdrop, exhaust the seed space, report."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     c, scenario = _record_model(cfg)
     rng_data, rng_channel, rng_mi, rng_otp = _spawn_rngs(cfg.master_seed, 4)
     r_true = rng_data.integers(0, 2, cfg.n_symbols, dtype=np.uint8)
@@ -283,7 +291,7 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
 
 def run_entropy(cfg: ScenarioConfig) -> "list[str]":
     """Exact posterior-entropy accounting for the configured record model."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     c, scenario = _record_model(cfg)
     rng_co, rng_kp = _spawn_rngs(cfg.master_seed, 2)
     payload: dict = {
@@ -308,7 +316,7 @@ def run_entropy(cfg: ScenarioConfig) -> "list[str]":
 
 def run_keygen(cfg: ScenarioConfig) -> "list[str]":
     """Advantage-versus-energy curve with decay-exponent fits when possible."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg.out_dir)
     points = keygen_advantage(cfg.s_grid)
     fit_pts_b = [(p.s, p.p_error_bob) for p in points if 0.0 < p.p_error_bob < 0.5]
     fit_pts_e = [(p.s, p.p_error_eve) for p in points if 0.0 < p.p_error_eve < 0.5]

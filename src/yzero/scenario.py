@@ -2,9 +2,11 @@
 
 Runs are driven by small INI files with four sections: [constellation],
 [keystream], [scenario], [output].  Parsing is strict: each family
-accepts only the keys it reads.  The loader keeps the rules of the file
-format: sections and keys, which keys are present, scalar versus grid,
-method and mode names, ``prefix`` and ``master_seed``.
+accepts only the keys it reads, so the family fixes scalar versus grid:
+``bounds`` reads ``m_grid`` and ``energy_grid``, ``attack`` and ``entropy``
+read ``m`` and ``energy``.  The loader keeps the rules of the file format:
+sections and keys, which keys are present, method and mode names, which
+mode reads ``regime``, ``prefix`` and ``master_seed``.
 Every value rule is the library's: the loader builds the objects a run
 uses and calls the checks its engines run, and reports their ValueError as
 a ConfigError at the line of the key it concerns.  A run past a cap (the
@@ -26,11 +28,11 @@ from dataclasses import dataclass, field
 from . import attacks, codec, detection
 from .errors import ConfigError
 
-FAMILIES = ("bounds", "attack", "entropy", "keygen")
-
 _SECTIONS = ("constellation", "keystream", "scenario", "output")
 
-_CONSTELLATION_KEYS = frozenset({"m", "m_grid", "energy", "energy_grid", "osk"})
+# bounds runs a grid of constellations, attack and entropy one
+_GRID_KEYS = frozenset({"m_grid", "energy_grid", "osk"})
+_POINT_KEYS = frozenset({"m", "energy", "osk"})
 _KEYSTREAM_KEYS = frozenset({"poly", "degree", "seed"})
 _RECORD_KEYS = frozenset({"n_symbols", "error_positions", "misalign", "dsr"})
 _OUTPUT_KEYS = frozenset({"out_dir", "prefix", "master_seed"})
@@ -38,15 +40,17 @@ _OUTPUT_KEYS = frozenset({"out_dir", "prefix", "master_seed"})
 # the keys each family reads, by section; any other key is an error, and every
 # section listed but [output] is required
 _FAMILY_KEYS = {
-    "bounds": {"constellation": _CONSTELLATION_KEYS, "scenario": frozenset({"methods"}),
+    "bounds": {"constellation": _GRID_KEYS, "scenario": frozenset({"methods"}),
                "output": _OUTPUT_KEYS},
-    "attack": {"constellation": _CONSTELLATION_KEYS, "keystream": _KEYSTREAM_KEYS,
+    "attack": {"constellation": _POINT_KEYS, "keystream": _KEYSTREAM_KEYS,
                "scenario": _RECORD_KEYS | {"otp", "mi_trials"}, "output": _OUTPUT_KEYS},
-    "entropy": {"constellation": _CONSTELLATION_KEYS, "keystream": _KEYSTREAM_KEYS,
+    "entropy": {"constellation": _POINT_KEYS, "keystream": _KEYSTREAM_KEYS,
                 "scenario": _RECORD_KEYS | {"trials", "mode", "regime"},
                 "output": _OUTPUT_KEYS},
     "keygen": {"scenario": frozenset({"s_grid", "mode"}), "output": _OUTPUT_KEYS},
 }
+
+FAMILIES = tuple(_FAMILY_KEYS)
 
 
 @dataclass
@@ -227,31 +231,19 @@ def load_config(path: str, family: str,
 def _load_constellation(src: _Source, cp: configparser.ConfigParser,
                         cfg: ScenarioConfig) -> None:
     sec = cp["constellation"]
-    if "m" in sec and "m_grid" in sec:
-        raise src.fail("give either 'm' or 'm_grid', not both", key="m_grid")
-    if "m" in sec:
-        cfg.m_grid = [_parse_int(src, "m", sec["m"])]
-    elif "m_grid" in sec:
-        cfg.m_grid = _parse_list(src, "m_grid", sec["m_grid"], _parse_int)
-    else:
-        raise src.fail("missing 'm' (or 'm_grid') in [constellation]",
-                       section="constellation")
-    with src.at("m" if "m" in sec else "m_grid"):
-        for m in cfg.m_grid:
-            codec._check_m(m)
-    if "energy" in sec and "energy_grid" in sec:
-        raise src.fail("give either 'energy' or 'energy_grid', not both",
-                       key="energy_grid")
-    if "energy" in sec:
-        cfg.energy_grid = [_parse_float(src, "energy", sec["energy"])]
-    elif "energy_grid" in sec:
-        cfg.energy_grid = _parse_list(src, "energy_grid", sec["energy_grid"], _parse_float)
-    else:
-        raise src.fail("missing 'energy' (or 'energy_grid') in [constellation]",
-                       section="constellation")
-    with src.at("energy" if "energy" in sec else "energy_grid"):
-        for s in cfg.energy_grid:
-            codec._check_energy(s)
+    grid = cfg.family == "bounds"
+    points = []
+    for name, parse, check in (("m", _parse_int, codec._check_m),
+                               ("energy", _parse_float, codec._check_energy)):
+        key = f"{name}_grid" if grid else name
+        if key not in sec:
+            raise src.fail(f"missing '{key}' in [constellation]", section="constellation")
+        values = _parse_list(src, key, sec[key], parse) if grid else [parse(src, key, sec[key])]
+        with src.at(key):
+            for v in values:
+                check(v)
+        points.append(values)
+    cfg.m_grid, cfg.energy_grid = points
     if "osk" in sec:
         cfg.osk = _parse_bool(src, "osk", sec["osk"])
 
@@ -326,6 +318,10 @@ def _load_scenario(src: _Source, cp: configparser.ConfigParser,
         cfg.regime = sec["regime"].strip().lower()
         with src.at("regime"):
             attacks._check_regime(cfg.regime)
+        # only the known-plaintext engine reads the regime
+        if cfg.regime == "quantum" and cfg.mode == "ciphertext_only":
+            raise src.fail("regime 'quantum' needs mode 'known_plaintext' or 'both'; "
+                           "the ciphertext-only engine scores label records", key="regime")
     if "s_grid" in sec:
         cfg.s_grid = _parse_list(src, "s_grid", sec["s_grid"], _parse_float)
         with src.at("s_grid"):
@@ -368,9 +364,6 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
         if cfg.n_symbols < 1:
             raise src.fail("this family requires 'n_symbols' in [scenario]",
                            section="scenario")
-        if len(cfg.m_grid) != 1 or len(cfg.energy_grid) != 1:
-            raise src.fail("this family takes a single 'm' and 'energy', not grids",
-                           section="constellation")
         # the caps bound N, and M for entropy, so no oversized record is ever built
         if cfg.family == "attack":
             attacks._check_attack_caps(cfg.key_bits, cfg.n_symbols)
@@ -384,12 +377,11 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
             codec._check_basis_bits(c.bits_per_basis)
         if cfg.family == "entropy":
             # the engines' own checks; with mode 'both' the known-plaintext one is stricter
-            regime = "classical" if cfg.mode == "ciphertext_only" else cfg.regime
             with src.at("error_positions"):
-                attacks._entropy_error_weight(scenario, regime)
+                attacks._entropy_error_weight(scenario, cfg.regime)
             with src.at("dsr"):
-                attacks._check_record_dsr(cfg.dsr, regime)
-            if regime == "quantum":
+                attacks._check_record_dsr(cfg.dsr, cfg.regime)
+            if cfg.regime == "quantum":
                 detection._check_wedge_energy(c.energy)
     elif cfg.family == "keygen":
         if len(cfg.s_grid) < 1:

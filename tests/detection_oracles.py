@@ -143,8 +143,7 @@ def srm_mary_error_direct(c: codec.Constellation) -> detection.MaryBound:
     Success probability (1/n) sum_i (G^{1/2})_{ii}^2.
     """
     diag = np.real(np.diag(gram_sqrt(gram_matrix(c.amplitudes()))))
-    return detection.MaryBound(p_error=1.0 - float(np.mean(diag**2)),
-                               n_states=c.n_states, method="srm_gram_sqrt")
+    return detection.MaryBound(p_error=1.0 - float(np.mean(diag**2)))
 
 
 def scipy_poisson_pmf(energy: float, size: int) -> np.ndarray:

@@ -31,6 +31,7 @@ import math
 import numpy as np
 
 from yzero.attacks import (
+    ENTROPY_TIE_BITS,
     AttackScenario,
     EntropyReport,
     _check_entropy_caps,
@@ -98,8 +99,6 @@ def log2_likelihood(lam: np.ndarray, zeros: np.ndarray, band_sums: np.ndarray, b
     if bands is None:
         return np.where(zeros == 0, lam, -math.inf)
     n_ratio, e = bands
-    if not len(e):
-        return np.full(lam.shape, -math.inf)
     present = band_sums > 0.5
     present[:n_ratio] &= zeros == 0
     top = np.where(present, e, e.min()).max(axis=0)
@@ -315,7 +314,7 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
         h_key=float(key_bits),
         h_key_given_obs=h_key_mean,
         h_data_given_obs=h_data_mean,
-        exceeds_key_entropy=bool(h_data_mean > key_bits),
+        exceeds_key_entropy=bool(h_data_mean > key_bits + ENTROPY_TIE_BITS),
         notes={
             "h_key_given_obs_min": float(h_key_vals.min()),
             "h_key_given_obs_max": float(h_key_vals.max()),

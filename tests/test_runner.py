@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import yzero
 from yzero import attacks, cli, detection, runner
 from yzero.errors import ConfigError, RegimeCapError
-from yzero.scenario import load_config
+from yzero.scenario import FAMILIES, load_config
 
 
 BOUNDS_CFG = """\
@@ -169,6 +169,13 @@ FOREIGN_KEYS = [
     ("keygen", "mode = ideal\n", "n_symbols = 8", 4),
     # keygen reads no constellation; "" puts the section first
     ("keygen", "", "[constellation]\nm = 4", 2),
+    # each family reads one spelling of the constellation
+    ("bounds", "energy_grid = 1.0, 4.0\n", "m = 4", 4),
+    ("bounds", "energy_grid = 1.0, 4.0\n", "energy = 1.0", 4),
+    ("attack", "energy = 2.0\n", "m_grid = 4", 4),
+    ("attack", "energy = 2.0\n", "energy_grid = 2.0", 4),
+    ("entropy", "energy = 2.0\n", "m_grid = 4", 4),
+    ("entropy", "energy = 2.0\n", "energy_grid = 2.0", 4),
 ]
 
 
@@ -227,6 +234,11 @@ BAD_VALUES = [
      "regime = quantum\ndsr = jitter:0.2", 14, "supports dsr 'none' or 'binary'"),
     ("quantum_error_positions", "entropy", "regime = classical",
      "regime = quantum\nerror_positions = 3", 14, "not index records"),
+    # the ciphertext-only engine, also the default mode's, ran classical labels
+    ("quantum_ciphertext_only", "entropy", "mode = both\nregime = classical",
+     "mode = ciphertext_only\nregime = quantum", 13, "regime 'quantum' needs mode"),
+    ("quantum_default_mode", "entropy", "mode = both\nregime = classical",
+     "regime = quantum", 12, "regime 'quantum' needs mode"),
 ]
 
 
@@ -239,13 +251,6 @@ def test_bad_value_reports_the_offending_line(tmp_path, key, family, old, new, l
         load_config(write_cfg(tmp_path, base.replace(old, new)), family)
     assert f"cfg.ini:{line}: " in str(err.value)
     assert text in str(err.value)
-
-
-def test_grid_and_scalar_are_mutually_exclusive(tmp_path):
-    text = BOUNDS_CFG.replace("m_grid = 4, 8", "m = 4\nm_grid = 4, 8")
-    with pytest.raises(ConfigError) as err:
-        load_config(write_cfg(tmp_path, text), "bounds")
-    assert "not both" in str(err.value)
 
 
 def test_missing_required_section(tmp_path):
@@ -283,6 +288,8 @@ def test_more_rejections(tmp_path):
         assert str(err.value).startswith(str(tmp_path / "cfg.ini") + ": ")
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, BOUNDS_CFG), "spectra")
+    # every family the loader takes has a runner
+    assert set(runner.RUNNERS) == set(FAMILIES)
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "absent.ini"), "bounds")
     with pytest.raises(ConfigError):
@@ -660,6 +667,19 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
                               "--out-dir", str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
                              capture_output=True, text=True, timeout=120, check=True).stdout
         assert out.splitlines()[-1] == "0 []", family
+
+
+@pytest.mark.parametrize("name", ["file", ""])
+def test_cli_reports_an_output_directory_it_cannot_create(tmp_path, capsys, name):
+    # an existing file or an empty path raised from os.makedirs (exit 1)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    out = str(tmp_path / name) if name else name
+    path = write_cfg(tmp_path, KEYGEN_CFG)
+    assert cli.main(["keygen", "--config", path, "--out-dir", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: cannot create output directory ")
+    assert captured.out == ""
+    assert (tmp_path / "file").read_text(encoding="utf-8") == ""
 
 
 def test_cli_reports_regime_caps(tmp_path, capsys):
