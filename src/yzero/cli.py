@@ -4,10 +4,11 @@ Usage: yzero <family> --config <path> [--out-dir <path>] [--seed <int>]
        [--threads <n>]   (accepted and ignored: no family starts threads)
 
 Exit codes: 0 on success; 2 on configuration errors, an output directory
-that cannot be created included; 3 when a run exceeds a desk-scale cap: the
-bounds energy (GRAM_ENERGY_CAP), the heterodyne energy (WEDGE_ENERGY_CAP),
-the enumeration sizes, the entropy engines' M (ENTROPY_M_CAP) or the
-mutual-information cells (MI_CELL_CAP).
+that cannot be created and an output file that cannot be written included;
+3 when a run exceeds a desk-scale cap: the bounds energy (GRAM_ENERGY_CAP),
+the heterodyne energy (WEDGE_ENERGY_CAP), the enumeration sizes, the
+entropy engines' M (ENTROPY_M_CAP) or the mutual-information cells
+(MI_CELL_CAP).
 """
 
 from __future__ import annotations

@@ -9,12 +9,14 @@ reproduces them byte for byte.  The manifest carries the clock.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import datetime
 import json
 import os
 import platform
+import shutil
 
 import numpy as np
 
@@ -57,13 +59,15 @@ def _modeling_record(cfg: ScenarioConfig) -> "dict[str, object]":
     }
 
 
-def _manifest(cfg: ScenarioConfig, outputs: "list[str]") -> dict:
+def _manifest(cfg: ScenarioConfig, outputs: "list[str]", **facts) -> dict:
     """Reproducibility record written next to every run's data files.
 
     Holds the only timestamp of a run; data files reference it by name so
-    identical seeds yield byte-identical data.
+    identical seeds yield byte-identical data.  `facts` are a family's
+    extra top-level entries.
     """
     return {
+        **facts,
         "tool": "yzero",
         "family": cfg.family,
         "master_seed": cfg.master_seed,
@@ -96,23 +100,38 @@ def _csv_writer(fh, manifest_name: str, sha256: str, header: "list[str]"):
     return writer
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Guard the writes to one output file: an OSError becomes a ConfigError naming it.
+
+    Every data file and the manifest are written inside this block, so a
+    directory at an output name or a full disk exits 2 as a configuration
+    error instead of a traceback.  Files written before the failure stay in
+    the output directory.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path!r}: {exc.strerror or exc}") from None
+
+
 def _write_csv(path: str, manifest_name: str, sha256: str, header: "list[str]",
                rows: "list[list]") -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = _csv_writer(fh, manifest_name, sha256, header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _finish(cfg: ScenarioConfig, outputs: "list[str]") -> "list[str]":
+def _finish(cfg: ScenarioConfig, outputs: "list[str]", **facts) -> "list[str]":
     manifest_name = f"{cfg.prefix}_manifest.json"
-    _write_json(os.path.join(cfg.out_dir, manifest_name), _manifest(cfg, outputs))
+    _write_json(os.path.join(cfg.out_dir, manifest_name), _manifest(cfg, outputs, **facts))
     return outputs + [manifest_name]
 
 
@@ -232,7 +251,7 @@ def _write_seed_csv(path: str, manifest_name: str, sha256: str, mismatches: np.n
     tail_table = np.frombuffer(b"".join(t.ljust(tail_width, b"\0") for t in tails),
                                dtype=f"V{tail_width}")
     row = np.dtype([("hex", hex_table.dtype), ("tail", tail_table.dtype)])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         _csv_writer(fh, manifest_name, sha256, _SEED_CSV_HEADER)
         # the header sits in the text layer's buffer; it must reach the file first
         fh.flush()
@@ -251,7 +270,15 @@ def _write_seed_csv(path: str, manifest_name: str, sha256: str, mismatches: np.n
 
 
 def run_attack(cfg: ScenarioConfig) -> "list[str]":
-    """One full replay: encode, eavesdrop, exhaust the seed space, report."""
+    """One full replay: encode, eavesdrop, exhaust the seed space, report.
+
+    Without deliberate signal randomization (dsr) each label error depends
+    only on the basis, the misalignment and the fixed recording errors, so
+    the pad cancels from the pad stage's syndrome: its mismatch counts, and
+    so its seed CSV, equal the plain stage's.  When the counts agree the run
+    copies the plain stage's file instead of formatting it again; the
+    manifest's "seed_csv_copied_from" maps each copy to its source.
+    """
     _make_out_dir(cfg.out_dir)
     c, scenario = _record_model(cfg)
     rng_data, rng_channel, rng_mi, rng_otp = _spawn_rngs(cfg.master_seed, 4)
@@ -270,6 +297,7 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
         "record": _attack_record_payload(rec, cfg, mutual_info),
     }
     outputs = [f"{cfg.prefix}_attack.json"]
+    copied: "dict[str, str]" = {}
     hex_table = _hex_table(cfg.key_bits)
 
     def write_seeds(name: str, mismatches: np.ndarray) -> None:
@@ -278,15 +306,26 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
                         hex_table)
         outputs.append(name)
 
-    write_seeds(f"{cfg.prefix}_attack_seeds.csv", rec.mismatches)
+    plain = f"{cfg.prefix}_attack_seeds.csv"
+    write_seeds(plain, rec.mismatches)
     if cfg.otp:
         x_bits = rng_otp.integers(0, 2, cfg.n_symbols, dtype=np.uint8)
         orec = otp_stage_attack(x_bits, c, cfg.poly, cfg.seed_register, scenario, rng_otp)
         payload["otp_stage"] = _attack_record_payload(orec, cfg, None)
         payload["otp_stage"]["plaintext"] = x_bits.tolist()
-        write_seeds(f"{cfg.prefix}_attack_otp_seeds.csv", orec.mismatches)
+        name = f"{cfg.prefix}_attack_otp_seeds.csv"
+        if np.array_equal(orec.mismatches, rec.mismatches):
+            # both files name the same manifest and config SHA-256 in their
+            # header and share N and the true seed: equal counts, equal bytes
+            path = os.path.join(cfg.out_dir, name)
+            with _writing(path):
+                shutil.copyfile(os.path.join(cfg.out_dir, plain), path)
+            outputs.append(name)
+            copied[name] = plain
+        else:
+            write_seeds(name, orec.mismatches)
     _write_json(os.path.join(cfg.out_dir, outputs[0]), payload)
-    return _finish(cfg, outputs)
+    return _finish(cfg, outputs, seed_csv_copied_from=copied)
 
 
 def run_entropy(cfg: ScenarioConfig) -> "list[str]":

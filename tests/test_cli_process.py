@@ -112,6 +112,34 @@ def test_a_failing_cli_process_exits_with_its_code_and_message(tmp_path, family,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family", sorted(CONFIGS))
+def test_a_directory_at_any_output_name_exits_2_with_a_config_error(tmp_path, capsys, family):
+    # the attack config has no dsr, so its pad-stage CSV is the copied file
+    path = write_cfg(tmp_path, CONFIGS[family])
+    assert cli.main([family, "--config", path, "--out-dir", str(tmp_path / "ok")]) == 0
+    names = capsys.readouterr().out.split()
+    assert len(names) == (4 if family == "attack" else 2)
+    for name in names:
+        out = tmp_path / name.replace(".", "_")
+        (out / name).mkdir(parents=True)
+        assert cli.main([family, "--config", path, "--out-dir", str(out)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: cannot write output file "
+                                f"{str(out / name)!r}: Is a directory\n")
+
+
+def test_a_directory_at_the_pad_stage_csv_ends_the_process_without_a_traceback(tmp_path):
+    out = tmp_path / "out"
+    (out / "p_attack_attack_otp_seeds.csv").mkdir(parents=True)
+    proc = run_process("attack", "--config", write_cfg(tmp_path, CONFIGS["attack"]),
+                       "--out-dir", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: cannot write output file ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_main_freezes_the_heap_once_at_exit(tmp_path):
     # gc.freeze counts its calls; a hook registered before main's runs after it
     code = ("import atexit, gc, sys, yzero.cli\n"

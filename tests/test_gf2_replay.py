@@ -1,6 +1,8 @@
 """The GF(2)-linear seed replay and the per-seed CSV writer against direct oracles."""
 
 import hashlib
+import json
+import math
 import pathlib
 import tracemalloc
 
@@ -150,6 +152,40 @@ def test_replay_counts_match_the_unpacked_scan(case):
 
 
 @st.composite
+def pad_cases(draw):
+    degree = draw(st.integers(2, 12))
+    m = draw(st.sampled_from([2, 4, 8, 16]))
+    n = draw(st.integers(2, 64))
+    true_seed = draw(st.integers(1, (1 << degree) - 1))
+    misalign = draw(st.floats(-2 * math.pi, 2 * math.pi))
+    errors = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    # the data, the plaintext and the pad
+    rng_seed = draw(st.integers(0, 2**32 - 1))
+    return degree, m, n, true_seed, misalign, errors, rng_seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pad_cases(), dsr=st.just(attacks.Dsr()))
+# randomization draws fresh label errors per stage: the counts must then differ
+@example(case=(12, 8, 64, 0x5A5, 0.3, [7], 0), dsr=attacks.Dsr.binary(0.5))
+def test_without_dsr_the_pad_stage_counts_equal_the_plain_stage_counts(case, dsr):
+    # label XOR sent bit depends only on the basis, the misalignment and the
+    # recording errors, so the pad cancels from C XOR labels XOR X
+    degree, m, n, true_seed, misalign, errors, rng_seed = case
+    poly = codec.PRIMITIVE_POLYS[degree]
+    c = codec.Constellation(m=m, energy=2.0)
+    scenario = attacks.AttackScenario.with_errors(n, errors, misalign=misalign, dsr=dsr)
+    rng = np.random.default_rng(rng_seed)
+    r, x = rng.integers(0, 2, (2, n), dtype=np.uint8)
+    labels = attacks.measure_labels(codec.encode_sequence(r, poly, true_seed, c), c,
+                                    scenario, rng)
+    plain = attacks.brute_force_candidates(labels, c, poly, r, true_seed)
+    pad = attacks.otp_stage_attack(x, c, poly, true_seed, scenario, rng)
+    same = np.array_equal(pad.mismatches, plain.mismatches)
+    assert same == (dsr.kind == "none")
+
+
+@st.composite
 def scan_cases(draw):
     degree = draw(st.integers(2, 12))
     # N up to 130 spans three packed words
@@ -266,6 +302,69 @@ def test_run_attack_scans_each_stage_once(tmp_path, monkeypatch):
     runner.run_attack(load_config(str(ATTACK_REPLAY_INI), "attack", out_dir=str(tmp_path)))
     # the plain stage and the pad stage
     assert len(calls) == 2
+
+
+# a pad-stage run whose randomization gives the two stages different counts
+RANDOMIZED_PAD_INI = """\
+[constellation]
+m = 8
+energy = 4.0
+[keystream]
+degree = 10
+seed = 0x2A5
+[scenario]
+n_symbols = 40
+dsr = binary:0.1
+otp = true
+[output]
+prefix = rand
+"""
+
+
+def count_seed_csv_writes(monkeypatch) -> "list[tuple]":
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        write(*args)
+
+    write = runner._write_seed_csv
+    monkeypatch.setattr(runner, "_write_seed_csv", counting)
+    return calls
+
+
+def test_run_attack_copies_the_pad_stage_csv_when_the_counts_agree(tmp_path, monkeypatch):
+    calls = count_seed_csv_writes(monkeypatch)
+    runner.run_attack(load_config(str(ATTACK_REPLAY_INI), "attack", out_dir=str(tmp_path)))
+    # the plain stage formats its file; the pad stage's is a copy of it
+    assert len(calls) == 1
+    manifest = json.loads((tmp_path / "attack_replay_manifest.json").read_bytes())
+    assert manifest["seed_csv_copied_from"] == {
+        "attack_replay_attack_otp_seeds.csv": "attack_replay_attack_seeds.csv"}
+
+
+def test_run_attack_formats_the_pad_stage_csv_when_the_counts_differ(tmp_path, monkeypatch):
+    calls = count_seed_csv_writes(monkeypatch)
+    records = []
+
+    def recording(*args):
+        records.append(otp_stage_attack(*args))
+        return records[-1]
+
+    otp_stage_attack = runner.otp_stage_attack
+    monkeypatch.setattr(runner, "otp_stage_attack", recording)
+    ini = tmp_path / "rand.ini"
+    ini.write_text(RANDOMIZED_PAD_INI, encoding="utf-8")
+    cfg = load_config(str(ini), "attack", out_dir=str(tmp_path))
+    runner.run_attack(cfg)
+    assert len(calls) == 2
+    manifest = json.loads((tmp_path / "rand_manifest.json").read_bytes())
+    assert manifest["seed_csv_copied_from"] == {}
+    runner._write_csv(str(tmp_path / "ref.csv"), "rand_manifest.json", cfg.config_sha256,
+                      SEED_CSV_HEADER, per_seed_rows(records[0], cfg.n_symbols))
+    pad = (tmp_path / "rand_attack_otp_seeds.csv").read_bytes()
+    assert pad == (tmp_path / "ref.csv").read_bytes()
+    assert pad != (tmp_path / "rand_attack_seeds.csv").read_bytes()
 
 
 def test_attack_replay_run_peaks_below_16_mb_traced(tmp_path):

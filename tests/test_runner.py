@@ -526,7 +526,8 @@ def test_manifest_records_the_run(tmp_path):
     runner.run_attack(cfg)
     manifest = json.loads(read_file(tmp_path, "run_manifest.json"))
     assert set(manifest) == {"tool", "family", "master_seed", "config", "outputs",
-                             "created_utc", "versions", "modeling", "tolerances"}
+                             "created_utc", "versions", "modeling", "tolerances",
+                             "seed_csv_copied_from"}
     assert manifest["tool"] == "yzero"
     assert manifest["family"] == "attack"
     assert manifest["master_seed"] == 7
@@ -536,6 +537,9 @@ def test_manifest_records_the_run(tmp_path):
     assert "coin flip" in manifest["modeling"]["label_axis_pair"]
     assert manifest["tolerances"] == {"mode_drop_bound": 2.0**-53}
     assert set(manifest["versions"]) == {"yzero", "python", "numpy"}
+    # no dsr: the pad stage's counts equal the plain stage's
+    assert manifest["seed_csv_copied_from"] == {"run_attack_otp_seeds.csv":
+                                                "run_attack_seeds.csv"}
 
 
 def test_load_config_stops_oversized_runs(tmp_path):
