@@ -18,18 +18,20 @@ Every operator behind the constellation bounds (``bit_bound``,
 ``updown_bound``, ``srm_mary_error``) is a weighted mixture over the 2M
 phase rotations, so the Gram matrix of the states is circulant and the DFT
 diagonalizes it.  Its spectrum is computed analytically, as the aliased
-Poisson distribution, once per constellation: each public bound wraps a
-private helper that takes it, so a caller evaluating all three at one
-point (the ``bounds`` runner) computes it once.  The binary bounds share
-one trace-norm helper that works in that DFT basis and keeps only the modes
-that can move the result.  No Fock basis is built and the cost follows the
-photon-number spread, not M.  Every binary bound is taken at equal priors,
-the uniformly distributed data bits an eavesdropper faces.  Its weights are
-antisymmetric under the half turn and symmetric or antisymmetric under the
-reflection of the first half, so the trace norm is twice the nuclear norm
-of a real matrix over the kept even x kept odd modes: one real SVD of half
-the size, which agrees with a Hermitian eigensolve of the full matrix to
-4.4e-16 on the ``bounds_grid`` points.
+Poisson distribution, once per constellation, together with its
+sqrt(Lambda) ordering, so a caller evaluating all three at one point (the
+``bounds`` runner) computes them once.  The binary bounds share one
+trace-norm solve that works in that DFT basis and keeps only the modes
+that can move the result.  Each one's weights enter it as a spectrum that
+depends on M and not on the energy, which that runner builds once per M.
+No Fock basis is built and the cost follows the photon-number spread, not
+M.  Every binary bound is taken at equal priors, the uniformly distributed
+data bits an eavesdropper faces.  Its weights are antisymmetric under the
+half turn and symmetric or antisymmetric under the reflection of the first
+half, so the trace norm is twice the nuclear norm of a real matrix over the
+kept even x kept odd modes: one real SVD of half the size, which agrees
+with a Hermitian eigensolve of the full matrix to 4.4e-16 on the
+``bounds_grid`` points.
 
 The module needs numpy and ``math`` only.  The Poisson pmf is
 exp(k ln S - ln k! - S) with ln k! from one growing ``math.lgamma`` table;
@@ -227,35 +229,50 @@ def _gram_spectrum(c: Constellation) -> np.ndarray:
     return lam / mass
 
 
-def _helstrom_error(c: Constellation, weights: np.ndarray,
-                    lam: np.ndarray) -> "tuple[float, int]":
-    """Helstrom error (1 - ||T||_1) / 2 for T = sum_j w_j |a_j><a_j| over the states.
+@dataclass(frozen=True)
+class _WeightSpectrum:
+    """The energy-independent half of a binary bound: its weights in the DFT basis.
 
-    ``lam`` is the Gram spectrum of c, ``_gram_spectrum(c)``.  In the DFT
-    basis the nonzero spectrum of T is that of
-    H = Lambda^(1/2) W Lambda^(1/2), with W_kl = ifft(w)[(k - l) mod n].
-    Modes are dropped, smallest first, while sum_dropped sqrt(Lambda_k)
-    max|ifft(w)| sqrt(n) stays at or below MODE_DROP_BOUND.  Each dropped row
-    (and column) of H has 2-norm at most sqrt(Lambda_k) max|ifft(w)| sqrt(n),
-    because sum Lambda = n, so that sum bounds the change in
-    p_error = (1 - ||T||_1) / 2.
+    ``peak`` is max|ifft(w)|, and ``signed_lags[d + n - 1]`` is sign(d) g_d
+    for the lags d in (-n, n), with g_d as in ``_helstrom_error``.
+    """
+
+    peak: float
+    signed_lags: np.ndarray
+
+
+@dataclass(frozen=True)
+class _ModeSpectrum:
+    """The Gram spectrum of one grid point as every bound reads it.
+
+    ``root`` is sqrt(Lambda) in DFT order, ``order`` the stable ascending
+    order of Lambda, and ``drop_cost`` the cumulative sum of sqrt(Lambda)
+    in that order.
+    """
+
+    root: np.ndarray
+    order: np.ndarray
+    drop_cost: np.ndarray
+
+
+def _mode_spectrum(c: Constellation) -> _ModeSpectrum:
+    lam = _gram_spectrum(c)
+    root = np.sqrt(lam)
+    order = np.argsort(lam, kind="stable")
+    return _ModeSpectrum(root=root, order=order, drop_cost=np.cumsum(root[order]))
+
+
+def _weight_spectrum(weights: np.ndarray) -> _WeightSpectrum:
+    """Check equal-prior weights on the 2M states and take them to the DFT basis.
 
     Equal-prior weights have two exact symmetries; weights without them
     raise AssertionError.  Half-turn, w[M + i] = -w[i]: ifft(w) vanishes at
-    even lags, so H couples even modes only to odd ones,
-    H = [[0, B], [B^H, 0]], and ||H||_1 = 2 sum sigma(B) over the kept
-    even x kept odd block.
-    Reflection, w[M - 1 - i] = +-w[i] for i < M: g_d = e^(i pi d / n)
-    ifft(w)[d] is purely imaginary (+) or purely real (-) at every odd d.
-    With d = k - l + n [k < l], the phase e^(-i pi d / n) splits into
-    diagonal unitaries and the sign -1 where k - l wraps, so B has the
-    singular values of the real G_kl = sign(k - l) sqrt(Lambda_k) g_d
-    sqrt(Lambda_l), with g_d its real or imaginary part: one real SVD of a
-    half-size matrix; it agrees with the eigenvalues of the full H to
-    4.4e-16 on the ``bounds_grid`` points.  Returns p_error, clipped to
-    [0, 1/2], and the modes kept.
+    even lags.  Reflection, w[M - 1 - i] = +-w[i] for i < M:
+    g_d = e^(i pi d / n) ifft(w)[d] is purely imaginary (+) or purely real
+    (-) at every odd d, and the table keeps that part.
     """
-    n, m = c.n_states, c.m
+    n = weights.size
+    m = n // 2
     half, mirror = weights[:m], weights[m - 1::-1]
     symmetric = np.array_equal(mirror, half)
     if not (np.array_equal(weights[m:], -half)
@@ -263,18 +280,64 @@ def _helstrom_error(c: Constellation, weights: np.ndarray,
         raise AssertionError("weights lack the half-turn and reflection symmetries "
                              "of equal priors")
     w_hat = np.fft.ifft(weights)
-    order = np.argsort(lam, kind="stable")
-    cost = np.cumsum(np.sqrt(lam[order])) * float(np.max(np.abs(w_hat))) * math.sqrt(n)
-    keep = np.sort(order[np.count_nonzero(cost <= MODE_DROP_BOUND):])
     g = np.exp(1j * math.pi * np.arange(n) / n) * w_hat
     g = g.imag if symmetric else g.real
+    lags = np.arange(1 - n, n)
+    return _WeightSpectrum(peak=float(np.max(np.abs(w_hat))),
+                           signed_lags=np.sign(lags) * g[lags])
+
+
+def _bit_spectrum(c: Constellation) -> _WeightSpectrum:
+    """Weight spectrum of ``bit_bound``; reads c's size and pairing, not its energy."""
+    weights = np.zeros(c.n_states)
+    if not c.osk:
+        pairs = _pair_index_table(c)
+        weights[pairs[1]], weights[pairs[0]] = 0.5 / c.m, -0.5 / c.m
+    return _weight_spectrum(weights)
+
+
+def _updown_spectrum(c: Constellation) -> _WeightSpectrum:
+    """Weight spectrum of ``updown_bound`` for a plain-pairing c; its energy is not read."""
+    return _weight_spectrum(np.where(c.label(np.arange(c.n_states)) == 1, 1.0, -1.0)
+                            / c.n_states)
+
+
+def _helstrom_error(spectrum: _WeightSpectrum, modes: _ModeSpectrum) -> BinaryBound:
+    """Helstrom error (1 - ||T||_1) / 2 for T = sum_j w_j |a_j><a_j| over the states.
+
+    The cost is split.  Per M, ``_weight_spectrum`` checks the weights and
+    tabulates them in the DFT basis once.  Per grid point, ``_mode_spectrum``
+    takes one Gram spectrum and one sqrt(Lambda) ordering, shared by the
+    point's bounds.  Per binary bound this solve does the rest, with one SVD.
+
+    In the DFT basis the nonzero spectrum of T is that of
+    H = Lambda^(1/2) W Lambda^(1/2), with W_kl = ifft(w)[(k - l) mod n].
+    Modes are dropped, smallest first, while sum_dropped sqrt(Lambda_k)
+    max|ifft(w)| sqrt(n) stays at or below MODE_DROP_BOUND.  Each dropped row
+    (and column) of H has 2-norm at most sqrt(Lambda_k) max|ifft(w)| sqrt(n),
+    because sum Lambda = n, so that sum bounds the change in
+    p_error = (1 - ||T||_1) / 2.
+
+    The half-turn symmetry makes H couple even modes only to odd ones,
+    H = [[0, B], [B^H, 0]], and ||H||_1 = 2 sum sigma(B) over the kept
+    even x kept odd block.  By the reflection symmetry g_d is real or
+    imaginary at every odd lag.  With d = k - l + n [k < l], the phase
+    e^(-i pi d / n) splits into diagonal unitaries and the sign -1 where
+    k - l wraps, so B has the singular values of the real
+    G_kl = sign(k - l) g_d sqrt(Lambda_k) sqrt(Lambda_l), with g_d its real
+    or imaginary part: one real SVD of a half-size matrix; it agrees with
+    the eigenvalues of the full H to 4.4e-16 on the ``bounds_grid`` points.
+    Returns p_error, clipped to [0, 1/2], and the modes kept.
+    """
+    n = modes.root.size
+    cost = modes.drop_cost * spectrum.peak * math.sqrt(n)
+    keep = np.sort(modes.order[np.count_nonzero(cost <= MODE_DROP_BOUND):])
     even, odd = keep[keep % 2 == 0], keep[keep % 2 == 1]
-    lag = even[:, None] - odd[None, :]
-    block = np.sign(lag) * g[lag]
-    block *= np.sqrt(lam[even])[:, None] * np.sqrt(lam[odd])[None, :]
+    block = spectrum.signed_lags[even[:, None] - (odd - (n - 1))[None, :]]
+    block *= modes.root[even][:, None] * modes.root[odd][None, :]
     trace_norm = 2.0 * float(np.sum(np.linalg.svd(block, compute_uv=False)))
     p_error = 0.5 * (1.0 - trace_norm)
-    return min(max(0.0, p_error), 0.5), int(keep.size)
+    return BinaryBound(p_error=min(max(0.0, p_error), 0.5), dim_used=int(keep.size))
 
 
 def bit_bound(c: Constellation) -> BinaryBound:
@@ -285,16 +348,7 @@ def bit_bound(c: Constellation) -> BinaryBound:
     hands each bit to both pair members, the mixtures coincide and the
     bound sits at exactly 1/2.
     """
-    return _bit_bound(c, _gram_spectrum(c))
-
-
-def _bit_bound(c: Constellation, lam: np.ndarray) -> BinaryBound:
-    weights = np.zeros(c.n_states)
-    if not c.osk:
-        pairs = _pair_index_table(c)
-        weights[pairs[1]], weights[pairs[0]] = 0.5 / c.m, -0.5 / c.m
-    p_error, kept = _helstrom_error(c, weights, lam)
-    return BinaryBound(p_error=p_error, dim_used=kept)
+    return _helstrom_error(_bit_spectrum(c), _mode_spectrum(c))
 
 
 def updown_bound(c: Constellation) -> BinaryBound:
@@ -306,14 +360,7 @@ def updown_bound(c: Constellation) -> BinaryBound:
     which only exists against the fixed (non-scrambling) pairing.
     """
     _require_plain_pairing(c)
-    return _updown_bound(c, _gram_spectrum(c))
-
-
-def _updown_bound(c: Constellation, lam: np.ndarray) -> BinaryBound:
-    """``updown_bound`` for a plain-pairing ``c`` with spectrum ``lam``."""
-    weights = np.where(c.label(np.arange(c.n_states)) == 1, 1.0, -1.0) / c.n_states
-    p_error, kept = _helstrom_error(c, weights, lam)
-    return BinaryBound(p_error=p_error, dim_used=kept)
+    return _helstrom_error(_updown_spectrum(c), _mode_spectrum(c))
 
 
 def srm_mary_error(c: Constellation) -> MaryBound:
@@ -323,11 +370,11 @@ def srm_mary_error(c: Constellation) -> MaryBound:
     over the eigenvalues Lambda of the circulant Gram matrix; the error is
     clipped to [0, 1].
     """
-    return _srm_mary_error(c, _gram_spectrum(c))
+    return _srm_mary_error(_mode_spectrum(c))
 
 
-def _srm_mary_error(c: Constellation, lam: np.ndarray) -> MaryBound:
-    p_success = float(np.mean(np.sqrt(lam))) ** 2
+def _srm_mary_error(modes: _ModeSpectrum) -> MaryBound:
+    p_success = float(np.mean(modes.root)) ** 2
     return MaryBound(p_error=min(max(0.0, 1.0 - p_success), 1.0))
 
 

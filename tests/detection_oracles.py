@@ -4,7 +4,9 @@
 ``srm_mary_error`` on one route, the DFT spectrum of the circulant Gram
 matrix, and takes each binary bound, at equal priors, from one real SVD of
 a half-size block.  The full-matrix form of that route, one ``eigvalsh``
-over every kept DFT mode, is kept here to pin it.  The other routes here share
+over every kept DFT mode, is kept here to pin it, and so is its per-call
+form, which redoes the energy-independent weight spectrum at every point.
+The other routes here share
 none of that code: the explicit Gram matrix and its eigendecomposition, and
 density matrices on a truncated Fock basis.  Both carry their own numerical
 error.  The Gram route squares the state amplitudes into overlaps, so
@@ -90,7 +92,7 @@ def dft_eigvalsh_error(c: codec.Constellation, weights: np.ndarray) -> "tuple[fl
     """Helstrom error and modes kept, from eigvalsh of the full kept DFT matrix.
 
     The same spectrum, mode-drop rule and clip as ``detection._helstrom_error``,
-    without its half-turn and reflection reductions.
+    without its half-turn and reflection reductions or its split per M.
     """
     n = c.n_states
     lam = detection._gram_spectrum(c)
@@ -102,6 +104,50 @@ def dft_eigvalsh_error(c: codec.Constellation, weights: np.ndarray) -> "tuple[fl
     h = root[:, None] * w_hat[(keep[:, None] - keep[None, :]) % n] * root[None, :]
     p_error = 0.5 * (1.0 - float(np.sum(np.abs(np.linalg.eigvalsh(h)))))
     return min(max(0.0, p_error), 0.5), int(keep.size)
+
+
+def per_call_helstrom_error(c: codec.Constellation, weights: np.ndarray,
+                            lam: np.ndarray) -> "tuple[float, int]":
+    """Helstrom error and modes kept, every step redone for one (weights, spectrum) pair.
+
+    The form ``detection`` used before it split the bound into a weight
+    spectrum built once per M and a per-point solve: the same float
+    operations in the same association, so the two agree bit for bit.
+    ``lam`` is ``detection._gram_spectrum(c)``.
+    """
+    n, m = c.n_states, c.m
+    half, mirror = weights[:m], weights[m - 1::-1]
+    symmetric = np.array_equal(mirror, half)
+    if not (np.array_equal(weights[m:], -half)
+            and (symmetric or np.array_equal(mirror, -half))):
+        raise AssertionError("weights lack the half-turn and reflection symmetries "
+                             "of equal priors")
+    w_hat = np.fft.ifft(weights)
+    order = np.argsort(lam, kind="stable")
+    cost = np.cumsum(np.sqrt(lam[order])) * float(np.max(np.abs(w_hat))) * math.sqrt(n)
+    keep = np.sort(order[np.count_nonzero(cost <= detection.MODE_DROP_BOUND):])
+    g = np.exp(1j * math.pi * np.arange(n) / n) * w_hat
+    g = g.imag if symmetric else g.real
+    even, odd = keep[keep % 2 == 0], keep[keep % 2 == 1]
+    lag = even[:, None] - odd[None, :]
+    block = np.sign(lag) * g[lag]
+    block *= np.sqrt(lam[even])[:, None] * np.sqrt(lam[odd])[None, :]
+    trace_norm = 2.0 * float(np.sum(np.linalg.svd(block, compute_uv=False)))
+    p_error = 0.5 * (1.0 - trace_norm)
+    return min(max(0.0, p_error), 0.5), int(keep.size)
+
+
+def per_call_bit_bound(c: codec.Constellation) -> "tuple[float, int]":
+    return per_call_helstrom_error(c, _bit_weights(c, 0.5), detection._gram_spectrum(c))
+
+
+def per_call_updown_bound(c: codec.Constellation) -> "tuple[float, int]":
+    return per_call_helstrom_error(c, _updown_weights(c), detection._gram_spectrum(c))
+
+
+def per_call_srm_error(c: codec.Constellation) -> float:
+    p_success = float(np.mean(np.sqrt(detection._gram_spectrum(c)))) ** 2
+    return min(max(0.0, 1.0 - p_success), 1.0)
 
 
 def eigvalsh_bit_bound(c: codec.Constellation) -> "tuple[float, int]":

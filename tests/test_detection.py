@@ -265,16 +265,15 @@ def test_binary_bounds_match_the_full_matrix_route(c):
 @given(c=constellations(m=st.sampled_from([2**j for j in range(10)]),
                         energy=st.floats(0.0, 300.0)),
        p0=st.floats(0.0, 1.0).filter(lambda p: p != 0.5))
-def test_helstrom_error_rejects_weights_without_the_equal_prior_symmetries(c, p0):
-    lam = detection._gram_spectrum(c)
+def test_weight_spectrum_rejects_weights_without_the_equal_prior_symmetries(c, p0):
     # unequal priors break the half-turn symmetry
     with pytest.raises(AssertionError, match="symmetries"):
-        detection._helstrom_error(c, oracles._bit_weights(c, p0), lam)
+        detection._weight_spectrum(oracles._bit_weights(c, p0))
     # the half turn alone is not enough: the reflection must hold too
     if c.m > 1:
         half = np.arange(1.0, c.m + 1.0)
         with pytest.raises(AssertionError, match="symmetries"):
-            detection._helstrom_error(c, np.concatenate([half, -half]), lam)
+            detection._weight_spectrum(np.concatenate([half, -half]))
 
 
 @settings(max_examples=40, deadline=None)

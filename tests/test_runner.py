@@ -20,8 +20,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import detection_oracles
 import yzero
-from yzero import attacks, cli, detection, runner
+from yzero import attacks, cli, codec, detection, runner
 from yzero.errors import ConfigError, RegimeCapError
 from yzero.scenario import FAMILIES, load_config
 
@@ -334,6 +335,75 @@ def test_run_bounds_computes_one_gram_spectrum_per_grid_point(tmp_path, monkeypa
     runner.run_bounds(load_config(str(PERFBENCH / "workloads" / "bounds_grid.ini"), "bounds",
                                   out_dir=str(tmp_path)))
     assert len(points) == 81 == len(set(points))
+
+
+# SHA-256 of bounds_grid_bounds.csv from perfbench/workloads/bounds_grid.ini at
+# 3ec8816: perfbench/refs.json holds its figures only to within 5e-6
+BOUNDS_GRID_CSV_SHA256 = "c6a8ffd4177e4b63fad1828a436b4aa0acb4c0b3b8e12b4311d3fd939c7c1114"
+
+
+def test_bounds_grid_csv_bytes_are_pinned(tmp_path):
+    runner.run_bounds(load_config(str(PERFBENCH / "workloads" / "bounds_grid.ini"), "bounds",
+                                  out_dir=str(tmp_path)))
+    data = read_file(tmp_path, "bounds_grid_bounds.csv")
+    assert hashlib.sha256(data).hexdigest() == BOUNDS_GRID_CSV_SHA256
+
+
+def test_bounds_manifest_records_the_work(tmp_path, monkeypatch):
+    # 9 M x 9 S: one weight spectrum per M and binary bound, one inverse FFT
+    # in each; one Gram spectrum per point; one SVD per point and binary bound
+    calls = {"ifft": 0, "svd": 0}
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.fft, "ifft", counted("ifft", np.fft.ifft))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    runner.run_bounds(load_config(str(PERFBENCH / "workloads" / "bounds_grid.ini"), "bounds",
+                                  out_dir=str(tmp_path)))
+    manifest = json.loads(read_file(tmp_path, "bounds_grid_manifest.json"))
+    assert set(manifest) == {"tool", "family", "master_seed", "config", "outputs",
+                             "created_utc", "versions", "modeling", "tolerances",
+                             "bounds_work"}
+    assert manifest["bounds_work"] == {"gram_spectra": 81, "weight_spectra": 18,
+                                       "svd_solves": 162}
+    assert calls == {"ifft": 18, "svd": 162}
+
+
+@settings(max_examples=25, deadline=None)
+@given(ms=st.lists(st.sampled_from([2**j for j in range(10)]), min_size=1, max_size=3,
+                   unique=True),
+       energies=st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=3, unique=True),
+       osk=st.booleans())
+@example(ms=[512, 2], energies=[1000.0, 0.0, 300.0], osk=False)
+@example(ms=[1, 8], energies=[5.0], osk=True)
+def test_bounds_equal_the_per_call_oracle_bit_for_bit(ms, energies, osk):
+    want = {}
+    for m in ms:
+        for s in energies:
+            c = codec.Constellation(m=m, energy=s, osk=osk)
+            want[m, s, "helstrom_mixed_bit"] = detection_oracles.per_call_bit_bound(c)
+            want[m, s, "srm_2M"] = detection_oracles.per_call_srm_error(c), c.n_states
+            b = detection.bit_bound(c)
+            assert (b.p_error, b.dim_used) == want[m, s, "helstrom_mixed_bit"]
+            assert detection.srm_mary_error(c).p_error == want[m, s, "srm_2M"][0]
+            if not osk:
+                want[m, s, "updown"] = detection_oracles.per_call_updown_bound(c)
+                b = detection.updown_bound(c)
+                assert (b.p_error, b.dim_used) == want[m, s, "updown"]
+    text = (f"[constellation]\nm_grid = {', '.join(map(str, ms))}\n"
+            f"energy_grid = {', '.join(map(repr, energies))}\nosk = {str(osk).lower()}\n"
+            f"[scenario]\nmethods = {'bit, srm' if osk else 'bit, srm, updown'}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_cfg(pathlib.Path(tmp), text)
+        runner.run_bounds(load_config(path, "bounds", out_dir=tmp))
+        _, _, rows = load_csv(tmp, "bounds_bounds.csv")
+    assert len(rows) == len(want)
+    for m, s, method, p_error, dim_used, _ in rows:
+        assert (float(p_error), int(dim_used)) == want[int(m), float(s), method]
 
 
 def test_run_attack_outputs(tmp_path):
