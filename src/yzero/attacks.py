@@ -71,6 +71,8 @@ class Dsr:
 
     kind 'binary' flips the transmitted pair member with probability
     ``param``; kind 'jitter' adds phase noise uniform on (-param, param).
+    'none' takes param 0, so the signal is randomized exactly when param > 0:
+    ``binary:0`` and ``jitter:0`` draw nothing and record as 'none' does.
     """
 
     kind: str = "none"
@@ -317,7 +319,7 @@ def _label_sampler(c: Constellation, scenario: AttackScenario) -> _Sampler:
     records share it.
     """
     kind, param = scenario.dsr.kind, scenario.dsr.param
-    randomized = kind in ("binary", "jitter") and param > 0.0
+    randomized = param > 0.0
     jittered = randomized and kind == "jitter"
     up = None if jittered else _label_up(c, scenario.misalign).astype(np.uint8)
 
@@ -531,7 +533,7 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
                                                 scenario.error_seq)
     rec = _seed_scan(labels, cipher ^ labels, x_bits, units, true_seed)
     rec.true_r_in_candidates = rec.true_seed_mismatches == 0
-    noiseless = (scenario.dsr.kind == "none" and scenario.misalign == 0.0
+    noiseless = (scenario.dsr.param == 0.0 and scenario.misalign == 0.0
                  and not scenario.error_seq.any())
     identity = bool(np.all((cipher ^ labels ^ (basis_true & 1)) == x_bits)) if noiseless else None
     rec.notes["pad_identity_noiseless"] = identity
@@ -944,7 +946,9 @@ def label_mutual_information(c: Constellation, poly: int, true_seed: int,
     zero up to estimator noise of order 1/trials.
     """
     n = scenario.n_symbols
-    _check_replay_run(c, poly, n, true_seed)
+    # no seed is enumerated, so the replay's caps do not apply
+    _require_plain_pairing(c)
+    _check_seed(poly.bit_length() - 1, true_seed)
     _check_mi_trials(trials, n)
     basis = _seed_row(unit_keystreams(poly, n, c.bits_per_basis), true_seed)
     data = rng.integers(0, 2, (trials, n), dtype=np.uint8)

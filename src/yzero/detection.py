@@ -383,18 +383,14 @@ def _srm_mary_error(modes: _ModeSpectrum) -> MaryBound:
 
 
 def heterodyne_sample(a: complex, rng: np.random.Generator,
-                      size: "int | None" = None) -> "complex | np.ndarray":
-    """Heterodyne outcomes: the amplitude plus circular Gaussian noise.
+                      size: "int | tuple[int, ...]") -> np.ndarray:
+    """An array of ``size`` heterodyne outcomes: the amplitude plus circular Gaussian noise.
 
     Both quadratures are resolved at once, at the price of variance 1/2 in
-    each (double the homodyne figure).
+    each (double the homodyne figure).  The real parts are drawn first.
     """
-    sd = math.sqrt(0.5)
-    z = complex(a)
-    re = rng.normal(z.real, sd, size)
-    im = rng.normal(z.imag, sd, size)
-    out = re + 1j * im
-    return out if size is not None else complex(out)
+    z, sd = complex(a), math.sqrt(0.5)
+    return rng.normal(z.real, sd, size) + 1j * rng.normal(z.imag, sd, size)
 
 
 def antipodal_homodyne_error(energy: float) -> float:

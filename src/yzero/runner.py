@@ -85,14 +85,6 @@ def _manifest(cfg: ScenarioConfig, outputs: "list[str]", **facts) -> dict:
     }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
-
-
 def _csv_writer(fh, manifest_name: str, sha256: str, header: "list[str]"):
     """Write the manifest comment line and the header row; return the row writer."""
     fh.write(f"# manifest: {manifest_name} config_sha256: {sha256}\n")
@@ -119,9 +111,8 @@ def _writing(path: str):
 def _write_csv(path: str, manifest_name: str, sha256: str, header: "list[str]",
                rows: "list[list]") -> None:
     with _writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = _csv_writer(fh, manifest_name, sha256, header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        # the csv module writes floats by repr and None as an empty cell
+        _csv_writer(fh, manifest_name, sha256, header).writerows(rows)
 
 
 def _write_json(path: str, payload: dict) -> None:

@@ -4,16 +4,18 @@ Runs are driven by small INI files with four sections: [constellation],
 [keystream], [scenario], [output].  Parsing is strict: each family
 accepts only the keys it reads, so the family fixes scalar versus grid:
 ``bounds`` reads ``m_grid`` and ``energy_grid``, ``attack`` and ``entropy``
-read ``m`` and ``energy``.  The loader keeps the rules of the file format:
+read ``m`` and ``energy``.  Each family's keys are read in one function,
+each key by one reader (``_Source.get``): parse, check at the key's line,
+or keep the default.  The loader keeps the rules of the file format:
 sections and keys, which keys are present, method and mode names, which
-mode reads ``regime``, ``prefix`` and ``master_seed``.
-Every value rule is the library's: the loader builds the objects a run
-uses and calls the checks its engines run, and reports their ValueError as
-a ConfigError at the line of the key it concerns.  A run past a cap (the
-bounds and heterodyne energy caps, the enumeration caps or the entropy
-engines' M cap) raises RegimeCapError at load time, before any output
-directory or record exists.  Nothing is computed: no keystream, spectrum
-or transition matrix.
+mode reads ``regime``, ``prefix`` and ``master_seed``.  Every value rule
+is the library's: the loader builds the objects a run uses and calls the
+checks its engines run, and reports their ValueError as a ConfigError at
+the line of the key it concerns.  A run past a cap (the bounds and
+heterodyne energy caps, the enumeration caps or the entropy engines' M
+cap) raises RegimeCapError at load time, before any output directory or
+record exists.  Nothing is computed: no keystream, spectrum or transition
+matrix.
 """
 
 from __future__ import annotations
@@ -87,12 +89,16 @@ class ScenarioConfig:
         return self.poly.bit_length() - 1
 
 
-class _Source:
-    """Raw config text with line lookup for error messages."""
+_REQUIRED = object()
 
-    def __init__(self, path: str, text: str) -> None:
+
+class _Source:
+    """Raw config text with line lookup for error messages, and its parsed keys."""
+
+    def __init__(self, path: str, text: str, cp: configparser.ConfigParser) -> None:
         self.path = path
         self.lines = text.splitlines()
+        self.cp = cp
 
     def line_of(self, pattern: str) -> "int | None":
         rx = re.compile(pattern)
@@ -119,6 +125,29 @@ class _Source:
         except ValueError as exc:
             raise self.fail(str(exc), key=key) from None
 
+    def get(self, section: str, key: str, parse=None, check=None, default=_REQUIRED,
+            many: bool = False):
+        """``key`` of [section], parsed by ``parse(src, key, raw)`` and checked by ``check``.
+
+        An absent key gives ``default``, or an error at the section's line.
+        With ``many`` the value is a nonempty comma-separated list, parsed
+        and checked item by item.  A check's ValueError names the key's line.
+        """
+        if not self.cp.has_option(section, key):
+            if default is _REQUIRED:
+                raise self.fail(f"missing '{key}' in [{section}]", section=section)
+            return default
+        raw = self.cp.get(section, key)
+        items = [p.strip() for p in raw.split(",") if p.strip()] if many else [raw]
+        if not items:
+            raise self.fail(f"'{key}' must be a nonempty comma-separated list", key=key)
+        values = [parse(self, key, item) if parse else item for item in items]
+        if check is not None:
+            with self.at(key):
+                for v in values:
+                    check(v)
+        return values if many else values[0]
+
 
 def _parse_int(src: _Source, key: str, raw: str) -> int:
     try:
@@ -138,31 +167,43 @@ def _parse_float(src: _Source, key: str, raw: str) -> float:
 
 
 def _parse_bool(src: _Source, key: str, raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise src.fail(f"expected a boolean for '{key}', got {raw!r}", key=key)
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise src.fail(f"expected a boolean for '{key}', got {raw!r}", key=key) from None
 
 
-def _parse_list(src: _Source, key: str, raw: str, conv) -> list:
-    items = [p.strip() for p in raw.split(",") if p.strip()]
-    if not items:
-        raise src.fail(f"'{key}' must be a nonempty comma-separated list", key=key)
-    return [conv(src, key, p) for p in items]
+def _parse_word(names: "tuple[str, ...]", message: str):
+    """A parser of one of ``names``, in any case; ``message`` may cite the word as {name!r}."""
+    def parse(src: _Source, key: str, raw: str) -> str:
+        if (name := raw.lower()) not in names:
+            raise src.fail(message.format(name=name), key=key)
+        return name
+    return parse
 
 
-def _parse_dsr(src: _Source, raw: str) -> attacks.Dsr:
+def _parse_degree(src: _Source, key: str, raw: str) -> int:
+    degree = _parse_int(src, key, raw)
+    if degree not in codec.PRIMITIVE_POLYS:
+        raise src.fail(f"no built-in primitive polynomial of degree {degree}; "
+                       f"available degrees are {sorted(codec.PRIMITIVE_POLYS)}", key=key)
+    return codec.PRIMITIVE_POLYS[degree]
+
+
+def _parse_dsr(src: _Source, key: str, raw: str) -> attacks.Dsr:
     parts = raw.strip().split(":")
     kind = parts[0].strip().lower()
     if kind == "none" and len(parts) == 1:
         return attacks.Dsr()
     if kind in ("binary", "jitter") and len(parts) == 2:
-        with src.at("dsr"):
+        with src.at(key):
             return attacks.Dsr(kind, float(parts[1]))
-    raise src.fail("dsr must be 'none', 'binary:<flip_prob>' or 'jitter:<half_width>'",
-                   key="dsr")
+    raise src.fail("dsr must be 'none', 'binary:<flip_prob>' or 'jitter:<half_width>'", key=key)
+
+
+def _check_prefix(prefix: str) -> None:
+    if not re.fullmatch(r"[A-Za-z0-9._-]+", prefix):
+        raise ValueError("prefix may contain only letters, digits, '.', '_' and '-'")
 
 
 def load_config(path: str, family: str,
@@ -184,12 +225,12 @@ def load_config(path: str, family: str,
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    src = _Source(path, text)
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    src = _Source(path, text, cp)
 
     family_keys = _FAMILY_KEYS[family]
     for section in cp.sections():
@@ -207,15 +248,10 @@ def load_config(path: str, family: str,
     cfg.config_path = path
     cfg.config_sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    if "constellation" in family_keys:
-        _load_constellation(src, cp, cfg)
-    if "keystream" in family_keys:
-        _load_keystream(src, cp, cfg)
-    _load_scenario(src, cp, cfg)
-    if cp.has_section("output"):
-        _load_output(src, cp, cfg)
-    if out_dir is not None:
-        cfg.out_dir = out_dir
+    _READERS[family](src, cfg)
+    cfg.out_dir = src.get("output", "out_dir", default=cfg.out_dir) if out_dir is None else out_dir
+    cfg.prefix = src.get("output", "prefix", check=_check_prefix, default=cfg.prefix)
+    cfg.master_seed = src.get("output", "master_seed", _parse_int, default=cfg.master_seed)
     if master_seed is not None:
         cfg.master_seed = master_seed
     if threads is not None and threads < 1:
@@ -228,119 +264,77 @@ def load_config(path: str, family: str,
     return cfg
 
 
-def _load_constellation(src: _Source, cp: configparser.ConfigParser,
-                        cfg: ScenarioConfig) -> None:
-    sec = cp["constellation"]
+def _read_constellation(src: _Source, cfg: ScenarioConfig) -> None:
+    """[constellation]: bounds reads lists of M and S, attack and entropy one of each."""
     grid = cfg.family == "bounds"
-    points = []
-    for name, parse, check in (("m", _parse_int, codec._check_m),
-                               ("energy", _parse_float, codec._check_energy)):
-        key = f"{name}_grid" if grid else name
-        if key not in sec:
-            raise src.fail(f"missing '{key}' in [constellation]", section="constellation")
-        values = _parse_list(src, key, sec[key], parse) if grid else [parse(src, key, sec[key])]
-        with src.at(key):
-            for v in values:
-                check(v)
-        points.append(values)
-    cfg.m_grid, cfg.energy_grid = points
-    if "osk" in sec:
-        cfg.osk = _parse_bool(src, "osk", sec["osk"])
+    m = src.get("constellation", "m_grid" if grid else "m", _parse_int, codec._check_m, many=grid)
+    energy = src.get("constellation", "energy_grid" if grid else "energy", _parse_float,
+                     codec._check_energy, many=grid)
+    cfg.m_grid, cfg.energy_grid = (m, energy) if grid else ([m], [energy])
+    cfg.osk = src.get("constellation", "osk", _parse_bool, default=cfg.osk)
 
 
-def _load_keystream(src: _Source, cp: configparser.ConfigParser,
-                    cfg: ScenarioConfig) -> None:
-    sec = cp["keystream"]
-    if "poly" in sec and "degree" in sec:
+def _read_record(src: _Source, cfg: ScenarioConfig) -> None:
+    """The constellation, keystream and record model that attack and entropy share."""
+    _read_constellation(src, cfg)
+    if src.cp.has_option("keystream", "poly") and src.cp.has_option("keystream", "degree"):
         raise src.fail("give either 'poly' or 'degree', not both", key="degree")
-    if "poly" in sec:
-        cfg.poly = _parse_int(src, "poly", sec["poly"])
-        with src.at("poly"):
-            codec._check_poly(cfg.poly)
-    elif "degree" in sec:
-        degree = _parse_int(src, "degree", sec["degree"])
-        if degree not in codec.PRIMITIVE_POLYS:
-            raise src.fail(
-                f"no built-in primitive polynomial of degree {degree}; "
-                f"available degrees are {sorted(codec.PRIMITIVE_POLYS)}", key="degree")
-        cfg.poly = codec.PRIMITIVE_POLYS[degree]
-    else:
+    degree_poly = src.get("keystream", "degree", _parse_degree, default=None)
+    cfg.poly = src.get("keystream", "poly", _parse_int, codec._check_poly, default=degree_poly)
+    if cfg.poly is None:
         raise src.fail("missing 'poly' (or 'degree') in [keystream]", section="keystream")
-    if "seed" not in sec:
-        raise src.fail("missing 'seed' in [keystream]", section="keystream")
-    cfg.seed_register = _parse_int(src, "seed", sec["seed"])
-    with src.at("seed"):
-        codec._check_seed(cfg.key_bits, cfg.seed_register)
+    cfg.seed_register = src.get("keystream", "seed", _parse_int,
+                                lambda seed: codec._check_seed(cfg.key_bits, seed))
+    cfg.n_symbols = src.get("scenario", "n_symbols", _parse_int, attacks._check_n_symbols)
+    cfg.error_positions = src.get("scenario", "error_positions", _parse_int,
+                                  default=cfg.error_positions, many=True)
+    cfg.misalign = src.get("scenario", "misalign", _parse_float, attacks._check_misalign,
+                           default=cfg.misalign)
+    cfg.dsr = src.get("scenario", "dsr", _parse_dsr, default=cfg.dsr)
 
 
-def _load_scenario(src: _Source, cp: configparser.ConfigParser,
-                   cfg: ScenarioConfig) -> None:
-    sec = cp["scenario"]
-    if "methods" in sec:
-        cfg.methods = [m.strip().lower() for m in sec["methods"].split(",") if m.strip()]
-        for m in cfg.methods:
-            if m not in ("bit", "srm", "updown"):
-                raise src.fail(f"unknown bound method {m!r}", key="methods")
-    if "n_symbols" in sec:
-        cfg.n_symbols = _parse_int(src, "n_symbols", sec["n_symbols"])
-        with src.at("n_symbols"):
-            attacks._check_n_symbols(cfg.n_symbols)
-    if "error_positions" in sec:
-        cfg.error_positions = _parse_list(src, "error_positions",
-                                          sec["error_positions"], _parse_int)
-    if "misalign" in sec:
-        cfg.misalign = _parse_float(src, "misalign", sec["misalign"])
-        with src.at("misalign"):
-            attacks._check_misalign(cfg.misalign)
-    if "dsr" in sec:
-        cfg.dsr = _parse_dsr(src, sec["dsr"])
-    if "otp" in sec:
-        cfg.otp = _parse_bool(src, "otp", sec["otp"])
-    if "trials" in sec:
-        cfg.trials = _parse_int(src, "trials", sec["trials"])
-        with src.at("trials"):
-            attacks._check_trials(cfg.trials)
-    if "mi_trials" in sec:
-        cfg.mi_trials = _parse_int(src, "mi_trials", sec["mi_trials"])
-        if cfg.mi_trials:  # 0 skips the estimate
-            with src.at("mi_trials"):
-                attacks._check_mi_trials(cfg.mi_trials, cfg.n_symbols)
-    if "mode" in sec:
-        cfg.mode = sec["mode"].strip().lower()
-        if cfg.family == "keygen":
-            # keygen computes one curve, which the CSV's mode column names
-            if cfg.mode != "ideal":
-                raise src.fail("keygen mode must be 'ideal'", key="mode")
-        elif cfg.mode not in ("ciphertext_only", "known_plaintext", "both"):
-            raise src.fail("mode must be 'ciphertext_only', 'known_plaintext' or 'both'",
-                           key="mode")
-    if "regime" in sec:
-        cfg.regime = sec["regime"].strip().lower()
-        with src.at("regime"):
-            attacks._check_regime(cfg.regime)
-        # only the known-plaintext engine reads the regime
-        if cfg.regime == "quantum" and cfg.mode == "ciphertext_only":
-            raise src.fail("regime 'quantum' needs mode 'known_plaintext' or 'both'; "
-                           "the ciphertext-only engine scores label records", key="regime")
-    if "s_grid" in sec:
-        cfg.s_grid = _parse_list(src, "s_grid", sec["s_grid"], _parse_float)
-        with src.at("s_grid"):
-            for s in cfg.s_grid:
-                codec._check_energy(s)
+def _read_bounds(src: _Source, cfg: ScenarioConfig) -> None:
+    _read_constellation(src, cfg)
+    cfg.methods = src.get("scenario", "methods",
+                          _parse_word(("bit", "srm", "updown"), "unknown bound method {name!r}"),
+                          default=cfg.methods, many=True)
 
 
-def _load_output(src: _Source, cp: configparser.ConfigParser, cfg: ScenarioConfig) -> None:
-    sec = cp["output"]
-    if "out_dir" in sec:
-        cfg.out_dir = sec["out_dir"].strip()
-    if "prefix" in sec:
-        prefix = sec["prefix"].strip()
-        if not re.fullmatch(r"[A-Za-z0-9._-]+", prefix):
-            raise src.fail("prefix may contain only letters, digits, '.', '_' and '-'",
-                           key="prefix")
-        cfg.prefix = prefix
-    if "master_seed" in sec:
-        cfg.master_seed = _parse_int(src, "master_seed", sec["master_seed"])
+def _read_attack(src: _Source, cfg: ScenarioConfig) -> None:
+    _read_record(src, cfg)
+    cfg.otp = src.get("scenario", "otp", _parse_bool, default=cfg.otp)
+    # 0 skips the estimate
+    cfg.mi_trials = src.get(
+        "scenario", "mi_trials", _parse_int,
+        lambda trials: attacks._check_mi_trials(trials, cfg.n_symbols) if trials else None,
+        default=cfg.mi_trials)
+
+
+def _read_entropy(src: _Source, cfg: ScenarioConfig) -> None:
+    _read_record(src, cfg)
+    cfg.trials = src.get("scenario", "trials", _parse_int, attacks._check_trials,
+                         default=cfg.trials)
+    cfg.mode = src.get("scenario", "mode",
+                       _parse_word(("ciphertext_only", "known_plaintext", "both"),
+                                   "mode must be 'ciphertext_only', 'known_plaintext' or 'both'"),
+                       default=cfg.mode)
+    cfg.regime = src.get("scenario", "regime", lambda _, key, raw: raw.lower(),
+                         attacks._check_regime, default=cfg.regime)
+    # only the known-plaintext engine reads the regime
+    if cfg.regime == "quantum" and cfg.mode == "ciphertext_only":
+        raise src.fail("regime 'quantum' needs mode 'known_plaintext' or 'both'; "
+                       "the ciphertext-only engine scores label records", key="regime")
+
+
+def _read_keygen(src: _Source, cfg: ScenarioConfig) -> None:
+    cfg.s_grid = src.get("scenario", "s_grid", _parse_float, codec._check_energy, many=True)
+    # keygen computes one curve, which the CSV's mode column names
+    cfg.mode = src.get("scenario", "mode", _parse_word(("ideal",), "keygen mode must be 'ideal'"),
+                       default=cfg.mode)
+
+
+_READERS = {"bounds": _read_bounds, "attack": _read_attack, "entropy": _read_entropy,
+            "keygen": _read_keygen}
 
 
 def _record_model(cfg: ScenarioConfig) -> "tuple[codec.Constellation, attacks.AttackScenario]":
@@ -351,9 +345,8 @@ def _record_model(cfg: ScenarioConfig) -> "tuple[codec.Constellation, attacks.At
 
 
 def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
+    """The checks that span keys, and the caps."""
     if cfg.family == "bounds":
-        if not cfg.methods:
-            raise src.fail("bounds needs a nonempty 'methods' list", key="methods")
         if "updown" in cfg.methods:
             c = codec.Constellation(cfg.m_grid[0], cfg.energy_grid[0], cfg.osk)
             with src.at("osk"):
@@ -361,9 +354,6 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
         for s in cfg.energy_grid:
             detection._check_gram_energy(s)
     elif cfg.family in ("attack", "entropy"):
-        if cfg.n_symbols < 1:
-            raise src.fail("this family requires 'n_symbols' in [scenario]",
-                           section="scenario")
         # the caps bound N, and M for entropy, so no oversized record is ever built
         if cfg.family == "attack":
             attacks._check_attack_caps(cfg.key_bits, cfg.n_symbols)
@@ -383,6 +373,3 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
                 attacks._check_record_dsr(cfg.dsr, cfg.regime)
             if cfg.regime == "quantum":
                 detection._check_wedge_energy(c.energy)
-    elif cfg.family == "keygen":
-        if len(cfg.s_grid) < 1:
-            raise src.fail("keygen requires 's_grid' in [scenario]", section="scenario")

@@ -16,6 +16,8 @@ gathered the keys with at most one zero factor.  ``record_likelihoods`` is
 the Walsh-Hadamard scorer as the package ran it one trial at a time, before
 it drew records, gathered basis coefficients and assembled likelihoods a
 block of trials at once: the blocked scorer must match it bit for bit.
+``scan_likelihoods`` scores uniform binary flips through the seed replay: a
+key's likelihood is then a function of its replay mismatch count alone.
 ``label_mutual_information_labels`` is the per-trial measurement loop that
 ``label_mutual_information`` now runs as one batch, and
 ``plugin_mutual_information`` its per-position estimator.  ``keystream_table``
@@ -36,8 +38,10 @@ from yzero.attacks import (
     EntropyReport,
     _check_entropy_caps,
     _entropy_error_weight,
+    _pack_words,
     _posterior_entropy_bits,
     _require_plain_pairing,
+    _scan_counts,
     _seed_characters,
     _symbol_terms,
     _up_fraction,
@@ -90,6 +94,49 @@ def gathered_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, 
         obs = sampler.record(idx_table[r, basis[true_seed]], rng, error_vec)
         yield sequence_likelihood(table[r, basis, obs],
                                   table[r, basis, obs ^ 1] if weight else None, weight)
+
+
+def scan_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, trials: int,
+                     rng: np.random.Generator, sampler, weight: int):
+    """Per trial, log2 L of every register value from its replay mismatch count.
+
+    Known plaintext, classical labels, ``dsr = binary:p`` and no
+    misalignment: symbol i reads data_i XOR parity_i(true seed) XOR flip_i,
+    with one flip probability p for every index.  So key j's likelihood
+    depends only on h_j, the number of symbols where the record disagrees
+    with data XOR parity_j, which one ``_scan_counts`` pass gives for every
+    nonzero key; key 0 has no parity and scores popcount(record XOR data).
+    log2 L_j = h_j log2 p + (N - h_j) log2(1 - p), and one recording error
+    at an unknown position adds log2((h_j (1 - p)/p + (N - h_j) p/(1 - p)) / N),
+    taken here in the log domain so that no ratio overflows.  The draws
+    are the engine's, trial by trial.
+    """
+    key_bits = poly.bit_length() - 1
+    n = scenario.n_symbols
+    p = scenario.dsr.param
+    idx_table = _pair_index_table(c)
+    units = unit_keystreams(poly, n, c.bits_per_basis)
+    basis = gf2_span(units)
+    packed = _pack_words((units & 1).astype(np.uint8))
+    # p = 0 leaves only the keys with h_j = 0, at likelihood 1
+    log2_p = math.log2(p) if p > 0.0 else -math.inf
+    log2_odds = math.log2(1.0 - p) - log2_p
+    for _ in range(trials):
+        true_seed = int(rng.integers(1, 1 << key_bits))
+        r = rng.integers(0, 2, n, dtype=np.uint8)
+        error_vec = np.zeros(n, dtype=np.uint8)
+        if weight == 1:
+            error_vec[int(rng.integers(0, n))] = 1
+        flip = sampler.record(idx_table[r, basis[true_seed]], rng, error_vec) ^ r
+        counts, _ = _scan_counts(packed, _pack_words(flip), n)
+        h = np.concatenate([[int(flip.sum())], counts]).astype(float)
+        log2_like = np.multiply(h, log2_p, out=np.zeros(h.size), where=h > 0)
+        log2_like += (n - h) * math.log2(1.0 - p)
+        if weight:
+            with np.errstate(divide="ignore"):
+                log2_like += np.logaddexp2(np.log2(h) + log2_odds,
+                                           np.log2(n - h) - log2_odds) - math.log2(n)
+        yield log2_like
 
 
 def log2_likelihood(lam: np.ndarray, zeros: np.ndarray, band_sums: np.ndarray, bands,

@@ -314,6 +314,19 @@ def test_otp_stage_noiseless_identity():
     assert len(rec.notes["ciphertext"]) == n
 
 
+@pytest.mark.parametrize("dsr", [attacks.Dsr(), attacks.Dsr("binary", 0.0),
+                                 attacks.Dsr("jitter", 0.0)], ids=["none", "binary0", "jitter0"])
+def test_otp_stage_noiseless_identity_at_every_dsr_that_draws_nothing(dsr):
+    # the sampler draws nothing at parameter 0, so the record is noiseless
+    c = codec.Constellation(m=4, energy=2.0)
+    rng = np.random.default_rng(42)
+    x = rng.integers(0, 2, 32, dtype=np.uint8)
+    sc = attacks.AttackScenario(n_symbols=32, dsr=dsr)
+    rec = attacks.otp_stage_attack(x, c, POLY8, 0x9D, sc, rng)
+    assert rec.notes["pad_identity_noiseless"] is True
+    assert rec.true_seed_mismatches == 0
+
+
 def test_replays_reject_records_that_are_not_bits():
     # a 2 or a 7 would be scored as a 1, and an all-2 plaintext would match the replay
     c = codec.Constellation(m=4, energy=2.0)
@@ -631,3 +644,12 @@ def test_label_mutual_information_validation():
     with pytest.raises(ValueError):
         attacks.label_mutual_information(
             c, POLY8, 1, attacks.AttackScenario(n_symbols=4), trials=1, rng=rng)
+
+
+def test_label_mutual_information_enumerates_no_seed_and_skips_the_replay_caps():
+    # 2^20 seeds x 80 symbols is past the replay's table cap, but no seed is scored
+    c = codec.Constellation(m=4, energy=2.0)
+    mi = attacks.label_mutual_information(
+        c, codec.PRIMITIVE_POLYS[20], 0x9D, attacks.AttackScenario(n_symbols=80), trials=10,
+        rng=np.random.default_rng(3))
+    assert 0.0 <= mi <= 1.0

@@ -324,6 +324,17 @@ def test_bounds_stay_in_range(m, s, osk):
         assert 0.0 <= detection.updown_bound(c).p_error <= 0.5
 
 
+def test_heterodyne_sample_draws_the_real_parts_first_and_returns_an_array():
+    # the record samplers reshape what it returns; its draws must not move
+    for size in (1, 5, (2, 3)):
+        z = detection.heterodyne_sample(1.0 - 0.5j, np.random.default_rng(4), size=size)
+        rng = np.random.default_rng(4)
+        re = rng.normal(1.0, math.sqrt(0.5), size)
+        im = rng.normal(-0.5, math.sqrt(0.5), size)
+        assert isinstance(z, np.ndarray) and z.shape == np.shape(re)
+        assert np.array_equal(z, re + 1j * im)
+
+
 def test_heterodyne_sample_moments():
     rng = np.random.default_rng(9)
     z = detection.heterodyne_sample(1.0 + 2.0j, rng, size=200_000)

@@ -1,5 +1,6 @@
 """Config loading, the four run families, output formats, and the CLI."""
 
+import configparser
 import contextlib
 import csv
 import hashlib
@@ -240,6 +241,13 @@ BAD_VALUES = [
      "mode = ciphertext_only\nregime = quantum", 13, "regime 'quantum' needs mode"),
     ("quantum_default_mode", "entropy", "mode = both\nregime = classical",
      "regime = quantum", 12, "regime 'quantum' needs mode"),
+    # a missing required key and an empty list read the same for every key
+    ("n_symbols_missing", "entropy", "n_symbols = 12\n", "", 9,
+     "missing 'n_symbols' in [scenario]"),
+    ("s_grid_missing", "keygen", "s_grid = 2.0, 3.0, 4.0, 5.0, 6.0\n", "", 1,
+     "missing 's_grid' in [scenario]"),
+    ("methods_empty", "bounds", "methods = bit, srm, updown", "methods =", 6,
+     "'methods' must be a nonempty comma-separated list"),
 ]
 
 
@@ -252,6 +260,22 @@ def test_bad_value_reports_the_offending_line(tmp_path, key, family, old, new, l
         load_config(write_cfg(tmp_path, base.replace(old, new)), family)
     assert f"cfg.ini:{line}: " in str(err.value)
     assert text in str(err.value)
+
+
+@pytest.mark.parametrize("raw", sorted(configparser.ConfigParser.BOOLEAN_STATES))
+def test_boolean_keys_take_the_configparser_spellings_in_any_case(tmp_path, raw):
+    for spelling in (raw, raw.upper()):
+        text = ATTACK_CFG.replace("otp = true", f"otp = {spelling}")
+        cfg = load_config(write_cfg(tmp_path, text), "attack")
+        assert cfg.otp is configparser.ConfigParser.BOOLEAN_STATES[raw]
+
+
+def test_csv_cells_are_the_csv_modules_own_text(tmp_path):
+    # floats by repr, numpy scalars as their Python values, None as an empty cell
+    path = tmp_path / "rows.csv"
+    runner._write_csv(str(path), "m.json", "0" * 64, ["a", "b", "c"],
+                      [[np.float64(0.1), np.int64(3), None], [5e-324, 7, "x"]])
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == ["a,b,c", "0.1,3,", "5e-324,7,x"]
 
 
 def test_missing_required_section(tmp_path):
