@@ -546,26 +546,34 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
 
 
 def _log2_top(log2_like: np.ndarray) -> int:
-    """Index of the most likely key; fails when every likelihood is zero."""
-    top = int(np.argmax(log2_like))
-    if not log2_like[top] > -math.inf:
+    """Index of the most likely live key; fails when no key is live."""
+    if not log2_like.size:
         raise AssertionError("posterior has no support; model inconsistent with data")
-    return top
+    return int(np.argmax(log2_like))
 
 
-def _log2_sum(log2_like: np.ndarray) -> float:
-    """log2 of the summed likelihoods, taken relative to the largest term."""
+def _log2_sum(keys: np.ndarray, log2_like: np.ndarray, key_bits: int) -> float:
+    """log2 of the summed likelihoods of the live keys, taken relative to the largest term.
+
+    The terms are summed as a 2^K array with +0.0 at every dead key, which
+    is what exp2 gives a dead key's -inf.  numpy's pairwise sum then adds
+    the array it would add over every key, in the same order, so the bits
+    do not depend on how many keys are live.
+    """
     top = log2_like[_log2_top(log2_like)]
-    return float(top + math.log2(float(np.exp2(log2_like - top).sum())))
+    w = np.zeros(1 << key_bits)
+    w[keys] = np.exp2(log2_like - top)
+    return float(top + math.log2(float(w.sum())))
 
 
-def _posterior_entropy_bits(log2_like: np.ndarray) -> float:
-    """Entropy of the posterior over all keys from their log2 likelihoods.
+def _posterior_entropy_bits(log2_like: np.ndarray, key_bits: int) -> float:
+    """Entropy of the posterior over 2^K keys from the live keys' log2 likelihoods.
 
     With s* the most likely key, d_s = l_s - l_max and R the sum of 2^d_s
     over the other keys, H = log2(1 + R) - sum_{s != s*} p_s d_s: both
     terms are nonnegative, and the first keeps the most likely key's share
-    of H where its probability rounds to 1.  Clipped to [0, log2(#keys)].
+    of H where its probability rounds to 1.  A dead key adds nothing to
+    either term.  Clipped to [0, K].
     """
     top = _log2_top(log2_like)
     d = log2_like - log2_like[top]
@@ -576,7 +584,7 @@ def _posterior_entropy_bits(log2_like: np.ndarray) -> float:
     lead = math.log2(1.0 + r) if r >= 1.0 else math.log1p(r) / math.log(2.0)
     h = lead - float(w @ d) / (1.0 + r)
     # max(0.0, -0.0) is +0.0: the zero argument comes first
-    return min(max(0.0, h), math.log2(log2_like.size))
+    return min(max(0.0, h), float(key_bits))
 
 
 def _entropy_error_weight(scenario: AttackScenario, regime: str) -> int:
@@ -611,7 +619,7 @@ def _check_regime(regime: str) -> None:
 
 
 def _check_record_dsr(dsr: Dsr, regime: str) -> None:
-    if regime == "quantum" and dsr.kind == "jitter":
+    if regime == "quantum" and dsr.kind == "jitter" and dsr.param > 0.0:
         raise ValueError("the quantum record model supports dsr 'none' or 'binary'")
 
 
@@ -751,9 +759,35 @@ def _stack_draws(draws: list):
     return np.stack(draws)
 
 
+def _distinct_terms(terms: list) -> "tuple[list[int], list[int]]":
+    """The terms a run transforms, and the row of the transformed sums each term reads.
+
+    A term that is 0 on its whole table (log2 f on a table of 0s and 1s,
+    [f = 0] on a table without zeros) sums to exactly 0 for every key, so it
+    is not transformed and reads row -1, which stays 0.  A term equal to an
+    earlier one is not transformed either and reads that term's row: its
+    coefficients, its scatter and its slice of the batched transform would
+    take the same input, so they would give the same bits.  On a classical
+    label table f' = 1 - 0 = 1 wherever f = 0, so the zero band is [f = 0].
+    Returns the indices of the transformed terms, in order, and each term's
+    row.
+    """
+    distinct, rows = [], []
+    for k, term in enumerate(terms):
+        if not term.any():
+            rows.append(-1)
+            continue
+        row = next((row for row, j in enumerate(distinct) if np.array_equal(terms[j], term)),
+                   len(distinct))
+        if row == len(distinct):
+            distinct.append(k)
+        rows.append(row)
+    return distinct, rows
+
+
 # Trials per block of the entropy engines.  At the caps (N = 32) and M = 16
-# a block's basis coefficients take 64 KB per transformed term, 320 KB on a
-# run that transforms five (jitter with one recording error); its draws,
+# a block's basis coefficients take 64 KB per transformed term, 256 KB on a
+# run that transforms four (jitter with one recording error); its draws,
 # seed rows and records take a few KB.
 _TRIAL_BLOCK = 16
 
@@ -761,7 +795,7 @@ _TRIAL_BLOCK = 16
 def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, trials: int,
                         rng: np.random.Generator, sampler: _Sampler, table: np.ndarray,
                         weight: int):
-    """Per trial, the log2 sequence likelihood of every register value under ``table``.
+    """Per trial, the live register values and their log2 sequence likelihoods under ``table``.
 
     A trial draws a seed, data, the position of a declared recording error
     and the record's randomness (``sampler.draw``), in that order.  The
@@ -774,11 +808,10 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     coefficients are dyadic, and L = 0 where Z > 0.  A recording error at an
     unknown position is marginalized as L = 2^Lambda S / N, with S the sum
     of f'/f where Z = 0 and of [f = 0] f' where Z = 1; L = 0 where Z > 1, so
-    S is assembled only at the keys with Z <= 1.  A term that is 0 on its
-    whole table (log2 f on a table of 0s and 1s, [f = 0] on a table without
-    zeros) sums to exactly 0 for every key, so it is not transformed.  The
-    zero register never occurs, but the accounting runs over every possible
-    key.
+    S is assembled only at the keys with Z <= 1.  Only the distinct terms
+    that are not 0 on the whole table are transformed (``_distinct_terms``).
+    The zero register never occurs, but the accounting runs over every
+    possible key.
 
     Trials run in blocks of ``_TRIAL_BLOCK``.  The draws stay per trial and
     in trial order; then one call each builds the block's seed rows, its
@@ -788,9 +821,15 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     trial remain the scatter into seed space and the two transform factors;
     where the table has zeros and an error is marginalized, the candidate
     keys' sums are kept and S is assembled once per block over all of them;
-    without zeros it is assembled per trial over every key.  Yields one
-    log2-likelihood array per trial; the transform buffers are allocated
-    once per run and no yielded array shares memory with them.
+    without zeros it is assembled per trial over every key.
+
+    Yields per trial the live keys, ascending, and their log2 likelihoods,
+    all finite: the keys with Z = 0 without an error; with one, the
+    candidate keys whose S is positive, or every key on a table without
+    zeros, where each symbol puts a band value of at least 1 into S.  A key
+    left out has likelihood 0.  The transform buffers are allocated once
+    per run and no yielded array shares memory with them; the keys of a
+    table without zeros are one read-only array.
     """
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
@@ -798,8 +837,8 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     units = unit_keystreams(poly, n, c.bits_per_basis)
     chars = _seed_characters(units, c.m)
     terms, bands = _symbol_terms(table, weight)
-    head = [k for k in (0, 1) if terms[k].any()]
-    stacked = np.stack([terms[k] for k in head] + terms[2:])
+    distinct, sum_rows = _distinct_terms(terms)
+    stacked = np.stack([terms[k] for k in distinct])
     n_live = len(stacked)
     # row (l, bit, obs) of basis_coef is stacked[l, bit, :, obs] @ h_basis,
     # the coefficients of term l over the basis characters
@@ -807,14 +846,17 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     basis_coef = (np.ascontiguousarray(np.moveaxis(stacked, -1, 2)) @ (_walsh(c.m) / c.m)
                   ).reshape(-1, c.m)
     term_rows = (2 * n_obs * np.arange(n_live))[:, None]
-    # each transformed term's seed-space sum has its own row of ``sums``,
-    # the bands after log2 f and [f = 0]; a skipped term reads the last
-    # row, which stays 0
+    # each transformed term's seed-space sum has its own row of ``sums``; the
+    # last row stays 0
     sums = np.zeros((n_live + 1, 1 << key_bits))
-    lam_row, zeros_row = (head.index(k) if k in head else n_live for k in (0, 1))
-    lam, zeros, band_sums = sums[lam_row], sums[zeros_row], sums[len(head):-1]
+    lam_row, zeros_row, band_rows = sum_rows[0], sum_rows[1], sum_rows[2:]
+    lam, zeros = sums[lam_row], sums[zeros_row]
+    has_zeros = terms[1].any()
     # with zeros in the table, S is assembled per block at the candidate keys
-    blockwise = bands is not None and 1 in head
+    blockwise = bands is not None and has_zeros
+    # without zeros every key is live, and every trial yields this one array
+    every_key = np.arange(1 << key_bits)
+    every_key.flags.writeable = False
     # one bincount scatters every transformed term into its own block of seed space
     slots = (chars + (np.arange(n_live) << key_bits)[:, None, None]).ravel()
     half = key_bits // 2
@@ -848,21 +890,24 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
             if blockwise:
                 keys = np.flatnonzero(zeros <= 1)
                 kept.append((keys, sums[:, keys]))
+            elif has_zeros:
+                keys = np.flatnonzero(zeros == 0)
+                yield keys, lam[keys]
             elif bands is None:
-                yield np.where(zeros == 0, lam, -math.inf)
+                yield every_key, lam.copy()
             else:
-                # a table without zeros: every key may be live
-                yield _band_log2(lam, zeros, band_sums, bands, n)
+                yield every_key, _band_log2(lam, zeros, sums[band_rows], bands, n)
         if kept:
             key_sums = np.concatenate([s for _, s in kept], axis=1)
             log2_like = _band_log2(key_sums[lam_row], key_sums[zeros_row],
-                                   key_sums[len(head):-1], bands, n)
+                                   key_sums[band_rows], bands, n)
+            live = log2_like > -math.inf
             at = 0
             for keys, _ in kept:
-                out = np.full(1 << key_bits, -math.inf)
-                out[keys] = log2_like[at:at + len(keys)]
+                part = slice(at, at + len(keys))
+                finite = live[part]
+                yield keys[finite], log2_like[part][finite]
                 at += len(keys)
-                yield out
 
 
 def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenario,
@@ -887,8 +932,8 @@ def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenari
     log2_marginal = float(key_bits - n)
     trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, sampler, table, weight)
     # P(data | record) = 2^-n sum_j L(record | j, data) / sum_j L(record | j)
-    surprisals = np.array([n - _log2_sum(log_cond) + log2_marginal
-                           for log_cond in trial_likes])
+    surprisals = np.array([n - _log2_sum(keys, log_cond, key_bits) + log2_marginal
+                           for keys, log_cond in trial_likes])
     h_data_mean = float(surprisals.mean())
     return EntropyReport(
         regime="ciphertext_only",
@@ -920,7 +965,8 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
     key_bits, weight = _check_entropy_run(c, poly, scenario, trials, regime)
     sampler, table = _record_channel(c, scenario, regime)
     trial_likes = _record_likelihoods(c, poly, scenario, trials, rng, sampler, table, weight)
-    h_vals = np.array([_posterior_entropy_bits(log_like) for log_like in trial_likes])
+    h_vals = np.array([_posterior_entropy_bits(log_like, key_bits)
+                       for _, log_like in trial_likes])
     h_mean = float(h_vals.mean())
     return EntropyReport(
         regime=f"known_plaintext_{regime}",

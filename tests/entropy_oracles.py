@@ -7,15 +7,19 @@ and builds every per-symbol likelihood with its own formula: label records
 through ``symbol_likelihoods``, heterodyne index records through the
 transition matrix inline.  Labels come from the scalar half-plane rule, one
 phase at a time.  Sequence likelihoods are products over a 2^K-row basis
-table (``sequence_likelihood``), scored by the package's entropy function
-on their log2, so a comparison with the public engines isolates the
-Walsh-Hadamard scorer.  ``gathered_likelihoods`` is that scorer's gather
-form: the same trial loop, one product per key, and ``log2_likelihood``
-its likelihood assembly as the package ran it over all 2^K keys before it
-gathered the keys with at most one zero factor.  ``record_likelihoods`` is
-the Walsh-Hadamard scorer as the package ran it one trial at a time, before
-it drew records, gathered basis coefficients and assembled likelihoods a
-block of trials at once: the blocked scorer must match it bit for bit.
+table (``sequence_likelihood``), scored on their log2 by
+``posterior_entropy_bits``, so a comparison with the public engines
+isolates the Walsh-Hadamard scorer.  ``gathered_likelihoods`` is that
+scorer's gather form: the same trial loop, one product per key, and
+``log2_likelihood`` its likelihood assembly as the package ran it over all
+2^K keys before it gathered the keys with at most one zero factor.
+``posterior_entropy_bits`` and ``log2_sum`` are the package's entropy and
+likelihood sum as they ran over all 2^K keys, before the scorer yielded
+the live keys alone; ``dense_log2_likelihood`` rebuilds a trial's 2^K-key
+array from those keys.  ``record_likelihoods`` is the Walsh-Hadamard
+scorer as the package ran it one trial at a time, before it drew records,
+gathered basis coefficients and assembled likelihoods a block of trials at
+once: the blocked scorer must match it bit for bit.
 ``scan_likelihoods`` scores uniform binary flips through the seed replay: a
 key's likelihood is then a function of its replay mismatch count alone.
 ``label_mutual_information_labels`` is the per-trial measurement loop that
@@ -39,7 +43,6 @@ from yzero.attacks import (
     _check_entropy_caps,
     _entropy_error_weight,
     _pack_words,
-    _posterior_entropy_bits,
     _require_plain_pairing,
     _scan_counts,
     _seed_characters,
@@ -66,10 +69,55 @@ def sequence_likelihood(q: np.ndarray, q_flipped: "np.ndarray | None",
     return terms.sum(axis=1) / n
 
 
+def log2_top(log2_like: np.ndarray) -> int:
+    """Index of the most likely key; fails when every likelihood is zero."""
+    top = int(np.argmax(log2_like))
+    if not log2_like[top] > -math.inf:
+        raise AssertionError("posterior has no support; model inconsistent with data")
+    return top
+
+
+def log2_sum(log2_like: np.ndarray) -> float:
+    """log2 of the summed likelihoods of all 2^K keys, taken relative to the largest term."""
+    top = log2_like[log2_top(log2_like)]
+    return float(top + math.log2(float(np.exp2(log2_like - top).sum())))
+
+
+def posterior_entropy_bits(log2_like: np.ndarray) -> float:
+    """Entropy of the posterior over all keys from their log2 likelihoods, -inf included.
+
+    The package's entropy as it ran over all 2^K keys, before its scorer
+    yielded the live keys alone; clipped to [0, log2(#keys)].
+    """
+    top = log2_top(log2_like)
+    d = log2_like - log2_like[top]
+    d[top] = -math.inf
+    d = d[d > -math.inf]
+    w = np.exp2(d)
+    r = float(w.sum())
+    lead = math.log2(1.0 + r) if r >= 1.0 else math.log1p(r) / math.log(2.0)
+    h = lead - float(w @ d) / (1.0 + r)
+    return min(max(0.0, h), math.log2(log2_like.size))
+
+
+def dense_log2_likelihood(keys: np.ndarray, log2_like: np.ndarray, key_bits: int) -> np.ndarray:
+    """The 2^K-key array of one trial the scorer yields as live keys: -inf at every other key.
+
+    Checks the yield: keys strictly ascending and in range, one finite
+    log2 likelihood each.
+    """
+    assert keys.shape == log2_like.shape and keys.ndim == 1
+    assert (np.diff(keys) > 0).all() and (keys >= 0).all() and (keys < 1 << key_bits).all()
+    assert np.isfinite(log2_like).all()
+    dense = np.full(1 << key_bits, -math.inf)
+    dense[keys] = log2_like
+    return dense
+
+
 def entropy_bits(likelihood: np.ndarray) -> float:
-    """The package's posterior entropy of likelihoods given directly, not as log2."""
+    """The dense posterior entropy of likelihoods given directly, not as log2."""
     with np.errstate(divide="ignore"):
-        return _posterior_entropy_bits(np.log2(likelihood))
+        return posterior_entropy_bits(np.log2(likelihood))
 
 
 def gathered_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, trials: int,
@@ -401,7 +449,7 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
             qf = symbol_likelihoods(p1, idx_table, basis, labels ^ 1, r)
             h_vals[t] = entropy_bits(sequence_likelihood(q, qf, weight))
     else:
-        if scenario.dsr.kind == "jitter":
+        if scenario.dsr.kind == "jitter" and scenario.dsr.param > 0.0:
             raise ValueError("the quantum record model supports dsr 'none' or 'binary'")
         if scenario.error_seq.any():
             raise ValueError("recording errors apply to label records, not index records")

@@ -504,8 +504,10 @@ def test_ciphertext_key_posterior_is_flat_bit_for_bit(m, degree, n, misalign, ki
     record, table = attacks._record_channel(c, sc, "classical")
     up = 0.5 * (table[0, :, 1] + table[1, :, 1])
     marginal = np.broadcast_to(np.stack([1.0 - up, up], axis=1), (2, m, 2))
-    for log_marg in attacks._record_likelihoods(c, poly, sc, 2, np.random.default_rng(seed),
-                                                record, marginal, int(error)):
+    for keys, log_marg in attacks._record_likelihoods(c, poly, sc, 2,
+                                                      np.random.default_rng(seed), record,
+                                                      marginal, int(error)):
+        assert np.array_equal(keys, np.arange(1 << degree))
         assert (log_marg == -float(n)).all()
 
 

@@ -5,6 +5,7 @@ import math
 import pathlib
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -133,6 +134,42 @@ def test_entropy_engines_match_per_regime_oracles(case):
     assert_outcomes_close(new, old, c, sc, regime)
 
 
+def dense_outcome(engine, *args, **kw):
+    """``outcome`` with each trial's live keys rebuilt into the 2^K-key array and
+    reduced by the dense oracles, as the engines reduced it before."""
+    scorer = attacks._record_likelihoods
+
+    def dense_trials(c, poly, *rest):
+        for keys, log2_like in scorer(c, poly, *rest):
+            yield None, oracle.dense_log2_likelihood(keys, log2_like, poly.bit_length() - 1)
+
+    with mock.patch.object(attacks, "_record_likelihoods", dense_trials), \
+            mock.patch.object(attacks, "_log2_sum", lambda _, v, __: oracle.log2_sum(v)), \
+            mock.patch.object(attacks, "_posterior_entropy_bits",
+                              lambda v, _: oracle.posterior_entropy_bits(v)):
+        return outcome(engine, *args, **kw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entropy_cases())
+# 9 live keys of 256: numpy's pairwise sum over the 2^K-key array adds their
+# terms in another order than a sum over the 9 alone, and h_data moves
+@example((codec.Constellation(m=4, energy=1.0), codec.PRIMITIVE_POLYS[8],
+          attacks.AttackScenario(n_symbols=13, misalign=0.3,
+                                 dsr=attacks.Dsr.jitter(0.7975329551523043)),
+          "ciphertext_only", 1, 1297016286))
+def test_live_key_reductions_are_bitwise_the_dense_oracles(case):
+    # both engines' whole reports, errors included, must equal the reports the
+    # dense reductions give on every trial's rebuilt 2^K-key array
+    c, poly, sc, regime, trials, seed = case
+    if regime == "ciphertext_only":
+        engine, kw = attacks.ciphertext_only_entropy, {}
+    else:
+        engine, kw = attacks.known_plaintext_key_entropy, {"regime": regime}
+    new = outcome(engine, c, poly, sc, trials, seed=seed, **kw)
+    assert new == dense_outcome(engine, c, poly, sc, trials, seed=seed, **kw)
+
+
 def record_model(c, sc, regime):
     """(record, tables, weight) for one regime: the engines' table, and for labels
     first the per-basis data marginal, which only the tests score."""
@@ -172,7 +209,8 @@ def test_walsh_scorer_matches_gathered_likelihoods_key_by_key(case):
                                           record, table, weight)
         old = oracle.gathered_likelihoods(c, poly, sc, trials, np.random.default_rng(seed),
                                           record, table, weight)
-        for log_like, like in zip(new, old):
+        for (keys, live_like), like in zip(new, old):
+            log_like = oracle.dense_log2_likelihood(keys, live_like, poly.bit_length() - 1)
             # a zero likelihood is exact; elsewhere each key is held to its own
             # size where the gathered product is normal, and below the normal
             # range where that product lost its digits or underflowed to 0
@@ -221,8 +259,9 @@ def test_entropy_engines_match_the_replay_scan_under_uniform_flips(case):
     key_bits, n, weight = poly.bit_length() - 1, sc.n_symbols, int(sc.error_seq.sum())
     sampler, table = attacks._record_channel(c, sc, "classical")
     tol = log2_tolerance(c, sc, "classical")
-    new = list(attacks._record_likelihoods(c, poly, sc, trials, np.random.default_rng(seed),
-                                           sampler, table, weight))
+    new = [oracle.dense_log2_likelihood(keys, log_like, key_bits)
+           for keys, log_like in attacks._record_likelihoods(
+               c, poly, sc, trials, np.random.default_rng(seed), sampler, table, weight)]
     old = list(oracle.scan_likelihoods(c, poly, sc, trials, np.random.default_rng(seed),
                                        sampler, weight))
     assert len(new) == len(old) == trials
@@ -230,8 +269,8 @@ def test_entropy_engines_match_the_replay_scan_under_uniform_flips(case):
         live = np.isfinite(scan)
         assert np.array_equal(np.isfinite(log_like), live)
         npt.assert_allclose(log_like[live], scan[live], rtol=0.0, atol=tol)
-    h_key = [attacks._posterior_entropy_bits(scan) for scan in old]
-    h_data = [n - attacks._log2_sum(scan) + (key_bits - n) for scan in old]
+    h_key = [oracle.posterior_entropy_bits(scan) for scan in old]
+    h_data = [n - oracle.log2_sum(scan) + (key_bits - n) for scan in old]
     kp = attacks.known_plaintext_key_entropy(c, poly, sc, trials, np.random.default_rng(seed))
     co = attacks.ciphertext_only_entropy(c, poly, sc, trials, np.random.default_rng(seed))
     assert math.isclose(kp.h_key_given_obs_and_data, float(np.mean(h_key)), abs_tol=tol)
@@ -386,8 +425,9 @@ def test_a_term_zero_on_its_whole_table_is_skipped_without_changing_likelihoods(
                                                record, table, weight))
         old = oracle.gathered_likelihoods(c, poly, sc, 4, np.random.default_rng(7), record,
                                           table, weight)
-        for log_like, like in zip(new, old):
-            npt.assert_allclose(np.exp2(log_like), like, rtol=tol)
+        for (keys, log_like), like in zip(new, old):
+            dense = oracle.dense_log2_likelihood(keys, log_like, 8)
+            npt.assert_allclose(np.exp2(dense), like, rtol=tol)
 
 
 # record models of the blocked-scorer tests: (regime, dsr, misalign, M)
@@ -403,6 +443,28 @@ RECORDS = {
     "quantum_m128": ("quantum", attacks.Dsr.binary(0.1), 0.0, 128),
 }
 BLOCK = attacks._TRIAL_BLOCK
+
+
+@pytest.mark.parametrize("record, errors, distinct, rows", [
+    # the entropy_jitter workload's table: f' = 1 wherever f = 0, so its zero
+    # band is [f = 0], and 4 of its 5 terms are transformed
+    ("jitter", [5], [0, 1, 2, 3], [0, 1, 2, 3, 1]),
+    # log2 f is 0 on a misaligned noiseless table, [f = 0] on the others
+    ("misalign", [], [1], [-1, 0]),
+    ("binary", [5], [0, 2], [0, -1, 1]),
+    ("quantum_binary", [], [0], [0, -1]),
+])
+def test_a_term_equal_to_an_earlier_one_reads_its_row(record, errors, distinct, rows):
+    regime, dsr, misalign, m = RECORDS[record]
+    c = codec.Constellation(m=m, energy=4.0)
+    sc = attacks.AttackScenario.with_errors(32, errors, misalign=misalign, dsr=dsr)
+    terms, _ = attacks._symbol_terms(attacks._record_channel(c, sc, regime)[1], len(errors))
+    assert attacks._distinct_terms(terms) == (distinct, rows)
+    for term, row in zip(terms, rows):
+        if row < 0:
+            assert not term.any()
+        else:
+            assert np.array_equal(term, terms[distinct[row]])
 
 
 @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 200])
@@ -425,8 +487,9 @@ def test_blocked_scorer_is_bitwise_the_per_trial_loop(record, errors, trials):
     old = list(oracle.record_likelihoods(c, poly, sc, trials, rng_old, sampler, table,
                                          len(errors)))
     assert len(new) == len(old) == trials
-    for t, (log_like, want) in enumerate(zip(new, old)):
-        assert np.array_equal(log_like.view(np.int64), want.view(np.int64)), t
+    for t, ((keys, log_like), want) in enumerate(zip(new, old)):
+        dense = oracle.dense_log2_likelihood(keys, log_like, 12)
+        assert np.array_equal(dense.view(np.int64), want.view(np.int64)), t
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
@@ -483,7 +546,7 @@ def test_blocked_entropy_run_peaks_within_half_a_megabyte_of_the_per_trial_loop(
 @example(delta=1e-18)
 @example(delta=0.5)
 def test_two_key_posterior_entropy_is_the_binary_entropy(delta):
-    h = attacks._posterior_entropy_bits(np.array([0.0, math.log2(delta / (1.0 - delta))]))
+    h = attacks._posterior_entropy_bits(np.array([0.0, math.log2(delta / (1.0 - delta))]), 1)
     ref = (-delta * math.log(delta) - (1.0 - delta) * math.log1p(-delta)) / math.log(2.0)
     assert math.isclose(h, ref, rel_tol=1e-12)
 
@@ -502,10 +565,11 @@ def test_scorer_stays_finite_where_every_gathered_product_underflows(errors):
                                                 record, table, len(errors)))
     assert not gathered.any()
     true_seed = int(np.random.default_rng(3).integers(1, 256))
-    log_like = next(attacks._record_likelihoods(c, poly, sc, 1, np.random.default_rng(3),
-                                                record, table, len(errors)))
-    assert log_like[true_seed] == log_like.max() == -20.0 * n - math.log2(n) * len(errors)
-    assert attacks._posterior_entropy_bits(log_like) == 0.0
+    keys, log_like = next(attacks._record_likelihoods(c, poly, sc, 1, np.random.default_rng(3),
+                                                      record, table, len(errors)))
+    dense = oracle.dense_log2_likelihood(keys, log_like, 8)
+    assert dense[true_seed] == dense.max() == -20.0 * n - math.log2(n) * len(errors)
+    assert attacks._posterior_entropy_bits(log_like, 8) == 0.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,6 +24,11 @@ SEED_CSV_HEADER = ["seed_hex", "match_fraction", "hamming_distance", "exact_matc
 ATTACK_REPLAY_INI = pathlib.Path(__file__).parents[1] / "perfbench/workloads/attack_replay.ini"
 # perfbench/refs.json: both seed CSVs of attack_replay, master seeds 1 and 2
 ATTACK_REPLAY_SEEDS_SHA256 = "4e08540cbdbb3e1e892314b9d5b80c4fdeaa7b2e655bdd53b43e2a0719e794ec"
+# perfbench/refs.json: attack_replay's data JSON at each master seed
+ATTACK_REPLAY_JSON_SHA256 = {
+    1: "f0de6422c69cbf6c42c69b69d7eb00420795f8448e6f95051eac31b63efd352b",
+    2: "03ecf9ca79df6d917c8a756851e45d8a7d065baf5ebf788bff4787d87e613305",
+}
 
 
 def candidate_scan(effective_labels: np.ndarray, parity: np.ndarray,
@@ -380,10 +385,18 @@ def test_attack_replay_run_peaks_below_16_mb_traced(tmp_path):
 
 
 def test_attack_replay_workload_seed_csvs_match_the_benchmark_refs(tmp_path):
-    # K = 20 covers hex widths 1 to 5; otp = true writes the pad stage's file too
-    argv = ["attack", "--config", str(ATTACK_REPLAY_INI), "--out-dir", str(tmp_path),
-            "--seed", "1"]
-    assert cli.main(argv) == 0
-    for name in ("attack_replay_attack_seeds.csv", "attack_replay_attack_otp_seeds.csv"):
-        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert digest == ATTACK_REPLAY_SEEDS_SHA256, name
+    # K = 20 covers hex widths 1 to 5; otp = true writes the pad stage's file
+    # too.  The data JSON is pinned as well, so with the bounds and entropy
+    # pins every data file of the benchmark's workloads at both master seeds
+    # is pinned in the tests
+    for seed in (1, 2):
+        out = tmp_path / str(seed)
+        argv = ["attack", "--config", str(ATTACK_REPLAY_INI), "--out-dir", str(out),
+                "--seed", str(seed)]
+        assert cli.main(argv) == 0
+        for name in ("attack_replay_attack_seeds.csv", "attack_replay_attack_otp_seeds.csv"):
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest == ATTACK_REPLAY_SEEDS_SHA256, (seed, name)
+        digest = hashlib.sha256((out / "attack_replay_attack.json").read_bytes()).hexdigest()
+        assert digest == ATTACK_REPLAY_JSON_SHA256[seed], seed
+

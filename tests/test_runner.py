@@ -506,6 +506,25 @@ def test_run_entropy_quantum_regime(tmp_path):
     assert "ciphertext_only" not in payload
 
 
+def test_quantum_regime_takes_a_jitter_that_draws_nothing(tmp_path):
+    # jitter:0 draws nothing and records as none does, so its entropy JSON has
+    # the same bytes but for the config hash; a positive jitter is refused
+    data = {}
+    for dsr in ("none", "jitter:0"):
+        out = tmp_path / dsr.replace(":", "")
+        text = QUANTUM_ENTROPY_CFG.replace("dsr = none", f"dsr = {dsr}")
+        cfg = load_config(write_cfg(tmp_path, text), "entropy", out_dir=str(out))
+        runner.run_entropy(cfg)
+        data[dsr] = read_file(out, "ent_entropy.json").replace(cfg.config_sha256.encode(), b"")
+    assert data["jitter:0"] == data["none"]
+    with pytest.raises(ConfigError) as err:
+        load_config(write_cfg(tmp_path, QUANTUM_ENTROPY_CFG.replace("dsr = none",
+                                                                    "dsr = jitter:0.1")),
+                    "entropy")
+    assert "cfg.ini:14: " in str(err.value)
+    assert "supports dsr 'none' or 'binary'" in str(err.value)
+
+
 def _key_entropies(payload):
     """(name, value) of every key-entropy figure in an entropy JSON."""
     for section in ("ciphertext_only", "known_plaintext"):
