@@ -23,6 +23,7 @@ caps raise RegimeCapError rather than silently subsampling.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -158,7 +159,9 @@ class AttackRecord:
     `mismatch_histogram[h]` counts the nonzero seeds with h_j = h (N + 1
     bins summing to 2^K - 1); the rank, exact-match count and match-fraction
     summaries are read from it, the mean as the exact integer total of
-    N - h_j divided by N, then by 2^K - 1.
+    N - h_j divided by N, then by 2^K - 1.  Both arrays are read-only: a
+    replay whose unit rows and flip word repeat the previous replay's
+    shares its arrays.
     """
 
     measured_labels: np.ndarray
@@ -270,14 +273,18 @@ def _label_channel(c: Constellation, scenario: AttackScenario) -> np.ndarray:
     """chan[index, label] = P(recorded label | transmitted index), before recording errors.
 
     Folds reference misalignment, phase jitter, and the binary flip into one
-    table over the 2M indices.
+    table over the 2M indices.  Under a flip at rate f both columns are
+    mixed from the unflipped (1 - p1, p1): a member that reads 1 reads 0
+    with probability f itself, not 1 - (1 - f), which rounds to 0 for
+    f <= 2^-54.
     """
     jitter = scenario.dsr.param if scenario.dsr.kind == "jitter" else 0.0
     p1 = _label_up(c, scenario.misalign, jitter)
+    chan = np.stack([1.0 - p1, p1], axis=1)
     if scenario.dsr.kind == "binary":
         f = scenario.dsr.param
-        p1 = p1 * (1.0 - f) + (1.0 - p1) * f
-    return np.stack([1.0 - p1, p1], axis=1)
+        chan = chan * (1.0 - f) + chan[:, ::-1] * f
+    return chan
 
 
 @dataclass(frozen=True)
@@ -411,7 +418,9 @@ def _gf2_rank(rows: np.ndarray) -> int:
 
 
 # Seeds per scan chunk, as a power of two: at N <= 64 a chunk's span block
-# takes 0.5 MB, so the replay's working memory does not grow with K.
+# takes 0.5 MB, so the replay's working memory does not grow with K.  The
+# seed CSV writer formats its rows in chunks of the same size, aligned to
+# multiples of it, so a chunk's high hex digits are one slice of a table.
 _SCAN_CHUNK_BITS = 16
 
 
@@ -428,7 +437,9 @@ def _scan_counts(units: np.ndarray, flip: np.ndarray,
     its counts, in the smallest unsigned dtype that holds N, into one array
     of all 2^K seeds and into the (N + 1)-bin histogram.  Seed j's count is
     at index j - 1; seed 0 is left out.  Besides the counts, memory is three
-    2^B-row blocks (span, buffer, popcounts), whatever K is.
+    2^B-row blocks (span, buffer, popcounts), whatever K is.  The replay
+    calls it through `_stage_counts`, so a stage whose unit rows and flip
+    equal the previous stage's takes that stage's result instead.
     """
     low_bits = min(units.shape[0], _SCAN_CHUNK_BITS)
     low = gf2_span(units[:low_bits])
@@ -446,22 +457,42 @@ def _scan_counts(units: np.ndarray, flip: np.ndarray,
     return counts[1:], hist
 
 
+@functools.lru_cache(maxsize=1)
+def _stage_counts(units: bytes, flip: bytes, key_bits: int,
+                  n_symbols: int) -> "tuple[np.ndarray, np.ndarray]":
+    """`_scan_counts` of packed rows given as bytes, kept for the next stage; read-only.
+
+    The counts are a pure function of the unit rows and the flip word.
+    Without a randomizing dsr the pad cancels, so a run's pad stage hands
+    this one-entry memo the plain stage's flip and takes the plain stage's
+    arrays, the same objects, without a second 2^K pass.
+    """
+    counts, hist = _scan_counts(np.frombuffer(units, np.uint64).reshape(key_bits, -1),
+                                np.frombuffer(flip, np.uint64), n_symbols)
+    counts.flags.writeable = hist.flags.writeable = False
+    return counts, hist
+
+
 def _seed_scan(measured_labels: np.ndarray, effective_labels: np.ndarray,
                target: np.ndarray, basis_units: np.ndarray,
                true_seed: int) -> AttackRecord:
     """Score the candidates effective_labels XOR parity_j of every nonzero seed j.
 
     One `_scan_counts` pass gives every nonzero seed's mismatch count and
-    their (N + 1)-bin histogram; the true seed's count is read from the
-    counts.  The number of distinct candidates follows from the GF(2) rank
-    of the unit streams: with full rank K every nonzero seed gives its own
-    candidate (2^K - 1), otherwise the nonzero seeds cover the whole 2^rank
-    image.  basis_units holds the K unit seeds' basis chunk rows.
+    their (N + 1)-bin histogram, unless the previous stage scanned the same
+    unit rows and flip word (`_stage_counts`); the true seed's count is
+    read from the counts.  The number of distinct candidates follows from
+    the GF(2) rank of the unit streams: with full rank K every nonzero seed
+    gives its own candidate (2^K - 1), otherwise the nonzero seeds cover
+    the whole 2^rank image.  basis_units holds the K unit seeds' basis
+    chunk rows.
     """
     key_bits = basis_units.shape[0]
     n = target.size
     units = _pack_words((basis_units & 1).astype(np.uint8))
-    mismatches, hist = _scan_counts(units, _pack_words(effective_labels ^ target), n)
+    mismatches, hist = _stage_counts(units.tobytes(),
+                                     _pack_words(effective_labels ^ target).tobytes(),
+                                     key_bits, n)
     true_h = int(mismatches[true_seed - 1])
     seed_space = (1 << key_bits) - 1
     rank = _gf2_rank(units)

@@ -206,70 +206,72 @@ _SEED_CSV_HEADER = ["seed_hex", "match_fraction", "hamming_distance", "exact_mat
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
-def _hex_table(key_bits: int) -> np.ndarray:
-    """V(3 + w) items "0x", hex digits, "," of 0 ... 2^K - 1; leading zero digits are NUL.
+def _hex_words(first: int, digits: int, strip: bool) -> np.ndarray:
+    """uint64 words holding the hex digits of 0 ... 16^digits - 1 from byte `first` on.
 
-    w = max(1, ceil(K / 4)).  The comma that opens every row tail sits here:
-    at K = 17 ... 20 and N = 64 the hex and tail items are then 8 and 16
-    bytes wide, sizes numpy copies as whole words, about 3x faster than the
-    7 and 17 bytes that take its general per-item copy.  The table is
-    viewed as a grid with one axis per hex digit (the top axis holds only
-    the 2^(K - 4 (w - 1)) values of a partial top digit), so each digit
-    column is the 16 digit bytes broadcast along its axis, and the leading
-    zeros of digit j are the rows whose digits 0 ... j all index 0.
+    Every other byte is NUL, and so, with `strip`, is every leading zero digit.
     """
-    width = max(1, -(-key_bits // 4))
-    top = 1 << (key_bits - 4 * (width - 1))
-    grid = np.empty((top,) + (16,) * (width - 1) + (3 + width,), dtype=np.uint8)
-    grid[..., 0] = ord("0")
-    grid[..., 1] = ord("x")
-    grid[..., 2 + width] = ord(",")
-    for j in range(width):
-        grid[..., 2 + j] = _HEX_DIGITS[:grid.shape[j]].reshape((-1,) + (1,) * (width - 1 - j))
-    # the last digit of 0 stays "0"
-    for j in range(width - 1):
-        grid[(0,) * (j + 1) + (..., 2 + j)] = 0
-    return grid.reshape(-1).view(f"V{3 + width}")
+    values = np.arange(16 ** digits)[:, None] >> 4 * np.arange(digits - 1, -1, -1)
+    words = np.zeros((values.shape[0], 8), dtype=np.uint8)
+    words[:, first:first + digits] = np.where(strip & (values == 0), 0, _HEX_DIGITS[values & 15])
+    return words.view(np.uint64)[:, 0]
 
 
 def _write_seed_csv(path: str, manifest_name: str, sha256: str, mismatches: np.ndarray,
-                    n_symbols: int, true_seed: int, hex_table: np.ndarray) -> None:
+                    n_symbols: int, true_seed: int) -> None:
     """One row per seed hypothesis, byte for byte as _write_csv would format it.
 
     The rows follow `mismatches`, the integer mismatch counts h of seeds
-    1 ... 2^K - 1 in order (`AttackRecord.mismatches`), in slices of one
-    scan chunk (2^16 rows), so a row's "0x", hex digits and first comma are
-    item s of `hex_table` (`_hex_table(K)`, built once per run; leading zero
-    digits stored as NUL).  The match fraction is (n - h) / n, so the rest
-    of a row is one of 2 (n + 1) precomputed tails, NUL-padded to the
-    longest: tail h, or h + n + 1 on the true seed's row.  Each slice of
-    rows is one record array with a `hex` and a `tail` field, filled by two
-    whole-item copies: a slice of the table and a `take` from the tails.  No
-    CSV row holds a NUL byte, so one pass that deletes them gives the
-    slice's file bytes.  Besides the table (8.4 MB at K = 20) and the
-    counts, memory is one slice of rows; no Python object is made per row.
+    1 ... 2^K - 1 in order (`AttackRecord.mismatches`), in chunks of
+    2^_SCAN_CHUNK_BITS seeds aligned to multiples of the chunk size, so the
+    first chunk's row 0 is seed 0, which is blanked.  A row's "0x", hex
+    digits and first comma are one 8-byte word, the OR of a word from each
+    of two small tables: the two digits of seed >> 12 (leading zeros NUL)
+    and the three of seed & 0xfff, whose leading zeros are NUL only where
+    the high part is zero.  Within an aligned chunk the high words are a
+    slice of their 256-entry table, each repeated over a run of low words
+    (K <= 20, ATTACK_KEY_BITS_CAP, so two high digits suffice).  The match
+    fraction is (n - h) / n, so the rest of a row is one of 2 (n + 1)
+    precomputed tails, NUL-padded to the longest: tail h, or h + n + 1 on
+    the true seed's row.  Each chunk of rows is one record array with a
+    `hex` and a `tail` field in one buffer reused across chunks: one OR
+    fills the hex words, a `take` the tails.  No CSV row holds a NUL byte,
+    so one pass that deletes them gives the chunk's file bytes.  Besides
+    the counts, memory is one chunk of rows; no Python object is made per
+    row and no table has 2^K rows.
     """
     tails = [f"{(n_symbols - h) / n_symbols!r},{h},{int(h == 0)},{true}\n".encode()
              for true in (0, 1) for h in range(n_symbols + 1)]
     tail_width = max(len(t) for t in tails)
     tail_table = np.frombuffer(b"".join(t.ljust(tail_width, b"\0") for t in tails),
                                dtype=f"V{tail_width}")
-    row = np.dtype([("hex", hex_table.dtype), ("tail", tail_table.dtype)])
+    # a seed's hex word: "0x", the digits of seed >> 12 and of seed & 0xfff, ","
+    high = _hex_words(2, 2, True) | np.frombuffer(b"0x\0\0\0\0\0,", dtype=np.uint64)
+    low, low_stripped = _hex_words(4, 3, False), _hex_words(4, 3, True)
+    step = min(mismatches.size + 1, 1 << _SCAN_CHUNK_BITS)
+    row = np.dtype([("hex", np.uint64), ("tail", tail_table.dtype)])
+    chunk = bytearray(step * row.itemsize)
+    rows = np.frombuffer(chunk, dtype=row)
+    # one row of the grid per high part, one column per low part
+    grid = rows["hex"].reshape(-1, min(step, 1 << 12))
     with _writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         _csv_writer(fh, manifest_name, sha256, _SEED_CSV_HEADER)
         # the header sits in the text layer's buffer; it must reach the file first
         fh.flush()
-        step = 1 << _SCAN_CHUNK_BITS
-        for lo in range(0, mismatches.size, step):
-            counts = mismatches[lo:lo + step]
-            chunk = bytearray(counts.size * row.itemsize)
-            rows = np.frombuffer(chunk, dtype=row)
-            # row i is seed lo + 1 + i
-            rows["hex"] = hex_table[lo + 1:lo + 1 + counts.size]
-            rows["tail"] = tail_table.take(counts)
-            if lo < true_seed <= lo + counts.size:
-                i = true_seed - 1 - lo
-                rows["tail"][i] = tail_table[int(counts[i]) + n_symbols + 1]
+        for lo in range(0, mismatches.size + 1, step):
+            # row i is seed lo + i
+            cols = slice(lo & 0xFFF, (lo & 0xFFF) + grid.shape[1])
+            np.bitwise_or(high[lo >> 12:(lo >> 12) + grid.shape[0], None], low[cols],
+                          out=grid)
+            first = max(lo, 1)
+            rows["tail"][first - lo:] = tail_table.take(mismatches[first - 1:lo + step - 1])
+            if lo < 1 << 12:
+                grid[0] = high[0] | low_stripped[cols]
+            if lo == 0:
+                chunk[:row.itemsize] = bytes(row.itemsize)
+            if lo <= true_seed < lo + step:
+                rows["tail"][true_seed - lo] = tail_table[
+                    int(mismatches[true_seed - 1]) + n_symbols + 1]
             fh.buffer.write(chunk.translate(None, b"\0"))
 
 
@@ -278,10 +280,12 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
 
     Without deliberate signal randomization (dsr) each label error depends
     only on the basis, the misalignment and the fixed recording errors, so
-    the pad cancels from the pad stage's syndrome: its mismatch counts, and
-    so its seed CSV, equal the plain stage's.  When the counts agree the run
-    copies the plain stage's file instead of formatting it again; the
-    manifest's "seed_csv_copied_from" maps each copy to its source.
+    the pad cancels from the pad stage's syndrome: its flip word (effective
+    labels XOR reference) equals the plain stage's.  The scan then hands
+    the pad stage the plain stage's counts, the same array, without a
+    second pass (`attacks._stage_counts`), and the run copies the plain
+    stage's seed CSV instead of formatting it again; the manifest's
+    "seed_csv_copied_from" maps each copy to its source.
     """
     _make_out_dir(cfg.out_dir)
     c, scenario = _record_model(cfg)
@@ -302,12 +306,10 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
     }
     outputs = [f"{cfg.prefix}_attack.json"]
     copied: "dict[str, str]" = {}
-    hex_table = _hex_table(cfg.key_bits)
 
     def write_seeds(name: str, mismatches: np.ndarray) -> None:
         _write_seed_csv(os.path.join(cfg.out_dir, name), f"{cfg.prefix}_manifest.json",
-                        cfg.config_sha256, mismatches, cfg.n_symbols, cfg.seed_register,
-                        hex_table)
+                        cfg.config_sha256, mismatches, cfg.n_symbols, cfg.seed_register)
         outputs.append(name)
 
     plain = f"{cfg.prefix}_attack_seeds.csv"
@@ -318,9 +320,10 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
         payload["otp_stage"] = _attack_record_payload(orec, cfg, None)
         payload["otp_stage"]["plaintext"] = x_bits.tolist()
         name = f"{cfg.prefix}_attack_otp_seeds.csv"
-        if np.array_equal(orec.mismatches, rec.mismatches):
-            # both files name the same manifest and config SHA-256 in their
-            # header and share N and the true seed: equal counts, equal bytes
+        if orec.mismatches is rec.mismatches:
+            # the stages' flip words agree.  Both files name the same
+            # manifest and config SHA-256 in their header and share N and
+            # the true seed: equal counts, equal bytes
             path = os.path.join(cfg.out_dir, name)
             with _writing(path):
                 shutil.copyfile(os.path.join(cfg.out_dir, plain), path)

@@ -156,8 +156,10 @@ def scan_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, tria
     nonzero key; key 0 has no parity and scores popcount(record XOR data).
     log2 L_j = h_j log2 p + (N - h_j) log2(1 - p), and one recording error
     at an unknown position adds log2((h_j (1 - p)/p + (N - h_j) p/(1 - p)) / N),
-    taken here in the log domain so that no ratio overflows.  The draws
-    are the engine's, trial by trial.
+    taken here in the log domain so that no ratio overflows.  At p = 0 that
+    term's limit leaves only the keys whose one mismatch is the error:
+    L_j = 1/N where h_j = 1, else 0.  The draws are the engine's, trial by
+    trial.
     """
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
@@ -180,7 +182,9 @@ def scan_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, tria
         h = np.concatenate([[int(flip.sum())], counts]).astype(float)
         log2_like = np.multiply(h, log2_p, out=np.zeros(h.size), where=h > 0)
         log2_like += (n - h) * math.log2(1.0 - p)
-        if weight:
+        if weight and p == 0.0:
+            log2_like = np.where(h == 1, -math.log2(n), -math.inf)
+        elif weight:
             with np.errstate(divide="ignore"):
                 log2_like += np.logaddexp2(np.log2(h) + log2_odds,
                                            np.log2(n - h) - log2_odds) - math.log2(n)

@@ -226,11 +226,9 @@ def uniform_flip_cases(draw):
     """Label records under ``dsr = binary:p`` without misalignment, 0 or 1 recording error."""
     degree = draw(st.integers(2, 12))
     n = draw(st.integers(1, 32))
-    # p = 1 - (1 - p) holds on the grid of 2^-53, so the engine's label table
-    # holds p at both members of every pair.  Off the grid an up member's
-    # flip reads 1 - (1 - p) instead: 8e-8 relative at p = 1e-10, and 0 for
-    # p <= 2^-54, where keys with such a mismatch get likelihood 0
-    p = draw(st.floats(2.0 ** -53, 0.5).map(lambda p: 1.0 - (1.0 - p)))
+    # the label table holds p itself at both members of every pair, off the
+    # grid of 2^-53 too
+    p = draw(st.floats(0.0, 0.5))
     errors = draw(st.lists(st.integers(0, n - 1), max_size=1))
     sc = attacks.AttackScenario.with_errors(n, errors, dsr=attacks.Dsr.binary(p))
     c = codec.Constellation(m=draw(st.sampled_from([2, 4, 8, 16, 64])), energy=1.0)
@@ -251,6 +249,11 @@ def flip_case(m, degree, n, p, errors, trials, seed):
 # p = 0: the posterior is uniform over the keys that reproduce the record
 @example(flip_case(16, 12, 32, 0.0, [], 3, 1))
 @example(flip_case(2, 8, 6, 0.0, [], 3, 4))
+# p below 2^-54: the label table stored an up member's flip as 1 - (1 - p) = 0,
+# and keys whose record needs such a flip read likelihood 0
+@example(flip_case(16, 6, 17, 1e-30, [5], 2, 1))
+# p = 0 with one error: only keys whose one mismatch is the error survive
+@example(flip_case(2, 2, 1, 0.0, [0], 1, 0))
 def test_entropy_engines_match_the_replay_scan_under_uniform_flips(case):
     # the replay's mismatch counts give every key's likelihood in closed form;
     # over 12000 random cases the engine agreed within 66 eps B on a key's

@@ -47,10 +47,10 @@ def per_seed_rows(rec, n_symbols: int) -> "list[list]":
             for seed, h in enumerate(rec.mismatches.tolist(), start=1)]
 
 
-def write_seed_csv(path, rec, n_symbols: int, hex_table: np.ndarray) -> None:
+def write_seed_csv(path, rec, n_symbols: int) -> None:
     """The package's seed CSV of one record, under the reference file's manifest and hash."""
     runner._write_seed_csv(str(path), "m.json", "abc", rec.mismatches, n_symbols,
-                           rec.true_seed, hex_table)
+                           rec.true_seed)
 
 
 def replay_record(degree: int, n: int, true_seed: int, noisy: bool, rng_seed: int = 0):
@@ -188,6 +188,8 @@ def test_without_dsr_the_pad_stage_counts_equal_the_plain_stage_counts(case, dsr
     pad = attacks.otp_stage_attack(x, c, poly, true_seed, scenario, rng)
     same = np.array_equal(pad.mismatches, plain.mismatches)
     assert same == (dsr.kind == "none")
+    # equal flip words: the pad stage took the plain stage's counts, unscanned
+    assert (pad.mismatches is plain.mismatches) == same
 
 
 @st.composite
@@ -220,6 +222,8 @@ def test_chunked_scan_matches_the_whole_array_scan(case):
     effective = (target ^ (codec._seed_row(basis_units, true_seed) & 1)
                  ^ (rng.random(n) < 0.1)).astype(np.uint8)
     want = replay_oracles.whole_array_scan(effective, target, basis_units, true_seed)
+    # a repeated case would take its counts from the last scan's memo
+    attacks._stage_counts.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(attacks, "_SCAN_CHUNK_BITS", chunk_bits)
         rec = attacks._seed_scan(effective, effective, target, basis_units, true_seed)
@@ -259,7 +263,7 @@ def test_seed_csv_writer_matches_the_csv_module(tmp_path_factory, degree, n, see
     assume(rec.true_seed_mismatches > 0)
     assume(np.count_nonzero(rec.mismatch_histogram) > 2)
     out = tmp_path_factory.mktemp("csv")
-    write_seed_csv(out / "fast.csv", rec, n, runner._hex_table(degree))
+    write_seed_csv(out / "fast.csv", rec, n)
     runner._write_csv(str(out / "ref.csv"), "m.json", "abc", SEED_CSV_HEADER,
                       per_seed_rows(rec, n))
     assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
@@ -287,26 +291,10 @@ def test_seed_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, d
     runner._write_csv(str(tmp_path / "ref.csv"), "m.json", "abc", SEED_CSV_HEADER,
                       per_seed_rows(rec, n))
     want = (tmp_path / "ref.csv").read_bytes()
-    hex_table = runner._hex_table(degree)
     for bits in chunk_bits:
         monkeypatch.setattr(runner, "_SCAN_CHUNK_BITS", bits)
-        write_seed_csv(tmp_path / "fast.csv", rec, n, hex_table)
+        write_seed_csv(tmp_path / "fast.csv", rec, n)
         assert (tmp_path / "fast.csv").read_bytes() == want, bits
-
-
-def test_run_attack_scans_each_stage_once(tmp_path, monkeypatch):
-    # the record keeps the counts, so the seed CSV writers do not rescan
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return scan(*args)
-
-    scan = attacks._scan_counts
-    monkeypatch.setattr(attacks, "_scan_counts", counting)
-    runner.run_attack(load_config(str(ATTACK_REPLAY_INI), "attack", out_dir=str(tmp_path)))
-    # the plain stage and the pad stage
-    assert len(calls) == 2
 
 
 # a pad-stage run whose randomization gives the two stages different counts
@@ -326,22 +314,53 @@ prefix = rand
 """
 
 
-def count_seed_csv_writes(monkeypatch) -> "list[tuple]":
+# one- to five-digit seeds, every edge between the high and low digit
+# tables and the writer's first chunk boundary (65535 | 65536); the test
+# adds each K's last seed, 2^K - 1
+HEX_BOUNDARY_SEEDS = (1, 15, 16, 255, 256, 4095, 4096, 65535, 65536, 65537)
+
+
+def test_seed_csv_hex_column_is_format_hex_at_every_key_size(tmp_path):
+    # all K = 1 ... 20 take about 0.3 s; every seed is checked up to K = 12
+    for degree in range(1, 21):
+        path = tmp_path / f"k{degree}.csv"
+        mismatches = np.zeros((1 << degree) - 1, dtype=np.uint8)
+        runner._write_seed_csv(str(path), "m.json", "abc", mismatches, 1, 1)
+        # the manifest comment and the header come first: seed s is line s + 1
+        lines = path.read_bytes().split(b"\n")
+        assert len(lines) == (1 << degree) + 2, degree
+        seeds = range(1, 1 << degree) if degree <= 12 else HEX_BOUNDARY_SEEDS
+        for seed in [s for s in seeds if s < 1 << degree] + [(1 << degree) - 1]:
+            assert lines[seed + 1].split(b",")[0] == format(seed, "#x").encode(), (degree, seed)
+        path.unlink()
+
+
+def count_calls(monkeypatch, module, name: str) -> "list[tuple]":
+    """Arguments of every later call of module.name, which still runs."""
     calls = []
 
     def counting(*args):
         calls.append(args)
-        write(*args)
+        return function(*args)
 
-    write = runner._write_seed_csv
-    monkeypatch.setattr(runner, "_write_seed_csv", counting)
+    function = getattr(module, name)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
+def count_scans(monkeypatch) -> "list[tuple]":
+    """Every 2^K scan pass from here on; the memo of an earlier run's last scan is dropped."""
+    attacks._stage_counts.cache_clear()
+    return count_calls(monkeypatch, attacks, "_scan_counts")
+
+
 def test_run_attack_copies_the_pad_stage_csv_when_the_counts_agree(tmp_path, monkeypatch):
-    calls = count_seed_csv_writes(monkeypatch)
+    scans = count_scans(monkeypatch)
+    calls = count_calls(monkeypatch, runner, "_write_seed_csv")
     runner.run_attack(load_config(str(ATTACK_REPLAY_INI), "attack", out_dir=str(tmp_path)))
-    # the plain stage formats its file; the pad stage's is a copy of it
+    # the pad cancels: the pad stage hands the scan the plain stage's flip
+    # word and takes its counts, and its file is a copy of the plain stage's
+    assert len(scans) == 1
     assert len(calls) == 1
     manifest = json.loads((tmp_path / "attack_replay_manifest.json").read_bytes())
     assert manifest["seed_csv_copied_from"] == {
@@ -349,7 +368,8 @@ def test_run_attack_copies_the_pad_stage_csv_when_the_counts_agree(tmp_path, mon
 
 
 def test_run_attack_formats_the_pad_stage_csv_when_the_counts_differ(tmp_path, monkeypatch):
-    calls = count_seed_csv_writes(monkeypatch)
+    scans = count_scans(monkeypatch)
+    calls = count_calls(monkeypatch, runner, "_write_seed_csv")
     records = []
 
     def recording(*args):
@@ -362,6 +382,8 @@ def test_run_attack_formats_the_pad_stage_csv_when_the_counts_differ(tmp_path, m
     ini.write_text(RANDOMIZED_PAD_INI, encoding="utf-8")
     cfg = load_config(str(ini), "attack", out_dir=str(tmp_path))
     runner.run_attack(cfg)
+    # fresh flips in the pad stage: its own scan and its own file
+    assert len(scans) == 2
     assert len(calls) == 2
     manifest = json.loads((tmp_path / "rand_manifest.json").read_bytes())
     assert manifest["seed_csv_copied_from"] == {}
@@ -372,16 +394,21 @@ def test_run_attack_formats_the_pad_stage_csv_when_the_counts_differ(tmp_path, m
     assert pad != (tmp_path / "rand_attack_seeds.csv").read_bytes()
 
 
-def test_attack_replay_run_peaks_below_16_mb_traced(tmp_path):
-    # 8.4 MB of it is the K = 20 hex table; a whole-array scan peaked at 52 MB
+def test_attack_replay_run_peaks_below_8_mb_traced(tmp_path):
+    # no table has 2^K rows: the peak holds the 1 MiB of counts the two
+    # stages share, the scan's three 0.5 MB blocks and one 2^16-row chunk
+    # of CSV rows.  A whole-array scan peaked at 52 MB, and the writer's
+    # 2^K-row hex table, now gone, took 8.4 MB more.
     cfg = load_config(str(ATTACK_REPLAY_INI), "attack", out_dir=str(tmp_path))
+    # the plain stage scans as in a fresh process
+    attacks._stage_counts.cache_clear()
     tracemalloc.start()
     try:
         runner.run_attack(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, peak
+    assert peak < 8 * 2**20, peak
 
 
 def test_attack_replay_workload_seed_csvs_match_the_benchmark_refs(tmp_path):

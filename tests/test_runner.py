@@ -834,12 +834,22 @@ def _mostly(valid, other):
     return st.sampled_from([valid] * 7 + [other]).flatmap(lambda values: values)
 
 
+# every file a run of each family writes, after its prefix; with otp = true
+# an attack run also writes attack_otp_seeds.csv
+OUTPUT_NAMES = {"bounds": ["bounds.csv", "manifest.json"],
+                "attack": ["attack.json", "attack_seeds.csv", "manifest.json"],
+                "entropy": ["entropy.json", "manifest.json"],
+                "keygen": ["keygen.csv", "manifest.json"]}
+
+
 @st.composite
 def generated_configs(draw):
-    """(family, config text) of any family at K <= 6, N <= 16, M <= 16, trials <= 3.
+    """(family, config text, planted) of any family at K <= 6, N <= 16, M <= 16, trials <= 3.
 
     Energies, angles, dsr parameters and s_grid values reach 1e308, and some
     other values fall outside the model, so every exit path is taken.
+    `planted` is None or one of the names the run writes, at which the test
+    puts a directory before the run.
     """
     family = draw(st.sampled_from(["bounds", "attack", "entropy", "keygen"]))
     m = _mostly(st.sampled_from([2, 4, 8, 16]), st.sampled_from([0, 1, 3]))
@@ -886,8 +896,13 @@ def generated_configs(draw):
         del sections["keystream"]
     if family == "keygen":
         del sections["constellation"]
+    # the default prefix is the family's name
+    names = [f"{family}_{name}" for name in OUTPUT_NAMES[family]]
+    if sc.get("otp"):
+        names.append("attack_attack_otp_seeds.csv")
+    planted = draw(st.sampled_from([None] * 7 + names))
     return family, "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
-                           for name, keys in sections.items())
+                           for name, keys in sections.items()), planted
 
 
 QUANTUM_AT = QUANTUM_ENTROPY_CFG.replace("dsr = none", "misalign = {}").replace(
@@ -919,16 +934,21 @@ QUANTUM_AT = QUANTUM_ENTROPY_CFG.replace("dsr = none", "misalign = {}").replace(
 # a negative feedback mask hung the keystream expansion
 @example(case=("attack", ATTACK_CFG.replace("degree = 8", "poly = -0x11D")))
 def test_generated_configs_end_in_an_exit_code_not_a_traceback(case):
-    # exit 0 writes its outputs; a config error (2) or a cap (3) leaves no directory
-    family, text = case
+    # exit 0 writes its outputs; a config error (2) or a cap (3) leaves no
+    # directory, unless the test planted one at an output name: then no
+    # run can exit 0, and a run that loads writes until it meets it (2)
+    # the @examples above plant nothing
+    family, text, planted = (*case, None)[:3]
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         out = os.path.join(tmp, "out")
+        if planted:
+            os.makedirs(os.path.join(out, planted))
         argv = [family, "--config", write_cfg(pathlib.Path(tmp), text), "--out-dir", out]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
-        assert code in (0, 2, 3)
-        assert os.path.exists(out) == (code == 0)
+        assert code in ((2, 3) if planted else (0, 2, 3))
+        assert os.path.exists(out) == (code == 0 or planted is not None)
 
 
 def test_cli_seed_override_changes_outputs(tmp_path, capsys):
