@@ -159,7 +159,9 @@ class AttackRecord:
     `mismatch_histogram[h]` counts the nonzero seeds with h_j = h (N + 1
     bins summing to 2^K - 1); the rank, exact-match count and match-fraction
     summaries are read from it, the mean as the exact integer total of
-    N - h_j divided by N, then by 2^K - 1.  Both arrays are read-only: a
+    N - h_j divided by N, then by 2^K - 1.  In both replay stages
+    `true_r_in_candidates` says whether some seed's candidate is the
+    reference exactly: `exact_match_count > 0`.  Both arrays are read-only: a
     replay whose unit rows and flip word repeat the previous replay's
     shares its arrays.
     """
@@ -200,8 +202,7 @@ def _check_attack_caps(key_bits: int, n_symbols: int) -> None:
     record, 2^K x N symbol comparisons in all; both the seed count and that
     product are capped.
     """
-    if n_symbols < 1:
-        raise ValueError("an attack needs a record of at least one symbol")
+    _check_n_symbols(n_symbols)
     if key_bits > ATTACK_KEY_BITS_CAP:
         raise RegimeCapError(
             f"replay enumerates 2^{key_bits} seeds; cap is 2^{ATTACK_KEY_BITS_CAP}")
@@ -292,11 +293,13 @@ class _Sampler:
     """A record model split into its randomness and its physics.
 
     ``draw(rng, shape)`` takes every random number that records of sent
-    indices of that shape need, in the order the record uses them, and
+    indices of that shape need, in the order the record uses them, as a
+    tuple of arrays of that shape: ``()`` when the record draws nothing.
     ``apply(indices, draws, error_vec)`` maps the indices through the
     channel with them; every operation after the draws is elementwise, so
-    the draws of B rows, stacked, give one apply the records of B separate
-    calls.  ``record`` is the one pipeline that chains the two.
+    the draws of B rows, stacked part by part (``_stack_draws``), give one
+    apply the records of B separate calls.  ``record`` is the one pipeline
+    that chains the two.
     """
 
     draw: Callable
@@ -308,46 +311,41 @@ class _Sampler:
         return self.apply(idx, self.draw(rng, idx.shape), error_vec)
 
 
-def _flip_members(idx: np.ndarray, c: Constellation, flip_prob: float,
-                  uniforms: "np.ndarray | None") -> np.ndarray:
-    """Binary randomization: an index moves to its antipode where its uniform is below the rate."""
-    if uniforms is None:
-        return idx
-    return np.where(uniforms < flip_prob, (idx + c.m) % c.n_states, idx)
-
-
 def _label_sampler(c: Constellation, scenario: AttackScenario) -> _Sampler:
-    """The physical label pipeline of one scenario.
+    """The label pipeline of one scenario, for indices of any shape.
 
-    A record applies the deliberate flip, the jitter, the half-plane
-    decision and the recording errors, in that order, to indices of any
-    shape; each randomization draws one array.  The half-plane labels of
-    the 2M indices are looked up in a table built here once, so a run's
-    records share it.
+    Without jitter a record reads the unflipped label of each index from
+    the 0/1 column that ``_label_channel`` also builds, XORs in the binary
+    flip where its uniform is below the rate, then the recording errors:
+    an antipode's label is the complement, so this is the label of the
+    flipped member.  Jitter draws one phase offset per symbol and takes the
+    half-plane decision of the offset phase, then the recording errors.
+    The column is built here once, so a run's records share it.
     """
     kind, param = scenario.dsr.kind, scenario.dsr.param
     randomized = param > 0.0
-    jittered = randomized and kind == "jitter"
-    up = None if jittered else _label_up(c, scenario.misalign).astype(np.uint8)
+    up = _label_up(c, scenario.misalign).astype(np.uint8)
 
-    def draw(rng: "np.random.Generator | None", shape: tuple) -> "np.ndarray | None":
+    def draw(rng: "np.random.Generator | None", shape: tuple) -> tuple:
         if not randomized:
-            return None
+            return ()
         if rng is None:
             raise ValueError("this scenario randomizes the signal; pass a Generator")
-        return rng.random(shape) if kind == "binary" else rng.uniform(-param, param, shape)
+        return (rng.random(shape) if kind == "binary" else rng.uniform(-param, param, shape),)
 
-    def apply(indices: np.ndarray, draws: "np.ndarray | None",
-              error_vec: np.ndarray) -> np.ndarray:
-        if up is not None:
-            return up[_flip_members(indices, c, param, draws)] ^ error_vec
+    def apply(indices: np.ndarray, draws: tuple, error_vec: np.ndarray) -> np.ndarray:
+        if not draws:
+            return up[indices] ^ error_vec
+        (u,) = draws
+        if kind == "binary":
+            return up[indices] ^ (u < param) ^ error_vec
         # phases relative to Eve's axis, as _up_fraction takes them.  A
         # jittered phase has no tie band: a window inside it would read 1
         # where the model gives 0.  An antipode reads the complement of its
         # partner under the same draw, as the model pairs them; its own
         # phase, pi + rel, rounds onto the axis when misalign is below
         # pi's rounding.
-        rel = math.pi * (indices % c.m) / c.m - scenario.misalign + draws
+        rel = math.pi * (indices % c.m) / c.m - scenario.misalign + u
         return ((np.sin(rel) > 0.0) ^ (indices >= c.m)).astype(np.uint8) ^ error_vec
 
     return _Sampler(draw, apply)
@@ -365,14 +363,16 @@ def _heterodyne_sampler(c: Constellation, scenario: AttackScenario) -> _Sampler:
     f = scenario.dsr.param if scenario.dsr.kind == "binary" else 0.0
 
     def draw(rng: np.random.Generator, shape: tuple) -> tuple:
-        uniforms = rng.random(shape) if f > 0.0 else None
-        size = math.prod(shape)
-        return uniforms, heterodyne_sample(0j, rng, size=size).reshape(shape)
+        flips = (rng.random(shape),) if f > 0.0 else ()
+        return flips + (heterodyne_sample(0j, rng, size=math.prod(shape)).reshape(shape),)
 
     def apply(indices: np.ndarray, draws: tuple, error_vec: np.ndarray) -> np.ndarray:
-        uniforms, noise = draws
-        z = noise + amplitudes[_flip_members(indices, c, f, uniforms)]
-        return nearest_phase_index(z, c, decision_offset=scenario.misalign)
+        *flips, noise = draws
+        if flips:
+            # a flipped member is sent as its antipode
+            indices = np.where(flips[0] < f, (indices + c.m) % c.n_states, indices)
+        return nearest_phase_index(noise + amplitudes[indices], c,
+                                   decision_offset=scenario.misalign)
 
     return _Sampler(draw, apply)
 
@@ -563,7 +563,6 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
     labels = _label_sampler(c, scenario).record(_pair_index_table(c)[pad, basis_true], rng,
                                                 scenario.error_seq)
     rec = _seed_scan(labels, cipher ^ labels, x_bits, units, true_seed)
-    rec.true_r_in_candidates = rec.true_seed_mismatches == 0
     noiseless = (scenario.dsr.param == 0.0 and scenario.misalign == 0.0
                  and not scenario.error_seq.any())
     identity = bool(np.all((cipher ^ labels ^ (basis_true & 1)) == x_bits)) if noiseless else None
@@ -781,13 +780,9 @@ def _record_channel(c: Constellation, scenario: AttackScenario,
     return sampler, chan[_pair_index_table(c)]
 
 
-def _stack_draws(draws: list):
-    """Per-trial sampler draws stacked along a new first axis, None and tuples kept in place."""
-    if draws[0] is None:
-        return None
-    if isinstance(draws[0], tuple):
-        return tuple(_stack_draws(list(parts)) for parts in zip(*draws))
-    return np.stack(draws)
+def _stack_draws(draws: list) -> tuple:
+    """Per-trial sampler draws, tuples of arrays, stacked part by part along a new first axis."""
+    return tuple(np.stack(parts) for parts in zip(*draws))
 
 
 def _distinct_terms(terms: list) -> "tuple[list[int], list[int]]":
@@ -849,18 +844,19 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     records (``sampler.apply``) and its basis coefficients.  A term's
     coefficients over the basis characters depend only on the symbol's data
     bit and observation, so they are gathered from one table per run.  Per
-    trial remain the scatter into seed space and the two transform factors;
-    where the table has zeros and an error is marginalized, the candidate
-    keys' sums are kept and S is assembled once per block over all of them;
-    without zeros it is assembled per trial over every key.
+    trial remain the scatter into seed space and the two transform factors.
+    The rest turns on one fact of the table, whether it has zeros.  With
+    zeros, each trial keeps the sums of its keys with Z <= the error weight,
+    and the likelihoods are assembled once per block over all of them;
+    without zeros every key is live, and each trial assembles every key.
 
     Yields per trial the live keys, ascending, and their log2 likelihoods,
-    all finite: the keys with Z = 0 without an error; with one, the
-    candidate keys whose S is positive, or every key on a table without
-    zeros, where each symbol puts a band value of at least 1 into S.  A key
-    left out has likelihood 0.  The transform buffers are allocated once
-    per run and no yielded array shares memory with them; the keys of a
-    table without zeros are one read-only array.
+    all finite: the keys with Z = 0 without an error; with one, the kept
+    keys whose S is positive, or every key on a table without zeros, where
+    each symbol puts a band value of at least 1 into S.  A key left out has
+    likelihood 0.  The transform buffers are allocated once per run and no
+    yielded likelihood array shares memory with them or with another
+    trial's; the keys of a table without zeros are one read-only array.
     """
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
@@ -881,10 +877,16 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
     # last row stays 0
     sums = np.zeros((n_live + 1, 1 << key_bits))
     lam_row, zeros_row, band_rows = sum_rows[0], sum_rows[1], sum_rows[2:]
-    lam, zeros = sums[lam_row], sums[zeros_row]
+    zeros = sums[zeros_row]
     has_zeros = terms[1].any()
-    # with zeros in the table, S is assembled per block at the candidate keys
-    blockwise = bands is not None and has_zeros
+
+    def assemble(key_sums: np.ndarray) -> np.ndarray:
+        """log2 L at the keys whose sums are the columns of key_sums, in a new array."""
+        if bands is None:
+            return key_sums[lam_row].copy()
+        return _band_log2(key_sums[lam_row], key_sums[zeros_row], key_sums[band_rows],
+                          bands, n)
+
     # without zeros every key is live, and every trial yields this one array
     every_key = np.arange(1 << key_bits)
     every_key.flags.writeable = False
@@ -918,20 +920,13 @@ def _record_likelihoods(c: Constellation, poly: int, scenario: AttackScenario, t
             spec = np.bincount(slots, weights=coef[t].ravel(), minlength=n_live << key_bits)
             np.matmul(h_hi, spec.reshape(mid.shape), out=mid)
             np.matmul(mid, h_lo, out=transformed)
-            if blockwise:
-                keys = np.flatnonzero(zeros <= 1)
+            if has_zeros:
+                keys = np.flatnonzero(zeros <= weight)
                 kept.append((keys, sums[:, keys]))
-            elif has_zeros:
-                keys = np.flatnonzero(zeros == 0)
-                yield keys, lam[keys]
-            elif bands is None:
-                yield every_key, lam.copy()
             else:
-                yield every_key, _band_log2(lam, zeros, sums[band_rows], bands, n)
-        if kept:
-            key_sums = np.concatenate([s for _, s in kept], axis=1)
-            log2_like = _band_log2(key_sums[lam_row], key_sums[zeros_row],
-                                   key_sums[band_rows], bands, n)
+                yield every_key, assemble(sums)
+        if has_zeros:
+            log2_like = assemble(np.concatenate([s for _, s in kept], axis=1))
             live = log2_like > -math.inf
             at = 0
             for keys, _ in kept:

@@ -15,8 +15,8 @@ import dataclasses
 import datetime
 import json
 import os
-import platform
 import shutil
+import sys
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .scenario import ScenarioConfig, _record_model
 
 
 def _modeling_record(cfg: ScenarioConfig) -> "dict[str, object]":
+    """The record model of an attack or entropy run; the other families record none."""
     return {
         "label_encoding": "up=1 down=0",
         "label_tie_break": "phase on the axis counts as up, antipode as down",
@@ -65,9 +66,10 @@ def _manifest(cfg: ScenarioConfig, outputs: "list[str]", **facts) -> dict:
 
     Holds the only timestamp of a run; data files reference it by name so
     identical seeds yield byte-identical data.  `facts` are a family's
-    extra top-level entries.
+    extra top-level entries; attack and entropy runs also record their
+    record model under "modeling".
     """
-    return {
+    manifest = {
         **facts,
         "tool": "yzero",
         "family": cfg.family,
@@ -77,12 +79,14 @@ def _manifest(cfg: ScenarioConfig, outputs: "list[str]", **facts) -> dict:
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "versions": {
             "yzero": __version__,
-            "python": platform.python_version(),
+            "python": "%d.%d.%d" % sys.version_info[:3],
             "numpy": np.__version__,
         },
-        "modeling": _modeling_record(cfg),
         "tolerances": {"mode_drop_bound": MODE_DROP_BOUND},
     }
+    if cfg.family in ("attack", "entropy"):
+        manifest["modeling"] = _modeling_record(cfg)
+    return manifest
 
 
 def _csv_writer(fh, manifest_name: str, sha256: str, header: "list[str]"):
@@ -373,7 +377,7 @@ def run_keygen(cfg: ScenarioConfig) -> "list[str]":
         slope_b, slope_e = fb.slope, fe.slope
         if fe.slope != 0.0:
             ratio = fb.slope / fe.slope
-    rows = [["ideal", p.s, p.p_error_bob, p.p_error_eve, p.advantage_bits,
+    rows = [[cfg.mode, p.s, p.p_error_bob, p.p_error_eve, p.advantage_bits,
              slope_b, slope_e, ratio] for p in points]
     name = f"{cfg.prefix}_keygen.csv"
     _write_csv(os.path.join(cfg.out_dir, name), f"{cfg.prefix}_manifest.json",

@@ -330,7 +330,7 @@ def _read_keygen(src: _Source, cfg: ScenarioConfig) -> None:
     cfg.s_grid = src.get("scenario", "s_grid", _parse_float, codec._check_energy, many=True)
     # keygen computes one curve, which the CSV's mode column names
     cfg.mode = src.get("scenario", "mode", _parse_word(("ideal",), "keygen mode must be 'ideal'"),
-                       default=cfg.mode)
+                       default="ideal")
 
 
 _READERS = {"bounds": _read_bounds, "attack": _read_attack, "entropy": _read_entropy,

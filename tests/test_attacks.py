@@ -327,6 +327,19 @@ def test_otp_stage_noiseless_identity_at_every_dsr_that_draws_nothing(dsr):
     assert rec.true_seed_mismatches == 0
 
 
+def test_otp_stage_flags_an_exact_match_by_another_seed_as_the_plain_stage_does():
+    # the recording error leaves the true seed one mismatch off, while seed 4
+    # reproduces the plaintext; the pad stage once read the flag from the
+    # true seed alone and wrote an exact match with the flag false
+    c = codec.Constellation(m=2, energy=1.0)
+    sc = attacks.AttackScenario.with_errors(2, [0])
+    rec = attacks.otp_stage_attack(np.zeros(2, dtype=np.uint8), c, codec.PRIMITIVE_POLYS[3], 1,
+                                   sc, np.random.default_rng(0))
+    assert rec.true_seed_mismatches == 1
+    assert rec.exact_match_count == 1
+    assert rec.true_r_in_candidates
+
+
 def test_replays_reject_records_that_are_not_bits():
     # a 2 or a 7 would be scored as a 1, and an all-2 plaintext would match the replay
     c = codec.Constellation(m=4, energy=2.0)
@@ -346,9 +359,9 @@ def test_replays_reject_an_empty_record():
     # N = 0 once gave 0 / 0 = NaN match fractions for every seed
     c = codec.Constellation(m=4, energy=2.0)
     empty = np.zeros(0, dtype=np.uint8)
-    with pytest.raises(ValueError, match="at least one symbol"):
+    with pytest.raises(ValueError, match="n_symbols must be positive"):
         attacks.brute_force_candidates(empty, c, POLY8, empty, 1)
-    with pytest.raises(ValueError, match="at least one symbol"):
+    with pytest.raises(ValueError, match="n_symbols must be positive"):
         attacks.otp_stage_attack(empty, c, POLY8, 1, attacks.AttackScenario(n_symbols=8),
                                  np.random.default_rng(0))
 

@@ -522,6 +522,51 @@ def test_stacked_draws_give_one_apply_the_records_of_per_row_calls(kind, seed):
     assert rng_block.bit_generator.state == rng_rows.bit_generator.state
 
 
+# arrays per draw of each record model: flip or jitter uniforms, heterodyne noise
+DRAW_PARTS = {"none": 0, "binary": 1, "jitter": 1, "misalign": 0, "quantum_none": 1,
+              "quantum_binary": 2, "quantum_m128": 2}
+
+
+@pytest.mark.parametrize("record", sorted(RECORDS))
+def test_every_draw_is_a_tuple_of_arrays_of_the_record_shape(record):
+    regime, dsr, misalign, m = RECORDS[record]
+    sc = attacks.AttackScenario(n_symbols=12, misalign=misalign, dsr=dsr)
+    sampler, _ = attacks._record_channel(codec.Constellation(m=m, energy=4.0), sc, regime)
+    draws = sampler.draw(np.random.default_rng(0), (3, 12))
+    assert type(draws) is tuple and len(draws) == DRAW_PARTS[record]
+    assert all(isinstance(part, np.ndarray) and part.shape == (3, 12) for part in draws)
+
+
+@pytest.mark.parametrize("errors", [[], [5]])
+@pytest.mark.parametrize("record", ["binary", "misalign"])
+def test_no_yielded_array_shares_memory_with_a_later_one_or_the_transform_buffers(record,
+                                                                                errors):
+    # the binary flip's table has no zeros, the misaligned noiseless one has;
+    # two blocks of trials, so the second block reuses every buffer
+    regime, dsr, misalign, m = RECORDS[record]
+    c, poly = codec.Constellation(m=m, energy=4.0), codec.PRIMITIVE_POLYS[8]
+    sc = attacks.AttackScenario.with_errors(12, errors, misalign=misalign, dsr=dsr)
+    sampler, table = attacks._record_channel(c, sc, regime)
+    assert (table == 0.0).any() == (record == "misalign")
+    trials = attacks._record_likelihoods(c, poly, sc, BLOCK + 3, np.random.default_rng(5),
+                                         sampler, table, len(errors))
+    yielded = [next(trials)]
+    buffers = [trials.gi_frame.f_locals[name] for name in ("sums", "mid", "coef_block")]
+    yielded += list(trials)
+    assert len(yielded) == BLOCK + 3
+    for t, (keys, log_like) in enumerate(yielded):
+        for a in (keys, log_like):
+            assert not any(np.shares_memory(a, b) for b in buffers), t
+        for later_keys, later_like in yielded[t + 1:]:
+            assert not np.shares_memory(log_like, later_like), t
+            assert not np.shares_memory(log_like, later_keys), t
+            if record == "binary":
+                # a table without zeros yields one read-only array of every key
+                assert keys is later_keys and not keys.flags.writeable, t
+            else:
+                assert not np.shares_memory(keys, later_keys), t
+
+
 # tracemalloc peaks of one warm ``run_entropy`` of each workload with the
 # per-trial loop, which held one trial's coefficients
 PER_TRIAL_PEAK = {"entropy_jitter": 857_905, "entropy_quantum": 361_190}

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import pathlib
+import platform
 import subprocess
 import sys
 import tempfile
@@ -389,9 +390,9 @@ def test_bounds_manifest_records_the_work(tmp_path, monkeypatch):
     runner.run_bounds(load_config(str(PERFBENCH / "workloads" / "bounds_grid.ini"), "bounds",
                                   out_dir=str(tmp_path)))
     manifest = json.loads(read_file(tmp_path, "bounds_grid_manifest.json"))
+    # a bounds run has no record model
     assert set(manifest) == {"tool", "family", "master_seed", "config", "outputs",
-                             "created_utc", "versions", "modeling", "tolerances",
-                             "bounds_work"}
+                             "created_utc", "versions", "tolerances", "bounds_work"}
     assert manifest["bounds_work"] == {"gram_spectra": 81, "weight_spectra": 18,
                                        "svd_solves": 162}
     assert calls == {"ifft": 18, "svd": 162}
@@ -624,6 +625,19 @@ def test_keygen_csv_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(data).hexdigest() == KEYGEN_CSV_SHA256
 
 
+def test_keygen_mode_defaults_to_the_curve_it_computes(tmp_path):
+    # without ``mode`` a keygen config once loaded the entropy family's default
+    cfg = load_config(write_cfg(tmp_path, KEYGEN_CFG.replace("mode = ideal\n", "")), "keygen",
+                      out_dir=str(tmp_path))
+    assert cfg.mode == "ideal"
+    runner.run_keygen(cfg)
+    _, _, rows = load_csv(tmp_path, "kg_keygen.csv")
+    assert {r[0] for r in rows} == {"ideal"}
+    manifest = json.loads(read_file(tmp_path, "kg_manifest.json"))
+    # nor a keygen run
+    assert "modeling" not in manifest
+
+
 def test_run_keygen_fit_skipped_when_underdetermined(tmp_path):
     text = KEYGEN_CFG.replace("s_grid = 2.0, 3.0, 4.0, 5.0, 6.0",
                               "s_grid = 0.0, 2.0, 4.0")
@@ -650,6 +664,7 @@ def test_manifest_records_the_run(tmp_path):
     assert "coin flip" in manifest["modeling"]["label_axis_pair"]
     assert manifest["tolerances"] == {"mode_drop_bound": 2.0**-53}
     assert set(manifest["versions"]) == {"yzero", "python", "numpy"}
+    assert manifest["versions"]["python"] == platform.python_version()
     # no dsr: the pad stage's counts equal the plain stage's
     assert manifest["seed_csv_copied_from"] == {"run_attack_otp_seeds.csv":
                                                 "run_attack_seeds.csv"}
