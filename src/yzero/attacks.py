@@ -19,6 +19,9 @@ desk scale:
 
 Exhaustive enumeration is capped to sizes a laptop handles in seconds; the
 caps raise RegimeCapError rather than silently subsampling.
+
+Only the quantum regime's heterodyne record reads :mod:`yzero.detection`;
+its two builders import it, so a label-record run never loads it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .codec import (
     halfplane_label,
     unit_keystreams,
 )
-from .detection import heterodyne_index_transition, heterodyne_sample, nearest_phase_index
 from .errors import RegimeCapError
 
 # Exhaustive-search ceilings.  Replays enumerate every nonzero seed; the
@@ -359,6 +361,8 @@ def _heterodyne_sampler(c: Constellation, scenario: AttackScenario) -> _Sampler:
     ``heterodyne_sample``; the constellation amplitudes are built here once
     per run.
     """
+    from .detection import heterodyne_sample, nearest_phase_index
+
     amplitudes = c.amplitudes()
     f = scenario.dsr.param if scenario.dsr.kind == "binary" else 0.0
 
@@ -772,6 +776,8 @@ def _record_channel(c: Constellation, scenario: AttackScenario,
     if regime == "classical":
         sampler, chan = _label_sampler(c, scenario), _label_channel(c, scenario)
     else:
+        from .detection import heterodyne_index_transition
+
         f = scenario.dsr.param if scenario.dsr.kind == "binary" else 0.0
         trans = heterodyne_index_transition(c, decision_offset=scenario.misalign)
         sampler = _heterodyne_sampler(c, scenario)

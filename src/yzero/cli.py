@@ -3,6 +3,15 @@
 Usage: yzero <family> --config <path> [--out-dir <path>] [--seed <int>]
        [--threads <n>]   (accepted and ignored: no family starts threads)
 
+A process that imports this module before numpy computes on its calling
+thread alone: the import sets ``OPENBLAS_NUM_THREADS`` to 1 unless the
+environment already sets it, before numpy loads OpenBLAS.  BLAS sees small
+matrices here (a bounds SVD block is at most 207 x 207 over M <= 512 and
+S <= 300), too small for a second thread to pay its way.  The pin is a
+default, not an option: a value in the environment wins, and a process
+that loaded numpy first is left as it is.  Each family then loads only the
+modules it runs (``scenario``).
+
 Exit codes: 0 on success; 2 on configuration errors, an output directory
 that cannot be created and an output file that cannot be written included;
 3 when a run exceeds a desk-scale cap: the bounds energy (GRAM_ENERGY_CAP),
@@ -16,7 +25,11 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import os
 import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import ConfigError, RegimeCapError
 from .runner import RUNNERS
@@ -36,8 +49,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", default=None, type=int, metavar="U64",
                         help="override the [output] master_seed")
     parser.add_argument("--threads", default=None, type=int, metavar="N",
-                        help="accepted and ignored: no family starts threads "
-                             "(N must be at least 1)")
+                        help="accepted and ignored: no family starts threads, and "
+                             "BLAS runs on one unless OPENBLAS_NUM_THREADS says "
+                             "otherwise (N must be at least 1)")
     return parser
 
 

@@ -5,6 +5,10 @@ numpy's SeedSequence spawning, one child per logical task, and computes on
 the calling thread.  Data files (CSV, JSON) contain no timestamps and use
 shortest-roundtrip float formatting; rerunning with the same seed
 reproduces them byte for byte.  The manifest carries the clock.
+
+Each family's runner imports the library modules it runs, so a process
+loads only its own family's code; the config loader has imported them by
+then (``scenario``), so a run's compute pays no import.
 """
 
 from __future__ import annotations
@@ -21,44 +25,39 @@ import sys
 import numpy as np
 
 from . import __version__
-from .attacks import (
-    _SCAN_CHUNK_BITS,
-    brute_force_candidates,
-    ciphertext_only_entropy,
-    known_plaintext_key_entropy,
-    label_mutual_information,
-    measure_labels,
-    otp_stage_attack,
-)
 from .codec import Constellation, encode_sequence
-from .detection import (
-    MODE_DROP_BOUND,
-    _bit_spectrum,
-    _helstrom_error,
-    _mode_spectrum,
-    _srm_mary_error,
-    _updown_spectrum,
-    exponent_fit,
-    keygen_advantage,
-)
 from .errors import ConfigError
 from .scenario import ScenarioConfig, _record_model
 
+# the record notes of a label record: every attack, and classical entropy runs
+_LABEL_NOTES = {
+    "label_encoding": "up=1 down=0",
+    "label_tie_break": "phase on the axis counts as up, antipode as down",
+    "label_axis_pair": "the basis-0 pair lies on the label axis: the tie rule fixes "
+                       "its labels at zero jitter, any jitter makes each a coin flip",
+    "eve_label_receiver": "ideal half-plane discriminator",
+}
+
 
 def _modeling_record(cfg: ScenarioConfig) -> "dict[str, object]":
-    """The record model of an attack or entropy run; the other families record none."""
-    return {
-        "label_encoding": "up=1 down=0",
-        "label_tie_break": "phase on the axis counts as up, antipode as down",
-        "label_axis_pair": "the basis-0 pair lies on the label axis: the tie rule fixes "
-                           "its labels at zero jitter, any jitter makes each a coin flip",
+    """The record model of an attack or entropy run; the other families record none.
+
+    It notes only what the run modelled: the label rules and Eve's
+    half-plane receiver for a label record, the heterodyne receiver for the
+    quantum regime's index record, and the seed hypotheses for entropy runs.
+    """
+    notes: "dict[str, object]" = {
         "lfsr": "fibonacci, low-bit output, msb-first per-symbol chunks",
-        "eve_label_receiver": "ideal half-plane discriminator",
-        "quantum_record_receiver": "heterodyne, nearest-phase decision",
-        "entropy_hypothesis_space": "all 2^K register values including zero",
         "dsr": f"{cfg.dsr.kind}:{cfg.dsr.param}",
         "misalign_radians": cfg.misalign,
     }
+    if cfg.regime == "quantum":
+        notes["quantum_record_receiver"] = "heterodyne, nearest-phase decision"
+    else:
+        notes.update(_LABEL_NOTES)
+    if cfg.family == "entropy":
+        notes["entropy_hypothesis_space"] = "all 2^K register values including zero"
+    return notes
 
 
 def _manifest(cfg: ScenarioConfig, outputs: "list[str]", **facts) -> dict:
@@ -66,8 +65,8 @@ def _manifest(cfg: ScenarioConfig, outputs: "list[str]", **facts) -> dict:
 
     Holds the only timestamp of a run; data files reference it by name so
     identical seeds yield byte-identical data.  `facts` are a family's
-    extra top-level entries; attack and entropy runs also record their
-    record model under "modeling".
+    extra top-level entries, bounds' "tolerances" among them; attack and
+    entropy runs also record their record model under "modeling".
     """
     manifest = {
         **facts,
@@ -82,7 +81,6 @@ def _manifest(cfg: ScenarioConfig, outputs: "list[str]", **facts) -> dict:
             "python": "%d.%d.%d" % sys.version_info[:3],
             "numpy": np.__version__,
         },
-        "tolerances": {"mode_drop_bound": MODE_DROP_BOUND},
     }
     if cfg.family in ("attack", "entropy"):
         manifest["modeling"] = _modeling_record(cfg)
@@ -147,11 +145,6 @@ def _spawn_rngs(master_seed: int, count: int) -> "list[np.random.Generator]":
 # Families
 
 
-# the binary bounds' CSV names and weight-spectrum builders
-_BINARY_BOUNDS = {"bit": ("helstrom_mixed_bit", _bit_spectrum),
-                  "updown": ("updown", _updown_spectrum)}
-
-
 def run_bounds(cfg: ScenarioConfig) -> "list[str]":
     """Error-probability bounds over the (m, energy) grid; one CSV row per point.
 
@@ -160,13 +153,19 @@ def run_bounds(cfg: ScenarioConfig) -> "list[str]":
     spectrum and one sqrt(Lambda) ordering, shared by the point's methods.
     Per binary bound, one SVD.  The manifest's ``bounds_work`` counts each.
     """
+    from .detection import (MODE_DROP_BOUND, _bit_spectrum, _helstrom_error, _mode_spectrum,
+                            _srm_mary_error, _updown_spectrum)
+
+    # the binary bounds' CSV names and weight-spectrum builders
+    binary_bounds = {"bit": ("helstrom_mixed_bit", _bit_spectrum),
+                     "updown": ("updown", _updown_spectrum)}
     _make_out_dir(cfg.out_dir)
     rows = []
     work = {"gram_spectra": 0, "weight_spectra": 0, "svd_solves": 0}
     for m in cfg.m_grid:
         points = [Constellation(m=m, energy=s, osk=cfg.osk) for s in cfg.energy_grid]
         # the loader has checked the plain pairing that updown needs
-        spectra = {method: _BINARY_BOUNDS[method][1](points[0])
+        spectra = {method: binary_bounds[method][1](points[0])
                    for method in cfg.methods if method != "srm"}
         work["weight_spectra"] += len(spectra)
         for c in points:
@@ -179,13 +178,14 @@ def run_bounds(cfg: ScenarioConfig) -> "list[str]":
                 else:
                     b = _helstrom_error(spectra[method], modes)
                     work["svd_solves"] += 1
-                    rows.append([m, c.energy, _BINARY_BOUNDS[method][0], b.p_error,
+                    rows.append([m, c.energy, binary_bounds[method][0], b.p_error,
                                  b.dim_used, 0.0])
     name = f"{cfg.prefix}_bounds.csv"
     _write_csv(os.path.join(cfg.out_dir, name), f"{cfg.prefix}_manifest.json",
                cfg.config_sha256,
                ["m", "s", "method", "p_error", "dim_used", "truncation_deficit"], rows)
-    return _finish(cfg, [name], bounds_work=work)
+    return _finish(cfg, [name], bounds_work=work,
+                   tolerances={"mode_drop_bound": MODE_DROP_BOUND})
 
 
 def _attack_record_payload(rec, cfg: ScenarioConfig, mutual_info: "float | None") -> dict:
@@ -244,6 +244,8 @@ def _write_seed_csv(path: str, manifest_name: str, sha256: str, mismatches: np.n
     the counts, memory is one chunk of rows; no Python object is made per
     row and no table has 2^K rows.
     """
+    from .attacks import _SCAN_CHUNK_BITS
+
     tails = [f"{(n_symbols - h) / n_symbols!r},{h},{int(h == 0)},{true}\n".encode()
              for true in (0, 1) for h in range(n_symbols + 1)]
     tail_width = max(len(t) for t in tails)
@@ -291,6 +293,9 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
     stage's seed CSV instead of formatting it again; the manifest's
     "seed_csv_copied_from" maps each copy to its source.
     """
+    from .attacks import (brute_force_candidates, label_mutual_information, measure_labels,
+                          otp_stage_attack)
+
     _make_out_dir(cfg.out_dir)
     c, scenario = _record_model(cfg)
     rng_data, rng_channel, rng_mi, rng_otp = _spawn_rngs(cfg.master_seed, 4)
@@ -341,6 +346,8 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
 
 def run_entropy(cfg: ScenarioConfig) -> "list[str]":
     """Exact posterior-entropy accounting for the configured record model."""
+    from .attacks import ciphertext_only_entropy, known_plaintext_key_entropy
+
     _make_out_dir(cfg.out_dir)
     c, scenario = _record_model(cfg)
     rng_co, rng_kp = _spawn_rngs(cfg.master_seed, 2)
@@ -366,6 +373,8 @@ def run_entropy(cfg: ScenarioConfig) -> "list[str]":
 
 def run_keygen(cfg: ScenarioConfig) -> "list[str]":
     """Advantage-versus-energy curve with decay-exponent fits when possible."""
+    from .detection import exponent_fit, keygen_advantage
+
     _make_out_dir(cfg.out_dir)
     points = keygen_advantage(cfg.s_grid)
     fit_pts_b = [(p.s, p.p_error_bob) for p in points if 0.0 < p.p_error_bob < 0.5]

@@ -16,6 +16,13 @@ heterodyne energy caps, the enumeration caps or the entropy engines' M
 cap) raises RegimeCapError at load time, before any output directory or
 record exists.  Nothing is computed: no keystream, spectrum or transition
 matrix.
+
+The loader imports the library modules a family runs as it reads that
+family's keys, and only those: ``attacks`` for attack and entropy,
+``detection`` for bounds, keygen and the quantum regime's heterodyne
+record.  So a bounds process never loads ``attacks``, a label record never
+loads ``detection``, and every import a run needs is paid before
+``load_config`` returns, as set-up, not inside the run's compute.
 """
 
 from __future__ import annotations
@@ -26,9 +33,13 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from . import attacks, codec, detection
+from . import codec
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    from . import attacks
 
 _SECTIONS = ("constellation", "keystream", "scenario", "output")
 
@@ -69,7 +80,8 @@ class ScenarioConfig:
     n_symbols: int = 0
     error_positions: "list[int]" = field(default_factory=list)
     misalign: float = 0.0
-    dsr: attacks.Dsr = field(default_factory=attacks.Dsr)
+    # attack and entropy only, where the loader sets it
+    dsr: "attacks.Dsr | None" = None
     otp: bool = False
     trials: int = 200
     mi_trials: int = 0
@@ -190,7 +202,9 @@ def _parse_degree(src: _Source, key: str, raw: str) -> int:
     return codec.PRIMITIVE_POLYS[degree]
 
 
-def _parse_dsr(src: _Source, key: str, raw: str) -> attacks.Dsr:
+def _parse_dsr(src: _Source, key: str, raw: str) -> "attacks.Dsr":
+    from . import attacks
+
     parts = raw.strip().split(":")
     kind = parts[0].strip().lower()
     if kind == "none" and len(parts) == 1:
@@ -214,9 +228,13 @@ def load_config(path: str, family: str,
 
     Command-line overrides for the output directory and master seed take
     precedence over the [output] section; ``threads`` must be at least 1 and
-    is otherwise ignored, as no family starts threads.  All structural
-    checks happen here, before any computation starts, and so do the caps:
-    a run past them raises RegimeCapError before any output or record exists.
+    is otherwise ignored: no family starts threads, and BLAS takes its count
+    from ``OPENBLAS_NUM_THREADS``, which importing ``yzero.cli`` sets to 1
+    unless it is set.  All structural checks happen here, before any
+    computation starts, and so do the caps: a run past them raises
+    RegimeCapError before any output or record exists.  By the time it
+    returns, the loader has imported every library module the family runs
+    and no other.
     """
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -276,6 +294,8 @@ def _read_constellation(src: _Source, cfg: ScenarioConfig) -> None:
 
 def _read_record(src: _Source, cfg: ScenarioConfig) -> None:
     """The constellation, keystream and record model that attack and entropy share."""
+    from . import attacks
+
     _read_constellation(src, cfg)
     if src.cp.has_option("keystream", "poly") and src.cp.has_option("keystream", "degree"):
         raise src.fail("give either 'poly' or 'degree', not both", key="degree")
@@ -290,7 +310,7 @@ def _read_record(src: _Source, cfg: ScenarioConfig) -> None:
                                   default=cfg.error_positions, many=True)
     cfg.misalign = src.get("scenario", "misalign", _parse_float, attacks._check_misalign,
                            default=cfg.misalign)
-    cfg.dsr = src.get("scenario", "dsr", _parse_dsr, default=cfg.dsr)
+    cfg.dsr = src.get("scenario", "dsr", _parse_dsr, default=attacks.Dsr())
 
 
 def _read_bounds(src: _Source, cfg: ScenarioConfig) -> None:
@@ -301,6 +321,8 @@ def _read_bounds(src: _Source, cfg: ScenarioConfig) -> None:
 
 
 def _read_attack(src: _Source, cfg: ScenarioConfig) -> None:
+    from . import attacks
+
     _read_record(src, cfg)
     cfg.otp = src.get("scenario", "otp", _parse_bool, default=cfg.otp)
     # 0 skips the estimate
@@ -311,6 +333,8 @@ def _read_attack(src: _Source, cfg: ScenarioConfig) -> None:
 
 
 def _read_entropy(src: _Source, cfg: ScenarioConfig) -> None:
+    from . import attacks
+
     _read_record(src, cfg)
     cfg.trials = src.get("scenario", "trials", _parse_int, attacks._check_trials,
                          default=cfg.trials)
@@ -339,6 +363,8 @@ _READERS = {"bounds": _read_bounds, "attack": _read_attack, "entropy": _read_ent
 
 def _record_model(cfg: ScenarioConfig) -> "tuple[codec.Constellation, attacks.AttackScenario]":
     """The constellation and scenario of an attack or entropy run, as its engines take them."""
+    from . import attacks
+
     return (codec.Constellation(m=cfg.m_grid[0], energy=cfg.energy_grid[0], osk=cfg.osk),
             attacks.AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions,
                                        misalign=cfg.misalign, dsr=cfg.dsr))
@@ -346,6 +372,9 @@ def _record_model(cfg: ScenarioConfig) -> "tuple[codec.Constellation, attacks.At
 
 def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
     """The checks that span keys, and the caps."""
+    if cfg.family in ("bounds", "keygen") or cfg.regime == "quantum":
+        # keygen checks nothing here; the import is its run's, paid as set-up
+        from . import detection
     if cfg.family == "bounds":
         if "updown" in cfg.methods:
             c = codec.Constellation(cfg.m_grid[0], cfg.energy_grid[0], cfg.osk)
@@ -354,6 +383,8 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
         for s in cfg.energy_grid:
             detection._check_gram_energy(s)
     elif cfg.family in ("attack", "entropy"):
+        from . import attacks
+
         # the caps bound N, and M for entropy, so no oversized record is ever built
         if cfg.family == "attack":
             attacks._check_attack_caps(cfg.key_bits, cfg.n_symbols)

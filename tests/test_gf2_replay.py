@@ -290,7 +290,8 @@ def test_seed_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, d
                       per_seed_rows(rec, n))
     want = (tmp_path / "ref.csv").read_bytes()
     for bits in chunk_bits:
-        monkeypatch.setattr(runner, "_SCAN_CHUNK_BITS", bits)
+        # the writer reads the scan's chunk size from attacks when it runs
+        monkeypatch.setattr(attacks, "_SCAN_CHUNK_BITS", bits)
         write_seed_csv(tmp_path / "fast.csv", rec, n)
         assert (tmp_path / "fast.csv").read_bytes() == want, bits
 
@@ -374,8 +375,9 @@ def test_run_attack_formats_the_pad_stage_csv_when_the_counts_differ(tmp_path, m
         records.append(otp_stage_attack(*args))
         return records[-1]
 
-    otp_stage_attack = runner.otp_stage_attack
-    monkeypatch.setattr(runner, "otp_stage_attack", recording)
+    # run_attack imports the stage from attacks when it runs
+    otp_stage_attack = attacks.otp_stage_attack
+    monkeypatch.setattr(attacks, "otp_stage_attack", recording)
     ini = tmp_path / "rand.ini"
     ini.write_text(RANDOMIZED_PAD_INI, encoding="utf-8")
     cfg = load_config(str(ini), "attack", out_dir=str(tmp_path))

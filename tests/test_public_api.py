@@ -9,13 +9,19 @@ position, by some call in that code: a knob only tests turn is removed.
 Every ``ScenarioConfig`` field must be read as an attribute by package code
 outside the loader, so no config key parses into a value nothing uses; of
 ``scenario.py`` that code is ``_record_model``, which the runner calls.
+The names resolve on first use, so importing the package loads no numpy.
 """
 
 import ast
 import dataclasses
 import glob
 import inspect
+import json
 import os
+import subprocess
+import sys
+
+import pytest
 
 import yzero
 
@@ -100,3 +106,24 @@ def test_every_config_field_is_read_outside_the_loader():
     unread = sorted(f.name for f in dataclasses.fields(yzero.ScenarioConfig)
                     if f.name not in read)
     assert unread == []
+
+
+def test_import_yzero_loads_no_numpy():
+    code = ("import json, sys, yzero; print(json.dumps(sorted("
+            "m for m in sys.modules if m.split('.')[0] in ('numpy', 'yzero'))))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=os.path.dirname(SRC)),
+                         capture_output=True, text=True, timeout=60, check=True).stdout
+    assert json.loads(out) == ["yzero"]
+
+
+def test_every_public_name_resolves_by_getattr_star_import_and_dir():
+    assert len(yzero.__all__) == len(set(yzero.__all__)) == 35
+    star: dict = {}
+    exec("from yzero import *", star)
+    listed = dir(yzero)
+    for name in yzero.__all__:
+        assert star[name] is getattr(yzero, name), name
+        assert name in listed, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(yzero, "no_such_name")

@@ -393,6 +393,7 @@ def test_bounds_manifest_records_the_work(tmp_path, monkeypatch):
     # a bounds run has no record model
     assert set(manifest) == {"tool", "family", "master_seed", "config", "outputs",
                              "created_utc", "versions", "tolerances", "bounds_work"}
+    assert manifest["tolerances"] == {"mode_drop_bound": 2.0**-53}
     assert manifest["bounds_work"] == {"gram_spectra": 81, "weight_spectra": 18,
                                        "svd_solves": 162}
     assert calls == {"ifft": 18, "svd": 162}
@@ -505,6 +506,20 @@ def test_run_entropy_quantum_regime(tmp_path):
     assert kp["regime"] == "known_plaintext_quantum"
     assert 0.0 <= kp["h_key_given_obs_and_data"] <= 8.0
     assert "ciphertext_only" not in payload
+
+
+@pytest.mark.parametrize("text, record_notes", [
+    (ENTROPY_CFG, set(runner._LABEL_NOTES)),
+    (QUANTUM_ENTROPY_CFG, {"quantum_record_receiver"}),
+], ids=["classical", "quantum"])
+def test_entropy_manifest_notes_only_its_record_model(tmp_path, text, record_notes):
+    # a label record names no heterodyne receiver, an index record no label rule
+    cfg = load_config(write_cfg(tmp_path, text), "entropy", out_dir=str(tmp_path))
+    runner.run_entropy(cfg)
+    manifest = json.loads(read_file(tmp_path, "ent_manifest.json"))
+    assert set(manifest["modeling"]) == {"lfsr", "dsr", "misalign_radians",
+                                         "entropy_hypothesis_space", *record_notes}
+    assert "tolerances" not in manifest
 
 
 def test_quantum_regime_takes_a_jitter_that_draws_nothing(tmp_path):
@@ -652,17 +667,18 @@ def test_manifest_records_the_run(tmp_path):
     cfg = load_config(write_cfg(tmp_path, ATTACK_CFG), "attack", out_dir=str(tmp_path))
     runner.run_attack(cfg)
     manifest = json.loads(read_file(tmp_path, "run_manifest.json"))
+    # the mode-drop tolerance is the bounds' own
     assert set(manifest) == {"tool", "family", "master_seed", "config", "outputs",
-                             "created_utc", "versions", "modeling", "tolerances",
-                             "seed_csv_copied_from"}
+                             "created_utc", "versions", "modeling", "seed_csv_copied_from"}
     assert manifest["tool"] == "yzero"
     assert manifest["family"] == "attack"
     assert manifest["master_seed"] == 7
     assert manifest["config"]["sha256"] == cfg.config_sha256
     assert "run_attack.json" in manifest["outputs"]
-    assert manifest["modeling"]["entropy_hypothesis_space"].startswith("all 2^K")
+    # a replay scores labels: no entropy hypothesis space, no heterodyne receiver
+    assert set(manifest["modeling"]) == {"lfsr", "dsr", "misalign_radians",
+                                         *runner._LABEL_NOTES}
     assert "coin flip" in manifest["modeling"]["label_axis_pair"]
-    assert manifest["tolerances"] == {"mode_drop_bound": 2.0**-53}
     assert set(manifest["versions"]) == {"yzero", "python", "numpy"}
     assert manifest["versions"]["python"] == platform.python_version()
     # no dsr: the pad stage's counts equal the plain stage's
@@ -787,18 +803,33 @@ def test_cli_label_families_reject_a_single_pair(tmp_path, capsys, family, text)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
-    # scipy is a test oracle only: no CLI family loads any scipy module
+    # scipy is a test oracle only: no CLI family loads any scipy module.  Each
+    # family loads only the yzero modules it runs, and BLAS runs on one thread
+    # unless the environment sets a count
     # the package under test, wherever it was imported from
     src = os.path.dirname(os.path.dirname(os.path.abspath(yzero.__file__)))
-    code = ("import sys, yzero.cli; rc = yzero.cli.main(sys.argv[1:]); "
-            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    for family, text in (("bounds", BOUNDS_CFG), ("attack", ATTACK_CFG),
-                         ("entropy", QUANTUM_ENTROPY_CFG), ("keygen", KEYGEN_CFG)):
+    code = ("import json, os, sys, yzero.cli; rc = yzero.cli.main(sys.argv[1:]); "
+            "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "sorted(m for m in sys.modules if m.startswith('yzero.')), "
+            "os.environ.get('OPENBLAS_NUM_THREADS')]))")
+    shared = ["yzero.cli", "yzero.codec", "yzero.errors", "yzero.runner", "yzero.scenario"]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    for family, text, own in (("bounds", BOUNDS_CFG, ["yzero.detection"]),
+                              ("attack", ATTACK_CFG, ["yzero.attacks"]),
+                              ("entropy", ENTROPY_CFG, ["yzero.attacks"]),
+                              ("entropy", QUANTUM_ENTROPY_CFG,
+                               ["yzero.attacks", "yzero.detection"]),
+                              ("keygen", KEYGEN_CFG, ["yzero.detection"])):
         path = write_cfg(tmp_path, text, name=f"{family}.ini")
-        out = subprocess.run([sys.executable, "-c", code, family, "--config", path,
-                              "--out-dir", str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
-                             capture_output=True, text=True, timeout=120, check=True).stdout
-        assert out.splitlines()[-1] == "0 []", family
+        # unset, the CLI pins one thread; a count the caller set stands
+        for blas in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+            out = subprocess.run([sys.executable, "-c", code, family, "--config", path,
+                                  "--out-dir", str(tmp_path)],
+                                 env=dict(env, PYTHONPATH=src, **blas),
+                                 capture_output=True, text=True, timeout=120, check=True).stdout
+            threads = blas.get("OPENBLAS_NUM_THREADS", "1")
+            assert json.loads(out.splitlines()[-1]) == [0, [], sorted(shared + own), threads], \
+                (family, own, blas)
 
 
 @pytest.mark.parametrize("name", ["file", ""])
