@@ -181,6 +181,8 @@ class AttackRecord:
     exact_match_count: int = 0
     collision_count: int = 0
     notes: dict = field(default_factory=dict)
+    # the record model a replay scores, half-plane labels; a class attribute, not a field
+    record = "classical"
 
 
 @dataclass
@@ -195,6 +197,11 @@ class EntropyReport:
     h_key_given_obs_and_data: "float | None" = None
     exceeds_key_entropy: "bool | None" = None
     notes: dict = field(default_factory=dict)
+
+    @property
+    def record(self) -> str:
+        """The record model scored: 'quantum' heterodyne indices or 'classical' labels."""
+        return "quantum" if self.regime == "known_plaintext_quantum" else "classical"
 
 
 def _check_attack_caps(key_bits: int, n_symbols: int) -> None:
@@ -422,9 +429,7 @@ def _gf2_rank(rows: np.ndarray) -> int:
 
 
 # Seeds per scan chunk, as a power of two: at N <= 64 a chunk's span block
-# takes 0.5 MB, so the replay's working memory does not grow with K.  The
-# seed CSV writer formats its rows in chunks of the same size, aligned to
-# multiples of it, so a chunk's high hex digits are one slice of a table.
+# takes 0.5 MB, so the replay's working memory does not grow with K.
 _SCAN_CHUNK_BITS = 16
 
 
@@ -784,6 +789,39 @@ def _record_channel(c: Constellation, scenario: AttackScenario,
         # chan[index, decided]: the sent member, or its antipode after a flip
         chan = (1.0 - f) * trans + f * np.roll(trans, -c.m, axis=0)
     return sampler, chan[_pair_index_table(c)]
+
+
+# The conventions of each regime's record model, as a run's manifest notes them
+_RECORD_NOTES = {
+    "classical": {
+        "label_encoding": "up=1 down=0",
+        "label_tie_break": "phase on the axis counts as up, antipode as down",
+        "label_axis_pair": "the basis-0 pair lies on the label axis: the tie rule fixes "
+                           "its labels at zero jitter, any jitter makes each a coin flip",
+        "eve_label_receiver": "ideal half-plane discriminator",
+    },
+    "quantum": {"quantum_record_receiver": "heterodyne, nearest-phase decision"},
+}
+
+
+def modeling_notes(scenario: AttackScenario, results: list) -> "dict[str, object]":
+    """The record model of a run, as its manifest notes it, from what its engines returned.
+
+    Every record notes the keystream, the dsr and the misalignment.  Each
+    result, an ``AttackRecord`` or ``EntropyReport``, adds the conventions of
+    the record model it scored (its ``record``); an entropy report also adds
+    the seed hypotheses.
+    """
+    notes: "dict[str, object]" = {
+        "lfsr": "fibonacci, low-bit output, msb-first per-symbol chunks",
+        "dsr": f"{scenario.dsr.kind}:{scenario.dsr.param}",
+        "misalign_radians": scenario.misalign,
+    }
+    for result in results:
+        notes.update(_RECORD_NOTES[result.record])
+        if isinstance(result, EntropyReport):
+            notes["entropy_hypothesis_space"] = "all 2^K register values including zero"
+    return notes
 
 
 def _stack_draws(draws: list) -> tuple:

@@ -19,13 +19,15 @@ Every operator behind the constellation bounds (``bit_bound``,
 phase rotations, so the Gram matrix of the states is circulant and the DFT
 diagonalizes it.  Its spectrum is computed analytically, as the aliased
 Poisson distribution, once per constellation, together with its
-sqrt(Lambda) ordering, so a caller evaluating all three at one point (the
-``bounds`` runner) computes them once.  The binary bounds share one
-trace-norm solve that works in that DFT basis and keeps only the modes
-that can move the result.  Each one's weights enter it as a spectrum that
-depends on M and not on the energy, which that runner builds once per M.
-No Fock basis is built and the cost follows the photon-number spread, not
-M.  Every binary bound is taken at equal priors, the uniformly distributed
+sqrt(Lambda) ordering.  The binary bounds share one trace-norm solve that
+works in that DFT basis and keeps only the modes that can move the
+result.  Each one's weights enter it as a spectrum that depends on M and
+not on the energy.  ``bound_grid``, which the ``bounds`` family runs,
+evaluates the configured bounds over an (M, S) grid and shares that work:
+one weight spectrum per M and binary bound, one Gram spectrum per point,
+and one SVD per point and binary bound, which it counts.  No Fock basis
+is built and the cost follows the photon-number spread, not M.  Every
+binary bound is taken at equal priors, the uniformly distributed
 data bits an eavesdropper faces.  Its weights are antisymmetric under the
 half turn and symmetric or antisymmetric under the reflection of the first
 half, so the trace norm is twice the nuclear norm of a real matrix over the
@@ -297,7 +299,8 @@ def _bit_spectrum(c: Constellation) -> _WeightSpectrum:
 
 
 def _updown_spectrum(c: Constellation) -> _WeightSpectrum:
-    """Weight spectrum of ``updown_bound`` for a plain-pairing c; its energy is not read."""
+    """Weight spectrum of ``updown_bound``; c must take the plain pairing, its energy is unread."""
+    _require_plain_pairing(c)
     return _weight_spectrum(np.where(c.label(np.arange(c.n_states)) == 1, 1.0, -1.0)
                             / c.n_states)
 
@@ -359,7 +362,6 @@ def updown_bound(c: Constellation) -> BinaryBound:
     per-symbol quantity an eavesdropper needs for a label-record attack,
     which only exists against the fixed (non-scrambling) pairing.
     """
-    _require_plain_pairing(c)
     return _helstrom_error(_updown_spectrum(c), _mode_spectrum(c))
 
 
@@ -370,12 +372,43 @@ def srm_mary_error(c: Constellation) -> MaryBound:
     over the eigenvalues Lambda of the circulant Gram matrix; the error is
     clipped to [0, 1].
     """
-    return _srm_mary_error(_mode_spectrum(c))
-
-
-def _srm_mary_error(modes: _ModeSpectrum) -> MaryBound:
-    p_success = float(np.mean(modes.root)) ** 2
+    p_success = float(np.mean(_mode_spectrum(c).root)) ** 2
     return MaryBound(p_error=min(max(0.0, 1.0 - p_success), 1.0))
+
+
+def bound_grid(m_grid: "list[int]", energies: "list[float]", methods: "list[str]",
+               osk: bool) -> "tuple[list[tuple], dict[str, int]]":
+    """The bounds named in ``methods`` ('bit', 'updown', 'srm') at every (M, S) point.
+
+    Each row is (M, S, method, p_error, dim_used), in grid order: M outer,
+    then S, then the methods in the order given; p_error is what
+    ``bit_bound``, ``updown_bound`` or ``srm_mary_error`` gives at the
+    point, bit for bit, and dim_used is the modes kept, 2M for 'srm'.  The
+    work is shared.  Per M, one weight spectrum for each binary bound, which
+    does not depend on the energy.  Per point, one Gram spectrum and one
+    sqrt(Lambda) ordering, shared by the point's methods.  Per binary bound,
+    one SVD.  The returned counts name each: ``weight_spectra``,
+    ``gram_spectra`` and ``svd_solves``.
+    """
+    spectrum_of = {"bit": _bit_spectrum, "updown": _updown_spectrum}
+    rows, work = [], {"gram_spectra": 0, "weight_spectra": 0, "svd_solves": 0}
+    for m in m_grid:
+        points = [Constellation(m=m, energy=s, osk=osk) for s in energies]
+        spectra = {method: spectrum_of[method](points[0]) for method in methods if method != "srm"}
+        work["weight_spectra"] += len(spectra)
+        for c in points:
+            modes = _mode_spectrum(c)
+            work["gram_spectra"] += 1
+            for method in methods:
+                if method == "srm":
+                    p_success = float(np.mean(modes.root)) ** 2
+                    rows.append((m, c.energy, method, min(max(0.0, 1.0 - p_success), 1.0),
+                                 c.n_states))
+                else:
+                    b = _helstrom_error(spectra[method], modes)
+                    work["svd_solves"] += 1
+                    rows.append((m, c.energy, method, b.p_error, b.dim_used))
+    return rows, work
 
 
 # ---------------------------------------------------------------------------

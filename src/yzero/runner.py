@@ -1,5 +1,11 @@
 """Execution of configured runs and deterministic output writing.
 
+The runner reads a loaded config, calls the library's engines and writes
+their results; what a run computes, how it shares work and which record
+model it scored are the engines' own (``detection.bound_grid``,
+``attacks.modeling_notes``).  It imports no private name of ``attacks`` or
+``detection``.
+
 Every run derives its random streams from a single master seed through
 numpy's SeedSequence spawning, one child per logical task, and computes on
 the calling thread.  Data files (CSV, JSON) contain no timestamps and use
@@ -25,66 +31,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .codec import Constellation, encode_sequence
+from .codec import encode_sequence
 from .errors import ConfigError
 from .scenario import ScenarioConfig, _record_model
-
-# the record notes of a label record: every attack, and classical entropy runs
-_LABEL_NOTES = {
-    "label_encoding": "up=1 down=0",
-    "label_tie_break": "phase on the axis counts as up, antipode as down",
-    "label_axis_pair": "the basis-0 pair lies on the label axis: the tie rule fixes "
-                       "its labels at zero jitter, any jitter makes each a coin flip",
-    "eve_label_receiver": "ideal half-plane discriminator",
-}
-
-
-def _modeling_record(cfg: ScenarioConfig) -> "dict[str, object]":
-    """The record model of an attack or entropy run; the other families record none.
-
-    It notes only what the run modelled: the label rules and Eve's
-    half-plane receiver for a label record, the heterodyne receiver for the
-    quantum regime's index record, and the seed hypotheses for entropy runs.
-    """
-    notes: "dict[str, object]" = {
-        "lfsr": "fibonacci, low-bit output, msb-first per-symbol chunks",
-        "dsr": f"{cfg.dsr.kind}:{cfg.dsr.param}",
-        "misalign_radians": cfg.misalign,
-    }
-    if cfg.regime == "quantum":
-        notes["quantum_record_receiver"] = "heterodyne, nearest-phase decision"
-    else:
-        notes.update(_LABEL_NOTES)
-    if cfg.family == "entropy":
-        notes["entropy_hypothesis_space"] = "all 2^K register values including zero"
-    return notes
-
-
-def _manifest(cfg: ScenarioConfig, outputs: "list[str]", **facts) -> dict:
-    """Reproducibility record written next to every run's data files.
-
-    Holds the only timestamp of a run; data files reference it by name so
-    identical seeds yield byte-identical data.  `facts` are a family's
-    extra top-level entries, bounds' "tolerances" among them; attack and
-    entropy runs also record their record model under "modeling".
-    """
-    manifest = {
-        **facts,
-        "tool": "yzero",
-        "family": cfg.family,
-        "master_seed": cfg.master_seed,
-        "config": {"path": cfg.config_path, "sha256": cfg.config_sha256},
-        "outputs": outputs,
-        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "versions": {
-            "yzero": __version__,
-            "python": "%d.%d.%d" % sys.version_info[:3],
-            "numpy": np.__version__,
-        },
-    }
-    if cfg.family in ("attack", "entropy"):
-        manifest["modeling"] = _modeling_record(cfg)
-    return manifest
 
 
 def _csv_writer(fh, manifest_name: str, sha256: str, header: "list[str]"):
@@ -124,8 +73,29 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _finish(cfg: ScenarioConfig, outputs: "list[str]", **facts) -> "list[str]":
+    """Write the manifest, the reproducibility record next to a run's data files.
+
+    It holds the only timestamp of a run; data files reference it by name so
+    identical seeds yield byte-identical data.  `facts` are a family's
+    extra top-level entries: bounds' "tolerances" and "bounds_work", and
+    the record model ("modeling") of attack and entropy runs.  Returns
+    every output name, the manifest's last.
+    """
     manifest_name = f"{cfg.prefix}_manifest.json"
-    _write_json(os.path.join(cfg.out_dir, manifest_name), _manifest(cfg, outputs, **facts))
+    _write_json(os.path.join(cfg.out_dir, manifest_name), {
+        **facts,
+        "tool": "yzero",
+        "family": cfg.family,
+        "master_seed": cfg.master_seed,
+        "config": {"path": cfg.config_path, "sha256": cfg.config_sha256},
+        "outputs": outputs,
+        "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "versions": {
+            "yzero": __version__,
+            "python": "%d.%d.%d" % sys.version_info[:3],
+            "numpy": np.__version__,
+        },
+    })
     return outputs + [manifest_name]
 
 
@@ -145,45 +115,26 @@ def _spawn_rngs(master_seed: int, count: int) -> "list[np.random.Generator]":
 # Families
 
 
+# the bounds CSV's name of each method
+_BOUND_LABELS = {"bit": "helstrom_mixed_bit", "srm": "srm_2M", "updown": "updown"}
+
+
 def run_bounds(cfg: ScenarioConfig) -> "list[str]":
-    """Error-probability bounds over the (m, energy) grid; one CSV row per point.
+    """Error-probability bounds over the (m, energy) grid; one CSV row per point and method.
 
-    The cost splits three ways.  Per M, one weight spectrum for each binary
-    bound, which does not depend on the energy.  Per point, one Gram
-    spectrum and one sqrt(Lambda) ordering, shared by the point's methods.
-    Per binary bound, one SVD.  The manifest's ``bounds_work`` counts each.
+    ``detection.bound_grid`` computes the rows, sharing the work per M and
+    per point; its work counts go into the manifest as ``bounds_work``.
     """
-    from .detection import (MODE_DROP_BOUND, _bit_spectrum, _helstrom_error, _mode_spectrum,
-                            _srm_mary_error, _updown_spectrum)
+    from .detection import MODE_DROP_BOUND, bound_grid
 
-    # the binary bounds' CSV names and weight-spectrum builders
-    binary_bounds = {"bit": ("helstrom_mixed_bit", _bit_spectrum),
-                     "updown": ("updown", _updown_spectrum)}
     _make_out_dir(cfg.out_dir)
-    rows = []
-    work = {"gram_spectra": 0, "weight_spectra": 0, "svd_solves": 0}
-    for m in cfg.m_grid:
-        points = [Constellation(m=m, energy=s, osk=cfg.osk) for s in cfg.energy_grid]
-        # the loader has checked the plain pairing that updown needs
-        spectra = {method: binary_bounds[method][1](points[0])
-                   for method in cfg.methods if method != "srm"}
-        work["weight_spectra"] += len(spectra)
-        for c in points:
-            modes = _mode_spectrum(c)
-            work["gram_spectra"] += 1
-            for method in cfg.methods:
-                if method == "srm":
-                    rows.append([m, c.energy, "srm_2M", _srm_mary_error(modes).p_error,
-                                 c.n_states, 0.0])
-                else:
-                    b = _helstrom_error(spectra[method], modes)
-                    work["svd_solves"] += 1
-                    rows.append([m, c.energy, binary_bounds[method][0], b.p_error,
-                                 b.dim_used, 0.0])
+    rows, work = bound_grid(cfg.m_grid, cfg.energy_grid, cfg.methods, cfg.osk)
     name = f"{cfg.prefix}_bounds.csv"
     _write_csv(os.path.join(cfg.out_dir, name), f"{cfg.prefix}_manifest.json",
                cfg.config_sha256,
-               ["m", "s", "method", "p_error", "dim_used", "truncation_deficit"], rows)
+               ["m", "s", "method", "p_error", "dim_used", "truncation_deficit"],
+               [[m, s, _BOUND_LABELS[method], p_error, dim_used, 0.0]
+                for m, s, method, p_error, dim_used in rows])
     return _finish(cfg, [name], bounds_work=work,
                    tolerances={"mode_drop_bound": MODE_DROP_BOUND})
 
@@ -208,6 +159,9 @@ def _attack_record_payload(rec, cfg: ScenarioConfig, mutual_info: "float | None"
 _SEED_CSV_HEADER = ["seed_hex", "match_fraction", "hamming_distance", "exact_match",
                     "is_true_seed"]
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+# Seeds per chunk of the seed CSV writer: a power of two, at least 4096, so
+# every chunk starts at a multiple of 4096
+_SEED_CSV_CHUNK_ROWS = 1 << 16
 
 
 def _hex_words(first: int, digits: int, strip: bool) -> np.ndarray:
@@ -227,53 +181,50 @@ def _write_seed_csv(path: str, manifest_name: str, sha256: str, mismatches: np.n
 
     The rows follow `mismatches`, the integer mismatch counts h of seeds
     1 ... 2^K - 1 in order (`AttackRecord.mismatches`), in chunks of
-    2^_SCAN_CHUNK_BITS seeds aligned to multiples of the chunk size, so the
-    first chunk's row 0 is seed 0, which is blanked.  A row's "0x", hex
-    digits and first comma are one 8-byte word, the OR of a word from each
-    of two small tables: the two digits of seed >> 12 (leading zeros NUL)
-    and the three of seed & 0xfff, whose leading zeros are NUL only where
-    the high part is zero.  Within an aligned chunk the high words are a
-    slice of their 256-entry table, each repeated over a run of low words
-    (K <= 20, ATTACK_KEY_BITS_CAP, so two high digits suffice).  The match
-    fraction is (n - h) / n, so the rest of a row is one of 2 (n + 1)
-    precomputed tails, NUL-padded to the longest: tail h, or h + n + 1 on
-    the true seed's row.  Each chunk of rows is one record array with a
-    `hex` and a `tail` field in one buffer reused across chunks: one OR
-    fills the hex words, a `take` the tails.  No CSV row holds a NUL byte,
-    so one pass that deletes them gives the chunk's file bytes.  Besides
-    the counts, memory is one chunk of rows; no Python object is made per
-    row and no table has 2^K rows.
+    `_SEED_CSV_CHUNK_ROWS` seeds, the writer's own size: the bytes do not
+    depend on it, nor on how the scan chunked its counts.  Each chunk
+    starts at a multiple of 4096, and the first chunk's row 0 is seed 0,
+    which is blanked.  A row's "0x", hex digits and first comma are one
+    8-byte word, the OR of a word from each of two small tables: the two
+    digits of seed >> 12 (leading zeros NUL) and the three of seed & 0xfff,
+    whose leading zeros are NUL only where the high part is zero.  Within a
+    chunk the high words are a slice of their 256-entry table, each
+    repeated over the low words from the table's start (K <= 20,
+    ATTACK_KEY_BITS_CAP, so two high digits suffice).  The match fraction
+    is (n - h) / n, so the rest of a row is one of 2 (n + 1) precomputed
+    tails, NUL-padded to the longest: tail h, or h + n + 1 on the true
+    seed's row.  Each chunk of rows is one record array with a `hex` and a
+    `tail` field in one buffer reused across chunks: one OR fills the hex
+    words, a `take` the tails.  No CSV row holds a NUL byte, so one pass
+    that deletes them gives the chunk's file bytes.  Besides the counts,
+    memory is one chunk of rows; no Python object is made per row and no
+    table has 2^K rows.
     """
-    from .attacks import _SCAN_CHUNK_BITS
-
     tails = [f"{(n_symbols - h) / n_symbols!r},{h},{int(h == 0)},{true}\n".encode()
              for true in (0, 1) for h in range(n_symbols + 1)]
     tail_width = max(len(t) for t in tails)
     tail_table = np.frombuffer(b"".join(t.ljust(tail_width, b"\0") for t in tails),
                                dtype=f"V{tail_width}")
-    # a seed's hex word: "0x", the digits of seed >> 12 and of seed & 0xfff, ","
-    high = _hex_words(2, 2, True) | np.frombuffer(b"0x\0\0\0\0\0,", dtype=np.uint64)
-    low, low_stripped = _hex_words(4, 3, False), _hex_words(4, 3, True)
-    step = min(mismatches.size + 1, 1 << _SCAN_CHUNK_BITS)
+    step = min(mismatches.size + 1, _SEED_CSV_CHUNK_ROWS)
     row = np.dtype([("hex", np.uint64), ("tail", tail_table.dtype)])
     chunk = bytearray(step * row.itemsize)
     rows = np.frombuffer(chunk, dtype=row)
     # one row of the grid per high part, one column per low part
     grid = rows["hex"].reshape(-1, min(step, 1 << 12))
+    # a seed's hex word: "0x", the digits of seed >> 12 and of seed & 0xfff, ","
+    high = _hex_words(2, 2, True) | np.frombuffer(b"0x\0\0\0\0\0,", dtype=np.uint64)
+    low, low_stripped = (_hex_words(4, 3, strip)[:grid.shape[1]] for strip in (False, True))
     with _writing(path), open(path, "w", encoding="utf-8", newline="\n") as fh:
         _csv_writer(fh, manifest_name, sha256, _SEED_CSV_HEADER)
         # the header sits in the text layer's buffer; it must reach the file first
         fh.flush()
         for lo in range(0, mismatches.size + 1, step):
             # row i is seed lo + i
-            cols = slice(lo & 0xFFF, (lo & 0xFFF) + grid.shape[1])
-            np.bitwise_or(high[lo >> 12:(lo >> 12) + grid.shape[0], None], low[cols],
-                          out=grid)
+            np.bitwise_or(high[lo >> 12:(lo >> 12) + len(grid), None], low, out=grid)
             first = max(lo, 1)
             rows["tail"][first - lo:] = tail_table.take(mismatches[first - 1:lo + step - 1])
-            if lo < 1 << 12:
-                grid[0] = high[0] | low_stripped[cols]
             if lo == 0:
+                grid[0] = high[0] | low_stripped
                 chunk[:row.itemsize] = bytes(row.itemsize)
             if lo <= true_seed < lo + step:
                 rows["tail"][true_seed - lo] = tail_table[
@@ -294,7 +245,7 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
     "seed_csv_copied_from" maps each copy to its source.
     """
     from .attacks import (brute_force_candidates, label_mutual_information, measure_labels,
-                          otp_stage_attack)
+                          modeling_notes, otp_stage_attack)
 
     _make_out_dir(cfg.out_dir)
     c, scenario = _record_model(cfg)
@@ -341,34 +292,37 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
         else:
             write_seeds(name, orec.mismatches)
     _write_json(os.path.join(cfg.out_dir, outputs[0]), payload)
-    return _finish(cfg, outputs, seed_csv_copied_from=copied)
+    # the pad stage and the mutual-information estimate score the same label record
+    return _finish(cfg, outputs, modeling=modeling_notes(scenario, [rec]),
+                   seed_csv_copied_from=copied)
 
 
 def run_entropy(cfg: ScenarioConfig) -> "list[str]":
     """Exact posterior-entropy accounting for the configured record model."""
-    from .attacks import ciphertext_only_entropy, known_plaintext_key_entropy
+    from .attacks import ciphertext_only_entropy, known_plaintext_key_entropy, modeling_notes
 
     _make_out_dir(cfg.out_dir)
     c, scenario = _record_model(cfg)
     rng_co, rng_kp = _spawn_rngs(cfg.master_seed, 2)
-    payload: dict = {
+    reports = {}
+    if cfg.mode in ("ciphertext_only", "both"):
+        reports["ciphertext_only"] = ciphertext_only_entropy(c, cfg.poly, scenario, cfg.trials,
+                                                             rng_co)
+    if cfg.mode in ("known_plaintext", "both"):
+        reports["known_plaintext"] = known_plaintext_key_entropy(
+            c, cfg.poly, scenario, cfg.trials, rng_kp, regime=cfg.regime)
+    payload = {
         "family": "entropy",
         "key_bits": cfg.key_bits,
         "n_symbols": cfg.n_symbols,
         "trials": cfg.trials,
         "config_sha256": cfg.config_sha256,
         "manifest_file": f"{cfg.prefix}_manifest.json",
+        **{mode: dataclasses.asdict(rep) for mode, rep in reports.items()},
     }
-    if cfg.mode in ("ciphertext_only", "both"):
-        rep = ciphertext_only_entropy(c, cfg.poly, scenario, cfg.trials, rng_co)
-        payload["ciphertext_only"] = dataclasses.asdict(rep)
-    if cfg.mode in ("known_plaintext", "both"):
-        rep = known_plaintext_key_entropy(c, cfg.poly, scenario, cfg.trials, rng_kp,
-                                          regime=cfg.regime)
-        payload["known_plaintext"] = dataclasses.asdict(rep)
     name = f"{cfg.prefix}_entropy.json"
     _write_json(os.path.join(cfg.out_dir, name), payload)
-    return _finish(cfg, [name])
+    return _finish(cfg, [name], modeling=modeling_notes(scenario, list(reports.values())))
 
 
 def run_keygen(cfg: ScenarioConfig) -> "list[str]":

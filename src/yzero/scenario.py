@@ -4,9 +4,10 @@ Runs are driven by small INI files with four sections: [constellation],
 [keystream], [scenario], [output].  Parsing is strict: each family
 accepts only the keys it reads, so the family fixes scalar versus grid:
 ``bounds`` reads ``m_grid`` and ``energy_grid``, ``attack`` and ``entropy``
-read ``m`` and ``energy``.  Each family's keys are read in one function,
-each key by one reader (``_Source.get``): parse, check at the key's line,
-or keep the default.  The loader keeps the rules of the file format:
+read ``m`` and ``energy``.  Only ``bounds`` reads ``osk``: the record
+engines model the plain pairing alone.  Each family's keys are read in one
+function, each key by one reader (``_Source.get``): parse, check at the
+key's line, or keep the default.  The loader keeps the rules of the file format:
 sections and keys, which keys are present, method and mode names, which
 mode reads ``regime``, ``prefix`` and ``master_seed``.  Every value rule
 is the library's: the loader builds the objects a run uses and calls the
@@ -18,11 +19,12 @@ record exists.  Nothing is computed: no keystream, spectrum or transition
 matrix.
 
 The loader imports the library modules a family runs as it reads that
-family's keys, and only those: ``attacks`` for attack and entropy,
-``detection`` for bounds, keygen and the quantum regime's heterodyne
-record.  So a bounds process never loads ``attacks``, a label record never
-loads ``detection``, and every import a run needs is paid before
-``load_config`` returns, as set-up, not inside the run's compute.
+family's keys, and only those: ``attacks`` and ``numpy.random``, which
+numpy loads on first use, for attack and entropy, ``detection`` for bounds,
+keygen and the quantum regime's heterodyne record.  So a bounds process
+never loads ``attacks``, a label record never loads ``detection``, and
+every import a run needs is paid before ``load_config`` returns, as
+set-up, not inside the run's compute.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ if TYPE_CHECKING:
 
 _SECTIONS = ("constellation", "keystream", "scenario", "output")
 
-# bounds runs a grid of constellations, attack and entropy one
+# bounds runs a grid of constellations, attack and entropy one; only the
+# bounds model the scrambling bit (osk), the record engines take the plain pairing
 _GRID_KEYS = frozenset({"m_grid", "energy_grid", "osk"})
-_POINT_KEYS = frozenset({"m", "energy", "osk"})
+_POINT_KEYS = frozenset({"m", "energy"})
 _KEYSTREAM_KEYS = frozenset({"poly", "degree", "seed"})
 _RECORD_KEYS = frozenset({"n_symbols", "error_positions", "misalign", "dsr"})
 _OUTPUT_KEYS = frozenset({"out_dir", "prefix", "master_seed"})
@@ -73,6 +76,7 @@ class ScenarioConfig:
     family: str
     m_grid: "list[int]" = field(default_factory=list)
     energy_grid: "list[float]" = field(default_factory=list)
+    # bounds only
     osk: bool = False
     poly: "int | None" = None
     seed_register: "int | None" = None
@@ -289,11 +293,16 @@ def _read_constellation(src: _Source, cfg: ScenarioConfig) -> None:
     energy = src.get("constellation", "energy_grid" if grid else "energy", _parse_float,
                      codec._check_energy, many=grid)
     cfg.m_grid, cfg.energy_grid = (m, energy) if grid else ([m], [energy])
-    cfg.osk = src.get("constellation", "osk", _parse_bool, default=cfg.osk)
 
 
 def _read_record(src: _Source, cfg: ScenarioConfig) -> None:
-    """The constellation, keystream and record model that attack and entropy share."""
+    """The constellation, keystream and record model that attack and entropy share.
+
+    Their runs spawn their generators from ``numpy.random``, which numpy
+    loads on first use; it is imported here, with ``attacks``, as set-up.
+    """
+    import numpy.random
+
     from . import attacks
 
     _read_constellation(src, cfg)
@@ -315,6 +324,7 @@ def _read_record(src: _Source, cfg: ScenarioConfig) -> None:
 
 def _read_bounds(src: _Source, cfg: ScenarioConfig) -> None:
     _read_constellation(src, cfg)
+    cfg.osk = src.get("constellation", "osk", _parse_bool, default=cfg.osk)
     cfg.methods = src.get("scenario", "methods",
                           _parse_word(("bit", "srm", "updown"), "unknown bound method {name!r}"),
                           default=cfg.methods, many=True)
@@ -365,7 +375,7 @@ def _record_model(cfg: ScenarioConfig) -> "tuple[codec.Constellation, attacks.At
     """The constellation and scenario of an attack or entropy run, as its engines take them."""
     from . import attacks
 
-    return (codec.Constellation(m=cfg.m_grid[0], energy=cfg.energy_grid[0], osk=cfg.osk),
+    return (codec.Constellation(m=cfg.m_grid[0], energy=cfg.energy_grid[0]),
             attacks.AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions,
                                        misalign=cfg.misalign, dsr=cfg.dsr))
 
@@ -392,8 +402,6 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
             attacks._check_entropy_caps(cfg.key_bits, cfg.n_symbols, cfg.m_grid[0])
         with src.at("error_positions"):
             c, scenario = _record_model(cfg)
-        with src.at("osk"):
-            codec._require_plain_pairing(c)
         with src.at("m"):
             codec._check_basis_bits(c.bits_per_basis)
         if cfg.family == "entropy":

@@ -1,6 +1,5 @@
 """The GF(2)-linear seed replay and the per-seed CSV writer against direct oracles."""
 
-import hashlib
 import json
 import math
 import pathlib
@@ -13,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import codec_oracles as scalar
+import data_pins
 import entropy_oracles as oracle
 import replay_oracles
 from yzero import attacks, cli, codec, runner
@@ -22,13 +22,6 @@ from yzero.scenario import load_config
 SEED_CSV_HEADER = ["seed_hex", "match_fraction", "hamming_distance", "exact_match",
                    "is_true_seed"]
 ATTACK_REPLAY_INI = pathlib.Path(__file__).parents[1] / "perfbench/workloads/attack_replay.ini"
-# perfbench/refs.json: both seed CSVs of attack_replay, master seeds 1 and 2
-ATTACK_REPLAY_SEEDS_SHA256 = "4e08540cbdbb3e1e892314b9d5b80c4fdeaa7b2e655bdd53b43e2a0719e794ec"
-# perfbench/refs.json: attack_replay's data JSON at each master seed
-ATTACK_REPLAY_JSON_SHA256 = {
-    1: "f0de6422c69cbf6c42c69b69d7eb00420795f8448e6f95051eac31b63efd352b",
-    2: "03ecf9ca79df6d917c8a756851e45d8a7d065baf5ebf788bff4787d87e613305",
-}
 
 
 def candidate_scan(effective_labels: np.ndarray, parity: np.ndarray,
@@ -267,33 +260,41 @@ def test_seed_csv_writer_matches_the_csv_module(tmp_path_factory, degree, n, see
     assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
 
-# slices of 2^0, 2^2, 2^6 and 2^16 rows; at 2^17 - 1 rows, single-row or 4-row
-# slices take seconds, and 2^6 and 2^16 both split at row 65536 (seed 65537)
-ALL_CHUNK_BITS = (0, 2, 6, 16)
-BOUNDARY_CHUNK_BITS = (6, 16)
+# scan chunks of 2^0, 2^2, 2^6 and 2^16 seeds; at 2^17 - 1 seeds, 1- or 4-seed
+# chunks take seconds, and 2^6 and 2^16 both split at seed 65536
+ALL_SCAN_BITS = (0, 2, 6, 16)
+BOUNDARY_SCAN_BITS = (6, 16)
+# writer chunks of 2^12, 2^16 and 2^20 rows: at K = 17 the first two split at
+# row 65536 (seed 65536) and the last writes one chunk
+WRITER_CHUNK_ROWS = (1 << 12, 1 << 16, 1 << 20)
 
 
-@pytest.mark.parametrize("degree, n, true_seed, noisy, chunk_bits", [
-    (5, 12, 7, False, ALL_CHUNK_BITS),          # the true seed's row ends ",1.0,0,1,1"
-    (9, 64, 0x1A5, True, ALL_CHUNK_BITS),       # hex widths 1 to 3; the true seed misses
-    (17, 40, 65535, False, BOUNDARY_CHUNK_BITS),  # the true seed at row 65534 ... 65537,
-    (17, 40, 65536, False, BOUNDARY_CHUNK_BITS),  # seed 65535 ... 65538: the last two rows
-    (17, 40, 65537, False, BOUNDARY_CHUNK_BITS),  # of the first 2^16-row slice and the
-    (17, 40, 65538, False, BOUNDARY_CHUNK_BITS),  # first two of the next
+@pytest.mark.parametrize("degree, n, true_seed, noisy, scan_bits", [
+    (5, 12, 7, False, ALL_SCAN_BITS),          # the true seed's row ends ",1.0,0,1,1"
+    (9, 64, 0x1A5, True, ALL_SCAN_BITS),       # hex widths 1 to 3; the true seed misses
+    (17, 40, 65535, False, BOUNDARY_SCAN_BITS),  # the true seed at row 65534 ... 65537,
+    (17, 40, 65536, False, BOUNDARY_SCAN_BITS),  # seed 65535 ... 65538: the last two rows
+    (17, 40, 65537, False, BOUNDARY_SCAN_BITS),  # of the first 2^16-row chunk and the
+    (17, 40, 65538, False, BOUNDARY_SCAN_BITS),  # first two of the next
 ], ids=["exact-match", "jitter-and-error", "row-65534", "row-65535", "row-65536",
         "row-65537"])
 def test_seed_csv_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch, degree, n,
-                                                        true_seed, noisy, chunk_bits):
+                                                        true_seed, noisy, scan_bits):
     rec = replay_record(degree, n, true_seed, noisy)
     assert (rec.true_seed_mismatches == 0) != noisy
     runner._write_csv(str(tmp_path / "ref.csv"), "m.json", "abc", SEED_CSV_HEADER,
                       per_seed_rows(rec, n))
     want = (tmp_path / "ref.csv").read_bytes()
-    for bits in chunk_bits:
-        # the writer reads the scan's chunk size from attacks when it runs
+    # the scan and the writer each chunk the seeds their own way
+    for bits in scan_bits:
         monkeypatch.setattr(attacks, "_SCAN_CHUNK_BITS", bits)
-        write_seed_csv(tmp_path / "fast.csv", rec, n)
-        assert (tmp_path / "fast.csv").read_bytes() == want, bits
+        # the memo would hand back the last scan's counts
+        attacks._stage_counts.cache_clear()
+        rec = replay_record(degree, n, true_seed, noisy)
+        for rows in WRITER_CHUNK_ROWS:
+            monkeypatch.setattr(runner, "_SEED_CSV_CHUNK_ROWS", rows)
+            write_seed_csv(tmp_path / "fast.csv", rec, n)
+            assert (tmp_path / "fast.csv").read_bytes() == want, (bits, rows)
 
 
 # a pad-stage run whose randomization gives the two stages different counts
@@ -421,9 +422,5 @@ def test_attack_replay_workload_seed_csvs_match_the_benchmark_refs(tmp_path):
         argv = ["attack", "--config", str(ATTACK_REPLAY_INI), "--out-dir", str(out),
                 "--seed", str(seed)]
         assert cli.main(argv) == 0
-        for name in ("attack_replay_attack_seeds.csv", "attack_replay_attack_otp_seeds.csv"):
-            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-            assert digest == ATTACK_REPLAY_SEEDS_SHA256, (seed, name)
-        digest = hashlib.sha256((out / "attack_replay_attack.json").read_bytes()).hexdigest()
-        assert digest == ATTACK_REPLAY_JSON_SHA256[seed], seed
+        data_pins.assert_pinned(out, "attack_replay", seed)
 

@@ -1,5 +1,6 @@
 """Config loading, the four run families, output formats, and the CLI."""
 
+import ast
 import configparser
 import contextlib
 import csv
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import data_pins
 import detection_oracles
 import yzero
 from yzero import attacks, cli, codec, detection, runner
@@ -223,7 +225,9 @@ BAD_VALUES = [
     ("s_grid", "keygen", "s_grid = 2.0, 3.0", "s_grid = 2.0, -3.0", 2, "nonnegative, got -3.0"),
     ("keygen_mode", "keygen", "mode = ideal", "mode = randomized", 3,
      "keygen mode must be 'ideal'"),
-    ("osk", "attack", "m = 4", "m = 4\nosk = true", 3, "fixed bit-to-member pairing"),
+    # the record engines take the plain pairing alone, so only bounds reads osk
+    ("osk", "attack", "m = 4", "m = 4\nosk = true", 3,
+     "unknown key 'osk' in [constellation] for family 'attack'"),
     ("osk_updown", "bounds", "energy_grid = 1.0, 4.0", "energy_grid = 1.0, 4.0\nosk = true", 4,
      "fixed bit-to-member pairing; set osk = False"),
     # 1e7 rad left the wedge quadrature unconverged; 1e300 left a jittered record
@@ -321,9 +325,6 @@ def test_more_rejections(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, ATTACK_CFG.replace(
             "n_symbols = 48", "n_symbols = 48\nerror_positions = 3, 99")), "attack")
-    with pytest.raises(ConfigError):
-        load_config(write_cfg(tmp_path, ATTACK_CFG.replace(
-            "m = 4", "m = 4\nosk = true")), "attack")
 
 
 def test_run_bounds_outputs_and_determinism(tmp_path):
@@ -356,22 +357,16 @@ def test_run_bounds_computes_one_gram_spectrum_per_grid_point(tmp_path, monkeypa
         return real(c)
 
     monkeypatch.setattr(detection, "_gram_spectrum", counted)
-    monkeypatch.setattr(runner, "_gram_spectrum", counted, raising=False)
     runner.run_bounds(load_config(str(PERFBENCH / "workloads" / "bounds_grid.ini"), "bounds",
                                   out_dir=str(tmp_path)))
     assert len(points) == 81 == len(set(points))
 
 
-# SHA-256 of bounds_grid_bounds.csv from perfbench/workloads/bounds_grid.ini at
-# 3ec8816: perfbench/refs.json holds its figures only to within 5e-6
-BOUNDS_GRID_CSV_SHA256 = "c6a8ffd4177e4b63fad1828a436b4aa0acb4c0b3b8e12b4311d3fd939c7c1114"
-
-
 def test_bounds_grid_csv_bytes_are_pinned(tmp_path):
-    runner.run_bounds(load_config(str(PERFBENCH / "workloads" / "bounds_grid.ini"), "bounds",
-                                  out_dir=str(tmp_path)))
-    data = read_file(tmp_path, "bounds_grid_bounds.csv")
-    assert hashlib.sha256(data).hexdigest() == BOUNDS_GRID_CSV_SHA256
+    for seed in (1, 2):
+        runner.run_bounds(load_config(str(PERFBENCH / "workloads" / "bounds_grid.ini"),
+                                      "bounds", out_dir=str(tmp_path), master_seed=seed))
+        data_pins.assert_pinned(tmp_path, "bounds_grid", seed)
 
 
 def test_bounds_manifest_records_the_work(tmp_path, monkeypatch):
@@ -509,9 +504,12 @@ def test_run_entropy_quantum_regime(tmp_path):
 
 
 @pytest.mark.parametrize("text, record_notes", [
-    (ENTROPY_CFG, set(runner._LABEL_NOTES)),
+    (ENTROPY_CFG, set(attacks._RECORD_NOTES["classical"])),
     (QUANTUM_ENTROPY_CFG, {"quantum_record_receiver"}),
-], ids=["classical", "quantum"])
+    # the ciphertext-only half scores a label record whatever the regime
+    (QUANTUM_ENTROPY_CFG.replace("mode = known_plaintext", "mode = both"),
+     {*attacks._RECORD_NOTES["classical"], "quantum_record_receiver"}),
+], ids=["classical", "quantum", "quantum-both"])
 def test_entropy_manifest_notes_only_its_record_model(tmp_path, text, record_notes):
     # a label record names no heterodyne receiver, an index record no label rule
     cfg = load_config(write_cfg(tmp_path, text), "entropy", out_dir=str(tmp_path))
@@ -586,18 +584,6 @@ def _perfbench_checks():
     return checks
 
 
-# SHA-256 of each entropy workload's data JSON at 87a8f5d: the benchmark's
-# 1e-9 float tolerance would pass a move in the last digits
-ENTROPY_WORKLOAD_SHA256 = {
-    ("entropy_misalign", 1): "cf1ea435b2ae3e2198d7b8fed245ea5d0ca80b2a510561fe59e12fff54e960c9",
-    ("entropy_misalign", 2): "cf1ea435b2ae3e2198d7b8fed245ea5d0ca80b2a510561fe59e12fff54e960c9",
-    ("entropy_jitter", 1): "b501d21afbc5e51468358c528bec5f46e3fb71371c377e504b386f2e24bfe0e9",
-    ("entropy_jitter", 2): "2477085442f967a2feb202334a3e2d0fd0ba691b90585398fa8b37465addbce4",
-    ("entropy_quantum", 1): "716e50afc33ccd8b1db51f10856e3e35936b5f42ad7a63cca8bd95cf3ada2ed0",
-    ("entropy_quantum", 2): "faf89e97732d75db5d74f0f31001a9c45b3ea12fd4b1f2a530b88e0b2eb84790",
-}
-
-
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("workload", ["entropy_misalign", "entropy_jitter", "entropy_quantum"])
 def test_entropy_workloads_match_the_benchmark_refs(tmp_path, workload, seed):
@@ -609,8 +595,7 @@ def test_entropy_workloads_match_the_benchmark_refs(tmp_path, workload, seed):
     refs = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))[workload]
     assert str(seed) in refs
     assert _perfbench_checks().check_entropy(str(tmp_path), str(ini), seed, refs) == []
-    data = read_file(tmp_path, f"{workload}_entropy.json")
-    assert hashlib.sha256(data).hexdigest() == ENTROPY_WORKLOAD_SHA256[workload, seed]
+    data_pins.assert_pinned(tmp_path, workload, seed)
 
 
 def test_run_keygen_outputs(tmp_path):
@@ -629,15 +614,10 @@ def test_run_keygen_outputs(tmp_path):
     assert 1.6 <= ratio <= 2.4
 
 
-# SHA-256 of the keygen CSV of KEYGEN_CFG
-KEYGEN_CSV_SHA256 = "3bb5fa32a8ecb788031ae2c8ad11a2625ba011f8a8fbc6b278d08c75f6afe88c"
-
-
 def test_keygen_csv_bytes_are_pinned(tmp_path):
     path = write_cfg(tmp_path, KEYGEN_CFG)
     assert cli.main(["keygen", "--config", path, "--out-dir", str(tmp_path)]) == 0
-    data = read_file(tmp_path, "kg_keygen.csv")
-    assert hashlib.sha256(data).hexdigest() == KEYGEN_CSV_SHA256
+    data_pins.assert_pinned(tmp_path, "keygen", 1)
 
 
 def test_keygen_mode_defaults_to_the_curve_it_computes(tmp_path):
@@ -677,7 +657,7 @@ def test_manifest_records_the_run(tmp_path):
     assert "run_attack.json" in manifest["outputs"]
     # a replay scores labels: no entropy hypothesis space, no heterodyne receiver
     assert set(manifest["modeling"]) == {"lfsr", "dsr", "misalign_radians",
-                                         *runner._LABEL_NOTES}
+                                         *attacks._RECORD_NOTES["classical"]}
     assert "coin flip" in manifest["modeling"]["label_axis_pair"]
     assert set(manifest["versions"]) == {"yzero", "python", "numpy"}
     assert manifest["versions"]["python"] == platform.python_version()
@@ -804,23 +784,29 @@ def test_cli_label_families_reject_a_single_pair(tmp_path, capsys, family, text)
 
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy is a test oracle only: no CLI family loads any scipy module.  Each
-    # family loads only the yzero modules it runs, and BLAS runs on one thread
-    # unless the environment sets a count
+    # family loads only the yzero modules it runs, all of them by the time
+    # load_config returns, and so numpy.random for the families that draw;
+    # BLAS runs on one thread unless the environment sets a count
     # the package under test, wherever it was imported from
     src = os.path.dirname(os.path.dirname(os.path.abspath(yzero.__file__)))
-    code = ("import json, os, sys, yzero.cli; rc = yzero.cli.main(sys.argv[1:]); "
+    code = ("import json, os, sys, yzero.cli as cli\n"
+            "own = lambda: sorted(m for m in sys.modules\n"
+            "                     if m.startswith('yzero.') or m == 'numpy.random')\n"
+            "load, at_load = cli.load_config, []\n"
+            "cli.load_config = lambda *a, **k: (load(*a, **k), at_load.extend(own()))[0]\n"
+            "rc = cli.main(sys.argv[1:])\n"
             "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-            "sorted(m for m in sys.modules if m.startswith('yzero.')), "
-            "os.environ.get('OPENBLAS_NUM_THREADS')]))")
+            "at_load, own(), os.environ.get('OPENBLAS_NUM_THREADS')]))")
     shared = ["yzero.cli", "yzero.codec", "yzero.errors", "yzero.runner", "yzero.scenario"]
+    drawing = ["numpy.random", "yzero.attacks"]
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     for family, text, own in (("bounds", BOUNDS_CFG, ["yzero.detection"]),
-                              ("attack", ATTACK_CFG, ["yzero.attacks"]),
-                              ("entropy", ENTROPY_CFG, ["yzero.attacks"]),
-                              ("entropy", QUANTUM_ENTROPY_CFG,
-                               ["yzero.attacks", "yzero.detection"]),
+                              ("attack", ATTACK_CFG, drawing),
+                              ("entropy", ENTROPY_CFG, drawing),
+                              ("entropy", QUANTUM_ENTROPY_CFG, drawing + ["yzero.detection"]),
                               ("keygen", KEYGEN_CFG, ["yzero.detection"])):
         path = write_cfg(tmp_path, text, name=f"{family}.ini")
+        modules = sorted(shared + own)
         # unset, the CLI pins one thread; a count the caller set stands
         for blas in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
             out = subprocess.run([sys.executable, "-c", code, family, "--config", path,
@@ -828,8 +814,26 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
                                  env=dict(env, PYTHONPATH=src, **blas),
                                  capture_output=True, text=True, timeout=120, check=True).stdout
             threads = blas.get("OPENBLAS_NUM_THREADS", "1")
-            assert json.loads(out.splitlines()[-1]) == [0, [], sorted(shared + own), threads], \
+            assert json.loads(out.splitlines()[-1]) == [0, [], modules, modules, threads], \
                 (family, own, blas)
+
+
+def test_runner_imports_no_private_engine_name():
+    # the runner reads configs, calls engines and writes files; what the
+    # engines decide stays behind their public names
+    tree = ast.parse(pathlib.Path(runner.__file__).read_text(encoding="utf-8"))
+    engines = {"attacks", "detection"}
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               and node.module in engines for alias in node.names
+               if alias.name.startswith("_")]
+    # nor reads one off the module
+    private += [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in engines and node.attr.startswith("_")]
+    assert private == []
+    assert any(isinstance(node, ast.ImportFrom) and node.module in engines
+               for node in ast.walk(tree))
 
 
 @pytest.mark.parametrize("name", ["file", ""])
@@ -916,7 +920,6 @@ def generated_configs(draw):
         maybe(sc, "mode", _mostly(st.just("ideal"), st.just("randomized")))
     else:
         con["m"], con["energy"] = draw(m), draw(energy)
-        maybe(con, "osk", st.booleans())
         if draw(st.booleans()):
             key["degree"] = draw(st.integers(2, 6))
         else:
