@@ -33,7 +33,7 @@ def main() -> None:
                   f"{p.p_error_eve:>15.3e} {p.advantage_bits:>10.4f}")
         print(f"  fitted log-slope, key holder:   {fb.slope:+.3f}  (r^2 = {fb.r_squared:.6f})")
         print(f"  fitted log-slope, interceptor:  {fe.slope:+.3f}  (r^2 = {fe.r_squared:.6f})")
-        print(f"  exponent ratio: {fe.slope / fb.slope:.3f}\n")
+        print(f"  exponent ratio: {fb.slope / fe.slope:.3f}\n")
 
     pts, _, _ = table(1.0)
     at4 = next(p for p in pts if p.s == 4.0)

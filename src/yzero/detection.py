@@ -13,6 +13,8 @@ Three layers of analysis, from strongest observer to weakest:
 Key generation scores two of these receivers against each other: the key
 holder's pure-state Helstrom error and an interceptor's homodyne error on
 the same antipodal pair, as an advantage in bits per pulse.
+``keygen_curve``, which the ``keygen`` family runs, adds both curves'
+decay exponents, fitted under one rule of which points a fit takes.
 
 Every operator behind the constellation bounds (``bit_bound``,
 ``updown_bound``, ``srm_mary_error``) is a weighted mixture over the 2M
@@ -85,6 +87,9 @@ WEDGE_QUAD_TOL = 1e-13
 WEDGE_NODES = 16
 WEDGE_PANELS_START = 2
 WEDGE_PANELS_CAP = 1024
+
+# A decay fit (``exponent_fit``) needs at least this many points.
+FIT_MIN_POINTS = 4
 
 # ln(k!) for k = 0, 1, ..., replaced by one twice as long when a longer pmf
 # is needed; a published table is never written, so callers slice the one they read.
@@ -519,18 +524,26 @@ def heterodyne_index_transition(c: Constellation, decision_offset: float = 0.0) 
     return q[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
 
 
+def _fit_takes(p_error):
+    """Whether a decay fit takes an error probability: strictly inside (0, 1/2).
+
+    Zero has no logarithm, and an error at or above one half carries no
+    decay information.  Elementwise on an array.
+    """
+    return (p_error > 0.0) & (p_error < 0.5)
+
+
 def exponent_fit(points: "np.ndarray | list[tuple[float, float]]") -> ExponentFit:
     """Fit ln(p_error) = slope * s + intercept over (s, p_error) pairs.
 
-    Requires at least four points with p_error strictly inside (0, 0.5);
-    zeros have no logarithm and values at or above one half carry no decay
-    information.
+    Requires at least FIT_MIN_POINTS points, every p_error one that a fit
+    takes (`_fit_takes`); otherwise ValueError.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 4:
-        raise ValueError("need at least four (s, p_error) points")
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < FIT_MIN_POINTS:
+        raise ValueError(f"need at least {FIT_MIN_POINTS} (s, p_error) points")
     s, p = pts[:, 0], pts[:, 1]
-    if np.any(p <= 0.0) or np.any(p >= 0.5):
+    if not np.all(_fit_takes(p)):
         raise ValueError("every p_error must lie strictly in (0, 0.5)")
     y = np.log(p)
     slope, intercept = np.polyfit(s, y, 1)
@@ -594,3 +607,24 @@ def keygen_advantage(s_values: "np.ndarray | list[float]") -> "list[KeygenPoint]
             advantage_bits=_binary_capacity(pe_bob) - _binary_capacity(pe_eve),
         ))
     return out
+
+
+def keygen_curve(
+    s_values: "np.ndarray | list[float]",
+) -> "tuple[list[KeygenPoint], ExponentFit | None, ExponentFit | None, float | None]":
+    """The ``keygen_advantage`` points with both decay fits and their slope ratio.
+
+    Returns (points, fit_bob, fit_eve, slope_ratio).  Each curve is fitted
+    by ``exponent_fit`` over its own points that a fit takes
+    (`_fit_takes`), and both only when each keeps at least FIT_MIN_POINTS;
+    otherwise all three are None.  slope_ratio is slope_bob / slope_eve,
+    about 2 (e^{-4S} against e^{-2S}), and None when slope_eve is 0.
+    """
+    points = keygen_advantage(s_values)
+    curves = [(p.s, p.p_error_bob) for p in points], [(p.s, p.p_error_eve) for p in points]
+    kept = [[(s, pe) for s, pe in curve if _fit_takes(pe)] for curve in curves]
+    if min(map(len, kept)) < FIT_MIN_POINTS:
+        return points, None, None, None
+    fit_bob, fit_eve = map(exponent_fit, kept)
+    ratio = fit_bob.slope / fit_eve.slope if fit_eve.slope != 0.0 else None
+    return points, fit_bob, fit_eve, ratio

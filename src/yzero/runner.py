@@ -1,9 +1,10 @@
 """Execution of configured runs and deterministic output writing.
 
 The runner reads a loaded config, calls the library's engines and writes
-their results; what a run computes, how it shares work and which record
-model it scored are the engines' own (``detection.bound_grid``,
-``attacks.modeling_notes``).  It imports no private name of ``attacks`` or
+their results; what a run computes, how it shares work, which record
+model it scored and which points a fit takes are the engines' own
+(``detection.bound_grid``, ``attacks.modeling_notes``,
+``detection.keygen_curve``).  It imports no private name of ``attacks`` or
 ``detection``.
 
 Every run derives its random streams from a single master seed through
@@ -326,27 +327,24 @@ def run_entropy(cfg: ScenarioConfig) -> "list[str]":
 
 
 def run_keygen(cfg: ScenarioConfig) -> "list[str]":
-    """Advantage-versus-energy curve with decay-exponent fits when possible."""
-    from .detection import exponent_fit, keygen_advantage
+    """Advantage-versus-energy curve; one CSV row per point.
+
+    ``detection.keygen_curve`` computes the points and decides whether the
+    decay exponents are fitted; every row repeats its slopes and ratio,
+    empty where it fitted none.
+    """
+    from .detection import keygen_curve
 
     _make_out_dir(cfg.out_dir)
-    points = keygen_advantage(cfg.s_grid)
-    fit_pts_b = [(p.s, p.p_error_bob) for p in points if 0.0 < p.p_error_bob < 0.5]
-    fit_pts_e = [(p.s, p.p_error_eve) for p in points if 0.0 < p.p_error_eve < 0.5]
-    slope_b = slope_e = ratio = None
-    if len(fit_pts_b) >= 4 and len(fit_pts_e) >= 4:
-        fb = exponent_fit(fit_pts_b)
-        fe = exponent_fit(fit_pts_e)
-        slope_b, slope_e = fb.slope, fe.slope
-        if fe.slope != 0.0:
-            ratio = fb.slope / fe.slope
-    rows = [[cfg.mode, p.s, p.p_error_bob, p.p_error_eve, p.advantage_bits,
-             slope_b, slope_e, ratio] for p in points]
+    points, fit_bob, fit_eve, ratio = keygen_curve(cfg.s_grid)
+    slopes = [fit.slope if fit else None for fit in (fit_bob, fit_eve)]
     name = f"{cfg.prefix}_keygen.csv"
     _write_csv(os.path.join(cfg.out_dir, name), f"{cfg.prefix}_manifest.json",
                cfg.config_sha256,
                ["mode", "s", "p_error_bob", "p_error_eve", "advantage_bits",
-                "slope_bob", "slope_eve", "slope_ratio"], rows)
+                "slope_bob", "slope_eve", "slope_ratio"],
+               [[cfg.mode, p.s, p.p_error_bob, p.p_error_eve, p.advantage_bits, *slopes, ratio]
+                for p in points])
     return _finish(cfg, [name])
 
 

@@ -79,6 +79,7 @@ class ScenarioConfig:
     # bounds only
     osk: bool = False
     poly: "int | None" = None
+    # the replay's true seed; entropy reads it only to check it
     seed_register: "int | None" = None
     methods: "list[str]" = field(default_factory=lambda: ["bit", "srm", "updown"])
     n_symbols: int = 0
@@ -312,8 +313,10 @@ def _read_record(src: _Source, cfg: ScenarioConfig) -> None:
     cfg.poly = src.get("keystream", "poly", _parse_int, codec._check_poly, default=degree_poly)
     if cfg.poly is None:
         raise src.fail("missing 'poly' (or 'degree') in [keystream]", section="keystream")
+    # each entropy trial draws its own seed, so entropy needs none
     cfg.seed_register = src.get("keystream", "seed", _parse_int,
-                                lambda seed: codec._check_seed(cfg.key_bits, seed))
+                                lambda seed: codec._check_seed(cfg.key_bits, seed),
+                                default=None if cfg.family == "entropy" else _REQUIRED)
     cfg.n_symbols = src.get("scenario", "n_symbols", _parse_int, attacks._check_n_symbols)
     cfg.error_positions = src.get("scenario", "error_positions", _parse_int,
                                   default=cfg.error_positions, many=True)

@@ -533,6 +533,28 @@ def test_keygen_advantage_is_nonnegative_when_the_key_holder_errs_less(s):
         assert pt.advantage_bits >= 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(s_grid=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 8.0), st.floats(190.0, 340.0)),
+                       min_size=1, max_size=9, unique=True))
+# at S = 0 both errors are exactly 1/2; from S ~ 187 the key holder's is
+# exactly 0.0 while the interceptor's stays positive up to S ~ 350
+@example(s_grid=[0.0, 2.0, 3.0, 4.0, 5.0])
+@example(s_grid=[0.0, 2.0, 4.0])
+@example(s_grid=[2.0, 3.0, 4.0, 5.0, 200.0])
+@example(s_grid=[2.0, 3.0, 4.0, 200.0, 300.0])
+def test_keygen_curve_fits_each_curve_over_the_points_a_fit_takes(s_grid):
+    points, fit_bob, fit_eve, ratio = detection.keygen_curve(s_grid)
+    assert points == detection.keygen_advantage(s_grid)
+    kept = [[(p.s, pe) for p, pe in zip(points, errors) if 0.0 < pe < 0.5]
+            for errors in ([p.p_error_bob for p in points], [p.p_error_eve for p in points])]
+    if len(kept[0]) >= 4 and len(kept[1]) >= 4:
+        assert fit_bob == detection.exponent_fit(kept[0])
+        assert fit_eve == detection.exponent_fit(kept[1])
+        assert ratio == (fit_bob.slope / fit_eve.slope if fit_eve.slope != 0.0 else None)
+    else:
+        assert (fit_bob, fit_eve, ratio) == (None, None, None)
+
+
 @pytest.mark.parametrize("q", [1e-12, 1e-8, 1e-4, 1e-2, 0.3])
 def test_binary_capacity_matches_its_series(q):
     # 1 - h2((1 - q) / 2) = sum_j q^(2j) / (j (2j - 1)) / (2 ln 2), with q = 1 - 2p

@@ -218,6 +218,9 @@ BAD_VALUES = [
     # GF(2) products never ended on it
     ("poly_negative", "attack", "degree = 8", "poly = -0x11D", 6, "must be a bitmask"),
     ("seed", "attack", "seed = 0x5A", "seed = 0x100", 7, "nonzero register value below 2^8"),
+    # entropy needs no seed, but a given one is checked
+    ("seed_entropy", "entropy", "seed = 0x5A", "seed = 0x100", 7,
+     "nonzero register value below 2^8"),
     ("n_symbols", "entropy", "n_symbols = 12", "n_symbols = 0", 10, "n_symbols must be positive"),
     ("trials", "entropy", "trials = 5", "trials = 0", 11, "trials must be positive"),
     ("regime", "entropy", "regime = classical", "regime = coherent", 13,
@@ -249,6 +252,7 @@ BAD_VALUES = [
     # a missing required key and an empty list read the same for every key
     ("n_symbols_missing", "entropy", "n_symbols = 12\n", "", 9,
      "missing 'n_symbols' in [scenario]"),
+    ("seed_missing", "attack", "seed = 0x5A\n", "", 5, "missing 'seed' in [keystream]"),
     ("s_grid_missing", "keygen", "s_grid = 2.0, 3.0, 4.0, 5.0, 6.0\n", "", 1,
      "missing 's_grid' in [scenario]"),
     ("methods_empty", "bounds", "methods = bit, srm, updown", "methods =", 6,
@@ -501,6 +505,21 @@ def test_run_entropy_quantum_regime(tmp_path):
     assert kp["regime"] == "known_plaintext_quantum"
     assert 0.0 <= kp["h_key_given_obs_and_data"] <= 8.0
     assert "ciphertext_only" not in payload
+
+
+@pytest.mark.parametrize("text", [ENTROPY_CFG, QUANTUM_ENTROPY_CFG], ids=["classical", "quantum"])
+def test_entropy_without_a_seed_writes_the_same_json(tmp_path, text):
+    # each trial draws its own seed, so the key changes nothing but config_sha256
+    payloads = []
+    for name, variant in (("with", text), ("without", text.replace("seed = 0x5A\n", ""))):
+        cfg = load_config(write_cfg(tmp_path, variant, name=f"{name}.ini"), "entropy",
+                          out_dir=str(tmp_path / name))
+        runner.run_entropy(cfg)
+        payload = json.loads(read_file(tmp_path / name, "ent_entropy.json"))
+        assert payload.pop("config_sha256") == cfg.config_sha256
+        payloads.append((cfg.seed_register, payload))
+    assert [seed for seed, _ in payloads] == [0x5A, None]
+    assert payloads[0][1] == payloads[1][1]
 
 
 @pytest.mark.parametrize("text, record_notes", [
@@ -834,6 +853,30 @@ def test_runner_imports_no_private_engine_name():
     assert private == []
     assert any(isinstance(node, ast.ImportFrom) and node.module in engines
                for node in ast.walk(tree))
+
+
+def _is_number(node) -> bool:
+    if isinstance(node, ast.UnaryOp):
+        return _is_number(node.operand)
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float, complex)
+
+
+def test_run_keygen_takes_its_fits_from_keygen_curve():
+    # which points a fit takes, how many it needs and when a ratio exists
+    # are detection's rule: the runner calls keygen_curve and compares no
+    # number of its own
+    tree = ast.parse(pathlib.Path(runner.__file__).read_text(encoding="utf-8"))
+    run_keygen = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "run_keygen")
+    calls = {node.func.id for node in ast.walk(run_keygen)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "keygen_curve" in calls
+    assert "exponent_fit" not in {alias.name for node in ast.walk(tree)
+                                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+    compared = [ast.unparse(node) for node in ast.walk(run_keygen)
+                if isinstance(node, ast.Compare)
+                and any(map(_is_number, [node.left, *node.comparators]))]
+    assert compared == []
 
 
 @pytest.mark.parametrize("name", ["file", ""])
