@@ -377,8 +377,12 @@ def srm_mary_error(c: Constellation) -> MaryBound:
     over the eigenvalues Lambda of the circulant Gram matrix; the error is
     clipped to [0, 1].
     """
-    p_success = float(np.mean(_mode_spectrum(c).root)) ** 2
-    return MaryBound(p_error=min(max(0.0, 1.0 - p_success), 1.0))
+    return MaryBound(p_error=_srm_error(_mode_spectrum(c)))
+
+
+def _srm_error(modes: _ModeSpectrum) -> float:
+    """1 - mean(sqrt(Lambda))^2 over the Gram spectrum, clipped to [0, 1]."""
+    return min(max(0.0, 1.0 - float(np.mean(modes.root)) ** 2), 1.0)
 
 
 def bound_grid(m_grid: "list[int]", energies: "list[float]", methods: "list[str]",
@@ -406,9 +410,7 @@ def bound_grid(m_grid: "list[int]", energies: "list[float]", methods: "list[str]
             work["gram_spectra"] += 1
             for method in methods:
                 if method == "srm":
-                    p_success = float(np.mean(modes.root)) ** 2
-                    rows.append((m, c.energy, method, min(max(0.0, 1.0 - p_success), 1.0),
-                                 c.n_states))
+                    rows.append((m, c.energy, method, _srm_error(modes), c.n_states))
                 else:
                     b = _helstrom_error(spectra[method], modes)
                     work["svd_solves"] += 1
@@ -533,24 +535,41 @@ def _fit_takes(p_error):
     return (p_error > 0.0) & (p_error < 0.5)
 
 
-def exponent_fit(points: "np.ndarray | list[tuple[float, float]]") -> ExponentFit:
-    """Fit ln(p_error) = slope * s + intercept over (s, p_error) pairs.
+def _decay_fit(s: np.ndarray, p_error: np.ndarray, drop: bool) -> ExponentFit:
+    """Fit ln(p_error) = slope * s + intercept over the pairs a fit takes (`_fit_takes`).
 
-    Requires at least FIT_MIN_POINTS points, every p_error one that a fit
-    takes (`_fit_takes`); otherwise ValueError.
+    With ``drop`` the other pairs are left out; without it, any of them
+    raises ValueError.  So does a fit the kept pairs cannot fix: fewer than
+    FIT_MIN_POINTS of them, or fewer than two distinct energies, which the
+    least-squares solve reports as rank < 2 (as it does energies that
+    differ only in their last bits).
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < FIT_MIN_POINTS:
-        raise ValueError(f"need at least {FIT_MIN_POINTS} (s, p_error) points")
-    s, p = pts[:, 0], pts[:, 1]
-    if not np.all(_fit_takes(p)):
+    takes = _fit_takes(p_error)
+    if not (drop or np.all(takes)):
         raise ValueError("every p_error must lie strictly in (0, 0.5)")
-    y = np.log(p)
-    slope, intercept = np.polyfit(s, y, 1)
+    s, y = s[takes], np.log(p_error[takes])
+    if s.size < FIT_MIN_POINTS:
+        raise ValueError(f"need at least {FIT_MIN_POINTS} (s, p_error) points")
+    (slope, intercept), _, rank, _, _ = np.polyfit(s, y, 1, full=True)
+    if rank < 2:
+        raise ValueError("need at least two distinct energies to fix a slope")
     resid = y - (slope * s + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return ExponentFit(slope=float(slope), intercept=float(intercept), r_squared=r2)
+
+
+def exponent_fit(points: "np.ndarray | list[tuple[float, float]]") -> ExponentFit:
+    """Fit ln(p_error) = slope * s + intercept over (s, p_error) pairs.
+
+    Every p_error must be one that a fit takes, and the points must fix a
+    slope (`_decay_fit`): at least FIT_MIN_POINTS of them, at two or more
+    distinct energies; otherwise ValueError.
+    """
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must be (s, p_error) pairs")
+    return _decay_fit(pts[:, 0], pts[:, 1], drop=False)
 
 
 # ---------------------------------------------------------------------------
@@ -615,16 +634,17 @@ def keygen_curve(
     """The ``keygen_advantage`` points with both decay fits and their slope ratio.
 
     Returns (points, fit_bob, fit_eve, slope_ratio).  Each curve is fitted
-    by ``exponent_fit`` over its own points that a fit takes
-    (`_fit_takes`), and both only when each keeps at least FIT_MIN_POINTS;
-    otherwise all three are None.  slope_ratio is slope_bob / slope_eve,
-    about 2 (e^{-4S} against e^{-2S}), and None when slope_eve is 0.
+    over its own points that a fit takes (`_decay_fit`), and both only when
+    each of them fixes a slope: at least FIT_MIN_POINTS such points, at two
+    or more distinct energies; otherwise all three are None.  slope_ratio is
+    slope_bob / slope_eve, about 2 (e^{-4S} against e^{-2S}), and None when
+    slope_eve is 0.
     """
     points = keygen_advantage(s_values)
-    curves = [(p.s, p.p_error_bob) for p in points], [(p.s, p.p_error_eve) for p in points]
-    kept = [[(s, pe) for s, pe in curve if _fit_takes(pe)] for curve in curves]
-    if min(map(len, kept)) < FIT_MIN_POINTS:
+    s, bob, eve = np.array([(p.s, p.p_error_bob, p.p_error_eve) for p in points]).reshape(-1, 3).T
+    try:
+        fit_bob, fit_eve = (_decay_fit(s, errors, drop=True) for errors in (bob, eve))
+    except ValueError:
         return points, None, None, None
-    fit_bob, fit_eve = map(exponent_fit, kept)
     ratio = fit_bob.slope / fit_eve.slope if fit_eve.slope != 0.0 else None
     return points, fit_bob, fit_eve, ratio

@@ -19,12 +19,15 @@ record exists.  Nothing is computed: no keystream, spectrum or transition
 matrix.
 
 The loader imports the library modules a family runs as it reads that
-family's keys, and only those: ``attacks`` and ``numpy.random``, which
-numpy loads on first use, for attack and entropy, ``detection`` for bounds,
-keygen and the quantum regime's heterodyne record.  So a bounds process
-never loads ``attacks``, a label record never loads ``detection``, and
-every import a run needs is paid before ``load_config`` returns, as
-set-up, not inside the run's compute.
+family's keys, and only those: ``attacks`` for attack and entropy,
+``detection`` for bounds, keygen and the quantum regime's heterodyne
+record, and the numpy subpackages that numpy loads on first use with the
+family that uses them: ``numpy.random`` for attack and entropy,
+``numpy.fft`` for bounds (the weight spectra) and ``numpy.polynomial`` for
+the quantum regime (the wedge quadrature's Gauss-Legendre nodes).  So a
+bounds process never loads ``attacks``, a label record never loads
+``detection``, and every import a run needs is paid before
+``load_config`` returns, as set-up, not inside the run's compute.
 """
 
 from __future__ import annotations
@@ -326,6 +329,13 @@ def _read_record(src: _Source, cfg: ScenarioConfig) -> None:
 
 
 def _read_bounds(src: _Source, cfg: ScenarioConfig) -> None:
+    """[constellation] and [scenario] of a bounds run.
+
+    Its weight spectra are DFTs from ``numpy.fft``, which numpy loads on
+    first use; it is imported here as set-up.
+    """
+    import numpy.fft
+
     _read_constellation(src, cfg)
     cfg.osk = src.get("constellation", "osk", _parse_bool, default=cfg.osk)
     cfg.methods = src.get("scenario", "methods",
@@ -361,6 +371,10 @@ def _read_entropy(src: _Source, cfg: ScenarioConfig) -> None:
     if cfg.regime == "quantum" and cfg.mode == "ciphertext_only":
         raise src.fail("regime 'quantum' needs mode 'known_plaintext' or 'both'; "
                        "the ciphertext-only engine scores label records", key="regime")
+    if cfg.regime == "quantum":
+        # the heterodyne record's wedge quadrature takes its nodes from
+        # numpy.polynomial, which numpy loads on first use: set-up, as above
+        import numpy.polynomial
 
 
 def _read_keygen(src: _Source, cfg: ScenarioConfig) -> None:

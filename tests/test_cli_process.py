@@ -1,6 +1,7 @@
 """The CLI as a process: exit codes, stdout and stderr, data bytes, and how it ends."""
 
 import ast
+import csv
 import os
 import pathlib
 import subprocess
@@ -89,6 +90,20 @@ def test_a_cli_process_writes_what_main_writes_in_process(tmp_path, capsys, fami
     for name in data:
         assert ((tmp_path / "process" / name).read_bytes()
                 == (tmp_path / "main" / name).read_bytes()), name
+
+
+def test_a_keygen_grid_at_one_energy_writes_empty_slopes_and_no_warning(tmp_path):
+    # four points at one energy fix no slope: no fit, and nothing on stderr
+    text = CONFIGS["keygen"].replace("s_grid = 1.0, 2.0, 3.0, 4.0", "s_grid = 2.0, 2.0, 2.0, 2.0")
+    out = tmp_path / "out"
+    proc = run_process("keygen", "--config", write_cfg(tmp_path, text), "--out-dir", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    with open(out / "p_keygen_keygen.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert len(rows) == 4
+    for row in rows:
+        assert (row["s"], row["slope_bob"], row["slope_eve"], row["slope_ratio"]) \
+            == ("2.0", "", "", "")
 
 
 @pytest.mark.parametrize("family, old, new, code, message", [

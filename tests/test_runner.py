@@ -837,6 +837,29 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
                 (family, own, blas)
 
 
+@pytest.mark.parametrize("family, text", [
+    ("bounds", BOUNDS_CFG), ("attack", ATTACK_CFG), ("entropy", ENTROPY_CFG),
+    ("entropy", QUANTUM_ENTROPY_CFG), ("keygen", KEYGEN_CFG),
+], ids=["bounds", "attack", "entropy_classical", "entropy_quantum", "keygen"])
+def test_a_run_imports_nothing_after_load_config_returns(tmp_path, family, text):
+    # every module a run uses, numpy's lazily loaded subpackages included, is
+    # set-up: sys.modules gains nothing between load_config's return and the
+    # end of the run
+    src = os.path.dirname(os.path.dirname(os.path.abspath(yzero.__file__)))
+    code = ("import json, sys, yzero.cli as cli\n"
+            "load, at_load = cli.load_config, []\n"
+            "cli.load_config = lambda *a, **k: (load(*a, **k),\n"
+            "                                   at_load.append(set(sys.modules)))[0]\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([rc, sorted(set(sys.modules) - at_load[0])]))")
+    path = write_cfg(tmp_path, text)
+    out = subprocess.run([sys.executable, "-c", code, family, "--config", path,
+                          "--out-dir", str(tmp_path / "out")],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, []]
+
+
 def test_runner_imports_no_private_engine_name():
     # the runner reads configs, calls engines and writes files; what the
     # engines decide stays behind their public names
