@@ -38,7 +38,7 @@ def main() -> None:
         marker = "  <- true" if seed == true_seed else ""
         print(f"  {seed:#7x} {frac:>7.4f}{marker}")
 
-    noisy = measure_labels(symbols, c, AttackScenario.with_errors(n, [17]))
+    noisy = measure_labels(symbols, c, AttackScenario(n, [17]))
     rec2 = brute_force_candidates(noisy, c, poly, data, true_seed)
     frac_true = (n - rec2.true_seed_mismatches) / n
     print("\none recording error at position 17:")

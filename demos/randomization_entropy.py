@@ -41,7 +41,7 @@ def posterior_table() -> None:
     rng = np.random.default_rng(33)
     rows = [
         ("noiseless", AttackScenario(n_symbols=n)),
-        ("one recording error", AttackScenario.with_errors(n, [4])),
+        ("one recording error", AttackScenario(n, [4])),
         ("jitter 0.6 rad", AttackScenario(n_symbols=n, dsr=Dsr.jitter(0.6))),
         ("binary flip 0.5", AttackScenario(n_symbols=n, dsr=Dsr.binary(0.5))),
     ]

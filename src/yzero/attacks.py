@@ -104,39 +104,39 @@ class Dsr:
 class AttackScenario:
     """Channel and adversary model for one replay or entropy run.
 
-    error_seq marks positions where the eavesdropper's label record is
-    flipped after measurement (recording errors), zeros if not given;
-    misalign rotates her phase reference relative to the sender's, by at
-    most a full turn either way; dsr is the sender's deliberate randomization.
+    error_positions are the distinct symbol positions in [0, n_symbols) where
+    the eavesdropper's label record is flipped after measurement (recording
+    errors), kept sorted; misalign rotates her phase reference relative to
+    the sender's, by at most a full turn either way; dsr is the sender's
+    deliberate randomization.  Scenarios with equal inputs compare and hash
+    equal.  error_seq, the read-only 0/1 array of the errors the engines
+    read, is derived from the positions on first read, so building a
+    scenario allocates nothing per symbol.
     """
 
     n_symbols: int
-    error_seq: "np.ndarray | None" = None
+    error_positions: "tuple[int, ...]" = ()
     misalign: float = 0.0
     dsr: Dsr = Dsr()
 
     def __post_init__(self) -> None:
         _check_n_symbols(self.n_symbols)
         _check_misalign(self.misalign)
-        if self.error_seq is None:
-            e = np.zeros(self.n_symbols, dtype=np.uint8)
-        else:
-            e = _as_bits(self.error_seq, "error_seq")
-            if e.size != self.n_symbols:
-                raise ValueError("error_seq must have one entry per symbol")
-        object.__setattr__(self, "error_seq", e)
-
-    @classmethod
-    def with_errors(cls, n_symbols: int, positions: "list[int]", **kw) -> "AttackScenario":
-        """A scenario with recording errors at the given distinct positions in [0, n_symbols)."""
-        e = np.zeros(n_symbols, dtype=np.uint8)
-        for p in positions:
-            if not 0 <= p < n_symbols:
-                raise ValueError(f"error position {p} outside [0, {n_symbols})")
-            if e[p]:
+        seen: "set[int]" = set()
+        for p in self.error_positions:
+            if not 0 <= p < self.n_symbols:
+                raise ValueError(f"error position {p} outside [0, {self.n_symbols})")
+            if p in seen:
                 raise ValueError("error positions must be distinct")
-            e[p] = 1
-        return cls(n_symbols=n_symbols, error_seq=e, **kw)
+            seen.add(p)
+        object.__setattr__(self, "error_positions", tuple(sorted(seen)))
+
+    @functools.cached_property
+    def error_seq(self) -> np.ndarray:
+        e = np.zeros(self.n_symbols, dtype=np.uint8)
+        e[list(self.error_positions)] = 1
+        e.flags.writeable = False
+        return e
 
 
 def _check_n_symbols(n_symbols: int) -> None:
@@ -573,7 +573,7 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
                                                 scenario.error_seq)
     rec = _seed_scan(labels, cipher ^ labels, x_bits, units, true_seed)
     noiseless = (scenario.dsr.param == 0.0 and scenario.misalign == 0.0
-                 and not scenario.error_seq.any())
+                 and not scenario.error_positions)
     identity = bool(np.all((cipher ^ labels ^ (basis_true & 1)) == x_bits)) if noiseless else None
     rec.notes["pad_identity_noiseless"] = identity
     rec.notes["ciphertext"] = cipher.tolist()
@@ -628,7 +628,7 @@ def _posterior_entropy_bits(log2_like: np.ndarray, key_bits: int) -> float:
 
 def _entropy_error_weight(scenario: AttackScenario, regime: str) -> int:
     """Recording errors the ``regime`` engine marginalizes: at most one, none on index records."""
-    w = int(scenario.error_seq.sum())
+    w = len(scenario.error_positions)
     if regime == "quantum" and w:
         raise ValueError("recording errors apply to label records, not index records")
     if w > 1:

@@ -577,12 +577,16 @@ def exponent_fit(points: "np.ndarray | list[tuple[float, float]]") -> ExponentFi
 
 
 def binary_entropy(p: float) -> float:
-    """h2(p) in bits, with the 0 log 0 = 0 convention."""
+    """h2(p) in bits, with the 0 log 0 = 0 convention.
+
+    ln(1 - p) is taken by log1p, which keeps the digits of a small p that
+    the rounded 1 - p loses.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError("probability out of range")
     if p == 0.0 or p == 1.0:
         return 0.0
-    return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
+    return float(-p * math.log2(p) - (1.0 - p) * math.log1p(-p) / math.log(2.0))
 
 
 def _binary_capacity(p: float) -> float:
@@ -608,9 +612,12 @@ def keygen_advantage(s_values: "np.ndarray | list[float]") -> "list[KeygenPoint]
     only the optimal measurement; an eavesdropper without the seed, who
     faces the whole 2M-state ring, is the keyless mode of ROADMAP item 9.
     The advantage is the difference of binary entropies of the two error
-    rates, formed as the difference of the capacities 1 - h2 so that it
-    does not cancel as S -> 0.  A pulse that delivers only a fraction f of
-    its energy coherently is the point at f S.
+    rates, h2(pe_eve) - h2(pe_bob).  Once h2(pe_eve) <= 1/2 both entropies
+    are small and it is formed from them directly; below that energy, as
+    S -> 0, it is the difference of the capacities 1 - h2, which does not
+    cancel there.  So it keeps its relative precision from S -> 0 to where
+    the interceptor's error underflows.  A pulse that delivers only a
+    fraction f of its energy coherently is the point at f S.
     """
     out = []
     # Python floats: 2 S overflows to inf, where a numpy scalar would warn
@@ -619,11 +626,13 @@ def keygen_advantage(s_values: "np.ndarray | list[float]") -> "list[KeygenPoint]
         pe_eve = antipodal_homodyne_error(s)
         a = math.sqrt(s)
         pe_bob = helstrom_pure(a, -a).p_error
+        h_eve = binary_entropy(pe_eve)
         out.append(KeygenPoint(
             s=float(s),
             p_error_bob=pe_bob,
             p_error_eve=pe_eve,
-            advantage_bits=_binary_capacity(pe_bob) - _binary_capacity(pe_eve),
+            advantage_bits=(h_eve - binary_entropy(pe_bob) if h_eve <= 0.5
+                            else _binary_capacity(pe_bob) - _binary_capacity(pe_eve)),
         ))
     return out
 

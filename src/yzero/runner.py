@@ -1,11 +1,13 @@
 """Execution of configured runs and deterministic output writing.
 
 The runner reads a loaded config, calls the library's engines and writes
-their results; what a run computes, how it shares work, which record
-model it scored and which points a fit takes are the engines' own
-(``detection.bound_grid``, ``attacks.modeling_notes``,
-``detection.keygen_curve``).  It imports no private name of ``attacks`` or
-``detection``.
+their results.  An attack or entropy run scores the ``Constellation`` and
+``AttackScenario`` the loader built (``cfg.constellation``,
+``cfg.attack_scenario``) and builds no other.  What a run computes, how it
+shares work, which record model it scored and which points a fit takes
+are the engines' own (``detection.bound_grid``, ``attacks.modeling_notes``,
+``detection.keygen_curve``).  It imports no private name of any ``yzero``
+module.
 
 Every run derives its random streams from a single master seed through
 numpy's SeedSequence spawning, one child per logical task, and computes on
@@ -37,7 +39,7 @@ import numpy as np
 from . import __version__
 from .codec import encode_sequence
 from .errors import ConfigError
-from .scenario import ScenarioConfig, _record_model
+from .scenario import ScenarioConfig
 
 
 def _csv_writer(fh, manifest_name: str, sha256: str, header: "list[str]"):
@@ -252,9 +254,9 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
                           modeling_notes, otp_stage_attack)
 
     _make_out_dir(cfg.out_dir)
-    c, scenario = _record_model(cfg)
+    c, scenario = cfg.constellation, cfg.attack_scenario
     rng_data, rng_channel, rng_mi, rng_otp = _spawn_rngs(cfg.master_seed, 4)
-    r_true = rng_data.integers(0, 2, cfg.n_symbols, dtype=np.uint8)
+    r_true = rng_data.integers(0, 2, scenario.n_symbols, dtype=np.uint8)
     labels = measure_labels(encode_sequence(r_true, cfg.poly, cfg.seed_register, c), c,
                             scenario, rng_channel)
     rec = brute_force_candidates(labels, c, cfg.poly, r_true, cfg.seed_register)
@@ -264,7 +266,7 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
     payload = {
         "family": "attack",
         "key_bits": cfg.key_bits,
-        "n_symbols": cfg.n_symbols,
+        "n_symbols": scenario.n_symbols,
         "transmitted_bits": r_true.tolist(),
         "record": _attack_record_payload(rec, cfg, mutual_info),
     }
@@ -273,13 +275,13 @@ def run_attack(cfg: ScenarioConfig) -> "list[str]":
 
     def write_seeds(name: str, mismatches: np.ndarray) -> None:
         _write_seed_csv(os.path.join(cfg.out_dir, name), f"{cfg.prefix}_manifest.json",
-                        cfg.config_sha256, mismatches, cfg.n_symbols, cfg.seed_register)
+                        cfg.config_sha256, mismatches, scenario.n_symbols, cfg.seed_register)
         outputs.append(name)
 
     plain = f"{cfg.prefix}_attack_seeds.csv"
     write_seeds(plain, rec.mismatches)
     if cfg.otp:
-        x_bits = rng_otp.integers(0, 2, cfg.n_symbols, dtype=np.uint8)
+        x_bits = rng_otp.integers(0, 2, scenario.n_symbols, dtype=np.uint8)
         orec = otp_stage_attack(x_bits, c, cfg.poly, cfg.seed_register, scenario, rng_otp)
         payload["otp_stage"] = _attack_record_payload(orec, cfg, None)
         payload["otp_stage"]["plaintext"] = x_bits.tolist()
@@ -306,7 +308,7 @@ def run_entropy(cfg: ScenarioConfig) -> "list[str]":
     from .attacks import ciphertext_only_entropy, known_plaintext_key_entropy, modeling_notes
 
     _make_out_dir(cfg.out_dir)
-    c, scenario = _record_model(cfg)
+    c, scenario = cfg.constellation, cfg.attack_scenario
     rng_co, rng_kp = _spawn_rngs(cfg.master_seed, 2)
     reports = {}
     if cfg.mode in ("ciphertext_only", "both"):
@@ -318,7 +320,7 @@ def run_entropy(cfg: ScenarioConfig) -> "list[str]":
     payload = {
         "family": "entropy",
         "key_bits": cfg.key_bits,
-        "n_symbols": cfg.n_symbols,
+        "n_symbols": scenario.n_symbols,
         "trials": cfg.trials,
         "config_sha256": cfg.config_sha256,
         "manifest_file": f"{cfg.prefix}_manifest.json",

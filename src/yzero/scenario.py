@@ -12,7 +12,10 @@ sections and keys, which keys are present, method and mode names, which
 mode reads ``regime``, ``prefix`` and ``master_seed``.  Every value rule
 is the library's: the loader builds the objects a run uses and calls the
 checks its engines run, and reports their ValueError as a ConfigError at
-the line of the key it concerns.  A run past a cap (the bounds and
+the line of the key it concerns.  An attack or entropy run's
+``Constellation`` and ``AttackScenario`` are built once, as their keys are
+read, and kept on the config (``constellation``, ``attack_scenario``); the
+run scores those objects.  A run past a cap (the bounds and
 heterodyne energy caps, the enumeration caps or the entropy engines' M
 cap) raises RegimeCapError at load time, before any output directory or
 record exists.  Nothing is computed: no keystream, spectrum or transition
@@ -77,19 +80,17 @@ class ScenarioConfig:
     """Validated parameters for one run of any family."""
 
     family: str
+    # bounds only
     m_grid: "list[int]" = field(default_factory=list)
     energy_grid: "list[float]" = field(default_factory=list)
-    # bounds only
     osk: bool = False
     poly: "int | None" = None
     # the replay's true seed; entropy reads it only to check it
     seed_register: "int | None" = None
     methods: "list[str]" = field(default_factory=lambda: ["bit", "srm", "updown"])
-    n_symbols: int = 0
-    error_positions: "list[int]" = field(default_factory=list)
-    misalign: float = 0.0
-    # attack and entropy only, where the loader sets it
-    dsr: "attacks.Dsr | None" = None
+    # attack and entropy only: the record model the loader builds and the run scores
+    constellation: "codec.Constellation | None" = None
+    attack_scenario: "attacks.AttackScenario | None" = None
     otp: bool = False
     trials: int = 200
     mi_trials: int = 0
@@ -290,26 +291,23 @@ def load_config(path: str, family: str,
     return cfg
 
 
-def _read_constellation(src: _Source, cfg: ScenarioConfig) -> None:
-    """[constellation]: bounds reads lists of M and S, attack and entropy one of each."""
-    grid = cfg.family == "bounds"
-    m = src.get("constellation", "m_grid" if grid else "m", _parse_int, codec._check_m, many=grid)
-    energy = src.get("constellation", "energy_grid" if grid else "energy", _parse_float,
-                     codec._check_energy, many=grid)
-    cfg.m_grid, cfg.energy_grid = (m, energy) if grid else ([m], [energy])
-
-
 def _read_record(src: _Source, cfg: ScenarioConfig) -> None:
     """The constellation, keystream and record model that attack and entropy share.
 
-    Their runs spawn their generators from ``numpy.random``, which numpy
-    loads on first use; it is imported here, with ``attacks``, as set-up.
+    The run's ``Constellation`` and ``AttackScenario`` are built here, once;
+    a bad error position is reported at its key's line.  The scenario
+    derives its per-symbol error array only when an engine reads it, so an
+    oversized N allocates nothing before the caps reject it.  Their runs
+    spawn their generators from ``numpy.random``, which numpy loads on
+    first use; it is imported here, with ``attacks``, as set-up.
     """
     import numpy.random
 
     from . import attacks
 
-    _read_constellation(src, cfg)
+    m = src.get("constellation", "m", _parse_int, codec._check_m)
+    energy = src.get("constellation", "energy", _parse_float, codec._check_energy)
+    cfg.constellation = codec.Constellation(m, energy)
     if src.cp.has_option("keystream", "poly") and src.cp.has_option("keystream", "degree"):
         raise src.fail("give either 'poly' or 'degree', not both", key="degree")
     degree_poly = src.get("keystream", "degree", _parse_degree, default=None)
@@ -320,12 +318,13 @@ def _read_record(src: _Source, cfg: ScenarioConfig) -> None:
     cfg.seed_register = src.get("keystream", "seed", _parse_int,
                                 lambda seed: codec._check_seed(cfg.key_bits, seed),
                                 default=None if cfg.family == "entropy" else _REQUIRED)
-    cfg.n_symbols = src.get("scenario", "n_symbols", _parse_int, attacks._check_n_symbols)
-    cfg.error_positions = src.get("scenario", "error_positions", _parse_int,
-                                  default=cfg.error_positions, many=True)
-    cfg.misalign = src.get("scenario", "misalign", _parse_float, attacks._check_misalign,
-                           default=cfg.misalign)
-    cfg.dsr = src.get("scenario", "dsr", _parse_dsr, default=attacks.Dsr())
+    n_symbols = src.get("scenario", "n_symbols", _parse_int, attacks._check_n_symbols)
+    positions = src.get("scenario", "error_positions", _parse_int, default=(), many=True)
+    misalign = src.get("scenario", "misalign", _parse_float, attacks._check_misalign,
+                       default=0.0)
+    dsr = src.get("scenario", "dsr", _parse_dsr, default=attacks.Dsr())
+    with src.at("error_positions"):
+        cfg.attack_scenario = attacks.AttackScenario(n_symbols, positions, misalign, dsr)
 
 
 def _read_bounds(src: _Source, cfg: ScenarioConfig) -> None:
@@ -336,7 +335,9 @@ def _read_bounds(src: _Source, cfg: ScenarioConfig) -> None:
     """
     import numpy.fft
 
-    _read_constellation(src, cfg)
+    cfg.m_grid = src.get("constellation", "m_grid", _parse_int, codec._check_m, many=True)
+    cfg.energy_grid = src.get("constellation", "energy_grid", _parse_float, codec._check_energy,
+                              many=True)
     cfg.osk = src.get("constellation", "osk", _parse_bool, default=cfg.osk)
     cfg.methods = src.get("scenario", "methods",
                           _parse_word(("bit", "srm", "updown"), "unknown bound method {name!r}"),
@@ -351,7 +352,8 @@ def _read_attack(src: _Source, cfg: ScenarioConfig) -> None:
     # 0 skips the estimate
     cfg.mi_trials = src.get(
         "scenario", "mi_trials", _parse_int,
-        lambda trials: attacks._check_mi_trials(trials, cfg.n_symbols) if trials else None,
+        lambda trials: (attacks._check_mi_trials(trials, cfg.attack_scenario.n_symbols)
+                        if trials else None),
         default=cfg.mi_trials)
 
 
@@ -388,15 +390,6 @@ _READERS = {"bounds": _read_bounds, "attack": _read_attack, "entropy": _read_ent
             "keygen": _read_keygen}
 
 
-def _record_model(cfg: ScenarioConfig) -> "tuple[codec.Constellation, attacks.AttackScenario]":
-    """The constellation and scenario of an attack or entropy run, as its engines take them."""
-    from . import attacks
-
-    return (codec.Constellation(m=cfg.m_grid[0], energy=cfg.energy_grid[0]),
-            attacks.AttackScenario.with_errors(cfg.n_symbols, cfg.error_positions,
-                                       misalign=cfg.misalign, dsr=cfg.dsr))
-
-
 def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
     """The checks that span keys, and the caps."""
     if cfg.family in ("bounds", "keygen") or cfg.regime == "quantum":
@@ -413,12 +406,11 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
         from . import attacks
 
         # the caps bound N, and M for entropy, so no oversized record is ever built
+        c, scenario = cfg.constellation, cfg.attack_scenario
         if cfg.family == "attack":
-            attacks._check_attack_caps(cfg.key_bits, cfg.n_symbols)
+            attacks._check_attack_caps(cfg.key_bits, scenario.n_symbols)
         else:
-            attacks._check_entropy_caps(cfg.key_bits, cfg.n_symbols, cfg.m_grid[0])
-        with src.at("error_positions"):
-            c, scenario = _record_model(cfg)
+            attacks._check_entropy_caps(cfg.key_bits, scenario.n_symbols, c.m)
         with src.at("m"):
             codec._check_basis_bits(c.bits_per_basis)
         if cfg.family == "entropy":
@@ -426,6 +418,6 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
             with src.at("error_positions"):
                 attacks._entropy_error_weight(scenario, cfg.regime)
             with src.at("dsr"):
-                attacks._check_record_dsr(cfg.dsr, cfg.regime)
+                attacks._check_record_dsr(scenario.dsr, cfg.regime)
             if cfg.regime == "quantum":
                 detection._check_wedge_energy(c.energy)

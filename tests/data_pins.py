@@ -43,7 +43,7 @@ DATA_SHA256 = {
     ("entropy_quantum", 2, "entropy_quantum_entropy.json"):
         "faf89e97732d75db5d74f0f31001a9c45b3ea12fd4b1f2a530b88e0b2eb84790",
     ("keygen", 1, "kg_keygen.csv"):
-        "3bb5fa32a8ecb788031ae2c8ad11a2625ba011f8a8fbc6b278d08c75f6afe88c",
+        "ee1466cd1e0e252eca0ccc628b6f95660b5a67c946db638c23923d5fe2833fad",
 }
 
 

@@ -166,7 +166,7 @@ def test_c07_noiseless_replay_guarantee():
         contained += int(rec.true_r_in_candidates and rec.true_seed_mismatches == 0)
         pos = int(rng.integers(0, n))
         noisy = attacks.measure_labels(
-            idx, c, attacks.AttackScenario.with_errors(n, [pos]))
+            idx, c, attacks.AttackScenario(n, [pos]))
         candidate = noisy ^ parity_stream(poly, true_seed, c.bits_per_basis, n)
         diff = np.nonzero(candidate != r)[0]
         displaced += int(diff.tolist() == [pos])

@@ -73,21 +73,31 @@ def test_dsr_constructors_and_validation():
 def test_attack_scenario_validation():
     with pytest.raises(ValueError):
         attacks.AttackScenario(n_symbols=0)
-    with pytest.raises(ValueError):
-        attacks.AttackScenario(n_symbols=4, error_seq=np.array([1, 0]))
-    with pytest.raises(ValueError):
-        attacks.AttackScenario(n_symbols=2, error_seq=np.array([2, 0]))
-    sc = attacks.AttackScenario.with_errors(6, [1, 4])
+    sc = attacks.AttackScenario(6, [4, 1])
+    assert sc.error_positions == (1, 4)
     npt.assert_array_equal(sc.error_seq, [0, 1, 0, 0, 1, 0])
+    assert sc.error_seq is sc.error_seq and not sc.error_seq.flags.writeable
     assert attacks.AttackScenario(n_symbols=3).error_seq.sum() == 0
 
 
 @pytest.mark.parametrize("positions, text", [([-1], "outside"), ([6], "outside"),
                                              ([2, 2], "distinct")])
-def test_with_errors_rejects_positions_outside_or_repeated(positions, text):
+def test_attack_scenario_rejects_positions_outside_or_repeated(positions, text):
     # -1 would wrap to the last symbol and a repeat would merge into one error
     with pytest.raises(ValueError, match=text):
-        attacks.AttackScenario.with_errors(6, positions)
+        attacks.AttackScenario(6, positions)
+
+
+def test_attack_scenarios_with_equal_inputs_compare_and_hash_equal():
+    assert attacks.AttackScenario(n_symbols=4) == attacks.AttackScenario(n_symbols=4)
+    assert hash(attacks.AttackScenario(n_symbols=4)) == hash(attacks.AttackScenario(n_symbols=4))
+    a = attacks.AttackScenario(8, [5, 2], misalign=0.3, dsr=attacks.Dsr.binary(0.1))
+    b = attacks.AttackScenario(8, (2, 5), misalign=0.3, dsr=attacks.Dsr.binary(0.1))
+    # reading the derived array changes neither equality nor the hash
+    a.error_seq
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "error_seq" not in repr(a)
+    assert a != attacks.AttackScenario(8, [2, 6], misalign=0.3, dsr=attacks.Dsr.binary(0.1))
 
 
 def test_measure_labels_noiseless_reads_data_xor_parity():
@@ -105,7 +115,7 @@ def test_measure_labels_recording_error_flips_one_position():
     idx = codec.encode_sequence(r, POLY8, 0x21, c)
     clean = attacks.measure_labels(idx, c, attacks.AttackScenario(n_symbols=12))
     noisy = attacks.measure_labels(
-        idx, c, attacks.AttackScenario.with_errors(12, [5]))
+        idx, c, attacks.AttackScenario(12, [5]))
     diff = np.nonzero(clean != noisy)[0]
     npt.assert_array_equal(diff, [5])
 
@@ -253,7 +263,7 @@ def test_brute_force_noiseless_recovery_and_single_error():
         assert rec.true_key_rank == 1
         # one recording error displaces the true candidate by exactly one bit
         noisy = attacks.measure_labels(
-            idx, c, attacks.AttackScenario.with_errors(n, [7]))
+            idx, c, attacks.AttackScenario(n, [7]))
         rec2 = attacks.brute_force_candidates(noisy, c, POLY8, r, int(true_seed))
         assert rec2.true_seed_mismatches == 1
 
@@ -332,7 +342,7 @@ def test_otp_stage_flags_an_exact_match_by_another_seed_as_the_plain_stage_does(
     # reproduces the plaintext; the pad stage once read the flag from the
     # true seed alone and wrote an exact match with the flag false
     c = codec.Constellation(m=2, energy=1.0)
-    sc = attacks.AttackScenario.with_errors(2, [0])
+    sc = attacks.AttackScenario(2, [0])
     rec = attacks.otp_stage_attack(np.zeros(2, dtype=np.uint8), c, codec.PRIMITIVE_POLYS[3], 1,
                                    sc, np.random.default_rng(0))
     assert rec.true_seed_mismatches == 1
@@ -447,7 +457,7 @@ def test_ciphertext_entropy_single_error_exceeds_key_width():
         pattern[0], pattern[p] = 1, 1
         base = parity_stream(POLY8, 1, 2, n)
         assert tuple((base ^ pattern).tolist()) not in streams
-    sc = attacks.AttackScenario.with_errors(n, [3])
+    sc = attacks.AttackScenario(n, [3])
     rng = np.random.default_rng(12)
     rep = attacks.ciphertext_only_entropy(c, POLY8, sc, trials=8, rng=rng)
     assert rep.h_key_given_obs == 8.0
@@ -506,8 +516,7 @@ def test_ciphertext_key_posterior_is_flat_bit_for_bit(m, degree, n, misalign, ki
            "jitter": attacks.Dsr.jitter(3.0 * param)}[kind]
     c = codec.Constellation(m=m, energy=1.0)
     poly = codec.PRIMITIVE_POLYS[degree]
-    sc = attacks.AttackScenario.with_errors(n, [n // 2] if error else [], misalign=misalign,
-                                            dsr=dsr)
+    sc = attacks.AttackScenario(n, [n // 2] if error else [], misalign=misalign, dsr=dsr)
     rep = attacks.ciphertext_only_entropy(c, poly, sc, trials=2,
                                           rng=np.random.default_rng(seed))
     assert rep.h_key_given_obs == float(degree)
@@ -570,7 +579,7 @@ def test_ciphertext_entropy_caps_and_validation():
             c, POLY8, attacks.AttackScenario(n_symbols=8), trials=0, rng=rng)
     with pytest.raises(ValueError):
         attacks.ciphertext_only_entropy(
-            c, POLY8, attacks.AttackScenario.with_errors(8, [1, 2]), trials=1, rng=rng)
+            c, POLY8, attacks.AttackScenario(8, [1, 2]), trials=1, rng=rng)
     scrambled = codec.Constellation(m=4, energy=2.0, osk=True)
     with pytest.raises(ValueError):
         attacks.ciphertext_only_entropy(
@@ -624,7 +633,7 @@ def test_known_plaintext_quantum_model_restrictions():
             trials=1, rng=rng, regime="quantum")
     with pytest.raises(ValueError):
         attacks.known_plaintext_key_entropy(
-            c, POLY8, attacks.AttackScenario.with_errors(8, [2]),
+            c, POLY8, attacks.AttackScenario(8, [2]),
             trials=1, rng=rng, regime="quantum")
     with pytest.raises(ValueError):
         attacks.known_plaintext_key_entropy(

@@ -527,6 +527,24 @@ def test_keygen_points_recompute_from_closed_forms():
         assert pt.advantage_bits > 0.0
 
 
+# h2(pe_eve) - h2(pe_bob) at 80 digits, printed by this mpmath script:
+#   import mpmath as m
+#   m.mp.dps = 80
+#   h = lambda p: -p * m.log(p, 2) - (1 - p) * m.log1p(-p) / m.log(2)
+#   for s in map(m.mpf, (10, 16, 20, 30)):
+#       pe_eve = m.erfc(m.sqrt(2 * s)) / 2
+#       pe_bob = m.exp(-4 * s) / (2 * (1 + m.sqrt(-m.expm1(-4 * s))))
+#       print(m.nstr(h(pe_eve) - h(pe_bob), 17))
+@pytest.mark.parametrize("s, want", [(10.0, 4.3576671687743986e-9),
+                                     (16.0, 3.2321876074693311e-14),
+                                     (20.0, 1.1916471825602551e-17),
+                                     (30.0, 2.9351493072787954e-26)])
+def test_keygen_advantage_matches_high_precision_references(s, want):
+    # a difference of two capacities near 1 read 0.0 from S = 20
+    got = detection.keygen_advantage([s])[0].advantage_bits
+    assert abs(got - want) <= 1e-12 * want, (got, want)
+
+
 @settings(max_examples=100, deadline=None)
 @given(s=st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, 200.0)))
 @example(s=5e-17)

@@ -90,7 +90,7 @@ def entropy_cases(draw):
         dsr = attacks.Dsr()
     errors = [] if regime == "quantum" else draw(
         st.lists(st.integers(0, n - 1), max_size=1))
-    sc = attacks.AttackScenario.with_errors(n, errors, misalign=misalign, dsr=dsr)
+    sc = attacks.AttackScenario(n, errors, misalign=misalign, dsr=dsr)
     return c, codec.PRIMITIVE_POLYS[degree], sc, regime, draw(st.integers(1, 3)), \
         draw(st.integers(0, 2**32 - 1))
 
@@ -101,20 +101,20 @@ def entropy_cases(draw):
           attacks.AttackScenario(n_symbols=16, dsr=attacks.Dsr.binary(0.1)),
           "quantum", 3, 5))
 @example((codec.Constellation(m=2, energy=1.0), codec.PRIMITIVE_POLYS[6],
-          attacks.AttackScenario.with_errors(12, [3], misalign=0.3,
-                                             dsr=attacks.Dsr.jitter(0.2)),
+          attacks.AttackScenario(12, [3], misalign=0.3,
+                                 dsr=attacks.Dsr.jitter(0.2)),
           "ciphertext_only", 3, 9))
 # a label probability that rounds to 1.6e-16 instead of 0 puts a ratio f'/f
 # of 6e15 beside ratios near 1
 @example((codec.Constellation(m=2, energy=1.0), codec.PRIMITIVE_POLYS[2],
-          attacks.AttackScenario.with_errors(2, [0], misalign=1.4131403079886078,
-                                             dsr=attacks.Dsr.jitter(1.4131403079886078)),
+          attacks.AttackScenario(2, [0], misalign=1.4131403079886078,
+                                 dsr=attacks.Dsr.jitter(1.4131403079886078)),
           "ciphertext_only", 3, 1))
 # a 2e-9 jitter window turns a 1e-16 rounding of the relative phase into 5e-8
 # in a label probability, so both sides must take it as pi i / M - misalign
 @example((codec.Constellation(m=16, energy=0.0), codec.PRIMITIVE_POLYS[2],
-          attacks.AttackScenario.with_errors(1, [0], misalign=27 * math.pi / 16,
-                                             dsr=attacks.Dsr.jitter(1e-9)),
+          attacks.AttackScenario(1, [0], misalign=27 * math.pi / 16,
+                                 dsr=attacks.Dsr.jitter(1e-9)),
           "ciphertext_only", 1, 0))
 # H(data | record) is exactly K = 3 here; the transforms read it as 3 + 4e-16,
 # which must not flag the record as exceeding the key entropy
@@ -185,17 +185,17 @@ def record_model(c, sc, regime):
 @settings(max_examples=60, deadline=None)
 @given(entropy_cases())
 @example((codec.Constellation(m=2, energy=1.0), codec.PRIMITIVE_POLYS[2],
-          attacks.AttackScenario.with_errors(1, [0], misalign=1.4131403079886078,
-                                             dsr=attacks.Dsr.jitter(1.4131403079886078)),
+          attacks.AttackScenario(1, [0], misalign=1.4131403079886078,
+                                 dsr=attacks.Dsr.jitter(1.4131403079886078)),
           "ciphertext_only", 3, 1))
 # 1 - flip rounds to 1, so the label table holds 1, flip and 0; with one
 # recording error the ratios f'/f are then 1/flip, past the largest float,
 # and flip itself, and each must reach the transform scaled
 @example((codec.Constellation(m=4, energy=1.0), codec.PRIMITIVE_POLYS[6],
-          attacks.AttackScenario.with_errors(8, [3], dsr=attacks.Dsr.binary(5e-324)),
+          attacks.AttackScenario(8, [3], dsr=attacks.Dsr.binary(5e-324)),
           "ciphertext_only", 2, 5))
 @example((codec.Constellation(m=4, energy=1.0), codec.PRIMITIVE_POLYS[6],
-          attacks.AttackScenario.with_errors(8, [3], dsr=attacks.Dsr.binary(2.2e-308)),
+          attacks.AttackScenario(8, [3], dsr=attacks.Dsr.binary(2.2e-308)),
           "classical", 2, 5))
 def test_walsh_scorer_matches_gathered_likelihoods_key_by_key(case):
     c, poly, sc, regime, trials, seed = case
@@ -230,14 +230,14 @@ def uniform_flip_cases(draw):
     # grid of 2^-53 too
     p = draw(st.floats(0.0, 0.5))
     errors = draw(st.lists(st.integers(0, n - 1), max_size=1))
-    sc = attacks.AttackScenario.with_errors(n, errors, dsr=attacks.Dsr.binary(p))
+    sc = attacks.AttackScenario(n, errors, dsr=attacks.Dsr.binary(p))
     c = codec.Constellation(m=draw(st.sampled_from([2, 4, 8, 16, 64])), energy=1.0)
     return c, codec.PRIMITIVE_POLYS[degree], sc, draw(st.integers(1, 3)), \
         draw(st.integers(0, 2**32 - 1))
 
 
 def flip_case(m, degree, n, p, errors, trials, seed):
-    sc = attacks.AttackScenario.with_errors(n, errors, dsr=attacks.Dsr.binary(p))
+    sc = attacks.AttackScenario(n, errors, dsr=attacks.Dsr.binary(p))
     return codec.Constellation(m=m, energy=1.0), codec.PRIMITIVE_POLYS[degree], sc, trials, seed
 
 
@@ -288,16 +288,15 @@ def test_entropy_engines_match_the_replay_scan_under_uniform_flips(case):
 @given(entropy_cases())
 # the flip probabilities of the key-by-key examples above
 @example((codec.Constellation(m=4, energy=1.0), codec.PRIMITIVE_POLYS[6],
-          attacks.AttackScenario.with_errors(8, [3], dsr=attacks.Dsr.binary(5e-324)),
+          attacks.AttackScenario(8, [3], dsr=attacks.Dsr.binary(5e-324)),
           "ciphertext_only", 2, 5))
 @example((codec.Constellation(m=4, energy=1.0), codec.PRIMITIVE_POLYS[6],
-          attacks.AttackScenario.with_errors(8, [3], dsr=attacks.Dsr.binary(2.2e-308)),
+          attacks.AttackScenario(8, [3], dsr=attacks.Dsr.binary(2.2e-308)),
           "classical", 2, 5))
 # (1 - f) / f lies just below 32, and its log2 rounds to 5: a band exponent
 # taken from that log2 made the band's value 1 - 1.1e-16
 @example((codec.Constellation(m=4, energy=1.0), codec.PRIMITIVE_POLYS[6],
-          attacks.AttackScenario.with_errors(8, [3],
-                                             dsr=attacks.Dsr.binary(0.030303030303030307)),
+          attacks.AttackScenario(8, [3], dsr=attacks.Dsr.binary(0.030303030303030307)),
           "classical", 2, 5))
 def test_every_nonzero_band_value_lies_in_one_to_two_to_the_band_bits_plus_one(case):
     # the premise of reading a band's presence from its sum: a key's band sum
@@ -416,7 +415,7 @@ def test_a_term_zero_on_its_whole_table_is_skipped_without_changing_likelihoods(
     # so the zero indicator is 0 on the whole table.  The scorer skips such
     # terms, and every key must still match the gathered products
     c, poly = codec.Constellation(m=4, energy=2.0), codec.PRIMITIVE_POLYS[8]
-    sc = attacks.AttackScenario.with_errors(12, errors, misalign=0.3)
+    sc = attacks.AttackScenario(12, errors, misalign=0.3)
     record, tables, weight = record_model(c, sc, regime)
     dead = [[not t.any() for t in attacks._symbol_terms(tab, weight)[0][:2]] for tab in tables]
     assert dead == ([[False, True]] if regime == "quantum" else [[False, True], [True, False]])
@@ -460,7 +459,7 @@ BLOCK = attacks._TRIAL_BLOCK
 def test_a_term_equal_to_an_earlier_one_reads_its_row(record, errors, distinct, rows):
     regime, dsr, misalign, m = RECORDS[record]
     c = codec.Constellation(m=m, energy=4.0)
-    sc = attacks.AttackScenario.with_errors(32, errors, misalign=misalign, dsr=dsr)
+    sc = attacks.AttackScenario(32, errors, misalign=misalign, dsr=dsr)
     terms, _ = attacks._symbol_terms(attacks._record_channel(c, sc, regime)[1], len(errors))
     assert attacks._distinct_terms(terms) == (distinct, rows)
     for term, row in zip(terms, rows):
@@ -479,7 +478,7 @@ def test_blocked_scorer_is_bitwise_the_per_trial_loop(record, errors, trials):
     # trial, -inf included, must carry the per-trial loop's exact bits
     regime, dsr, misalign, m = RECORDS[record]
     c, poly = codec.Constellation(m=m, energy=4.0), codec.PRIMITIVE_POLYS[12]
-    sc = attacks.AttackScenario.with_errors(32, errors, misalign=misalign, dsr=dsr)
+    sc = attacks.AttackScenario(32, errors, misalign=misalign, dsr=dsr)
     sampler, table = attacks._record_channel(c, sc, regime)
     # with an error, S is assembled per block where the table has zeros; the
     # binary flip's table has none, so every key is a candidate, per trial
@@ -545,7 +544,7 @@ def test_no_yielded_array_shares_memory_with_a_later_one_or_the_transform_buffer
     # two blocks of trials, so the second block reuses every buffer
     regime, dsr, misalign, m = RECORDS[record]
     c, poly = codec.Constellation(m=m, energy=4.0), codec.PRIMITIVE_POLYS[8]
-    sc = attacks.AttackScenario.with_errors(12, errors, misalign=misalign, dsr=dsr)
+    sc = attacks.AttackScenario(12, errors, misalign=misalign, dsr=dsr)
     sampler, table = attacks._record_channel(c, sc, regime)
     assert (table == 0.0).any() == (record == "misalign")
     trials = attacks._record_likelihoods(c, poly, sc, BLOCK + 3, np.random.default_rng(5),
@@ -606,7 +605,7 @@ def test_scorer_stays_finite_where_every_gathered_product_underflows(errors):
     # is 2^-1280 or less, which is 0 in float for every key
     c = codec.Constellation(m=4, energy=1.0)
     poly, n = codec.PRIMITIVE_POLYS[8], 64
-    sc = attacks.AttackScenario.with_errors(n, errors)
+    sc = attacks.AttackScenario(n, errors)
     record, table = attacks._record_channel(c, sc, "classical")
     table = table * 2.0 ** -20
     gathered = next(oracle.gathered_likelihoods(c, poly, sc, 1, np.random.default_rng(3),
@@ -629,8 +628,7 @@ def test_batched_label_measurement_matches_per_trial_loop(m, n, trials, kind, se
     c = codec.Constellation(m=m, energy=1.0)
     dsr = {"none": attacks.Dsr(), "binary": attacks.Dsr.binary(0.3),
            "jitter": attacks.Dsr.jitter(0.7)}[kind]
-    sc = attacks.AttackScenario.with_errors(n, [n - 1] if error else [], misalign=misalign,
-                                            dsr=dsr)
+    sc = attacks.AttackScenario(n, [n - 1] if error else [], misalign=misalign, dsr=dsr)
     poly, true_seed = codec.PRIMITIVE_POLYS[5], 0x13
     rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
     data = rng_new.integers(0, 2, (trials, n), dtype=np.uint8)

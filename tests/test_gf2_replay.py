@@ -52,7 +52,7 @@ def replay_record(degree: int, n: int, true_seed: int, noisy: bool, rng_seed: in
     c = codec.Constellation(m=4, energy=2.0)
     rng = np.random.default_rng(rng_seed)
     if noisy:
-        scenario = attacks.AttackScenario.with_errors(
+        scenario = attacks.AttackScenario(
             n, [int(rng.integers(0, n))], dsr=attacks.Dsr.jitter(0.3))
     else:
         scenario = attacks.AttackScenario(n_symbols=n)
@@ -122,7 +122,7 @@ def test_replay_counts_match_the_unpacked_scan(case):
     c = codec.Constellation(m=m, energy=2.0)
     dsr = {"jitter": attacks.Dsr.jitter(0.3),
            "binary": attacks.Dsr.binary(0.2)}.get(noise, attacks.Dsr())
-    scenario = attacks.AttackScenario.with_errors(
+    scenario = attacks.AttackScenario(
         n, errors, misalign=0.4 if noise == "misalign" else 0.0, dsr=dsr)
     rng = np.random.default_rng(rng_seed)
     target = rng.integers(0, 2, n, dtype=np.uint8)
@@ -170,7 +170,7 @@ def test_without_dsr_the_pad_stage_counts_equal_the_plain_stage_counts(case, dsr
     degree, m, n, true_seed, misalign, errors, rng_seed = case
     poly = codec.PRIMITIVE_POLYS[degree]
     c = codec.Constellation(m=m, energy=2.0)
-    scenario = attacks.AttackScenario.with_errors(n, errors, misalign=misalign, dsr=dsr)
+    scenario = attacks.AttackScenario(n, errors, misalign=misalign, dsr=dsr)
     rng = np.random.default_rng(rng_seed)
     r, x = rng.integers(0, 2, (2, n), dtype=np.uint8)
     labels = attacks.measure_labels(codec.encode_sequence(r, poly, true_seed, c), c,
@@ -389,7 +389,7 @@ def test_run_attack_formats_the_pad_stage_csv_when_the_counts_differ(tmp_path, m
     manifest = json.loads((tmp_path / "rand_manifest.json").read_bytes())
     assert manifest["seed_csv_copied_from"] == {}
     runner._write_csv(str(tmp_path / "ref.csv"), "rand_manifest.json", cfg.config_sha256,
-                      SEED_CSV_HEADER, per_seed_rows(records[0], cfg.n_symbols))
+                      SEED_CSV_HEADER, per_seed_rows(records[0], cfg.attack_scenario.n_symbols))
     pad = (tmp_path / "rand_attack_otp_seeds.csv").read_bytes()
     assert pad == (tmp_path / "ref.csv").read_bytes()
     assert pad != (tmp_path / "rand_attack_seeds.csv").read_bytes()

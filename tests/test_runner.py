@@ -130,7 +130,7 @@ def test_load_config_attack_fields(tmp_path):
     assert cfg.poly == 0x11D
     assert cfg.key_bits == 8
     assert cfg.seed_register == 0x5A
-    assert cfg.n_symbols == 48
+    assert cfg.attack_scenario.n_symbols == 48
     assert cfg.otp is True
     assert cfg.mi_trials == 400
 
@@ -240,6 +240,11 @@ BAD_VALUES = [
     # these passed the loader and then crashed an entropy engine
     ("error_positions", "entropy", "dsr = binary:0.5", "dsr = binary:0.5\nerror_positions = 1, 2",
      15, "at most one"),
+    # the scenario's own position check, at the key's line
+    ("error_positions_outside", "attack", "n_symbols = 48",
+     "n_symbols = 48\nerror_positions = 3, 99", 11, "error position 99 outside [0, 48)"),
+    ("error_positions_repeated", "attack", "n_symbols = 48",
+     "n_symbols = 48\nerror_positions = 3, 3", 11, "error positions must be distinct"),
     ("quantum_dsr", "entropy", "regime = classical\ndsr = binary:0.5",
      "regime = quantum\ndsr = jitter:0.2", 14, "supports dsr 'none' or 'binary'"),
     ("quantum_error_positions", "entropy", "regime = classical",
@@ -299,7 +304,7 @@ def test_dsr_forms_parse(tmp_path):
                              ("jitter:0.5", "jitter", 0.5)):
         text = ENTROPY_CFG.replace("dsr = binary:0.5", f"dsr = {raw}")
         cfg = load_config(write_cfg(tmp_path, text), "entropy")
-        assert cfg.dsr.kind == kind and cfg.dsr.param == param
+        assert cfg.attack_scenario.dsr == attacks.Dsr(kind, param)
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, ENTROPY_CFG.replace(
             "dsr = binary:0.5", "dsr = gauss:0.5")), "entropy")
@@ -700,6 +705,11 @@ def test_load_config_stops_oversized_runs(tmp_path):
     ("attack", ATTACK_CFG.replace("degree = 8", "degree = 20").replace(
         "n_symbols = 48", f"n_symbols = {1 << 24}")),
     ("entropy", ENTROPY_CFG.replace("n_symbols = 12", f"n_symbols = {1 << 24}")),
+    # the loader builds the scenario before the caps run; its error array waits for a reader
+    ("attack", ATTACK_CFG.replace("n_symbols = 48",
+                                  f"n_symbols = {10**12}\nerror_positions = 5")),
+    ("entropy", ENTROPY_CFG.replace("n_symbols = 12",
+                                    f"n_symbols = {10**12}\nerror_positions = 5")),
 ])
 def test_an_over_cap_record_is_refused_before_it_is_allocated(tmp_path, capsys, family, text):
     # N = 2^24: a record built before the cap check peaks at 48 MB traced
@@ -718,11 +728,27 @@ def test_an_over_cap_record_is_refused_before_it_is_allocated(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family, text", [("attack", ATTACK_CFG), ("entropy", ENTROPY_CFG)])
+def test_a_record_run_builds_its_scenario_once(tmp_path, monkeypatch, family, text):
+    # the loader builds the run's scenario and the runner scores that one
+    built = []
+    post_init = attacks.AttackScenario.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(attacks.AttackScenario, "__post_init__", counting)
+    argv = [family, "--config", write_cfg(tmp_path, text), "--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert len(built) == 1
+
+
 def test_entropy_m_cap_loads_at_the_cap_and_exits_3_past_it(tmp_path, capsys):
     # the engines build M x M tables per run; 2M x 2M for the quantum regime
     at_cap = ENTROPY_CFG.replace("m = 4", f"m = {attacks.ENTROPY_M_CAP}")
     cfg = load_config(write_cfg(tmp_path, at_cap), "entropy", out_dir=str(tmp_path))
-    assert cfg.m_grid == [attacks.ENTROPY_M_CAP]
+    assert cfg.constellation.m == attacks.ENTROPY_M_CAP
     over = ENTROPY_CFG.replace("m = 4", f"m = {2 * attacks.ENTROPY_M_CAP}")
     out = tmp_path / "out"
     argv = ["entropy", "--config", write_cfg(tmp_path, over), "--out-dir", str(out)]
@@ -862,19 +888,24 @@ def test_a_run_imports_nothing_after_load_config_returns(tmp_path, family, text)
 
 def test_runner_imports_no_private_engine_name():
     # the runner reads configs, calls engines and writes files; what the
-    # engines decide stays behind their public names
+    # loader and the engines decide stays behind their public names
+    package = pathlib.Path(runner.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    assert {"attacks", "codec", "detection", "scenario"} <= modules
     tree = ast.parse(pathlib.Path(runner.__file__).read_text(encoding="utf-8"))
-    engines = {"attacks", "detection"}
-    private = [alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.level == 1
-               and node.module in engines for alias in node.names
-               if alias.name.startswith("_")]
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             for alias in node.names if private(alias.name)]
     # nor reads one off the module
-    private += [node.attr for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in engines and node.attr.startswith("_")]
-    assert private == []
-    assert any(isinstance(node, ast.ImportFrom) and node.module in engines
+    names += [node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and private(node.attr)]
+    assert names == []
+    assert any(isinstance(node, ast.ImportFrom) and node.module in {"attacks", "detection"}
                for node in ast.walk(tree))
 
 
