@@ -78,10 +78,23 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _peak_rss_kb() -> "int | None":
+    """The process's own peak RSS so far (``VmHWM``, kB), or None where Linux's /proc has none."""
+    try:
+        with open("/proc/self/status", "rb") as fh:
+            for line in fh:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
 def _finish(cfg: ScenarioConfig, outputs: "list[str]", **facts) -> "list[str]":
     """Write the manifest, the reproducibility record next to a run's data files.
 
-    It holds the only timestamp of a run; data files reference it by name so
+    It holds the only timestamp of a run, and the process's peak RSS as it
+    writes (``telemetry``); data files reference it by name so
     identical seeds yield byte-identical data.  `facts` are a family's
     extra top-level entries: bounds' "tolerances" and "bounds_work", and
     the record model ("modeling") of attack and entropy runs.  Returns
@@ -96,6 +109,7 @@ def _finish(cfg: ScenarioConfig, outputs: "list[str]", **facts) -> "list[str]":
         "config": {"path": cfg.config_path, "sha256": cfg.config_sha256},
         "outputs": outputs,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "telemetry": {"peak_rss_kb": _peak_rss_kb()},
         "versions": {
             "yzero": __version__,
             "python": "%d.%d.%d" % sys.version_info[:3],

@@ -31,17 +31,31 @@ the quantum regime (the wedge quadrature's Gauss-Legendre nodes).  So a
 bounds process never loads ``attacks``, a label record never loads
 ``detection``, and every import a run needs is paid before
 ``load_config`` returns, as set-up, not inside the run's compute.
+
+``config_sha256`` is the SHA-256 of the file's UTF-8 text, taken from the
+hash CPython builds in (``_sha2``, or ``_sha256`` before 3.12), with
+``hashlib`` only as a fallback: ``hashlib`` maps OpenSSL into the process,
+which a ``bounds`` or ``keygen`` run otherwise never loads.  (``attack`` and
+``entropy`` map it anyway: ``numpy.random`` imports ``secrets``.)
 """
 
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+# the built-in SHA-256 first, as random.py takes its sha512; see the docstring
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import codec
 from .errors import ConfigError
@@ -273,7 +287,7 @@ def load_config(path: str, family: str,
 
     cfg = ScenarioConfig(family=family, prefix=family)
     cfg.config_path = path
-    cfg.config_sha256 = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    cfg.config_sha256 = sha256(text.encode("utf-8")).hexdigest()
 
     _READERS[family](src, cfg)
     cfg.out_dir = src.get("output", "out_dir", default=cfg.out_dir) if out_dir is None else out_dir

@@ -114,15 +114,35 @@ def load_csv(tmp_path, name):
     return text[0], rows[0], rows[1:]
 
 
+# a comment outside ASCII: the digest is of the file's UTF-8 bytes
+UNICODE_BOUNDS_CFG = "# S \u2264 300 \u2014 \u00fc\n" + BOUNDS_CFG
+
+
 def test_load_config_happy_path(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, BOUNDS_CFG), "bounds")
+    cfg = load_config(write_cfg(tmp_path, UNICODE_BOUNDS_CFG), "bounds")
     assert cfg.family == "bounds"
     assert cfg.m_grid == [4, 8]
     assert cfg.energy_grid == [1.0, 4.0]
     assert cfg.methods == ["bit", "srm", "updown"]
     assert cfg.prefix == "demo"
     assert cfg.master_seed == 11
-    assert cfg.config_sha256 == hashlib.sha256(BOUNDS_CFG.encode()).hexdigest()
+    assert cfg.config_sha256 == hashlib.sha256(UNICODE_BOUNDS_CFG.encode("utf-8")).hexdigest()
+
+
+def test_config_sha256_falls_back_to_hashlib(tmp_path):
+    # without the interpreter's built-in SHA-256 modules the loader takes
+    # hashlib's, and the digest is the same
+    src = os.path.dirname(os.path.dirname(os.path.abspath(yzero.__file__)))
+    path = write_cfg(tmp_path, UNICODE_BOUNDS_CFG)
+    code = ("import json, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from yzero import scenario\n"
+            "cfg = scenario.load_config(sys.argv[1], 'bounds')\n"
+            "print(json.dumps([cfg.config_sha256, 'hashlib' in sys.modules]))")
+    out = subprocess.run([sys.executable, "-c", code, path], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    digest = hashlib.sha256(UNICODE_BOUNDS_CFG.encode("utf-8")).hexdigest()
+    assert json.loads(out.splitlines()[-1]) == [digest, True]
 
 
 def test_load_config_attack_fields(tmp_path):
@@ -396,7 +416,8 @@ def test_bounds_manifest_records_the_work(tmp_path, monkeypatch):
     manifest = json.loads(read_file(tmp_path, "bounds_grid_manifest.json"))
     # a bounds run has no record model
     assert set(manifest) == {"tool", "family", "master_seed", "config", "outputs",
-                             "created_utc", "versions", "tolerances", "bounds_work"}
+                             "created_utc", "telemetry", "versions", "tolerances",
+                             "bounds_work"}
     assert manifest["tolerances"] == {"mode_drop_bound": 2.0**-53}
     assert manifest["bounds_work"] == {"gram_spectra": 81, "weight_spectra": 18,
                                        "svd_solves": 162}
@@ -673,7 +694,8 @@ def test_manifest_records_the_run(tmp_path):
     manifest = json.loads(read_file(tmp_path, "run_manifest.json"))
     # the mode-drop tolerance is the bounds' own
     assert set(manifest) == {"tool", "family", "master_seed", "config", "outputs",
-                             "created_utc", "versions", "modeling", "seed_csv_copied_from"}
+                             "created_utc", "telemetry", "versions", "modeling",
+                             "seed_csv_copied_from"}
     assert manifest["tool"] == "yzero"
     assert manifest["family"] == "attack"
     assert manifest["master_seed"] == 7
@@ -688,6 +710,40 @@ def test_manifest_records_the_run(tmp_path):
     # no dsr: the pad stage's counts equal the plain stage's
     assert manifest["seed_csv_copied_from"] == {"run_attack_otp_seeds.csv":
                                                 "run_attack_seeds.csv"}
+
+
+def _vmhwm_kb() -> int:
+    with open("/proc/self/status", "rb") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(b"VmHWM:"))
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's /proc")
+def test_manifest_records_the_process_peak_rss(tmp_path):
+    # the process's own VmHWM as the manifest is written: a high-water mark
+    # never falls, so it lies between the one before the run and the one after
+    before = _vmhwm_kb()
+    runner.run_keygen(load_config(write_cfg(tmp_path, KEYGEN_CFG), "keygen",
+                                  out_dir=str(tmp_path)))
+    manifest = json.loads(read_file(tmp_path, "kg_manifest.json"))
+    assert set(manifest["telemetry"]) == {"peak_rss_kb"}
+    assert before <= manifest["telemetry"]["peak_rss_kb"] <= _vmhwm_kb()
+
+
+@pytest.mark.parametrize("status", [None, b"Name:\tpython3\nVmRSS:\t  1024 kB\n"],
+                         ids=["no_file", "no_line"])
+def test_manifest_peak_rss_is_null_where_proc_has_none(tmp_path, monkeypatch, status):
+    def fake_open(path, *args, **kwargs):
+        if path != "/proc/self/status":
+            return open(path, *args, **kwargs)
+        if status is None:
+            raise FileNotFoundError(path)
+        return io.BytesIO(status)
+
+    monkeypatch.setattr(runner, "open", fake_open, raising=False)
+    runner.run_keygen(load_config(write_cfg(tmp_path, KEYGEN_CFG), "keygen",
+                                  out_dir=str(tmp_path)))
+    manifest = json.loads(read_file(tmp_path, "kg_manifest.json"))
+    assert manifest["telemetry"] == {"peak_rss_kb": None}
 
 
 def test_load_config_stops_oversized_runs(tmp_path):
@@ -831,7 +887,9 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy is a test oracle only: no CLI family loads any scipy module.  Each
     # family loads only the yzero modules it runs, all of them by the time
     # load_config returns, and so numpy.random for the families that draw;
-    # BLAS runs on one thread unless the environment sets a count
+    # BLAS runs on one thread unless the environment sets a count.  The config
+    # digest is the interpreter's built-in SHA-256, so bounds and keygen never
+    # map OpenSSL's _hashlib; numpy.random does (through secrets and hmac)
     # the package under test, wherever it was imported from
     src = os.path.dirname(os.path.dirname(os.path.abspath(yzero.__file__)))
     code = ("import json, os, sys, yzero.cli as cli\n"
@@ -841,7 +899,7 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
             "cli.load_config = lambda *a, **k: (load(*a, **k), at_load.extend(own()))[0]\n"
             "rc = cli.main(sys.argv[1:])\n"
             "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-            "at_load, own(), os.environ.get('OPENBLAS_NUM_THREADS')]))")
+            "at_load, own(), os.environ.get('OPENBLAS_NUM_THREADS'), '_hashlib' in sys.modules]))")
     shared = ["yzero.cli", "yzero.codec", "yzero.errors", "yzero.runner", "yzero.scenario"]
     drawing = ["numpy.random", "yzero.attacks"]
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -859,8 +917,9 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
                                  env=dict(env, PYTHONPATH=src, **blas),
                                  capture_output=True, text=True, timeout=120, check=True).stdout
             threads = blas.get("OPENBLAS_NUM_THREADS", "1")
-            assert json.loads(out.splitlines()[-1]) == [0, [], modules, modules, threads], \
-                (family, own, blas)
+            result = json.loads(out.splitlines()[-1])
+            assert result[:5] == [0, [], modules, modules, threads], (family, own, blas)
+            assert family in ("attack", "entropy") or result[5] is False, family
 
 
 @pytest.mark.parametrize("family, text", [
