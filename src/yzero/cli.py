@@ -12,6 +12,16 @@ default, not an option: a value in the environment wins, and a process
 that loaded numpy first is left as it is.  Each family then loads only the
 modules it runs (``scenario``).
 
+The import also keeps OpenSSL out of the process: it blocks ``_hashlib``
+(``sys.modules["_hashlib"] = None``) unless a module already loaded it, so
+``hashlib`` and ``hmac`` fall back to CPython's built-in hashes.
+``numpy.random``, which the ``attack`` and ``entropy`` loaders import,
+imports ``secrets`` and with it ``hmac``; without the block that alone would
+map OpenSSL.  The block is a default, not an option, and it is set only when
+the interpreter has its built-in SHA-256, the one ``scenario`` takes the
+config digest from; without it the digest needs ``hashlib``'s OpenSSL route.
+Importing ``yzero`` or calling ``load_config`` alone changes nothing.
+
 Exit codes: 0 on success; 2 on configuration errors, an output directory
 that cannot be created and an output file that cannot be written included;
 3 when a run exceeds a desk-scale cap: the bounds energy (GRAM_ENERGY_CAP),
@@ -33,7 +43,11 @@ if "numpy" not in sys.modules:
 
 from .errors import ConfigError, RegimeCapError
 from .runner import RUNNERS
-from .scenario import FAMILIES, load_config
+from .scenario import FAMILIES, load_config, sha256
+
+# only where the config digest is the built-in SHA-256; see the docstring
+if sha256.__module__ != "_hashlib":
+    sys.modules.setdefault("_hashlib", None)
 
 
 def build_parser() -> argparse.ArgumentParser:

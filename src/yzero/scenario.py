@@ -35,8 +35,8 @@ bounds process never loads ``attacks``, a label record never loads
 ``config_sha256`` is the SHA-256 of the file's UTF-8 text, taken from the
 hash CPython builds in (``_sha2``, or ``_sha256`` before 3.12), with
 ``hashlib`` only as a fallback: ``hashlib`` maps OpenSSL into the process,
-which a ``bounds`` or ``keygen`` run otherwise never loads.  (``attack`` and
-``entropy`` map it anyway: ``numpy.random`` imports ``secrets``.)
+which no CLI run otherwise loads (``yzero.cli`` blocks it where this
+built-in hash exists).
 """
 
 from __future__ import annotations
@@ -297,9 +297,10 @@ def load_config(path: str, family: str,
         cfg.master_seed = master_seed
     if threads is not None and threads < 1:
         raise src.fail("threads must be positive")
-    # a value from the file names its line, a command-line override does not
-    if cfg.master_seed < 0:
-        raise src.fail("master_seed must be a nonnegative integer",
+    # a value from the file names its line, a command-line override does not;
+    # the seed is a U64, as the CLI's --seed says
+    if not 0 <= cfg.master_seed < 2**64:
+        raise src.fail("master_seed must be a nonnegative integer below 2^64",
                        key="master_seed" if master_seed is None else None)
     _validate_family(src, cfg)
     return cfg

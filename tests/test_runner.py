@@ -5,6 +5,7 @@ import configparser
 import contextlib
 import csv
 import hashlib
+import hmac
 import importlib.util
 import io
 import json
@@ -231,6 +232,9 @@ BAD_VALUES = [
     ("energy_grid", "bounds", "energy_grid = 1.0, 4.0", "energy_grid = 1.0, -4.0", 3,
      "nonnegative"),
     ("master_seed", "bounds", "master_seed = 11", "master_seed = -1", 10, "nonnegative"),
+    # --seed and the file's key are a U64; 2^64 ran
+    ("master_seed_u64", "bounds", "master_seed = 11", "master_seed = 18446744073709551616", 10,
+     "nonnegative integer below 2^64"),
     # one trial passed the loader and then crashed the estimator
     ("mi_trials", "attack", "mi_trials = 400", "mi_trials = 1", 13, "at least two trials"),
     ("poly", "attack", "degree = 8", "poly = 0x11C", 6, "with a constant term"),
@@ -341,7 +345,7 @@ def test_more_rejections(tmp_path):
         load_config(write_cfg(tmp_path, BOUNDS_CFG.replace("prefix = demo",
                                                            "prefix = de mo")), "bounds")
     # a command-line value names no line of the file, even where the file sets the key
-    for override in ({"threads": 0}, {"master_seed": -1}):
+    for override in ({"threads": 0}, {"master_seed": -1}, {"master_seed": 2**64}):
         with pytest.raises(ConfigError) as err:
             load_config(write_cfg(tmp_path, BOUNDS_CFG), "bounds", **override)
         assert str(err.value).startswith(str(tmp_path / "cfg.ini") + ": ")
@@ -859,6 +863,18 @@ def test_cli_reports_config_errors(tmp_path, capsys):
     assert ":2:" in err
 
 
+def test_cli_refuses_a_seed_past_u64(tmp_path, capsys):
+    # --seed is a U64: 2^64 ran, and 2^64 - 1 is the largest seed
+    path = write_cfg(tmp_path, ENTROPY_CFG)
+    argv = ["entropy", "--config", path, "--out-dir", str(tmp_path), "--seed"]
+    assert cli.main(argv + [str(2**64)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {path}: master_seed must be a nonnegative integer below 2^64\n"
+    assert not (tmp_path / "ent_manifest.json").exists()
+    assert cli.main(argv + [str(2**64 - 1)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_bounds_rejects_updown_on_a_scrambled_pairing(tmp_path, capsys):
     text = "[constellation]\nm_grid = 4\nenergy_grid = 1.0\nosk = true\n\n[scenario]\n"
     path = write_cfg(tmp_path, text)
@@ -887,9 +903,10 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy is a test oracle only: no CLI family loads any scipy module.  Each
     # family loads only the yzero modules it runs, all of them by the time
     # load_config returns, and so numpy.random for the families that draw;
-    # BLAS runs on one thread unless the environment sets a count.  The config
-    # digest is the interpreter's built-in SHA-256, so bounds and keygen never
-    # map OpenSSL's _hashlib; numpy.random does (through secrets and hmac)
+    # BLAS runs on one thread unless the environment sets a count.  No family
+    # maps OpenSSL: the config digest is the interpreter's built-in SHA-256,
+    # and importing yzero.cli blocks _hashlib, which numpy.random would load
+    # through secrets and hmac
     # the package under test, wherever it was imported from
     src = os.path.dirname(os.path.dirname(os.path.abspath(yzero.__file__)))
     code = ("import json, os, sys, yzero.cli as cli\n"
@@ -898,8 +915,13 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
             "load, at_load = cli.load_config, []\n"
             "cli.load_config = lambda *a, **k: (load(*a, **k), at_load.extend(own()))[0]\n"
             "rc = cli.main(sys.argv[1:])\n"
+            "crypto = False\n"
+            "if os.path.exists('/proc/self/maps'):\n"
+            "    with open('/proc/self/maps') as fh:\n"
+            "        crypto = 'libcrypto' in fh.read()\n"
             "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
-            "at_load, own(), os.environ.get('OPENBLAS_NUM_THREADS'), '_hashlib' in sys.modules]))")
+            "at_load, own(), os.environ.get('OPENBLAS_NUM_THREADS'), "
+            "sys.modules.get('_hashlib') is not None, crypto]))")
     shared = ["yzero.cli", "yzero.codec", "yzero.errors", "yzero.runner", "yzero.scenario"]
     drawing = ["numpy.random", "yzero.attacks"]
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -918,8 +940,47 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
                                  capture_output=True, text=True, timeout=120, check=True).stdout
             threads = blas.get("OPENBLAS_NUM_THREADS", "1")
             result = json.loads(out.splitlines()[-1])
-            assert result[:5] == [0, [], modules, modules, threads], (family, own, blas)
-            assert family in ("attack", "entropy") or result[5] is False, family
+            assert result == [0, [], modules, modules, threads, False, False], (family, own, blas)
+
+
+# what the hashes give; a CLI process must give the test process's own
+HASHED = "S \u2264 300".encode("utf-8")
+DIGESTS = ("[hashlib.sha256(HASHED).hexdigest(), hashlib.md5(HASHED).hexdigest(), "
+           "hashlib.sha3_256(HASHED).hexdigest(), hashlib.blake2b(HASHED).hexdigest(), "
+           "hmac.new(b'key', HASHED, 'sha256').hexdigest()]")
+
+
+@pytest.mark.parametrize("before, openssl", [
+    # a process that loaded OpenSSL's hashes first keeps them
+    ("import hashlib", True),
+    # the default: hashlib and hmac take CPython's built-in hashes
+    ("", False),
+    # without the built-in SHA-256 the config digest needs OpenSSL, so the
+    # CLI leaves _hashlib loadable
+    ("sys.modules['_sha2'] = sys.modules['_sha256'] = None", True),
+], ids=["hashlib_first", "default", "no_builtin_sha256"])
+def test_cli_openssl_default_keeps_every_hash(tmp_path, before, openssl):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(yzero.__file__)))
+    code = (f"import sys\n{before}\n"
+            "import yzero.cli as cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "assert rc == 0, rc\n"
+            f"import hashlib, hmac, json\nHASHED = {HASHED!r}\n"
+            "print(json.dumps([sys.modules.get('_hashlib') is not None, "
+            f"hashlib.sha256.__module__, {DIGESTS}]))")
+    path = write_cfg(tmp_path, ENTROPY_CFG)
+    out = subprocess.run([sys.executable, "-c", code, "entropy", "--config", path,
+                          "--out-dir", str(tmp_path / "out")],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stderr == ""
+    loaded, sha256_from, digests = json.loads(out.stdout.splitlines()[-1])
+    assert loaded is openssl
+    assert (sha256_from == "_hashlib") is openssl
+    assert digests == eval(DIGESTS, {"hashlib": hashlib, "hmac": hmac, "HASHED": HASHED})
+    with open(tmp_path / "out" / "ent_manifest.json", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert manifest["config"]["sha256"] == hashlib.sha256(ENTROPY_CFG.encode("utf-8")).hexdigest()
 
 
 @pytest.mark.parametrize("family, text", [
