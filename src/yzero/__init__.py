@@ -1,10 +1,12 @@
 """Desk-scale simulator and analysis toolkit for the coherent-state stream cipher.
 
 The package splits into three layers: the keyed phase-constellation coding
-layer (:mod:`yzero.codec`), receiver error bounds and the key-generation
-curve they give (:mod:`yzero.detection`), and eavesdropper replays with exact information accounting
-(:mod:`yzero.attacks`).  Configured runs are driven by :mod:`yzero.runner`
-and the ``yzero`` command.
+layer (:mod:`yzero.codec`); the receivers, as error bounds and the
+key-generation curve they give (:mod:`yzero.detection`) and as the
+heterodyne receiver the ``quantum`` regime records with
+(:mod:`yzero.heterodyne`); and eavesdropper replays with exact information
+accounting (:mod:`yzero.attacks`).  Configured runs are driven by
+:mod:`yzero.runner` and the ``yzero`` command.
 
 The top-level names are resolved on first use (PEP 562), so ``import yzero``
 loads no numpy and a submodule only when one of its names is read: the
@@ -26,10 +28,11 @@ _SOURCES = {
     "codec": ("Constellation", "PRIMITIVE_POLYS", "encode_sequence", "halfplane_label"),
     "detection": ("BinaryBound", "ExponentFit", "KeygenPoint", "MaryBound",
                   "antipodal_homodyne_error", "binary_entropy", "bit_bound", "exponent_fit",
-                  "helstrom_pure", "heterodyne_index_transition", "heterodyne_sample",
-                  "keygen_advantage", "nearest_phase_index", "phase_density",
-                  "srm_mary_error", "truncation_dim", "updown_bound"),
+                  "helstrom_pure", "keygen_advantage", "srm_mary_error", "truncation_dim",
+                  "updown_bound"),
     "errors": ("ConfigError", "RegimeCapError"),
+    "heterodyne": ("heterodyne_index_transition", "heterodyne_sample", "nearest_phase_index",
+                   "phase_density"),
     "scenario": ("ScenarioConfig", "load_config"),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

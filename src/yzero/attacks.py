@@ -20,8 +20,9 @@ desk scale:
 Exhaustive enumeration is capped to sizes a laptop handles in seconds; the
 caps raise RegimeCapError rather than silently subsampling.
 
-Only the quantum regime's heterodyne record reads :mod:`yzero.detection`;
-its two builders import it, so a label-record run never loads it.
+Only the quantum regime's heterodyne record reads :mod:`yzero.heterodyne`;
+its two builders import it, so a label-record run never loads it.  No
+entropy or attack run reads :mod:`yzero.detection`.
 """
 
 from __future__ import annotations
@@ -368,7 +369,7 @@ def _heterodyne_sampler(c: Constellation, scenario: AttackScenario) -> _Sampler:
     ``heterodyne_sample``; the constellation amplitudes are built here once
     per run.
     """
-    from .detection import heterodyne_sample, nearest_phase_index
+    from .heterodyne import heterodyne_sample, nearest_phase_index
 
     amplitudes = c.amplitudes()
     f = scenario.dsr.param if scenario.dsr.kind == "binary" else 0.0
@@ -781,7 +782,7 @@ def _record_channel(c: Constellation, scenario: AttackScenario,
     if regime == "classical":
         sampler, chan = _label_sampler(c, scenario), _label_channel(c, scenario)
     else:
-        from .detection import heterodyne_index_transition
+        from .heterodyne import heterodyne_index_transition
 
         f = scenario.dsr.param if scenario.dsr.kind == "binary" else 0.0
         trans = heterodyne_index_transition(c, decision_offset=scenario.misalign)

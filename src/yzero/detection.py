@@ -7,8 +7,10 @@ Three layers of analysis, from strongest observer to weakest:
   over the constellation).
 * Square-root measurement: the pretty-good measurement for the full set of
   2M symmetric states.
-* Explicit receivers: a heterodyne sampler, the homodyne error in closed
-  form, and the phase decision statistics an intercepting receiver faces.
+* An explicit receiver: the homodyne error on an antipodal pair, in closed
+  form.  The heterodyne receiver the ``quantum`` regime records with is
+  :mod:`yzero.heterodyne`'s, so a quantum-regime entropy run never loads
+  this module.
 
 Key generation scores two of these receivers against each other: the key
 holder's pure-state Helstrom error and an interceptor's homodyne error on
@@ -39,10 +41,8 @@ with a Hermitian eigensolve of the full matrix to 4.4e-16 on the
 
 The module needs numpy and ``math`` only.  The Poisson pmf is
 exp(k ln S - ln k! - S) with ln k! from one growing ``math.lgamma`` table;
-the normal cdf is erfc(-x / sqrt 2) / 2; the heterodyne wedge integrals are
-composite Gauss-Legendre sums whose panel count doubles until two estimates
-agree.  Bounds are clipped to their ranges, so rounding never shows as a
-negative error probability.
+the normal cdf is erfc(-x / sqrt 2) / 2.  Bounds are clipped to their
+ranges, so rounding never shows as a negative error probability.
 """
 
 from __future__ import annotations
@@ -67,35 +67,12 @@ MODE_DROP_BOUND = 2.0**-53
 SPECTRUM_MASS_TOL = 1e-12
 GRAM_ENERGY_CAP = 1000.0
 
-# Row sums of a numerically integrated decision matrix must land this close
-# to one before renormalization.
-TRANSITION_ROW_TOL = 1e-9
-
-# Above this energy the phase density's peak, about 1 / sqrt(2 S) wide, can
-# fall between the wedge quadrature's nodes: with the decision grid turned
-# by up to 2 pi, the row sums miss one or the panel doubling stops
-# unconverged from S = 1.1e5 at M = 2, 6.3e5 at M = 4 and 5e6 at M = 16.
-# The cap leaves a factor of ten below the first of these.
-WEDGE_ENERGY_CAP = 1e4
-
-# The wedge quadrature doubles its panel count until two successive
-# estimates of every wedge integral agree to this absolute precision.
-WEDGE_QUAD_TOL = 1e-13
-
-# Gauss-Legendre nodes per panel, the first panel count, and the panel
-# count past which the wedge quadrature gives up.
-WEDGE_NODES = 16
-WEDGE_PANELS_START = 2
-WEDGE_PANELS_CAP = 1024
-
 # A decay fit (``exponent_fit``) needs at least this many points.
 FIT_MIN_POINTS = 4
 
 # ln(k!) for k = 0, 1, ..., replaced by one twice as long when a longer pmf
 # is needed; a published table is never written, so callers slice the one they read.
 _LOG_FACTORIAL = np.zeros(1)
-
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -206,13 +183,6 @@ def _check_gram_energy(energy: float) -> None:
     if energy > GRAM_ENERGY_CAP:
         raise RegimeCapError(f"bounds take S <= {GRAM_ENERGY_CAP}, got {energy}: above "
                              "it the Poisson pmf's rounding breaks the spectrum mass check")
-
-
-def _check_wedge_energy(energy: float) -> None:
-    if energy > WEDGE_ENERGY_CAP:
-        raise RegimeCapError(f"the heterodyne record takes S <= {WEDGE_ENERGY_CAP}, got "
-                             f"{energy}: above it the wedge quadrature misses the phase "
-                             "density's peak")
 
 
 def _gram_spectrum(c: Constellation) -> np.ndarray:
@@ -419,18 +389,7 @@ def bound_grid(m_grid: "list[int]", energies: "list[float]", methods: "list[str]
 
 
 # ---------------------------------------------------------------------------
-# Explicit receivers
-
-
-def heterodyne_sample(a: complex, rng: np.random.Generator,
-                      size: "int | tuple[int, ...]") -> np.ndarray:
-    """An array of ``size`` heterodyne outcomes: the amplitude plus circular Gaussian noise.
-
-    Both quadratures are resolved at once, at the price of variance 1/2 in
-    each (double the homodyne figure).  The real parts are drawn first.
-    """
-    z, sd = complex(a), math.sqrt(0.5)
-    return rng.normal(z.real, sd, size) + 1j * rng.normal(z.imag, sd, size)
+# The homodyne receiver, and decay fits
 
 
 def antipodal_homodyne_error(energy: float) -> float:
@@ -442,88 +401,6 @@ def antipodal_homodyne_error(energy: float) -> float:
     """
     _check_energy(energy)
     return 0.5 * math.erfc(math.sqrt(2.0 * energy))
-
-
-def nearest_phase_index(z: "complex | np.ndarray", c: Constellation,
-                        decision_offset: float = 0.0) -> "int | np.ndarray":
-    """Index of the constellation phase nearest to the argument of z.
-
-    ``decision_offset`` rotates the receiver's grid against the sender's,
-    where index i sits at pi i / M, modeling a misaligned phase reference.
-    """
-    rel = np.angle(np.asarray(z, dtype=np.complex128)) - decision_offset
-    idx = np.round(rel / (math.pi / c.m)).astype(int) % c.n_states
-    return idx if isinstance(z, np.ndarray) else int(idx)
-
-
-def phase_density(phi: "float | np.ndarray", energy: float) -> "float | np.ndarray":
-    """Density of the heterodyne phase error for an on-axis coherent state.
-
-    For mean photon number S the angle of sqrt(S) + circular Gaussian noise
-    (variance 1/2 per quadrature) has the closed form
-
-        p(phi) = e^{-S}/(2 pi)
-               + sqrt(S/pi) cos(phi) e^{-S sin^2 phi} Phi(sqrt(2S) cos(phi)),
-
-    with Phi(sqrt(2S) cos(phi)) = erfc(-sqrt(S) cos(phi)) / 2.
-    """
-    _check_energy(energy)
-    f = np.asarray(phi, dtype=float)
-    s = energy
-    cos = np.cos(f)
-    cdf = 0.5 * np.asarray(_ERFC(-math.sqrt(s) * cos), dtype=float)
-    out = (math.exp(-s) / (2.0 * math.pi)
-           + math.sqrt(s / math.pi) * cos * np.exp(-s * np.sin(f) ** 2) * cdf)
-    return out if isinstance(phi, np.ndarray) else float(out)
-
-
-def _wedge_integrals(c: Constellation, decision_offset: float, panels: int,
-                     x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Integral of the phase-error density over each of the 2M decision wedges.
-
-    Composite Gauss-Legendre with ``panels`` equal panels per wedge, with
-    nodes ``x`` and weights ``w`` on [-1, 1], all wedges evaluated at once.
-    The density is 2 pi periodic, so each wedge is integrated in place.
-    """
-    width = math.pi / c.m
-    h = width / panels
-    offsets = ((np.arange(panels)[:, None] + 0.5 * (x[None, :] + 1.0)) * h).ravel()
-    lower = width * (np.arange(c.n_states) - 0.5) + decision_offset
-    density = phase_density(lower[:, None] + offsets[None, :], c.energy)
-    return 0.5 * h * (density @ np.tile(w, panels))
-
-
-def heterodyne_index_transition(c: Constellation, decision_offset: float = 0.0) -> np.ndarray:
-    """Transition matrix T[sent, decided] of a nearest-phase heterodyne receiver.
-
-    Entry (t, m) is the probability that a heterodyne measurement of state t,
-    decided by the nearest point of a grid rotated by ``decision_offset``,
-    lands on index m.  The matrix is circulant; each distinct wedge integral
-    of the phase-error density is evaluated once.  The quadrature doubles
-    its panel count until two successive estimates agree within
-    WEDGE_QUAD_TOL, and fails past WEDGE_PANELS_CAP panels.  Energies above
-    WEDGE_ENERGY_CAP raise RegimeCapError.
-    """
-    _check_wedge_energy(c.energy)
-    if c.energy == 0.0:
-        return np.full((c.n_states, c.n_states), 1.0 / c.n_states)
-    n = c.n_states
-    x, w = np.polynomial.legendre.leggauss(WEDGE_NODES)
-    panels = WEDGE_PANELS_START
-    q = _wedge_integrals(c, decision_offset, panels, x, w)
-    while True:
-        panels *= 2
-        if panels > WEDGE_PANELS_CAP:
-            raise AssertionError(f"wedge quadrature unconverged at {panels // 2} panels")
-        coarse, q = q, _wedge_integrals(c, decision_offset, panels, x, w)
-        if float(np.max(np.abs(q - coarse))) <= WEDGE_QUAD_TOL:
-            break
-    total = float(q.sum())
-    if abs(total - 1.0) > TRANSITION_ROW_TOL:
-        raise AssertionError(f"wedge integrals sum to {total}, expected 1")
-    q /= total
-    # T[sent, decided] = q[(decided - sent) mod n]
-    return q[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
 
 
 def _fit_takes(p_error):

@@ -18,9 +18,9 @@ reproduces them byte for byte.  The manifest carries the clock.
 Each family's runner imports the library modules it runs, so a process
 loads only its own family's code; the config loader has imported them by
 then (``scenario``), with the numpy subpackages numpy loads on first use
-(``numpy.random`` for attack and entropy, ``numpy.fft`` for bounds,
-``numpy.polynomial`` for the quantum regime), so a run's compute pays no
-import.
+(``numpy.random`` for attack and entropy, ``numpy.fft`` for bounds), so a
+run's compute pays no import.  An attack or entropy run never loads
+``detection``; the quantum regime's record loads ``heterodyne``.
 """
 
 from __future__ import annotations

@@ -23,14 +23,14 @@ matrix.
 
 The loader imports the library modules a family runs as it reads that
 family's keys, and only those: ``attacks`` for attack and entropy,
-``detection`` for bounds, keygen and the quantum regime's heterodyne
-record, and the numpy subpackages that numpy loads on first use with the
-family that uses them: ``numpy.random`` for attack and entropy,
-``numpy.fft`` for bounds (the weight spectra) and ``numpy.polynomial`` for
-the quantum regime (the wedge quadrature's Gauss-Legendre nodes).  So a
-bounds process never loads ``attacks``, a label record never loads
-``detection``, and every import a run needs is paid before
-``load_config`` returns, as set-up, not inside the run's compute.
+``detection`` for bounds and keygen, ``heterodyne`` for the quantum
+regime's record, and the numpy subpackages that numpy loads on first use
+with the family that uses them: ``numpy.random`` for attack and entropy
+and ``numpy.fft`` for bounds (the weight spectra).  So a bounds process
+never loads ``attacks``, no attack or entropy run loads ``detection``, a
+label record never loads ``heterodyne``, and every import a run needs is
+paid before ``load_config`` returns, as set-up, not inside the run's
+compute.
 
 ``config_sha256`` is the SHA-256 of the file's UTF-8 text, taken from the
 hash CPython builds in (``_sha2``, or ``_sha256`` before 3.12), with
@@ -388,10 +388,6 @@ def _read_entropy(src: _Source, cfg: ScenarioConfig) -> None:
     if cfg.regime == "quantum" and cfg.mode == "ciphertext_only":
         raise src.fail("regime 'quantum' needs mode 'known_plaintext' or 'both'; "
                        "the ciphertext-only engine scores label records", key="regime")
-    if cfg.regime == "quantum":
-        # the heterodyne record's wedge quadrature takes its nodes from
-        # numpy.polynomial, which numpy loads on first use: set-up, as above
-        import numpy.polynomial
 
 
 def _read_keygen(src: _Source, cfg: ScenarioConfig) -> None:
@@ -407,7 +403,7 @@ _READERS = {"bounds": _read_bounds, "attack": _read_attack, "entropy": _read_ent
 
 def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
     """The checks that span keys, and the caps."""
-    if cfg.family in ("bounds", "keygen") or cfg.regime == "quantum":
+    if cfg.family in ("bounds", "keygen"):
         # keygen checks nothing here; the import is its run's, paid as set-up
         from . import detection
     if cfg.family == "bounds":
@@ -435,4 +431,6 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
             with src.at("dsr"):
                 attacks._check_record_dsr(scenario.dsr, cfg.regime)
             if cfg.regime == "quantum":
-                detection._check_wedge_energy(c.energy)
+                from . import heterodyne
+
+                heterodyne._check_wedge_energy(c.energy)

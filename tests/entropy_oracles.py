@@ -52,7 +52,7 @@ from yzero.attacks import (
 )
 from codec_oracles import Keystream, keystream_next
 from yzero.codec import TIE_EPS, Constellation, _pair_index_table, gf2_span, unit_keystreams
-from yzero.detection import heterodyne_index_transition, heterodyne_sample, nearest_phase_index
+from yzero.heterodyne import heterodyne_index_transition, heterodyne_sample, nearest_phase_index
 
 
 def sequence_likelihood(q: np.ndarray, q_flipped: "np.ndarray | None",

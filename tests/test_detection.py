@@ -1,4 +1,4 @@
-"""Discrimination bounds and receiver models against independent oracles."""
+"""Discrimination bounds and the homodyne receiver against independent oracles."""
 
 import math
 import sys
@@ -9,7 +9,6 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 import codec_oracles
 import detection_oracles as oracles
@@ -324,28 +323,6 @@ def test_bounds_stay_in_range(m, s, osk):
         assert 0.0 <= detection.updown_bound(c).p_error <= 0.5
 
 
-def test_heterodyne_sample_draws_the_real_parts_first_and_returns_an_array():
-    # the record samplers reshape what it returns; its draws must not move
-    for size in (1, 5, (2, 3)):
-        z = detection.heterodyne_sample(1.0 - 0.5j, np.random.default_rng(4), size=size)
-        rng = np.random.default_rng(4)
-        re = rng.normal(1.0, math.sqrt(0.5), size)
-        im = rng.normal(-0.5, math.sqrt(0.5), size)
-        assert isinstance(z, np.ndarray) and z.shape == np.shape(re)
-        assert np.array_equal(z, re + 1j * im)
-
-
-def test_heterodyne_sample_moments():
-    rng = np.random.default_rng(9)
-    z = detection.heterodyne_sample(1.0 + 2.0j, rng, size=200_000)
-    n = 200_000
-    sd = math.sqrt(0.5)
-    assert abs(z.real.mean() - 1.0) < 3 * sd / math.sqrt(n)
-    assert abs(z.imag.mean() - 2.0) < 3 * sd / math.sqrt(n)
-    assert abs(z.real.var() - 0.5) < 3 * 0.5 * math.sqrt(2 / n)
-    assert abs(z.imag.var() - 0.5) < 3 * 0.5 * math.sqrt(2 / n)
-
-
 def test_antipodal_homodyne_error_closed_form():
     npt.assert_allclose(detection.antipodal_homodyne_error(4.0),
                         3.167124183311986e-05, rtol=1e-12)
@@ -372,115 +349,6 @@ def test_antipodal_homodyne_error_matches_monte_carlo():
     p_hat = float(np.mean(decided != bits))
     p = detection.antipodal_homodyne_error(s)
     assert abs(p_hat - p) < 3 * math.sqrt(p * (1 - p) / n)
-
-
-def radial_phase_density(phi: float, s: float) -> float:
-    """Independent oracle: integrate the circular Gaussian over the radius."""
-    def f(r: float) -> float:
-        return r / math.pi * math.exp(-(r * r - 2 * r * math.sqrt(s) * math.cos(phi) + s))
-    val, _ = integrate.quad(f, 0.0, np.inf, limit=200)
-    return val
-
-
-@pytest.mark.parametrize("s", [0.5, 4.0, 25.0])
-def test_phase_density_matches_radial_quadrature(s):
-    for phi in np.linspace(-math.pi, math.pi, 17):
-        npt.assert_allclose(detection.phase_density(float(phi), s),
-                            radial_phase_density(float(phi), s), atol=1e-12)
-
-
-@pytest.mark.parametrize("s", [0.0, 1e-6, 0.1, 1.0, 4.0, 10.0, 30.0, 100.0])
-def test_phase_density_matches_ndtr(s):
-    # relative agreement holds where the density is not a cancelling tail
-    phi = np.linspace(-math.pi, math.pi, 721)
-    want = oracles.ndtr_phase_density(phi, s)
-    npt.assert_allclose(detection.phase_density(phi, s), want, rtol=1e-13,
-                        atol=1e-15 * float(want.max()))
-
-
-def test_phase_density_normalizes():
-    for s in (0.0, 1.0, 9.0):
-        total, _ = integrate.quad(detection.phase_density, -math.pi, math.pi,
-                                  args=(s,), limit=200)
-        npt.assert_allclose(total, 1.0, atol=1e-12)
-
-
-def test_phase_density_vacuum_is_uniform():
-    npt.assert_allclose(detection.phase_density(1.234, 0.0), 1 / (2 * math.pi),
-                        rtol=1e-12)
-
-
-def test_nearest_phase_index_hits_grid_points():
-    c = codec.Constellation(m=8, energy=4.0)
-    for j in range(16):
-        z = np.exp(1j * math.pi * j / c.m)
-        assert detection.nearest_phase_index(complex(z), c) == j
-        # small rotations inside the wedge must not change the decision
-        assert detection.nearest_phase_index(complex(z * np.exp(0.4j * math.pi / 8)), c) == j
-
-
-def test_nearest_phase_index_decision_offset_shifts_wedges():
-    c = codec.Constellation(m=8, energy=4.0)
-    z = complex(np.exp(1j * math.pi * 3 / c.m))
-    # rotating the receiver grid by a full wedge moves the decision down one
-    assert detection.nearest_phase_index(z, c, decision_offset=math.pi / 8) == 2
-
-
-def test_heterodyne_transition_rows_are_circulant_distributions():
-    c = codec.Constellation(m=8, energy=2.0)
-    t = detection.heterodyne_index_transition(c)
-    n = c.n_states
-    npt.assert_allclose(t.sum(axis=1), np.ones(n), atol=1e-9)
-    assert np.all(t >= 0)
-    for sent in range(n):
-        for m in range(n):
-            npt.assert_allclose(t[sent, m], t[0, (m - sent) % n], rtol=1e-12)
-
-
-def test_heterodyne_transition_vacuum_is_uniform():
-    c = codec.Constellation(m=4, energy=0.0)
-    npt.assert_allclose(detection.heterodyne_index_transition(c),
-                        np.full((8, 8), 1 / 8), atol=1e-15)
-
-
-def test_heterodyne_transition_matches_monte_carlo():
-    c = codec.Constellation(m=4, energy=2.0)
-    t = detection.heterodyne_index_transition(c)
-    rng = np.random.default_rng(23)
-    n = 200_000
-    sent = 3
-    z = detection.heterodyne_sample(c.amplitudes()[sent], rng, size=n)
-    decided = detection.nearest_phase_index(z, c)
-    counts = np.bincount(decided, minlength=c.n_states)
-    for m in range(c.n_states):
-        p = t[sent, m]
-        if p * n >= 25:
-            assert abs(counts[m] / n - p) < 4 * math.sqrt(p * (1 - p) / n)
-    assert 0.5 * np.abs(counts / n - t[sent]).sum() < 0.02
-
-
-def test_heterodyne_transition_decision_offset_biases_neighbors():
-    c = codec.Constellation(m=4, energy=4.0)
-    t = detection.heterodyne_index_transition(c, decision_offset=0.3 * math.pi / 4)
-    # a receiver grid rotated toward the next index must leak probability there
-    assert t[0, 7] > t[0, 1]
-    npt.assert_allclose(t.sum(axis=1), np.ones(c.n_states), atol=1e-9)
-
-
-@pytest.mark.parametrize("m,s", [(1, 0.1), (1, 1000.0), (2, 4.0), (4, 1e4), (16, 4.0),
-                                 (16, 100.0), (64, 30.0)])
-def test_wedge_quadrature_matches_quad(m, s):
-    c = codec.Constellation(m=m, energy=s)
-    for offset in (0.0, 0.3 * math.pi / m):
-        t = detection.heterodyne_index_transition(c, decision_offset=offset)
-        npt.assert_allclose(t[0], oracles.quad_wedge_integrals(c, offset), rtol=0.0, atol=1e-13)
-
-
-def test_wedge_quadrature_fails_past_its_panel_cap(monkeypatch):
-    # a sharp density at S = 1e4 on a wide wedge needs more than 8 panels
-    monkeypatch.setattr(detection, "WEDGE_PANELS_CAP", 8)
-    with pytest.raises(AssertionError, match="unconverged"):
-        detection.heterodyne_index_transition(codec.Constellation(m=1, energy=1e4))
 
 
 def test_exponent_fit_recovers_exact_decay():
@@ -601,11 +469,11 @@ def test_binary_entropy_reference_values():
 @pytest.mark.parametrize("energy", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize("check", [
     detection.antipodal_homodyne_error,
-    lambda energy: detection.phase_density(0.3, energy),
     lambda energy: detection.truncation_dim(energy, 1e-10),
     lambda energy: detection.keygen_advantage([energy]),
-], ids=["antipodal_homodyne_error", "phase_density", "truncation_dim", "keygen_advantage"])
+], ids=["antipodal_homodyne_error", "truncation_dim", "keygen_advantage"])
 def test_energy_must_be_finite_and_nonnegative(check, energy):
-    # NaN passed the homodyne error and the phase density and came back as nan
+    # NaN passed the homodyne error and came back as nan (the phase density's
+    # case is in test_heterodyne.py)
     with pytest.raises(ValueError, match="energy must be finite and nonnegative"):
         check(energy)

@@ -902,16 +902,19 @@ def test_cli_label_families_reject_a_single_pair(tmp_path, capsys, family, text)
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     # scipy is a test oracle only: no CLI family loads any scipy module.  Each
     # family loads only the yzero modules it runs, all of them by the time
-    # load_config returns, and so numpy.random for the families that draw;
-    # BLAS runs on one thread unless the environment sets a count.  No family
-    # maps OpenSSL: the config digest is the interpreter's built-in SHA-256,
-    # and importing yzero.cli blocks _hashlib, which numpy.random would load
-    # through secrets and hmac
+    # load_config returns, and so numpy.random for the families that draw.
+    # The quantum regime's record loads heterodyne and not detection, and no
+    # family loads numpy.polynomial: the wedge quadrature's rule is written
+    # out.  BLAS runs on one thread unless the environment sets a count.  No
+    # family maps OpenSSL: the config digest is the interpreter's built-in
+    # SHA-256, and importing yzero.cli blocks _hashlib, which numpy.random
+    # would load through secrets and hmac
     # the package under test, wherever it was imported from
     src = os.path.dirname(os.path.dirname(os.path.abspath(yzero.__file__)))
     code = ("import json, os, sys, yzero.cli as cli\n"
             "own = lambda: sorted(m for m in sys.modules\n"
-            "                     if m.startswith('yzero.') or m == 'numpy.random')\n"
+            "                     if m.startswith('yzero.')\n"
+            "                     or m in ('numpy.random', 'numpy.polynomial'))\n"
             "load, at_load = cli.load_config, []\n"
             "cli.load_config = lambda *a, **k: (load(*a, **k), at_load.extend(own()))[0]\n"
             "rc = cli.main(sys.argv[1:])\n"
@@ -928,7 +931,7 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     for family, text, own in (("bounds", BOUNDS_CFG, ["yzero.detection"]),
                               ("attack", ATTACK_CFG, drawing),
                               ("entropy", ENTROPY_CFG, drawing),
-                              ("entropy", QUANTUM_ENTROPY_CFG, drawing + ["yzero.detection"]),
+                              ("entropy", QUANTUM_ENTROPY_CFG, drawing + ["yzero.heterodyne"]),
                               ("keygen", KEYGEN_CFG, ["yzero.detection"])):
         path = write_cfg(tmp_path, text, name=f"{family}.ini")
         modules = sorted(shared + own)
