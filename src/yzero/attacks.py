@@ -39,7 +39,6 @@ from .codec import (
     _as_bits,
     _check_seed,
     _pair_index_table,
-    _require_plain_pairing,
     _seed_row,
     gf2_span,
     halfplane_label,
@@ -222,9 +221,8 @@ def _check_attack_caps(key_bits: int, n_symbols: int) -> None:
             f"{ATTACK_TABLE_CAP} symbol comparisons")
 
 
-def _check_replay_run(c: Constellation, poly: int, n_symbols: int, true_seed: int) -> None:
+def _check_replay_run(poly: int, n_symbols: int, true_seed: int) -> None:
     """Checks shared by the replay engines."""
-    _require_plain_pairing(c)
     key_bits = poly.bit_length() - 1
     _check_attack_caps(key_bits, n_symbols)
     _check_seed(key_bits, true_seed)
@@ -541,7 +539,7 @@ def brute_force_candidates(measured: np.ndarray, c: Constellation, poly: int,
     measured = _as_bits(measured, "measured labels")
     r_true = _as_bits(r_true, "reference bits")
     n = measured.size
-    _check_replay_run(c, poly, n, true_seed)
+    _check_replay_run(poly, n, true_seed)
     if r_true.shape != measured.shape:
         raise ValueError("label record and reference sequence differ in length")
     rec = _seed_scan(measured, measured, r_true, unit_keystreams(poly, n, c.bits_per_basis),
@@ -563,7 +561,7 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
     """
     x_bits = _as_bits(x_bits, "plaintext bits")
     n = x_bits.size
-    _check_replay_run(c, poly, n, true_seed)
+    _check_replay_run(poly, n, true_seed)
     if scenario.n_symbols != n:
         raise ValueError("scenario length does not match the plaintext")
     pad = rng.integers(0, 2, n, dtype=np.uint8)
@@ -666,7 +664,6 @@ def _check_record_dsr(dsr: Dsr, regime: str) -> None:
 def _check_entropy_run(c: Constellation, poly: int, scenario: AttackScenario,
                        trials: int, regime: str) -> "tuple[int, int]":
     """Checks shared by the entropy engines; returns the key width and the error weight."""
-    _require_plain_pairing(c)
     key_bits = poly.bit_length() - 1
     _check_entropy_caps(key_bits, scenario.n_symbols, c.m)
     _check_trials(trials)
@@ -1064,7 +1061,6 @@ def label_mutual_information(c: Constellation, poly: int, true_seed: int,
     """
     n = scenario.n_symbols
     # no seed is enumerated, so the replay's caps do not apply
-    _require_plain_pairing(c)
     _check_seed(poly.bit_length() - 1, true_seed)
     _check_mi_trials(trials, n)
     basis = _seed_row(unit_keystreams(poly, n, c.bits_per_basis), true_seed)

@@ -72,15 +72,10 @@ class Constellation:
     m: number of antipodal basis pairs, a power of two so a whole number of
        keystream bits selects the basis.
     energy: mean photon number of every state.
-    osk: when True, one extra keystream bit per symbol re-scrambles the
-         bit-to-member assignment within the chosen pair, so each data bit
-         lands on both members.  Only the detection bounds model it; the
-         encoder and the label-record analyses take the fixed pairing.
     """
 
     m: int
     energy: float
-    osk: bool = False
 
     def __post_init__(self) -> None:
         _check_m(self.m)
@@ -120,13 +115,6 @@ def _check_m(m: int) -> None:
 def _check_energy(energy: float) -> None:
     if not math.isfinite(energy) or energy < 0:
         raise ValueError(f"energy must be finite and nonnegative, got {energy}")
-
-
-def _require_plain_pairing(c: Constellation) -> None:
-    """Raise unless c takes the fixed pairing, the one the encoder and label analyses model."""
-    if c.osk:
-        raise ValueError("this analysis assumes the fixed bit-to-member pairing; "
-                         "set osk = False")
 
 
 def _check_poly(poly: int) -> None:
@@ -219,11 +207,10 @@ def encode_sequence(bits: "np.ndarray | list[int]", poly: int, seed: int,
 
     The register seeded with ``seed`` gives symbol i its basis, the i-th
     keystream chunk; the sent index is the member of pair {basis, basis + M}
-    whose half-plane label is bit XOR (basis & 1).  There is no scrambling
-    bit: this is the fixed pairing every label-record analysis assumes.
+    whose half-plane label is bit XOR (basis & 1): the cipher's one
+    bit-to-member pairing, which every label-record analysis reads.
     """
     _check_seed(poly.bit_length() - 1, seed)
-    _require_plain_pairing(c)
     bits = _as_bits(bits, "bits")
     units = unit_keystreams(poly, bits.size, c.bits_per_basis)
     return _pair_index_table(c)[bits, _seed_row(units, seed)]

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Constellation, _check_energy, _pair_index_table, _require_plain_pairing
+from .codec import Constellation, _check_energy, _pair_index_table
 from .errors import RegimeCapError
 
 # DFT modes of the Gram matrix are dropped while the bound on the change in
@@ -265,17 +265,15 @@ def _weight_spectrum(weights: np.ndarray) -> _WeightSpectrum:
 
 
 def _bit_spectrum(c: Constellation) -> _WeightSpectrum:
-    """Weight spectrum of ``bit_bound``; reads c's size and pairing, not its energy."""
+    """Weight spectrum of ``bit_bound``; reads c's size, not its energy."""
     weights = np.zeros(c.n_states)
-    if not c.osk:
-        pairs = _pair_index_table(c)
-        weights[pairs[1]], weights[pairs[0]] = 0.5 / c.m, -0.5 / c.m
+    pairs = _pair_index_table(c)
+    weights[pairs[1]], weights[pairs[0]] = 0.5 / c.m, -0.5 / c.m
     return _weight_spectrum(weights)
 
 
 def _updown_spectrum(c: Constellation) -> _WeightSpectrum:
-    """Weight spectrum of ``updown_bound``; c must take the plain pairing, its energy is unread."""
-    _require_plain_pairing(c)
+    """Weight spectrum of ``updown_bound``; reads c's size, not its energy."""
     return _weight_spectrum(np.where(c.label(np.arange(c.n_states)) == 1, 1.0, -1.0)
                             / c.n_states)
 
@@ -322,9 +320,10 @@ def bit_bound(c: Constellation) -> BinaryBound:
     """Helstrom bound on reading the data bit without the keystream.
 
     The two hypotheses are the whole-constellation mixtures carrying bit 0
-    and bit 1, at equal priors.  With scrambling active the scramble bit
-    hands each bit to both pair members, the mixtures coincide and the
-    bound sits at exactly 1/2.
+    and bit 1 under the cipher's fixed pairing, at equal priors.  The bound
+    is below 1/2 because the pairing ties each bit to one member of every
+    pair; a pairing that handed each bit to both members would make the
+    mixtures identical and the bound exactly 1/2 (acceptance check C02).
     """
     return _helstrom_error(_bit_spectrum(c), _mode_spectrum(c))
 
@@ -334,8 +333,8 @@ def updown_bound(c: Constellation) -> BinaryBound:
 
     Hypotheses: the uniform mixture of all states whose label is 1 versus
     the uniform mixture of those labeled 0, equal priors.  This is the
-    per-symbol quantity an eavesdropper needs for a label-record attack,
-    which only exists against the fixed (non-scrambling) pairing.
+    per-symbol quantity an eavesdropper needs for a label-record attack
+    against the cipher's fixed pairing.
     """
     return _helstrom_error(_updown_spectrum(c), _mode_spectrum(c))
 
@@ -355,8 +354,8 @@ def _srm_error(modes: _ModeSpectrum) -> float:
     return min(max(0.0, 1.0 - float(np.mean(modes.root)) ** 2), 1.0)
 
 
-def bound_grid(m_grid: "list[int]", energies: "list[float]", methods: "list[str]",
-               osk: bool) -> "tuple[list[tuple], dict[str, int]]":
+def bound_grid(m_grid: "list[int]", energies: "list[float]",
+               methods: "list[str]") -> "tuple[list[tuple], dict[str, int]]":
     """The bounds named in ``methods`` ('bit', 'updown', 'srm') at every (M, S) point.
 
     Each row is (M, S, method, p_error, dim_used), in grid order: M outer,
@@ -372,7 +371,7 @@ def bound_grid(m_grid: "list[int]", energies: "list[float]", methods: "list[str]
     spectrum_of = {"bit": _bit_spectrum, "updown": _updown_spectrum}
     rows, work = [], {"gram_spectra": 0, "weight_spectra": 0, "svd_solves": 0}
     for m in m_grid:
-        points = [Constellation(m=m, energy=s, osk=osk) for s in energies]
+        points = [Constellation(m=m, energy=s) for s in energies]
         spectra = {method: spectrum_of[method](points[0]) for method in methods if method != "srm"}
         work["weight_spectra"] += len(spectra)
         for c in points:

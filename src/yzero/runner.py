@@ -148,7 +148,7 @@ def run_bounds(cfg: ScenarioConfig) -> "list[str]":
     from .detection import MODE_DROP_BOUND, bound_grid
 
     _make_out_dir(cfg.out_dir)
-    rows, work = bound_grid(cfg.m_grid, cfg.energy_grid, cfg.methods, cfg.osk)
+    rows, work = bound_grid(cfg.m_grid, cfg.energy_grid, cfg.methods)
     name = f"{cfg.prefix}_bounds.csv"
     _write_csv(os.path.join(cfg.out_dir, name), f"{cfg.prefix}_manifest.json",
                cfg.config_sha256,

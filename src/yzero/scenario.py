@@ -4,10 +4,9 @@ Runs are driven by small INI files with four sections: [constellation],
 [keystream], [scenario], [output].  Parsing is strict: each family
 accepts only the keys it reads, so the family fixes scalar versus grid:
 ``bounds`` reads ``m_grid`` and ``energy_grid``, ``attack`` and ``entropy``
-read ``m`` and ``energy``.  Only ``bounds`` reads ``osk``: the record
-engines model the plain pairing alone.  Each family's keys are read in one
-function, each key by one reader (``_Source.get``): parse, check at the
-key's line, or keep the default.  The loader keeps the rules of the file format:
+read ``m`` and ``energy``.  Each family's keys are read in one function,
+each key by one reader (``_Source.get``): parse, check at the key's line,
+or keep the default.  The loader keeps the rules of the file format:
 sections and keys, which keys are present, method and mode names, which
 mode reads ``regime``, ``prefix`` and ``master_seed``.  Every value rule
 is the library's: the loader builds the objects a run uses and calls the
@@ -65,9 +64,8 @@ if TYPE_CHECKING:
 
 _SECTIONS = ("constellation", "keystream", "scenario", "output")
 
-# bounds runs a grid of constellations, attack and entropy one; only the
-# bounds model the scrambling bit (osk), the record engines take the plain pairing
-_GRID_KEYS = frozenset({"m_grid", "energy_grid", "osk"})
+# bounds runs a grid of constellations, attack and entropy one
+_GRID_KEYS = frozenset({"m_grid", "energy_grid"})
 _POINT_KEYS = frozenset({"m", "energy"})
 _KEYSTREAM_KEYS = frozenset({"poly", "degree", "seed"})
 _RECORD_KEYS = frozenset({"n_symbols", "error_positions", "misalign", "dsr"})
@@ -97,20 +95,24 @@ class ScenarioConfig:
     # bounds only
     m_grid: "list[int]" = field(default_factory=list)
     energy_grid: "list[float]" = field(default_factory=list)
-    osk: bool = False
+    methods: "list[str]" = field(default_factory=lambda: ["bit", "srm", "updown"])
+    # attack and entropy only: the keystream, and the record model the loader
+    # builds and the run scores
     poly: "int | None" = None
     # the replay's true seed; entropy reads it only to check it
     seed_register: "int | None" = None
-    methods: "list[str]" = field(default_factory=lambda: ["bit", "srm", "updown"])
-    # attack and entropy only: the record model the loader builds and the run scores
     constellation: "codec.Constellation | None" = None
     attack_scenario: "attacks.AttackScenario | None" = None
+    # attack only
     otp: bool = False
-    trials: int = 200
     mi_trials: int = 0
+    # entropy only, but for mode, which keygen reads too
+    trials: int = 200
     mode: str = "ciphertext_only"
     regime: str = "classical"
+    # keygen only
     s_grid: "list[float]" = field(default_factory=list)
+    # every family
     out_dir: str = "."
     prefix: str = ""
     master_seed: int = 0
@@ -353,7 +355,6 @@ def _read_bounds(src: _Source, cfg: ScenarioConfig) -> None:
     cfg.m_grid = src.get("constellation", "m_grid", _parse_int, codec._check_m, many=True)
     cfg.energy_grid = src.get("constellation", "energy_grid", _parse_float, codec._check_energy,
                               many=True)
-    cfg.osk = src.get("constellation", "osk", _parse_bool, default=cfg.osk)
     cfg.methods = src.get("scenario", "methods",
                           _parse_word(("bit", "srm", "updown"), "unknown bound method {name!r}"),
                           default=cfg.methods, many=True)
@@ -407,10 +408,6 @@ def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
         # keygen checks nothing here; the import is its run's, paid as set-up
         from . import detection
     if cfg.family == "bounds":
-        if "updown" in cfg.methods:
-            c = codec.Constellation(cfg.m_grid[0], cfg.energy_grid[0], cfg.osk)
-            with src.at("osk"):
-                codec._require_plain_pairing(c)
         for s in cfg.energy_grid:
             detection._check_gram_energy(s)
     elif cfg.family in ("attack", "entropy"):

@@ -5,10 +5,11 @@ unit seeds come from one register of seed-bit masks, a seed's chunks are the
 XOR of the unit rows at its set bits, and a table maps (bit, basis) to the
 sent index.  This module is the stateful route it replaced: a Fibonacci
 register stepped one bit at a time, chunks assembled bit by bit, and one
-record per symbol.  It also keeps the OSK scrambling bit, which the package
-encoder does not carry: the trailing bit of each chunk re-scrambles which
-pair member carries which data bit, so each bit lands on both members and
-the bit mixtures of ``fock_oracles.bit_ensembles`` coincide.
+record per symbol.  ``encode`` also takes a scramble bit, which flips the
+data bit before the pair member is chosen.  The package has no such bit;
+the acceptance check C02 feeds both values to ``fock_oracles.bit_ensembles``
+to show that a pairing which hands each bit to both members makes the bit
+mixtures coincide.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ class SymbolRecord:
     basis: int
     bit: int
     parity: int
-    osk_flip: int
     label: int
 
 
@@ -38,12 +38,10 @@ class Keystream:
     The register holds ``degree`` bits; each step outputs the low bit and
     shifts in the parity of the tapped bits.  A symbol consumes
     ``bits_per_symbol`` successive output bits, assembled most significant
-    first; with ``osk`` set the trailing bit of each chunk is split off as
-    the scrambling bit.
+    first.
     """
 
-    def __init__(self, poly: int, register: int, bits_per_symbol: int,
-                 osk: bool = False) -> None:
+    def __init__(self, poly: int, register: int, bits_per_symbol: int) -> None:
         degree = poly.bit_length() - 1
         if degree < 2:
             raise ValueError("polynomial degree must be at least 2")
@@ -51,17 +49,16 @@ class Keystream:
             raise ValueError("polynomial must have a constant term")
         if not 0 < register < (1 << degree):
             raise ValueError("register must be a nonzero value below 2^degree")
-        if bits_per_symbol - (1 if osk else 0) < 1:
-            raise ValueError("bits_per_symbol too small for the requested mode")
+        if bits_per_symbol < 1:
+            raise ValueError("bits_per_symbol must be at least 1")
         self.poly = poly
         self.register = register
         self.bits_per_symbol = bits_per_symbol
-        self.osk = osk
         self.degree = degree
         self.taps = poly & ((1 << degree) - 1)
 
     def copy(self) -> "Keystream":
-        return Keystream(self.poly, self.register, self.bits_per_symbol, self.osk)
+        return Keystream(self.poly, self.register, self.bits_per_symbol)
 
     def step(self) -> int:
         """Advance one clock; return the output bit."""
@@ -71,24 +68,12 @@ class Keystream:
         return out
 
 
-def keystream_next(ks: Keystream) -> "tuple[int, int, int]":
-    """Consume one symbol's worth of bits; return (basis, basis_parity, scramble_bit).
-
-    The chunk is read most significant bit first.  On a scrambling keystream
-    the trailing bit of the chunk is returned separately as the scramble
-    bit; otherwise the scramble bit is 0.
-    """
-    nb = ks.bits_per_symbol - (1 if ks.osk else 0)
+def keystream_next(ks: Keystream) -> "tuple[int, int]":
+    """Consume one symbol's worth of bits, most significant first; return (basis, basis_parity)."""
     k = 0
-    for _ in range(nb):
+    for _ in range(ks.bits_per_symbol):
         k = (k << 1) | ks.step()
-    s = ks.step() if ks.osk else 0
-    return k, k & 1, s
-
-
-def bits_per_symbol(c: Constellation) -> int:
-    """Keystream bits one symbol consumes: the basis bits, plus the scramble bit with osk."""
-    return c.bits_per_basis + (1 if c.osk else 0)
+    return k, k & 1
 
 
 def encode(bit: int, basis: int, scramble: int, c: Constellation) -> SymbolRecord:
@@ -102,31 +87,18 @@ def encode(bit: int, basis: int, scramble: int, c: Constellation) -> SymbolRecor
         raise ValueError("bit and scramble must be 0 or 1")
     if not 0 <= basis < c.m:
         raise ValueError("basis out of range")
-    if scramble and not c.osk:
-        raise ValueError("scramble bit supplied to a non-scrambling constellation")
     parity = basis & 1
     want = (bit ^ scramble) ^ parity
     # basis < M lies pi basis / M above the axis, in [0, pi): up, or on the axis
     index = basis if want == 1 else basis + c.m
-    return SymbolRecord(index=index, basis=basis, bit=bit, parity=parity,
-                        osk_flip=scramble, label=want)
-
-
-def encode_records(bits, ks: Keystream, c: Constellation) -> "list[SymbolRecord]":
-    """Encode a bit sequence symbol by symbol, consuming the keystream in order."""
-    if ks.bits_per_symbol != bits_per_symbol(c) or ks.osk != c.osk:
-        raise ValueError("keystream chunking does not match the constellation")
-    out = []
-    for b in np.asarray(bits, dtype=np.uint8):
-        k, _, s = keystream_next(ks)
-        out.append(encode(int(b), k, s, c))
-    return out
+    return SymbolRecord(index=index, basis=basis, bit=bit, parity=parity, label=want)
 
 
 def scalar_indices(bits, poly: int, seed: int, c: Constellation) -> np.ndarray:
     """Sent indices of an encoding, one register step and one symbol at a time."""
-    ks = Keystream(poly, seed, bits_per_symbol(c), osk=c.osk)
-    return np.array([rec.index for rec in encode_records(bits, ks, c)], dtype=int)
+    ks = Keystream(poly, seed, c.bits_per_basis)
+    return np.array([encode(int(b), keystream_next(ks)[0], 0, c).index
+                     for b in np.asarray(bits, dtype=np.uint8)], dtype=int)
 
 
 def parity_stream(poly: int, seed: int, bits_per_basis: int, n: int) -> np.ndarray:

@@ -65,12 +65,16 @@ def gram_trace_norm(amps: np.ndarray, weights: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (h + h.conj().T)))))
 
 
-def _bit_weights(c: codec.Constellation, p0: float) -> np.ndarray:
-    """p1 rho_1 - p0 rho_0 as weights on the states, from the encoder."""
+def _bit_weights(c: codec.Constellation, p0: float, scramble: bool = False) -> np.ndarray:
+    """p1 rho_1 - p0 rho_0 as weights on the states, from the encoder.
+
+    With ``scramble`` each bit also mixes over a uniform scramble bit, so it
+    lands on both members of every pair.
+    """
     weights = np.zeros(c.n_states)
     for bit, sign, prior in ((1, 1.0, 1.0 - p0), (0, -1.0, p0)):
         members = [codec_oracles.encode(bit, basis, s, c).index
-                   for basis in range(c.m) for s in ((0, 1) if c.osk else (0,))]
+                   for basis in range(c.m) for s in ((0, 1) if scramble else (0,))]
         for j in members:
             weights[j] += sign * prior / len(members)
     return weights

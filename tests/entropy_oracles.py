@@ -25,7 +25,7 @@ key's likelihood is then a function of its replay mismatch count alone.
 ``label_mutual_information_labels`` is the per-trial measurement loop that
 ``label_mutual_information`` now runs as one batch, and
 ``plugin_mutual_information`` its per-position estimator.  ``keystream_table``
-builds the chunk rows of many seeds, scrambling bits included, from the
+builds the chunk rows of many seeds from the
 scalar Keystream of ``codec_oracles``; ``pair_index_table`` picks pair
 members by the scalar half-plane rule on float phases.
 """
@@ -43,7 +43,6 @@ from yzero.attacks import (
     _check_entropy_caps,
     _entropy_error_weight,
     _pack_words,
-    _require_plain_pairing,
     _scan_counts,
     _seed_characters,
     _symbol_terms,
@@ -260,11 +259,10 @@ def scalar_halfplane_label(phase: float, axis: float) -> int:
 
 
 def keystream_table(poly: int, n_symbols: int, bits_per_symbol: int,
-                    seeds: "np.ndarray | None" = None,
-                    osk: bool = False) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+                    seeds: "np.ndarray | None" = None) -> "tuple[np.ndarray, np.ndarray]":
     """Keystream chunks for many seeds at once.
 
-    Returns (basis, parity, scramble) arrays of shape (n_seeds, n_symbols),
+    Returns (basis, parity) arrays of shape (n_seeds, n_symbols),
     one row per seed.  With seeds=None every nonzero register value of the
     polynomial's degree is enumerated in increasing order.  The unit seeds
     are stepped by the scalar Keystream and every other row is an XOR
@@ -279,24 +277,19 @@ def keystream_table(poly: int, n_symbols: int, bits_per_symbol: int,
             raise ValueError("seeds must be a nonempty 1-d array")
         if np.any(reg == 0) or np.any(reg >= (1 << degree)):
             raise ValueError("seeds must be nonzero values below 2^degree")
-    chunks = np.empty((degree, n_symbols, 3), dtype=np.uint32)
+    basis_units = np.empty((degree, n_symbols), dtype=np.uint32)
     for b in range(degree):
-        ks = Keystream(poly, 1 << b, bits_per_symbol, osk=osk)
+        ks = Keystream(poly, 1 << b, bits_per_symbol)
         for i in range(n_symbols):
-            chunks[b, i] = keystream_next(ks)
-    basis_units, scram_units = chunks[..., 0], chunks[..., 2].astype(np.uint8)
+            basis_units[b, i] = keystream_next(ks)[0]
     if seeds is None:
         basis = gf2_span(basis_units)[1:]
-        scram = gf2_span(scram_units)[1:]
     else:
         basis = np.zeros((reg.size, n_symbols), dtype=np.uint32)
-        scram = np.zeros((reg.size, n_symbols), dtype=np.uint8)
         for b in range(degree):
-            bit = ((reg >> b) & 1)[:, None]
-            basis ^= bit * basis_units[b]
-            scram ^= bit.astype(np.uint8) * scram_units[b]
+            basis ^= ((reg >> b) & 1)[:, None] * basis_units[b]
     parity = (basis & 1).astype(np.uint8)
-    return basis, parity, scram
+    return basis, parity
 
 
 def pair_index_table(c: Constellation) -> np.ndarray:
@@ -377,7 +370,6 @@ def symbol_likelihoods(p1_by_index: np.ndarray, idx_table: np.ndarray,
 def ciphertext_only_entropy(c: Constellation, poly: int, scenario: AttackScenario,
                             trials: int, rng: np.random.Generator) -> EntropyReport:
     """Exact H(key | record) and H(data | record) from label records alone."""
-    _require_plain_pairing(c)
     key_bits = poly.bit_length() - 1
     n = scenario.n_symbols
     _check_entropy_caps(key_bits, n, c.m)
@@ -427,7 +419,6 @@ def known_plaintext_key_entropy(c: Constellation, poly: int, scenario: AttackSce
                                 trials: int, rng: np.random.Generator,
                                 regime: str = "classical") -> EntropyReport:
     """Exact H(key | record, data): one loop for label records, one for index records."""
-    _require_plain_pairing(c)
     if regime not in ("classical", "quantum"):
         raise ValueError("regime must be 'classical' or 'quantum'")
     key_bits = poly.bit_length() - 1
@@ -495,8 +486,8 @@ def label_mutual_information_labels(c: Constellation, poly: int, true_seed: int,
                                     rng: np.random.Generator) -> "tuple[np.ndarray, np.ndarray]":
     """(data, labels) of the mutual-information trials, measured one trial at a time."""
     n = scenario.n_symbols
-    basis, _, _ = keystream_table(poly, n, c.bits_per_basis,
-                                  seeds=np.array([true_seed], dtype=np.uint32))
+    basis, _ = keystream_table(poly, n, c.bits_per_basis,
+                               seeds=np.array([true_seed], dtype=np.uint32))
     idx_table = pair_index_table(c)
     labels = np.empty((trials, n), dtype=np.uint8)
     data = rng.integers(0, 2, (trials, n), dtype=np.uint8)

@@ -230,21 +230,22 @@ def trace_norm(m: "DensityMatrix | np.ndarray") -> float:
     return float(np.sum(np.abs(w)))
 
 
-def bit_ensembles(c: Constellation, p0: float = 0.5,
-                  tol: float = TAIL_TOL) -> "tuple[DensityMatrix, DensityMatrix, DensityMatrix]":
+def bit_ensembles(c: Constellation, p0: float = 0.5, tol: float = TAIL_TOL,
+                  scramble: bool = False) -> "tuple[DensityMatrix, DensityMatrix, DensityMatrix]":
     """Density matrices (rho_0, rho_1, rho_total) seen by an observer without the key.
 
-    rho_b mixes, uniformly over bases (and scramble bits when active), every
-    constellation state that carries data bit b; rho_total = p0 rho_0 +
-    (1 - p0) rho_1.  With scrambling on, both pair members carry each bit
-    and the two ensembles coincide.
+    rho_b mixes, uniformly over bases, every constellation state that carries
+    data bit b; rho_total = p0 rho_0 + (1 - p0) rho_1.  With ``scramble`` it
+    also mixes over a uniform scramble bit, which flips the data bit before
+    the pair member is chosen: both pair members then carry each bit and the
+    two ensembles coincide.
     """
     if not 0.0 <= p0 <= 1.0:
         raise ValueError("p0 must lie in [0, 1]")
     dim = truncation_dim(c.energy, tol)
     states = [coherent_fock(a, dim) for a in c.amplitudes()]
     weights = {0: np.zeros(c.n_states), 1: np.zeros(c.n_states)}
-    scrambles = (0, 1) if c.osk else (0,)
+    scrambles = (0, 1) if scramble else (0,)
     for bit in (0, 1):
         for basis in range(c.m):
             for s in scrambles:

@@ -302,10 +302,6 @@ def test_brute_force_caps_and_flag_checks():
         attacks.brute_force_candidates(np.zeros(128, dtype=np.uint8), c,
                                        codec.PRIMITIVE_POLYS[20],
                                        np.zeros(128, dtype=np.uint8), 1)
-    scrambled = codec.Constellation(m=4, energy=1.0, osk=True)
-    with pytest.raises(ValueError):
-        attacks.brute_force_candidates(np.zeros(4, dtype=np.uint8), scrambled,
-                                       POLY8, np.zeros(4, dtype=np.uint8), 1)
     with pytest.raises(ValueError):
         attacks.brute_force_candidates(np.zeros(4, dtype=np.uint8), c, POLY8,
                                        np.zeros(4, dtype=np.uint8), 0)
@@ -580,10 +576,6 @@ def test_ciphertext_entropy_caps_and_validation():
     with pytest.raises(ValueError):
         attacks.ciphertext_only_entropy(
             c, POLY8, attacks.AttackScenario(8, [1, 2]), trials=1, rng=rng)
-    scrambled = codec.Constellation(m=4, energy=2.0, osk=True)
-    with pytest.raises(ValueError):
-        attacks.ciphertext_only_entropy(
-            scrambled, POLY8, attacks.AttackScenario(n_symbols=8), trials=1, rng=rng)
 
 
 def test_known_plaintext_classical_rank_oracle():

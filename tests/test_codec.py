@@ -79,8 +79,6 @@ def test_keystream_properties_and_validation():
         scalar.Keystream(0x3, 1, 1)  # degree below 2
     with pytest.raises(ValueError):
         scalar.Keystream(0x11D, 1, 0)
-    with pytest.raises(ValueError):
-        scalar.Keystream(0x11D, 1, 1, osk=True)  # no room for a scramble bit
     # the unit rows refuse the same polynomials and chunk widths
     for poly, bits in ((0x10, 1), (0x3, 1), (0x11D, 0)):
         with pytest.raises(ValueError):
@@ -91,51 +89,35 @@ def test_keystream_next_assembles_msb_first():
     ks = scalar.Keystream(0x11D, 0x5B, 3)
     ref = scalar.Keystream(0x11D, 0x5B, 3)
     for _ in range(40):
-        k, parity, scramble = scalar.keystream_next(ks)
+        k, parity = scalar.keystream_next(ks)
         b = [ref.step() for _ in range(3)]
         assert k == (b[0] << 2) | (b[1] << 1) | b[2]
         assert parity == b[2]
-        assert scramble == 0
-
-
-def test_keystream_next_osk_splits_trailing_bit():
-    ks = scalar.Keystream(0x11D, 0x5B, 3, osk=True)
-    ref = scalar.Keystream(0x11D, 0x5B, 3)
-    for _ in range(40):
-        k, parity, scramble = scalar.keystream_next(ks)
-        b = [ref.step() for _ in range(3)]
-        assert k == (b[0] << 1) | b[1]
-        assert parity == b[1]
-        assert scramble == b[2]
 
 
 def test_keystream_copy_steps_in_lockstep():
-    ks = scalar.Keystream(0x1053, 0x321, 4, osk=True)
+    ks = scalar.Keystream(0x1053, 0x321, 4)
     dup = ks.copy()
-    assert dup.osk and dup.bits_per_symbol == 4
+    assert dup.bits_per_symbol == 4
     for _ in range(30):
         assert ks.step() == dup.step()
 
 
 def test_keystream_table_matches_scalar_stepping():
     rng = np.random.default_rng(2024)
-    for osk in (False, True):
-        seeds = rng.integers(1, 256, size=7, dtype=np.uint32)
-        table, parity, scramble = oracle.keystream_table(
-            0x11D, 12, 3, seeds=seeds, osk=osk)
-        for row, seed in enumerate(seeds):
-            ks = scalar.Keystream(0x11D, int(seed), 3, osk=osk)
-            for t in range(12):
-                k, p, s = scalar.keystream_next(ks)
-                assert table[row, t] == k
-                assert parity[row, t] == p
-                assert scramble[row, t] == s
+    seeds = rng.integers(1, 256, size=7, dtype=np.uint32)
+    table, parity = oracle.keystream_table(0x11D, 12, 3, seeds=seeds)
+    for row, seed in enumerate(seeds):
+        ks = scalar.Keystream(0x11D, int(seed), 3)
+        for t in range(12):
+            k, p = scalar.keystream_next(ks)
+            assert table[row, t] == k
+            assert parity[row, t] == p
 
 
 def test_keystream_table_defaults_to_all_nonzero_seeds():
-    table, parity, scramble = oracle.keystream_table(0x13, 5, 2)
+    table, parity = oracle.keystream_table(0x13, 5, 2)
     assert table.shape == (15, 5)
-    npt.assert_array_equal(scramble, np.zeros((15, 5), dtype=np.uint8))
     npt.assert_array_equal(parity, (table & 1).astype(np.uint8))
 
 
@@ -209,20 +191,19 @@ def test_encode_pair_member_selection():
 
 
 def test_encode_scramble_flip_matches_bit_flip():
-    c = codec.Constellation(m=8, energy=2.0, osk=True)
-    plain = codec.Constellation(m=8, energy=2.0)
+    # the scramble rule C02's ensembles rest on: a scramble bit flips the data bit
+    c = codec.Constellation(m=8, energy=2.0)
     for basis in range(8):
         for bit in (0, 1):
-            assert scalar.encode(bit, basis, 1, c).index == \
-                scalar.encode(bit ^ 1, basis, 0, plain).index
-            assert scalar.encode(bit, basis, 0, c).index == \
-                scalar.encode(bit, basis, 0, plain).index
-    with pytest.raises(ValueError):
-        scalar.encode(0, 0, 1, plain)
+            rec = scalar.encode(bit, basis, 1, c)
+            assert rec.index == scalar.encode(bit ^ 1, basis, 0, c).index
+            assert rec.bit == bit
     with pytest.raises(ValueError):
         scalar.encode(0, 8, 0, c)
     with pytest.raises(ValueError):
         scalar.encode(2, 0, 0, c)
+    with pytest.raises(ValueError):
+        scalar.encode(0, 0, 2, c)
 
 
 def test_encode_sequence_line_bits_are_data_xor_parity():
@@ -232,7 +213,7 @@ def test_encode_sequence_line_bits_are_data_xor_parity():
     bits = rng.integers(0, 2, size=64, dtype=np.uint8)
     indices = codec.encode_sequence(bits, 0x11D, 0x3C, c)
     for index, bit in zip(indices, bits):
-        k, parity, _ = scalar.keystream_next(ref)
+        k, parity = scalar.keystream_next(ref)
         assert index % c.m == k
         assert c.label(index) == bit ^ parity
 
@@ -253,28 +234,9 @@ def test_encode_sequence_width_and_flag_checks():
     for bits in ([0, 2], [0, -1], [0.5], [[0, 1]]):
         with pytest.raises(ValueError):
             codec.encode_sequence(bits, 0x11D, 1, c)
-    # no basis bit at m = 1; no scrambling bit in the encoder
-    for bad in (codec.Constellation(m=1, energy=1.0),
-                codec.Constellation(m=4, energy=1.0, osk=True)):
-        with pytest.raises(ValueError):
-            codec.encode_sequence(zeros, 0x11D, 1, bad)
-
-
-def test_encode_sequence_osk_uses_scramble_bit():
-    # the oracle's scrambling encoder, the basis of bit_bound(osk) = 1/2
-    c = codec.Constellation(m=4, energy=1.0, osk=True)
-    ks = scalar.Keystream(0x11D, 0x3C, 3, osk=True)
-    ref = ks.copy()
-    bits = np.array([1, 0, 1, 1, 0, 0, 1, 0] * 5, dtype=np.uint8)
-    records = scalar.encode_records(bits, ks, c)
-    for rec, bit in zip(records, bits):
-        k, parity, s = scalar.keystream_next(ref)
-        assert rec.basis == k
-        assert rec.osk_flip == s
-        assert c.label(rec.index) == (bit ^ s) ^ parity
-        assert rec.label == (bit ^ s) ^ parity
+    # no basis bit at m = 1
     with pytest.raises(ValueError):
-        scalar.encode_records(bits, scalar.Keystream(0x11D, 1, 3), c)
+        codec.encode_sequence(zeros, 0x11D, 1, codec.Constellation(m=1, energy=1.0))
 
 
 @st.composite
@@ -316,9 +278,9 @@ def test_unit_rows_match_the_scalar_oracle_on_long_records(poly, bits_per_basis,
     npt.assert_array_equal(units, scalar.unit_keystreams(poly, n, bits_per_basis))
 
 
-def test_bit_ensembles_osk_states_indistinguishable():
-    c = codec.Constellation(m=8, energy=3.0, osk=True)
-    r0, r1, rt = fock_oracles.bit_ensembles(c, p0=0.5, tol=1e-10)
+def test_bit_ensembles_scrambled_states_indistinguishable():
+    c = codec.Constellation(m=8, energy=3.0)
+    r0, r1, rt = fock_oracles.bit_ensembles(c, p0=0.5, tol=1e-10, scramble=True)
     assert np.max(np.abs(r0.entries - r1.entries)) < 1e-12
     npt.assert_allclose(np.trace(rt.entries).real, 1.0, atol=1e-9)
 

@@ -135,15 +135,6 @@ def test_bounds_run_up_to_the_energy_cap_and_refuse_past_it(m):
             bound(codec.Constellation(m=m, energy=1000.5))
 
 
-def test_bit_bound_scrambled_pairs_are_unreadable():
-    # the weights are exactly zero, so every mode is dropped
-    for m in (4, 16):
-        c = codec.Constellation(m=m, energy=5.0, osk=True)
-        b = detection.bit_bound(c)
-        assert b.p_error == 0.5
-        assert b.dim_used == 0
-
-
 BOUNDS_GRID_M = [2**j for j in range(1, 10)]
 BOUNDS_GRID_S = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0]
 
@@ -201,16 +192,10 @@ def test_updown_bound_single_pair_matches_pure_helstrom():
     npt.assert_allclose(oracles.gram_updown_bound(c), want, atol=1e-9)
 
 
-def test_updown_bound_rejects_scrambling():
-    with pytest.raises(ValueError):
-        detection.updown_bound(codec.Constellation(m=4, energy=1.0, osk=True))
-
-
 # Default-path bounds, exactly as the CLI calls them, over generated
 # constellations.  M <= 32 keeps the Gram oracle at n <= 64 states.
-def constellations(m=st.sampled_from([1, 2, 4, 8, 16, 32]), osk=st.booleans(),
-                   energy=st.floats(0.0, 12.0)):
-    return st.builds(codec.Constellation, m=m, energy=energy, osk=osk)
+def constellations(m=st.sampled_from([1, 2, 4, 8, 16, 32]), energy=st.floats(0.0, 12.0)):
+    return st.builds(codec.Constellation, m=m, energy=energy)
 
 
 # Between the vacuum and S = 1e-6 both oracles lose the states: the Gram
@@ -231,7 +216,7 @@ def test_bit_bound_matches_gram_and_fock_oracles(c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(c=constellations(osk=st.just(False), energy=oracle_energies))
+@given(c=constellations(energy=oracle_energies))
 @example(c=codec.Constellation(m=32, energy=8.0))
 def test_updown_bound_matches_gram_and_fock_oracles(c):
     p = detection.updown_bound(c).p_error
@@ -240,7 +225,7 @@ def test_updown_bound_matches_gram_and_fock_oracles(c):
 
 
 @settings(max_examples=40, deadline=None)
-@given(c=constellations(m=st.just(1), osk=st.just(False)))
+@given(c=constellations(m=st.just(1)))
 def test_single_pair_bounds_match_closed_form(c):
     a0 = c.amplitudes()[codec_oracles.encode(0, 0, 0, c).index]
     a1 = c.amplitudes()[codec_oracles.encode(1, 0, 0, c).index]
@@ -256,8 +241,7 @@ def test_single_pair_bounds_match_closed_form(c):
 @example(c=codec.Constellation(m=512, energy=300.0))
 def test_binary_bounds_match_the_full_matrix_route(c):
     assert_full_matrix_route(detection.bit_bound(c), oracles.eigvalsh_bit_bound(c))
-    if not c.osk:
-        assert_full_matrix_route(detection.updown_bound(c), oracles.eigvalsh_updown_bound(c))
+    assert_full_matrix_route(detection.updown_bound(c), oracles.eigvalsh_updown_bound(c))
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,12 +257,6 @@ def test_weight_spectrum_rejects_weights_without_the_equal_prior_symmetries(c, p
         half = np.arange(1.0, c.m + 1.0)
         with pytest.raises(AssertionError, match="symmetries"):
             detection._weight_spectrum(np.concatenate([half, -half]))
-
-
-@settings(max_examples=40, deadline=None)
-@given(c=constellations(osk=st.just(True)))
-def test_scrambled_bit_bound_is_exactly_half(c):
-    assert abs(detection.bit_bound(c).p_error - 0.5) < 1e-12
 
 
 def test_srm_vacuum_error_is_uniform_guess():
@@ -311,16 +289,14 @@ def test_srm_error_bounded_by_uniform_guess():
 
 
 @settings(max_examples=60, deadline=None)
-@given(m=st.sampled_from([2**j for j in range(10)]), s=st.floats(0.0, 300.0),
-       osk=st.booleans())
-@example(m=2, s=100.0, osk=False)
-@example(m=4, s=100.0, osk=False)
-def test_bounds_stay_in_range(m, s, osk):
-    c = codec.Constellation(m=m, energy=s, osk=osk)
+@given(m=st.sampled_from([2**j for j in range(10)]), s=st.floats(0.0, 300.0))
+@example(m=2, s=100.0)
+@example(m=4, s=100.0)
+def test_bounds_stay_in_range(m, s):
+    c = codec.Constellation(m=m, energy=s)
     assert 0.0 <= detection.bit_bound(c).p_error <= 0.5
     assert 0.0 <= detection.srm_mary_error(c).p_error <= 1.0
-    if not osk:
-        assert 0.0 <= detection.updown_bound(c).p_error <= 0.5
+    assert 0.0 <= detection.updown_bound(c).p_error <= 0.5
 
 
 def test_antipodal_homodyne_error_closed_form():

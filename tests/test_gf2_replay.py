@@ -62,17 +62,15 @@ def replay_record(degree: int, n: int, true_seed: int, noisy: bool, rng_seed: in
     return attacks.brute_force_candidates(labels, c, poly, r, true_seed)
 
 
-def scalar_chunks(poly: int, seed: int, n: int, bits_per_symbol: int,
-                  osk: bool) -> "list[tuple[int, int, int]]":
-    ks = scalar.Keystream(poly, seed, bits_per_symbol, osk=osk)
+def scalar_chunks(poly: int, seed: int, n: int, bits_per_symbol: int) -> "list[tuple[int, int]]":
+    ks = scalar.Keystream(poly, seed, bits_per_symbol)
     return [scalar.keystream_next(ks) for _ in range(n)]
 
 
 @st.composite
 def keystream_cases(draw):
     degree = draw(st.integers(2, 16))
-    osk = draw(st.booleans())
-    bits = draw(st.integers(2 if osk else 1, 4))
+    bits = draw(st.integers(1, 4))
     n = draw(st.integers(1, 40))
     top = (1 << degree) - 1
     if degree <= 10 and draw(st.booleans()):
@@ -82,22 +80,21 @@ def keystream_cases(draw):
         seeds = np.array(draw(st.lists(st.integers(1, top), min_size=1, max_size=8)),
                          dtype=np.uint32)
         picks = seeds.tolist()
-    return codec.PRIMITIVE_POLYS[degree], n, bits, osk, seeds, picks
+    return codec.PRIMITIVE_POLYS[degree], n, bits, seeds, picks
 
 
 @settings(max_examples=60, deadline=None)
 @given(keystream_cases())
 def test_linear_keystream_table_matches_scalar_stepping(case):
-    poly, n, bits, osk, seeds, picks = case
-    basis, parity, scramble = oracle.keystream_table(poly, n, bits, seeds=seeds, osk=osk)
+    poly, n, bits, seeds, picks = case
+    basis, parity = oracle.keystream_table(poly, n, bits, seeds=seeds)
     n_rows = (1 << (poly.bit_length() - 1)) - 1 if seeds is None else seeds.size
-    assert basis.shape == parity.shape == scramble.shape == (n_rows, n)
+    assert basis.shape == parity.shape == (n_rows, n)
     for i, seed in enumerate(picks):
         row = seed - 1 if seeds is None else i
-        want = np.array(scalar_chunks(poly, seed, n, bits, osk), dtype=np.int64).T
+        want = np.array(scalar_chunks(poly, seed, n, bits), dtype=np.int64).T
         npt.assert_array_equal(basis[row], want[0])
         npt.assert_array_equal(parity[row], want[1])
-        npt.assert_array_equal(scramble[row], want[2])
 
 
 @st.composite
@@ -134,7 +131,7 @@ def test_replay_counts_match_the_unpacked_scan(case):
                                         scenario, rng)
         rec = attacks.brute_force_candidates(labels, c, poly, target, true_seed)
         effective = labels
-    _, parity, _ = oracle.keystream_table(poly, n, c.bits_per_basis)
+    _, parity = oracle.keystream_table(poly, n, c.bits_per_basis)
     mismatches, distinct = candidate_scan(effective, parity, target)
     npt.assert_array_equal(rec.mismatches, mismatches)
     npt.assert_array_equal(rec.mismatch_histogram, np.bincount(mismatches, minlength=n + 1))

@@ -252,11 +252,11 @@ BAD_VALUES = [
     ("s_grid", "keygen", "s_grid = 2.0, 3.0", "s_grid = 2.0, -3.0", 2, "nonnegative, got -3.0"),
     ("keygen_mode", "keygen", "mode = ideal", "mode = randomized", 3,
      "keygen mode must be 'ideal'"),
-    # the record engines take the plain pairing alone, so only bounds reads osk
+    # the cipher has one bit-to-member pairing; no family reads a scrambling flag
     ("osk", "attack", "m = 4", "m = 4\nosk = true", 3,
      "unknown key 'osk' in [constellation] for family 'attack'"),
-    ("osk_updown", "bounds", "energy_grid = 1.0, 4.0", "energy_grid = 1.0, 4.0\nosk = true", 4,
-     "fixed bit-to-member pairing; set osk = False"),
+    ("osk_bounds", "bounds", "energy_grid = 1.0, 4.0", "energy_grid = 1.0, 4.0\nosk = true", 4,
+     "unknown key 'osk' in [constellation] for family 'bounds'"),
     # 1e7 rad left the wedge quadrature unconverged; 1e300 left a jittered record
     # without support
     ("misalign", "entropy", "dsr = binary:0.5", "dsr = binary:0.5\nmisalign = 6.3", 15,
@@ -431,27 +431,25 @@ def test_bounds_manifest_records_the_work(tmp_path, monkeypatch):
 @settings(max_examples=25, deadline=None)
 @given(ms=st.lists(st.sampled_from([2**j for j in range(10)]), min_size=1, max_size=3,
                    unique=True),
-       energies=st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=3, unique=True),
-       osk=st.booleans())
-@example(ms=[512, 2], energies=[1000.0, 0.0, 300.0], osk=False)
-@example(ms=[1, 8], energies=[5.0], osk=True)
-def test_bounds_equal_the_per_call_oracle_bit_for_bit(ms, energies, osk):
+       energies=st.lists(st.floats(0.0, 1000.0), min_size=1, max_size=3, unique=True))
+@example(ms=[512, 2], energies=[1000.0, 0.0, 300.0])
+@example(ms=[1, 8], energies=[5.0])
+def test_bounds_equal_the_per_call_oracle_bit_for_bit(ms, energies):
     want = {}
     for m in ms:
         for s in energies:
-            c = codec.Constellation(m=m, energy=s, osk=osk)
+            c = codec.Constellation(m=m, energy=s)
             want[m, s, "helstrom_mixed_bit"] = detection_oracles.per_call_bit_bound(c)
             want[m, s, "srm_2M"] = detection_oracles.per_call_srm_error(c), c.n_states
+            want[m, s, "updown"] = detection_oracles.per_call_updown_bound(c)
             b = detection.bit_bound(c)
             assert (b.p_error, b.dim_used) == want[m, s, "helstrom_mixed_bit"]
             assert detection.srm_mary_error(c).p_error == want[m, s, "srm_2M"][0]
-            if not osk:
-                want[m, s, "updown"] = detection_oracles.per_call_updown_bound(c)
-                b = detection.updown_bound(c)
-                assert (b.p_error, b.dim_used) == want[m, s, "updown"]
+            b = detection.updown_bound(c)
+            assert (b.p_error, b.dim_used) == want[m, s, "updown"]
     text = (f"[constellation]\nm_grid = {', '.join(map(str, ms))}\n"
-            f"energy_grid = {', '.join(map(repr, energies))}\nosk = {str(osk).lower()}\n"
-            f"[scenario]\nmethods = {'bit, srm' if osk else 'bit, srm, updown'}\n")
+            f"energy_grid = {', '.join(map(repr, energies))}\n"
+            "[scenario]\nmethods = bit, srm, updown\n")
     with tempfile.TemporaryDirectory() as tmp:
         path = write_cfg(pathlib.Path(tmp), text)
         runner.run_bounds(load_config(path, "bounds", out_dir=tmp))
@@ -875,21 +873,6 @@ def test_cli_refuses_a_seed_past_u64(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_bounds_rejects_updown_on_a_scrambled_pairing(tmp_path, capsys):
-    text = "[constellation]\nm_grid = 4\nenergy_grid = 1.0\nosk = true\n\n[scenario]\n"
-    path = write_cfg(tmp_path, text)
-    assert cli.main(["bounds", "--config", path, "--out-dir", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ") and ":4:" in err and "osk" in err
-    # without the half-plane bound a scrambled pairing is a valid bounds run
-    path = write_cfg(tmp_path, text + "methods = bit, srm\n", name="ok.ini")
-    assert cli.main(["bounds", "--config", path, "--out-dir", str(tmp_path)]) == 0
-    _, _, rows = load_csv(tmp_path, "bounds_bounds.csv")
-    assert [r[2] for r in rows] == ["helstrom_mixed_bit", "srm_2M"]
-    assert float(rows[0][3]) == 0.5
-    capsys.readouterr()
-
-
 @pytest.mark.parametrize("family,text", [("attack", ATTACK_CFG), ("entropy", ENTROPY_CFG)])
 def test_cli_label_families_reject_a_single_pair(tmp_path, capsys, family, text):
     # m = 1 leaves no keystream bit to choose a basis: a config error on the m line
@@ -1133,7 +1116,6 @@ def generated_configs(draw):
 
     if family == "bounds":
         con["m_grid"], con["energy_grid"] = draw(_items(m)), draw(_items(energy))
-        maybe(con, "osk", st.booleans())
         maybe(sc, "methods", _items(st.sampled_from(["bit", "srm", "updown"])))
     elif family == "keygen":
         sc["s_grid"] = draw(_items(_floats(0.0, 50.0)))
