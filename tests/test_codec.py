@@ -278,7 +278,7 @@ def test_unit_rows_match_the_scalar_oracle_on_long_records(poly, bits_per_basis,
     npt.assert_array_equal(units, scalar.unit_keystreams(poly, n, bits_per_basis))
 
 
-def test_bit_ensembles_scrambled_states_indistinguishable():
+def test_bit_ensembles_osk_states_indistinguishable():
     c = codec.Constellation(m=8, energy=3.0)
     r0, r1, rt = fock_oracles.bit_ensembles(c, p0=0.5, tol=1e-10, scramble=True)
     assert np.max(np.abs(r0.entries - r1.entries)) < 1e-12

@@ -1,5 +1,7 @@
 """Discrimination bounds and the homodyne receiver against independent oracles."""
 
+import dataclasses
+import inspect
 import math
 import sys
 import threading
@@ -135,6 +137,21 @@ def test_bounds_run_up_to_the_energy_cap_and_refuse_past_it(m):
             bound(codec.Constellation(m=m, energy=1000.5))
 
 
+def scrambled_bit_bound(c):
+    # the shipped solver on the weights of a pairing that hands each bit to
+    # both members of every pair, built by the encoder oracle
+    spectrum = detection._weight_spectrum(oracles._bit_weights(c, 0.5, scramble=True))
+    return detection._helstrom_error(spectrum, detection._mode_spectrum(c))
+
+
+def test_bit_bound_scrambled_pairs_are_unreadable():
+    # the weights are exactly zero, so every mode is dropped
+    for m in (4, 16):
+        b = scrambled_bit_bound(codec.Constellation(m=m, energy=5.0))
+        assert b.p_error == 0.5
+        assert b.dim_used == 0
+
+
 BOUNDS_GRID_M = [2**j for j in range(1, 10)]
 BOUNDS_GRID_S = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 300.0]
 
@@ -190,6 +207,16 @@ def test_updown_bound_single_pair_matches_pure_helstrom():
     npt.assert_allclose(detection.updown_bound(c).p_error, want, atol=1e-12)
     npt.assert_allclose(oracles.fock_updown_bound(c), want, atol=1e-9)
     npt.assert_allclose(oracles.gram_updown_bound(c), want, atol=1e-9)
+
+
+def test_updown_bound_rejects_scrambling():
+    # no scrambling flag reaches a bound: a constellation is its size and
+    # energy alone, and the grid takes no pairing argument
+    with pytest.raises(TypeError):
+        detection.updown_bound(codec.Constellation(m=4, energy=1.0, osk=True))
+    assert [f.name for f in dataclasses.fields(codec.Constellation)] == ["m", "energy"]
+    assert list(inspect.signature(detection.bound_grid).parameters) == \
+        ["m_grid", "energies", "methods"]
 
 
 # Default-path bounds, exactly as the CLI calls them, over generated
@@ -257,6 +284,12 @@ def test_weight_spectrum_rejects_weights_without_the_equal_prior_symmetries(c, p
         half = np.arange(1.0, c.m + 1.0)
         with pytest.raises(AssertionError, match="symmetries"):
             detection._weight_spectrum(np.concatenate([half, -half]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=constellations())
+def test_scrambled_bit_bound_is_exactly_half(c):
+    assert abs(scrambled_bit_bound(c).p_error - 0.5) < 1e-12
 
 
 def test_srm_vacuum_error_is_uniform_guess():

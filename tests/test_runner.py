@@ -255,8 +255,12 @@ BAD_VALUES = [
     # the cipher has one bit-to-member pairing; no family reads a scrambling flag
     ("osk", "attack", "m = 4", "m = 4\nosk = true", 3,
      "unknown key 'osk' in [constellation] for family 'attack'"),
-    ("osk_bounds", "bounds", "energy_grid = 1.0, 4.0", "energy_grid = 1.0, 4.0\nosk = true", 4,
+    ("osk_updown", "bounds", "energy_grid = 1.0, 4.0", "energy_grid = 1.0, 4.0\nosk = true", 4,
      "unknown key 'osk' in [constellation] for family 'bounds'"),
+    ("osk_entropy", "entropy", "m = 4", "m = 4\nosk = true", 3,
+     "unknown key 'osk' in [constellation] for family 'entropy'"),
+    ("osk_keygen", "keygen", "[output]", "[constellation]\nosk = true\n\n[output]", 6,
+     "unknown key 'osk' in [constellation] for family 'keygen'"),
     # 1e7 rad left the wedge quadrature unconverged; 1e300 left a jittered record
     # without support
     ("misalign", "entropy", "dsr = binary:0.5", "dsr = binary:0.5\nmisalign = 6.3", 15,
@@ -871,6 +875,18 @@ def test_cli_refuses_a_seed_past_u64(tmp_path, capsys):
     assert not (tmp_path / "ent_manifest.json").exists()
     assert cli.main(argv + [str(2**64 - 1)]) == 0
     capsys.readouterr()
+
+
+def test_cli_bounds_rejects_updown_on_a_scrambled_pairing(tmp_path, capsys):
+    # the cipher has one pairing: a scrambling flag is an unknown key, exit 2
+    text = "[constellation]\nm_grid = 4\nenergy_grid = 1.0\nosk = true\n\n[scenario]\n"
+    path = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert cli.main(["bounds", "--config", path, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "cfg.ini:4: unknown key 'osk' in [constellation] for family 'bounds'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("family,text", [("attack", ATTACK_CFG), ("entropy", ENTROPY_CFG)])
