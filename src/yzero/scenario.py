@@ -1,24 +1,28 @@
 """Scenario configuration files.
 
 Runs are driven by small INI files with four sections: [constellation],
-[keystream], [scenario], [output].  Parsing is strict: each family
-accepts only the keys it reads, so the family fixes scalar versus grid:
-``bounds`` reads ``m_grid`` and ``energy_grid``, ``attack`` and ``entropy``
-read ``m`` and ``energy``.  Each family's keys are read in one function,
-each key by one reader (``_Source.get``): parse, check at the key's line,
-or keep the default.  The loader keeps the rules of the file format:
-sections and keys, which keys are present, method and mode names, which
-mode reads ``regime``, ``prefix`` and ``master_seed``.  Every value rule
-is the library's: the loader builds the objects a run uses and calls the
-checks its engines run, and reports their ValueError as a ConfigError at
-the line of the key it concerns.  An attack or entropy run's
-``Constellation`` and ``AttackScenario`` are built once, as their keys are
-read, and kept on the config (``constellation``, ``attack_scenario``); the
-run scores those objects.  A run past a cap (the bounds and
-heterodyne energy caps, the enumeration caps or the entropy engines' M
-cap) raises RegimeCapError at load time, before any output directory or
-record exists.  Nothing is computed: no keystream, spectrum or transition
-matrix.
+[keystream], [scenario], [output].  Parsing is strict, and each family's
+reader is its whole schema: it reads every key through ``_Source.get``
+(parse, check at the key's line, or keep the default), which records the
+key and needs its section.  So a family accepts exactly the keys it reads,
+any other being an unknown key at its line, and requires every section it
+reads but [output]: ``bounds`` reads ``m_grid`` and ``energy_grid``,
+``attack`` and ``entropy`` read ``m`` and ``energy``.  A reader ends with
+the checks that span its keys and with its caps.  Of several faults the
+first in reading order is reported: an unknown section, the family's keys
+and end checks as its reader meets them, [output], then a key left unread.
+The loader keeps the rules of the file format: sections and keys, which
+keys are present, method and mode names, which mode reads ``regime``,
+``prefix`` and ``master_seed``.  Every value rule is the library's: the
+loader builds the objects a run uses and calls the checks its engines
+run, and reports their ValueError as a ConfigError at the line of the key
+it concerns.  An attack or entropy run's ``Constellation`` and
+``AttackScenario`` are built once, as their keys are read, and kept on
+the config (``constellation``, ``attack_scenario``); the run scores those
+objects.  A run past a cap (the bounds and heterodyne energy caps, the
+enumeration caps or the entropy engines' M cap) raises RegimeCapError at
+load time, before any output directory or record exists.  Nothing is
+computed: no keystream, spectrum or transition matrix.
 
 The loader imports the library modules a family runs as it reads that
 family's keys, and only those: ``attacks`` for attack and entropy,
@@ -62,29 +66,8 @@ from .errors import ConfigError
 if TYPE_CHECKING:
     from . import attacks
 
+# the file format's sections; which of their keys a family takes is its reader
 _SECTIONS = ("constellation", "keystream", "scenario", "output")
-
-# bounds runs a grid of constellations, attack and entropy one
-_GRID_KEYS = frozenset({"m_grid", "energy_grid"})
-_POINT_KEYS = frozenset({"m", "energy"})
-_KEYSTREAM_KEYS = frozenset({"poly", "degree", "seed"})
-_RECORD_KEYS = frozenset({"n_symbols", "error_positions", "misalign", "dsr"})
-_OUTPUT_KEYS = frozenset({"out_dir", "prefix", "master_seed"})
-
-# the keys each family reads, by section; any other key is an error, and every
-# section listed but [output] is required
-_FAMILY_KEYS = {
-    "bounds": {"constellation": _GRID_KEYS, "scenario": frozenset({"methods"}),
-               "output": _OUTPUT_KEYS},
-    "attack": {"constellation": _POINT_KEYS, "keystream": _KEYSTREAM_KEYS,
-               "scenario": _RECORD_KEYS | {"otp", "mi_trials"}, "output": _OUTPUT_KEYS},
-    "entropy": {"constellation": _POINT_KEYS, "keystream": _KEYSTREAM_KEYS,
-                "scenario": _RECORD_KEYS | {"trials", "mode", "regime"},
-                "output": _OUTPUT_KEYS},
-    "keygen": {"scenario": frozenset({"s_grid", "mode"}), "output": _OUTPUT_KEYS},
-}
-
-FAMILIES = tuple(_FAMILY_KEYS)
 
 
 @dataclass
@@ -121,21 +104,21 @@ class ScenarioConfig:
 
     @property
     def key_bits(self) -> int:
-        if self.poly is None:
-            return 0
-        return self.poly.bit_length() - 1
+        return 0 if self.poly is None else self.poly.bit_length() - 1
 
 
 _REQUIRED = object()
 
 
 class _Source:
-    """Raw config text with line lookup for error messages, and its parsed keys."""
+    """Raw config text with line lookup for error messages, its parsed keys and those read."""
 
-    def __init__(self, path: str, text: str, cp: configparser.ConfigParser) -> None:
+    def __init__(self, path: str, text: str, cp: configparser.ConfigParser, family: str) -> None:
         self.path = path
         self.lines = text.splitlines()
         self.cp = cp
+        self.family = family
+        self.read: "set[tuple[str, str]]" = set()
 
     def line_of(self, pattern: str) -> "int | None":
         rx = re.compile(pattern)
@@ -166,10 +149,14 @@ class _Source:
             many: bool = False):
         """``key`` of [section], parsed by ``parse(src, key, raw)`` and checked by ``check``.
 
-        An absent key gives ``default``, or an error at the section's line.
+        An absent key gives ``default``, or an error at the section's line;
+        an absent section but [output] is an error whatever the default.
         With ``many`` the value is a nonempty comma-separated list, parsed
         and checked item by item.  A check's ValueError names the key's line.
         """
+        self.read.add((section, key))
+        if section != "output" and not self.cp.has_section(section):
+            raise self.fail(f"family '{self.family}' requires a [{section}] section")
         if not self.cp.has_option(section, key):
             if default is _REQUIRED:
                 raise self.fail(f"missing '{key}' in [{section}]", section=section)
@@ -255,11 +242,8 @@ def load_config(path: str, family: str,
     precedence over the [output] section; ``threads`` must be at least 1 and
     is otherwise ignored: no family starts threads, and BLAS takes its count
     from ``OPENBLAS_NUM_THREADS``, which importing ``yzero.cli`` sets to 1
-    unless it is set.  All structural checks happen here, before any
-    computation starts, and so do the caps: a run past them raises
-    RegimeCapError before any output or record exists.  By the time it
-    returns, the loader has imported every library module the family runs
-    and no other.
+    unless it is set.  Every check, cap and import of the run is done here,
+    before any output or record exists.
     """
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -273,28 +257,25 @@ def load_config(path: str, family: str,
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    src = _Source(path, text, cp)
-
-    family_keys = _FAMILY_KEYS[family]
+    src = _Source(path, text, cp, family)
     for section in cp.sections():
         if section not in _SECTIONS:
             raise src.fail(f"unknown section [{section}]", section=section)
-        for key in cp.options(section):
-            if key not in family_keys.get(section, ()):
-                raise src.fail(f"unknown key '{key}' in [{section}] for family '{family}'",
-                               key=key)
-    for section in family_keys:
-        if section != "output" and not cp.has_section(section):
-            raise ConfigError(f"{path}: family '{family}' requires a [{section}] section")
 
-    cfg = ScenarioConfig(family=family, prefix=family)
-    cfg.config_path = path
-    cfg.config_sha256 = sha256(text.encode("utf-8")).hexdigest()
-
+    cfg = ScenarioConfig(family=family, prefix=family, config_path=path,
+                         config_sha256=sha256(text.encode("utf-8")).hexdigest())
     _READERS[family](src, cfg)
-    cfg.out_dir = src.get("output", "out_dir", default=cfg.out_dir) if out_dir is None else out_dir
+    # out_dir is read under the override too: a key left unread is unknown
+    cfg.out_dir = src.get("output", "out_dir", default=cfg.out_dir)
     cfg.prefix = src.get("output", "prefix", check=_check_prefix, default=cfg.prefix)
     cfg.master_seed = src.get("output", "master_seed", _parse_int, default=cfg.master_seed)
+    for section in cp.sections():
+        for key in cp.options(section):
+            if (section, key) not in src.read:
+                raise src.fail(f"unknown key '{key}' in [{section}] for family '{family}'",
+                               key=key)
+    if out_dir is not None:
+        cfg.out_dir = out_dir
     if master_seed is not None:
         cfg.master_seed = master_seed
     if threads is not None and threads < 1:
@@ -304,7 +285,6 @@ def load_config(path: str, family: str,
     if not 0 <= cfg.master_seed < 2**64:
         raise src.fail("master_seed must be a nonnegative integer below 2^64",
                        key="master_seed" if master_seed is None else None)
-    _validate_family(src, cfg)
     return cfg
 
 
@@ -325,6 +305,8 @@ def _read_record(src: _Source, cfg: ScenarioConfig) -> None:
     m = src.get("constellation", "m", _parse_int, codec._check_m)
     energy = src.get("constellation", "energy", _parse_float, codec._check_energy)
     cfg.constellation = codec.Constellation(m, energy)
+    with src.at("m"):
+        codec._check_basis_bits(cfg.constellation.bits_per_basis)
     if src.cp.has_option("keystream", "poly") and src.cp.has_option("keystream", "degree"):
         raise src.fail("give either 'poly' or 'degree', not both", key="degree")
     degree_poly = src.get("keystream", "degree", _parse_degree, default=None)
@@ -345,12 +327,14 @@ def _read_record(src: _Source, cfg: ScenarioConfig) -> None:
 
 
 def _read_bounds(src: _Source, cfg: ScenarioConfig) -> None:
-    """[constellation] and [scenario] of a bounds run.
+    """[constellation] and [scenario] of a bounds run, and each energy's Gram cap.
 
     Its weight spectra are DFTs from ``numpy.fft``, which numpy loads on
-    first use; it is imported here as set-up.
+    first use; it is imported here as set-up, with ``detection``.
     """
     import numpy.fft
+
+    from . import detection
 
     cfg.m_grid = src.get("constellation", "m_grid", _parse_int, codec._check_m, many=True)
     cfg.energy_grid = src.get("constellation", "energy_grid", _parse_float, codec._check_energy,
@@ -358,6 +342,8 @@ def _read_bounds(src: _Source, cfg: ScenarioConfig) -> None:
     cfg.methods = src.get("scenario", "methods",
                           _parse_word(("bit", "srm", "updown"), "unknown bound method {name!r}"),
                           default=cfg.methods, many=True)
+    for s in cfg.energy_grid:
+        detection._check_gram_energy(s)
 
 
 def _read_attack(src: _Source, cfg: ScenarioConfig) -> None:
@@ -371,6 +357,8 @@ def _read_attack(src: _Source, cfg: ScenarioConfig) -> None:
         lambda trials: (attacks._check_mi_trials(trials, cfg.attack_scenario.n_symbols)
                         if trials else None),
         default=cfg.mi_trials)
+    # the caps bound N, so no oversized record is ever built
+    attacks._check_attack_caps(cfg.key_bits, cfg.attack_scenario.n_symbols)
 
 
 def _read_entropy(src: _Source, cfg: ScenarioConfig) -> None:
@@ -389,6 +377,18 @@ def _read_entropy(src: _Source, cfg: ScenarioConfig) -> None:
     if cfg.regime == "quantum" and cfg.mode == "ciphertext_only":
         raise src.fail("regime 'quantum' needs mode 'known_plaintext' or 'both'; "
                        "the ciphertext-only engine scores label records", key="regime")
+    # the caps bound N and M, so no oversized record is ever built
+    c, scenario = cfg.constellation, cfg.attack_scenario
+    attacks._check_entropy_caps(cfg.key_bits, scenario.n_symbols, c.m)
+    # the engines' own checks; with mode 'both' the known-plaintext one is stricter
+    with src.at("error_positions"):
+        attacks._entropy_error_weight(scenario, cfg.regime)
+    with src.at("dsr"):
+        attacks._check_record_dsr(scenario.dsr, cfg.regime)
+    if cfg.regime == "quantum":
+        from . import heterodyne
+
+        heterodyne._check_wedge_energy(c.energy)
 
 
 def _read_keygen(src: _Source, cfg: ScenarioConfig) -> None:
@@ -396,38 +396,10 @@ def _read_keygen(src: _Source, cfg: ScenarioConfig) -> None:
     # keygen computes one curve, which the CSV's mode column names
     cfg.mode = src.get("scenario", "mode", _parse_word(("ideal",), "keygen mode must be 'ideal'"),
                        default="ideal")
+    # keygen checks nothing more; the import is its run's, paid as set-up
+    from . import detection
 
 
 _READERS = {"bounds": _read_bounds, "attack": _read_attack, "entropy": _read_entropy,
             "keygen": _read_keygen}
-
-
-def _validate_family(src: _Source, cfg: ScenarioConfig) -> None:
-    """The checks that span keys, and the caps."""
-    if cfg.family in ("bounds", "keygen"):
-        # keygen checks nothing here; the import is its run's, paid as set-up
-        from . import detection
-    if cfg.family == "bounds":
-        for s in cfg.energy_grid:
-            detection._check_gram_energy(s)
-    elif cfg.family in ("attack", "entropy"):
-        from . import attacks
-
-        # the caps bound N, and M for entropy, so no oversized record is ever built
-        c, scenario = cfg.constellation, cfg.attack_scenario
-        if cfg.family == "attack":
-            attacks._check_attack_caps(cfg.key_bits, scenario.n_symbols)
-        else:
-            attacks._check_entropy_caps(cfg.key_bits, scenario.n_symbols, c.m)
-        with src.at("m"):
-            codec._check_basis_bits(c.bits_per_basis)
-        if cfg.family == "entropy":
-            # the engines' own checks; with mode 'both' the known-plaintext one is stricter
-            with src.at("error_positions"):
-                attacks._entropy_error_weight(scenario, cfg.regime)
-            with src.at("dsr"):
-                attacks._check_record_dsr(scenario.dsr, cfg.regime)
-            if cfg.regime == "quantum":
-                from . import heterodyne
-
-                heterodyne._check_wedge_energy(c.energy)
+FAMILIES = tuple(_READERS)

@@ -57,9 +57,6 @@ class Keystream:
         self.degree = degree
         self.taps = poly & ((1 << degree) - 1)
 
-    def copy(self) -> "Keystream":
-        return Keystream(self.poly, self.register, self.bits_per_symbol)
-
     def step(self) -> int:
         """Advance one clock; return the output bit."""
         out = self.register & 1

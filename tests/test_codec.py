@@ -95,14 +95,6 @@ def test_keystream_next_assembles_msb_first():
         assert parity == b[2]
 
 
-def test_keystream_copy_steps_in_lockstep():
-    ks = scalar.Keystream(0x1053, 0x321, 4)
-    dup = ks.copy()
-    assert dup.bits_per_symbol == 4
-    for _ in range(30):
-        assert ks.step() == dup.step()
-
-
 def test_keystream_table_matches_scalar_stepping():
     rng = np.random.default_rng(2024)
     seeds = rng.integers(1, 256, size=7, dtype=np.uint32)

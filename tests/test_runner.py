@@ -13,6 +13,7 @@ import math
 import os
 import pathlib
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -95,6 +96,37 @@ mode = ideal
 prefix = kg
 master_seed = 1
 """
+
+BASE_CFGS = {"bounds": BOUNDS_CFG, "attack": ATTACK_CFG, "entropy": ENTROPY_CFG,
+             "keygen": KEYGEN_CFG}
+
+# each family's whole schema, pinned: the keys its reader reads, by section.  A
+# family takes exactly these keys and needs every section here but [output]
+OUTPUT_KEYS = ("out_dir", "prefix", "master_seed")
+SCHEMA = {
+    "bounds": {"constellation": ("m_grid", "energy_grid"), "scenario": ("methods",),
+               "output": OUTPUT_KEYS},
+    "attack": {"constellation": ("m", "energy"), "keystream": ("poly", "degree", "seed"),
+               "scenario": ("n_symbols", "error_positions", "misalign", "dsr", "otp",
+                            "mi_trials"),
+               "output": OUTPUT_KEYS},
+    "entropy": {"constellation": ("m", "energy"), "keystream": ("poly", "degree", "seed"),
+                "scenario": ("n_symbols", "error_positions", "misalign", "dsr", "trials",
+                             "mode", "regime"),
+                "output": OUTPUT_KEYS},
+    "keygen": {"scenario": ("s_grid", "mode"), "output": OUTPUT_KEYS},
+}
+ACCEPTED = {family: [(section, key) for section, keys in table.items() for key in keys]
+            for family, table in SCHEMA.items()}
+# every (section, key) some family reads, in reading order
+EVERY_KEY = list(dict.fromkeys(pair for pairs in ACCEPTED.values() for pair in pairs))
+SECTION_OF = {key: section for section, key in EVERY_KEY}
+# a value for every key, which each family that reads the key takes
+SAMPLE = {"m": "4", "energy": "2.0", "m_grid": "4", "energy_grid": "1.0", "poly": "0x11D",
+          "degree": "8", "seed": "0x5A", "methods": "bit", "n_symbols": "12",
+          "error_positions": "3", "misalign": "0.5", "dsr": "none", "otp": "true",
+          "mi_trials": "5", "trials": "5", "mode": "both", "regime": "classical",
+          "s_grid": "1.0", "out_dir": "elsewhere", "prefix": "p", "master_seed": "1"}
 
 
 def write_cfg(tmp_path, text, name="cfg.ini"):
@@ -205,18 +237,49 @@ FOREIGN_KEYS = [
 ]
 
 
+def _foreign_row(family, section, key):
+    """A row that adds ``key`` to the family's base config, first in its [section]."""
+    base, header = BASE_CFGS[family], f"[{section}]\n"
+    entry = f"{key} = {SAMPLE[key]}"
+    if header in base:
+        return family, header, entry, base[:base.index(header)].count("\n") + 2
+    return family, "", header + entry, 2
+
+
+# the schema's cross product: every key some family reads, in every family that
+# does not read it, beyond the (family, key) pairs above
+_COVERED = {(case[0], case[2].split()[-3]) for case in FOREIGN_KEYS}
+FOREIGN_KEYS += [_foreign_row(family, section, key) for family in SCHEMA
+                 for section, key in EVERY_KEY
+                 if (section, key) not in ACCEPTED[family] and (family, key) not in _COVERED]
+
+
 @pytest.mark.parametrize("family, after, key, line", FOREIGN_KEYS,
                          ids=[f"{case[0]}-{case[2].split()[-3]}" for case in FOREIGN_KEYS])
 def test_keys_the_family_never_reads_are_rejected(tmp_path, capsys, family, after, key, line):
-    base = {"attack": ATTACK_CFG, "bounds": BOUNDS_CFG, "entropy": ENTROPY_CFG,
-            "keygen": KEYGEN_CFG}[family]
-    path = write_cfg(tmp_path, base.replace(after, f"{after}{key}\n", 1))
+    path = write_cfg(tmp_path, BASE_CFGS[family].replace(after, f"{after}{key}\n", 1))
     out = tmp_path / "out"
     assert cli.main([family, "--config", path, "--out-dir", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"cfg.ini:{line}: unknown key '{key.split()[-3]}' in [" in err
-    assert f"for family '{family}'" in err
+    name = key.split()[-3]
+    assert capsys.readouterr().err == (f"config error: {path}:{line}: unknown key '{name}' "
+                                       f"in [{SECTION_OF[name]}] for family '{family}'\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family, section, key",
+                         [(family, *pair) for family, pairs in ACCEPTED.items() for pair in pairs],
+                         ids=lambda value: value)
+def test_keys_the_family_reads_load(tmp_path, family, section, key):
+    # the other half of the schema's cross product: each key in the family's
+    # table loads, set by its base config or added to it
+    text = BASE_CFGS[family]
+    if key == "poly":
+        # poly and degree spell one key; a config gives one of them
+        text = text.replace("degree = 8\n", "")
+    if not re.search(rf"^{key} = ", text, re.M):
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {SAMPLE[key]}\n")
+    cfg = load_config(write_cfg(tmp_path, text), family)
+    assert cfg.family == family
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -296,10 +359,8 @@ BAD_VALUES = [
 @pytest.mark.parametrize("key, family, old, new, line, text", BAD_VALUES,
                          ids=[case[0] for case in BAD_VALUES])
 def test_bad_value_reports_the_offending_line(tmp_path, key, family, old, new, line, text):
-    base = {"attack": ATTACK_CFG, "bounds": BOUNDS_CFG, "entropy": ENTROPY_CFG,
-            "keygen": KEYGEN_CFG}[family]
     with pytest.raises(ConfigError) as err:
-        load_config(write_cfg(tmp_path, base.replace(old, new)), family)
+        load_config(write_cfg(tmp_path, BASE_CFGS[family].replace(old, new)), family)
     assert f"cfg.ini:{line}: " in str(err.value)
     assert text in str(err.value)
 
@@ -320,11 +381,39 @@ def test_csv_cells_are_the_csv_modules_own_text(tmp_path):
     assert path.read_text(encoding="utf-8").splitlines()[1:] == ["a,b,c", "0.1,3,", "5e-324,7,x"]
 
 
-def test_missing_required_section(tmp_path):
+def _without(text, section):
+    return re.sub(rf"\[{section}\]\n(?:.+\n)*\n?", "", text)
+
+
+# (family, config text, the error it gives or None); each is loaded with an
+# out_dir override, as the CLI's --out-dir gives one
+MISSING_SECTIONS = {
+    f"{family}-{section}": (family, _without(BASE_CFGS[family], section),
+                            f"family '{family}' requires a [{section}] section")
+    for family, table in SCHEMA.items() for section in table if section != "output"}
+# [output] is not required, and its out_dir is read, not unknown, under the override
+MISSING_SECTIONS["bounds-out_dir_overridden"] = (
+    "bounds", BOUNDS_CFG.replace("[output]\n", "[output]\nout_dir = elsewhere\n"), None)
+# two faults: the unknown key comes first in the file, but the reader meets the
+# missing section first, and an unread key is reported only once it returns
+MISSING_SECTIONS["attack-keystream_before_unknown_key"] = (
+    "attack",
+    _without(ATTACK_CFG, "keystream").replace("energy = 2.0\n", "energy = 2.0\nosk = 1\n"),
+    "family 'attack' requires a [keystream] section")
+
+
+@pytest.mark.parametrize("family, text, message", MISSING_SECTIONS.values(),
+                         ids=MISSING_SECTIONS.keys())
+def test_missing_required_section(tmp_path, family, text, message):
+    path = write_cfg(tmp_path, text)
+    override = str(tmp_path / "out")
+    if message is None:
+        assert load_config(path, family, out_dir=override).out_dir == override
+        assert load_config(path, family).out_dir == "elsewhere"
+        return
     with pytest.raises(ConfigError) as err:
-        load_config(write_cfg(tmp_path, ATTACK_CFG.replace(
-            "[constellation]\nm = 4\nenergy = 2.0\n", "")), "attack")
-    assert "requires a [constellation] section" in str(err.value)
+        load_config(path, family, out_dir=override)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_dsr_forms_parse(tmp_path):
@@ -1006,6 +1095,31 @@ def test_a_run_imports_nothing_after_load_config_returns(tmp_path, family, text)
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, timeout=120, check=True).stdout
     assert json.loads(out.splitlines()[-1]) == [0, []]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_run_closes_every_file_it_opens(tmp_path, family):
+    # cli.main's exit hook freezes the heap, and frozen garbage is never
+    # collected: a file left open in it would never be closed.  So under
+    # -X dev, with a collection before the exit hooks run, no run may raise
+    # a ResourceWarning, nor any unraisable exception
+    src = os.path.dirname(os.path.dirname(os.path.abspath(yzero.__file__)))
+    code = ("import gc, json, sys, warnings\n"
+            "unraisable = []\n"
+            "sys.unraisablehook = lambda u: unraisable.append(repr(u.exc_value))\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always', ResourceWarning)\n"
+            "    import yzero.cli as cli\n"
+            "    rc = cli.main(sys.argv[1:])\n"
+            "    gc.collect()\n"
+            "leaks = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]\n"
+            "print(json.dumps([rc, leaks, unraisable]))")
+    path = write_cfg(tmp_path, BASE_CFGS[family])
+    out = subprocess.run([sys.executable, "-X", "dev", "-c", code, family, "--config", path,
+                          "--out-dir", str(tmp_path / "out")],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, [], []]
 
 
 def test_runner_imports_no_private_engine_name():
