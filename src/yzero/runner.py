@@ -215,20 +215,38 @@ def _write_seed_csv(path: str, manifest_name: str, sha256: str, mismatches: np.n
     tails, NUL-padded to the longest: tail h, or h + n + 1 on the true
     seed's row.  Each chunk of rows is one record array with a `hex` and a
     `tail` field in one buffer reused across chunks: one OR fills the hex
-    words, a `take` the tails.  No CSV row holds a NUL byte, so one pass
-    that deletes them gives the chunk's file bytes.  Besides the counts,
-    memory is one chunk of rows; no Python object is made per row and no
-    table has 2^K rows.
+    words, a `take` the tails.  From seed 0x10000 on a hex word has five
+    digits and no NUL, so a row's file length is 8 plus its tail's, from an
+    (n + 1)-entry table by h; one `cumsum` gives each row's offset, and one
+    integer-array store puts every whole record at its offset in a second
+    buffer of one chunk, in ascending order, so that each row's NUL padding
+    is overwritten by the next row.  Below seed 0x10000 stripped leading
+    zero digits leave NULs inside the hex words, so a chunk that starts
+    there goes through one pass that deletes the NUL bytes instead (no CSV
+    row holds one).  Besides the counts, memory is two chunks of rows and
+    their offsets; no Python object is made per row and no table has 2^K
+    rows.
     """
     tails = [f"{(n_symbols - h) / n_symbols!r},{h},{int(h == 0)},{true}\n".encode()
              for true in (0, 1) for h in range(n_symbols + 1)]
     tail_width = max(len(t) for t in tails)
     tail_table = np.frombuffer(b"".join(t.ljust(tail_width, b"\0") for t in tails),
                                dtype=f"V{tail_width}")
+    # a row's file length by count h: its 8-byte hex word and tail h.  The
+    # true seed's tail differs only in its last digit, so has the same length
+    row_length = np.array([8 + len(t) for t in tails[:n_symbols + 1]], dtype=np.intp)
     step = min(mismatches.size + 1, _SEED_CSV_CHUNK_ROWS)
     row = np.dtype([("hex", np.uint64), ("tail", tail_table.dtype)])
     chunk = bytearray(step * row.itemsize)
     rows = np.frombuffer(chunk, dtype=row)
+    records = rows.view(f"V{row.itemsize}")
+    # the file bytes of a chunk of seeds >= 0x10000; offsets[i] is where row i
+    # starts and offsets[-1] the chunk's length
+    out = bytearray(len(chunk))
+    offsets = np.zeros(step + 1, dtype=np.intp)
+    # one record starting at every byte of `out`
+    placed = np.ndarray(len(out) - row.itemsize + 1, dtype=records.dtype, buffer=out,
+                        strides=(1,))
     # one row of the grid per high part, one column per low part
     grid = rows["hex"].reshape(-1, min(step, 1 << 12))
     # a seed's hex word: "0x", the digits of seed >> 12 and of seed & 0xfff, ","
@@ -249,7 +267,16 @@ def _write_seed_csv(path: str, manifest_name: str, sha256: str, mismatches: np.n
             if lo <= true_seed < lo + step:
                 rows["tail"][true_seed - lo] = tail_table[
                     int(mismatches[true_seed - 1]) + n_symbols + 1]
-            fh.buffer.write(chunk.translate(None, b"\0"))
+            if lo < 0x10000:
+                # the hex words of seeds below 0x10000 hold NULs
+                fh.buffer.write(chunk.translate(None, b"\0"))
+                continue
+            row_length.take(mismatches[lo - 1:lo + step - 1], out=offsets[1:])
+            np.cumsum(offsets, out=offsets)
+            # whole records in ascending order: each row's NUL padding is
+            # overwritten by the next row, so the bytes rely on that order
+            placed[offsets[:-1]] = records
+            fh.buffer.write(memoryview(out)[:offsets[-1]])
 
 
 def run_attack(cfg: ScenarioConfig) -> "list[str]":

@@ -120,101 +120,112 @@ class _Source:
         self.family = family
         self.read: "set[tuple[str, str]]" = set()
 
-    def line_of(self, pattern: str) -> "int | None":
-        rx = re.compile(pattern)
+    def line_of(self, section: str, key: "str | None" = None) -> "int | None":
+        """The line of ``[section]``'s header, or of ``key`` inside that section."""
+        inside = False
         for i, line in enumerate(self.lines, start=1):
-            if rx.match(line):
+            if header := re.match(r"\s*\[(.+)\]", line):
+                inside = header[1] == section
+                if inside and key is None:
+                    return i
+            elif inside and re.match(rf"\s*{re.escape(key)}\s*[=:]", line):
                 return i
         return None
 
-    def fail(self, message: str, key: "str | None" = None,
-             section: "str | None" = None) -> "ConfigError":
+    def fail(self, message: str, section: "str | None" = None,
+             key: "str | None" = None) -> "ConfigError":
+        """A ConfigError at ``key``'s line in [section], or at the section's header.
+
+        A key set in [DEFAULT] is every section's, so its line is looked up there
+        too.
+        """
         lineno = None
-        if key is not None:
-            lineno = self.line_of(rf"\s*{re.escape(key)}\s*[=:]")
-        elif section is not None:
-            lineno = self.line_of(rf"\s*\[{re.escape(section)}\]")
+        if section is not None:
+            lineno = self.line_of(section, key)
+            if lineno is None and key is not None:
+                lineno = self.line_of(self.cp.default_section, key)
         where = f"{self.path}:{lineno}" if lineno else self.path
         return ConfigError(f"{where}: {message}")
 
     @contextmanager
-    def at(self, key: str):
-        """Report a library check's ValueError as a ConfigError at ``key``'s line."""
+    def at(self, section: str, key: str):
+        """Report a ValueError as a ConfigError at ``key``'s line in [section]."""
         try:
             yield
         except ValueError as exc:
-            raise self.fail(str(exc), key=key) from None
+            raise self.fail(str(exc), section, key) from None
 
     def get(self, section: str, key: str, parse=None, check=None, default=_REQUIRED,
             many: bool = False):
-        """``key`` of [section], parsed by ``parse(src, key, raw)`` and checked by ``check``.
+        """``key`` of [section], parsed by ``parse(key, raw)`` and checked by ``check``.
 
         An absent key gives ``default``, or an error at the section's line;
         an absent section but [output] is an error whatever the default.
         With ``many`` the value is a nonempty comma-separated list, parsed
-        and checked item by item.  A check's ValueError names the key's line.
+        and checked item by item.  A ValueError of the parser or the check
+        names the key's line in [section].
         """
         self.read.add((section, key))
         if section != "output" and not self.cp.has_section(section):
             raise self.fail(f"family '{self.family}' requires a [{section}] section")
         if not self.cp.has_option(section, key):
             if default is _REQUIRED:
-                raise self.fail(f"missing '{key}' in [{section}]", section=section)
+                raise self.fail(f"missing '{key}' in [{section}]", section)
             return default
         raw = self.cp.get(section, key)
         items = [p.strip() for p in raw.split(",") if p.strip()] if many else [raw]
-        if not items:
-            raise self.fail(f"'{key}' must be a nonempty comma-separated list", key=key)
-        values = [parse(self, key, item) if parse else item for item in items]
-        if check is not None:
-            with self.at(key):
+        with self.at(section, key):
+            if not items:
+                raise ValueError(f"'{key}' must be a nonempty comma-separated list")
+            values = [parse(key, item) if parse else item for item in items]
+            if check is not None:
                 for v in values:
                     check(v)
         return values if many else values[0]
 
 
-def _parse_int(src: _Source, key: str, raw: str) -> int:
+def _parse_int(key: str, raw: str) -> int:
     try:
         return int(raw, 0)
     except ValueError:
-        raise src.fail(f"expected an integer for '{key}', got {raw!r}", key=key) from None
+        raise ValueError(f"expected an integer for '{key}', got {raw!r}") from None
 
 
-def _parse_float(src: _Source, key: str, raw: str) -> float:
+def _parse_float(key: str, raw: str) -> float:
     try:
         v = float(raw)
     except ValueError:
-        raise src.fail(f"expected a number for '{key}', got {raw!r}", key=key) from None
+        raise ValueError(f"expected a number for '{key}', got {raw!r}") from None
     if not math.isfinite(v):
-        raise src.fail(f"'{key}' must be finite", key=key)
+        raise ValueError(f"'{key}' must be finite")
     return v
 
 
-def _parse_bool(src: _Source, key: str, raw: str) -> bool:
+def _parse_bool(key: str, raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
     except KeyError:
-        raise src.fail(f"expected a boolean for '{key}', got {raw!r}", key=key) from None
+        raise ValueError(f"expected a boolean for '{key}', got {raw!r}") from None
 
 
 def _parse_word(names: "tuple[str, ...]", message: str):
     """A parser of one of ``names``, in any case; ``message`` may cite the word as {name!r}."""
-    def parse(src: _Source, key: str, raw: str) -> str:
+    def parse(key: str, raw: str) -> str:
         if (name := raw.lower()) not in names:
-            raise src.fail(message.format(name=name), key=key)
+            raise ValueError(message.format(name=name))
         return name
     return parse
 
 
-def _parse_degree(src: _Source, key: str, raw: str) -> int:
-    degree = _parse_int(src, key, raw)
+def _parse_degree(key: str, raw: str) -> int:
+    degree = _parse_int(key, raw)
     if degree not in codec.PRIMITIVE_POLYS:
-        raise src.fail(f"no built-in primitive polynomial of degree {degree}; "
-                       f"available degrees are {sorted(codec.PRIMITIVE_POLYS)}", key=key)
+        raise ValueError(f"no built-in primitive polynomial of degree {degree}; "
+                         f"available degrees are {sorted(codec.PRIMITIVE_POLYS)}")
     return codec.PRIMITIVE_POLYS[degree]
 
 
-def _parse_dsr(src: _Source, key: str, raw: str) -> "attacks.Dsr":
+def _parse_dsr(key: str, raw: str) -> "attacks.Dsr":
     from . import attacks
 
     parts = raw.strip().split(":")
@@ -222,9 +233,8 @@ def _parse_dsr(src: _Source, key: str, raw: str) -> "attacks.Dsr":
     if kind == "none" and len(parts) == 1:
         return attacks.Dsr()
     if kind in ("binary", "jitter") and len(parts) == 2:
-        with src.at(key):
-            return attacks.Dsr(kind, float(parts[1]))
-    raise src.fail("dsr must be 'none', 'binary:<flip_prob>' or 'jitter:<half_width>'", key=key)
+        return attacks.Dsr(kind, float(parts[1]))
+    raise ValueError("dsr must be 'none', 'binary:<flip_prob>' or 'jitter:<half_width>'")
 
 
 def _check_prefix(prefix: str) -> None:
@@ -260,7 +270,7 @@ def load_config(path: str, family: str,
     src = _Source(path, text, cp, family)
     for section in cp.sections():
         if section not in _SECTIONS:
-            raise src.fail(f"unknown section [{section}]", section=section)
+            raise src.fail(f"unknown section [{section}]", section)
 
     cfg = ScenarioConfig(family=family, prefix=family, config_path=path,
                          config_sha256=sha256(text.encode("utf-8")).hexdigest())
@@ -273,7 +283,7 @@ def load_config(path: str, family: str,
         for key in cp.options(section):
             if (section, key) not in src.read:
                 raise src.fail(f"unknown key '{key}' in [{section}] for family '{family}'",
-                               key=key)
+                               section, key)
     if out_dir is not None:
         cfg.out_dir = out_dir
     if master_seed is not None:
@@ -284,7 +294,7 @@ def load_config(path: str, family: str,
     # the seed is a U64, as the CLI's --seed says
     if not 0 <= cfg.master_seed < 2**64:
         raise src.fail("master_seed must be a nonnegative integer below 2^64",
-                       key="master_seed" if master_seed is None else None)
+                       "output" if master_seed is None else None, "master_seed")
     return cfg
 
 
@@ -305,14 +315,14 @@ def _read_record(src: _Source, cfg: ScenarioConfig) -> None:
     m = src.get("constellation", "m", _parse_int, codec._check_m)
     energy = src.get("constellation", "energy", _parse_float, codec._check_energy)
     cfg.constellation = codec.Constellation(m, energy)
-    with src.at("m"):
+    with src.at("constellation", "m"):
         codec._check_basis_bits(cfg.constellation.bits_per_basis)
     if src.cp.has_option("keystream", "poly") and src.cp.has_option("keystream", "degree"):
-        raise src.fail("give either 'poly' or 'degree', not both", key="degree")
+        raise src.fail("give either 'poly' or 'degree', not both", "keystream", "degree")
     degree_poly = src.get("keystream", "degree", _parse_degree, default=None)
     cfg.poly = src.get("keystream", "poly", _parse_int, codec._check_poly, default=degree_poly)
     if cfg.poly is None:
-        raise src.fail("missing 'poly' (or 'degree') in [keystream]", section="keystream")
+        raise src.fail("missing 'poly' (or 'degree') in [keystream]", "keystream")
     # each entropy trial draws its own seed, so entropy needs none
     cfg.seed_register = src.get("keystream", "seed", _parse_int,
                                 lambda seed: codec._check_seed(cfg.key_bits, seed),
@@ -322,7 +332,7 @@ def _read_record(src: _Source, cfg: ScenarioConfig) -> None:
     misalign = src.get("scenario", "misalign", _parse_float, attacks._check_misalign,
                        default=0.0)
     dsr = src.get("scenario", "dsr", _parse_dsr, default=attacks.Dsr())
-    with src.at("error_positions"):
+    with src.at("scenario", "error_positions"):
         cfg.attack_scenario = attacks.AttackScenario(n_symbols, positions, misalign, dsr)
 
 
@@ -371,19 +381,19 @@ def _read_entropy(src: _Source, cfg: ScenarioConfig) -> None:
                        _parse_word(("ciphertext_only", "known_plaintext", "both"),
                                    "mode must be 'ciphertext_only', 'known_plaintext' or 'both'"),
                        default=cfg.mode)
-    cfg.regime = src.get("scenario", "regime", lambda _, key, raw: raw.lower(),
+    cfg.regime = src.get("scenario", "regime", lambda key, raw: raw.lower(),
                          attacks._check_regime, default=cfg.regime)
     # only the known-plaintext engine reads the regime
     if cfg.regime == "quantum" and cfg.mode == "ciphertext_only":
         raise src.fail("regime 'quantum' needs mode 'known_plaintext' or 'both'; "
-                       "the ciphertext-only engine scores label records", key="regime")
+                       "the ciphertext-only engine scores label records", "scenario", "regime")
     # the caps bound N and M, so no oversized record is ever built
     c, scenario = cfg.constellation, cfg.attack_scenario
     attacks._check_entropy_caps(cfg.key_bits, scenario.n_symbols, c.m)
     # the engines' own checks; with mode 'both' the known-plaintext one is stricter
-    with src.at("error_positions"):
+    with src.at("scenario", "error_positions"):
         attacks._entropy_error_weight(scenario, cfg.regime)
-    with src.at("dsr"):
+    with src.at("scenario", "dsr"):
         attacks._check_record_dsr(scenario.dsr, cfg.regime)
     if cfg.regime == "quantum":
         from . import heterodyne

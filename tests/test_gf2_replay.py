@@ -243,13 +243,20 @@ def test_chunked_scan_matches_the_whole_array_scan(case):
 # uint8 counts at N = 255, uint16 at 256; the true seed's tail index h + N + 1 passes 255
 @example(degree=9, n=255, seed_frac=0.5, rng_seed=1)
 @example(degree=9, n=256, seed_frac=0.5, rng_seed=1)
+# K = 17: the rows of seeds 65536 on are placed at their offsets.  At N = 63
+# tails run from 10 to 28 bytes, so a row's padding spans more than a word;
+# at N = 1 every tail has 10; at N = 255 the true seed 0x18000 is placed
+@example(degree=17, n=63, seed_frac=0.7, rng_seed=0)
+@example(degree=17, n=1, seed_frac=0.6, rng_seed=0)
+@example(degree=17, n=255, seed_frac=0.75, rng_seed=0)
 def test_seed_csv_writer_matches_the_csv_module(tmp_path_factory, degree, n, seed_frac,
                                                  rng_seed):
     # jitter plus one recording error: fractions vary and the true seed misses
     true_seed = 1 + int(seed_frac * ((1 << degree) - 1))
     rec = replay_record(degree, n, true_seed, noisy=True, rng_seed=rng_seed)
     assume(rec.true_seed_mismatches > 0)
-    assume(np.count_nonzero(rec.mismatch_histogram) > 2)
+    # N = 1 has two counts, 0 and 1; it needs both
+    assume(np.count_nonzero(rec.mismatch_histogram) > min(2, n))
     out = tmp_path_factory.mktemp("csv")
     write_seed_csv(out / "fast.csv", rec, n)
     runner._write_csv(str(out / "ref.csv"), "m.json", "abc", SEED_CSV_HEADER,
@@ -394,9 +401,10 @@ def test_run_attack_formats_the_pad_stage_csv_when_the_counts_differ(tmp_path, m
 
 def test_attack_replay_run_peaks_below_8_mb_traced(tmp_path):
     # no table has 2^K rows: the peak holds the 1 MiB of counts the two
-    # stages share, the scan's three 0.5 MB blocks and one 2^16-row chunk
-    # of CSV rows.  A whole-array scan peaked at 52 MB, and the writer's
-    # 2^K-row hex table, now gone, took 8.4 MB more.
+    # stages share and the writer's 2^16-row chunk of CSV rows, its output
+    # buffer of the same size and the chunk's row offsets.  A whole-array
+    # scan peaked at 52 MB, and the writer's 2^K-row hex table, now gone,
+    # took 8.4 MB more.
     cfg = load_config(str(ATTACK_REPLAY_INI), "attack", out_dir=str(tmp_path))
     # the plain stage scans as in a fresh process
     attacks._stage_counts.cache_clear()

@@ -120,7 +120,6 @@ ACCEPTED = {family: [(section, key) for section, keys in table.items() for key i
             for family, table in SCHEMA.items()}
 # every (section, key) some family reads, in reading order
 EVERY_KEY = list(dict.fromkeys(pair for pairs in ACCEPTED.values() for pair in pairs))
-SECTION_OF = {key: section for section, key in EVERY_KEY}
 # a value for every key, which each family that reads the key takes
 SAMPLE = {"m": "4", "energy": "2.0", "m_grid": "4", "energy_grid": "1.0", "poly": "0x11D",
           "degree": "8", "seed": "0x5A", "methods": "bit", "n_symbols": "12",
@@ -234,6 +233,9 @@ FOREIGN_KEYS = [
     ("attack", "energy = 2.0\n", "energy_grid = 2.0", 4),
     ("entropy", "energy = 2.0\n", "m_grid = 4", 4),
     ("entropy", "energy = 2.0\n", "energy_grid = 2.0", 4),
+    # a key keygen reads in [scenario], set again in [output]: the error names
+    # the [output] line, not the first line that sets the name
+    ("keygen", "prefix = kg\n", "mode = ideal", 7),
 ]
 
 
@@ -257,12 +259,15 @@ FOREIGN_KEYS += [_foreign_row(family, section, key) for family in SCHEMA
 @pytest.mark.parametrize("family, after, key, line", FOREIGN_KEYS,
                          ids=[f"{case[0]}-{case[2].split()[-3]}" for case in FOREIGN_KEYS])
 def test_keys_the_family_never_reads_are_rejected(tmp_path, capsys, family, after, key, line):
-    path = write_cfg(tmp_path, BASE_CFGS[family].replace(after, f"{after}{key}\n", 1))
+    text = BASE_CFGS[family].replace(after, f"{after}{key}\n", 1)
+    path = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert cli.main([family, "--config", path, "--out-dir", str(out)]) == 2
     name = key.split()[-3]
+    # the key's section is the last one opened above its line
+    section = re.findall(r"^\[(\w+)\]$", "\n".join(text.splitlines()[:line]), re.M)[-1]
     assert capsys.readouterr().err == (f"config error: {path}:{line}: unknown key '{name}' "
-                                       f"in [{SECTION_OF[name]}] for family '{family}'\n")
+                                       f"in [{section}] for family '{family}'\n")
     assert not out.exists()
 
 
