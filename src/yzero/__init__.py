@@ -28,8 +28,7 @@ _SOURCES = {
     "codec": ("Constellation", "PRIMITIVE_POLYS", "encode_sequence", "halfplane_label"),
     "detection": ("BinaryBound", "ExponentFit", "KeygenPoint", "MaryBound",
                   "antipodal_homodyne_error", "binary_entropy", "bit_bound", "exponent_fit",
-                  "helstrom_pure", "keygen_advantage", "srm_mary_error", "truncation_dim",
-                  "updown_bound"),
+                  "helstrom_pure", "keygen_advantage", "srm_mary_error", "updown_bound"),
     "errors": ("ConfigError", "RegimeCapError"),
     "heterodyne": ("heterodyne_index_transition", "heterodyne_sample", "nearest_phase_index",
                    "phase_density"),

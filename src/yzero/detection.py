@@ -145,40 +145,6 @@ def _poisson_pmf(energy: float, size: int) -> np.ndarray:
     return np.exp(k * math.log(energy) - _log_factorials(size) - energy)
 
 
-def _poisson_window(energy: float, tol: float, multiple: int = 1) -> "tuple[int, np.ndarray]":
-    """Least d with P[N >= d] < tol, and the pmf over a window past d.
-
-    The window starts comfortably past the mean and doubles until the tail
-    summed inside it falls below tol and the mass past the window is under
-    tol times the unit roundoff, too small to move that comparison.  Its
-    length is a multiple of ``multiple``.
-    """
-    hi = int(energy + 20.0 * math.sqrt(energy + 1.0) + 40.0)
-    while True:
-        size = multiple * -(-hi // multiple)
-        pmf = _poisson_pmf(energy, size)
-        # P[N >= d] for d < size, summed smallest term first
-        tail = np.cumsum(pmf[::-1])[::-1]
-        # past the window the pmf falls at least geometrically, by S / size
-        left_out = float(pmf[-1]) * energy / (size - energy) if size > energy else math.inf
-        hit = np.nonzero(tail < tol)[0]
-        if hit.size and left_out <= tol * np.finfo(float).eps:
-            return max(int(hit[0]), 1), pmf
-        hi *= 2
-
-
-def truncation_dim(max_energy: float, tol: float) -> int:
-    """Smallest photon number d with Poisson tail P[n >= d] below tol.
-
-    For mean photon number S the photon distribution is Poisson(S); the
-    returned d is the least d such that P[n >= d] < tol, at least 1.
-    """
-    _check_energy(max_energy)
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must lie in (0, 1)")
-    return _poisson_window(max_energy, tol)[0]
-
-
 def _check_gram_energy(energy: float) -> None:
     if energy > GRAM_ENERGY_CAP:
         raise RegimeCapError(f"bounds take S <= {GRAM_ENERGY_CAP}, got {energy}: above "
@@ -191,14 +157,33 @@ def _gram_spectrum(c: Constellation) -> np.ndarray:
     The Gram matrix <a_j|a_l> = exp(-S + S omega^(l-j)), omega = e^(i pi / M), is
     circulant, and its eigenvalues are the Poisson(S) photon distribution
     aliased onto n = 2M bins: Lambda_k = n sum_j P[N = k + j n] >= 0.
+
+    The sum runs over whole rows of n up to the least d with P[N >= d] below
+    MODE_DROP_BOUND^2, and no further: summing past it can move the ``srm``
+    bits.  The pmf is taken over a window that starts comfortably past the
+    mean and doubles until it holds that d and the mass past the window is
+    under MODE_DROP_BOUND^2 times the unit roundoff, too small to move the
+    comparison.
     """
     _check_gram_energy(c.energy)
-    n = c.n_states
-    # Poisson mass tau left out of the window moves a binary p_error by at
-    # most sqrt(tau) n max|w| <= 2 sqrt(tau), so a tail below
-    # MODE_DROP_BOUND^2 costs at most twice the mode-drop bound.
-    window, pmf = _poisson_window(c.energy, MODE_DROP_BOUND**2, multiple=n)
-    lam = n * pmf[:n * math.ceil(window / n)].reshape(-1, n).sum(axis=0)
+    energy, n = c.energy, c.n_states
+    # Poisson mass tau left out of the sum moves a binary p_error by at most
+    # sqrt(tau) n max|w| <= 2 sqrt(tau), so a tail below MODE_DROP_BOUND^2
+    # costs at most twice the mode-drop bound.
+    tol = MODE_DROP_BOUND**2
+    hi = int(energy + 20.0 * math.sqrt(energy + 1.0) + 40.0)
+    while True:
+        size = n * -(-hi // n)
+        pmf = _poisson_pmf(energy, size)
+        # P[N >= d] for d < size, summed smallest term first
+        tail = np.cumsum(pmf[::-1])[::-1]
+        # past the window the pmf falls at least geometrically, by S / size
+        left_out = float(pmf[-1]) * energy / (size - energy) if size > energy else math.inf
+        hit = np.nonzero(tail < tol)[0]
+        if hit.size and left_out <= tol * np.finfo(float).eps:
+            break
+        hi *= 2
+    lam = n * pmf[:n * math.ceil(hit[0] / n)].reshape(-1, n).sum(axis=0)
     mass = float(lam.sum()) / n
     if abs(mass - 1.0) > SPECTRUM_MASS_TOL:
         raise AssertionError(f"Poisson window holds mass {mass}, expected 1")
@@ -411,21 +396,24 @@ def _fit_takes(p_error):
     return (p_error > 0.0) & (p_error < 0.5)
 
 
-def _decay_fit(s: np.ndarray, p_error: np.ndarray, drop: bool) -> ExponentFit:
-    """Fit ln(p_error) = slope * s + intercept over the pairs a fit takes (`_fit_takes`).
+def exponent_fit(points: "np.ndarray | list[tuple[float, float]]") -> ExponentFit:
+    """Fit ln(p_error) = slope * s + intercept over (s, p_error) pairs.
 
-    With ``drop`` the other pairs are left out; without it, any of them
-    raises ValueError.  So does a fit the kept pairs cannot fix: fewer than
-    FIT_MIN_POINTS of them, or fewer than two distinct energies, which the
-    least-squares solve reports as rank < 2 (as it does energies that
-    differ only in their last bits).
+    Every p_error must be one that a fit takes (`_fit_takes`), and the
+    points must fix a slope: at least FIT_MIN_POINTS of them, at two or more
+    distinct energies, which the least-squares solve reports as rank < 2 (as
+    it does energies that differ only in their last bits); otherwise
+    ValueError.
     """
-    takes = _fit_takes(p_error)
-    if not (drop or np.all(takes)):
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must be (s, p_error) pairs")
+    s, p_error = pts.T
+    if not np.all(_fit_takes(p_error)):
         raise ValueError("every p_error must lie strictly in (0, 0.5)")
-    s, y = s[takes], np.log(p_error[takes])
     if s.size < FIT_MIN_POINTS:
         raise ValueError(f"need at least {FIT_MIN_POINTS} (s, p_error) points")
+    y = np.log(p_error)
     (slope, intercept), _, rank, _, _ = np.polyfit(s, y, 1, full=True)
     if rank < 2:
         raise ValueError("need at least two distinct energies to fix a slope")
@@ -433,19 +421,6 @@ def _decay_fit(s: np.ndarray, p_error: np.ndarray, drop: bool) -> ExponentFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
     return ExponentFit(slope=float(slope), intercept=float(intercept), r_squared=r2)
-
-
-def exponent_fit(points: "np.ndarray | list[tuple[float, float]]") -> ExponentFit:
-    """Fit ln(p_error) = slope * s + intercept over (s, p_error) pairs.
-
-    Every p_error must be one that a fit takes, and the points must fix a
-    slope (`_decay_fit`): at least FIT_MIN_POINTS of them, at two or more
-    distinct energies; otherwise ValueError.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must be (s, p_error) pairs")
-    return _decay_fit(pts[:, 0], pts[:, 1], drop=False)
 
 
 # ---------------------------------------------------------------------------
@@ -518,17 +493,18 @@ def keygen_curve(
 ) -> "tuple[list[KeygenPoint], ExponentFit | None, ExponentFit | None, float | None]":
     """The ``keygen_advantage`` points with both decay fits and their slope ratio.
 
-    Returns (points, fit_bob, fit_eve, slope_ratio).  Each curve is fitted
-    over its own points that a fit takes (`_decay_fit`), and both only when
-    each of them fixes a slope: at least FIT_MIN_POINTS such points, at two
-    or more distinct energies; otherwise all three are None.  slope_ratio is
-    slope_bob / slope_eve, about 2 (e^{-4S} against e^{-2S}), and None when
-    slope_eve is 0.
+    Returns (points, fit_bob, fit_eve, slope_ratio).  Each curve's points
+    that a fit takes (`_fit_takes`) go to ``exponent_fit``, and both fits are
+    kept only when each of them fixes a slope: at least FIT_MIN_POINTS such
+    points, at two or more distinct energies; otherwise all three are None.
+    slope_ratio is slope_bob / slope_eve, about 2 (e^{-4S} against e^{-2S}),
+    and None when slope_eve is 0.
     """
     points = keygen_advantage(s_values)
     s, bob, eve = np.array([(p.s, p.p_error_bob, p.p_error_eve) for p in points]).reshape(-1, 3).T
     try:
-        fit_bob, fit_eve = (_decay_fit(s, errors, drop=True) for errors in (bob, eve))
+        fit_bob, fit_eve = (exponent_fit(np.column_stack((s, errors))[_fit_takes(errors)])
+                            for errors in (bob, eve))
     except ValueError:
         return points, None, None, None
     ratio = fit_bob.slope / fit_eve.slope if fit_eve.slope != 0.0 else None

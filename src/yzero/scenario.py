@@ -121,14 +121,19 @@ class _Source:
         self.read: "set[tuple[str, str]]" = set()
 
     def line_of(self, section: str, key: "str | None" = None) -> "int | None":
-        """The line of ``[section]``'s header, or of ``key`` inside that section."""
+        """The line of ``[section]``'s header, or of ``key`` inside that section.
+
+        A line's option name is compared as configparser stores it, through
+        ``optionxform``, so ``Key = 1`` is the line of ``key``.
+        """
         inside = False
         for i, line in enumerate(self.lines, start=1):
             if header := re.match(r"\s*\[(.+)\]", line):
                 inside = header[1] == section
                 if inside and key is None:
                     return i
-            elif inside and re.match(rf"\s*{re.escape(key)}\s*[=:]", line):
+            elif (inside and (option := re.match(r"\s*(.+?)\s*[=:]", line))
+                  and self.cp.optionxform(option[1]) == key):
                 return i
         return None
 

@@ -17,8 +17,9 @@ the noise still cost up to 6.9e-9 at M = 32.  The Fock route drops the
 amplitude beyond the Poisson tail tolerance, which costs about sqrt(tol).
 
 The scipy forms the package used before it went numpy-only live here too:
-the Poisson pmf from ``gammaln``, the tail window from a ``pdtrc`` scan,
-the normal cdf from ``ndtr`` and the wedge integrals from adaptive ``quad``.
+the Poisson pmf from ``gammaln``, the normal cdf from ``ndtr`` and the wedge
+integrals from adaptive ``quad``; the Fock route's ``pdtrc`` truncation is
+``fock_oracles``'.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def fock_bit_bound(c: codec.Constellation, tol: float = FOCK_TOL) -> float:
 
 
 def fock_updown_bound(c: codec.Constellation, tol: float = FOCK_TOL) -> float:
-    dim = detection.truncation_dim(c.energy, tol)
+    dim = fock_oracles.pdtrc_truncation_dim(c.energy, tol)
     states = [fock_oracles.coherent_fock(a, dim) for a in c.amplitudes()]
     labels = np.array([c.label(j) for j in range(c.n_states)])
     up = fock_oracles.density_from_ensemble(states, (labels == 1) / c.m)
@@ -200,19 +201,6 @@ def scipy_poisson_pmf(energy: float, size: int) -> np.ndarray:
     """P[N = k] for k < size, N ~ Poisson(energy), as exp(xlogy(k, S) - gammaln(k + 1) - S)."""
     k = np.arange(size)
     return np.exp(special.xlogy(k, energy) - special.gammaln(k + 1) - energy)
-
-
-def pdtrc_truncation_dim(energy: float, tol: float) -> int:
-    """Least d >= 1 with P[N >= d] = pdtrc(d - 1, S) below tol, by a doubling scan."""
-    if energy == 0.0:
-        return 1
-    hi = int(energy + 20.0 * math.sqrt(energy + 1.0) + 40.0)
-    while True:
-        dims = np.arange(1, hi + 1)
-        hit = np.nonzero(special.pdtrc(dims - 1, energy) < tol)[0]
-        if hit.size:
-            return int(dims[hit[0]])
-        hi *= 2
 
 
 def ndtr_antipodal_homodyne_error(energy: float) -> float:

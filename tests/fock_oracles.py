@@ -7,9 +7,9 @@ eigensolve, down to the mixed-state Helstrom bound on the data bit.
 
 Coherent states live in an infinite-dimensional space; every routine here
 works in a finite photon-number basis whose size is chosen from the Poisson
-tail of the most energetic state involved.  Overlaps are always available
-in closed form, so truncation only enters when a density matrix or an
-eigendecomposition is actually required.
+tail of the most energetic state involved, by a scan of scipy's ``pdtrc``.
+Overlaps are always available in closed form, so truncation only enters
+when a density matrix or an eigendecomposition is actually required.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy import special
 
 from codec_oracles import encode
-from yzero.codec import Constellation
-from yzero.detection import truncation_dim
+from yzero.codec import Constellation, _check_energy
 
 # Default bound on the Poisson tail mass dropped by truncation.
 TAIL_TOL = 1e-10
@@ -35,6 +35,27 @@ HERMITICITY_TOL = 1e-10
 DENSITY_HERMITICITY_TOL = 1e-12
 DENSITY_TRACE_TOL = 1e-9
 DENSITY_EIG_FLOOR = -1e-9
+
+
+def pdtrc_truncation_dim(energy: float, tol: float) -> int:
+    """Least d >= 1 with P[N >= d] = pdtrc(d - 1, S) below tol, by a doubling scan.
+
+    N ~ Poisson(S) is the photon number of a coherent state of mean photon
+    number S, so its first d Fock coefficients hold all of its squared norm
+    but a tail below tol.
+    """
+    _check_energy(energy)
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol must lie in (0, 1)")
+    if energy == 0.0:
+        return 1
+    hi = int(energy + 20.0 * math.sqrt(energy + 1.0) + 40.0)
+    while True:
+        dims = np.arange(1, hi + 1)
+        hit = np.nonzero(special.pdtrc(dims - 1, energy) < tol)[0]
+        if hit.size:
+            return int(dims[hit[0]])
+        hi *= 2
 
 
 @dataclass(frozen=True)
@@ -242,7 +263,7 @@ def bit_ensembles(c: Constellation, p0: float = 0.5, tol: float = TAIL_TOL,
     """
     if not 0.0 <= p0 <= 1.0:
         raise ValueError("p0 must lie in [0, 1]")
-    dim = truncation_dim(c.energy, tol)
+    dim = pdtrc_truncation_dim(c.energy, tol)
     states = [coherent_fock(a, dim) for a in c.amplitudes()]
     weights = {0: np.zeros(c.n_states), 1: np.zeros(c.n_states)}
     scrambles = (0, 1) if scramble else (0,)

@@ -32,7 +32,7 @@ def _report(cid: str, ok: bool, detail: str) -> str:
 def test_c01_mixed_state_bound_matches_pure_closed_form():
     t0 = time.monotonic()
     rng = np.random.default_rng(1001)
-    dim = detection.truncation_dim(9.0, 1e-13)
+    dim = fock_oracles.pdtrc_truncation_dim(9.0, 1e-13)
     worst = 0.0
     for _ in range(100):
         a = rng.uniform(0.0, 3.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))

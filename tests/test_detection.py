@@ -2,7 +2,9 @@
 
 import dataclasses
 import inspect
+import json
 import math
+import pathlib
 import sys
 import threading
 
@@ -62,7 +64,7 @@ def test_helstrom_mixed_agrees_with_pure_closed_form():
         a = rng.uniform(0, 2.2) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         b = rng.uniform(0, 2.2) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         p0 = rng.uniform(0.1, 0.9)
-        dim = detection.truncation_dim(max(abs(a), abs(b)) ** 2, 1e-13)
+        dim = fock_oracles.pdtrc_truncation_dim(max(abs(a), abs(b)) ** 2, 1e-13)
         rho0 = fock_oracles.density_from_ensemble([fock_oracles.coherent_fock(a, dim)], [1.0])
         rho1 = fock_oracles.density_from_ensemble([fock_oracles.coherent_fock(b, dim)], [1.0])
         got = fock_oracles.helstrom_mixed(rho0, rho1, p0=p0).p_error
@@ -83,12 +85,6 @@ TAIL_ENERGIES = [0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 20
 
 
 @pytest.mark.parametrize("s", TAIL_ENERGIES)
-def test_truncation_dim_matches_pdtrc_scan(s):
-    for tol in (1e-6, 1e-12, 2.0**-106, 1e-300):
-        assert detection.truncation_dim(s, tol) == oracles.pdtrc_truncation_dim(s, tol)
-
-
-@pytest.mark.parametrize("s", TAIL_ENERGIES)
 def test_poisson_pmf_matches_gammaln_form(s):
     # both forms are exact to the rounding of the exponent k ln S - ln k! - S,
     # whose size sets the relative gap between them
@@ -99,6 +95,32 @@ def test_poisson_pmf_matches_gammaln_form(s):
     exponent = k * abs(math.log(s)) if s > 0 else 0.0
     scale = exponent + np.array([math.lgamma(j + 1.0) for j in k]) + s
     assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * (1.0 + scale) * want)
+
+
+# mpmath values of the Poisson pmf at 60 digits within 8 sd of the mean, written
+# by tests/make_reference_tables.py; the tests read the JSON only
+PMF_REFS = json.loads(pathlib.Path(__file__).with_name("poisson_pmf_refs.json")
+                      .read_text(encoding="utf-8"))["poisson_pmf"]
+# the worst relative error of today's exp(k ln S - ln k! - S) on each table up to
+# GRAM_ENERGY_CAP; the tables past the cap are for a pmf that lifts it (ROADMAP 8b)
+POISSON_PMF_REL_ERR = {30.0: 6e-14, 300.0: 7e-13, 1000.0: 2e-12}
+
+
+@pytest.mark.parametrize("table", [t for t in PMF_REFS
+                                   if t["energy"] <= detection.GRAM_ENERGY_CAP],
+                         ids=lambda t: f"S={t['energy']:g}")
+def test_poisson_pmf_matches_the_high_precision_table(table):
+    s = table["energy"]
+    # every k within 8 sd of the mean, which hold all but 1e-11 of the mass
+    assert table["stride"] == 1
+    k = np.array([point[0] for point in table["points"]])
+    want = np.array([float(point[1]) for point in table["points"]])
+    got = detection._poisson_pmf(s, int(k[-1]) + 1)[k]
+    err = np.abs(got - want) / want
+    assert float(err.max()) <= POISSON_PMF_REL_ERR[s], (s, int(k[np.argmax(err)]))
+    # the Gram spectrum's mass is the pmf summed over its window, so its gap from
+    # 1 is this sum of the pmf's errors plus a tail past the window below 2^-106
+    assert abs(float(np.sum(got - want))) <= detection.SPECTRUM_MASS_TOL
 
 
 def test_log_factorial_table_grows_safely_across_threads(monkeypatch):
@@ -478,9 +500,8 @@ def test_binary_entropy_reference_values():
 @pytest.mark.parametrize("energy", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize("check", [
     detection.antipodal_homodyne_error,
-    lambda energy: detection.truncation_dim(energy, 1e-10),
     lambda energy: detection.keygen_advantage([energy]),
-], ids=["antipodal_homodyne_error", "truncation_dim", "keygen_advantage"])
+], ids=["antipodal_homodyne_error", "keygen_advantage"])
 def test_energy_must_be_finite_and_nonnegative(check, energy):
     # NaN passed the homodyne error and came back as nan (the phase density's
     # case is in test_heterodyne.py)

@@ -1,4 +1,5 @@
-"""Checks of the truncated Fock-space oracle and of the package's Poisson window."""
+"""Checks of the truncated Fock-space oracle: its ``pdtrc`` truncation scan, coherent-state
+coefficients, density matrices and the Hermitian eigensolve."""
 
 import math
 
@@ -7,7 +8,6 @@ import numpy.testing as npt
 import pytest
 
 import fock_oracles as fs
-from yzero.detection import truncation_dim
 
 
 def poisson_tail(s: float, n_max: int) -> float:
@@ -23,29 +23,29 @@ def poisson_tail(s: float, n_max: int) -> float:
 
 
 def test_truncation_dim_vacuum_needs_one_level():
-    assert truncation_dim(0.0, 1e-12) == 1
+    assert fs.pdtrc_truncation_dim(0.0, 1e-12) == 1
 
 
 @pytest.mark.parametrize("s,tol", [(4.0, 1e-10), (25.0, 1e-10), (1.0, 1e-12)])
 def test_truncation_dim_matches_tail_summation(s, tol):
-    d = truncation_dim(s, tol)
+    d = fs.pdtrc_truncation_dim(s, tol)
     assert poisson_tail(s, d - 1) < tol
     # minimality: one level fewer leaves too much tail
     assert poisson_tail(s, d - 2) >= tol
 
 
 def test_truncation_dim_monotone_in_energy():
-    dims = [truncation_dim(s, 1e-10) for s in (0.5, 2.0, 8.0, 32.0, 128.0)]
+    dims = [fs.pdtrc_truncation_dim(s, 1e-10) for s in (0.5, 2.0, 8.0, 32.0, 128.0)]
     assert all(a <= b for a, b in zip(dims, dims[1:]))
 
 
 def test_truncation_dim_rejects_bad_args():
     with pytest.raises(ValueError):
-        truncation_dim(4.0, 0.0)
+        fs.pdtrc_truncation_dim(4.0, 0.0)
     with pytest.raises(ValueError):
-        truncation_dim(4.0, 1.0)
+        fs.pdtrc_truncation_dim(4.0, 1.0)
     with pytest.raises(ValueError):
-        truncation_dim(-1.0, 1e-10)
+        fs.pdtrc_truncation_dim(-1.0, 1e-10)
 
 
 def test_coherent_overlap_closed_forms():
@@ -89,7 +89,7 @@ def test_coherent_fock_explicit_small_coefficients():
 
 def test_coherent_fock_norm_deficit_equals_poisson_tail():
     for s in (1.0, 4.0, 9.0):
-        dim = truncation_dim(s, 1e-8)
+        dim = fs.pdtrc_truncation_dim(s, 1e-8)
         v = fs.coherent_fock(math.sqrt(s) + 0j, dim)
         deficit = 1.0 - v.norm() ** 2
         npt.assert_allclose(deficit, poisson_tail(s, dim - 1), rtol=1e-6, atol=1e-15)
@@ -98,7 +98,7 @@ def test_coherent_fock_norm_deficit_equals_poisson_tail():
 def test_truncated_inner_product_tracks_analytic_overlap():
     # at tail tolerance 1e-12 the numerical inner product must agree to 1e-9
     rng = np.random.default_rng(77)
-    dim = truncation_dim(9.0, 1e-12)
+    dim = fs.pdtrc_truncation_dim(9.0, 1e-12)
     for _ in range(25):
         a = rng.uniform(0, 3.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         b = rng.uniform(0, 3.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -108,7 +108,7 @@ def test_truncated_inner_product_tracks_analytic_overlap():
 
 
 def test_density_single_state_is_projector():
-    dim = truncation_dim(1.0, 1e-12)
+    dim = fs.pdtrc_truncation_dim(1.0, 1e-12)
     rho = fs.density_from_ensemble([fs.coherent_fock(1 + 0j, dim)], [1.0])
     rho.validate()
     npt.assert_allclose(np.trace(rho.entries @ rho.entries).real, 1.0, atol=1e-12)
@@ -136,7 +136,7 @@ def two_state_mixture_eigs(p: float, kappa2: float) -> "tuple[float, float]":
 
 def test_two_state_density_eigenvalues_match_gram_oracle():
     rng = np.random.default_rng(5150)
-    dim = truncation_dim(9.0, 1e-13)
+    dim = fs.pdtrc_truncation_dim(9.0, 1e-13)
     for _ in range(10):
         a = rng.uniform(0.2, 3.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         b = rng.uniform(0.2, 3.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -151,7 +151,7 @@ def test_two_state_density_eigenvalues_match_gram_oracle():
 
 
 def test_antipodal_large_alpha_mixture_is_nearly_degenerate():
-    dim = truncation_dim(16.0, 1e-12)
+    dim = fs.pdtrc_truncation_dim(16.0, 1e-12)
     states = [fs.coherent_fock(4 + 0j, dim), fs.coherent_fock(-4 + 0j, dim)]
     rho = fs.density_from_ensemble(states, [0.5, 0.5])
     w, _ = fs.hermitian_eig(rho)
@@ -204,7 +204,7 @@ def test_trace_norm_negation_and_triangle():
 def test_weighted_difference_matches_pure_helstrom_closed_form():
     # trace norm of (rho1 - rho0)/2 for antipodal unit-amplitude states must
     # reproduce the closed-form minimum error (1 - sqrt(1 - e^-4))/2
-    dim = truncation_dim(1.0, 1e-13)
+    dim = fs.pdtrc_truncation_dim(1.0, 1e-13)
     r0 = fs.density_from_ensemble([fs.coherent_fock(1 + 0j, dim)], [1.0])
     r1 = fs.density_from_ensemble([fs.coherent_fock(-1 + 0j, dim)], [1.0])
     tn = fs.trace_norm(0.5 * r1.entries - 0.5 * r0.entries)
@@ -215,7 +215,7 @@ def test_weighted_difference_matches_pure_helstrom_closed_form():
 
 def test_density_eigenvalues_stay_in_unit_range():
     rng = np.random.default_rng(42)
-    dim = truncation_dim(4.0, 1e-10)
+    dim = fs.pdtrc_truncation_dim(4.0, 1e-10)
     states = [fs.coherent_fock(rng.normal(0, 1) + 1j * rng.normal(0, 1), dim)
               for _ in range(6)]
     probs = rng.uniform(0.1, 1.0, 6)

@@ -233,35 +233,56 @@ def test_chunked_scan_matches_the_whole_array_scan(case):
                             rtol=64 * np.finfo(float).eps)
 
 
-@settings(max_examples=20, deadline=None)
-# K = 2 ... 12: hex widths 1 to 3 and every K mod 4, so partial top digits too
-@given(degree=st.integers(2, 12), n=st.integers(2, 70),
-       seed_frac=st.floats(0.0, 1.0, exclude_max=True), rng_seed=st.integers(0, 2**32 - 1))
-@example(degree=17, n=40, seed_frac=0.9, rng_seed=3)  # true seed in the second row chunk
-@example(degree=9, n=40, seed_frac=0.0, rng_seed=0)  # true seed 1, the first row
-@example(degree=17, n=40, seed_frac=0.999999, rng_seed=0)  # 2^17 - 1, the last row
-# uint8 counts at N = 255, uint16 at 256; the true seed's tail index h + N + 1 passes 255
-@example(degree=9, n=255, seed_frac=0.5, rng_seed=1)
-@example(degree=9, n=256, seed_frac=0.5, rng_seed=1)
-# K = 17: the rows of seeds 65536 on are placed at their offsets.  At N = 63
-# tails run from 10 to 28 bytes, so a row's padding spans more than a word;
-# at N = 1 every tail has 10; at N = 255 the true seed 0x18000 is placed
-@example(degree=17, n=63, seed_frac=0.7, rng_seed=0)
-@example(degree=17, n=1, seed_frac=0.6, rng_seed=0)
-@example(degree=17, n=255, seed_frac=0.75, rng_seed=0)
-def test_seed_csv_writer_matches_the_csv_module(tmp_path_factory, degree, n, seed_frac,
-                                                 rng_seed):
-    # jitter plus one recording error: fractions vary and the true seed misses
+def writer_record(degree: int, n: int, seed_frac: float, rng_seed: int):
+    """A record with jitter plus one recording error: fractions vary and the true seed misses."""
     true_seed = 1 + int(seed_frac * ((1 << degree) - 1))
-    rec = replay_record(degree, n, true_seed, noisy=True, rng_seed=rng_seed)
-    assume(rec.true_seed_mismatches > 0)
-    # N = 1 has two counts, 0 and 1; it needs both
-    assume(np.count_nonzero(rec.mismatch_histogram) > min(2, n))
-    out = tmp_path_factory.mktemp("csv")
+    return replay_record(degree, n, true_seed, noisy=True, rng_seed=rng_seed)
+
+
+def writer_record_is_varied(rec, n: int) -> bool:
+    """The true seed misses, and the counts take more than two values (at N = 1, both of two)."""
+    return rec.true_seed_mismatches > 0 and np.count_nonzero(rec.mismatch_histogram) > min(2, n)
+
+
+def assert_writer_matches_the_csv_module(out: pathlib.Path, rec, n: int) -> None:
     write_seed_csv(out / "fast.csv", rec, n)
     runner._write_csv(str(out / "ref.csv"), "m.json", "abc", SEED_CSV_HEADER,
                       per_seed_rows(rec, n))
     assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+@settings(max_examples=20, deadline=None)
+# K = 2 ... 12: hex widths 1 to 3 and every K mod 4, so partial top digits too
+@given(degree=st.integers(2, 12), n=st.integers(2, 70),
+       seed_frac=st.floats(0.0, 1.0, exclude_max=True), rng_seed=st.integers(0, 2**32 - 1))
+def test_seed_csv_writer_matches_the_csv_module(tmp_path_factory, degree, n, seed_frac,
+                                                 rng_seed):
+    rec = writer_record(degree, n, seed_frac, rng_seed)
+    assume(writer_record_is_varied(rec, n))
+    assert_writer_matches_the_csv_module(tmp_path_factory.mktemp("csv"), rec, n)
+
+
+@pytest.mark.parametrize("degree, n, seed_frac, rng_seed", [
+    (17, 40, 0.9, 3),  # true seed in the second row chunk
+    (9, 40, 0.0, 0),  # true seed 1, the first row
+    (17, 40, 0.999999, 0),  # 2^17 - 1, the last row
+    # uint8 counts at N = 255, uint16 at 256; the true seed's tail index h + N + 1 passes 255
+    (9, 255, 0.5, 1),
+    (9, 256, 0.5, 1),
+    # K = 17: the rows of seeds 65536 on are placed at their offsets.  At N = 63
+    # tails run from 10 to 28 bytes, so a row's padding spans more than a word;
+    # at N = 1 every tail has 10; at N = 255 the true seed 0x18000 is placed
+    (17, 63, 0.7, 0),
+    (17, 1, 0.6, 0),
+    (17, 255, 0.75, 0),
+], ids=["second-chunk", "first-row", "last-row", "uint8-counts", "uint16-counts",
+        "placed-n63", "placed-n1", "placed-true-seed"])
+def test_seed_csv_writer_matches_the_csv_module_on_fixed_records(tmp_path, degree, n, seed_frac,
+                                                                 rng_seed):
+    # the records the drawn cases assume, asserted: none of these runs vacuously
+    rec = writer_record(degree, n, seed_frac, rng_seed)
+    assert writer_record_is_varied(rec, n)
+    assert_writer_matches_the_csv_module(tmp_path, rec, n)
 
 
 # scan chunks of 2^0, 2^2, 2^6 and 2^16 seeds; at 2^17 - 1 seeds, 1- or 4-seed

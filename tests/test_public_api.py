@@ -117,7 +117,7 @@ def test_import_yzero_loads_no_numpy():
 
 
 def test_every_public_name_resolves_by_getattr_star_import_and_dir():
-    assert len(yzero.__all__) == len(set(yzero.__all__)) == 35
+    assert len(yzero.__all__) == len(set(yzero.__all__)) == 34
     star: dict = {}
     exec("from yzero import *", star)
     listed = dir(yzero)

@@ -202,12 +202,15 @@ def test_unknown_key_is_reported_with_line_number(tmp_path):
                              # no family starts threads: the pool's key is gone
                              ("threads = 2", "master_seed = 11\n", 11),
                              # the constellation frame is the sender's: no global rotation
-                             ("phase_offset = 0.7", "[constellation]\n", 2)):
+                             ("phase_offset = 0.7", "[constellation]\n", 2),
+                             # configparser stores option names in lower case; the
+                             # line is found all the same
+                             ("Foo = 3", "energy_grid = 1.0, 4.0\n", 4)):
         text = BOUNDS_CFG.replace(after, f"{after}{key}\n")
         with pytest.raises(ConfigError) as err:
             load_config(write_cfg(tmp_path, text), "bounds")
         assert f":{line}:" in str(err.value)
-        assert f"unknown key '{key.split()[0]}'" in str(err.value)
+        assert f"unknown key '{key.split()[0].lower()}'" in str(err.value)
 
 
 # keys of one family in another's config, which the loader used to accept and ignore:
@@ -298,6 +301,9 @@ BAD_VALUES = [
     ("m", "attack", "m = 4", "m = 12", 2, "a positive power of two, got 12"),
     ("energy", "attack", "energy = 2.0", "energy = -2.0", 3, "nonnegative"),
     ("energy_grid", "bounds", "energy_grid = 1.0, 4.0", "energy_grid = 1.0, -4.0", 3,
+     "nonnegative"),
+    # a key written with capitals is the key configparser stores in lower case
+    ("energy_grid_capitalized", "bounds", "energy_grid = 1.0, 4.0", "Energy_Grid = -1", 3,
      "nonnegative"),
     ("master_seed", "bounds", "master_seed = 11", "master_seed = -1", 10, "nonnegative"),
     # --seed and the file's key are a U64; 2^64 ran
