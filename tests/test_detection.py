@@ -97,6 +97,20 @@ def test_poisson_pmf_matches_gammaln_form(s):
     assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * (1.0 + scale) * want)
 
 
+@pytest.mark.parametrize("s", [s for s in TAIL_ENERGIES if s <= detection.GRAM_ENERGY_CAP])
+def test_gram_spectrum_sums_whole_rows_up_to_the_pdtrc_truncation(s):
+    # the spectrum aliases the pmf over whole rows of n = 2M up to the least d
+    # with P[N >= d] below MODE_DROP_BOUND^2, found here by the scipy scan
+    d = fock_oracles.pdtrc_truncation_dim(s, detection.MODE_DROP_BOUND**2)
+    for m in (1, 4, 32, 256):
+        c = codec.Constellation(m=m, energy=s)
+        n = c.n_states
+        pmf = detection._poisson_pmf(s, n * -(-d // n))
+        lam = n * pmf.reshape(-1, n).sum(axis=0)
+        want = lam / (float(lam.sum()) / n)
+        assert np.array_equal(detection._gram_spectrum(c), want), (m, d)
+
+
 # mpmath values of the Poisson pmf at 60 digits within 8 sd of the mean, written
 # by tests/make_reference_tables.py; the tests read the JSON only
 PMF_REFS = json.loads(pathlib.Path(__file__).with_name("poisson_pmf_refs.json")
