@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -40,6 +41,7 @@ from .codec import (
     _check_seed,
     _pair_index_table,
     _seed_row,
+    encode_sequence,
     gf2_span,
     halfplane_label,
     unit_keystreams,
@@ -106,9 +108,11 @@ class AttackScenario:
 
     error_positions are the distinct symbol positions in [0, n_symbols) where
     the eavesdropper's label record is flipped after measurement (recording
-    errors), kept sorted; misalign rotates her phase reference relative to
-    the sender's, by at most a full turn either way; dsr is the sender's
-    deliberate randomization.  Scenarios with equal inputs compare and hash
+    errors), kept sorted as Python ints: a position ``operator.index``
+    refuses, such as 1.5, is a ValueError here, and True is position 1;
+    misalign rotates her phase reference relative to the sender's, by at
+    most a full turn either way; dsr is the sender's deliberate
+    randomization.  Scenarios with equal inputs compare and hash
     equal.  error_seq, the read-only 0/1 array of the errors the engines
     read, is derived from the positions on first read, so building a
     scenario allocates nothing per symbol.
@@ -124,6 +128,10 @@ class AttackScenario:
         _check_misalign(self.misalign)
         seen: "set[int]" = set()
         for p in self.error_positions:
+            try:
+                p = operator.index(p)
+            except TypeError:
+                raise ValueError(f"error position {p!r} is not an integer") from None
             if not 0 <= p < self.n_symbols:
                 raise ValueError(f"error position {p} outside [0, {self.n_symbols})")
             if p in seen:
@@ -177,9 +185,9 @@ class AttackRecord:
     true_seed_mismatches: int
     match_fraction_mean: float
     match_fraction_max: float
-    true_seed: "int | None" = None
-    exact_match_count: int = 0
-    collision_count: int = 0
+    true_seed: int
+    exact_match_count: int
+    collision_count: int
     notes: dict = field(default_factory=dict)
     # the record model a replay scores, half-plane labels; a class attribute, not a field
     record = "classical"
@@ -555,26 +563,24 @@ def otp_stage_attack(x_bits: np.ndarray, c: Constellation, poly: int, true_seed:
     """Replay against the two-stage construction: the cipher carries a pad.
 
     The sender draws a uniform pad R, publishes ciphertext C = X XOR R, and
-    transmits R through the keyed constellation.  The eavesdropper's
-    candidate plaintexts are C XOR labels XOR parity_j; on a noiseless
-    record the true seed reproduces X exactly, bit for bit.
+    transmits R through the keyed constellation: ``encode_sequence`` gives
+    the sent indices and ``measure_labels`` the record, as for the plain
+    stage's data.  The eavesdropper's candidate plaintexts are C XOR labels
+    XOR parity_j; on a noiseless record the true seed reproduces X exactly,
+    bit for bit, which ``pad_identity_noiseless`` reads from its mismatch
+    count.
     """
     x_bits = _as_bits(x_bits, "plaintext bits")
     n = x_bits.size
     _check_replay_run(poly, n, true_seed)
-    if scenario.n_symbols != n:
-        raise ValueError("scenario length does not match the plaintext")
     pad = rng.integers(0, 2, n, dtype=np.uint8)
     cipher = x_bits ^ pad
-    units = unit_keystreams(poly, n, c.bits_per_basis)
-    basis_true = _seed_row(units, true_seed)
-    labels = _label_sampler(c, scenario).record(_pair_index_table(c)[pad, basis_true], rng,
-                                                scenario.error_seq)
-    rec = _seed_scan(labels, cipher ^ labels, x_bits, units, true_seed)
+    labels = measure_labels(encode_sequence(pad, poly, true_seed, c), c, scenario, rng)
+    rec = _seed_scan(labels, cipher ^ labels, x_bits,
+                     unit_keystreams(poly, n, c.bits_per_basis), true_seed)
     noiseless = (scenario.dsr.param == 0.0 and scenario.misalign == 0.0
                  and not scenario.error_positions)
-    identity = bool(np.all((cipher ^ labels ^ (basis_true & 1)) == x_bits)) if noiseless else None
-    rec.notes["pad_identity_noiseless"] = identity
+    rec.notes["pad_identity_noiseless"] = rec.true_seed_mismatches == 0 if noiseless else None
     rec.notes["ciphertext"] = cipher.tolist()
     return rec
 

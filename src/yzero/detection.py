@@ -160,10 +160,13 @@ def _gram_spectrum(c: Constellation) -> np.ndarray:
 
     The sum runs over whole rows of n up to the least d with P[N >= d] below
     MODE_DROP_BOUND^2, and no further: summing past it can move the ``srm``
-    bits.  The pmf is taken over a window that starts comfortably past the
-    mean and doubles until it holds that d and the mass past the window is
-    under MODE_DROP_BOUND^2 times the unit roundoff, too small to move the
-    comparison.
+    bits.  The pmf is taken over one window, the least multiple of n at or
+    past S + 20 sqrt(S + 1) + 40, 20 standard deviations and more past the
+    mean.  It must hold that d, and the mass past it must be under
+    MODE_DROP_BOUND^2 times the unit roundoff, too small to move the
+    comparison.  Both hold at every energy checked, S up to 1e5 and M up to
+    4096, so a window that misses either is an AssertionError, not a case
+    to widen.
     """
     _check_gram_energy(c.energy)
     energy, n = c.energy, c.n_states
@@ -171,18 +174,16 @@ def _gram_spectrum(c: Constellation) -> np.ndarray:
     # sqrt(tau) n max|w| <= 2 sqrt(tau), so a tail below MODE_DROP_BOUND^2
     # costs at most twice the mode-drop bound.
     tol = MODE_DROP_BOUND**2
-    hi = int(energy + 20.0 * math.sqrt(energy + 1.0) + 40.0)
-    while True:
-        size = n * -(-hi // n)
-        pmf = _poisson_pmf(energy, size)
-        # P[N >= d] for d < size, summed smallest term first
-        tail = np.cumsum(pmf[::-1])[::-1]
-        # past the window the pmf falls at least geometrically, by S / size
-        left_out = float(pmf[-1]) * energy / (size - energy) if size > energy else math.inf
-        hit = np.nonzero(tail < tol)[0]
-        if hit.size and left_out <= tol * np.finfo(float).eps:
-            break
-        hi *= 2
+    size = n * -(-int(energy + 20.0 * math.sqrt(energy + 1.0) + 40.0) // n)
+    pmf = _poisson_pmf(energy, size)
+    # P[N >= d] for d < size, summed smallest term first
+    tail = np.cumsum(pmf[::-1])[::-1]
+    # past the window the pmf falls at least geometrically, by S / size
+    left_out = float(pmf[-1]) * energy / (size - energy)
+    hit = np.nonzero(tail < tol)[0]
+    if not hit.size or left_out > tol * np.finfo(float).eps:
+        raise AssertionError(f"the Poisson window of {size} terms misses the 2^-106 cut "
+                             f"at S = {energy}")
     lam = n * pmf[:n * math.ceil(hit[0] / n)].reshape(-1, n).sum(axis=0)
     mass = float(lam.sum()) / n
     if abs(mass - 1.0) > SPECTRUM_MASS_TOL:

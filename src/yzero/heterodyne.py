@@ -143,11 +143,11 @@ def heterodyne_index_transition(c: Constellation, decision_offset: float = 0.0) 
     of the phase-error density is evaluated once.  The quadrature doubles
     its panel count until two successive estimates agree within
     WEDGE_QUAD_TOL, and fails past WEDGE_PANELS_CAP panels.  Energies above
-    WEDGE_ENERGY_CAP raise RegimeCapError.
+    WEDGE_ENERGY_CAP raise RegimeCapError.  The vacuum needs no case of its
+    own: its density is the constant 1 / (2 pi), and the quadrature gives
+    every entry exactly 1 / (2M).
     """
     _check_wedge_energy(c.energy)
-    if c.energy == 0.0:
-        return np.full((c.n_states, c.n_states), 1.0 / c.n_states)
     n = c.n_states
     panels = WEDGE_PANELS_START
     q = _wedge_integrals(c, decision_offset, panels)

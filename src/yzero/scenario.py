@@ -11,6 +11,8 @@ reads but [output]: ``bounds`` reads ``m_grid`` and ``energy_grid``,
 the checks that span its keys and with its caps.  Of several faults the
 first in reading order is reported: an unknown section, the family's keys
 and end checks as its reader meets them, [output], then a key left unread.
+A key under [DEFAULT], which configparser copies into every section, is
+reported as the unknown section [DEFAULT] at its header.
 The loader keeps the rules of the file format: sections and keys, which
 keys are present, method and mode names, which mode reads ``regime``,
 ``prefix`` and ``master_seed``.  Every value rule is the library's: the
@@ -139,16 +141,8 @@ class _Source:
 
     def fail(self, message: str, section: "str | None" = None,
              key: "str | None" = None) -> "ConfigError":
-        """A ConfigError at ``key``'s line in [section], or at the section's header.
-
-        A key set in [DEFAULT] is every section's, so its line is looked up there
-        too.
-        """
-        lineno = None
-        if section is not None:
-            lineno = self.line_of(section, key)
-            if lineno is None and key is not None:
-                lineno = self.line_of(self.cp.default_section, key)
+        """A ConfigError at ``key``'s line in [section], or at the section's header."""
+        lineno = None if section is None else self.line_of(section, key)
         where = f"{self.path}:{lineno}" if lineno else self.path
         return ConfigError(f"{where}: {message}")
 
@@ -273,7 +267,11 @@ def load_config(path: str, family: str,
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
     src = _Source(path, text, cp, family)
-    for section in cp.sections():
+    sections = cp.sections()
+    if cp.defaults():
+        # configparser copies a [DEFAULT] key into every section
+        sections.append(configparser.DEFAULTSECT)
+    for section in sections:
         if section not in _SECTIONS:
             raise src.fail(f"unknown section [{section}]", section)
 

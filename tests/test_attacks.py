@@ -81,11 +81,24 @@ def test_attack_scenario_validation():
 
 
 @pytest.mark.parametrize("positions, text", [([-1], "outside"), ([6], "outside"),
-                                             ([2, 2], "distinct")])
+                                             ([2, 2], "distinct"),
+                                             ([1.5], "not an integer"),
+                                             ([np.float64(2.0)], "not an integer"),
+                                             (["1"], "not an integer")])
 def test_attack_scenario_rejects_positions_outside_or_repeated(positions, text):
-    # -1 would wrap to the last symbol and a repeat would merge into one error
+    # -1 would wrap to the last symbol and a repeat would merge into one error;
+    # 1.5 once built and then raised IndexError in the first engine to read it
     with pytest.raises(ValueError, match=text):
         attacks.AttackScenario(6, positions)
+
+
+def test_attack_scenario_keeps_integral_positions_as_python_ints():
+    # True once built and then indexed the error array as a boolean mask
+    sc = attacks.AttackScenario(4, (True, np.int64(3)))
+    assert sc.error_positions == (1, 3)
+    assert all(type(p) is int for p in sc.error_positions)
+    npt.assert_array_equal(sc.error_seq, [0, 1, 0, 1])
+    assert sc == attacks.AttackScenario(4, (1, 3))
 
 
 def test_attack_scenarios_with_equal_inputs_compare_and_hash_equal():

@@ -97,12 +97,18 @@ def test_poisson_pmf_matches_gammaln_form(s):
     assert np.all(np.abs(got - want) <= 4.0 * np.finfo(float).eps * (1.0 + scale) * want)
 
 
-@pytest.mark.parametrize("s", [s for s in TAIL_ENERGIES if s <= detection.GRAM_ENERGY_CAP])
+# every integer energy up to the cap too: the spectrum's one Poisson window
+# must hold the cut at each, or _gram_spectrum raises AssertionError
+GRAM_ENERGIES = sorted({s for s in TAIL_ENERGIES if s <= detection.GRAM_ENERGY_CAP}
+                       | {float(s) for s in range(int(detection.GRAM_ENERGY_CAP) + 1)})
+
+
+@pytest.mark.parametrize("s", GRAM_ENERGIES)
 def test_gram_spectrum_sums_whole_rows_up_to_the_pdtrc_truncation(s):
     # the spectrum aliases the pmf over whole rows of n = 2M up to the least d
     # with P[N >= d] below MODE_DROP_BOUND^2, found here by the scipy scan
     d = fock_oracles.pdtrc_truncation_dim(s, detection.MODE_DROP_BOUND**2)
-    for m in (1, 4, 32, 256):
+    for m in (1, 4, 8, 32, 256, 512):
         c = codec.Constellation(m=m, energy=s)
         n = c.n_states
         pmf = detection._poisson_pmf(s, n * -(-d // n))

@@ -128,10 +128,14 @@ def test_heterodyne_transition_rows_are_circulant_distributions():
             npt.assert_allclose(t[sent, m], t[0, (m - sent) % n], rtol=1e-12)
 
 
-def test_heterodyne_transition_vacuum_is_uniform():
-    c = codec.Constellation(m=4, energy=0.0)
-    npt.assert_allclose(heterodyne.heterodyne_index_transition(c),
-                        np.full((8, 8), 1 / 8), atol=1e-15)
+@pytest.mark.parametrize("m", [1, 2, 4, 16, 256, 1024])
+@pytest.mark.parametrize("offset", [0.0, 0.3, -1.7, 2 * math.pi])
+def test_heterodyne_transition_vacuum_is_uniform(m, offset):
+    # the vacuum takes the general route: a constant density, whose wedge
+    # quadrature gives every entry exactly 1/(2M)
+    c = codec.Constellation(m=m, energy=0.0)
+    assert np.array_equal(heterodyne.heterodyne_index_transition(c, offset),
+                          np.full((2 * m, 2 * m), 1 / (2 * m)))
 
 
 def test_heterodyne_transition_matches_monte_carlo():

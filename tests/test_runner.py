@@ -364,6 +364,10 @@ BAD_VALUES = [
      "missing 's_grid' in [scenario]"),
     ("methods_empty", "bounds", "methods = bit, srm, updown", "methods =", 6,
      "'methods' must be a nonempty comma-separated list"),
+    # configparser copies a [DEFAULT] key into every section: it once read as an
+    # unknown key of [constellation], though [output] takes prefix
+    ("default_section", "bounds", "[output]", "[DEFAULT]\nprefix = x\n\n[output]", 8,
+     "unknown section [DEFAULT]"),
 ]
 
 
